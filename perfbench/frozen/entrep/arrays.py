@@ -1,0 +1,415 @@
+"""Gaussian model of two cavity arrays driven by a shared squeezed reservoir.
+
+Geometry and mode indexing
+--------------------------
+Two identical, mutually non-interacting chains of ``n_sites`` cavities.
+Code indexes the 2N modes 0-based: sites ``0..N-1`` form array one,
+``N..2N-1`` array two.  Nearest neighbours within each chain are coupled
+by hopping rates ``eta`` (bond b of array one couples modes b and b+1;
+bond b of array two couples modes N+b and N+b+1).  Every cavity decays
+locally at rate ``kappa[j]`` into its own vacuum port.  The only link
+between the arrays is a broadband two-mode squeezed reservoir with
+statistics ``(nbar, mbar)`` that pumps the two first sites (modes 0 and
+N) at rate ``zeta``.
+
+The model is quadratic, so the steady state is Gaussian and fully
+described by the covariance matrix solving ``A sigma + sigma A^T + D = 0``
+with the drift/diffusion built here.  Ladder moments evolve as
+d<a>/dt = L <a> with ``L = -i*eta(hopping) - diag(kappa_j + zeta*[j is
+driven])``; the reservoir contributes ``2*zeta*(2*nbar+1)`` of local
+diffusion on each driven site plus a cross block fixed by the moment
+equation d<a_0 a_N>/dt = -2*zeta*<a_0 a_N> - 2*zeta*mbar, whose steady
+value -mbar carries the inter-array correlations.
+
+Entanglement replication: with kappa = 0 every pair (j, N+j) relaxes to
+a two-mode squeezed thermal state with the *same* (nbar, mbar) as the
+reservoir — the per-pair logarithmic negativity then equals the driving
+field's value exactly, for any chain length.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+
+from .baselines import driving_entanglement
+from .errors import ConfigInvalid, OverSqueezed
+from .gaussian import (
+    DriftDiffusion,
+    QuadratureCovariance,
+    log_negativity_gaussian,
+    normalized_logneg,
+    quadrature_embedding,
+    reduce_to_pair,
+    solve_lyapunov,
+    squeezing_bound,
+)
+
+__all__ = [
+    "ArrayConfig",
+    "DisorderResult",
+    "DisorderSpec",
+    "DriftMatrices",
+    "EntanglementProfile",
+    "diffusion_matrix",
+    "disorder_sweep",
+    "drift_matrices",
+    "pair_entanglement_profile",
+    "steady_state",
+]
+
+
+@dataclass(frozen=True)
+class ArrayConfig:
+    """Full physical parametrization of the two driven arrays.
+
+    Parameters
+    ----------
+    n_sites
+        Sites per array (N >= 1); the model has 2N modes in total.
+    eta
+        2(N-1) hopping rates: bonds of array one, then bonds of array two.
+    kappa
+        2N local decay rates, one per cavity.
+    zeta
+        Pump rate of the squeezed reservoir on the two first sites.
+    nbar, mbar
+        Reservoir occupation and cross-correlation; physical states need
+        mbar <= sqrt(nbar*(nbar+1)).
+    g
+        N atom-field couplings, one per pair; all zero selects the pure
+        cavity (Gaussian) model.  Used only by the spin-dynamics layer.
+    """
+
+    n_sites: int
+    eta: tuple[float, ...]
+    kappa: tuple[float, ...]
+    zeta: float
+    nbar: float
+    mbar: float
+    g: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.n_sites < 1:
+            raise ConfigInvalid(f"n_sites must be >= 1, got {self.n_sites}")
+        object.__setattr__(self, "eta", tuple(float(v) for v in self.eta))
+        object.__setattr__(self, "kappa", tuple(float(v) for v in self.kappa))
+        g = self.g if len(self.g) else (0.0,) * self.n_sites
+        object.__setattr__(self, "g", tuple(float(v) for v in g))
+        n = self.n_sites
+        if len(self.eta) != 2 * (n - 1):
+            raise ConfigInvalid(
+                f"expected {2 * (n - 1)} bond couplings for n_sites={n}, "
+                f"got {len(self.eta)}"
+            )
+        if len(self.kappa) != 2 * n:
+            raise ConfigInvalid(
+                f"expected {2 * n} decay rates for n_sites={n}, got {len(self.kappa)}"
+            )
+        if len(self.g) != n:
+            raise ConfigInvalid(
+                f"expected {n} atom couplings for n_sites={n}, got {len(self.g)}"
+            )
+        for name, values in (("eta", self.eta), ("kappa", self.kappa), ("g", self.g)):
+            if any(v < 0.0 for v in values):
+                raise ConfigInvalid(f"all {name} entries must be >= 0, got {values}")
+        if self.zeta < 0.0 or self.nbar < 0.0 or self.mbar < 0.0:
+            raise ConfigInvalid(
+                f"rates and occupations must be >= 0, got zeta={self.zeta}, "
+                f"nbar={self.nbar}, mbar={self.mbar}"
+            )
+        if self.mbar > squeezing_bound(self.nbar) + 1e-12:
+            raise OverSqueezed(
+                f"mbar={self.mbar} exceeds sqrt(nbar*(nbar+1))="
+                f"{squeezing_bound(self.nbar)}"
+            )
+
+    @classmethod
+    def homogeneous(
+        cls,
+        n_sites: int,
+        *,
+        eta: float = 1.0,
+        kappa: float = 0.0,
+        zeta: float | None = None,
+        nbar: float = 0.0,
+        mbar: float = 0.0,
+        g: float = 0.0,
+    ) -> "ArrayConfig":
+        """Uniform couplings/rates; ``zeta`` defaults to ``eta``."""
+        if zeta is None:
+            zeta = eta
+        return cls(
+            n_sites=n_sites,
+            eta=(eta,) * (2 * (n_sites - 1)),
+            kappa=(kappa,) * (2 * n_sites),
+            zeta=zeta,
+            nbar=nbar,
+            mbar=mbar,
+            g=(g,) * n_sites,
+        )
+
+    @property
+    def n_modes(self) -> int:
+        return 2 * self.n_sites
+
+    @property
+    def driven_modes(self) -> tuple[int, int]:
+        """0-based indices of the two reservoir-pumped modes."""
+        return 0, self.n_sites
+
+    @property
+    def is_gaussian(self) -> bool:
+        """True when all atom couplings vanish (pure cavity model)."""
+        return all(v == 0.0 for v in self.g)
+
+
+@dataclass(frozen=True, eq=False)
+class DriftMatrices:
+    """Ladder drift L (and its conjugate) plus the real quadrature drift."""
+
+    ladder: np.ndarray
+    ladder_conj: np.ndarray
+    quadrature: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class EntanglementProfile:
+    """Per-pair steady-state entanglement, plus the reservoir reference.
+
+    ``pair_labels[i] = i+1`` labels the pair (site i+1 of array one,
+    site i+1 of array two) in the 1-based convention used in all output
+    tables.
+    """
+
+    pair_labels: tuple[int, ...]
+    raw: np.ndarray
+    normalized: np.ndarray
+    drive_raw: float
+    drive_normalized: float
+
+    def __post_init__(self) -> None:
+        raw = np.array(self.raw, dtype=float)
+        norm = np.array(self.normalized, dtype=float)
+        raw.flags.writeable = False
+        norm.flags.writeable = False
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "normalized", norm)
+
+
+def _require_gaussian(cfg: ArrayConfig) -> None:
+    if not cfg.is_gaussian:
+        raise ConfigInvalid(
+            "the Gaussian cavity branch requires all atom couplings g = 0; "
+            "use the spin-dynamics layer for g > 0"
+        )
+
+
+def drift_matrices(cfg: ArrayConfig) -> DriftMatrices:
+    """First-moment drift of the cavity fields.
+
+    Builds the complex 2N x 2N matrix ``L`` with d<a>/dt = L <a>:
+    ``-i*eta`` on nearest-neighbour bonds within each array and
+    ``-(kappa_j + zeta*[j driven])`` on the diagonal, plus its complex
+    conjugate (the creation-operator drift) and the 4N x 4N real
+    quadrature embedding.  The arrays never couple coherently.
+    """
+    _require_gaussian(cfg)
+    n = cfg.n_sites
+    ladder = np.zeros((2 * n, 2 * n), dtype=complex)
+    for bond in range(n - 1):
+        for offset, rate in ((0, cfg.eta[bond]), (n, cfg.eta[n - 1 + bond])):
+            a, b = offset + bond, offset + bond + 1
+            ladder[a, b] = ladder[b, a] = -1j * rate
+    ladder -= np.diag(np.asarray(cfg.kappa, dtype=float))
+    for j in cfg.driven_modes:
+        ladder[j, j] -= cfg.zeta
+    return DriftMatrices(
+        ladder=ladder,
+        ladder_conj=ladder.conj(),
+        quadrature=quadrature_embedding(ladder),
+    )
+
+
+def diffusion_matrix(cfg: ArrayConfig) -> np.ndarray:
+    """Quadrature diffusion from local decay plus the squeezed reservoir.
+
+    Local decay contributes ``2*kappa_j`` per driven quadrature; the
+    reservoir adds ``2*zeta*(2*nbar+1)`` on both driven sites and the
+    cross block ``2*zeta*diag(-2*mbar, +2*mbar)`` between them, the sign
+    pattern that makes the isolated driven pair relax to cross-moment
+    ``<a_0 a_N> = -mbar`` with occupation ``nbar``.
+    """
+    _require_gaussian(cfg)
+    n = cfg.n_sites
+    diag = np.repeat(2.0 * np.asarray(cfg.kappa, dtype=float), 2)
+    dmat = np.diag(diag)
+    first, second = cfg.driven_modes
+    for j in (first, second):
+        dmat[2 * j, 2 * j] += 2.0 * cfg.zeta * (2.0 * cfg.nbar + 1.0)
+        dmat[2 * j + 1, 2 * j + 1] += 2.0 * cfg.zeta * (2.0 * cfg.nbar + 1.0)
+    cross = 2.0 * cfg.zeta * 2.0 * cfg.mbar
+    dmat[2 * first, 2 * second] = dmat[2 * second, 2 * first] = -cross
+    dmat[2 * first + 1, 2 * second + 1] = dmat[2 * second + 1, 2 * first + 1] = cross
+    return dmat
+
+
+def steady_state(cfg: ArrayConfig) -> QuadratureCovariance:
+    """Unique Gaussian steady state of the driven arrays.
+
+    Raises NotHurwitz when no damping channel is open (zeta = 0 and all
+    kappa = 0): the closed system has no steady covariance.
+    """
+    gen = DriftDiffusion(drift_matrices(cfg).quadrature, diffusion_matrix(cfg))
+    return solve_lyapunov(gen)
+
+
+def pair_entanglement_profile(cfg: ArrayConfig) -> EntanglementProfile:
+    """Logarithmic negativity of every inter-array pair (j, N+j).
+
+    The reference entry is the reservoir's own entanglement — the exact
+    value every pair reaches in the lossless (kappa = 0) model.
+    """
+    sigma = steady_state(cfg)
+    n = cfg.n_sites
+    raw = np.array(
+        [
+            log_negativity_gaussian(reduce_to_pair(sigma, j, n + j))
+            for j in range(n)
+        ]
+    )
+    normalized = raw / (1.0 + raw)
+    drive = driving_entanglement(cfg.nbar, cfg.mbar)
+    return EntanglementProfile(
+        pair_labels=tuple(range(1, n + 1)),
+        raw=raw,
+        normalized=normalized,
+        drive_raw=drive,
+        drive_normalized=normalized_logneg(drive),
+    )
+
+
+@dataclass(frozen=True)
+class DisorderSpec:
+    """Ensemble of hopping-disordered arrays.
+
+    Each sample perturbs every bond independently: ``eta_b = eta0 + xi_b``
+    with ``xi_b`` uniform on ``[-delta_xi/2, +delta_xi/2]`` (all 2(N-1)
+    bonds of both arrays, drawn independently).  ``delta_xi < eta0``
+    keeps every coupling strictly positive.  Sampling is deterministic
+    under ``seed`` and independent of worker count.
+    """
+
+    base: ArrayConfig
+    delta_xi: float
+    samples: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        eta = self.base.eta
+        if len(eta) and len(set(eta)) != 1:
+            raise ConfigInvalid("disorder ensembles need a homogeneous base coupling")
+        eta0 = eta[0] if eta else 0.0
+        if self.delta_xi < 0.0:
+            raise ConfigInvalid(f"delta_xi must be >= 0, got {self.delta_xi}")
+        if self.delta_xi > 0.0 and self.delta_xi >= eta0:
+            raise ConfigInvalid(
+                f"delta_xi={self.delta_xi} too large for base coupling {eta0}"
+            )
+        if self.samples < 1:
+            raise ConfigInvalid(f"samples must be >= 1, got {self.samples}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigInvalid("seed must fit in an unsigned 64-bit integer")
+
+    @property
+    def eta0(self) -> float:
+        return self.base.eta[0] if self.base.eta else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class DisorderResult:
+    """Elementwise sample statistics of the normalized pair profile."""
+
+    pair_labels: tuple[int, ...]
+    raw_mean: np.ndarray
+    norm_mean: np.ndarray
+    norm_min: np.ndarray
+    norm_max: np.ndarray
+    norm_sem: np.ndarray
+    drive_raw: float
+    drive_normalized: float
+    samples: int
+
+    def __post_init__(self) -> None:
+        for field in ("raw_mean", "norm_mean", "norm_min", "norm_max", "norm_sem"):
+            arr = np.array(getattr(self, field), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, field, arr)
+
+
+def _profile_for_couplings(args: tuple[ArrayConfig, tuple[float, ...]]):
+    base, eta = args
+    profile = pair_entanglement_profile(replace(base, eta=eta))
+    return profile.raw, profile.normalized
+
+
+def disorder_sweep(spec: DisorderSpec, workers: int = 1) -> DisorderResult:
+    """Sample statistics of the pair profile over hopping disorder.
+
+    Bond draws for every sample are generated up front from a single
+    seed sequence, so results are bitwise-reproducible for a fixed seed
+    regardless of ``workers``; aggregation order is fixed by sample index.
+    """
+    n_bonds = 2 * (spec.base.n_sites - 1)
+    if spec.delta_xi == 0.0 or n_bonds == 0:
+        # Every draw is exactly eta0, so one profile IS the ensemble.  Taking
+        # the literal mean of hundreds of identical rows would smear the
+        # zero-width column by tens of ulps; computing it once keeps it
+        # bitwise equal to the homogeneous profile.
+        raw_row, norm_row = _profile_for_couplings(
+            (spec.base, (spec.eta0,) * n_bonds)
+        )
+        drive = driving_entanglement(spec.base.nbar, spec.base.mbar)
+        return DisorderResult(
+            pair_labels=tuple(range(1, spec.base.n_sites + 1)),
+            raw_mean=raw_row,
+            norm_mean=norm_row,
+            norm_min=norm_row,
+            norm_max=norm_row,
+            norm_sem=np.zeros_like(norm_row),
+            drive_raw=drive,
+            drive_normalized=normalized_logneg(drive),
+            samples=spec.samples,
+        )
+    children = np.random.SeedSequence(spec.seed).spawn(spec.samples)
+    half = 0.5 * spec.delta_xi
+    jobs = []
+    for child in children:
+        rng = np.random.default_rng(child)
+        xi = rng.uniform(-half, half, size=n_bonds) if n_bonds else np.zeros(0)
+        jobs.append((spec.base, tuple(spec.eta0 + xi)))
+    if workers > 1 and spec.samples > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_profile_for_couplings, jobs, chunksize=8))
+    else:
+        results = [_profile_for_couplings(job) for job in jobs]
+    raw = np.vstack([r[0] for r in results])
+    norm = np.vstack([r[1] for r in results])
+    if spec.samples > 1:
+        sem = norm.std(axis=0, ddof=1) / np.sqrt(spec.samples)
+    else:
+        sem = np.zeros(norm.shape[1])
+    drive = driving_entanglement(spec.base.nbar, spec.base.mbar)
+    return DisorderResult(
+        pair_labels=tuple(range(1, spec.base.n_sites + 1)),
+        raw_mean=raw.mean(axis=0),
+        norm_mean=norm.mean(axis=0),
+        norm_min=norm.min(axis=0),
+        norm_max=norm.max(axis=0),
+        norm_sem=sem,
+        drive_raw=drive,
+        drive_normalized=normalized_logneg(drive),
+        samples=spec.samples,
+    )

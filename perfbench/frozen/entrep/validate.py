@@ -1,0 +1,349 @@
+"""Cross-model validation suites with a machine-readable report.
+
+Each suite compares two independently built routes to the same physics
+and reports per-check pass/fail with the measured discrepancy:
+
+``gaussian-vs-fock``
+    Second moments of the Gaussian steady state against the truncated
+    number-basis oracle, over a ladder of Fock cutoffs.
+``effective-vs-full``
+    Reduced spin steady state of the full cavity+spin model against the
+    adiabatically eliminated spin-only generator.
+``closed-form-vs-general``
+    The closed-form reduced generator against the general kernel
+    construction, plus a recorded diagnostic for the alternative
+    quarter-block layout (which preserves trace and Hermiticity but not
+    equivalence with the general construction).
+``fixed-point``
+    The driven XX chains against the analytic replicated pure state at
+    maximal drive correlation.
+
+A suite whose solves would exceed the superoperator-side ``budget`` is
+marked ``skipped`` (never silently passed).  Failures are report
+entries, not exceptions.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+from .arrays import ArrayConfig, steady_state
+from .baselines import replicated_state
+from .errors import ModelError
+from .liouville import fidelity_pure, steady_state_dm
+from .output import ladder_correlations_from_cm
+from .spins import (
+    TruncationSpec,
+    _spin_pair_superop,
+    _stacked_spin_ops,
+    build_effective_closed_form,
+    build_effective_general,
+    build_xx_liouvillian,
+    closed_form_rates,
+    coupling_pattern_matrices,
+    full_cavity_atom_oracle,
+)
+
+__all__ = [
+    "SUITE_NAMES",
+    "CheckResult",
+    "SuiteReport",
+    "report_to_json",
+    "run_all",
+    "run_suite",
+]
+
+SUITE_NAMES = (
+    "gaussian-vs-fock",
+    "effective-vs-full",
+    "closed-form-vs-general",
+    "fixed-point",
+)
+
+#: Spin-model steady states in these suites use the sparse solver path;
+#: its ~1e-8 error is far below every threshold checked here.
+_SPARSE_CUTOFF = 1500
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One comparison: measured ``value`` against ``threshold``.
+
+    ``status`` is ``passed``/``failed`` for gated checks, ``reported``
+    for purely informational measurements (no pass/fail semantics).
+    """
+
+    name: str
+    status: str
+    value: float | None = None
+    threshold: float | None = None
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class SuiteReport:
+    suite: str
+    status: str  # passed | failed | skipped
+    checks: tuple[CheckResult, ...] = ()
+    reason: str = ""
+
+
+def _gated(name: str, value: float, threshold: float, detail: str = "") -> CheckResult:
+    status = "passed" if value <= threshold else "failed"
+    return CheckResult(name=name, status=status, value=float(value), threshold=threshold, detail=detail)
+
+
+def _finish(suite: str, checks: list[CheckResult]) -> SuiteReport:
+    status = "failed" if any(c.status == "failed" for c in checks) else "passed"
+    return SuiteReport(suite=suite, status=status, checks=tuple(checks))
+
+
+def _skip(suite: str, needed_side: int, budget: int) -> SuiteReport:
+    return SuiteReport(
+        suite=suite,
+        status="skipped",
+        reason=(
+            f"needs superoperator side {needed_side}, over the budget {budget}"
+        ),
+    )
+
+
+def _worst_entry(got: np.ndarray, ref: np.ndarray) -> tuple[float, str]:
+    diff = np.abs(got - ref)
+    j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    detail = (
+        f"worst moment entry [{j},{k}]: fock={got[j, k]:.6e} "
+        f"gaussian={ref[j, k]:.6e} |diff|={diff[j, k]:.3e}"
+    )
+    return float(diff[j, k]), detail
+
+
+def _suite_gaussian_vs_fock(budget: int) -> SuiteReport:
+    ladder = (4, 8, 12)
+    needed = ((ladder[-1] + 1) ** 2) ** 2
+    if needed > budget:
+        return _skip("gaussian-vs-fock", needed, budget)
+    cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=0.5, mbar=math.sqrt(0.75))
+    reference = ladder_correlations_from_cm(steady_state(cfg)).stacked()
+    checks: list[CheckResult] = []
+    errors = []
+    details = []
+    for n_max in ladder:
+        oracle = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=n_max, check="none"))
+        err, detail = _worst_entry(oracle.moments, reference)
+        errors.append(err)
+        details.append(detail)
+    checks.append(_gated(f"moment-agreement-nmax{ladder[-1]}", errors[-1], 1e-3, details[-1]))
+    monotone = all(a > b for a, b in zip(errors, errors[1:]))
+    checks.append(
+        CheckResult(
+            name="truncation-error-monotone",
+            status="passed" if monotone else "failed",
+            value=None,
+            threshold=None,
+            detail="errors " + " > ".join(f"{e:.3e}" for e in errors),
+        )
+    )
+    return _finish("gaussian-vs-fock", checks)
+
+
+def _suite_effective_vs_full(budget: int) -> SuiteReport:
+    n_max = 6
+    needed = ((n_max + 1) ** 2 * 4) ** 2
+    if needed > budget:
+        return _skip("effective-vs-full", needed, budget)
+    checks = []
+    for mbar in (1.2, math.sqrt(2.0)):
+        cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=mbar, g=0.01)
+        oracle = full_cavity_atom_oracle(
+            cfg, TruncationSpec(n_max=n_max, check="none", basis="squeezed")
+        )
+        effective = steady_state_dm(
+            build_effective_general(cfg).liouvillian, dense_cutoff=_SPARSE_CUTOFF
+        )
+        distance = 0.5 * float(np.abs(np.linalg.eigvalsh(oracle.spin_dm - effective)).sum())
+        checks.append(
+            _gated(
+                f"spin-trace-distance-mbar-{mbar:.4f}",
+                distance,
+                1e-2,
+                f"full model truncated at n_max={n_max} in the squeezed basis",
+            )
+        )
+    return _finish("effective-vs-full", checks)
+
+
+def _alternative_layout_generator(
+    n_pairs: int, *, eta: float, zeta: float, g: float, nbar: float, mbar: float
+):
+    """Closed-form variant with every ``mbar`` block in the dissipative part.
+
+    The cross-correlation quarters carry the mixed combination
+    ``(Y + i (J/gamma) X) Z`` (and its conjugate), and the thermal
+    coherent quarters flip sign relative to the canonical layout.  The
+    result is a perfectly valid trace-preserving generator; it just does
+    not reproduce the general kernel construction, which is why it is
+    only reported, never used.
+    """
+    hopping_rate, damping_rate = closed_form_rates(n_pairs, eta, zeta, g)
+    ratio = hopping_rate / damping_rate if n_pairs > 1 else 0.0
+    pats = coupling_pattern_matrices(n_pairs, ratio)
+    x_mat, y_mat, mixed = pats.hopping, pats.damping, pats.mixed
+    n = n_pairs
+    x_big = np.zeros((4 * n, 4 * n), complex)
+    y_big = np.zeros((4 * n, 4 * n), complex)
+    q1, q2, q3, q4 = (slice(i * n, (i + 1) * n) for i in range(4))
+    x_big[q1, q3] = x_big[q2, q4] = (1.0 + nbar) * x_mat
+    x_big[q3, q1] = x_big[q4, q2] = -nbar * x_mat
+    y_big[q1, q2] = y_big[q2, q1] = mbar * mixed
+    y_big[q3, q4] = y_big[q4, q3] = mbar * mixed.conj()
+    y_big[q1, q3] = y_big[q2, q4] = (1.0 + nbar) * y_mat
+    y_big[q3, q1] = y_big[q4, q2] = nbar * y_mat
+    coeff_left = -damping_rate * y_big - 1j * hopping_rate * x_big
+    coeff_right = -damping_rate * y_big + 1j * hopping_rate * x_big
+    coeff_mid = 2.0 * damping_rate * y_big.T
+    return _spin_pair_superop(coeff_left, coeff_right, coeff_mid, _stacked_spin_ops(n_pairs))
+
+
+def _suite_closed_form_vs_general(budget: int) -> SuiteReport:
+    params = dict(eta=0.8, zeta=1.3, g=0.01, nbar=1.0, mbar=1.2)
+    checks = []
+    for n_pairs in (2, 3):
+        side = 4 ** (2 * n_pairs)
+        if side > budget:
+            checks.append(
+                CheckResult(
+                    name=f"generator-gap-{n_pairs}-pairs",
+                    status="skipped",
+                    detail=f"needs superoperator side {side}, over the budget {budget}",
+                )
+            )
+            continue
+        cfg = ArrayConfig.homogeneous(
+            n_pairs,
+            eta=params["eta"],
+            kappa=0.0,
+            zeta=params["zeta"],
+            nbar=params["nbar"],
+            mbar=params["mbar"],
+            g=params["g"],
+        )
+        general = build_effective_general(cfg).liouvillian
+        closed = build_effective_closed_form(n_pairs, **params).liouvillian
+        gap = np.abs((closed.matrix - general.matrix)).max()
+        scale = max(general.scale, 1e-300)
+        checks.append(
+            _gated(
+                f"generator-gap-{n_pairs}-pairs",
+                float(gap / scale),
+                1e-10,
+                "max generator entry difference relative to the generator scale",
+            )
+        )
+        if n_pairs == 3:
+            alternative = _alternative_layout_generator(n_pairs, **params)
+            alt_gap = float(np.abs(alternative - general.matrix).max() / scale)
+            checks.append(
+                CheckResult(
+                    name="alternative-block-layout-gap",
+                    status="reported",
+                    value=alt_gap,
+                    threshold=None,
+                    detail=(
+                        "relative deviation of the alternative quarter-block "
+                        "layout (all cross-correlations in the dissipative "
+                        "blocks); it preserves trace and Hermiticity but does "
+                        "not match the general construction, so it is recorded "
+                        "here and never used"
+                    ),
+                )
+            )
+    if all(c.status == "skipped" for c in checks):
+        return SuiteReport(
+            suite="closed-form-vs-general",
+            status="skipped",
+            checks=tuple(checks),
+            reason=f"all generator sizes over the budget {budget}",
+        )
+    return _finish("closed-form-vs-general", checks)
+
+
+def _suite_fixed_point(budget: int) -> SuiteReport:
+    checks = []
+    for n_pairs in (1, 2, 3):
+        side = 4 ** (2 * n_pairs)
+        if side > budget:
+            checks.append(
+                CheckResult(
+                    name=f"replication-infidelity-{n_pairs}-pairs",
+                    status="skipped",
+                    detail=f"needs superoperator side {side}, over the budget {budget}",
+                )
+            )
+            continue
+        for nbar in (0.5, 1.0):
+            mbar = math.sqrt(nbar * (nbar + 1.0))
+            liou = build_xx_liouvillian(n_pairs, 1.0, 1.0, nbar, mbar)
+            rho = steady_state_dm(liou, dense_cutoff=_SPARSE_CUTOFF)
+            infidelity = 1.0 - fidelity_pure(rho, replicated_state(nbar, n_pairs))
+            checks.append(
+                _gated(
+                    f"replication-infidelity-{n_pairs}-pairs-nbar-{nbar}",
+                    float(max(infidelity, 0.0)),
+                    1e-7,
+                    "1 - fidelity with the analytic replicated pure state",
+                )
+            )
+    if all(c.status == "skipped" for c in checks):
+        return SuiteReport(
+            suite="fixed-point",
+            status="skipped",
+            checks=tuple(checks),
+            reason=f"all chain sizes over the budget {budget}",
+        )
+    return _finish("fixed-point", checks)
+
+
+_SUITES = {
+    "gaussian-vs-fock": _suite_gaussian_vs_fock,
+    "effective-vs-full": _suite_effective_vs_full,
+    "closed-form-vs-general": _suite_closed_form_vs_general,
+    "fixed-point": _suite_fixed_point,
+}
+
+
+def run_suite(name: str, budget: int = 120_000) -> SuiteReport:
+    """Run one named suite; unexpected model errors become failed checks."""
+    if name not in _SUITES:
+        known = ", ".join(SUITE_NAMES)
+        raise ValueError(f"unknown suite {name!r}; choose from {known}")
+    try:
+        return _SUITES[name](budget)
+    except ModelError as exc:
+        return SuiteReport(
+            suite=name,
+            status="failed",
+            checks=(
+                CheckResult(
+                    name="suite-execution",
+                    status="failed",
+                    detail=f"{type(exc).__name__}: {exc}",
+                ),
+            ),
+        )
+
+
+def run_all(budget: int = 120_000) -> tuple[SuiteReport, ...]:
+    return tuple(run_suite(name, budget) for name in SUITE_NAMES)
+
+
+def report_to_json(reports, budget: int) -> str:
+    payload = {
+        "budget": int(budget),
+        "suites": [asdict(report) for report in reports],
+    }
+    return json.dumps(payload, indent=2) + "\n"
