@@ -3,8 +3,8 @@
 
 Each experiment writes ``<outdir>/<name>.csv`` plus the matching
 ``.manifest``; rerunning with the same seed reproduces the files byte for
-byte.  The full set takes a couple of minutes on one core — the spin
-sweeps (fig3b, fig3c) and the disorder ensemble (fig3a) dominate.
+byte.  The full set takes under a minute on one core — the fig3b spin
+sweep and the fig5a spectra dominate.
 
 Usage:
     python3 scripts/run_all_figures.py --outdir figure_data --workers 2

@@ -29,6 +29,7 @@ field's value exactly, for any chain length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
 
@@ -112,6 +113,9 @@ class ArrayConfig:
             raise ConfigInvalid(
                 f"expected {n} atom couplings for n_sites={n}, got {len(self.g)}"
             )
+        scalars = (self.zeta, self.nbar, self.mbar)
+        if not all(math.isfinite(v) for v in self.eta + self.kappa + self.g + scalars):
+            raise ConfigInvalid(f"every rate and occupation must be finite, got {self}")
         for name, values in (("eta", self.eta), ("kappa", self.kappa), ("g", self.g)):
             if any(v < 0.0 for v in values):
                 raise ConfigInvalid(f"all {name} entries must be >= 0, got {values}")

@@ -60,7 +60,7 @@ class DegenerateSteadyState(ModelError):
 
 
 class NoConvergence(ModelError):
-    """An iterative solver failed to converge."""
+    """A solver result fails its residual or normalization check."""
 
 
 class TruncationUnconverged(ModelError):

@@ -66,12 +66,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-#: Spin-model steady states (superoperator side 4096 for three pairs) are
-#: solved with the sparse shift-invert path: it is two orders of magnitude
-#: faster than the dense kernel at this size and its ~1e-7 error is far
-#: below what a dataset column resolves.
-_SPIN_SOLVE_DENSE_CUTOFF = 1500
-
 _BASE_COLUMNS = ("pair", "e_raw", "e_normalized", "e_reference")
 
 ParamValue = Union[int, float, str]
@@ -120,6 +114,8 @@ def _float_list(text: str, key: str) -> list[float]:
         raise ConfigInvalid(f"{key} must be a comma-separated float list: {text!r}") from exc
     if not values:
         raise ConfigInvalid(f"{key} must name at least one value")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigInvalid(f"{key} values must be finite: {text!r}")
     return sorted(values)
 
 
@@ -246,7 +242,7 @@ def _point_fig2e(value, p):
 def _point_fig3b(value, p):
     cfg = _uniform_config(p, mbar=value)
     model = build_effective_general(cfg)
-    rho = steady_state_dm(model.liouvillian, dense_cutoff=_SPIN_SOLVE_DENSE_CUTOFF)
+    rho = steady_state_dm(model.liouvillian)
     reference = pure_pair_logneg(pair_amplitude(float(p["nbar"])))
     return _spin_pair_rows(rho, cfg.n_sites, value, reference)
 
@@ -255,7 +251,7 @@ def _point_fig3c(value, p):
     liou = build_xx_liouvillian(
         int(p["n_sites"]), float(p["coupling"]), float(p["gamma"]), float(p["nbar"]), value
     )
-    rho = steady_state_dm(liou, dense_cutoff=_SPIN_SOLVE_DENSE_CUTOFF)
+    rho = steady_state_dm(liou)
     reference = pure_pair_logneg(pair_amplitude(float(p["nbar"])))
     return _spin_pair_rows(rho, int(p["n_sites"]), value, reference)
 
@@ -596,11 +592,14 @@ def _coerce(key: str, value: ParamValue, default: ParamValue) -> ParamValue:
                 raise ValueError("not an integer")
             return int(as_float)
         if isinstance(default, float):
-            return float(value)
+            as_float = float(value)
+            if not math.isfinite(as_float):
+                raise ValueError("not finite")
+            return as_float
         return str(value)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(
-            f"override {key}={value!r} is not a valid {type(default).__name__}"
+            f"override {key}={value!r} is not a valid finite {type(default).__name__}"
         ) from exc
 
 

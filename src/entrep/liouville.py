@@ -2,9 +2,10 @@
 
 Vectorization is column-stacking throughout: ``vec(A X B) = (B^T kron A)
 vec(X)``, fixed here in one place and round-trip tested.  Superoperators
-are built sparse (CSR); the kernel extractor densifies below a size
-cutoff and uses shift-invert Arnoldi above it.  Both paths certify that
-the steady state is unique before returning it.
+are built sparse (CSR).  The steady state comes from one sparse LU
+solve of the generator with its redundant first row replaced by the
+trace condition; the same factors certify that the steady state is
+unique before it is returned.
 
 Dissipator normalization: ``lindblad_dissipator(c, rate)`` encodes
 ``rate * (2 c rho c^dag - {c^dag c, rho})``, i.e. the rate multiplies the
@@ -132,9 +133,10 @@ class Liouvillian:
     """Vectorized generator of a finite-dimensional master equation."""
 
     dim: int
-    matrix: object  # scipy sparse matrix or dense ndarray
+    matrix: sp.csr_matrix  # any sparse matrix or dense array; stored as CSR
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", _csr(self.matrix))
         side = self.dim * self.dim
         if self.matrix.shape != (side, side):
             raise ConfigInvalid(
@@ -144,9 +146,7 @@ class Liouvillian:
     @property
     def scale(self) -> float:
         """Largest entry magnitude; the reference scale for tolerances."""
-        if sp.issparse(self.matrix):
-            return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
-        return float(np.abs(self.matrix).max())
+        return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(rho), self.dim)
@@ -157,72 +157,75 @@ class Liouvillian:
         return float(np.abs(id_vec @ self.matrix).max())
 
 
-def _dense_kernel(matrix: np.ndarray, gap_rtol: float) -> np.ndarray:
-    _, svals, vh = np.linalg.svd(matrix)
-    if svals[-2] < gap_rtol * max(svals[0], 1e-300):
-        raise DegenerateSteadyState(
-            f"second-smallest singular value {svals[-2]:.3e} below "
-            f"{gap_rtol:.0e} * norm {svals[0]:.3e}: kernel is not one-dimensional"
-        )
-    return vh[-1].conj()
+#: a condition estimate of the trace-bordered generator at or above this
+#: means a second (near-)stationary state: the kernel is not one-dimensional
+_CONDITION_LIMIT = 1e8
+#: steady-state residual tolerance, relative to the generator scale
+_RESIDUAL_RTOL = 1e-9
 
 
-def _sparse_kernel(matrix, scale: float, gap_rtol: float) -> np.ndarray:
-    shift = 1e-6 * max(scale, 1.0) * 1j
-    try:
-        vals, vecs = spla.eigs(matrix.tocsc().astype(complex), k=2, sigma=shift, which="LM")
-    except spla.ArpackNoConvergence as exc:
-        raise NoConvergence("shift-invert Arnoldi failed to converge") from exc
-    order = np.argsort(np.abs(vals))
-    vals, vecs = vals[order], vecs[:, order]
-    if np.abs(vals[1]) < gap_rtol * max(scale, 1.0):
-        raise DegenerateSteadyState(
-            f"two eigenvalues within {gap_rtol:.0e} * scale of zero "
-            f"({vals[0]:.3e}, {vals[1]:.3e}): kernel is not one-dimensional"
-        )
-    return vecs[:, 0]
+def _condition_estimate(system: sp.csc_matrix, lu) -> float:
+    """Condition estimate ``||system||_1 * ||system^-1||_2`` from LU factors.
+
+    ``||system^-1||_2`` comes from three inverse-iteration steps on
+    ``system^H system``, started from a fixed seeded vector so the
+    estimate is deterministic.
+    """
+    x = np.random.default_rng(0).standard_normal(system.shape[0])
+    x /= np.linalg.norm(x)
+    for _ in range(3):
+        x = lu.solve(lu.solve(x, trans="H"))
+        growth = np.linalg.norm(x)
+        x /= growth
+    return float(spla.norm(system, 1) * np.sqrt(growth))
 
 
-def steady_state_dm(
-    liouvillian: Liouvillian,
-    *,
-    dense_cutoff: int = 10_000,
-    gap_rtol: float = 1e-8,
-    residual_tol: float = 1e-9,
-) -> np.ndarray:
+def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     """Unique unit-trace fixed point of a trace-preserving generator.
 
-    Dense singular-value kernel extraction when the superoperator side is
-    at most ``dense_cutoff``; shift-invert Arnoldi (two eigenvalues
-    nearest zero) above.  Either path certifies that the kernel is
-    one-dimensional — a degenerate kernel raises rather than silently
-    picking a representative.  The result is Hermitized, normalized, and
-    checked for residual and positivity.
+    Trace preservation makes the ``rho_00`` row of the generator
+    redundant, so that row is replaced by ``scale * vec(I)^T`` and the
+    system is solved by sparse LU with right-hand side ``scale * e_0``.
+    The same factors certify that the kernel is one-dimensional: a
+    singular factorization or a condition estimate of at least
+    ``_CONDITION_LIMIT`` raises :class:`DegenerateSteadyState` rather than
+    silently picking a representative.  The result is Hermitized,
+    normalized, and checked for residual and positivity.
     """
-    side = liouvillian.dim**2
+    dim = liouvillian.dim
     scale = liouvillian.scale
-    if side <= dense_cutoff:
-        matrix = (
-            liouvillian.matrix.toarray()
-            if sp.issparse(liouvillian.matrix)
-            else np.asarray(liouvillian.matrix)
+    if not np.isfinite(scale):
+        raise ConfigInvalid("generator has non-finite entries")
+    trace_row = sp.csr_matrix(
+        (np.full(dim, scale), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))),
+        shape=(1, dim * dim),
+    )
+    system = sp.vstack([trace_row, liouvillian.matrix[1:]], format="csc")
+    try:
+        lu = spla.splu(system)
+    except RuntimeError as exc:
+        raise DegenerateSteadyState(
+            f"trace-bordered generator is singular ({exc}): kernel is not one-dimensional"
+        ) from exc
+    condition = _condition_estimate(system, lu)
+    if not condition < _CONDITION_LIMIT:
+        raise DegenerateSteadyState(
+            f"condition estimate {condition:.3e} of the trace-bordered generator "
+            f"is not below {_CONDITION_LIMIT:.0e}: kernel is not one-dimensional"
         )
-        kernel = _dense_kernel(matrix, gap_rtol)
-    else:
-        kernel = _sparse_kernel(liouvillian.matrix, scale, gap_rtol)
-    rho = unvec(kernel, liouvillian.dim)
+    rhs = np.zeros(dim * dim, dtype=system.dtype)
+    rhs[0] = scale
+    rho = unvec(lu.solve(rhs), dim)
     rho = 0.5 * (rho + rho.conj().T)
     trace = np.trace(rho).real
-    if abs(trace) < 1e-10:
-        raise NoConvergence(
-            "kernel vector is (numerically) traceless; cannot normalize"
-        )
+    if not abs(trace) > 1e-10:
+        raise NoConvergence(f"steady-state trace {trace:.3e} is zero or not finite")
     rho /= trace
     residual = np.abs(liouvillian.apply(rho)).max()
-    if residual > residual_tol * max(1.0, scale):
+    if not residual <= _RESIDUAL_RTOL * scale:
         raise NoConvergence(
             f"steady-state residual {residual:.3e} exceeds tolerance "
-            f"{residual_tol:.0e} * max(1, scale)"
+            f"{_RESIDUAL_RTOL:.0e} * scale {scale:.3e}"
         )
     assert_density_matrix(rho)
     return rho

@@ -61,12 +61,6 @@ __all__ = [
 
 _MAX_XX_PAIRS = 5
 
-#: Fock-oracle solves switch to shift-invert Arnoldi above this
-#: superoperator side; the truncated generators are sparse enough that
-#: the iterative path is faster (and far lighter on memory) well below
-#: the general-purpose dense cutoff.
-_FOCK_DENSE_CUTOFF = 1500
-
 
 def _lowering_ops(n_spins: int) -> list[sp.csr_matrix]:
     """Lowering operator on each of ``n_spins`` qubits (site 0 leftmost)."""
@@ -146,10 +140,12 @@ def build_xx_liouvillian(
         raise ConfigInvalid(
             f"cannot broadcast couplings {coupling!r} to {n_pairs - 1} bonds"
         ) from exc
-    if gamma <= 0.0:
-        raise ConfigInvalid(f"damping rate must be positive, got {gamma}")
-    if nbar < 0.0 or mbar < 0.0:
-        raise ConfigInvalid(f"need nbar, mbar >= 0, got {nbar}, {mbar}")
+    if not 0.0 < gamma < np.inf:
+        raise ConfigInvalid(f"damping rate must be positive and finite, got {gamma}")
+    if not (0.0 <= nbar < np.inf and 0.0 <= mbar < np.inf):
+        raise ConfigInvalid(f"need finite nbar, mbar >= 0, got {nbar}, {mbar}")
+    if not np.isfinite(couplings).all():
+        raise ConfigInvalid(f"couplings must be finite, got {coupling!r}")
 
     n_spins = 2 * n_pairs
     ops = _lowering_ops(n_spins)
@@ -660,7 +656,7 @@ def full_cavity_atom_oracle(
     liou, dims, mode_ops = _fock_liouvillian(
         cfg, n_max, include_spins=True, basis=trunc.basis
     )
-    rho = steady_state_dm(liou, dense_cutoff=_FOCK_DENSE_CUTOFF)
+    rho = steady_state_dm(liou)
     moments = _field_moments(rho, mode_ops)
     spin_dm = None
     if has_spins:
@@ -681,15 +677,11 @@ def full_cavity_atom_oracle(
             ref_liou, _, ref_ops = _fock_liouvillian(
                 cfg, n_max, include_spins=False, basis=trunc.basis
             )
-            ref_moments = _field_moments(
-                steady_state_dm(ref_liou, dense_cutoff=_FOCK_DENSE_CUTOFF), ref_ops
-            )
+            ref_moments = _field_moments(steady_state_dm(ref_liou), ref_ops)
         big_liou, _, big_ops = _fock_liouvillian(
             cfg, n_max + 2, include_spins=include, basis=trunc.basis
         )
-        big_moments = _field_moments(
-            steady_state_dm(big_liou, dense_cutoff=_FOCK_DENSE_CUTOFF), big_ops
-        )
+        big_moments = _field_moments(steady_state_dm(big_liou), big_ops)
         check_shift = float(np.abs(big_moments - ref_moments).max())
         if check_shift > 1e-3 * max(1.0, cfg.nbar):
             raise TruncationUnconverged(

@@ -64,10 +64,6 @@ SUITE_NAMES = (
     "fixed-point",
 )
 
-#: Spin-model steady states in these suites use the sparse solver path;
-#: its ~1e-8 error is far below every threshold checked here.
-_SPARSE_CUTOFF = 1500
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -162,9 +158,7 @@ def _suite_effective_vs_full(budget: int) -> SuiteReport:
         oracle = full_cavity_atom_oracle(
             cfg, TruncationSpec(n_max=n_max, check="none", basis="squeezed")
         )
-        effective = steady_state_dm(
-            build_effective_general(cfg).liouvillian, dense_cutoff=_SPARSE_CUTOFF
-        )
+        effective = steady_state_dm(build_effective_general(cfg).liouvillian)
         distance = 0.5 * float(np.abs(np.linalg.eigvalsh(oracle.spin_dm - effective)).sum())
         checks.append(
             _gated(
@@ -288,7 +282,7 @@ def _suite_fixed_point(budget: int) -> SuiteReport:
         for nbar in (0.5, 1.0):
             mbar = math.sqrt(nbar * (nbar + 1.0))
             liou = build_xx_liouvillian(n_pairs, 1.0, 1.0, nbar, mbar)
-            rho = steady_state_dm(liou, dense_cutoff=_SPARSE_CUTOFF)
+            rho = steady_state_dm(liou)
             infidelity = 1.0 - fidelity_pure(rho, replicated_state(nbar, n_pairs))
             checks.append(
                 _gated(

@@ -2,9 +2,8 @@
 
 Each test prints one ``criterion N: PASS/FAIL`` line and then asserts.
 Tolerances are frozen; they must never be loosened to make a run green.
-The slow entries are the two dense 4096-square kernel extractions
-(criterion 5) and the two squeezed-basis cavity+spin truncations
-(criterion 7); the whole module runs in a few minutes.
+The one slow entry is criterion 7, whose two squeezed-basis cavity+spin
+truncations take most of the module's run time.
 """
 
 import math
@@ -161,7 +160,6 @@ def test_criterion_4_end_dissipation_sweep():
     )
 
 
-@pytest.mark.slow
 def test_criterion_5_spin_fixed_point():
     n_pairs = 3
     worst_infidelity = 0.0
@@ -170,7 +168,7 @@ def test_criterion_5_spin_fixed_point():
         mbar = math.sqrt(nbar * (nbar + 1.0))
         target = math.log2(1.0 + 2.0 * mbar / (2.0 * nbar + 1.0))
         liou = build_xx_liouvillian(n_pairs, 1.0, 1.0, nbar, mbar)
-        rho = steady_state_dm(liou)  # side 4096 -> dense kernel extraction
+        rho = steady_state_dm(liou)  # superoperator side 4096, one sparse LU
         infidelity = 1.0 - fidelity_pure(rho, replicated_state(nbar, n_pairs))
         worst_infidelity = max(worst_infidelity, infidelity)
         for j in range(n_pairs):

@@ -69,6 +69,9 @@ class TestArrayConfig:
             dict(n_sites=2, eta=(1.0, 1.0), kappa=(0.0,) * 3, zeta=1.0, nbar=0.0, mbar=0.0),
             dict(n_sites=1, eta=(), kappa=(0.0, 0.0), zeta=-1.0, nbar=0.0, mbar=0.0),
             dict(n_sites=1, eta=(), kappa=(0.0, 0.0), zeta=1.0, nbar=1.0, mbar=0.0, g=(0.1, 0.2)),
+            dict(n_sites=1, eta=(), kappa=(0.0, 0.0), zeta=1.0, nbar=float("nan"), mbar=0.0),
+            dict(n_sites=1, eta=(), kappa=(float("inf"), 0.0), zeta=1.0, nbar=0.0, mbar=0.0),
+            dict(n_sites=1, eta=(), kappa=(0.0, 0.0), zeta=1.0, nbar=1.0, mbar=0.0, g=(float("nan"),)),
         ],
     )
     def test_rejects_malformed_configs(self, kwargs):

@@ -77,6 +77,19 @@ class TestRun:
         assert "error:" in stderr and "sweep point" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment,override",
+        [("custom", "kappa=nan"), ("custom", "nbar=inf"), ("fig3c", "gamma=nan")],
+    )
+    def test_non_finite_override_exits_2(self, tmp_path, capsys, experiment, override):
+        out = tmp_path / "never.csv"
+        code, _, stderr = run_cli(
+            capsys, "run", "--experiment", experiment, "--set", override, "--out", str(out)
+        )
+        assert code == 2
+        assert "finite" in stderr
+        assert not out.exists()
+
 
 class TestValidate:
     def test_single_suite_json(self, capsys):

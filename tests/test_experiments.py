@@ -189,6 +189,19 @@ class TestDatasetWriter:
             outs.append(cfg.out_path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_spin_sweep_workers_give_identical_bytes(self, tmp_path):
+        outs = []
+        for workers in (1, 2):
+            cfg = ExperimentConfig(
+                experiment="fig3c",
+                overrides={"n_sites": 3, "grid_points": 3},
+                out=tmp_path / f"fig3c-w{workers}.csv",
+                workers=workers,
+            )
+            run_experiment(cfg)
+            outs.append(cfg.out_path.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_failing_point_is_named_and_nothing_is_written(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="custom",
@@ -207,6 +220,8 @@ class TestDatasetWriter:
             ("fig2d", {"mbar_max": 2.0}),  # beyond the physical bound
             ("fig2c", {"nbar_min": -0.5}),
             ("fig2a", {"kappa_levels": "0.1,oak"}),
+            ("fig2a", {"kappa_levels": "0.1,nan"}),
+            ("fig2d", {"nbar": "inf"}),
             ("fig2b", {"n_sites_min": 0}),
         ]
         for experiment, overrides in bad:

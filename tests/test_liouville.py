@@ -2,9 +2,10 @@
 
 The steady-state extractor is checked against constructive oracles:
 generators engineered to have a *known* unique fixed point (pure
-absorbing states, thermal qubits), plus degenerate cases that must be
-refused.  Both the dense and the sparse kernel paths run on the same
-problems and must agree.
+absorbing states, thermal qubits), plus degenerate and near-degenerate
+cases that must be refused.  A dense singular-value kernel extraction,
+kept here only as a reference, checks the sparse LU solve on random
+generators.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from entrep.errors import (
     DegenerateSteadyState,
     IndexOutOfRange,
     InvalidState,
+    ModelError,
 )
 from entrep.liouville import (
     Liouvillian,
@@ -78,6 +80,25 @@ def absorbing_liouvillian(rng, dim, with_hamiltonian=True):
         )
         generator = generator + hamiltonian_superop(hamiltonian)
     return Liouvillian(dim=dim, matrix=generator.tocsr()), psi
+
+
+def svd_steady_state(liou, gap_rtol=1e-8):
+    """Reference fixed point: the dense right-singular vector of the smallest
+    singular value, after checking that the second-smallest is not tiny."""
+    _, svals, vh = np.linalg.svd(liou.matrix.toarray())
+    assert svals[-2] >= gap_rtol * svals[0], "reference kernel is not one-dimensional"
+    rho = unvec(vh[-1].conj(), liou.dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def qubit_decay(dims, rates):
+    """Decay of each qubit ``site`` at ``rates[site]`` on the register ``dims``."""
+    generator = sum(
+        lindblad_dissipator(embed_operator({site: QUBIT_LOWER}, dims), rate)
+        for site, rate in rates.items()
+    )
+    return Liouvillian(dim=2 ** len(dims), matrix=generator)
 
 
 class TestVectorization:
@@ -148,26 +169,19 @@ class TestGeneratorStructure:
 
 class TestSteadyState:
     @pytest.mark.parametrize("dim", [3, 6, 11])
-    def test_absorbing_fixed_point_dense(self, dim):
+    def test_absorbing_fixed_point(self, dim):
         rng = np.random.default_rng(dim)
         liou, psi = absorbing_liouvillian(rng, dim)
         rho = steady_state_dm(liou)
         assert fidelity_pure(rho, psi) >= 1.0 - 1e-10
         assert np.abs(rho - np.outer(psi, psi.conj())).max() <= 1e-8
 
-    @pytest.mark.parametrize("dim", [6, 11])
-    def test_absorbing_fixed_point_sparse(self, dim):
-        rng = np.random.default_rng(dim)
-        liou, psi = absorbing_liouvillian(rng, dim)
-        rho = steady_state_dm(liou, dense_cutoff=0)
-        assert fidelity_pure(rho, psi) >= 1.0 - 1e-9
-
-    def test_dense_and_sparse_paths_agree(self):
-        rng = np.random.default_rng(42)
-        liou, _ = absorbing_liouvillian(rng, 9)
-        dense = steady_state_dm(liou)
-        sparse = steady_state_dm(liou, dense_cutoff=0)
-        assert np.abs(dense - sparse).max() <= 1e-8
+    @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_svd_reference(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        liou, _ = absorbing_liouvillian(rng, dim)
+        assert np.abs(steady_state_dm(liou) - svd_steady_state(liou)).max() <= 1e-10
 
     def test_thermal_qubit_populations(self):
         nbar = 0.7
@@ -178,15 +192,34 @@ class TestSteadyState:
         expected = np.diag([(nbar + 1.0), nbar]) / (2.0 * nbar + 1.0)
         assert np.abs(rho - expected).max() <= 1e-12
 
-    @pytest.mark.parametrize("dense_cutoff", [10_000, 0])
-    def test_degenerate_kernel_refused(self, dense_cutoff):
-        # dissipation on qubit 1 only: qubit 2 is untouched, kernel is 4-dim
-        dims = (2, 2) if dense_cutoff else (2, 2, 2)
-        lower = embed_operator({0: QUBIT_LOWER}, dims)
-        dim = 2 ** len(dims)
-        liou = Liouvillian(dim=dim, matrix=lindblad_dissipator(lower, 1.0))
+    @pytest.mark.parametrize(
+        "liou",
+        [
+            # dissipation on qubit 0 only: the other qubits are untouched
+            qubit_decay((2, 2), {0: 1.0}),
+            qubit_decay((2, 2, 2), {0: 1.0}),
+            # pure dephasing keeps every diagonal state; SuperLU fails
+            # here with a different message than "exactly singular"
+            Liouvillian(dim=6, matrix=lindblad_dissipator(np.diag(np.arange(6.0)), 1.0)),
+        ],
+        ids=["two-qubits", "three-qubits", "dephasing-d6"],
+    )
+    def test_degenerate_kernel_refused(self, liou):
         with pytest.raises(DegenerateSteadyState):
-            steady_state_dm(liou, dense_cutoff=dense_cutoff)
+            steady_state_dm(liou)
+
+    def test_near_degenerate_kernel_refused(self):
+        # qubit 1 decays at rate eps: a second state is stationary up to eps
+        with pytest.raises(DegenerateSteadyState, match="condition estimate"):
+            steady_state_dm(qubit_decay((2, 2), {0: 1.0, 1: 1e-10}))
+        rho = steady_state_dm(qubit_decay((2, 2), {0: 1.0, 1: 1e-6}))
+        assert fidelity_pure(rho, np.eye(4)[0]) >= 1.0 - 1e-10
+
+    def test_non_finite_generator_refused(self):
+        generator = lindblad_dissipator(QUBIT_LOWER, 1.0).tolil()
+        generator[1, 2] = np.nan
+        with pytest.raises(ModelError):
+            steady_state_dm(Liouvillian(dim=2, matrix=generator))
 
 
 class TestOperators:

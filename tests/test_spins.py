@@ -44,11 +44,6 @@ def pure_drive(nbar: float) -> float:
     return np.sqrt(nbar * (nbar + 1.0))
 
 
-def solve(liouvillian):
-    """Steady state, forcing the iterative path beyond two spin pairs."""
-    return steady_state_dm(liouvillian, dense_cutoff=300)
-
-
 def random_hermitian(rng, dim):
     mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return mat + mat.conj().T
@@ -69,19 +64,19 @@ class TestXXChains:
     @pytest.mark.parametrize("nbar", [0.5, 1.0])
     def test_pure_drive_pins_replicated_state(self, n_pairs, nbar):
         liou = build_xx_liouvillian(n_pairs, 1.0, 0.4, nbar, pure_drive(nbar))
-        rho = solve(liou)
+        rho = steady_state_dm(liou)
         target = replicated_state(nbar, n_pairs)
         assert fidelity_pure(rho, target) >= 1.0 - 1e-7
 
     def test_replication_is_independent_of_the_couplings(self):
         nbar = 0.8
         liou = build_xx_liouvillian(3, [1.3, 0.45], 0.7, nbar, pure_drive(nbar))
-        rho = solve(liou)
+        rho = steady_state_dm(liou)
         assert fidelity_pure(rho, replicated_state(nbar, 3)) >= 1.0 - 1e-7
 
     def test_every_pair_carries_the_pure_pair_entanglement(self):
         nbar = 1.0
-        rho = solve(build_xx_liouvillian(2, 1.0, 0.5, nbar, pure_drive(nbar)))
+        rho = steady_state_dm(build_xx_liouvillian(2, 1.0, 0.5, nbar, pure_drive(nbar)))
         expected = pure_pair_logneg(pair_amplitude(nbar))
         for pair in ((0, 2), (1, 3)):
             value = logneg_qubits(reduced_pair_dm(rho, *pair, 4))
@@ -89,7 +84,7 @@ class TestXXChains:
 
     def test_thermal_drive_gives_product_thermal_state(self):
         nbar = 0.7
-        rho = solve(build_xx_liouvillian(2, 1.0, 0.5, nbar, 0.0))
+        rho = steady_state_dm(build_xx_liouvillian(2, 1.0, 0.5, nbar, 0.0))
         single = np.diag([nbar + 1.0, nbar]) / (2.0 * nbar + 1.0)
         expected = single
         for _ in range(3):
@@ -98,7 +93,7 @@ class TestXXChains:
 
     def test_classically_correlated_drive_leaves_pairs_separable(self):
         nbar = 0.8
-        rho = solve(build_xx_liouvillian(2, 1.0, 0.5, nbar, nbar))
+        rho = steady_state_dm(build_xx_liouvillian(2, 1.0, 0.5, nbar, nbar))
         for pair in ((0, 2), (1, 3)):
             assert logneg_qubits(reduced_pair_dm(rho, *pair, 4)) == 0.0
 
@@ -109,7 +104,7 @@ class TestXXChains:
         nbar = 1.0
         values = []
         for fraction in (0.9, 0.98, 1.0):
-            rho = solve(
+            rho = steady_state_dm(
                 build_xx_liouvillian(2, 1.0, 0.5, nbar, fraction * pure_drive(nbar))
             )
             values.append(logneg_qubits(reduced_pair_dm(rho, 0, 2, 4)))
@@ -131,6 +126,13 @@ class TestXXChains:
             build_xx_liouvillian(2, 1.0, 0.0, 1.0, 0.0)
         with pytest.raises(ConfigInvalid):
             build_xx_liouvillian(2, 1.0, 0.5, -0.1, 0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigInvalid):
+                build_xx_liouvillian(2, 1.0, bad, 1.0, 0.0)
+            with pytest.raises(ConfigInvalid):
+                build_xx_liouvillian(2, 1.0, 0.5, bad, 0.0)
+            with pytest.raises(ConfigInvalid):
+                build_xx_liouvillian(2, bad, 0.5, 1.0, 0.0)
         with pytest.raises(DimensionBudgetExceeded):
             build_xx_liouvillian(6, 1.0, 0.5, 1.0, 0.0)
 
@@ -150,12 +152,17 @@ class TestEffectiveReduction:
     def test_three_pair_chain_replicates(self):
         nbar = 1.0
         cfg = reduced_config(3, nbar=nbar, mbar=pure_drive(nbar), g=0.01)
-        rho = solve(build_effective_general(cfg).liouvillian)
+        rho = steady_state_dm(build_effective_general(cfg).liouvillian)
         assert fidelity_pure(rho, replicated_state(nbar, 3)) >= 1.0 - 1e-6
         expected = pure_pair_logneg(pair_amplitude(nbar))
         for pair in ((0, 3), (1, 4), (2, 5)):
             value = logneg_qubits(reduced_pair_dm(rho, *pair, 6))
             assert value == pytest.approx(expected, abs=1e-6)
+
+    def test_three_pair_solve_is_bitwise_repeatable(self):
+        cfg = reduced_config(3, nbar=1.0, mbar=1.2, g=0.01)
+        liou = build_effective_general(cfg).liouvillian
+        assert np.array_equal(steady_state_dm(liou), steady_state_dm(liou))
 
     def test_kernel_scales_with_coupling_squared(self):
         cfg = reduced_config(2, nbar=0.6, mbar=0.7, g=0.01)
