@@ -137,6 +137,8 @@ class DriftDiffusion:
             raise ConfigInvalid(
                 f"drift and diffusion shapes differ: {a.shape} vs {d.shape}"
             )
+        if not (np.isfinite(a).all() and np.isfinite(d).all()):
+            raise ConfigInvalid("drift and diffusion entries must be finite")
         scale = max(1.0, np.abs(d).max())
         if np.abs(d - d.T).max() > 1e-12 * scale:
             raise ConfigInvalid("diffusion matrix must be symmetric")

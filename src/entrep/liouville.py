@@ -2,10 +2,16 @@
 
 Vectorization is column-stacking throughout: ``vec(A X B) = (B^T kron A)
 vec(X)``, fixed here in one place and round-trip tested.  Superoperators
-are built sparse (CSR).  The steady state comes from one sparse LU
-solve of the generator with its redundant first row replaced by the
-trace condition; the same factors certify that the steady state is
-unique before it is returned.
+are built sparse (CSR).
+
+Every generator carries an integer U(1) charge per Hilbert basis state
+(all zeros unless the model supplies one) and must conserve it weakly:
+each entry maps the operator sector ``charge[i] - charge[j]`` to itself.
+A steady state lies in the charge-diagonal block ``charge[i] ==
+charge[j]``, so it comes from one sparse LU solve of that block alone,
+with its redundant first row replaced by the trace condition; the same
+factors certify that the steady state is unique before it is returned.
+An all-zero charge makes the block the whole space.
 
 Dissipator normalization: ``lindblad_dissipator(c, rate)`` encodes
 ``rate * (2 c rho c^dag - {c^dag c, rho})``, i.e. the rate multiplies the
@@ -128,12 +134,29 @@ def embed_operator(site_ops: dict[int, np.ndarray], dims: tuple[int, ...]) -> sp
     return out
 
 
+#: entries crossing charge sectors at or below this times the generator
+#: scale are round-off, dropped by the block restriction; larger ones
+#: mean the charge is not conserved
+_CHARGE_RTOL = 1e-12
+
+
+def _operator_sectors(charge: np.ndarray) -> np.ndarray:
+    """Sector ``charge[i] - charge[j]`` of each entry of ``vec(rho)``."""
+    return vec(np.subtract.outer(charge, charge))
+
+
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Vectorized generator of a finite-dimensional master equation."""
+    """Vectorized generator of a finite-dimensional master equation.
+
+    ``charge`` holds one integer U(1) charge per Hilbert basis state
+    (default all zeros); the generator must map each operator sector
+    ``charge[i] - charge[j]`` to itself.
+    """
 
     dim: int
     matrix: sp.csr_matrix  # any sparse matrix or dense array; stored as CSR
+    charge: np.ndarray | None = None  # stored as a read-only int64 array
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _csr(self.matrix))
@@ -141,6 +164,24 @@ class Liouvillian:
         if self.matrix.shape != (side, side):
             raise ConfigInvalid(
                 f"generator shape {self.matrix.shape} does not match dim {self.dim}"
+            )
+        raw = np.zeros(self.dim, np.int64) if self.charge is None else np.asarray(self.charge)
+        if raw.shape != (self.dim,) or raw.dtype.kind not in "iu":
+            raise ConfigInvalid(
+                f"charge must hold {self.dim} integers, got {raw.shape} {raw.dtype}"
+            )
+        charge = raw.astype(np.int64)
+        charge.flags.writeable = False
+        object.__setattr__(self, "charge", charge)
+        sectors = _operator_sectors(charge)
+        rows = np.repeat(np.arange(side), np.diff(self.matrix.indptr))
+        crossing = np.abs(
+            self.matrix.data[sectors[rows] != sectors[self.matrix.indices]]
+        )
+        if crossing.size and crossing.max() > _CHARGE_RTOL * self.scale:
+            raise ConfigInvalid(
+                f"generator entry {crossing.max():.3e} crosses charge sectors "
+                f"(above {_CHARGE_RTOL:.0e} * scale {self.scale:.3e})"
             )
 
     @property
@@ -183,24 +224,47 @@ def _condition_estimate(system: sp.csc_matrix, lu) -> float:
 def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     """Unique unit-trace fixed point of a trace-preserving generator.
 
-    Trace preservation makes the ``rho_00`` row of the generator
-    redundant, so that row is replaced by ``scale * vec(I)^T`` and the
-    system is solved by sparse LU with right-hand side ``scale * e_0``.
-    The same factors certify that the kernel is one-dimensional: a
+    The generator conserves its charge, so it maps the charge-diagonal
+    block (the entries of ``vec(rho)`` with ``charge[i] == charge[j]``,
+    which hold the whole diagonal) to itself, and the fixed point is
+    solved there.  Trace preservation makes the block's ``rho_00`` row
+    redundant, so that row is replaced by ``scale * vec(I)^T`` restricted
+    to the block and the system is solved by sparse LU with right-hand
+    side ``scale * e_0``; the solution is scattered back into a full
+    matrix, zero off the block.
+
+    The same factors certify that the block kernel is one-dimensional: a
     singular factorization or a condition estimate of at least
     ``_CONDITION_LIMIT`` raises :class:`DegenerateSteadyState` rather than
-    silently picking a representative.  The result is Hermitized,
-    normalized, and checked for residual and positivity.
+    silently picking a representative.  That certifies the full kernel
+    too.  Fixed points of a trace-preserving generator are spanned by
+    density matrices, so a second fixed point would give a second steady
+    state ``sigma``.  Its charge pinching ``sum_q P_q sigma P_q`` is also
+    stationary (it averages ``e^{i phi Q} sigma e^{-i phi Q}``, with which
+    the generator commutes) and lies in the block, so it equals the
+    block's unique state ``rho``.  A pinching never shrinks the support,
+    so every steady state lives on the support of ``rho``; there ``rho``
+    is faithful, and the steady states mirror the fixed-point algebra of
+    the adjoint generator, a finite-dimensional algebra on which the U(1)
+    action fixes only the multiples of the identity.  Such an ergodic
+    action of U(1) is trivial, so the algebra, and the kernel, is
+    one-dimensional: ``sigma = rho``.
+
+    The result is Hermitized, normalized, and checked for residual
+    against the full generator and for positivity.
     """
     dim = liouvillian.dim
     scale = liouvillian.scale
     if not np.isfinite(scale):
         raise ConfigInvalid("generator has non-finite entries")
+    keep = np.flatnonzero(_operator_sectors(liouvillian.charge) == 0)
+    block = liouvillian.matrix[keep][:, keep]
+    diagonal = np.searchsorted(keep, np.arange(dim) * (dim + 1))
     trace_row = sp.csr_matrix(
-        (np.full(dim, scale), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))),
-        shape=(1, dim * dim),
+        (np.full(dim, scale), (np.zeros(dim, dtype=int), diagonal)),
+        shape=(1, keep.size),
     )
-    system = sp.vstack([trace_row, liouvillian.matrix[1:]], format="csc")
+    system = sp.vstack([trace_row, block[1:]], format="csc")
     try:
         lu = spla.splu(system)
     except RuntimeError as exc:
@@ -213,9 +277,11 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
             f"condition estimate {condition:.3e} of the trace-bordered generator "
             f"is not below {_CONDITION_LIMIT:.0e}: kernel is not one-dimensional"
         )
-    rhs = np.zeros(dim * dim, dtype=system.dtype)
+    rhs = np.zeros(keep.size, dtype=system.dtype)
     rhs[0] = scale
-    rho = unvec(lu.solve(rhs), dim)
+    solution = np.zeros(dim * dim, dtype=system.dtype)
+    solution[keep] = lu.solve(rhs)
+    rho = unvec(solution, dim)
     rho = 0.5 * (rho + rho.conj().T)
     trace = np.trace(rho).real
     if not abs(trace) > 1e-10:

@@ -68,6 +68,21 @@ def _lowering_ops(n_spins: int) -> list[sp.csr_matrix]:
     return [embed_operator({site: QUBIT_LOWER}, dims) for site in range(n_spins)]
 
 
+def _array_charge(dims: tuple[int, ...], first_array_sites) -> np.ndarray:
+    """U(1) charge ``N_array1 - N_array2`` of each basis state of ``dims``.
+
+    A site's level index is its excitation count (Fock number, or 1 for
+    an excited qubit); sites in ``first_array_sites`` count positive,
+    every other site negative.  Every generator built here conserves it.
+    """
+    first = set(first_array_sites)
+    charge = np.zeros((), dtype=np.int64)
+    for site, dim in enumerate(dims):
+        levels = np.arange(dim) if site in first else -np.arange(dim)
+        charge = np.add.outer(charge, levels)
+    return charge.reshape(-1)
+
+
 def _correlated_drive(c_1, c_2, rate: float) -> sp.csr_matrix:
     """Two-site correlated dissipative term.
 
@@ -161,7 +176,8 @@ def build_xx_liouvillian(
     generator = generator + _thermal_end_drive(
         ops, 0, n_pairs, gamma, nbar, mbar, cross_sign=-1.0
     )
-    return Liouvillian(dim=dim, matrix=generator.tocsr())
+    charge = _array_charge((2,) * n_spins, range(n_pairs))
+    return Liouvillian(dim=dim, matrix=generator.tocsr(), charge=charge)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +321,11 @@ def build_effective_general(cfg: ArrayConfig) -> EffectiveSpinModel:
     kernel_reversed = g**2 * np.linalg.solve(drift, moments.T)
     generator = _effective_from_kernels(kernel, kernel_reversed, n_pairs)
     return EffectiveSpinModel(
-        liouvillian=Liouvillian(dim=4**n_pairs, matrix=generator),
+        liouvillian=Liouvillian(
+            dim=4**n_pairs,
+            matrix=generator,
+            charge=_array_charge((2,) * (2 * n_pairs), range(n_pairs)),
+        ),
         kernel=kernel,
         kernel_reversed=kernel_reversed,
         drift=drift,
@@ -460,7 +480,11 @@ def build_effective_closed_form(
     sbar = _stacked_spin_ops(n_pairs)
     generator = _spin_pair_superop(coeff_left, coeff_right, coeff_mid, sbar)
     return ClosedFormModel(
-        liouvillian=Liouvillian(dim=4**n_pairs, matrix=generator),
+        liouvillian=Liouvillian(
+            dim=4**n_pairs,
+            matrix=generator,
+            charge=_array_charge((2,) * (2 * n_pairs), range(n_pairs)),
+        ),
         patterns=pats,
         hopping_rate=hopping_rate,
         damping_rate=damping_rate,
@@ -612,7 +636,11 @@ def _fock_liouvillian(
         generator = generator + _thermal_end_drive(
             mode_ops, 0, cfg.n_sites, cfg.zeta, cfg.nbar, cfg.mbar, cross_sign=+1.0
         )
-    return Liouvillian(dim=dim, matrix=generator.tocsr()), dims, mode_ops
+    # in the squeezed frame the charge counts frame quanta: each frame
+    # operator c t_1 - s t_2^dag lowers it by one, like a bare a_1
+    first_array = [site for site in range(len(dims)) if site % n_modes < cfg.n_sites]
+    charge = _array_charge(dims, first_array)
+    return Liouvillian(dim=dim, matrix=generator.tocsr(), charge=charge), dims, mode_ops
 
 
 def _field_moments(

@@ -2,14 +2,11 @@
 
 Each test prints one ``criterion N: PASS/FAIL`` line and then asserts.
 Tolerances are frozen; they must never be loosened to make a run green.
-The one slow entry is criterion 7, whose two squeezed-basis cavity+spin
-truncations take most of the module's run time.
 """
 
 import math
 
 import numpy as np
-import pytest
 
 from entrep.arrays import (
     ArrayConfig,
@@ -199,7 +196,6 @@ def test_criterion_6_gaussian_vs_fock_oracle():
     )
 
 
-@pytest.mark.slow
 def test_criterion_7_adiabatic_elimination():
     distances = {}
     for mbar in (1.2, PURE_MBAR):

@@ -189,13 +189,14 @@ class TestDatasetWriter:
             outs.append(cfg.out_path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_spin_sweep_workers_give_identical_bytes(self, tmp_path):
+    @pytest.mark.parametrize("experiment", ["fig3c", "fig3b"])
+    def test_spin_sweep_workers_give_identical_bytes(self, tmp_path, experiment):
         outs = []
         for workers in (1, 2):
             cfg = ExperimentConfig(
-                experiment="fig3c",
+                experiment=experiment,
                 overrides={"n_sites": 3, "grid_points": 3},
-                out=tmp_path / f"fig3c-w{workers}.csv",
+                out=tmp_path / f"{experiment}-w{workers}.csv",
                 workers=workers,
             )
             run_experiment(cfg)

@@ -141,6 +141,10 @@ class TestSolveLyapunov:
             DriftDiffusion(-np.eye(2), asym)
         with pytest.raises(ConfigInvalid):
             DriftDiffusion(-np.eye(2), -np.eye(2))
+        with pytest.raises(ConfigInvalid):
+            DriftDiffusion([[np.nan, 0.0], [0.0, -1.0]], np.eye(2))
+        with pytest.raises(ConfigInvalid):
+            DriftDiffusion(-np.eye(2), [[np.inf, 0.0], [0.0, 1.0]])
 
 
 class TestSymplecticEigenvalues:

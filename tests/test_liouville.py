@@ -3,10 +3,13 @@
 The steady-state extractor is checked against constructive oracles:
 generators engineered to have a *known* unique fixed point (pure
 absorbing states, thermal qubits), plus degenerate and near-degenerate
-cases that must be refused.  A dense singular-value kernel extraction,
-kept here only as a reference, checks the sparse LU solve on random
-generators.
+cases that must be refused.  A dense singular-value kernel extraction
+of the full generator, kept here only as a reference, checks the sparse
+LU solve of the charge-diagonal block on random generators and on the
+two-pair spin models.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +42,12 @@ from entrep.liouville import (
     steady_state_dm,
     unvec,
     vec,
+)
+from entrep.arrays import ArrayConfig
+from entrep.spins import (
+    build_effective_closed_form,
+    build_effective_general,
+    build_xx_liouvillian,
 )
 
 
@@ -90,6 +99,28 @@ def svd_steady_state(liou, gap_rtol=1e-8):
     rho = unvec(vh[-1].conj(), liou.dim)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
+
+
+def charged_liouvillian(rng, n_qubits):
+    """Random generator conserving ``Q = sum_k sign_k n_k`` on qubits.
+
+    Each qubit counts with a random sign; the Hamiltonian is a random
+    Hermitian matrix masked to ``Q``-conserving entries, and each jump is
+    a random matrix masked to charge -1 or +1 (both kinds appear).
+    """
+    dim = 2**n_qubits
+    signs = rng.choice([-1, 1], size=n_qubits)
+    charge = sum(
+        sign * ((np.arange(dim) >> (n_qubits - 1 - site)) & 1)
+        for site, sign in enumerate(signs)
+    )
+    shift = np.subtract.outer(charge, charge)
+    h_rand = random_matrix(rng, dim)
+    generator = hamiltonian_superop(np.where(shift == 0, h_rand + h_rand.conj().T, 0.0))
+    for jump_charge in (-1, 1, int(rng.choice([-1, 1]))):
+        jump = np.where(shift == jump_charge, random_matrix(rng, dim), 0.0)
+        generator = generator + lindblad_dissipator(jump, rng.uniform(0.5, 2.0))
+    return Liouvillian(dim=dim, matrix=generator, charge=charge)
 
 
 def qubit_decay(dims, rates):
@@ -165,6 +196,25 @@ class TestGeneratorStructure:
     def test_liouvillian_shape_mismatch_rejected(self):
         with pytest.raises(ConfigInvalid):
             Liouvillian(dim=3, matrix=sp.identity(4, format="csr"))
+        with pytest.raises(ConfigInvalid):
+            Liouvillian(dim=2, matrix=sp.identity(4, format="csr"), charge=[0, 1, 2])
+        with pytest.raises(ConfigInvalid):
+            Liouvillian(dim=2, matrix=sp.identity(4, format="csr"), charge=[0, 0.5])
+
+    def test_cross_sector_entry_rejected(self):
+        # vec index 1 is rho_10 (sector 1), index 0 is rho_00 (sector 0)
+        generator = lindblad_dissipator(QUBIT_LOWER, 1.0).tolil()
+        generator[1, 0] = 0.3
+        with pytest.raises(ConfigInvalid, match="crosses charge sectors"):
+            Liouvillian(dim=2, matrix=generator, charge=[0, 1])
+        # without a charge every entry is in the one sector
+        Liouvillian(dim=2, matrix=generator)
+
+    def test_round_off_cross_sector_entry_dropped(self):
+        generator = lindblad_dissipator(QUBIT_LOWER, 1.0).tolil()
+        generator[1, 0] = 1e-15
+        rho = steady_state_dm(Liouvillian(dim=2, matrix=generator, charge=[0, 1]))
+        assert np.array_equal(rho, np.diag([1.0, 0.0]))
 
 
 class TestSteadyState:
@@ -181,6 +231,29 @@ class TestSteadyState:
     def test_matches_svd_reference(self, dim, seed):
         rng = np.random.default_rng(seed)
         liou, _ = absorbing_liouvillian(rng, dim)
+        assert np.abs(steady_state_dm(liou) - svd_steady_state(liou)).max() <= 1e-10
+
+    @given(st.integers(min_value=2, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_charge_block_matches_svd_reference(self, n_qubits, seed):
+        liou = charged_liouvillian(np.random.default_rng(seed), n_qubits)
+        assert np.abs(steady_state_dm(liou) - svd_steady_state(liou)).max() <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:timescale-separation")
+    @pytest.mark.parametrize("mbar", [1.2, math.sqrt(2.0)], ids=["mbar-1.2", "mbar-sqrt2"])
+    @pytest.mark.parametrize("model", ["xx", "effective", "closed-form"])
+    def test_two_pair_spin_models_match_svd_reference(self, model, mbar):
+        nbar, eta, zeta, g = 1.0, 1.0, 1.0, 0.01
+        if model == "xx":
+            liou = build_xx_liouvillian(2, 1.0, 0.5, nbar, mbar)
+        elif model == "effective":
+            cfg = ArrayConfig.homogeneous(2, eta=eta, zeta=zeta, nbar=nbar, mbar=mbar, g=g)
+            liou = build_effective_general(cfg).liouvillian
+        else:
+            liou = build_effective_closed_form(
+                2, eta=eta, zeta=zeta, g=g, nbar=nbar, mbar=mbar
+            ).liouvillian
+        assert liou.charge.any()
         assert np.abs(steady_state_dm(liou) - svd_steady_state(liou)).max() <= 1e-10
 
     def test_thermal_qubit_populations(self):
@@ -201,8 +274,14 @@ class TestSteadyState:
             # pure dephasing keeps every diagonal state; SuperLU fails
             # here with a different message than "exactly singular"
             Liouvillian(dim=6, matrix=lindblad_dissipator(np.diag(np.arange(6.0)), 1.0)),
+            # the same with six charge sectors: the block is the diagonal alone
+            Liouvillian(
+                dim=6,
+                matrix=lindblad_dissipator(np.diag(np.arange(6.0)), 1.0),
+                charge=np.arange(6),
+            ),
         ],
-        ids=["two-qubits", "three-qubits", "dephasing-d6"],
+        ids=["two-qubits", "three-qubits", "dephasing-d6", "dephasing-d6-charged"],
     )
     def test_degenerate_kernel_refused(self, liou):
         with pytest.raises(DegenerateSteadyState):

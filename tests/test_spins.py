@@ -26,6 +26,7 @@ from entrep.liouville import (
 from entrep.output import ladder_correlations_from_cm
 from entrep.spins import (
     TruncationSpec,
+    _array_charge,
     _fock_liouvillian,
     _squeezed_frame,
     adiabaticity_ratio,
@@ -57,6 +58,12 @@ def check_generator_structure(liouvillian, seed=0):
         image = liouvillian.apply(random_hermitian(rng, liouvillian.dim))
         assert abs(np.trace(image)) <= 10 * tol * liouvillian.dim
         assert np.abs(image - image.conj().T).max() <= 10 * tol * liouvillian.dim
+
+
+def test_array_charge_counts_excitations_per_array():
+    # a three-level mode in array one, a qubit in array two; site 0 leftmost
+    assert np.array_equal(_array_charge((3, 2), [0]), [0, -1, 1, 0, 2, 1])
+    assert np.array_equal(_array_charge((2, 2), range(2)), [0, 1, 1, 2])
 
 
 class TestXXChains:
