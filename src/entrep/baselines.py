@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigInvalid, OverSqueezed
-from .gaussian import squeezing_bound
+from .errors import ConfigInvalid
+from .gaussian import check_drive
 
 __all__ = [
     "driving_params",
@@ -64,12 +64,7 @@ def driving_entanglement(nbar: float, mbar: float) -> float:
     Equals ``max(0, -log2(2*nbar + 1 - 2*mbar))``; positive exactly when
     mbar > nbar.  This is the replication target for every pair.
     """
-    if nbar < 0.0 or mbar < 0.0:
-        raise ConfigInvalid(f"occupations must be >= 0, got ({nbar}, {mbar})")
-    if mbar > squeezing_bound(nbar) + 1e-12:
-        raise OverSqueezed(
-            f"mbar={mbar} exceeds sqrt(nbar*(nbar+1))={squeezing_bound(nbar)}"
-        )
+    check_drive(nbar, mbar)
     return max(0.0, -math.log2(2.0 * nbar + 1.0 - 2.0 * mbar))
 
 

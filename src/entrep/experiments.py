@@ -49,7 +49,7 @@ from .arrays import (
 )
 from .baselines import driving_entanglement, pair_amplitude, pure_pair_logneg
 from .errors import ConfigInvalid, ExperimentFailed, ModelError
-from .gaussian import normalized_logneg, squeezing_bound
+from .gaussian import check_drive, normalized_logneg, squeezing_bound
 from .liouville import logneg_qubits, reduced_pair_dm, steady_state_dm
 from .output import output_pair_spectrum, peak_frequency
 from .spins import build_effective_general, build_xx_liouvillian
@@ -178,17 +178,18 @@ def _spin_pair_rows(rho: np.ndarray, n_pairs: int, sweep_value: float, reference
 
 # ---------------------------------------------------------------------------
 # per-experiment sweep values and point evaluators (module level so that a
-# process pool can dispatch them)
+# process pool can dispatch them); a point evaluator gets the sweep value,
+# the resolved parameters and the run's seed
 
 
-def _sweep_fig2a(p):
-    levels = _float_list(p["kappa_levels"], "kappa_levels")
+def _nonnegative_levels(p, key: str) -> list[float]:
+    levels = _float_list(p[key], key)
     if any(level < 0.0 for level in levels):
-        raise ConfigInvalid(f"kappa_levels must be non-negative, got {levels}")
+        raise ConfigInvalid(f"{key} must be non-negative, got {levels}")
     return levels
 
 
-def _point_fig2a(value, p):
+def _point_fig2a(value, p, seed):
     return _gaussian_rows(_uniform_config(p, kappa=value), value)
 
 
@@ -199,7 +200,7 @@ def _sweep_fig2b(p):
     return list(range(lo, hi + 1))
 
 
-def _point_fig2b(value, p):
+def _point_fig2b(value, p, seed):
     return _gaussian_rows(_uniform_config(p, n_sites=value), value)
 
 
@@ -210,7 +211,7 @@ def _sweep_fig2c(p):
     return grid
 
 
-def _point_fig2c(value, p):
+def _point_fig2c(value, p, seed):
     # The cross-correlation follows the occupation at its physical maximum.
     return _gaussian_rows(
         _uniform_config(p, nbar=value, mbar=squeezing_bound(value)), value
@@ -219,15 +220,11 @@ def _point_fig2c(value, p):
 
 def _sweep_mbar(p):
     grid = _linear_grid(p, "mbar_min", "mbar_max")
-    bound = squeezing_bound(float(p["nbar"]))
-    if grid[-1] > bound + 1e-12:
-        raise ConfigInvalid(
-            f"mbar_max={grid[-1]} exceeds the physical bound {bound} at nbar={p['nbar']}"
-        )
+    check_drive(float(p["nbar"]), grid[-1])
     return grid
 
 
-def _point_fig2d(value, p):
+def _point_fig2d(value, p, seed):
     return _gaussian_rows(_uniform_config(p, mbar=value), value)
 
 
@@ -235,11 +232,11 @@ def _sweep_log_kappa(p):
     return _log_grid(p, "kappa_end_min", "kappa_end_max")
 
 
-def _point_fig2e(value, p):
+def _point_fig2e(value, p, seed):
     return _gaussian_rows(_end_damped_config(p, value), value)
 
 
-def _point_fig3b(value, p):
+def _point_fig3b(value, p, seed):
     cfg = _uniform_config(p, mbar=value)
     model = build_effective_general(cfg)
     rho = steady_state_dm(model.liouvillian)
@@ -247,7 +244,7 @@ def _point_fig3b(value, p):
     return _spin_pair_rows(rho, cfg.n_sites, value, reference)
 
 
-def _point_fig3c(value, p):
+def _point_fig3c(value, p, seed):
     liou = build_xx_liouvillian(
         int(p["n_sites"]), float(p["coupling"]), float(p["gamma"]), float(p["nbar"]), value
     )
@@ -256,7 +253,7 @@ def _point_fig3c(value, p):
     return _spin_pair_rows(rho, int(p["n_sites"]), value, reference)
 
 
-def _point_fig5a(value, p):
+def _point_fig5a(value, p, seed):
     cfg = _end_damped_config(p, value)
     coarse = np.linspace(float(p["omega_min"]), float(p["omega_max"]), int(p["omega_points"]))
     omega_star, raw = peak_frequency(cfg, coarse)
@@ -264,7 +261,7 @@ def _point_fig5a(value, p):
     return [(value, cfg.n_sites, raw, normalized_logneg(raw), drive, omega_star)]
 
 
-def _point_fig5b(value, p):
+def _point_fig5b(value, p, seed):
     cfg = _end_damped_config(p, value)
     omegas = np.linspace(float(p["omega_min"]), float(p["omega_max"]), int(p["omega_points"]))
     spectrum = output_pair_spectrum(cfg, omegas)
@@ -275,7 +272,7 @@ def _point_fig5b(value, p):
     ]
 
 
-def _point_custom(value, p):
+def _point_custom(value, p, seed):
     cfg = _uniform_config(p)
     kappa_end = float(p["kappa_end"])
     if kappa_end > 0.0:
@@ -287,39 +284,24 @@ def _point_custom(value, p):
     return _gaussian_rows(cfg, value)
 
 
-def _rows_fig3a(p: Mapping[str, ParamValue], seed: int, workers: int) -> list[tuple]:
-    base = _uniform_config(p)
-    levels = _float_list(p["delta_levels"], "delta_levels")
-    if any(level < 0.0 for level in levels):
-        raise ConfigInvalid(f"delta_levels must be non-negative, got {levels}")
-    rows = []
-    for delta in levels:
-        try:
-            spec = DisorderSpec(
-                base=base, delta_xi=delta, samples=int(p["samples"]), seed=seed
-            )
-            result = disorder_sweep(spec, workers=workers)
-        except ExperimentFailed:
-            raise
-        except ModelError as exc:
-            raise ExperimentFailed(
-                f"fig3a: sweep point delta_xi={delta!r} failed "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
-        for i, pair in enumerate(result.pair_labels):
-            rows.append(
-                (
-                    delta,
-                    pair,
-                    float(result.raw_mean[i]),
-                    float(result.norm_mean[i]),
-                    result.drive_raw,
-                    float(result.norm_min[i]),
-                    float(result.norm_max[i]),
-                    float(result.norm_sem[i]),
-                )
-            )
-    return rows
+def _point_fig3a(value, p, seed):
+    spec = DisorderSpec(
+        base=_uniform_config(p), delta_xi=value, samples=int(p["samples"]), seed=seed
+    )
+    result = disorder_sweep(spec)
+    return [
+        (
+            value,
+            pair,
+            float(result.raw_mean[i]),
+            float(result.norm_mean[i]),
+            result.drive_raw,
+            float(result.norm_min[i]),
+            float(result.norm_max[i]),
+            float(result.norm_sem[i]),
+        )
+        for i, pair in enumerate(result.pair_labels)
+    ]
 
 
 _register(
@@ -336,7 +318,7 @@ _register(
             "kappa_levels": "0.0,0.02,0.1",
         },
     ),
-    _sweep_fig2a,
+    lambda p: _nonnegative_levels(p, "kappa_levels"),
     _point_fig2a,
 )
 
@@ -436,8 +418,8 @@ _register(
         },
         extra_columns=("e_norm_min", "e_norm_max", "e_norm_sem"),
     ),
-    None,
-    None,
+    lambda p: _nonnegative_levels(p, "delta_levels"),
+    _point_fig3a,
 )
 
 _register(
@@ -696,9 +678,9 @@ def manifest_path_for(out_path: str | Path) -> Path:
 
 
 def _eval_point(job: tuple) -> list[tuple]:
-    experiment, sweep_key, value, params = job
+    experiment, sweep_key, value, params, seed = job
     try:
-        return _POINT_FUNCS[experiment](value, params)
+        return _POINT_FUNCS[experiment](value, params, seed)
     except ExperimentFailed:
         raise
     except ModelError as exc:
@@ -717,17 +699,15 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """
     exp = EXPERIMENTS[cfg.experiment]
     params = resolve_params(cfg)
-    if cfg.experiment == "fig3a":
-        rows = _rows_fig3a(params, int(cfg.seed), int(cfg.workers))
+    values = _SWEEP_FUNCS[cfg.experiment](params)
+    seed = int(cfg.seed)
+    jobs = [(cfg.experiment, exp.sweep_key, value, params, seed) for value in values]
+    if int(cfg.workers) > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=int(cfg.workers)) as pool:
+            chunks = list(pool.map(_eval_point, jobs))
     else:
-        values = _SWEEP_FUNCS[cfg.experiment](params)
-        jobs = [(cfg.experiment, exp.sweep_key, value, params) for value in values]
-        if int(cfg.workers) > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=int(cfg.workers)) as pool:
-                chunks = list(pool.map(_eval_point, jobs))
-        else:
-            chunks = [_eval_point(job) for job in jobs]
-        rows = [row for chunk in chunks for row in chunk]
+        chunks = [_eval_point(job) for job in jobs]
+    rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda row: (row[0], row[1]))
     table = ResultTable(
         columns=exp.columns,

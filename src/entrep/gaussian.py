@@ -38,6 +38,7 @@ __all__ = [
     "HURWITZ_TOL",
     "DriftDiffusion",
     "QuadratureCovariance",
+    "check_drive",
     "log_negativity_gaussian",
     "normalized_logneg",
     "quadrature_embedding",
@@ -87,6 +88,23 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 def squeezing_bound(nbar: float) -> float:
     """Largest cross-correlation mbar compatible with occupation nbar."""
     return math.sqrt(nbar * (nbar + 1.0))
+
+
+def check_drive(nbar: float, mbar: float) -> None:
+    """Refuse reservoir statistics ``(nbar, mbar)`` that no state has.
+
+    Raises ConfigInvalid unless both are finite and >= 0 (NaN fails),
+    and OverSqueezed when ``mbar`` exceeds ``squeezing_bound(nbar)`` by
+    more than 1e-12.
+    """
+    if not (0.0 <= nbar < math.inf and 0.0 <= mbar < math.inf):
+        raise ConfigInvalid(f"need finite nbar, mbar >= 0, got nbar={nbar}, mbar={mbar}")
+    bound = squeezing_bound(nbar)
+    if mbar > bound + 1e-12:
+        raise OverSqueezed(
+            f"mbar={mbar} exceeds the physical bound sqrt(nbar*(nbar+1))={bound} "
+            f"at nbar={nbar}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,13 +301,7 @@ def two_mode_squeezed_thermal_cm(nbar: float, mbar: float) -> QuadratureCovarian
     the doubled convention).  The state is entangled iff mbar > nbar and
     pure iff mbar = sqrt(nbar*(nbar+1)).
     """
-    if nbar < 0.0 or mbar < 0.0:
-        raise ConfigInvalid(f"occupations must be >= 0, got nbar={nbar}, mbar={mbar}")
-    bound = squeezing_bound(nbar)
-    if mbar > bound + 1e-12:
-        raise OverSqueezed(
-            f"mbar={mbar} exceeds the physical bound sqrt(nbar*(nbar+1))={bound}"
-        )
+    check_drive(nbar, mbar)
     diag = (2.0 * nbar + 1.0) * np.eye(4)
     cross = 2.0 * mbar
     sigma = diag

@@ -46,10 +46,12 @@ _IMAG_RESIDUE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class LadderCorrelations:
-    """Equal-time second moments in ladder form.
+    """Second moments in ladder block form.
 
     ``lower_lower[j, k] = <a_j a_k>``, ``upper_lower[j, k] =
     <adag_j a_k>`` and so on; all matrices are ``n_modes x n_modes``.
+    They are equal-time moments here and spectra at one frequency in
+    :class:`OutputCorrelations`.
     """
 
     lower_lower: np.ndarray
@@ -62,7 +64,7 @@ class LadderCorrelations:
         return self.lower_lower.shape[0]
 
     def stacked(self) -> np.ndarray:
-        """4N x 4N matrix ``<abar_j abar_k>`` in the stacked ordering."""
+        """The four blocks as one 4N x 4N matrix in the stacked ordering."""
         return np.block(
             [
                 [self.lower_lower, self.lower_upper],
@@ -99,38 +101,21 @@ def output_quadrature_map(n_modes: int) -> np.ndarray:
     """4N x 4N map from stacked ladder indices to per-mode quadrature rows.
 
     Row ``2m`` collects ``a_m + adag_m`` and row ``2m + 1`` collects
-    ``i (a_m - adag_m)``; built element-wise from its defining
-    Kronecker-delta expression (1-based in the formula, 0-based array).
+    ``i (a_m - adag_m)``.
     """
-    size = 2 * n_modes  # length of the stacked ladder register
-    theta = np.zeros((size, size), complex)
-    for j in range(1, size + 1):
-        for k in range(1, size + 1):
-            theta[j - 1, k - 1] = (
-                (j == 2 * k - 1)
-                + (j == 2 * k - size - 1)
-                + 1j * ((j == 2 * k) - (j == 2 * k - size))
-            )
+    m = np.arange(n_modes)
+    theta = np.zeros((2 * n_modes, 2 * n_modes), complex)
+    theta[2 * m, m] = theta[2 * m, n_modes + m] = 1.0
+    theta.imag[2 * m + 1, m] = 1.0
+    theta.imag[2 * m + 1, n_modes + m] = -1.0
     return theta
 
 
 @dataclass(frozen=True, eq=False)
-class OutputCorrelations:
+class OutputCorrelations(LadderCorrelations):
     """Output-field spectra at one frequency, in ladder block form."""
 
     omega: float
-    lower_lower: np.ndarray
-    lower_upper: np.ndarray
-    upper_lower: np.ndarray
-    upper_upper: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.block(
-            [
-                [self.lower_lower, self.lower_upper],
-                [self.upper_lower, self.upper_upper],
-            ]
-        )
 
 
 def _field_inputs(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray, LadderCorrelations]:
@@ -153,18 +138,14 @@ def _resolve(matrix: np.ndarray, rhs: np.ndarray, omega: float) -> np.ndarray:
         ) from exc
 
 
-def assemble_output_correlations(
-    cfg: ArrayConfig, omega: float, *, resolvent_scale: float = 2.0
-) -> OutputCorrelations:
+def assemble_output_correlations(cfg: ArrayConfig, omega: float) -> OutputCorrelations:
     """Output spectra blocks at one frequency from drift and steady moments.
 
     Each block pairs a forward and a reversed resolvent of the field
     drift around the stationary moments, sandwiched between the port
     gains; the ``<a adag>`` block carries the extra identity enforced by
-    the output commutator.  ``resolvent_scale`` is the overall weight of
-    the resolvent terms; the default 2.0 is pinned by the exact
-    photon-flux anchor (a value of 1.0 would halve every spectrum and
-    break flux conservation).
+    the output commutator.  The resolvent terms carry weight 2, which
+    the exact photon-flux anchor pins.
     """
     ladder, gains, corr = _field_inputs(cfg)
     minus = ladder
@@ -177,7 +158,7 @@ def assemble_output_correlations(
     def block(drift_fwd, front, back, drift_rev) -> np.ndarray:
         fwd = _resolve(drift_fwd, front, omega)
         rev = _resolve(drift_rev.T, back.T, -omega).T
-        return -resolvent_scale * gains @ (fwd + rev) @ gains
+        return -2.0 * gains @ (fwd + rev) @ gains
 
     lower_lower = block(minus, a_mm, a_mm.T, minus)
     lower_upper = block(minus, a_pm.T, a_pm.T, plus) + eye
@@ -192,9 +173,7 @@ def assemble_output_correlations(
     )
 
 
-def output_covariance(
-    cfg: ArrayConfig, omega: float, *, resolvent_scale: float = 2.0
-) -> QuadratureCovariance:
+def output_covariance(cfg: ArrayConfig, omega: float) -> QuadratureCovariance:
     """Frequency-resolved output covariance in interleaved quadratures.
 
     Symmetrizes the ladder blocks and rotates them with the quadrature
@@ -202,7 +181,7 @@ def output_covariance(
     further normalization.  Raises when the imaginary residue exceeds
     1e-9.
     """
-    blocks = assemble_output_correlations(cfg, omega, resolvent_scale=resolvent_scale)
+    blocks = assemble_output_correlations(cfg, omega)
     stacked = blocks.stacked()
     theta = output_quadrature_map(cfg.n_modes)
     gamma = 0.5 * theta @ (stacked + stacked.T) @ theta.T
@@ -254,8 +233,6 @@ def output_pair_spectrum(
     cfg: ArrayConfig,
     omegas,
     pair: tuple[int, int] | None = None,
-    *,
-    resolvent_scale: float = 2.0,
 ) -> OutputSpectrum:
     """Frequency-resolved entanglement between two output ports.
 
@@ -268,7 +245,7 @@ def output_pair_spectrum(
     omegas = np.asarray(omegas, float)
     raw = np.empty_like(omegas)
     for idx, omega in enumerate(omegas):
-        gamma = output_covariance(cfg, float(omega), resolvent_scale=resolvent_scale)
+        gamma = output_covariance(cfg, float(omega))
         raw[idx] = log_negativity_gaussian(reduce_to_pair(gamma, j, k))
     normalized = np.array([normalized_logneg(value) for value in raw])
     return OutputSpectrum(omegas=omegas, raw=raw, normalized=normalized, pair=(j, k))
@@ -278,8 +255,6 @@ def peak_frequency(
     cfg: ArrayConfig,
     coarse_omegas,
     pair: tuple[int, int] | None = None,
-    *,
-    resolvent_scale: float = 2.0,
 ) -> tuple[float, float]:
     """Locate the spectrum maximum: coarse grid scan plus local refinement.
 
@@ -287,9 +262,7 @@ def peak_frequency(
     bounded scalar search between the grid neighbours of the coarse
     argmax.
     """
-    spectrum = output_pair_spectrum(
-        cfg, coarse_omegas, pair, resolvent_scale=resolvent_scale
-    )
+    spectrum = output_pair_spectrum(cfg, coarse_omegas, pair)
     grid = spectrum.omegas
     best = int(np.argmax(spectrum.raw))
     lo = grid[max(best - 1, 0)]
@@ -297,7 +270,7 @@ def peak_frequency(
     pair = spectrum.pair
 
     def negative_logneg(omega: float) -> float:
-        gamma = output_covariance(cfg, omega, resolvent_scale=resolvent_scale)
+        gamma = output_covariance(cfg, omega)
         return -log_negativity_gaussian(reduce_to_pair(gamma, *pair))
 
     if hi <= lo:

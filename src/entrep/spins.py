@@ -29,6 +29,7 @@ import scipy.sparse as sp
 
 from .arrays import ArrayConfig, drift_matrices, steady_state
 from .errors import ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged
+from .gaussian import check_drive
 from .liouville import (
     Liouvillian,
     QUBIT_LOWER,
@@ -60,6 +61,16 @@ __all__ = [
 ]
 
 _MAX_XX_PAIRS = 5
+
+
+def _check_spin_pairs(n_pairs: int) -> None:
+    """Refuse spin models with no pair or beyond the ``_MAX_XX_PAIRS`` budget."""
+    if n_pairs < 1:
+        raise ConfigInvalid(f"need at least one spin pair, got {n_pairs}")
+    if n_pairs > _MAX_XX_PAIRS:
+        raise DimensionBudgetExceeded(
+            f"{2 * n_pairs} spins exceed the {2 * _MAX_XX_PAIRS}-spin budget"
+        )
 
 
 def _lowering_ops(n_spins: int) -> list[sp.csr_matrix]:
@@ -141,12 +152,7 @@ def build_xx_liouvillian(
     opposite phase is unitarily equivalent (redefine ``sigma -> -sigma``
     on one array) and pins the partner state with flipped pair phases.
     """
-    if n_pairs < 1:
-        raise ConfigInvalid(f"need at least one spin pair, got {n_pairs}")
-    if n_pairs > _MAX_XX_PAIRS:
-        raise DimensionBudgetExceeded(
-            f"{2 * n_pairs} spins exceed the {2 * _MAX_XX_PAIRS}-spin budget"
-        )
+    _check_spin_pairs(n_pairs)
     try:
         couplings = np.broadcast_to(
             np.asarray(coupling, float), (max(n_pairs - 1, 0),)
@@ -157,8 +163,7 @@ def build_xx_liouvillian(
         ) from exc
     if not 0.0 < gamma < np.inf:
         raise ConfigInvalid(f"damping rate must be positive and finite, got {gamma}")
-    if not (0.0 <= nbar < np.inf and 0.0 <= mbar < np.inf):
-        raise ConfigInvalid(f"need finite nbar, mbar >= 0, got {nbar}, {mbar}")
+    check_drive(nbar, mbar)
     if not np.isfinite(couplings).all():
         raise ConfigInvalid(f"couplings must be finite, got {coupling!r}")
 
@@ -209,13 +214,7 @@ def _doubled_field_matrices(field_cfg: ArrayConfig) -> tuple[np.ndarray, np.ndar
     drift = np.zeros((2 * n_modes, 2 * n_modes), complex)
     drift[:n_modes, :n_modes] = ladder
     drift[n_modes:, n_modes:] = ladder.conj()
-    corr = ladder_correlations_from_cm(steady_state(field_cfg))
-    moments = np.block(
-        [
-            [corr.lower_lower, corr.lower_upper],
-            [corr.upper_lower, corr.upper_upper],
-        ]
-    )
+    moments = ladder_correlations_from_cm(steady_state(field_cfg)).stacked()
     return drift, moments
 
 
@@ -303,10 +302,7 @@ def build_effective_general(cfg: ArrayConfig) -> EffectiveSpinModel:
     timescale-separation ratio exceeds 0.1.
     """
     n_pairs = cfg.n_sites
-    if n_pairs > _MAX_XX_PAIRS:
-        raise DimensionBudgetExceeded(
-            f"{2 * n_pairs} spins exceed the {2 * _MAX_XX_PAIRS}-spin budget"
-        )
+    _check_spin_pairs(n_pairs)
     g = _homogeneous_coupling(cfg)
     ratio = adiabaticity_ratio(cfg)
     if ratio > 0.1:
@@ -359,35 +355,20 @@ def coupling_pattern_matrices(
 ) -> PatternMatrices:
     """X/Y/Z pattern matrices for a chain of ``n_sites`` (parity-aware).
 
-    Built element-wise from the defining Kronecker-delta sums; the even
-    and odd variants differ only in which sublattice carries the deltas.
+    Sites at an even distance ``r`` from the far end form the anchor
+    sublattice.  ``Y = s s^T`` with ``s = (-1)^(r/2)`` on anchor sites and
+    0 elsewhere.  ``X[j, k]`` is nonzero only for odd ``|j - k|`` whose
+    site nearer the far end is an anchor, where it is ``+1`` for
+    ``|j - k| = 1 mod 4`` and ``-1`` for ``|j - k| = 3 mod 4``.
     """
     if n_sites < 1:
         raise ConfigInvalid(f"need at least one site, got {n_sites}")
-    even = n_sites % 2 == 0
-    x_mat = np.zeros((n_sites, n_sites))
-    y_mat = np.zeros((n_sites, n_sites))
-    for j in range(1, n_sites + 1):
-        for k in range(1, n_sites + 1):
-            x_val = 0.0
-            y_val = 0.0
-            for n in range(1, n_sites + 1):
-                for m in range(1, n_sites + 1):
-                    anchor = 2 * m if even else 2 * m + 1
-                    x_val += (-1.0) ** (n + 1) * (
-                        (j == anchor) * (j == k + 2 * n - 1)
-                        + (k == anchor) * (j + 2 * n - 1 == k)
-                    )
-                    anchor = 2 * m if even else 2 * m - 1
-                    y_val += (-1.0) ** n * (
-                        (j == anchor) * (j == k + 2 * n)
-                        + (k == anchor) * (j + 2 * n == k)
-                    )
-            for m in range(1, n_sites + 1):
-                anchor = 2 * m if even else 2 * m - 1
-                y_val += (j == anchor) * (j == k)
-            x_mat[j - 1, k - 1] = x_val
-            y_mat[j - 1, k - 1] = y_val
+    r = np.arange(n_sites)[::-1]  # distance of each site from the far end
+    s = np.where(r % 2 == 0, (-1) ** (r // 2), 0)
+    y_mat = np.outer(s, s).astype(float)
+    gap = np.abs(np.subtract.outer(r, r))
+    anchored = np.minimum.outer(r, r) % 2 == 0
+    x_mat = np.where((gap % 2 == 1) & anchored, np.where(gap % 4 == 1, 1.0, -1.0), 0.0)
     signs = np.diag([(-1.0) ** j for j in range(n_sites)])
     mixed = (y_mat + 1j * hop_to_damp_ratio * x_mat) @ signs
     return PatternMatrices(hopping=x_mat, damping=y_mat, signs=signs, mixed=mixed)
@@ -465,12 +446,10 @@ def build_effective_closed_form(
     pattern identity ``g^2 inv(field drift) = i J X - gamma Y`` holds;
     tests pin that equivalence to near machine precision.
     """
-    if n_pairs > _MAX_XX_PAIRS:
-        raise DimensionBudgetExceeded(
-            f"{2 * n_pairs} spins exceed the {2 * _MAX_XX_PAIRS}-spin budget"
-        )
+    _check_spin_pairs(n_pairs)
     if zeta <= 0.0 or g <= 0.0 or (n_pairs > 1 and eta <= 0.0):
         raise ConfigInvalid("need positive zeta, g and (for chains) eta")
+    check_drive(nbar, mbar)
     hopping_rate, damping_rate = closed_form_rates(n_pairs, eta, zeta, g)
     ratio = hopping_rate / damping_rate if n_pairs > 1 else 0.0
     x_big, y_big, pats = _closed_form_blocks(n_pairs, nbar, mbar, ratio)

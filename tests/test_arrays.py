@@ -123,7 +123,7 @@ class TestDrift:
 
         expected = by_parts(
             np.concatenate(
-                [np.linalg.eigvals(mats.ladder), np.linalg.eigvals(mats.ladder_conj)]
+                [np.linalg.eigvals(mats.ladder), np.linalg.eigvals(mats.ladder.conj())]
             )
         )
         actual = by_parts(np.linalg.eigvals(mats.quadrature))
@@ -299,12 +299,6 @@ class TestDisorder:
         assert np.array_equal(first.norm_mean, second.norm_mean)
         assert np.array_equal(first.norm_min, second.norm_min)
         assert np.array_equal(first.norm_sem, second.norm_sem)
-
-    def test_worker_count_does_not_change_results(self):
-        serial = disorder_sweep(self.make_spec(samples=8))
-        parallel = disorder_sweep(self.make_spec(samples=8), workers=2)
-        assert np.array_equal(serial.norm_mean, parallel.norm_mean)
-        assert np.array_equal(serial.raw_mean, parallel.raw_mean)
 
     def test_zero_width_collapses_to_homogeneous(self):
         spec = self.make_spec(delta_xi=0.0, samples=4)

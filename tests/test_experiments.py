@@ -159,7 +159,7 @@ class TestDatasetWriter:
                 overrides={
                     "n_sites": 3,
                     "samples": 6,
-                    "delta_levels": "0.0,0.4",
+                    "delta_levels": "0.0,0.2,0.4",
                 },
                 out=tmp_path / f"{name}.csv",
                 seed=11,
@@ -204,15 +204,19 @@ class TestDatasetWriter:
         assert outs[0] == outs[1]
 
     def test_failing_point_is_named_and_nothing_is_written(self, tmp_path):
-        cfg = ExperimentConfig(
-            experiment="custom",
-            overrides={"nbar": 0.0, "mbar": 3.0},
-            out=tmp_path / "broken.csv",
-        )
-        with pytest.raises(ExperimentFailed, match=r"custom: sweep point point=0\.0"):
-            run_experiment(cfg)
-        assert not cfg.out_path.exists()
-        assert not manifest_path_for(cfg.out_path).exists()
+        cases = [
+            ("custom", {"nbar": 0.0, "mbar": 3.0}, r"custom: sweep point point=0\.0"),
+            # disorder wider than the hopping rate fails at the second level
+            ("fig3a", {"delta_levels": "0.0,1.5"}, r"fig3a: sweep point delta_xi=1\.5"),
+        ]
+        for experiment, overrides, message in cases:
+            cfg = ExperimentConfig(
+                experiment=experiment, overrides=overrides, out=tmp_path / "broken.csv"
+            )
+            with pytest.raises(ExperimentFailed, match=message):
+                run_experiment(cfg)
+            assert not cfg.out_path.exists()
+            assert not manifest_path_for(cfg.out_path).exists()
 
     def test_grid_validation_failures(self, tmp_path):
         bad = [
@@ -223,6 +227,7 @@ class TestDatasetWriter:
             ("fig2a", {"kappa_levels": "0.1,oak"}),
             ("fig2a", {"kappa_levels": "0.1,nan"}),
             ("fig2d", {"nbar": "inf"}),
+            ("fig3c", {"nbar": -0.5}),
             ("fig2b", {"n_sites_min": 0}),
         ]
         for experiment, overrides in bad:

@@ -83,7 +83,31 @@ class TestLadderCorrelations:
         assert np.allclose(stacked.conj(), swap @ stacked.T @ swap, atol=1e-12)
 
 
+def kronecker_quadrature_map(n_modes: int) -> np.ndarray:
+    """The quadrature map from its defining Kronecker-delta expression.
+
+    Reference for :func:`output_quadrature_map`; 1-based in the formula,
+    0-based in the array.
+    """
+    size = 2 * n_modes
+    theta = np.zeros((size, size), complex)
+    for j in range(1, size + 1):
+        for k in range(1, size + 1):
+            theta[j - 1, k - 1] = (
+                (j == 2 * k - 1)
+                + (j == 2 * k - size - 1)
+                + 1j * ((j == 2 * k) - (j == 2 * k - size))
+            )
+    return theta
+
+
 class TestQuadratureMap:
+    @pytest.mark.parametrize("n_modes", range(1, 10))
+    def test_matches_kronecker_reference(self, n_modes):
+        assert np.array_equal(
+            output_quadrature_map(n_modes), kronecker_quadrature_map(n_modes)
+        )
+
     def test_single_mode(self):
         assert np.allclose(
             output_quadrature_map(1), np.array([[1.0, 1.0], [1.0j, -1.0j]])
@@ -169,20 +193,17 @@ class TestNormalizationAnchors:
 
     def test_integrated_flux_matches_steady_occupation(self):
         # integral of the photon spectrum over omega / 2 pi must equal
-        # the photon flux 2 kappa <n> leaving the port; halving the
-        # resolvent weight breaks this conservation law
+        # the photon flux 2 kappa <n> leaving the port; this pins the
+        # resolvent weight 2
         kappa, zeta, nbar = 0.3, 0.8, 0.6
         cfg = ArrayConfig.homogeneous(1, kappa=kappa, zeta=zeta, nbar=nbar, mbar=0.0)
         occupation = zeta * nbar / (zeta + kappa)
 
-        def spectrum(omega: float, scale: float) -> float:
-            blocks = assemble_output_correlations(cfg, omega, resolvent_scale=scale)
-            return blocks.upper_lower[0, 0].real
+        def spectrum(omega: float) -> float:
+            return assemble_output_correlations(cfg, omega).upper_lower[0, 0].real
 
-        flux, _ = quad(spectrum, -np.inf, np.inf, args=(2.0,))
+        flux, _ = quad(spectrum, -np.inf, np.inf)
         assert flux / (2.0 * np.pi) == pytest.approx(2.0 * kappa * occupation, abs=1e-9)
-        halved, _ = quad(spectrum, -np.inf, np.inf, args=(1.0,))
-        assert halved / (2.0 * np.pi) == pytest.approx(kappa * occupation, abs=1e-9)
 
     @pytest.mark.parametrize("omega", [0.0, 0.8, -1.7])
     def test_output_commutator_identity(self, omega):

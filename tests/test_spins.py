@@ -15,6 +15,7 @@ from entrep.baselines import pair_amplitude, pure_pair_logneg, replicated_state
 from entrep.errors import (
     ConfigInvalid,
     DimensionBudgetExceeded,
+    OverSqueezed,
     TruncationUnconverged,
 )
 from entrep.liouville import (
@@ -140,6 +141,9 @@ class TestXXChains:
                 build_xx_liouvillian(2, 1.0, 0.5, bad, 0.0)
             with pytest.raises(ConfigInvalid):
                 build_xx_liouvillian(2, bad, 0.5, 1.0, 0.0)
+        for mbar in (1.5, 3.0):  # above sqrt(2), the bound at nbar = 1
+            with pytest.raises(OverSqueezed):
+                build_xx_liouvillian(2, 1.0, 1.0, 1.0, mbar)
         with pytest.raises(DimensionBudgetExceeded):
             build_xx_liouvillian(6, 1.0, 0.5, 1.0, 0.0)
 
@@ -209,6 +213,39 @@ class TestEffectiveReduction:
             build_effective_general(reduced_config(6, nbar=0.5, mbar=0.5))
 
 
+def kronecker_pattern_matrices(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y from their defining Kronecker-delta sums (1-based indices).
+
+    Reference for :func:`coupling_pattern_matrices`; the even and odd
+    variants differ only in which sublattice carries the deltas.
+    """
+    even = n_sites % 2 == 0
+    x_mat = np.zeros((n_sites, n_sites))
+    y_mat = np.zeros((n_sites, n_sites))
+    for j in range(1, n_sites + 1):
+        for k in range(1, n_sites + 1):
+            x_val = 0.0
+            y_val = 0.0
+            for n in range(1, n_sites + 1):
+                for m in range(1, n_sites + 1):
+                    anchor = 2 * m if even else 2 * m + 1
+                    x_val += (-1.0) ** (n + 1) * (
+                        (j == anchor) * (j == k + 2 * n - 1)
+                        + (k == anchor) * (j + 2 * n - 1 == k)
+                    )
+                    anchor = 2 * m if even else 2 * m - 1
+                    y_val += (-1.0) ** n * (
+                        (j == anchor) * (j == k + 2 * n)
+                        + (k == anchor) * (j + 2 * n == k)
+                    )
+            for m in range(1, n_sites + 1):
+                anchor = 2 * m if even else 2 * m - 1
+                y_val += (j == anchor) * (j == k)
+            x_mat[j - 1, k - 1] = x_val
+            y_mat[j - 1, k - 1] = y_val
+    return x_mat, y_mat
+
+
 class TestClosedForm:
     @pytest.mark.filterwarnings("ignore:timescale-separation")
     @pytest.mark.parametrize("n_pairs", [1, 2, 3])
@@ -224,13 +261,16 @@ class TestClosedForm:
         gap = np.abs(difference.data).max() if difference.nnz else 0.0
         assert gap <= 1e-12 * max(1.0, general.scale)
 
-    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_sites", range(1, 10))
     def test_pattern_identity_reproduces_field_drift_inverse(self, n_sites):
         eta, zeta, g = 0.9, 1.4, 0.07
         cfg = ArrayConfig.homogeneous(n_sites, eta=eta, kappa=0.0, zeta=zeta)
         single_array = drift_matrices(cfg).ladder[:n_sites, :n_sites]
         hopping_rate, damping_rate = closed_form_rates(n_sites, eta, zeta, g)
         pats = coupling_pattern_matrices(n_sites)
+        x_ref, y_ref = kronecker_pattern_matrices(n_sites)
+        assert np.array_equal(pats.hopping, x_ref)
+        assert np.array_equal(pats.damping, y_ref)
         reconstructed = (
             1j * hopping_rate * pats.hopping - damping_rate * pats.damping
         )
@@ -269,6 +309,9 @@ class TestClosedForm:
             build_effective_closed_form(2, eta=1.0, zeta=0.0, g=0.1, nbar=1.0, mbar=0.0)
         with pytest.raises(ConfigInvalid):
             build_effective_closed_form(2, eta=0.0, zeta=1.0, g=0.1, nbar=1.0, mbar=0.0)
+        for mbar in (1.5, 3.0):  # above sqrt(2), the bound at nbar = 1
+            with pytest.raises(OverSqueezed):
+                build_effective_closed_form(2, eta=1.0, zeta=1.0, g=0.1, nbar=1.0, mbar=mbar)
         with pytest.raises(DimensionBudgetExceeded):
             build_effective_closed_form(6, eta=1.0, zeta=1.0, g=0.1, nbar=1.0, mbar=0.0)
 
@@ -352,7 +395,8 @@ class TestSqueezedBasisOracle:
         cfg = ArrayConfig.homogeneous(1, kappa=0.2, zeta=1.0, nbar=0.7, g=0.04)
         bare, _, _ = _fock_liouvillian(cfg, 4, include_spins=True, basis="bare")
         squeezed, _, _ = _fock_liouvillian(cfg, 4, include_spins=True, basis="squeezed")
-        gap = np.abs((bare.matrix - squeezed.matrix).toarray()).max()
+        difference = bare.matrix - squeezed.matrix
+        gap = np.abs(difference.data).max() if difference.nnz else 0.0
         assert gap <= 1e-12 * max(1.0, bare.scale)
 
     def test_field_moments_match_gaussian_route_when_strongly_squeezed(self):
