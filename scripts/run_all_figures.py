@@ -3,8 +3,8 @@
 
 Each experiment writes ``<outdir>/<name>.csv`` plus the matching
 ``.manifest``; rerunning with the same seed reproduces the files byte for
-byte.  The full set takes under a minute on one core — the fig3b spin
-sweep and the fig5a spectra dominate.
+byte.  The full set takes about 20 s on one core — the fig3b spin sweep
+and the fig3a disorder ensembles dominate.
 
 Usage:
     python3 scripts/run_all_figures.py --outdir figure_data --workers 2

@@ -119,10 +119,12 @@ def _float_list(text: str, key: str) -> list[float]:
     return sorted(values)
 
 
-def _linear_grid(p: Mapping[str, ParamValue], lo_key: str, hi_key: str) -> list[float]:
-    lo, hi, n = float(p[lo_key]), float(p[hi_key]), int(p["grid_points"])
+def _linear_grid(
+    p: Mapping[str, ParamValue], lo_key: str, hi_key: str, count_key: str
+) -> list[float]:
+    lo, hi, n = float(p[lo_key]), float(p[hi_key]), int(p[count_key])
     if n < 2:
-        raise ConfigInvalid(f"grid_points must be >= 2, got {n}")
+        raise ConfigInvalid(f"{count_key} must be >= 2, got {n}")
     if not lo < hi:
         raise ConfigInvalid(f"{lo_key}={lo} must be below {hi_key}={hi}")
     return [float(x) for x in np.linspace(lo, hi, n)]
@@ -205,7 +207,7 @@ def _point_fig2b(value, p, seed):
 
 
 def _sweep_fig2c(p):
-    grid = _linear_grid(p, "nbar_min", "nbar_max")
+    grid = _linear_grid(p, "nbar_min", "nbar_max", "grid_points")
     if grid[0] < 0.0:
         raise ConfigInvalid(f"nbar_min must be >= 0, got {grid[0]}")
     return grid
@@ -219,7 +221,7 @@ def _point_fig2c(value, p, seed):
 
 
 def _sweep_mbar(p):
-    grid = _linear_grid(p, "mbar_min", "mbar_max")
+    grid = _linear_grid(p, "mbar_min", "mbar_max", "grid_points")
     check_drive(float(p["nbar"]), grid[-1])
     return grid
 
@@ -253,18 +255,30 @@ def _point_fig3c(value, p, seed):
     return _spin_pair_rows(rho, int(p["n_sites"]), value, reference)
 
 
+def _omega_grid(p):
+    return _linear_grid(p, "omega_min", "omega_max", "omega_points")
+
+
+def _sweep_fig5a(p):
+    _omega_grid(p)
+    return _sweep_log_kappa(p)
+
+
 def _point_fig5a(value, p, seed):
     cfg = _end_damped_config(p, value)
-    coarse = np.linspace(float(p["omega_min"]), float(p["omega_max"]), int(p["omega_points"]))
-    omega_star, raw = peak_frequency(cfg, coarse)
+    omega_star, raw = peak_frequency(cfg, _omega_grid(p))
     drive = driving_entanglement(cfg.nbar, cfg.mbar)
     return [(value, cfg.n_sites, raw, normalized_logneg(raw), drive, omega_star)]
 
 
+def _sweep_fig5b(p):
+    _omega_grid(p)
+    return [float(p["kappa_end"])]
+
+
 def _point_fig5b(value, p, seed):
     cfg = _end_damped_config(p, value)
-    omegas = np.linspace(float(p["omega_min"]), float(p["omega_max"]), int(p["omega_points"]))
-    spectrum = output_pair_spectrum(cfg, omegas)
+    spectrum = output_pair_spectrum(cfg, _omega_grid(p))
     drive = driving_entanglement(cfg.nbar, cfg.mbar)
     return [
         (float(omega), cfg.n_sites, raw, norm, drive)
@@ -482,7 +496,7 @@ _register(
         },
         extra_columns=("omega_peak",),
     ),
-    _sweep_log_kappa,
+    _sweep_fig5a,
     _point_fig5a,
 )
 
@@ -503,7 +517,7 @@ _register(
             "omega_points": 1201,
         },
     ),
-    lambda p: [float(p["kappa_end"])],
+    _sweep_fig5b,
     _point_fig5b,
 )
 

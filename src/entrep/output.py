@@ -1,11 +1,19 @@
 """Frequency-resolved correlations of the fields leaking out of the arrays.
 
-The stationary intracavity state fixes two-time correlations through the
-drift (quantum regression); input-output theory then turns them into
-output spectra at the damped ports.  Everything here works in the
-stacked ladder ordering ``abar = (a_1..a_2N, adag_1..adag_2N)``; the
-final covariance-per-frequency is mapped back to interleaved quadratures
-so the Gaussian entanglement tools apply unchanged.
+One configuration fixes one stationary bare field (:func:`stationary_field`):
+the doubled drift ``M = diag(L, conj L)`` and the steady moments
+``A0 = <abar abar^T>``, both in the stacked ladder ordering ``abar =
+(a_1..a_2N, adag_1..adag_2N)``, plus the port gain ``sqrt(kappa)`` of each
+stacked index.  Quantum regression and input-output theory (Gardiner and
+Collett, PRA 31, 3761, 1985) then give every output spectrum at once::
+
+    S(omega) = E - 2 G [(M + i omega)^-1 N + N (M - i omega)^-1] G
+
+with ``G = diag(gains)``, ``E`` the identity in the ``<a adag>`` quarter
+(the output commutator) and ``N = A0 - E`` the normally ordered moments.
+The covariance per frequency is ``S`` symmetrized and mapped back to
+interleaved quadratures, so the Gaussian entanglement tools apply
+unchanged.
 
 Normalization is fixed once by two exact anchors, both pinned in tests:
 a vacuum input gives the identity covariance at every frequency, and the
@@ -30,55 +38,27 @@ from .gaussian import (
 )
 
 __all__ = [
-    "LadderCorrelations",
-    "OutputCorrelations",
     "OutputSpectrum",
+    "StationaryField",
     "assemble_output_correlations",
     "ladder_correlations_from_cm",
     "output_covariance",
     "output_pair_spectrum",
     "output_quadrature_map",
     "peak_frequency",
+    "stationary_field",
 ]
 
 _IMAG_RESIDUE_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class LadderCorrelations:
-    """Second moments in ladder block form.
+def ladder_correlations_from_cm(cm: QuadratureCovariance) -> np.ndarray:
+    """Convert an interleaved quadrature covariance to stacked ladder moments.
 
-    ``lower_lower[j, k] = <a_j a_k>``, ``upper_lower[j, k] =
-    <adag_j a_k>`` and so on; all matrices are ``n_modes x n_modes``.
-    They are equal-time moments here and spectra at one frequency in
-    :class:`OutputCorrelations`.
-    """
-
-    lower_lower: np.ndarray
-    lower_upper: np.ndarray
-    upper_lower: np.ndarray
-    upper_upper: np.ndarray
-
-    @property
-    def n_modes(self) -> int:
-        return self.lower_lower.shape[0]
-
-    def stacked(self) -> np.ndarray:
-        """The four blocks as one 4N x 4N matrix in the stacked ordering."""
-        return np.block(
-            [
-                [self.lower_lower, self.lower_upper],
-                [self.upper_lower, self.upper_upper],
-            ]
-        )
-
-
-def ladder_correlations_from_cm(cm: QuadratureCovariance) -> LadderCorrelations:
-    """Convert an interleaved quadrature covariance to ladder moments.
-
-    Inverts ``a = (x + i p) / sqrt(2)`` on the zero-mean Gaussian state;
-    the commutator contribution appears only on the diagonal of
-    ``<a adag>``.
+    Returns the 4N x 4N matrix ``<abar_j abar_k>``: quarters ``<a a>``,
+    ``<a adag>`` over ``<adag a>``, ``<adag adag>``.  Inverts ``a = (x + i
+    p) / sqrt(2)`` on the zero-mean Gaussian state; the commutator
+    contribution appears only on the diagonal of ``<a adag>``.
     """
     sigma = cm.sigma
     xs = sigma[0::2, 0::2]
@@ -89,12 +69,7 @@ def ladder_correlations_from_cm(cm: QuadratureCovariance) -> LadderCorrelations:
     lower_lower = 0.25 * ((xs - ps) + 1j * (xp + px))
     upper_lower = 0.25 * ((xs + ps) + 1j * (xp - px)) - 0.5 * eye
     lower_upper = 0.25 * ((xs + ps) + 1j * (px - xp)) + 0.5 * eye
-    return LadderCorrelations(
-        lower_lower=lower_lower,
-        lower_upper=lower_upper,
-        upper_lower=upper_lower,
-        upper_upper=lower_lower.conj(),
-    )
+    return np.block([[lower_lower, lower_upper], [upper_lower, lower_lower.conj()]])
 
 
 def output_quadrature_map(n_modes: int) -> np.ndarray:
@@ -112,78 +87,73 @@ def output_quadrature_map(n_modes: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class OutputCorrelations(LadderCorrelations):
-    """Output-field spectra at one frequency, in ladder block form."""
+class StationaryField:
+    """Stationary bare field of one configuration, in the stacked ordering.
 
-    omega: float
+    ``drift`` is ``M = diag(L, conj L)``, ``moments`` the steady
+    ``A0 = <abar abar^T>`` and ``gains`` the port gain ``sqrt(kappa)`` of
+    each of the 4N stacked indices.
+    """
+
+    drift: np.ndarray
+    moments: np.ndarray
+    gains: np.ndarray
+
+    @property
+    def n_modes(self) -> int:
+        return self.drift.shape[0] // 2
 
 
-def _field_inputs(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray, LadderCorrelations]:
-    if any(g != 0.0 for g in cfg.g):
-        raise ConfigInvalid("output spectra are defined for the bare field model")
+def stationary_field(cfg: ArrayConfig) -> StationaryField:
+    """Doubled drift, steady stacked moments and port gains of a bare field.
+
+    Solves the Gaussian steady state once; raises ``ConfigInvalid`` when
+    an atom coupling is on.
+    """
     ladder = drift_matrices(cfg).ladder
-    corr = ladder_correlations_from_cm(steady_state(cfg))
-    gains = np.sqrt(np.asarray(cfg.kappa, float))
-    return ladder, np.diag(gains), corr
+    zero = np.zeros_like(ladder)
+    return StationaryField(
+        drift=np.block([[ladder, zero], [zero, ladder.conj()]]),
+        moments=ladder_correlations_from_cm(steady_state(cfg)),
+        gains=np.tile(np.sqrt(np.asarray(cfg.kappa, float)), 2),
+    )
 
 
-def _resolve(matrix: np.ndarray, rhs: np.ndarray, omega: float) -> np.ndarray:
+def assemble_output_correlations(field: StationaryField, omega: float) -> np.ndarray:
+    """Stacked output spectra ``S(omega)`` from the stationary field.
+
+    Two resolvent solves of the doubled drift around the normally
+    ordered moments, sandwiched between the port gains; the ``<a adag>``
+    quarter carries the extra identity enforced by the output
+    commutator.  The resolvent terms carry weight 2, which the exact
+    photon-flux anchor pins.
+    """
+    n = field.n_modes
+    commutator = np.zeros_like(field.moments)
+    commutator[:n, n:] = np.eye(n)
+    normal = field.moments - commutator
+    shift = 1j * omega * np.eye(2 * n)
     try:
-        return np.linalg.solve(
-            matrix + 1j * omega * np.eye(matrix.shape[0]), rhs
-        )
+        forward = np.linalg.solve(field.drift + shift, normal)
+        reverse = np.linalg.solve((field.drift - shift).T, normal.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(
             f"field drift resolvent is singular at omega={omega}"
         ) from exc
+    gains = field.gains
+    return commutator - 2.0 * gains[:, None] * (forward + reverse) * gains
 
 
-def assemble_output_correlations(cfg: ArrayConfig, omega: float) -> OutputCorrelations:
-    """Output spectra blocks at one frequency from drift and steady moments.
-
-    Each block pairs a forward and a reversed resolvent of the field
-    drift around the stationary moments, sandwiched between the port
-    gains; the ``<a adag>`` block carries the extra identity enforced by
-    the output commutator.  The resolvent terms carry weight 2, which
-    the exact photon-flux anchor pins.
-    """
-    ladder, gains, corr = _field_inputs(cfg)
-    minus = ladder
-    plus = ladder.conj()
-    a_mm = corr.lower_lower
-    a_pm = corr.upper_lower
-    a_pp = corr.upper_upper
-    eye = np.eye(cfg.n_modes)
-
-    def block(drift_fwd, front, back, drift_rev) -> np.ndarray:
-        fwd = _resolve(drift_fwd, front, omega)
-        rev = _resolve(drift_rev.T, back.T, -omega).T
-        return -2.0 * gains @ (fwd + rev) @ gains
-
-    lower_lower = block(minus, a_mm, a_mm.T, minus)
-    lower_upper = block(minus, a_pm.T, a_pm.T, plus) + eye
-    upper_lower = block(plus, a_pm, a_pm, minus)
-    upper_upper = block(plus, a_pp.T, a_pp, plus)
-    return OutputCorrelations(
-        omega=omega,
-        lower_lower=lower_lower,
-        lower_upper=lower_upper,
-        upper_lower=upper_lower,
-        upper_upper=upper_upper,
-    )
-
-
-def output_covariance(cfg: ArrayConfig, omega: float) -> QuadratureCovariance:
+def output_covariance(field: StationaryField, omega: float) -> QuadratureCovariance:
     """Frequency-resolved output covariance in interleaved quadratures.
 
-    Symmetrizes the ladder blocks and rotates them with the quadrature
+    Symmetrizes the stacked spectra and rotates them with the quadrature
     map; a vacuum input yields the identity at every frequency with no
     further normalization.  Raises when the imaginary residue exceeds
     1e-9.
     """
-    blocks = assemble_output_correlations(cfg, omega)
-    stacked = blocks.stacked()
-    theta = output_quadrature_map(cfg.n_modes)
+    stacked = assemble_output_correlations(field, omega)
+    theta = output_quadrature_map(field.n_modes)
     gamma = 0.5 * theta @ (stacked + stacked.T) @ theta.T
     residue = float(np.abs(gamma.imag).max())
     if residue > _IMAG_RESIDUE_TOL * max(1.0, np.abs(gamma.real).max()):
@@ -229,6 +199,23 @@ def _require_open_pair(cfg: ArrayConfig, pair: tuple[int, int]) -> tuple[int, in
     return j, k
 
 
+def _prepared(
+    cfg: ArrayConfig, omegas, pair: tuple[int, int] | None
+) -> tuple[StationaryField, np.ndarray, tuple[int, int]]:
+    """Checked ports and frequencies, plus the stationary field they share."""
+    if pair is None:
+        pair = (cfg.n_sites - 1, 2 * cfg.n_sites - 1)
+    pair = _require_open_pair(cfg, pair)
+    omegas = np.asarray(omegas, float)
+    if omegas.ndim != 1 or omegas.size == 0 or not np.isfinite(omegas).all():
+        raise ConfigInvalid("need a non-empty 1-D grid of finite frequencies")
+    return stationary_field(cfg), omegas, pair
+
+
+def _pair_logneg(field: StationaryField, omega: float, pair: tuple[int, int]) -> float:
+    return log_negativity_gaussian(reduce_to_pair(output_covariance(field, omega), *pair))
+
+
 def output_pair_spectrum(
     cfg: ArrayConfig,
     omegas,
@@ -237,18 +224,13 @@ def output_pair_spectrum(
     """Frequency-resolved entanglement between two output ports.
 
     ``pair`` defaults to the far ends of the two arrays (0-based modes
-    ``N-1`` and ``2N-1``).  Both ports must be damped.
+    ``N-1`` and ``2N-1``).  Both ports must be damped and every frequency
+    finite; the steady state is solved once for the whole grid.
     """
-    if pair is None:
-        pair = (cfg.n_sites - 1, 2 * cfg.n_sites - 1)
-    j, k = _require_open_pair(cfg, pair)
-    omegas = np.asarray(omegas, float)
-    raw = np.empty_like(omegas)
-    for idx, omega in enumerate(omegas):
-        gamma = output_covariance(cfg, float(omega))
-        raw[idx] = log_negativity_gaussian(reduce_to_pair(gamma, j, k))
+    field, omegas, pair = _prepared(cfg, omegas, pair)
+    raw = np.array([_pair_logneg(field, float(omega), pair) for omega in omegas])
     normalized = np.array([normalized_logneg(value) for value in raw])
-    return OutputSpectrum(omegas=omegas, raw=raw, normalized=normalized, pair=(j, k))
+    return OutputSpectrum(omegas=omegas, raw=raw, normalized=normalized, pair=pair)
 
 
 def peak_frequency(
@@ -260,22 +242,18 @@ def peak_frequency(
 
     Returns ``(omega_star, raw_logneg_at_peak)``; the refinement is a
     bounded scalar search between the grid neighbours of the coarse
-    argmax.
+    argmax.  Scan and refinement share one stationary field.
     """
-    spectrum = output_pair_spectrum(cfg, coarse_omegas, pair)
-    grid = spectrum.omegas
-    best = int(np.argmax(spectrum.raw))
+    field, grid, pair = _prepared(cfg, coarse_omegas, pair)
+    raw = np.array([_pair_logneg(field, float(omega), pair) for omega in grid])
+    best = int(np.argmax(raw))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    pair = spectrum.pair
-
-    def negative_logneg(omega: float) -> float:
-        gamma = output_covariance(cfg, omega)
-        return -log_negativity_gaussian(reduce_to_pair(gamma, *pair))
-
     if hi <= lo:
-        return float(grid[best]), float(spectrum.raw[best])
-    result = minimize_scalar(negative_logneg, bounds=(lo, hi), method="bounded")
-    if -result.fun >= spectrum.raw[best]:
+        return float(grid[best]), float(raw[best])
+    result = minimize_scalar(
+        lambda omega: -_pair_logneg(field, omega, pair), bounds=(lo, hi), method="bounded"
+    )
+    if -result.fun >= raw[best]:
         return float(result.x), float(-result.fun)
-    return float(grid[best]), float(spectrum.raw[best])
+    return float(grid[best]), float(raw[best])

@@ -1,13 +1,13 @@
 """Spin-array models fed by the correlated cavity reservoir.
 
-Three independent routes to the spin physics, kept deliberately separate
+Four independent routes to the spin physics, kept deliberately separate
 so they can cross-check each other:
 
 * :func:`build_xx_liouvillian` — exact master equation for two XX chains
   whose first sites share the correlated two-site drive;
 * :func:`build_effective_general` — second-order (Born–Markov) reduction
   of the cavity+spin model, with memory kernels obtained from the exact
-  field drift and steady moments;
+  field drift and steady moments (:func:`entrep.output.stationary_field`);
 * :func:`build_effective_closed_form` — the same reduction evaluated
   analytically for homogeneous lossless arrays, written in terms of
   parity-dependent coupling-pattern matrices;
@@ -27,7 +27,7 @@ from math import ceil, sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from .arrays import ArrayConfig, drift_matrices, steady_state
+from .arrays import ArrayConfig, drift_matrices
 from .errors import ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged
 from .gaussian import check_drive
 from .liouville import (
@@ -43,7 +43,7 @@ from .liouville import (
     sandwich,
     steady_state_dm,
 )
-from .output import ladder_correlations_from_cm
+from .output import stationary_field
 
 __all__ = [
     "ClosedFormModel",
@@ -207,17 +207,6 @@ class EffectiveSpinModel:
     moments: np.ndarray
 
 
-def _doubled_field_matrices(field_cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Doubled drift M = diag(L, conj(L)) and steady moments <abar abar>."""
-    ladder = drift_matrices(field_cfg).ladder
-    n_modes = field_cfg.n_modes
-    drift = np.zeros((2 * n_modes, 2 * n_modes), complex)
-    drift[:n_modes, :n_modes] = ladder
-    drift[n_modes:, n_modes:] = ladder.conj()
-    moments = ladder_correlations_from_cm(steady_state(field_cfg)).stacked()
-    return drift, moments
-
-
 def _spin_pair_superop(coeff_left, coeff_right, coeff_mid, sbar) -> sp.csr_matrix:
     """Assemble sum_{jk} of left/right/sandwich quadratic spin terms.
 
@@ -311,8 +300,8 @@ def build_effective_general(cfg: ArrayConfig) -> EffectiveSpinModel:
             "the reduced spin model is unreliable here",
             stacklevel=2,
         )
-    field_cfg = replace(cfg, g=(0.0,) * n_pairs)
-    drift, moments = _doubled_field_matrices(field_cfg)
+    field = stationary_field(replace(cfg, g=(0.0,) * n_pairs))
+    drift, moments = field.drift, field.moments
     kernel = g**2 * np.linalg.solve(drift, moments)
     kernel_reversed = g**2 * np.linalg.solve(drift, moments.T)
     generator = _effective_from_kernels(kernel, kernel_reversed, n_pairs)
@@ -406,8 +395,9 @@ def _closed_form_blocks(
     one, raising array two, lowering array one, lowering array two).
     The cross-array quarters carry the ``mbar`` correlations split
     between the two block types so that the assembly matches the general
-    kernel construction exactly; see the decisions ledger for why this
-    split, and not the single mixed block, is the consistent one.
+    kernel construction exactly.  The single mixed block does not: the
+    ``closed-form-vs-general`` validation suite reports its deviation as
+    the ``alternative-block-layout-gap`` check.
     """
     pats = coupling_pattern_matrices(n_pairs, hop_to_damp_ratio)
     x_mat, y_mat, signs = pats.hopping, pats.damping, pats.signs

@@ -182,7 +182,7 @@ def test_criterion_5_spin_fixed_point():
 
 def test_criterion_6_gaussian_vs_fock_oracle():
     cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=0.5, mbar=math.sqrt(0.75))
-    exact = ladder_correlations_from_cm(steady_state(cfg)).stacked()
+    exact = ladder_correlations_from_cm(steady_state(cfg))
     errors = []
     for n_max in (4, 8, 12):
         oracle = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=n_max, check="none"))

@@ -79,7 +79,12 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "experiment,override",
-        [("custom", "kappa=nan"), ("custom", "nbar=inf"), ("fig3c", "gamma=nan")],
+        [
+            ("custom", "kappa=nan"),
+            ("custom", "nbar=inf"),
+            ("fig3c", "gamma=nan"),
+            ("fig5b", "omega_max=inf"),
+        ],
     )
     def test_non_finite_override_exits_2(self, tmp_path, capsys, experiment, override):
         out = tmp_path / "never.csv"

@@ -229,6 +229,10 @@ class TestDatasetWriter:
             ("fig2d", {"nbar": "inf"}),
             ("fig3c", {"nbar": -0.5}),
             ("fig2b", {"n_sites_min": 0}),
+            ("fig5a", {"grid_points": 2, "omega_points": 0}),
+            ("fig5a", {"grid_points": 2, "omega_min": 3.0, "omega_max": -3.0}),
+            ("fig5b", {"omega_points": -3}),
+            ("fig5b", {"omega_points": 0}),
         ]
         for experiment, overrides in bad:
             cfg = ExperimentConfig(

@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import quad, quad_vec
 from scipy.linalg import expm
 
+import entrep.output
 from entrep.arrays import ArrayConfig, drift_matrices, steady_state
 from entrep.errors import ClosedPort, ConfigInvalid, NotHurwitz
 from entrep.gaussian import two_mode_squeezed_thermal_cm
@@ -24,6 +25,7 @@ from entrep.output import (
     output_pair_spectrum,
     output_quadrature_map,
     peak_frequency,
+    stationary_field,
 )
 
 
@@ -40,22 +42,43 @@ def lossy_config() -> ArrayConfig:
     )
 
 
+def end_damped_config() -> ArrayConfig:
+    """Three-site arrays with ports only on the far ends."""
+    return ArrayConfig(
+        n_sites=3,
+        eta=(1.0,) * 4,
+        kappa=(0.0, 0.0, 0.4, 0.0, 0.0, 0.4),
+        zeta=0.5,
+        nbar=1.0,
+        mbar=np.sqrt(2.0),
+        g=(0.0,) * 3,
+    )
+
+
+def quarters(stacked: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``<a a>``, ``<a adag>``, ``<adag a>`` and ``<adag adag>`` quarters."""
+    n = stacked.shape[0] // 2
+    return stacked[:n, :n], stacked[:n, n:], stacked[n:, :n], stacked[n:, n:]
+
+
 class TestLadderCorrelations:
     def test_vacuum(self):
         from entrep.gaussian import QuadratureCovariance
 
         corr = ladder_correlations_from_cm(QuadratureCovariance(sigma=np.eye(4)))
-        assert np.allclose(corr.lower_lower, 0.0, atol=1e-14)
-        assert np.allclose(corr.upper_lower, 0.0, atol=1e-14)
-        assert np.allclose(corr.upper_upper, 0.0, atol=1e-14)
-        assert np.allclose(corr.lower_upper, np.eye(2), atol=1e-14)
+        lower_lower, lower_upper, upper_lower, upper_upper = quarters(corr)
+        assert np.allclose(lower_lower, 0.0, atol=1e-14)
+        assert np.allclose(upper_lower, 0.0, atol=1e-14)
+        assert np.allclose(upper_upper, 0.0, atol=1e-14)
+        assert np.allclose(lower_upper, np.eye(2), atol=1e-14)
 
     def test_two_mode_squeezed_thermal(self):
         nbar, mbar = 0.7, 0.9
         corr = ladder_correlations_from_cm(two_mode_squeezed_thermal_cm(nbar, mbar))
-        assert np.allclose(corr.upper_lower, nbar * np.eye(2), atol=1e-12)
-        assert np.allclose(np.diag(corr.lower_lower), 0.0, atol=1e-12)
-        assert abs(corr.lower_lower[0, 1]) == pytest.approx(mbar, abs=1e-12)
+        lower_lower, _, upper_lower, _ = quarters(corr)
+        assert np.allclose(upper_lower, nbar * np.eye(2), atol=1e-12)
+        assert np.allclose(np.diag(lower_lower), 0.0, atol=1e-12)
+        assert abs(lower_lower[0, 1]) == pytest.approx(mbar, abs=1e-12)
 
     def test_operator_ordering_identities(self):
         # <adag adag> is the conjugate of <a a> and <a adag> differs from
@@ -67,15 +90,15 @@ class TestLadderCorrelations:
         corr = ladder_correlations_from_cm(
             QuadratureCovariance(sigma=factor @ factor.T + np.eye(6))
         )
-        assert np.allclose(corr.upper_upper, corr.lower_lower.conj().T, atol=1e-12)
-        assert np.allclose(corr.lower_upper, corr.upper_lower.T + np.eye(3), atol=1e-12)
+        lower_lower, lower_upper, upper_lower, upper_upper = quarters(corr)
+        assert np.allclose(upper_upper, lower_lower.conj().T, atol=1e-12)
+        assert np.allclose(lower_upper, upper_lower.T + np.eye(3), atol=1e-12)
 
     def test_conjugation_symmetry_of_stacked_moments(self):
         # conjugating <abar_j abar_k> equals transposing and swapping the
         # raising/lowering sectors, for any Hermitian state
         cfg = lossy_config()
-        corr = ladder_correlations_from_cm(steady_state(cfg))
-        stacked = corr.stacked()
+        stacked = ladder_correlations_from_cm(steady_state(cfg))
         n = cfg.n_modes
         swap = np.zeros((2 * n, 2 * n))
         swap[:n, n:] = np.eye(n)
@@ -147,19 +170,19 @@ class TestRegressionOracle:
     def test_all_blocks_match_time_domain_integration(self, omega):
         cfg = lossy_config()
         ladder = drift_matrices(cfg).ladder
-        corr = ladder_correlations_from_cm(steady_state(cfg))
+        corr = quarters(ladder_correlations_from_cm(steady_state(cfg)))
         gains = np.diag(np.sqrt(np.asarray(cfg.kappa, float)))
         conj = ladder.conj()
 
-        got = assemble_output_correlations(cfg, omega)
+        got = quarters(assemble_output_correlations(stationary_field(cfg), omega))
         # the port-sandwiched part carries the normally-ordered moments:
         # for <a(t) adag(0)> that is <adag a> transposed, while the vacuum
         # contribution enters only as the flat identity block
         cases = [
-            (got.lower_lower, corr.lower_lower, ladder, ladder),
-            (got.lower_upper - np.eye(4), corr.upper_lower.T, ladder, conj),
-            (got.upper_lower, corr.upper_lower, conj, ladder),
-            (got.upper_upper, corr.upper_upper, conj, conj),
+            (got[0], corr[0], ladder, ladder),
+            (got[1] - np.eye(4), corr[2].T, ladder, conj),
+            (got[2], corr[2], conj, ladder),
+            (got[3], corr[3], conj, conj),
         ]
         for found, block, first, second in cases:
             want = regression_oracle_block(block, gains, omega, first, second)
@@ -178,7 +201,7 @@ class TestNormalizationAnchors:
             mbar=0.0,
             g=(0.0, 0.0),
         )
-        gamma = output_covariance(cfg, omega)
+        gamma = output_covariance(stationary_field(cfg), omega)
         assert np.abs(gamma.sigma - np.eye(8)).max() <= 1e-12
 
     def test_thermal_cavity_photon_spectrum_closed_form(self):
@@ -186,8 +209,9 @@ class TestNormalizationAnchors:
         cfg = ArrayConfig.homogeneous(1, kappa=kappa, zeta=zeta, nbar=nbar, mbar=0.0)
         occupation = zeta * nbar / (zeta + kappa)
         width = zeta + kappa
+        field = stationary_field(cfg)
         for omega in (0.0, 0.45, 1.3):
-            found = assemble_output_correlations(cfg, omega).upper_lower[0, 0]
+            found = quarters(assemble_output_correlations(field, omega))[2][0, 0]
             lorentzian = 4.0 * kappa * width * occupation / (width**2 + omega**2)
             assert found == pytest.approx(lorentzian, abs=1e-12)
 
@@ -198,22 +222,20 @@ class TestNormalizationAnchors:
         kappa, zeta, nbar = 0.3, 0.8, 0.6
         cfg = ArrayConfig.homogeneous(1, kappa=kappa, zeta=zeta, nbar=nbar, mbar=0.0)
         occupation = zeta * nbar / (zeta + kappa)
+        field = stationary_field(cfg)
 
         def spectrum(omega: float) -> float:
-            return assemble_output_correlations(cfg, omega).upper_lower[0, 0].real
+            return quarters(assemble_output_correlations(field, omega))[2][0, 0].real
 
         flux, _ = quad(spectrum, -np.inf, np.inf)
         assert flux / (2.0 * np.pi) == pytest.approx(2.0 * kappa * occupation, abs=1e-9)
 
     @pytest.mark.parametrize("omega", [0.0, 0.8, -1.7])
     def test_output_commutator_identity(self, omega):
-        blocks_plus = assemble_output_correlations(lossy_config(), omega)
-        blocks_minus = assemble_output_correlations(lossy_config(), -omega)
-        assert np.allclose(
-            blocks_plus.lower_upper,
-            blocks_minus.upper_lower.T + np.eye(4),
-            atol=1e-11,
-        )
+        field = stationary_field(lossy_config())
+        plus = quarters(assemble_output_correlations(field, omega))
+        minus = quarters(assemble_output_correlations(field, -omega))
+        assert np.allclose(plus[1], minus[2].T + np.eye(4), atol=1e-11)
 
 
 class TestPairSpectra:
@@ -230,15 +252,7 @@ class TestPairSpectra:
     def test_end_damped_chain_peaks_at_normal_modes(self):
         # with ports only on the far ends, the entanglement spectrum
         # peaks near the chain normal modes 2 eta cos(k pi / (N+1))
-        cfg = ArrayConfig(
-            n_sites=3,
-            eta=(1.0,) * 4,
-            kappa=(0.0, 0.0, 0.4, 0.0, 0.0, 0.4),
-            zeta=0.5,
-            nbar=1.0,
-            mbar=np.sqrt(2.0),
-            g=(0.0,) * 3,
-        )
+        cfg = end_damped_config()
         omegas = np.linspace(-3.0, 3.0, 241)
         spec = output_pair_spectrum(cfg, omegas)
         raw = spec.raw
@@ -253,15 +267,7 @@ class TestPairSpectra:
         assert np.all(raw > 0.0)
 
     def test_peak_refinement_improves_on_the_grid(self):
-        cfg = ArrayConfig(
-            n_sites=3,
-            eta=(1.0,) * 4,
-            kappa=(0.0, 0.0, 0.4, 0.0, 0.0, 0.4),
-            zeta=0.5,
-            nbar=1.0,
-            mbar=np.sqrt(2.0),
-            g=(0.0,) * 3,
-        )
+        cfg = end_damped_config()
         coarse = np.linspace(1.0, 1.8, 9)
         spec = output_pair_spectrum(cfg, coarse)
         omega_star, value_star = peak_frequency(cfg, coarse)
@@ -284,17 +290,45 @@ class TestPairSpectra:
             output_pair_spectrum(cfg, [0.0], pair=(0, 4))
         with pytest.raises(ConfigInvalid):
             output_pair_spectrum(cfg, [0.0], pair=(1, 1))
+        for omegas in ([np.nan], [0.0, np.inf], [-np.inf, 0.5], []):
+            with pytest.raises(ConfigInvalid):
+                output_pair_spectrum(cfg, omegas)
+            with pytest.raises(ConfigInvalid):
+                peak_frequency(cfg, omegas)
 
     def test_coupled_spins_are_rejected(self):
         cfg = ArrayConfig.homogeneous(
             1, kappa=0.1, zeta=1.0, nbar=0.5, mbar=0.5, g=0.1
         )
         with pytest.raises(ConfigInvalid):
-            assemble_output_correlations(cfg, 0.0)
+            stationary_field(cfg)
 
     def test_undamped_model_has_no_output(self):
         cfg = ArrayConfig.homogeneous(
             2, eta=1.0, kappa=0.0, zeta=0.0, nbar=0.5, mbar=0.5
         )
         with pytest.raises(NotHurwitz):
-            assemble_output_correlations(cfg, 0.0)
+            stationary_field(cfg)
+
+
+class TestSteadyStateReuse:
+    """Every output route solves the Gaussian steady state once per config."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(cfg):
+            seen.append(cfg)
+            return steady_state(cfg)
+
+        monkeypatch.setattr(entrep.output, "steady_state", counting)
+        return seen
+
+    def test_pair_spectrum(self, calls):
+        output_pair_spectrum(end_damped_config(), np.linspace(-2.5, 2.5, 21))
+        assert len(calls) == 1
+
+    def test_peak_frequency_scan_and_refinement(self, calls):
+        peak_frequency(end_damped_config(), np.linspace(1.0, 1.8, 9))
+        assert len(calls) == 1

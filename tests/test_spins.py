@@ -323,7 +323,7 @@ class TestFockOracle:
         # must resolve that mode, not just the single-site marginals
         cfg = ArrayConfig.homogeneous(1, kappa=0.1, zeta=1.0, nbar=0.5, mbar=0.6)
         result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=10))
-        exact = ladder_correlations_from_cm(steady_state(cfg)).stacked()
+        exact = ladder_correlations_from_cm(steady_state(cfg))
         assert result.check_mode == "full"
         assert result.check_shift <= 1e-3
         assert result.spin_dm is None
@@ -331,7 +331,7 @@ class TestFockOracle:
 
     def test_truncation_error_shrinks_with_cutoff(self):
         cfg = ArrayConfig.homogeneous(1, kappa=0.1, zeta=1.0, nbar=0.5, mbar=0.6)
-        exact = ladder_correlations_from_cm(steady_state(cfg)).stacked()
+        exact = ladder_correlations_from_cm(steady_state(cfg))
         errors = []
         for n_max in (3, 6):
             result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=n_max, check="none"))
@@ -403,7 +403,7 @@ class TestSqueezedBasisOracle:
         # bare truncation at this cutoff is off by ~5e-2 for these
         # drive statistics; the frame change wins two orders of magnitude
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=1.2)
-        exact = ladder_correlations_from_cm(steady_state(cfg)).stacked()
+        exact = ladder_correlations_from_cm(steady_state(cfg))
         result = full_cavity_atom_oracle(
             cfg, TruncationSpec(n_max=6, check="none", basis="squeezed")
         )
@@ -413,7 +413,7 @@ class TestSqueezedBasisOracle:
         # a purely squeezed drive has zero frame occupation: the frame
         # vacuum is the exact steady state, whatever the cutoff
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=np.sqrt(2.0))
-        exact = ladder_correlations_from_cm(steady_state(cfg)).stacked()
+        exact = ladder_correlations_from_cm(steady_state(cfg))
         result = full_cavity_atom_oracle(
             cfg, TruncationSpec(n_max=4, check="none", basis="squeezed")
         )
