@@ -51,6 +51,12 @@ __all__ = [
 
 _IMAG_RESIDUE_TOL = 1e-9
 
+# Grid values within this fraction of the largest one count as the same
+# peak height, and the first of them in grid order is refined.  An even
+# spectrum then reports the same one of its two mirror peaks whatever
+# the rounding of the two values.
+_PEAK_TIE_RTOL = 1e-9
+
 
 def ladder_correlations_from_cm(cm: QuadratureCovariance) -> np.ndarray:
     """Convert an interleaved quadrature covariance to stacked ladder moments.
@@ -242,11 +248,13 @@ def peak_frequency(
 
     Returns ``(omega_star, raw_logneg_at_peak)``; the refinement is a
     bounded scalar search between the grid neighbours of the coarse
-    argmax.  Scan and refinement share one stationary field.
+    argmax.  Grid values within a relative 1e-9 of the maximum tie, and
+    the lowest-frequency one of them wins.  Scan and refinement share one
+    stationary field.
     """
     field, grid, pair = _prepared(cfg, coarse_omegas, pair)
     raw = np.array([_pair_logneg(field, float(omega), pair) for omega in grid])
-    best = int(np.argmax(raw))
+    best = int(np.flatnonzero(raw >= (1.0 - _PEAK_TIE_RTOL) * raw.max())[0])
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
     if hi <= lo:

@@ -275,6 +275,22 @@ class TestPairSpectra:
         assert coarse[0] <= omega_star <= coarse[-1]
         assert abs(omega_star - 1.34) <= 0.05
 
+    def test_mirror_peaks_tie_to_the_lowest_frequency(self):
+        # a fig5a point: the spectrum is even, so its two highest grid
+        # values mirror each other, and rounding alone once made the
+        # positive-frequency one the larger
+        kappa = [0.0] * 20
+        kappa[9] = kappa[19] = 0.7356422544596414
+        cfg = ArrayConfig(
+            n_sites=10, eta=(1.0,) * 18, kappa=tuple(kappa), zeta=0.5, nbar=1.0, mbar=np.sqrt(2.0)
+        )
+        grid = np.linspace(-3.0, 3.0, 121)
+        omega_star, value_star = peak_frequency(cfg, grid)
+        mirror_star, mirror_value = peak_frequency(cfg, grid[60:])
+        assert omega_star < 0.0
+        assert omega_star == pytest.approx(-mirror_star, abs=1e-4)
+        assert value_star == pytest.approx(mirror_value, rel=1e-9)
+
     def test_ports_must_be_open(self):
         closed = ArrayConfig.homogeneous(
             2, eta=1.0, kappa=0.0, zeta=1.0, nbar=1.0, mbar=1.2
