@@ -2,8 +2,8 @@
 
 Geometry and mode indexing
 --------------------------
-Two identical, mutually non-interacting chains of ``n_sites`` cavities.
-Code indexes the 2N modes 0-based: sites ``0..N-1`` form array one,
+Two mutually non-interacting chains of ``n_sites`` cavities.  Code
+indexes the 2N modes 0-based: sites ``0..N-1`` form array one,
 ``N..2N-1`` array two.  Nearest neighbours within each chain are coupled
 by hopping rates ``eta`` (bond b of array one couples modes b and b+1;
 bond b of array two couples modes N+b and N+b+1).  Every cavity decays
@@ -12,14 +12,22 @@ between the arrays is a broadband two-mode squeezed reservoir with
 statistics ``(nbar, mbar)`` that pumps the two first sites (modes 0 and
 N) at rate ``zeta``.
 
-The model is quadratic, so the steady state is Gaussian and fully
-described by the covariance matrix solving ``A sigma + sigma A^T + D = 0``
-with the drift/diffusion built here.  Ladder moments evolve as
-d<a>/dt = L <a> with ``L = -i*eta(hopping) - diag(kappa_j + zeta*[j is
-driven])``; the reservoir contributes ``2*zeta*(2*nbar+1)`` of local
-diffusion on each driven site plus a cross block fixed by the moment
-equation d<a_0 a_N>/dt = -2*zeta*<a_0 a_N> - 2*zeta*mbar, whose steady
-value -mbar carries the inter-array correlations.
+Steady moments
+--------------
+Ladder moments evolve as d<a>/dt = L <a> with ``L = -i*eta(hopping) -
+diag(kappa_j + zeta*[j is driven])``, block diagonal with one block
+``L_i`` per array.  The steady state is Gaussian and zero-mean; vacuum
+loss adds no noise in normal order, so only two kinds of second moment
+are non-zero (one isolated driven pair gets ``nbar`` and ``-mbar``):
+
+    N_i = <a_j^dag a_k> in array i:  conj(L_i) N_i + N_i L_i^T = -2 zeta nbar e0 e0^T
+    M   = <a_j^(1) a_k^(2)>:         L_1 M + M L_2^T = +2 zeta mbar e0 e0^T
+
+:func:`steady_state` solves them on one complex Schur form per distinct
+array drift.  Each pair (j, N+j) is a phase-insensitive two-mode state,
+so its smallest partially transposed symplectic eigenvalue is
+``n_1 + n_2 + 1 - sqrt((n_1 - n_2)^2 + 4 |m|^2)`` in its occupations and
+cross-moment (Serafini, Illuminati & De Siena, J. Phys. B 37, L21, 2004).
 
 Entanglement replication: with kappa = 0 every pair (j, N+j) relaxes to
 a two-mode squeezed thermal state with the *same* (nbar, mbar) as the
@@ -37,25 +45,22 @@ import numpy as np
 from .baselines import driving_entanglement
 from .errors import ConfigInvalid
 from .gaussian import (
-    DriftDiffusion,
-    QuadratureCovariance,
     check_drive,
-    log_negativity_gaussian,
+    logneg_from_nu,
     normalized_logneg,
-    quadrature_embedding,
-    reduce_to_pair,
-    solve_lyapunov,
+    schur_form,
+    solve_rank_one_sylvester,
+    uncertainty_margin,
 )
 
 __all__ = [
     "ArrayConfig",
     "DisorderResult",
     "DisorderSpec",
-    "DriftMatrices",
     "EntanglementProfile",
-    "diffusion_matrix",
+    "SteadyMoments",
     "disorder_sweep",
-    "drift_matrices",
+    "ladder_drift",
     "pair_entanglement_profile",
     "steady_state",
 ]
@@ -163,11 +168,24 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class DriftMatrices:
-    """Ladder drift L plus the real quadrature drift."""
+class SteadyMoments:
+    """The non-zero steady second moments, sites 0-based within each array.
 
-    ladder: np.ndarray
-    quadrature: np.ndarray
+    ``n1[j, k] = <a_j^dag a_k>`` in array one, ``n2`` the same in array
+    two, ``m[j, k] = <a_j a_{N+k}>`` across them; ``uncertainty_margin`` is
+    :func:`entrep.gaussian.uncertainty_margin` of the three.
+    """
+
+    n1: np.ndarray
+    n2: np.ndarray
+    m: np.ndarray
+    uncertainty_margin: float
+
+    def __post_init__(self) -> None:
+        for name in ("n1", "n2", "m"):
+            arr = np.array(getattr(self, name), dtype=complex)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,23 +212,20 @@ class EntanglementProfile:
         object.__setattr__(self, "normalized", norm)
 
 
-def _require_gaussian(cfg: ArrayConfig) -> None:
+def ladder_drift(cfg: ArrayConfig) -> np.ndarray:
+    """First-moment drift of the cavity fields.
+
+    Builds the complex 2N x 2N matrix ``L`` with d<a>/dt = L <a>:
+    ``-i*eta`` on nearest-neighbour bonds within each array and
+    ``-(kappa_j + zeta*[j driven])`` on the diagonal.  The arrays never
+    couple coherently, so ``L`` is block diagonal.  Raises ConfigInvalid
+    when an atom coupling is on.
+    """
     if not cfg.is_gaussian:
         raise ConfigInvalid(
             "the Gaussian cavity branch requires all atom couplings g = 0; "
             "use the spin-dynamics layer for g > 0"
         )
-
-
-def drift_matrices(cfg: ArrayConfig) -> DriftMatrices:
-    """First-moment drift of the cavity fields.
-
-    Builds the complex 2N x 2N matrix ``L`` with d<a>/dt = L <a>:
-    ``-i*eta`` on nearest-neighbour bonds within each array and
-    ``-(kappa_j + zeta*[j driven])`` on the diagonal, plus the 4N x 4N
-    real quadrature embedding.  The arrays never couple coherently.
-    """
-    _require_gaussian(cfg)
     n = cfg.n_sites
     ladder = np.zeros((2 * n, 2 * n), dtype=complex)
     for bond in range(n - 1):
@@ -220,60 +235,44 @@ def drift_matrices(cfg: ArrayConfig) -> DriftMatrices:
     ladder -= np.diag(np.asarray(cfg.kappa, dtype=float))
     for j in cfg.driven_modes:
         ladder[j, j] -= cfg.zeta
-    return DriftMatrices(ladder=ladder, quadrature=quadrature_embedding(ladder))
+    return ladder
 
 
-def diffusion_matrix(cfg: ArrayConfig) -> np.ndarray:
-    """Quadrature diffusion from local decay plus the squeezed reservoir.
-
-    Local decay contributes ``2*kappa_j`` per driven quadrature; the
-    reservoir adds ``2*zeta*(2*nbar+1)`` on both driven sites and the
-    cross block ``2*zeta*diag(-2*mbar, +2*mbar)`` between them, the sign
-    pattern that makes the isolated driven pair relax to cross-moment
-    ``<a_0 a_N> = -mbar`` with occupation ``nbar``.
-    """
-    _require_gaussian(cfg)
-    n = cfg.n_sites
-    diag = np.repeat(2.0 * np.asarray(cfg.kappa, dtype=float), 2)
-    dmat = np.diag(diag)
-    first, second = cfg.driven_modes
-    for j in (first, second):
-        dmat[2 * j, 2 * j] += 2.0 * cfg.zeta * (2.0 * cfg.nbar + 1.0)
-        dmat[2 * j + 1, 2 * j + 1] += 2.0 * cfg.zeta * (2.0 * cfg.nbar + 1.0)
-    cross = 2.0 * cfg.zeta * 2.0 * cfg.mbar
-    dmat[2 * first, 2 * second] = dmat[2 * second, 2 * first] = -cross
-    dmat[2 * first + 1, 2 * second + 1] = dmat[2 * second + 1, 2 * first + 1] = cross
-    return dmat
-
-
-def steady_state(cfg: ArrayConfig) -> QuadratureCovariance:
+def steady_state(cfg: ArrayConfig) -> SteadyMoments:
     """Unique Gaussian steady state of the driven arrays.
 
     Raises NotHurwitz when no damping channel is open (zeta = 0 and all
-    kappa = 0): the closed system has no steady covariance.
+    kappa = 0), NoConvergence on a failed or inaccurate solve, and
+    NonPhysicalResult when the moments violate the uncertainty relation.
     """
-    gen = DriftDiffusion(drift_matrices(cfg).quadrature, diffusion_matrix(cfg))
-    return solve_lyapunov(gen)
+    ladder = ladder_drift(cfg)
+    n = cfg.n_sites
+    one, two = ladder[:n, :n], ladder[n:, n:]
+    identical = np.array_equal(one, two)
+    form_one = schur_form(one)
+    form_two = form_one if identical else schur_form(two)
+    source = -2.0 * cfg.zeta * cfg.nbar
+    n1 = solve_rank_one_sylvester(form_one.conj(), form_one, source)
+    n2 = n1 if identical else solve_rank_one_sylvester(form_two.conj(), form_two, source)
+    m = solve_rank_one_sylvester(form_one, form_two, 2.0 * cfg.zeta * cfg.mbar)
+    return SteadyMoments(n1=n1, n2=n2, m=m, uncertainty_margin=uncertainty_margin(n1, n2, m))
 
 
 def pair_entanglement_profile(cfg: ArrayConfig) -> EntanglementProfile:
-    """Logarithmic negativity of every inter-array pair (j, N+j).
+    """Logarithmic negativity of every inter-array pair (j, N+j), in closed form.
 
     The reference entry is the reservoir's own entanglement — the exact
     value every pair reaches in the lossless (kappa = 0) model.
     """
-    sigma = steady_state(cfg)
-    n = cfg.n_sites
-    raw = np.array(
-        [
-            log_negativity_gaussian(reduce_to_pair(sigma, j, n + j))
-            for j in range(n)
-        ]
-    )
+    moments = steady_state(cfg)
+    n1 = moments.n1.diagonal().real
+    n2 = moments.n2.diagonal().real
+    m = np.abs(moments.m.diagonal())
+    raw = logneg_from_nu(n1 + n2 + 1.0 - np.sqrt((n1 - n2) ** 2 + 4.0 * m**2))
     normalized = raw / (1.0 + raw)
     drive = driving_entanglement(cfg.nbar, cfg.mbar)
     return EntanglementProfile(
-        pair_labels=tuple(range(1, n + 1)),
+        pair_labels=tuple(range(1, cfg.n_sites + 1)),
         raw=raw,
         normalized=normalized,
         drive_raw=drive,
@@ -339,58 +338,39 @@ class DisorderResult:
             object.__setattr__(self, field, arr)
 
 
-def _profile_for_couplings(base: ArrayConfig, eta: tuple[float, ...]):
-    profile = pair_entanglement_profile(replace(base, eta=eta))
-    return profile.raw, profile.normalized
-
-
 def disorder_sweep(spec: DisorderSpec) -> DisorderResult:
     """Sample statistics of the pair profile over hopping disorder.
 
     Each sample draws its bonds from its own child of a single seed
     sequence, so results are bitwise-reproducible for a fixed seed;
-    aggregation order is fixed by sample index.
+    aggregation order is fixed by sample index.  A zero-width ensemble is
+    its one homogeneous profile: averaging hundreds of identical rows
+    would smear it by tens of ulps.
     """
     n_bonds = 2 * (spec.base.n_sites - 1)
     if spec.delta_xi == 0.0 or n_bonds == 0:
-        # Every draw is exactly eta0, so one profile IS the ensemble.  Taking
-        # the literal mean of hundreds of identical rows would smear the
-        # zero-width column by tens of ulps; computing it once keeps it
-        # bitwise equal to the homogeneous profile.
-        raw_row, norm_row = _profile_for_couplings(spec.base, (spec.eta0,) * n_bonds)
-        drive = driving_entanglement(spec.base.nbar, spec.base.mbar)
-        return DisorderResult(
-            pair_labels=tuple(range(1, spec.base.n_sites + 1)),
-            raw_mean=raw_row,
-            norm_mean=norm_row,
-            norm_min=norm_row,
-            norm_max=norm_row,
-            norm_sem=np.zeros_like(norm_row),
-            drive_raw=drive,
-            drive_normalized=normalized_logneg(drive),
-            samples=spec.samples,
-        )
-    children = np.random.SeedSequence(spec.seed).spawn(spec.samples)
-    half = 0.5 * spec.delta_xi
-    results = []
-    for child in children:
-        xi = np.random.default_rng(child).uniform(-half, half, size=n_bonds)
-        results.append(_profile_for_couplings(spec.base, tuple(spec.eta0 + xi)))
-    raw = np.vstack([r[0] for r in results])
-    norm = np.vstack([r[1] for r in results])
-    if spec.samples > 1:
-        sem = norm.std(axis=0, ddof=1) / np.sqrt(spec.samples)
+        draws = [np.full(n_bonds, spec.eta0)]
+    else:
+        half = 0.5 * spec.delta_xi
+        draws = [
+            spec.eta0 + np.random.default_rng(child).uniform(-half, half, size=n_bonds)
+            for child in np.random.SeedSequence(spec.seed).spawn(spec.samples)
+        ]
+    profiles = [pair_entanglement_profile(replace(spec.base, eta=tuple(eta))) for eta in draws]
+    raw = np.vstack([profile.raw for profile in profiles])
+    norm = np.vstack([profile.normalized for profile in profiles])
+    if len(norm) > 1:
+        sem = norm.std(axis=0, ddof=1) / np.sqrt(len(norm))
     else:
         sem = np.zeros(norm.shape[1])
-    drive = driving_entanglement(spec.base.nbar, spec.base.mbar)
     return DisorderResult(
-        pair_labels=tuple(range(1, spec.base.n_sites + 1)),
+        pair_labels=profiles[0].pair_labels,
         raw_mean=raw.mean(axis=0),
         norm_mean=norm.mean(axis=0),
         norm_min=norm.min(axis=0),
         norm_max=norm.max(axis=0),
         norm_sem=sem,
-        drive_raw=drive,
-        drive_normalized=normalized_logneg(drive),
+        drive_raw=profiles[0].drive_raw,
+        drive_normalized=profiles[0].drive_normalized,
         samples=spec.samples,
     )

@@ -77,13 +77,19 @@ ParamValue = Union[int, float, str]
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    """Static description of one named experiment."""
+    """Static description of one named experiment.
+
+    A sweep point evaluates one value of ``point_key``, or of the swept
+    column when that is empty; fig5b evaluates one ``kappa_end`` and
+    returns a row per ``omega``.
+    """
 
     name: str
     sweep_key: str
     defaults: Mapping[str, ParamValue]
     description: str
     extra_columns: tuple[str, ...] = ()
+    point_key: str = ""
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -504,6 +510,7 @@ _register(
     ExperimentDef(
         name="fig5b",
         sweep_key="omega",
+        point_key="kappa_end",
         description="frequency-resolved output-field entanglement at fixed end loss",
         defaults={
             "n_sites": 10,
@@ -692,14 +699,14 @@ def manifest_path_for(out_path: str | Path) -> Path:
 
 
 def _eval_point(job: tuple) -> list[tuple]:
-    experiment, sweep_key, value, params, seed = job
+    experiment, point_key, value, params, seed = job
     try:
         return _POINT_FUNCS[experiment](value, params, seed)
     except ExperimentFailed:
         raise
     except ModelError as exc:
         raise ExperimentFailed(
-            f"{experiment}: sweep point {sweep_key}={value!r} failed "
+            f"{experiment}: sweep point {point_key}={value!r} failed "
             f"({type(exc).__name__}: {exc})"
         ) from exc
 
@@ -715,7 +722,8 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     params = resolve_params(cfg)
     values = _SWEEP_FUNCS[cfg.experiment](params)
     seed = int(cfg.seed)
-    jobs = [(cfg.experiment, exp.sweep_key, value, params, seed) for value in values]
+    point_key = exp.point_key or exp.sweep_key
+    jobs = [(cfg.experiment, point_key, value, params, seed) for value in values]
     if int(cfg.workers) > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=int(cfg.workers)) as pool:
             chunks = list(pool.map(_eval_point, jobs))

@@ -1,5 +1,14 @@
-"""Gaussian-state core: covariance matrices, Lyapunov steady states,
-symplectic spectra, and logarithmic negativity.
+"""Gaussian-state core: moment solves, symplectic spectra, logarithmic negativity.
+
+* **Runtime.** :func:`schur_form` and :func:`solve_rank_one_sylvester`
+  solve the arrays' N x N ladder-moment equations (Bartels & Stewart,
+  Comm. ACM 15, 820, 1972), :func:`uncertainty_margin` certifies them and
+  :func:`logneg_from_nu` gives every pair's negativity.  The output layer
+  uses :class:`QuadratureCovariance`, :func:`reduce_to_pair` and
+  :func:`log_negativity_gaussian`.
+* **Oracle.** :func:`solve_lyapunov` on a :class:`DriftDiffusion` solves
+  any real quadrature covariance flow.  No runtime module calls it; the
+  tests cross-check the moment route with it.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -20,9 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import ztrsyl
 
 from .errors import (
     ConfigInvalid,
@@ -38,16 +49,19 @@ __all__ = [
     "HURWITZ_TOL",
     "DriftDiffusion",
     "QuadratureCovariance",
+    "SchurForm",
     "check_drive",
     "log_negativity_gaussian",
+    "logneg_from_nu",
     "normalized_logneg",
-    "quadrature_embedding",
     "reduce_to_pair",
+    "schur_form",
     "solve_lyapunov",
+    "solve_rank_one_sylvester",
     "squeezing_bound",
     "symplectic_eigenvalues",
     "symplectic_form",
-    "two_mode_squeezed_thermal_cm",
+    "uncertainty_margin",
 ]
 
 #: Steady states are refused unless every drift eigenvalue has real part
@@ -55,7 +69,8 @@ __all__ = [
 #: regularized.
 HURWITZ_TOL = 1e-12
 
-# Lyapunov residual acceptance threshold, relative to max(1, |D|_max).
+# Residual acceptance threshold of every steady-moment solve, relative to
+# max(1, largest source entry).
 _RESIDUAL_RTOL = 1e-10
 
 # How far below 1 a symplectic eigenvalue of a solver-produced covariance
@@ -130,10 +145,6 @@ class QuadratureCovariance:
     def n_modes(self) -> int:
         return self.sigma.shape[0] // 2
 
-    def pair(self, j: int, k: int) -> "QuadratureCovariance":
-        """Two-mode restriction to modes ``j`` and ``k`` (0-based)."""
-        return QuadratureCovariance(reduce_to_pair(self.sigma, j, k))
-
 
 @dataclass(frozen=True, eq=False)
 class DriftDiffusion:
@@ -168,31 +179,6 @@ class DriftDiffusion:
         object.__setattr__(self, "drift", a)
         object.__setattr__(self, "diffusion", d)
 
-    @property
-    def n_modes(self) -> int:
-        return self.drift.shape[0] // 2
-
-
-def quadrature_embedding(ladder_drift: np.ndarray) -> np.ndarray:
-    """Real quadrature drift equivalent to a complex ladder-operator drift.
-
-    Given the n x n complex matrix ``L`` with d<a>/dt = L <a>, returns the
-    2n x 2n real matrix ``A`` generating the same flow on the interleaved
-    quadratures: with L = S + iT, dx/dt = S x - T p and dp/dt = T x + S p.
-    The spectrum of ``A`` is the union of the spectra of L and conj(L).
-    """
-    mat = np.asarray(ladder_drift, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ConfigInvalid(f"ladder drift must be square, got shape {mat.shape}")
-    s, t = mat.real, mat.imag
-    n = mat.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[0::2, 0::2] = s
-    out[0::2, 1::2] = -t
-    out[1::2, 0::2] = t
-    out[1::2, 1::2] = s
-    return out
-
 
 def solve_lyapunov(gen: DriftDiffusion) -> QuadratureCovariance:
     """Steady-state covariance of the flow ``A sigma + sigma A^T + D = 0``.
@@ -213,20 +199,10 @@ def solve_lyapunov(gen: DriftDiffusion) -> QuadratureCovariance:
         which signals a malformed generator rather than rounding noise.
     """
     a, d = gen.drift, gen.diffusion
-    lam = np.linalg.eigvals(a)
-    if lam.real.max() >= -HURWITZ_TOL:
-        raise NotHurwitz(
-            f"max Re eigenvalue of drift = {lam.real.max():.3e} >= -{HURWITZ_TOL}; "
-            "no unique steady state"
-        )
+    _require_hurwitz(np.linalg.eigvals(a))
     sigma = sla.solve_continuous_lyapunov(a, -d)
     sigma = 0.5 * (sigma + sigma.T)
-    residual = np.abs(a @ sigma + sigma @ a.T + d).max()
-    if residual > _RESIDUAL_RTOL * max(1.0, np.abs(d).max()):
-        raise NoConvergence(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance; "
-            "generator is likely ill-conditioned"
-        )
+    _require_residual("Lyapunov", np.abs(a @ sigma + sigma @ a.T + d).max(), np.abs(d).max())
     try:
         nu_min = symplectic_eigenvalues(sigma)[0]
     except NotPositiveDefinite as exc:
@@ -236,6 +212,86 @@ def solve_lyapunov(gen: DriftDiffusion) -> QuadratureCovariance:
             f"smallest symplectic eigenvalue {nu_min} < 1; generator is unphysical"
         )
     return QuadratureCovariance(sigma)
+
+
+def _require_hurwitz(eigenvalues: np.ndarray) -> None:
+    top = eigenvalues.real.max()
+    if top >= -HURWITZ_TOL:
+        raise NotHurwitz(
+            f"max Re eigenvalue of drift = {top:.3e} >= -{HURWITZ_TOL}; "
+            "no unique steady state"
+        )
+
+
+def _require_residual(what: str, residual: float, source: float) -> None:
+    if residual > _RESIDUAL_RTOL * max(1.0, source):
+        raise NoConvergence(
+            f"{what} residual {residual:.3e} exceeds tolerance; "
+            "generator is likely ill-conditioned"
+        )
+
+
+class SchurForm(NamedTuple):
+    """Complex Schur form ``drift = q t q^H``: ``t`` upper triangular, ``q`` unitary.
+
+    :meth:`conj` gives the conjugate drift's form without a new factorization.
+    """
+
+    drift: np.ndarray
+    t: np.ndarray
+    q: np.ndarray
+
+    def conj(self) -> "SchurForm":
+        return SchurForm(self.drift.conj(), self.t.conj(), self.q.conj())
+
+
+def schur_form(drift: np.ndarray) -> SchurForm:
+    """Schur form of a ladder drift; NotHurwitz unless every Re eigenvalue < -HURWITZ_TOL."""
+    t, q = sla.schur(np.asarray(drift, dtype=complex), output="complex")
+    _require_hurwitz(t.diagonal())
+    return SchurForm(drift, t, q)
+
+
+def solve_rank_one_sylvester(a: SchurForm, b: SchurForm, source: float) -> np.ndarray:
+    """``X`` solving ``A X + X B^T = source * e0 e0^T`` for Hurwitz ``A``, ``B``.
+
+    ``X = q_a Y q_b^T`` turns it into ``t_a Y + Y t_b^T = source (q_a^H e0)
+    (q_b^H e0)^T``, which ``ztrsyl`` solves by back substitution.  Raises
+    NoConvergence on a ``ztrsyl`` failure or a residual above
+    ``1e-10 * max(1, |source|)``.
+    """
+    rhs = source * np.outer(a.q[0].conj(), b.q[0].conj())
+    y, scale, info = ztrsyl(a.t, b.t.conj(), rhs, trana="N", tranb="C")
+    if info != 0:
+        raise NoConvergence(f"triangular Sylvester solve failed (ztrsyl info={info})")
+    x = a.q @ (y / scale) @ b.q.T
+    residual = a.drift @ x + x @ b.drift.T
+    residual[0, 0] -= source
+    _require_residual("Sylvester", np.abs(residual).max(), abs(source))
+    return x
+
+
+def uncertainty_margin(n1: np.ndarray, n2: np.ndarray, m: np.ndarray) -> float:
+    """Physicality certificate of a two-group ladder-moment state.
+
+    For a zero-mean state whose only non-zero second moments are
+    ``n1 = <a^dag a>`` within group one, ``n2`` within group two and
+    ``m = <a^(1) a^(2)>`` across them, ``sigma + i Omega >= 0`` splits into
+    ``<xi xi^dag> >= 0`` for ``xi = (a^(1), a^(2)dag)`` and for ``(a^(2),
+    a^(1)dag)``.  Returns the smallest eigenvalue of those two blocks: it is
+    >= 0 exactly when every symplectic eigenvalue is >= 1, and tends to
+    ``(nu_min - 1) / 2`` there.  Below ``-1e-6 / 2`` (the covariance route's
+    ``nu_min < 1 - 1e-6``) it raises NonPhysicalResult.
+    """
+    eye = np.eye(m.shape[0])
+    first = np.block([[eye + n1.T, m], [m.conj().T, n2]])
+    second = np.block([[eye + n2.T, m.T], [m.conj(), n1]])
+    lowest = float(min(np.linalg.eigvalsh(first)[0], np.linalg.eigvalsh(second)[0]))
+    if lowest < -0.5 * _PHYSICALITY_TOL:
+        raise NonPhysicalResult(
+            f"uncertainty relation violated by {-lowest:.3e}; moments are unphysical"
+        )
+    return lowest
 
 
 def symplectic_eigenvalues(sigma) -> np.ndarray:
@@ -280,10 +336,18 @@ def log_negativity_gaussian(sigma) -> float:
     if mat.shape != (4, 4):
         raise ConfigInvalid(f"expected a two-mode 4x4 covariance, got {mat.shape}")
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    nu_min = symplectic_eigenvalues(flip @ mat @ flip)[0]
-    if nu_min >= 1.0 - 1e-12:
-        return 0.0
-    return -math.log2(nu_min)
+    return float(logneg_from_nu(symplectic_eigenvalues(flip @ mat @ flip)[0]))
+
+
+def logneg_from_nu(nu) -> np.ndarray:
+    """``max(0, -log2(nu))`` for smallest partially transposed symplectic eigenvalues.
+
+    Values within 1e-12 of 1 sit exactly on the separability boundary and
+    give exactly 0.0.
+    """
+    nu = np.asarray(nu, dtype=float)
+    separable = nu >= 1.0 - 1e-12
+    return np.where(separable, 0.0, -np.log2(np.where(separable, 1.0, nu)))
 
 
 def normalized_logneg(value: float) -> float:
@@ -291,20 +355,3 @@ def normalized_logneg(value: float) -> float:
     if value < 0.0:
         raise ConfigInvalid(f"logarithmic negativity must be >= 0, got {value}")
     return value / (1.0 + value)
-
-
-def two_mode_squeezed_thermal_cm(nbar: float, mbar: float) -> QuadratureCovariance:
-    """Covariance of a two-mode squeezed thermal state.
-
-    Both modes carry occupation ``nbar``; the cross-correlations are
-    ``<x_1 x_2> = -<p_1 p_2> = mbar`` (diagonal block ``diag(2m, -2m)`` in
-    the doubled convention).  The state is entangled iff mbar > nbar and
-    pure iff mbar = sqrt(nbar*(nbar+1)).
-    """
-    check_drive(nbar, mbar)
-    diag = (2.0 * nbar + 1.0) * np.eye(4)
-    cross = 2.0 * mbar
-    sigma = diag
-    sigma[0, 2] = sigma[2, 0] = cross
-    sigma[1, 3] = sigma[3, 1] = -cross
-    return QuadratureCovariance(sigma)

@@ -23,12 +23,14 @@ rate times twice the occupation.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.optimize import minimize_scalar
 
-from .arrays import ArrayConfig, drift_matrices, steady_state
+from .arrays import ArrayConfig, ladder_drift, steady_state
 from .errors import ClosedPort, ConfigInvalid, NonPhysicalResult, SingularResolvent
 from .gaussian import (
     QuadratureCovariance,
@@ -41,7 +43,6 @@ __all__ = [
     "OutputSpectrum",
     "StationaryField",
     "assemble_output_correlations",
-    "ladder_correlations_from_cm",
     "output_covariance",
     "output_pair_spectrum",
     "output_quadrature_map",
@@ -56,26 +57,6 @@ _IMAG_RESIDUE_TOL = 1e-9
 # spectrum then reports the same one of its two mirror peaks whatever
 # the rounding of the two values.
 _PEAK_TIE_RTOL = 1e-9
-
-
-def ladder_correlations_from_cm(cm: QuadratureCovariance) -> np.ndarray:
-    """Convert an interleaved quadrature covariance to stacked ladder moments.
-
-    Returns the 4N x 4N matrix ``<abar_j abar_k>``: quarters ``<a a>``,
-    ``<a adag>`` over ``<adag a>``, ``<adag adag>``.  Inverts ``a = (x + i
-    p) / sqrt(2)`` on the zero-mean Gaussian state; the commutator
-    contribution appears only on the diagonal of ``<a adag>``.
-    """
-    sigma = cm.sigma
-    xs = sigma[0::2, 0::2]
-    ps = sigma[1::2, 1::2]
-    xp = sigma[0::2, 1::2]
-    px = sigma[1::2, 0::2]
-    eye = np.eye(cm.n_modes)
-    lower_lower = 0.25 * ((xs - ps) + 1j * (xp + px))
-    upper_lower = 0.25 * ((xs + ps) + 1j * (xp - px)) - 0.5 * eye
-    lower_upper = 0.25 * ((xs + ps) + 1j * (px - xp)) + 0.5 * eye
-    return np.block([[lower_lower, lower_upper], [upper_lower, lower_lower.conj()]])
 
 
 def output_quadrature_map(n_modes: int) -> np.ndarray:
@@ -98,12 +79,17 @@ class StationaryField:
 
     ``drift`` is ``M = diag(L, conj L)``, ``moments`` the steady
     ``A0 = <abar abar^T>`` and ``gains`` the port gain ``sqrt(kappa)`` of
-    each of the 4N stacked indices.
+    each of the 4N stacked indices.  ``quadrature_map`` is
+    :func:`output_quadrature_map` for the field's mode count, built once.
     """
 
     drift: np.ndarray
     moments: np.ndarray
     gains: np.ndarray
+    quadrature_map: np.ndarray = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "quadrature_map", output_quadrature_map(self.n_modes))
 
     @property
     def n_modes(self) -> int:
@@ -113,14 +99,19 @@ class StationaryField:
 def stationary_field(cfg: ArrayConfig) -> StationaryField:
     """Doubled drift, steady stacked moments and port gains of a bare field.
 
-    Solves the Gaussian steady state once; raises ``ConfigInvalid`` when
-    an atom coupling is on.
+    Solves the Gaussian steady state once and assembles ``A0`` from its
+    moments: ``<a a> = [[0, M], [M^T, 0]]``, ``<adag a> = diag(N_1, N_2)``,
+    ``<a adag> = I + <adag a>^T`` and ``<adag adag> = conj <a a>``.  Raises
+    ``ConfigInvalid`` when an atom coupling is on.
     """
-    ladder = drift_matrices(cfg).ladder
-    zero = np.zeros_like(ladder)
+    ladder = ladder_drift(cfg)
+    moments = steady_state(cfg)
+    zero = np.zeros_like(moments.m)
+    pairs = np.block([[zero, moments.m], [moments.m.T, zero]])
+    normal = sla.block_diag(moments.n1, moments.n2)
     return StationaryField(
-        drift=np.block([[ladder, zero], [zero, ladder.conj()]]),
-        moments=ladder_correlations_from_cm(steady_state(cfg)),
+        drift=sla.block_diag(ladder, ladder.conj()),
+        moments=np.block([[pairs, np.eye(cfg.n_modes) + normal.T], [normal, pairs.conj()]]),
         gains=np.tile(np.sqrt(np.asarray(cfg.kappa, float)), 2),
     )
 
@@ -159,7 +150,7 @@ def output_covariance(field: StationaryField, omega: float) -> QuadratureCovaria
     1e-9.
     """
     stacked = assemble_output_correlations(field, omega)
-    theta = output_quadrature_map(field.n_modes)
+    theta = field.quadrature_map
     gamma = 0.5 * theta @ (stacked + stacked.T) @ theta.T
     residue = float(np.abs(gamma.imag).max())
     if residue > _IMAG_RESIDUE_TOL * max(1.0, np.abs(gamma.real).max()):
@@ -179,16 +170,8 @@ class OutputSpectrum:
     pair: tuple[int, int]
 
     @property
-    def peak_omega(self) -> float:
-        return float(self.omegas[int(np.argmax(self.raw))])
-
-    @property
     def peak_raw(self) -> float:
         return float(self.raw.max())
-
-    @property
-    def peak_normalized(self) -> float:
-        return float(self.normalized.max())
 
 
 def _require_open_pair(cfg: ArrayConfig, pair: tuple[int, int]) -> tuple[int, int]:
@@ -249,16 +232,17 @@ def peak_frequency(
     Returns ``(omega_star, raw_logneg_at_peak)``; the refinement is a
     bounded scalar search between the grid neighbours of the coarse
     argmax.  Grid values within a relative 1e-9 of the maximum tie, and
-    the lowest-frequency one of them wins.  Scan and refinement share one
-    stationary field.
+    the lowest-frequency one of them wins.  The grid must be strictly
+    increasing and hold at least two frequencies.  Scan and refinement
+    share one stationary field.
     """
     field, grid, pair = _prepared(cfg, coarse_omegas, pair)
+    if grid.size < 2 or not np.all(np.diff(grid) > 0.0):
+        raise ConfigInvalid("peak search needs a strictly increasing frequency grid")
     raw = np.array([_pair_logneg(field, float(omega), pair) for omega in grid])
     best = int(np.flatnonzero(raw >= (1.0 - _PEAK_TIE_RTOL) * raw.max())[0])
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    if hi <= lo:
-        return float(grid[best]), float(raw[best])
     result = minimize_scalar(
         lambda omega: -_pair_logneg(field, omega, pair), bounds=(lo, hi), method="bounded"
     )

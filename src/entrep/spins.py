@@ -27,7 +27,7 @@ from math import ceil, sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from .arrays import ArrayConfig, drift_matrices
+from .arrays import ArrayConfig, ladder_drift
 from .errors import ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged
 from .gaussian import check_drive
 from .liouville import (
@@ -277,7 +277,7 @@ def adiabaticity_ratio(cfg: ArrayConfig) -> float:
         return 0.0
     g = max(cfg.g)
     field_cfg = replace(cfg, g=(0.0,) * cfg.n_sites)
-    rates = np.abs(np.linalg.eigvals(drift_matrices(field_cfg).ladder).real)
+    rates = np.abs(np.linalg.eigvals(ladder_drift(field_cfg)).real)
     return float(g * np.sqrt(cfg.nbar + 1.0) / rates.min())
 
 

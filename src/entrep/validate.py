@@ -93,19 +93,20 @@ def _gated(name: str, value: float, threshold: float, detail: str = "") -> Check
     return CheckResult(name=name, status=status, value=float(value), threshold=threshold, detail=detail)
 
 
-def _finish(suite: str, checks: list[CheckResult]) -> SuiteReport:
+def _finish(suite: str, checks: list[CheckResult], all_skipped: str = "") -> SuiteReport:
+    """Suite verdict; a suite whose every check skipped is skipped for ``all_skipped``."""
+    if all_skipped and all(c.status == "skipped" for c in checks):
+        return SuiteReport(suite=suite, status="skipped", checks=tuple(checks), reason=all_skipped)
     status = "failed" if any(c.status == "failed" for c in checks) else "passed"
     return SuiteReport(suite=suite, status=status, checks=tuple(checks))
 
 
+def _over_budget(needed_side: int, budget: int) -> str:
+    return f"needs superoperator side {needed_side}, over the budget {budget}"
+
+
 def _skip(suite: str, needed_side: int, budget: int) -> SuiteReport:
-    return SuiteReport(
-        suite=suite,
-        status="skipped",
-        reason=(
-            f"needs superoperator side {needed_side}, over the budget {budget}"
-        ),
-    )
+    return SuiteReport(suite=suite, status="skipped", reason=_over_budget(needed_side, budget))
 
 
 def _worst_entry(got: np.ndarray, ref: np.ndarray) -> tuple[float, str]:
@@ -209,24 +210,10 @@ def _suite_closed_form_vs_general(budget: int) -> SuiteReport:
     for n_pairs in (2, 3):
         side = 4 ** (2 * n_pairs)
         if side > budget:
-            checks.append(
-                CheckResult(
-                    name=f"generator-gap-{n_pairs}-pairs",
-                    status="skipped",
-                    detail=f"needs superoperator side {side}, over the budget {budget}",
-                )
-            )
+            detail = _over_budget(side, budget)
+            checks.append(CheckResult(f"generator-gap-{n_pairs}-pairs", "skipped", detail=detail))
             continue
-        cfg = ArrayConfig.homogeneous(
-            n_pairs,
-            eta=params["eta"],
-            kappa=0.0,
-            zeta=params["zeta"],
-            nbar=params["nbar"],
-            mbar=params["mbar"],
-            g=params["g"],
-        )
-        general = build_effective_general(cfg).liouvillian
+        general = build_effective_general(ArrayConfig.homogeneous(n_pairs, **params)).liouvillian
         closed = build_effective_closed_form(n_pairs, **params).liouvillian
         gap = np.abs((closed.matrix - general.matrix)).max()
         scale = max(general.scale, 1e-300)
@@ -256,14 +243,9 @@ def _suite_closed_form_vs_general(budget: int) -> SuiteReport:
                     ),
                 )
             )
-    if all(c.status == "skipped" for c in checks):
-        return SuiteReport(
-            suite="closed-form-vs-general",
-            status="skipped",
-            checks=tuple(checks),
-            reason=f"all generator sizes over the budget {budget}",
-        )
-    return _finish("closed-form-vs-general", checks)
+    return _finish(
+        "closed-form-vs-general", checks, f"all generator sizes over the budget {budget}"
+    )
 
 
 def _suite_fixed_point(budget: int) -> SuiteReport:
@@ -271,12 +253,9 @@ def _suite_fixed_point(budget: int) -> SuiteReport:
     for n_pairs in (1, 2, 3):
         side = 4 ** (2 * n_pairs)
         if side > budget:
+            detail = _over_budget(side, budget)
             checks.append(
-                CheckResult(
-                    name=f"replication-infidelity-{n_pairs}-pairs",
-                    status="skipped",
-                    detail=f"needs superoperator side {side}, over the budget {budget}",
-                )
+                CheckResult(f"replication-infidelity-{n_pairs}-pairs", "skipped", detail=detail)
             )
             continue
         for nbar in (0.5, 1.0):
@@ -292,14 +271,7 @@ def _suite_fixed_point(budget: int) -> SuiteReport:
                     "1 - fidelity with the analytic replicated pure state",
                 )
             )
-    if all(c.status == "skipped" for c in checks):
-        return SuiteReport(
-            suite="fixed-point",
-            status="skipped",
-            checks=tuple(checks),
-            reason=f"all chain sizes over the budget {budget}",
-        )
-    return _finish("fixed-point", checks)
+    return _finish("fixed-point", checks, f"all chain sizes over the budget {budget}")
 
 
 _SUITES = {

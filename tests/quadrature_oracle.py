@@ -1,0 +1,143 @@
+"""The 4N-quadrature route to the arrays' steady state, kept as a test oracle.
+
+The runtime solves the N x N ladder-moment equations of
+:mod:`entrep.arrays`.  This module solves the same model the other way:
+the complex ladder drift is embedded as a real 4N x 4N quadrature drift,
+the diffusion matrix is written out in quadratures, and the covariance
+comes from :func:`entrep.gaussian.solve_lyapunov`, with its own Hurwitz,
+residual and symplectic-physicality certificates.  Stacked ladder moments
+and per-pair negativities are then read back from the covariance.  The
+closed-form two-mode squeezed thermal covariance serves as a reference
+state.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from entrep.arrays import ArrayConfig, ladder_drift
+from entrep.errors import ConfigInvalid
+from entrep.gaussian import (
+    DriftDiffusion,
+    QuadratureCovariance,
+    check_drive,
+    log_negativity_gaussian,
+    reduce_to_pair,
+    solve_lyapunov,
+)
+
+
+def quadrature_embedding(ladder: np.ndarray) -> np.ndarray:
+    """Real quadrature drift equivalent to a complex ladder-operator drift.
+
+    Given the n x n complex matrix ``L`` with d<a>/dt = L <a>, returns the
+    2n x 2n real matrix ``A`` generating the same flow on the interleaved
+    quadratures: with L = S + iT, dx/dt = S x - T p and dp/dt = T x + S p.
+    The spectrum of ``A`` is the union of the spectra of L and conj(L).
+    """
+    mat = np.asarray(ladder, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ConfigInvalid(f"ladder drift must be square, got shape {mat.shape}")
+    s, t = mat.real, mat.imag
+    n = mat.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    out[0::2, 0::2] = s
+    out[0::2, 1::2] = -t
+    out[1::2, 0::2] = t
+    out[1::2, 1::2] = s
+    return out
+
+
+def quadrature_drift(cfg: ArrayConfig) -> np.ndarray:
+    """The arrays' 4N x 4N real quadrature drift."""
+    return quadrature_embedding(ladder_drift(cfg))
+
+
+def diffusion_matrix(cfg: ArrayConfig) -> np.ndarray:
+    """Quadrature diffusion from local decay plus the squeezed reservoir.
+
+    Local decay contributes ``2*kappa_j`` per driven quadrature; the
+    reservoir adds ``2*zeta*(2*nbar+1)`` on both driven sites and the
+    cross block ``2*zeta*diag(-2*mbar, +2*mbar)`` between them, the sign
+    pattern that makes the isolated driven pair relax to cross-moment
+    ``<a_0 a_N> = -mbar`` with occupation ``nbar``.
+    """
+    dmat = np.diag(np.repeat(2.0 * np.asarray(cfg.kappa, dtype=float), 2))
+    first, second = cfg.driven_modes
+    for j in (first, second):
+        dmat[2 * j, 2 * j] += 2.0 * cfg.zeta * (2.0 * cfg.nbar + 1.0)
+        dmat[2 * j + 1, 2 * j + 1] += 2.0 * cfg.zeta * (2.0 * cfg.nbar + 1.0)
+    cross = 2.0 * cfg.zeta * 2.0 * cfg.mbar
+    dmat[2 * first, 2 * second] = dmat[2 * second, 2 * first] = -cross
+    dmat[2 * first + 1, 2 * second + 1] = dmat[2 * second + 1, 2 * first + 1] = cross
+    return dmat
+
+
+def covariance(cfg: ArrayConfig) -> QuadratureCovariance:
+    """Steady quadrature covariance from the 4N Lyapunov equation."""
+    return solve_lyapunov(DriftDiffusion(quadrature_drift(cfg), diffusion_matrix(cfg)))
+
+
+def ladder_correlations_from_cm(cm: QuadratureCovariance) -> np.ndarray:
+    """Convert an interleaved quadrature covariance to stacked ladder moments.
+
+    Returns the 4N x 4N matrix ``<abar_j abar_k>``: quarters ``<a a>``,
+    ``<a adag>`` over ``<adag a>``, ``<adag adag>``.  Inverts ``a = (x + i
+    p) / sqrt(2)`` on the zero-mean Gaussian state; the commutator
+    contribution appears only on the diagonal of ``<a adag>``.
+    """
+    sigma = cm.sigma
+    xs = sigma[0::2, 0::2]
+    ps = sigma[1::2, 1::2]
+    xp = sigma[0::2, 1::2]
+    px = sigma[1::2, 0::2]
+    eye = np.eye(cm.n_modes)
+    lower_lower = 0.25 * ((xs - ps) + 1j * (xp + px))
+    upper_lower = 0.25 * ((xs + ps) + 1j * (xp - px)) - 0.5 * eye
+    lower_upper = 0.25 * ((xs + ps) + 1j * (px - xp)) + 0.5 * eye
+    return np.block([[lower_lower, lower_upper], [upper_lower, lower_lower.conj()]])
+
+
+def covariance_from_moments(stacked: np.ndarray) -> QuadratureCovariance:
+    """Interleaved quadrature covariance of stacked ladder moments.
+
+    The inverse of :func:`ladder_correlations_from_cm`: with
+    ``R = theta abar / sqrt(2)``, ``sigma = theta (A0 + A0^T) theta^T / 2``.
+    """
+    n = stacked.shape[0] // 2
+    mode = np.arange(n)
+    theta = np.zeros((2 * n, 2 * n), complex)
+    theta[2 * mode, mode] = theta[2 * mode, n + mode] = 1.0
+    theta[2 * mode + 1, mode] = -1j
+    theta[2 * mode + 1, n + mode] = 1j
+    return QuadratureCovariance(0.5 * (theta @ (stacked + stacked.T) @ theta.T).real)
+
+
+def stacked_moments(cfg: ArrayConfig) -> np.ndarray:
+    """Stacked steady ladder moments ``A0`` of the arrays, via the covariance."""
+    return ladder_correlations_from_cm(covariance(cfg))
+
+
+def pair_lognegs(cfg: ArrayConfig) -> np.ndarray:
+    """Per-pair logarithmic negativity from 4x4 covariance restrictions."""
+    sigma = covariance(cfg)
+    n = cfg.n_sites
+    return np.array(
+        [log_negativity_gaussian(reduce_to_pair(sigma, j, n + j)) for j in range(n)]
+    )
+
+
+def two_mode_squeezed_thermal_cm(nbar: float, mbar: float) -> QuadratureCovariance:
+    """Covariance of a two-mode squeezed thermal state.
+
+    Both modes carry occupation ``nbar``; the cross-correlations are
+    ``<x_1 x_2> = -<p_1 p_2> = mbar`` (diagonal block ``diag(2m, -2m)`` in
+    the doubled convention).  The state is entangled iff mbar > nbar and
+    pure iff mbar = sqrt(nbar*(nbar+1)).
+    """
+    check_drive(nbar, mbar)
+    sigma = (2.0 * nbar + 1.0) * np.eye(4)
+    cross = 2.0 * mbar
+    sigma[0, 2] = sigma[2, 0] = cross
+    sigma[1, 3] = sigma[3, 1] = -cross
+    return QuadratureCovariance(sigma)

@@ -1,10 +1,11 @@
 """Tests for the driven cavity-array model.
 
 The drift is checked against hand-expanded two-site equations of motion,
-the diffusion against the moment equations of the isolated driven pair,
-and the steady state against the replication identities (every lossless
-pair reproduces the reservoir's squeezed thermal statistics, with an
-alternating sign on the cross-moment).
+the quadrature oracle's diffusion against the moment equations of the
+isolated driven pair, and the steady moments against the replication
+identities (every lossless pair reproduces the reservoir's squeezed
+thermal statistics, with an alternating sign on the cross-moment) and
+against the 4N-quadrature Lyapunov route of ``quadrature_oracle``.
 """
 
 from __future__ import annotations
@@ -14,32 +15,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quadrature_oracle as oracle
 from entrep.arrays import (
     ArrayConfig,
     DisorderSpec,
-    diffusion_matrix,
     disorder_sweep,
-    drift_matrices,
+    ladder_drift,
     pair_entanglement_profile,
     steady_state,
 )
 from entrep.baselines import driving_entanglement
-from entrep.errors import ConfigInvalid, NotHurwitz, OverSqueezed
-from entrep.gaussian import squeezing_bound
+from entrep.errors import ConfigInvalid, ModelError, NonPhysicalResult, NotHurwitz, OverSqueezed
+from entrep.gaussian import squeezing_bound, symplectic_eigenvalues, uncertainty_margin
+from entrep.output import stationary_field
 
-
-def ladder_cross_moment(sigma: np.ndarray, j: int, k: int) -> complex:
-    """<a_j a_k> for distinct modes, from the covariance entries."""
-    xj, pj, xk, pk = 2 * j, 2 * j + 1, 2 * k, 2 * k + 1
-    return 0.25 * (
-        sigma[xj, xk] - sigma[pj, pk] + 1j * (sigma[xj, pk] + sigma[pj, xk])
-    )
-
-
-def ladder_occupation(sigma: np.ndarray, j: int) -> float:
-    """<a_j^dag a_j> from the covariance entries."""
-    return 0.25 * (sigma[2 * j, 2 * j] + sigma[2 * j + 1, 2 * j + 1]) - 0.5
+#: The exceptional-point configuration: its single-array drift has one
+#: defective eigenvalue, so no eigenvector basis exists.
+EXCEPTIONAL_POINT = ArrayConfig.homogeneous(2, eta=1.0, zeta=2.0, nbar=1.0, mbar=1.2)
 
 
 def end_driven_config(n_sites: int, kappa_end: float, **kwargs) -> ArrayConfig:
@@ -86,15 +81,14 @@ class TestArrayConfig:
 class TestDrift:
     def test_single_pair_pure_damping(self):
         cfg = ArrayConfig.homogeneous(1, eta=1.0, kappa=0.0, zeta=1.0)
-        mats = drift_matrices(cfg)
-        assert np.array_equal(mats.ladder, -np.eye(2))
-        assert np.array_equal(mats.quadrature, -np.eye(4))
+        assert np.array_equal(ladder_drift(cfg), -np.eye(2))
+        assert np.array_equal(oracle.quadrature_drift(cfg), -np.eye(4))
 
     def test_two_site_hopping_by_hand(self):
         # eta = 1, kappa = zeta = 0: dx_1/dt = +p_2, dp_1/dt = -x_2, and the
         # mirrored pattern in array two; no inter-array entries anywhere.
         cfg = ArrayConfig(n_sites=2, eta=(1.0, 1.0), kappa=(0.0,) * 4, zeta=0.0, nbar=0.0, mbar=0.0)
-        quad = drift_matrices(cfg).quadrature
+        quad = oracle.quadrature_drift(cfg)
         expected_block = np.zeros((4, 4))
         expected_block[0, 3] = 1.0   # dx_1 <- p_2
         expected_block[1, 2] = -1.0  # dp_1 <- x_2
@@ -114,7 +108,7 @@ class TestDrift:
             nbar=0.5,
             mbar=0.4,
         )
-        mats = drift_matrices(cfg)
+        ladder = ladder_drift(cfg)
 
         def by_parts(values):
             return np.array(
@@ -122,56 +116,76 @@ class TestDrift:
             )
 
         expected = by_parts(
-            np.concatenate(
-                [np.linalg.eigvals(mats.ladder), np.linalg.eigvals(mats.ladder.conj())]
-            )
+            np.concatenate([np.linalg.eigvals(ladder), np.linalg.eigvals(ladder.conj())])
         )
-        actual = by_parts(np.linalg.eigvals(mats.quadrature))
+        actual = by_parts(np.linalg.eigvals(oracle.quadrature_drift(cfg)))
         assert np.abs(expected - actual).max() <= 1e-10
+
+    def test_arrays_never_couple_coherently(self):
+        cfg = ArrayConfig.homogeneous(3, eta=0.7, kappa=0.1, zeta=1.0)
+        ladder = ladder_drift(cfg)
+        assert np.array_equal(ladder[:3, 3:], np.zeros((3, 3)))
+        assert np.array_equal(ladder[3:, :3], np.zeros((3, 3)))
 
     def test_rejects_atom_couplings(self):
         cfg = ArrayConfig.homogeneous(2, g=0.1, nbar=1.0, mbar=1.0)
         with pytest.raises(ConfigInvalid):
-            drift_matrices(cfg)
+            ladder_drift(cfg)
 
 
-class TestDiffusion:
+class TestQuadratureOracleDiffusion:
     def test_vacuum_decay_only(self):
         cfg = ArrayConfig.homogeneous(2, eta=1.0, kappa=0.3, zeta=0.0)
-        assert np.array_equal(diffusion_matrix(cfg), 0.6 * np.eye(8))
+        assert np.array_equal(oracle.diffusion_matrix(cfg), 0.6 * np.eye(8))
 
     def test_driven_site_blocks(self):
         cfg = ArrayConfig.homogeneous(2, eta=1.0, kappa=0.0, zeta=1.0, nbar=1.0, mbar=1.0)
-        dmat = diffusion_matrix(cfg)
+        dmat = oracle.diffusion_matrix(cfg)
         # driven modes are 0 and 2; local blocks 2*zeta*(2*nbar+1) = 6
         assert np.allclose(np.diag(dmat), [6.0, 6.0, 0.0, 0.0, 6.0, 6.0, 0.0, 0.0])
         assert dmat[0, 4] == -4.0  # x-x cross: -4*zeta*mbar
         assert dmat[1, 5] == 4.0   # p-p cross: +4*zeta*mbar
 
+    def test_isolated_pair_covariance(self):
+        cfg = ArrayConfig.homogeneous(1, eta=1.0, kappa=0.0, zeta=1.0, nbar=1.0, mbar=math.sqrt(2.0))
+        sigma = oracle.covariance(cfg).sigma
+        assert np.allclose(sigma[:2, :2], 3.0 * np.eye(2))
+        assert np.allclose(sigma[2:, 2:], 3.0 * np.eye(2))
+        root8 = 2.0 * math.sqrt(2.0)
+        assert np.allclose(sigma[:2, 2:], np.diag([-root8, root8]))
+
+
+@st.composite
+def small_configs(draw):
+    """Random N <= 6 arrays: independent bonds and losses in each array."""
+    n = draw(st.integers(1, 6))
+    rate = st.floats(0.0, 2.0, allow_nan=False)
+    eta = tuple(draw(st.lists(rate, min_size=2 * (n - 1), max_size=2 * (n - 1))))
+    loss = st.floats(0.0, 0.5, allow_nan=False)
+    kappa = tuple(draw(st.lists(loss, min_size=2 * n, max_size=2 * n)))
+    nbar = draw(st.floats(0.0, 2.0))
+    mbar = draw(st.floats(0.0, 1.0)) * squeezing_bound(nbar)
+    zeta = draw(st.floats(0.1, 2.0))
+    return ArrayConfig(n_sites=n, eta=eta, kappa=kappa, zeta=zeta, nbar=nbar, mbar=mbar)
+
+
+class TestSteadyState:
     @pytest.mark.parametrize("nbar,frac", [(0.5, 0.5), (1.0, 0.9), (2.0, 1.0), (1.0, 0.0)])
     def test_isolated_pair_moment_equations(self, nbar, frac):
         # the moment flow d<a_0 a_1>/dt = -2 zeta <a_0 a_1> - 2 zeta mbar
         # fixes the steady cross-moment at -mbar and the occupation at nbar
         mbar = frac * squeezing_bound(nbar)
         cfg = ArrayConfig.homogeneous(1, eta=1.0, kappa=0.0, zeta=1.0, nbar=nbar, mbar=mbar)
-        sigma = steady_state(cfg).sigma
-        cross = ladder_cross_moment(sigma, 0, 1)
-        assert abs(cross - (-mbar)) <= 1e-10
-        assert abs(ladder_occupation(sigma, 0) - nbar) <= 1e-10
-        assert abs(ladder_occupation(sigma, 1) - nbar) <= 1e-10
+        moments = steady_state(cfg)
+        assert abs(moments.m[0, 0] - (-mbar)) <= 1e-10
+        assert abs(moments.n1[0, 0] - nbar) <= 1e-10
+        assert abs(moments.n2[0, 0] - nbar) <= 1e-10
 
     def test_isolated_pair_reproduces_reservoir_entanglement(self):
         cfg = ArrayConfig.homogeneous(1, eta=1.0, kappa=0.0, zeta=1.0, nbar=1.0, mbar=math.sqrt(2.0))
-        sigma = steady_state(cfg).sigma
-        assert np.allclose(sigma[:2, :2], 3.0 * np.eye(2))
-        assert np.allclose(sigma[2:, 2:], 3.0 * np.eye(2))
-        root8 = 2.0 * math.sqrt(2.0)
-        assert np.allclose(sigma[:2, 2:], np.diag([-root8, root8]))
         profile = pair_entanglement_profile(cfg)
-        assert abs(profile.raw[0] - (-math.log2(3.0 - root8))) <= 1e-12
+        assert abs(profile.raw[0] - (-math.log2(3.0 - 2.0 * math.sqrt(2.0)))) <= 1e-12
 
-
-class TestSteadyState:
     def test_closed_system_has_no_steady_state(self):
         cfg = ArrayConfig.homogeneous(2, eta=1.0, kappa=0.0, zeta=0.0)
         with pytest.raises(NotHurwitz):
@@ -179,18 +193,77 @@ class TestSteadyState:
 
     def test_driving_alone_stabilizes_any_length(self):
         cfg = ArrayConfig.homogeneous(4, eta=1.0, kappa=0.0, zeta=1.0, nbar=0.5, mbar=0.5)
-        sigma = steady_state(cfg)
-        assert sigma.n_modes == 8
+        moments = steady_state(cfg)
+        assert moments.m.shape == (4, 4)
+        assert moments.uncertainty_margin >= 0.0
 
     def test_lossless_replication_with_alternating_cross_sign(self):
         nbar, mbar = 1.0, math.sqrt(2.0)
         cfg = ArrayConfig.homogeneous(3, eta=1.0, kappa=0.0, zeta=1.0, nbar=nbar, mbar=mbar)
-        sigma = steady_state(cfg).sigma
+        moments = steady_state(cfg)
         for j in range(3):
             # cross-moment -mbar at the driven pair, sign alternating inward
-            cross = ladder_cross_moment(sigma, j, 3 + j)
-            assert abs(cross - (-1.0) ** (j + 1) * mbar) <= 1e-9
-            assert abs(ladder_occupation(sigma, j) - nbar) <= 1e-9
+            assert abs(moments.m[j, j] - (-1.0) ** (j + 1) * mbar) <= 1e-9
+            assert abs(moments.n1[j, j] - nbar) <= 1e-9
+
+    def test_moments_are_frozen(self):
+        moments = steady_state(ArrayConfig.homogeneous(2, zeta=1.0, nbar=1.0, mbar=1.2))
+        with pytest.raises(ValueError):
+            moments.m[0, 0] = 0.0
+
+    @given(cfg=small_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_quadrature_lyapunov_route(self, cfg):
+        try:
+            want = oracle.stacked_moments(cfg)
+        except NotHurwitz:
+            with pytest.raises(NotHurwitz):
+                steady_state(cfg)
+            return
+        # either route loses digits like the inverse of the slowest decay rate
+        margin = -np.linalg.eigvals(ladder_drift(cfg)).real.max()
+        tol = 1e-12 * max(1.0, 1.0 / margin)
+        assert np.abs(stationary_field(cfg).moments - want).max() <= 100.0 * tol
+        got = pair_entanglement_profile(cfg).raw
+        assert np.abs(got - oracle.pair_lognegs(cfg)).max() <= 1000.0 * tol
+
+    def test_exceptional_point_matches_the_quadrature_route(self):
+        ladder = ladder_drift(EXCEPTIONAL_POINT)[:2, :2]
+        values = np.linalg.eigvals(ladder)
+        assert abs(values[0] - values[1]) <= 1e-6  # one defective eigenvalue
+        got = stationary_field(EXCEPTIONAL_POINT).moments
+        assert np.abs(got - oracle.stacked_moments(EXCEPTIONAL_POINT)).max() <= 1e-12
+        profile = pair_entanglement_profile(EXCEPTIONAL_POINT).raw
+        assert np.abs(profile - oracle.pair_lognegs(EXCEPTIONAL_POINT)).max() <= 1e-12
+
+    def test_long_lossless_arrays_replicate_the_drive(self):
+        cfg = ArrayConfig.homogeneous(120, eta=1.0, kappa=0.0, zeta=1.0, nbar=1.0, mbar=math.sqrt(2.0))
+        profile = pair_entanglement_profile(cfg)
+        assert np.abs(profile.raw - driving_entanglement(1.0, math.sqrt(2.0))).max() <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1.0, 1.2])
+    def test_uncertainty_sign_agrees_with_symplectic_eigenvalues(self, scale):
+        # near-pure end-damped arrays; scaling the cross moments by 1.2
+        # breaks the uncertainty relation in both pictures at once
+        cfg = end_driven_config(6, 0.5, eta=1.0, zeta=1.0, nbar=1.0, mbar=math.sqrt(2.0))
+        moments = steady_state(cfg)
+        m = scale * moments.m
+        stacked = stationary_field(cfg).moments
+        n = cfg.n_sites
+        stacked[:n, n:2 * n] *= scale
+        stacked[n:2 * n, :n] *= scale
+        stacked[2 * n:, 2 * n:] = stacked[: 2 * n, : 2 * n].conj()
+        try:
+            nu_min = symplectic_eigenvalues(oracle.covariance_from_moments(stacked))[0]
+        except ModelError:
+            nu_min = -math.inf  # not even positive definite
+        if scale == 1.0:
+            assert nu_min >= 1.0 - 1e-9
+            assert uncertainty_margin(moments.n1, moments.n2, m) >= -1e-12
+        else:
+            assert nu_min < 1.0 - 1e-6
+            with pytest.raises(NonPhysicalResult):
+                uncertainty_margin(moments.n1, moments.n2, m)
 
 
 class TestEntanglementProfile:

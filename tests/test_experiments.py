@@ -208,6 +208,8 @@ class TestDatasetWriter:
             ("custom", {"nbar": 0.0, "mbar": 3.0}, r"custom: sweep point point=0\.0"),
             # disorder wider than the hopping rate fails at the second level
             ("fig3a", {"delta_levels": "0.0,1.5"}, r"fig3a: sweep point delta_xi=1\.5"),
+            # fig5b sweeps omega inside its one point, which is kappa_end
+            ("fig5b", {"kappa_end": 0.0}, r"fig5b: sweep point kappa_end=0\.0 failed \(ClosedPort"),
         ]
         for experiment, overrides, message in cases:
             cfg = ExperimentConfig(

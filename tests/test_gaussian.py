@@ -2,8 +2,9 @@
 
 The Lyapunov solver is cross-checked against the integral representation
 sigma = int_0^inf exp(A t) D exp(A^T t) dt evaluated by adaptive
-quadrature, and the entanglement routines against closed forms for
-two-mode squeezed thermal states.
+quadrature, the triangular Sylvester solve against scipy's dense one, and
+the entanglement routines against closed forms for two-mode squeezed
+thermal states.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from entrep.errors import (
     ConfigInvalid,
     IndexOutOfRange,
+    NoConvergence,
     NonPhysicalResult,
     NotHurwitz,
     NotPositiveDefinite,
@@ -29,15 +31,18 @@ from entrep.gaussian import (
     DriftDiffusion,
     QuadratureCovariance,
     log_negativity_gaussian,
+    logneg_from_nu,
     normalized_logneg,
-    quadrature_embedding,
     reduce_to_pair,
+    schur_form,
     solve_lyapunov,
+    solve_rank_one_sylvester,
     squeezing_bound,
     symplectic_eigenvalues,
     symplectic_form,
-    two_mode_squeezed_thermal_cm,
+    uncertainty_margin,
 )
+from quadrature_oracle import quadrature_embedding, two_mode_squeezed_thermal_cm
 
 # Reference: -log2(3 - 2*sqrt(2)), the negativity of the (nbar=1,
 # mbar=sqrt(2)) two-mode squeezed vacuum, and its normalized value.
@@ -234,6 +239,65 @@ class TestLogNegativity:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ConfigInvalid):
             log_negativity_gaussian(np.eye(6))
+
+    def test_vectorized_rule_matches_the_two_mode_route(self):
+        nus = np.array([1.0 - 1e-13, 1.0, 1.7, 0.2, 1.0 - 1e-9])
+        assert np.array_equal(logneg_from_nu(nus)[:3], np.zeros(3))
+        assert logneg_from_nu(nus)[3] == -math.log2(0.2)
+        assert logneg_from_nu(nus)[4] > 0.0
+        sigma = two_mode_squeezed_thermal_cm(1.0, math.sqrt(2.0))
+        flip = np.diag([1.0, 1.0, 1.0, -1.0])
+        nu = symplectic_eigenvalues(flip @ sigma.sigma @ flip)[0]
+        assert log_negativity_gaussian(sigma) == float(logneg_from_nu(nu))
+
+
+def random_hurwitz_ladder(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Complex ladder drift with a Hermitian hopping part and local damping."""
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return -1j * 0.5 * (h + h.conj().T) - np.diag(rng.uniform(0.2, 1.0, size=n))
+
+
+class TestRankOneSylvester:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_matches_dense_sylvester_solve(self, seed, conjugate):
+        rng = np.random.default_rng(seed)
+        one = random_hurwitz_ladder(rng, 5)
+        two = random_hurwitz_ladder(rng, 5)
+        first = schur_form(one)
+        first = first.conj() if conjugate else first
+        source = rng.uniform(-2.0, 2.0)
+        got = solve_rank_one_sylvester(first, schur_form(two), source)
+        rhs = np.zeros((5, 5), complex)
+        rhs[0, 0] = source
+        want = scipy.linalg.solve_sylvester(first.drift, two.T, rhs)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_schur_form_refuses_a_marginal_drift(self):
+        with pytest.raises(NotHurwitz):
+            schur_form(np.array([[-1.0, 0.0], [0.0, 1e-14]], complex))
+
+    def test_refuses_an_inaccurate_solve(self):
+        form = schur_form(random_hurwitz_ladder(np.random.default_rng(1), 4))
+        wrong = form._replace(drift=1.01 * form.drift)
+        with pytest.raises(NoConvergence):
+            solve_rank_one_sylvester(wrong, form, 1.0)
+
+
+class TestUncertaintyMargin:
+    def test_two_mode_squeezed_vacuum_sits_on_the_boundary(self):
+        n = np.array([[1.0]])
+        m = np.array([[-math.sqrt(2.0)]])
+        assert abs(uncertainty_margin(n, n, m)) <= 1e-12
+
+    def test_thermal_state_keeps_half_its_gap(self):
+        n = np.diag([0.5, 2.0])
+        assert uncertainty_margin(n, n, np.zeros((2, 2))) == pytest.approx(0.5)
+
+    def test_refuses_oversqueezed_moments(self):
+        n = np.array([[1.0]])
+        with pytest.raises(NonPhysicalResult):
+            uncertainty_margin(n, n, np.array([[1.5]]))
 
 
 class TestNormalizedLogneg:

@@ -15,12 +15,12 @@ from scipy.integrate import quad, quad_vec
 from scipy.linalg import expm
 
 import entrep.output
-from entrep.arrays import ArrayConfig, drift_matrices, steady_state
+import quadrature_oracle as oracle
+from entrep.arrays import ArrayConfig, ladder_drift, steady_state
 from entrep.errors import ClosedPort, ConfigInvalid, NotHurwitz
-from entrep.gaussian import two_mode_squeezed_thermal_cm
+from entrep.gaussian import QuadratureCovariance
 from entrep.output import (
     assemble_output_correlations,
-    ladder_correlations_from_cm,
     output_covariance,
     output_pair_spectrum,
     output_quadrature_map,
@@ -62,10 +62,10 @@ def quarters(stacked: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class TestLadderCorrelations:
-    def test_vacuum(self):
-        from entrep.gaussian import QuadratureCovariance
+    """The oracle's covariance-to-moment map, and the runtime's moments."""
 
-        corr = ladder_correlations_from_cm(QuadratureCovariance(sigma=np.eye(4)))
+    def test_vacuum(self):
+        corr = oracle.ladder_correlations_from_cm(QuadratureCovariance(sigma=np.eye(4)))
         lower_lower, lower_upper, upper_lower, upper_upper = quarters(corr)
         assert np.allclose(lower_lower, 0.0, atol=1e-14)
         assert np.allclose(upper_lower, 0.0, atol=1e-14)
@@ -74,7 +74,7 @@ class TestLadderCorrelations:
 
     def test_two_mode_squeezed_thermal(self):
         nbar, mbar = 0.7, 0.9
-        corr = ladder_correlations_from_cm(two_mode_squeezed_thermal_cm(nbar, mbar))
+        corr = oracle.ladder_correlations_from_cm(oracle.two_mode_squeezed_thermal_cm(nbar, mbar))
         lower_lower, _, upper_lower, _ = quarters(corr)
         assert np.allclose(upper_lower, nbar * np.eye(2), atol=1e-12)
         assert np.allclose(np.diag(lower_lower), 0.0, atol=1e-12)
@@ -85,20 +85,24 @@ class TestLadderCorrelations:
         # <adag a> transposed by exactly the commutator -- for any state
         rng = np.random.default_rng(17)
         factor = rng.standard_normal((6, 6))
-        from entrep.gaussian import QuadratureCovariance
-
-        corr = ladder_correlations_from_cm(
-            QuadratureCovariance(sigma=factor @ factor.T + np.eye(6))
-        )
+        cm = QuadratureCovariance(sigma=factor @ factor.T + np.eye(6))
+        corr = oracle.ladder_correlations_from_cm(cm)
         lower_lower, lower_upper, upper_lower, upper_upper = quarters(corr)
         assert np.allclose(upper_upper, lower_lower.conj().T, atol=1e-12)
         assert np.allclose(lower_upper, upper_lower.T + np.eye(3), atol=1e-12)
+        assert np.allclose(oracle.covariance_from_moments(corr).sigma, cm.sigma, atol=1e-12)
+
+    @pytest.mark.parametrize("config", [lossy_config, end_damped_config])
+    def test_stationary_moments_match_the_quadrature_route(self, config):
+        cfg = config()
+        got = stationary_field(cfg).moments
+        assert np.abs(got - oracle.stacked_moments(cfg)).max() <= 1e-12
 
     def test_conjugation_symmetry_of_stacked_moments(self):
         # conjugating <abar_j abar_k> equals transposing and swapping the
         # raising/lowering sectors, for any Hermitian state
         cfg = lossy_config()
-        stacked = ladder_correlations_from_cm(steady_state(cfg))
+        stacked = stationary_field(cfg).moments
         n = cfg.n_modes
         swap = np.zeros((2 * n, 2 * n))
         swap[:n, n:] = np.eye(n)
@@ -169,8 +173,8 @@ class TestRegressionOracle:
     @pytest.mark.parametrize("omega", [0.0, 0.37, -1.1])
     def test_all_blocks_match_time_domain_integration(self, omega):
         cfg = lossy_config()
-        ladder = drift_matrices(cfg).ladder
-        corr = quarters(ladder_correlations_from_cm(steady_state(cfg)))
+        ladder = ladder_drift(cfg)
+        corr = quarters(stationary_field(cfg).moments)
         gains = np.diag(np.sqrt(np.asarray(cfg.kappa, float)))
         conj = ladder.conj()
 
@@ -291,6 +295,20 @@ class TestPairSpectra:
         assert omega_star == pytest.approx(-mirror_star, abs=1e-4)
         assert value_star == pytest.approx(mirror_value, rel=1e-9)
 
+    def test_peak_search_refuses_grids_that_are_not_increasing(self):
+        cfg = end_damped_config()
+        for grid in (np.linspace(1.8, 1.0, 9), [1.0, 1.2, 1.2, 1.4], [1.3]):
+            with pytest.raises(ConfigInvalid, match="strictly increasing"):
+                peak_frequency(cfg, grid)
+
+    def test_pair_spectrum_keeps_any_grid_order(self):
+        cfg = end_damped_config()
+        grid = np.linspace(1.0, 1.8, 9)
+        ascending = output_pair_spectrum(cfg, grid)
+        descending = output_pair_spectrum(cfg, grid[::-1])
+        assert np.array_equal(descending.omegas, ascending.omegas[::-1])
+        assert np.array_equal(descending.raw, ascending.raw[::-1])
+
     def test_ports_must_be_open(self):
         closed = ArrayConfig.homogeneous(
             2, eta=1.0, kappa=0.0, zeta=1.0, nbar=1.0, mbar=1.2
@@ -348,3 +366,14 @@ class TestSteadyStateReuse:
     def test_peak_frequency_scan_and_refinement(self, calls):
         peak_frequency(end_damped_config(), np.linspace(1.0, 1.8, 9))
         assert len(calls) == 1
+
+    def test_quadrature_map_is_built_once_per_field(self, monkeypatch):
+        built = []
+
+        def counting(n_modes):
+            built.append(n_modes)
+            return output_quadrature_map(n_modes)
+
+        monkeypatch.setattr(entrep.output, "output_quadrature_map", counting)
+        output_pair_spectrum(end_damped_config(), np.linspace(-2.5, 2.5, 21))
+        assert built == [6]

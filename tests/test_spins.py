@@ -10,7 +10,7 @@ uncorrelated drive, and the Fock-truncated cavity+spin oracle.
 import numpy as np
 import pytest
 
-from entrep.arrays import ArrayConfig, drift_matrices, steady_state
+from entrep.arrays import ArrayConfig, ladder_drift
 from entrep.baselines import pair_amplitude, pure_pair_logneg, replicated_state
 from entrep.errors import (
     ConfigInvalid,
@@ -24,7 +24,7 @@ from entrep.liouville import (
     reduced_pair_dm,
     steady_state_dm,
 )
-from entrep.output import ladder_correlations_from_cm
+from entrep.output import stationary_field
 from entrep.spins import (
     TruncationSpec,
     _array_charge,
@@ -265,7 +265,7 @@ class TestClosedForm:
     def test_pattern_identity_reproduces_field_drift_inverse(self, n_sites):
         eta, zeta, g = 0.9, 1.4, 0.07
         cfg = ArrayConfig.homogeneous(n_sites, eta=eta, kappa=0.0, zeta=zeta)
-        single_array = drift_matrices(cfg).ladder[:n_sites, :n_sites]
+        single_array = ladder_drift(cfg)[:n_sites, :n_sites]
         hopping_rate, damping_rate = closed_form_rates(n_sites, eta, zeta, g)
         pats = coupling_pattern_matrices(n_sites)
         x_ref, y_ref = kronecker_pattern_matrices(n_sites)
@@ -323,7 +323,7 @@ class TestFockOracle:
         # must resolve that mode, not just the single-site marginals
         cfg = ArrayConfig.homogeneous(1, kappa=0.1, zeta=1.0, nbar=0.5, mbar=0.6)
         result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=10))
-        exact = ladder_correlations_from_cm(steady_state(cfg))
+        exact = stationary_field(cfg).moments
         assert result.check_mode == "full"
         assert result.check_shift <= 1e-3
         assert result.spin_dm is None
@@ -331,7 +331,7 @@ class TestFockOracle:
 
     def test_truncation_error_shrinks_with_cutoff(self):
         cfg = ArrayConfig.homogeneous(1, kappa=0.1, zeta=1.0, nbar=0.5, mbar=0.6)
-        exact = ladder_correlations_from_cm(steady_state(cfg))
+        exact = stationary_field(cfg).moments
         errors = []
         for n_max in (3, 6):
             result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=n_max, check="none"))
@@ -403,7 +403,7 @@ class TestSqueezedBasisOracle:
         # bare truncation at this cutoff is off by ~5e-2 for these
         # drive statistics; the frame change wins two orders of magnitude
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=1.2)
-        exact = ladder_correlations_from_cm(steady_state(cfg))
+        exact = stationary_field(cfg).moments
         result = full_cavity_atom_oracle(
             cfg, TruncationSpec(n_max=6, check="none", basis="squeezed")
         )
@@ -413,7 +413,7 @@ class TestSqueezedBasisOracle:
         # a purely squeezed drive has zero frame occupation: the frame
         # vacuum is the exact steady state, whatever the cutoff
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=np.sqrt(2.0))
-        exact = ladder_correlations_from_cm(steady_state(cfg))
+        exact = stationary_field(cfg).moments
         result = full_cavity_atom_oracle(
             cfg, TruncationSpec(n_max=4, check="none", basis="squeezed")
         )

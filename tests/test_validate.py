@@ -94,13 +94,15 @@ class TestSuitesPass:
 
 
 class TestFaultInjection:
-    def test_wrong_diffusion_is_caught_and_the_moment_is_named(self, monkeypatch):
-        true_diffusion = entrep.arrays.diffusion_matrix
+    def test_biased_moment_solve_is_caught_and_the_moment_is_named(self, monkeypatch):
+        true_solve = entrep.arrays.solve_rank_one_sylvester
 
-        def biased(cfg):
-            return 1.02 * true_diffusion(cfg)
+        def biased(a, b, source):
+            # 2% low on every moment: still physical, so only the
+            # comparison with the Fock oracle can catch it
+            return 0.98 * true_solve(a, b, source)
 
-        monkeypatch.setattr(entrep.arrays, "diffusion_matrix", biased)
+        monkeypatch.setattr(entrep.arrays, "solve_rank_one_sylvester", biased)
         report = run_suite("gaussian-vs-fock")
         assert report.status == "failed"
         failing = [c for c in report.checks if c.status == "failed"]
@@ -110,12 +112,12 @@ class TestFaultInjection:
         assert "fock=" in agreement.detail and "gaussian=" in agreement.detail
 
     def test_unexpected_model_error_becomes_a_failed_report(self, monkeypatch):
-        def broken(cfg):
+        def broken(drift):
             from entrep.errors import NotHurwitz
 
             raise NotHurwitz("contrived instability")
 
-        monkeypatch.setattr(entrep.arrays, "diffusion_matrix", broken)
+        monkeypatch.setattr(entrep.arrays, "schur_form", broken)
         report = run_suite("gaussian-vs-fock")
         assert report.status == "failed"
         assert report.checks[0].name == "suite-execution"
