@@ -6,7 +6,7 @@ their first sites.  In the steady state every inter-array pair of like
 sites inherits the reservoir's entanglement — exactly so when the arrays
 are lossless.  The package computes:
 
-* Gaussian steady states of the cavity model via Lyapunov equations,
+* Gaussian steady states of the cavity model via N x N moment equations,
   per-pair logarithmic-negativity profiles, and disorder ensembles
   (:mod:`entrep.arrays`, :mod:`entrep.gaussian`);
 * closed-form reference statistics and the replicated pure spin state

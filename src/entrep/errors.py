@@ -31,7 +31,7 @@ class NotHurwitz(ModelError):
     """The drift matrix has an eigenvalue with non-negative real part.
 
     The steady state only exists when every drift eigenvalue strictly
-    decays; this is raised before any Lyapunov solve is attempted.
+    decays; this is raised before any steady-state solve is attempted.
     """
 
 

@@ -23,7 +23,6 @@ rate times twice the occupation.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +85,7 @@ class StationaryField:
     drift: np.ndarray
     moments: np.ndarray
     gains: np.ndarray
-    quadrature_map: np.ndarray = dataclasses.field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "quadrature_map", output_quadrature_map(self.n_modes))
+    quadrature_map: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -113,6 +109,7 @@ def stationary_field(cfg: ArrayConfig) -> StationaryField:
         drift=sla.block_diag(ladder, ladder.conj()),
         moments=np.block([[pairs, np.eye(cfg.n_modes) + normal.T], [normal, pairs.conj()]]),
         gains=np.tile(np.sqrt(np.asarray(cfg.kappa, float)), 2),
+        quadrature_map=output_quadrature_map(cfg.n_modes),
     )
 
 
