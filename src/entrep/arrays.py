@@ -27,7 +27,8 @@ are non-zero (one isolated driven pair gets ``nbar`` and ``-mbar``):
 array drift.  Each pair (j, N+j) is a phase-insensitive two-mode state,
 so its smallest partially transposed symplectic eigenvalue is
 ``n_1 + n_2 + 1 - sqrt((n_1 - n_2)^2 + 4 |m|^2)`` in its occupations and
-cross-moment (Serafini, Illuminati & De Siena, J. Phys. B 37, L21, 2004).
+cross-moment (Serafini, Illuminati & De Siena, J. Phys. B 37, L21, 2004),
+which :func:`entrep.gaussian.pair_logneg` evaluates.
 
 Entanglement replication: with kappa = 0 every pair (j, N+j) relaxes to
 a two-mode squeezed thermal state with the *same* (nbar, mbar) as the
@@ -46,8 +47,8 @@ from .baselines import driving_entanglement
 from .errors import ConfigInvalid
 from .gaussian import (
     check_drive,
-    logneg_from_nu,
     normalized_logneg,
+    pair_logneg,
     schur_form,
     solve_rank_one_sylvester,
     uncertainty_margin,
@@ -187,6 +188,17 @@ class SteadyMoments:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    def stacked(self) -> np.ndarray:
+        """The 4N x 4N moments ``<abar abar^T>``, ``abar = (a_1..a_2N, adag_1..adag_2N)``.
+
+        Quarters: ``<a a> = [[0, M], [M^T, 0]]``, ``<a adag> = I + <adag
+        a>^T``, ``<adag a> = diag(N_1, N_2)`` and ``<adag adag> = conj <a a>``.
+        """
+        zero = np.zeros_like(self.m)
+        pairs = np.block([[zero, self.m], [self.m.T, zero]])
+        normal = np.block([[self.n1, zero], [zero, self.n2]])
+        return np.block([[pairs, np.eye(len(normal)) + normal.T], [normal, pairs.conj()]])
+
 
 @dataclass(frozen=True, eq=False)
 class EntanglementProfile:
@@ -265,10 +277,9 @@ def pair_entanglement_profile(cfg: ArrayConfig) -> EntanglementProfile:
     value every pair reaches in the lossless (kappa = 0) model.
     """
     moments = steady_state(cfg)
-    n1 = moments.n1.diagonal().real
-    n2 = moments.n2.diagonal().real
-    m = np.abs(moments.m.diagonal())
-    raw = logneg_from_nu(n1 + n2 + 1.0 - np.sqrt((n1 - n2) ** 2 + 4.0 * m**2))
+    raw = pair_logneg(
+        moments.n1.diagonal().real, moments.n2.diagonal().real, moments.m.diagonal()
+    )
     normalized = raw / (1.0 + raw)
     drive = driving_entanglement(cfg.nbar, cfg.mbar)
     return EntanglementProfile(

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import ConfigInvalid
-from .gaussian import check_drive
+from .gaussian import check_drive, logneg_from_nu
 
 __all__ = [
     "driving_params",
@@ -61,11 +61,13 @@ def driving_params(nbar_thermal: float, squeezing: float) -> tuple[float, float]
 def driving_entanglement(nbar: float, mbar: float) -> float:
     """Logarithmic negativity of the reservoir field itself.
 
-    Equals ``max(0, -log2(2*nbar + 1 - 2*mbar))``; positive exactly when
-    mbar > nbar.  This is the replication target for every pair.
+    Equals ``max(0, -log2(2*nbar + 1 - 2*mbar))``, through the same 1e-12
+    separability rule as every pair (:func:`entrep.gaussian.logneg_from_nu`);
+    positive exactly when mbar > nbar.  This is the replication target for
+    every pair.
     """
     check_drive(nbar, mbar)
-    return max(0.0, -math.log2(2.0 * nbar + 1.0 - 2.0 * mbar))
+    return float(logneg_from_nu(2.0 * nbar + 1.0 - 2.0 * mbar))
 
 
 def pair_amplitude(nbar: float) -> float:

@@ -3,9 +3,9 @@
 Everything raised intentionally by this package derives from
 :class:`ModelError`, so callers can catch a single type at the CLI
 boundary.  The subclasses are deliberately fine-grained: numerical
-failure modes (non-Hurwitz drift, singular resolvents, degenerate
-steady states, unconverged Fock truncations) need different remedies,
-and the validation layer reports them separately.
+failure modes (non-Hurwitz drift, degenerate steady states, unconverged
+Fock truncations) need different remedies, and the validation layer
+reports them separately.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class NotPositiveDefinite(ModelError):
 
 class NonPhysicalResult(ModelError):
     """A computed quantity violates a physical bound (e.g. negative spectrum)."""
-
-
-class SingularResolvent(ModelError):
-    """The frequency-domain resolvent (M + i*omega) is numerically singular."""
 
 
 class ClosedPort(ModelError):

@@ -292,16 +292,19 @@ def _point_fig5b(value, p, seed):
     ]
 
 
+def _sweep_custom(p):
+    if float(p["kappa_end"]) < 0.0:
+        raise ConfigInvalid(f"kappa_end must be >= 0, got {p['kappa_end']}")
+    return [0.0]
+
+
 def _point_custom(value, p, seed):
     cfg = _uniform_config(p)
-    kappa_end = float(p["kappa_end"])
-    if kappa_end > 0.0:
-        n = cfg.n_sites
-        kappa = list(cfg.kappa)
-        kappa[n - 1] += kappa_end
-        kappa[2 * n - 1] += kappa_end
-        cfg = replace(cfg, kappa=tuple(kappa))
-    return _gaussian_rows(cfg, value)
+    n, kappa_end = cfg.n_sites, float(p["kappa_end"])
+    kappa = list(cfg.kappa)
+    kappa[n - 1] += kappa_end
+    kappa[2 * n - 1] += kappa_end
+    return _gaussian_rows(replace(cfg, kappa=tuple(kappa)), value)
 
 
 def _point_fig3a(value, p, seed):
@@ -543,7 +546,7 @@ _register(
             "mbar": 0.0,
         },
     ),
-    lambda p: [0.0],
+    _sweep_custom,
     _point_custom,
 )
 

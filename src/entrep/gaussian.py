@@ -3,12 +3,14 @@
 * **Runtime.** :func:`schur_form` and :func:`solve_rank_one_sylvester`
   solve the arrays' N x N ladder-moment equations (Bartels & Stewart,
   Comm. ACM 15, 820, 1972), :func:`uncertainty_margin` certifies them and
-  :func:`logneg_from_nu` gives every pair's negativity.  The output layer
-  uses :class:`QuadratureCovariance`, :func:`reduce_to_pair` and
-  :func:`log_negativity_gaussian`.
+  :func:`pair_logneg` gives the negativity of every steady and output
+  pair from its occupations and cross-moment.
 * **Oracle.** :func:`solve_lyapunov` on a :class:`DriftDiffusion` solves
-  any real quadrature covariance flow.  No runtime module calls it; the
-  tests cross-check the moment route with it.
+  any real quadrature covariance flow, and :class:`QuadratureCovariance`,
+  :func:`reduce_to_pair`, :func:`log_negativity_gaussian` and
+  :func:`symplectic_eigenvalues` take the negativity of any two-mode
+  covariance.  No runtime module calls them; the tests cross-check the
+  moment routes with them.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -54,6 +56,7 @@ __all__ = [
     "log_negativity_gaussian",
     "logneg_from_nu",
     "normalized_logneg",
+    "pair_logneg",
     "reduce_to_pair",
     "schur_form",
     "solve_lyapunov",
@@ -348,6 +351,19 @@ def logneg_from_nu(nu) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
     separable = nu >= 1.0 - 1e-12
     return np.where(separable, 0.0, -np.log2(np.where(separable, 1.0, nu)))
+
+
+def pair_logneg(n1, n2, m) -> np.ndarray:
+    """Logarithmic negativity of phase-insensitive two-mode states.
+
+    A zero-mean state whose only second moments are the occupations
+    ``n1 = <a^dag a>``, ``n2 = <b^dag b>`` and the cross-moment ``m = <a b>``
+    has the smallest partially transposed symplectic eigenvalue
+    ``n1 + n2 + 1 - sqrt((n1 - n2)^2 + 4 |m|^2)`` (Serafini, Illuminati &
+    De Siena, J. Phys. B 37, L21, 2004); :func:`logneg_from_nu` turns it
+    into the negativity.  Works elementwise on arrays.
+    """
+    return logneg_from_nu(n1 + n2 + 1.0 - np.sqrt((n1 - n2) ** 2 + 4.0 * np.abs(m) ** 2))
 
 
 def normalized_logneg(value: float) -> float:

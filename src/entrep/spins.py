@@ -7,7 +7,7 @@ so they can cross-check each other:
   whose first sites share the correlated two-site drive;
 * :func:`build_effective_general` — second-order (Born–Markov) reduction
   of the cavity+spin model, with memory kernels obtained from the exact
-  field drift and steady moments (:func:`entrep.output.stationary_field`);
+  field drift and steady moments (:meth:`entrep.arrays.SteadyMoments.stacked`);
 * :func:`build_effective_closed_form` — the same reduction evaluated
   analytically for homogeneous lossless arrays, written in terms of
   parity-dependent coupling-pattern matrices;
@@ -25,9 +25,10 @@ from dataclasses import dataclass, replace
 from math import ceil, sqrt
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .arrays import ArrayConfig, ladder_drift
+from .arrays import ArrayConfig, ladder_drift, steady_state
 from .errors import ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged
 from .gaussian import check_drive
 from .liouville import (
@@ -43,7 +44,6 @@ from .liouville import (
     sandwich,
     steady_state_dm,
 )
-from .output import stationary_field
 
 __all__ = [
     "ClosedFormModel",
@@ -285,10 +285,10 @@ def build_effective_general(cfg: ArrayConfig) -> EffectiveSpinModel:
     """Second-order reduced spin generator for an arbitrary array config.
 
     The field sector (``cfg`` with couplings removed) supplies the exact
-    drift and steady moments; the memory kernels follow by integrating
-    the field correlations, ``kernel = g^2 M^{-1} A0`` and
-    ``kernel_reversed = g^2 M^{-1} A0^T``.  Emits a warning when the
-    timescale-separation ratio exceeds 0.1.
+    drift ``M = diag(L, conj L)`` and steady stacked moments ``A0``; the
+    memory kernels follow by integrating the field correlations,
+    ``kernel = g^2 M^{-1} A0`` and ``kernel_reversed = g^2 M^{-1} A0^T``.
+    Emits a warning when the timescale-separation ratio exceeds 0.1.
     """
     n_pairs = cfg.n_sites
     _check_spin_pairs(n_pairs)
@@ -300,8 +300,10 @@ def build_effective_general(cfg: ArrayConfig) -> EffectiveSpinModel:
             "the reduced spin model is unreliable here",
             stacklevel=2,
         )
-    field = stationary_field(replace(cfg, g=(0.0,) * n_pairs))
-    drift, moments = field.drift, field.moments
+    field_cfg = replace(cfg, g=(0.0,) * n_pairs)
+    ladder = ladder_drift(field_cfg)
+    drift = sla.block_diag(ladder, ladder.conj())
+    moments = steady_state(field_cfg).stacked()
     kernel = g**2 * np.linalg.solve(drift, moments)
     kernel_reversed = g**2 * np.linalg.solve(drift, moments.T)
     generator = _effective_from_kernels(kernel, kernel_reversed, n_pairs)

@@ -31,11 +31,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig
+from .arrays import ArrayConfig, steady_state
 from .baselines import replicated_state
 from .errors import ModelError
 from .liouville import fidelity_pure, steady_state_dm
-from .output import stationary_field
 from .spins import (
     TruncationSpec,
     _spin_pair_superop,
@@ -125,7 +124,7 @@ def _suite_gaussian_vs_fock(budget: int) -> SuiteReport:
     if needed > budget:
         return _skip("gaussian-vs-fock", needed, budget)
     cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=0.5, mbar=math.sqrt(0.75))
-    reference = stationary_field(cfg).moments
+    reference = steady_state(cfg).stacked()
     checks: list[CheckResult] = []
     errors = []
     details = []

@@ -1,4 +1,4 @@
-"""The 4N-quadrature route to the arrays' steady state, kept as a test oracle.
+"""4N-quadrature routes to the steady state and the output spectra, kept as a test oracle.
 
 The runtime solves the N x N ladder-moment equations of
 :mod:`entrep.arrays`.  This module solves the same model the other way:
@@ -9,14 +9,22 @@ residual and symplectic-physicality certificates.  Stacked ladder moments
 and per-pair negativities are then read back from the covariance.  The
 closed-form two-mode squeezed thermal covariance serves as a reference
 state.
+
+The output spectra of :mod:`entrep.output` have a 4N reference too: the
+stacked resolvent formula of quantum regression and input-output theory
+on the doubled drift ``diag(L, conj L)`` (:func:`output_correlations`).
+Its symmetrized port rows give the port moments, and its rotation into a
+full quadrature covariance per frequency (:func:`output_covariance`)
+gives the pair negativity through a 4x4 symplectic eigensolve.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
-from entrep.arrays import ArrayConfig, ladder_drift
-from entrep.errors import ConfigInvalid
+from entrep.arrays import ArrayConfig, ladder_drift, steady_state
+from entrep.errors import ConfigInvalid, NonPhysicalResult
 from entrep.gaussian import (
     DriftDiffusion,
     QuadratureCovariance,
@@ -25,6 +33,9 @@ from entrep.gaussian import (
     reduce_to_pair,
     solve_lyapunov,
 )
+from entrep.output import output_quadrature_map
+
+_IMAG_RESIDUE_TOL = 1e-9
 
 
 def quadrature_embedding(ladder: np.ndarray) -> np.ndarray:
@@ -141,3 +152,64 @@ def two_mode_squeezed_thermal_cm(nbar: float, mbar: float) -> QuadratureCovarian
     sigma[0, 2] = sigma[2, 0] = cross
     sigma[1, 3] = sigma[3, 1] = -cross
     return QuadratureCovariance(sigma)
+
+
+def output_correlations(cfg: ArrayConfig, omega: float) -> np.ndarray:
+    """Stacked output spectra ``S(omega)`` of every port, 4N x 4N.
+
+    ``S = E - 2 G [(D + i omega)^-1 N + N (D - i omega)^-1] G`` with the
+    doubled drift ``D = diag(L, conj L)``, the port gains ``G =
+    diag(sqrt(kappa))`` on both halves, ``E`` the identity in the ``<a
+    adag>`` quarter (the output commutator) and ``N = A0 - E`` the normally
+    ordered part of the runtime's stacked steady moments ``A0``.
+    """
+    ladder = ladder_drift(cfg)
+    drift = sla.block_diag(ladder, ladder.conj())
+    moments = steady_state(cfg).stacked()
+    n = cfg.n_modes
+    commutator = np.zeros_like(moments)
+    commutator[:n, n:] = np.eye(n)
+    normal = moments - commutator
+    shift = 1j * omega * np.eye(2 * n)
+    forward = np.linalg.solve(drift + shift, normal)
+    reverse = np.linalg.solve((drift - shift).T, normal.T).T
+    gains = np.tile(np.sqrt(np.asarray(cfg.kappa, float)), 2)
+    return commutator - 2.0 * gains[:, None] * (forward + reverse) * gains
+
+
+def output_covariance(cfg: ArrayConfig, omega: float) -> QuadratureCovariance:
+    """Output covariance of every port in interleaved quadratures.
+
+    Symmetrizes :func:`output_correlations` and rotates it with
+    :func:`entrep.output.output_quadrature_map`; a vacuum input gives the
+    identity.  Raises NonPhysicalResult when the imaginary residue
+    exceeds 1e-9.
+    """
+    stacked = output_correlations(cfg, omega)
+    theta = output_quadrature_map(cfg.n_modes)
+    gamma = 0.5 * theta @ (stacked + stacked.T) @ theta.T
+    residue = float(np.abs(gamma.imag).max())
+    if residue > _IMAG_RESIDUE_TOL * max(1.0, np.abs(gamma.real).max()):
+        raise NonPhysicalResult(
+            f"output covariance has imaginary residue {residue:.2e} at omega={omega}"
+        )
+    return QuadratureCovariance(sigma=gamma.real)
+
+
+def output_port_moments(cfg: ArrayConfig, pair: tuple[int, int], omega: float):
+    """``(n_p, n_q, m)`` of a port pair from the symmetrized :func:`output_correlations`.
+
+    The ``<adag a>`` diagonal of ``(S + S^T) / 2`` is the port occupation
+    plus one half from the output commutator; its ``<a a>`` entry at the
+    two ports is their cross-moment.
+    """
+    p, q = sorted(pair)
+    stacked = output_correlations(cfg, omega)
+    sym = 0.5 * (stacked + stacked.T)
+    n = cfg.n_modes
+    return sym[n + p, p].real - 0.5, sym[n + q, q].real - 0.5, sym[p, q]
+
+
+def output_pair_logneg(cfg: ArrayConfig, pair: tuple[int, int], omega: float) -> float:
+    """Pair negativity from the 4x4 restriction of :func:`output_covariance`."""
+    return log_negativity_gaussian(reduce_to_pair(output_covariance(cfg, omega), *pair))

@@ -13,6 +13,7 @@ from entrep.arrays import (
     DisorderSpec,
     disorder_sweep,
     pair_entanglement_profile,
+    steady_state,
 )
 from entrep.baselines import driving_entanglement, replicated_state
 from entrep.liouville import (
@@ -21,11 +22,7 @@ from entrep.liouville import (
     reduced_pair_dm,
     steady_state_dm,
 )
-from entrep.output import (
-    output_pair_spectrum,
-    peak_frequency,
-    stationary_field,
-)
+from entrep.output import output_pair_spectrum, peak_frequency
 from entrep.spins import (
     TruncationSpec,
     build_effective_general,
@@ -181,7 +178,7 @@ def test_criterion_5_spin_fixed_point():
 
 def test_criterion_6_gaussian_vs_fock_oracle():
     cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=0.5, mbar=math.sqrt(0.75))
-    exact = stationary_field(cfg).moments
+    exact = steady_state(cfg).stacked()
     errors = []
     for n_max in (4, 8, 12):
         oracle = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=n_max, check="none"))

@@ -30,7 +30,6 @@ from entrep.arrays import (
 from entrep.baselines import driving_entanglement
 from entrep.errors import ConfigInvalid, ModelError, NonPhysicalResult, NotHurwitz, OverSqueezed
 from entrep.gaussian import squeezing_bound, symplectic_eigenvalues, uncertainty_margin
-from entrep.output import stationary_field
 
 #: The exceptional-point configuration: its single-array drift has one
 #: defective eigenvalue, so no eigenvector basis exists.
@@ -223,7 +222,7 @@ class TestSteadyState:
         # either route loses digits like the inverse of the slowest decay rate
         margin = -np.linalg.eigvals(ladder_drift(cfg)).real.max()
         tol = 1e-12 * max(1.0, 1.0 / margin)
-        assert np.abs(stationary_field(cfg).moments - want).max() <= 100.0 * tol
+        assert np.abs(steady_state(cfg).stacked() - want).max() <= 100.0 * tol
         got = pair_entanglement_profile(cfg).raw
         assert np.abs(got - oracle.pair_lognegs(cfg)).max() <= 1000.0 * tol
 
@@ -231,7 +230,7 @@ class TestSteadyState:
         ladder = ladder_drift(EXCEPTIONAL_POINT)[:2, :2]
         values = np.linalg.eigvals(ladder)
         assert abs(values[0] - values[1]) <= 1e-6  # one defective eigenvalue
-        got = stationary_field(EXCEPTIONAL_POINT).moments
+        got = steady_state(EXCEPTIONAL_POINT).stacked()
         assert np.abs(got - oracle.stacked_moments(EXCEPTIONAL_POINT)).max() <= 1e-12
         profile = pair_entanglement_profile(EXCEPTIONAL_POINT).raw
         assert np.abs(profile - oracle.pair_lognegs(EXCEPTIONAL_POINT)).max() <= 1e-12
@@ -248,7 +247,7 @@ class TestSteadyState:
         cfg = end_driven_config(6, 0.5, eta=1.0, zeta=1.0, nbar=1.0, mbar=math.sqrt(2.0))
         moments = steady_state(cfg)
         m = scale * moments.m
-        stacked = stationary_field(cfg).moments
+        stacked = moments.stacked()
         n = cfg.n_sites
         stacked[:n, n:2 * n] *= scale
         stacked[n:2 * n, :n] *= scale

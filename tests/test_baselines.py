@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from entrep.arrays import ArrayConfig, pair_entanglement_profile
 from entrep.baselines import (
     driving_entanglement,
     driving_params,
@@ -65,6 +66,16 @@ class TestDrivingEntanglement:
             assert driving_entanglement(nbar, nbar) == 0.0
             if nbar > 0.0:
                 assert driving_entanglement(nbar, 0.8 * nbar) == 0.0
+
+    def test_boundary_rule_matches_the_pair_profile(self):
+        # a lossless pair replicates the drive exactly, so the reference
+        # column and the pair column must agree at the separability
+        # boundary too: both treat nu within 1e-12 of 1 as separable
+        cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=1.0 + 1e-13)
+        profile = pair_entanglement_profile(cfg)
+        assert profile.raw.tolist() == [0.0]
+        assert profile.drive_raw == 0.0
+        assert driving_entanglement(1.0, 1.0 + 1e-13) == 0.0
 
     def test_monotone_in_cross_correlation(self):
         grid = np.linspace(1.0, math.sqrt(2.0), 20)

@@ -77,6 +77,17 @@ class TestRun:
         assert "error:" in stderr and "sweep point" in stderr
         assert not out.exists()
 
+    def test_negative_end_loss_exits_2_before_any_point(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code, _, stderr = run_cli(
+            capsys, "run", "--experiment", "custom",
+            "--set", "kappa=0.1", "--set", "nbar=1", "--set", "mbar=1.2",
+            "--set", "kappa_end=-0.5", "--out", str(out),
+        )
+        assert code == 2
+        assert "kappa_end must be >= 0" in stderr and "sweep point" not in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "experiment,override",
         [

@@ -1,13 +1,17 @@
-"""Tests for the frequency-resolved output-field correlations.
+"""Tests for the frequency-resolved output-field port moments.
 
-The central cross-check re-derives every spectrum block from scratch in
-the time domain: two-time correlations obtained by matrix-exponential
-evolution of the steady moments (quantum regression), Fourier-integrated
-numerically, and sandwiched between the port gains.  Two exact anchors
-pin the overall normalization — vacuum input giving the identity
-covariance, and the integrated photon flux of a lossy thermal cavity —
-so the resolvent weight cannot silently drift.
+The runtime port moments are checked three ways.  They are re-derived
+from scratch in the time domain: two-time correlations obtained by
+matrix-exponential evolution of the steady moments (quantum regression),
+Fourier-integrated numerically, and sandwiched between the port gains.
+They match the 4N stacked resolvent of ``quadrature_oracle`` on random
+configurations.  And three exact anchors pin the overall normalization:
+vacuum input gives zero port moments, a thermal cavity gives a
+Lorentzian, and its integral is the photon flux, so the resolvent weight
+cannot silently drift.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,14 +22,12 @@ import entrep.output
 import quadrature_oracle as oracle
 from entrep.arrays import ArrayConfig, ladder_drift, steady_state
 from entrep.errors import ClosedPort, ConfigInvalid, NotHurwitz
-from entrep.gaussian import QuadratureCovariance
+from entrep.gaussian import QuadratureCovariance, pair_logneg, squeezing_bound
 from entrep.output import (
-    assemble_output_correlations,
     output_covariance,
     output_pair_spectrum,
     output_quadrature_map,
     peak_frequency,
-    stationary_field,
 )
 
 
@@ -95,14 +97,14 @@ class TestLadderCorrelations:
     @pytest.mark.parametrize("config", [lossy_config, end_damped_config])
     def test_stationary_moments_match_the_quadrature_route(self, config):
         cfg = config()
-        got = stationary_field(cfg).moments
+        got = steady_state(cfg).stacked()
         assert np.abs(got - oracle.stacked_moments(cfg)).max() <= 1e-12
 
     def test_conjugation_symmetry_of_stacked_moments(self):
         # conjugating <abar_j abar_k> equals transposing and swapping the
         # raising/lowering sectors, for any Hermitian state
         cfg = lossy_config()
-        stacked = stationary_field(cfg).moments
+        stacked = steady_state(cfg).stacked()
         n = cfg.n_modes
         swap = np.zeros((2 * n, 2 * n))
         swap[:n, n:] = np.eye(n)
@@ -152,6 +154,76 @@ class TestQuadratureMap:
         assert np.allclose(output_quadrature_map(2), expected)
 
 
+def port_moments(cfg: ArrayConfig, pair, omegas) -> entrep.output.PortMoments:
+    return output_covariance(cfg, steady_state(cfg), pair, np.asarray(omegas, float))
+
+
+def random_config(seed: int) -> tuple[ArrayConfig, tuple[int, int]]:
+    """An N <= 7 array pair with independent rates and a random open port pair."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    kappa = rng.uniform(0.05, 0.5, 2 * n) * (rng.random(2 * n) < 0.7)
+    pair = (int(rng.integers(n)), n + int(rng.integers(n)))
+    kappa[list(pair)] = rng.uniform(0.05, 0.5, 2)
+    nbar = rng.uniform(0.0, 2.0)
+    cfg = ArrayConfig(
+        n_sites=n,
+        eta=tuple(rng.uniform(0.2, 2.0, 2 * (n - 1))),
+        kappa=tuple(kappa),
+        zeta=rng.uniform(0.1, 2.0),
+        nbar=nbar,
+        mbar=rng.uniform(0.0, 1.0) * squeezing_bound(nbar),
+    )
+    return cfg, pair
+
+
+#: Its array drift has one defective eigenvalue (-1.5, twice), so no
+#: eigenvector basis diagonalizes the resolvent.
+DEFECTIVE = ArrayConfig(
+    n_sites=2, eta=(1.0, 1.0), kappa=(0.0, 0.5, 0.0, 0.5), zeta=2.5, nbar=1.0, mbar=1.2
+)
+
+
+def assert_matches_the_stacked_resolvent(cfg, pair, omegas):
+    got = port_moments(cfg, pair, omegas)
+    raw = output_pair_spectrum(cfg, omegas, pair=pair).raw
+    assert np.array_equal(raw, pair_logneg(*got))
+    for k, omega in enumerate(omegas):
+        n_p, n_q, m = oracle.output_port_moments(cfg, pair, omega)
+        assert abs(got.n_p[k] - n_p) <= 1e-12
+        assert abs(got.n_q[k] - n_q) <= 1e-12
+        assert abs(got.m[k] - m) <= 1e-12
+        assert abs(raw[k] - oracle.output_pair_logneg(cfg, pair, omega)) <= 1e-12
+
+
+class TestStackedResolventOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_configs_in_both_port_orders(self, seed):
+        cfg, pair = random_config(seed)
+        omegas = np.concatenate([[0.0], np.random.default_rng(seed).uniform(-3.0, 3.0, 4)])
+        assert_matches_the_stacked_resolvent(cfg, pair, omegas)
+        assert_matches_the_stacked_resolvent(cfg, pair[::-1], omegas)
+
+    def test_defective_array_drift(self):
+        block = ladder_drift(DEFECTIVE)[:2, :2]
+        values, vectors = np.linalg.eig(block)
+        assert abs(values[0] - values[1]) <= 1e-6
+        assert np.linalg.cond(vectors) > 1e6
+        assert_matches_the_stacked_resolvent(DEFECTIVE, (1, 3), np.linspace(-3.0, 3.0, 13))
+
+    @pytest.mark.parametrize("omega", [0.0, 0.8, -1.7])
+    def test_oracle_output_commutator_identity(self, omega):
+        plus = quarters(oracle.output_correlations(lossy_config(), omega))
+        minus = quarters(oracle.output_correlations(lossy_config(), -omega))
+        assert np.allclose(plus[1], minus[2].T + np.eye(4), atol=1e-11)
+
+    def test_oracle_vacuum_input_gives_identity_covariance(self):
+        cfg = replace(lossy_config(), nbar=0.0, mbar=0.0)
+        for omega in (0.0, -0.6, 2.2):
+            sigma = oracle.output_covariance(cfg, omega).sigma
+            assert np.abs(sigma - np.eye(8)).max() <= 1e-12
+
+
 def regression_oracle_block(block, gains, omega, drift_first, drift_second):
     """Fourier transform of the two-time correlation, from scratch.
 
@@ -171,31 +243,31 @@ def regression_oracle_block(block, gains, omega, drift_first, drift_second):
 
 class TestRegressionOracle:
     @pytest.mark.parametrize("omega", [0.0, 0.37, -1.1])
-    def test_all_blocks_match_time_domain_integration(self, omega):
+    def test_port_moments_match_time_domain_integration(self, omega):
         cfg = lossy_config()
         ladder = ladder_drift(cfg)
-        corr = quarters(stationary_field(cfg).moments)
+        pairs, _, normal, _ = quarters(steady_state(cfg).stacked())
         gains = np.diag(np.sqrt(np.asarray(cfg.kappa, float)))
         conj = ladder.conj()
-
-        got = quarters(assemble_output_correlations(stationary_field(cfg), omega))
-        # the port-sandwiched part carries the normally-ordered moments:
-        # for <a(t) adag(0)> that is <adag a> transposed, while the vacuum
-        # contribution enters only as the flat identity block
-        cases = [
-            (got[0], corr[0], ladder, ladder),
-            (got[1] - np.eye(4), corr[2].T, ladder, conj),
-            (got[2], corr[2], conj, ladder),
-            (got[3], corr[3], conj, conj),
-        ]
-        for found, block, first, second in cases:
-            want = regression_oracle_block(block, gains, omega, first, second)
-            assert np.abs(found - want).max() <= 5e-8
+        # symmetrized spectra: <b b> from the pair moments, and <b^dag b>
+        # from <adag(t) a(0)> and <a(t) adag(0)>, whose port-sandwiched
+        # part carries <adag a> transposed; the output commutator adds
+        # only the one half that separates the symmetrized moment from n_p
+        anomalous = regression_oracle_block(pairs, gains, omega, ladder, ladder)
+        occupation = 0.5 * (
+            regression_oracle_block(normal, gains, omega, conj, ladder)
+            + regression_oracle_block(normal.T, gains, omega, ladder, conj)
+        )
+        for pair in ((0, 2), (0, 3), (1, 2), (1, 3)):
+            p, q = pair
+            got = port_moments(cfg, pair, [omega])
+            assert abs(got.n_p[0] - occupation[p, p].real) <= 5e-8
+            assert abs(got.n_q[0] - occupation[q, q].real) <= 5e-8
+            assert abs(got.m[0] - 0.5 * (anomalous[p, q] + anomalous[q, p])) <= 5e-8
 
 
 class TestNormalizationAnchors:
-    @pytest.mark.parametrize("omega", [0.0, -0.6, 0.6, 2.2])
-    def test_vacuum_input_gives_identity_covariance(self, omega):
+    def test_vacuum_input_gives_zero_port_moments(self):
         cfg = ArrayConfig(
             n_sites=2,
             eta=(1.0, 1.0),
@@ -205,19 +277,22 @@ class TestNormalizationAnchors:
             mbar=0.0,
             g=(0.0, 0.0),
         )
-        gamma = output_covariance(stationary_field(cfg), omega)
-        assert np.abs(gamma.sigma - np.eye(8)).max() <= 1e-12
+        omegas = [0.0, -0.6, 0.6, 2.2]
+        for pair in ((0, 2), (0, 3), (1, 2), (1, 3)):
+            moments = port_moments(cfg, pair, omegas)
+            assert max(np.abs(values).max() for values in moments) <= 1e-12
 
     def test_thermal_cavity_photon_spectrum_closed_form(self):
         kappa, zeta, nbar = 0.3, 0.8, 0.6
         cfg = ArrayConfig.homogeneous(1, kappa=kappa, zeta=zeta, nbar=nbar, mbar=0.0)
         occupation = zeta * nbar / (zeta + kappa)
         width = zeta + kappa
-        field = stationary_field(cfg)
-        for omega in (0.0, 0.45, 1.3):
-            found = quarters(assemble_output_correlations(field, omega))[2][0, 0]
-            lorentzian = 4.0 * kappa * width * occupation / (width**2 + omega**2)
-            assert found == pytest.approx(lorentzian, abs=1e-12)
+        omegas = np.array([0.0, 0.45, 1.3])
+        found = port_moments(cfg, (0, 1), omegas)
+        lorentzian = 4.0 * kappa * width * occupation / (width**2 + omegas**2)
+        assert np.abs(found.n_p - lorentzian).max() <= 1e-12
+        assert np.abs(found.n_q - lorentzian).max() <= 1e-12
+        assert np.abs(found.m).max() <= 1e-12
 
     def test_integrated_flux_matches_steady_occupation(self):
         # integral of the photon spectrum over omega / 2 pi must equal
@@ -226,20 +301,13 @@ class TestNormalizationAnchors:
         kappa, zeta, nbar = 0.3, 0.8, 0.6
         cfg = ArrayConfig.homogeneous(1, kappa=kappa, zeta=zeta, nbar=nbar, mbar=0.0)
         occupation = zeta * nbar / (zeta + kappa)
-        field = stationary_field(cfg)
+        moments = steady_state(cfg)
 
         def spectrum(omega: float) -> float:
-            return quarters(assemble_output_correlations(field, omega))[2][0, 0].real
+            return output_covariance(cfg, moments, (0, 1), np.array([omega])).n_p[0]
 
         flux, _ = quad(spectrum, -np.inf, np.inf)
         assert flux / (2.0 * np.pi) == pytest.approx(2.0 * kappa * occupation, abs=1e-9)
-
-    @pytest.mark.parametrize("omega", [0.0, 0.8, -1.7])
-    def test_output_commutator_identity(self, omega):
-        field = stationary_field(lossy_config())
-        plus = quarters(assemble_output_correlations(field, omega))
-        minus = quarters(assemble_output_correlations(field, -omega))
-        assert np.allclose(plus[1], minus[2].T + np.eye(4), atol=1e-11)
 
 
 class TestPairSpectra:
@@ -324,25 +392,43 @@ class TestPairSpectra:
             output_pair_spectrum(cfg, [0.0], pair=(0, 4))
         with pytest.raises(ConfigInvalid):
             output_pair_spectrum(cfg, [0.0], pair=(1, 1))
+        # the field has no within-array anomalous moments, so a same-array
+        # pair would be separable at every frequency
+        for pair in ((0, 1), (3, 2)):
+            with pytest.raises(ConfigInvalid, match="one port in each array"):
+                output_pair_spectrum(cfg, [0.0], pair=pair)
+            with pytest.raises(ConfigInvalid, match="one port in each array"):
+                peak_frequency(cfg, [0.0, 1.0], pair=pair)
         for omegas in ([np.nan], [0.0, np.inf], [-np.inf, 0.5], []):
             with pytest.raises(ConfigInvalid):
                 output_pair_spectrum(cfg, omegas)
             with pytest.raises(ConfigInvalid):
                 peak_frequency(cfg, omegas)
 
+    def test_either_port_order_gives_the_same_spectrum(self):
+        cfg = end_damped_config()
+        grid = np.linspace(-3.0, 3.0, 25)
+        forward = output_pair_spectrum(cfg, grid, pair=(2, 5))
+        backward = output_pair_spectrum(cfg, grid, pair=(5, 2))
+        assert backward.pair == (5, 2)
+        assert np.array_equal(backward.raw, forward.raw)
+        assert peak_frequency(cfg, grid, pair=(5, 2)) == peak_frequency(cfg, grid)
+
     def test_coupled_spins_are_rejected(self):
         cfg = ArrayConfig.homogeneous(
             1, kappa=0.1, zeta=1.0, nbar=0.5, mbar=0.5, g=0.1
         )
         with pytest.raises(ConfigInvalid):
-            stationary_field(cfg)
+            output_pair_spectrum(cfg, [0.0])
 
     def test_undamped_model_has_no_output(self):
         cfg = ArrayConfig.homogeneous(
             2, eta=1.0, kappa=0.0, zeta=0.0, nbar=0.5, mbar=0.5
         )
         with pytest.raises(NotHurwitz):
-            stationary_field(cfg)
+            steady_state(cfg)
+        with pytest.raises(ClosedPort):
+            output_pair_spectrum(cfg, [0.0])
 
 
 class TestSteadyStateReuse:
@@ -367,13 +453,16 @@ class TestSteadyStateReuse:
         peak_frequency(end_damped_config(), np.linspace(1.0, 1.8, 9))
         assert len(calls) == 1
 
-    def test_quadrature_map_is_built_once_per_field(self, monkeypatch):
-        built = []
+    def test_a_grid_is_one_port_moment_call(self, monkeypatch):
+        grids = []
 
-        def counting(n_modes):
-            built.append(n_modes)
-            return output_quadrature_map(n_modes)
+        def counting(cfg, moments, pair, omegas):
+            grids.append(len(omegas))
+            return output_covariance(cfg, moments, pair, omegas)
 
-        monkeypatch.setattr(entrep.output, "output_quadrature_map", counting)
+        monkeypatch.setattr(entrep.output, "output_covariance", counting)
         output_pair_spectrum(end_damped_config(), np.linspace(-2.5, 2.5, 21))
-        assert built == [6]
+        assert grids == [21]
+        grids.clear()
+        peak_frequency(end_damped_config(), np.linspace(1.0, 1.8, 9))
+        assert grids[0] == 9 and set(grids[1:]) == {1}

@@ -1,11 +1,19 @@
-"""The package's top-level names and the README quick start stay in step."""
+"""Names that the README and the benchmark tracer rely on stay in step with the package."""
 
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import entrep
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+# the tracer is loaded by file path, like make_golden.py in test_golden.py
+_spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
 
 
 def test_readme_quick_start_imports_are_exported():
@@ -16,3 +24,15 @@ def test_readme_quick_start_imports_are_exported():
     assert set(names) <= set(entrep.__all__)
     for name in entrep.__all__:
         assert hasattr(entrep, name), name
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_a_callable():
+    # a deleted name would otherwise fail only the benchmark's own suite
+    assert tracing.FUNCTIONS
+    missing = []
+    for qualified in tracing.FUNCTIONS:
+        module_name, func_name = qualified.split(".")
+        module = importlib.import_module(f"entrep.{module_name}")
+        if not callable(getattr(module, func_name, None)):
+            missing.append(qualified)
+    assert missing == []

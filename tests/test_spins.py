@@ -10,7 +10,7 @@ uncorrelated drive, and the Fock-truncated cavity+spin oracle.
 import numpy as np
 import pytest
 
-from entrep.arrays import ArrayConfig, ladder_drift
+from entrep.arrays import ArrayConfig, ladder_drift, steady_state
 from entrep.baselines import pair_amplitude, pure_pair_logneg, replicated_state
 from entrep.errors import (
     ConfigInvalid,
@@ -24,7 +24,6 @@ from entrep.liouville import (
     reduced_pair_dm,
     steady_state_dm,
 )
-from entrep.output import stationary_field
 from entrep.spins import (
     TruncationSpec,
     _array_charge,
@@ -323,7 +322,7 @@ class TestFockOracle:
         # must resolve that mode, not just the single-site marginals
         cfg = ArrayConfig.homogeneous(1, kappa=0.1, zeta=1.0, nbar=0.5, mbar=0.6)
         result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=10))
-        exact = stationary_field(cfg).moments
+        exact = steady_state(cfg).stacked()
         assert result.check_mode == "full"
         assert result.check_shift <= 1e-3
         assert result.spin_dm is None
@@ -331,7 +330,7 @@ class TestFockOracle:
 
     def test_truncation_error_shrinks_with_cutoff(self):
         cfg = ArrayConfig.homogeneous(1, kappa=0.1, zeta=1.0, nbar=0.5, mbar=0.6)
-        exact = stationary_field(cfg).moments
+        exact = steady_state(cfg).stacked()
         errors = []
         for n_max in (3, 6):
             result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=n_max, check="none"))
@@ -403,7 +402,7 @@ class TestSqueezedBasisOracle:
         # bare truncation at this cutoff is off by ~5e-2 for these
         # drive statistics; the frame change wins two orders of magnitude
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=1.2)
-        exact = stationary_field(cfg).moments
+        exact = steady_state(cfg).stacked()
         result = full_cavity_atom_oracle(
             cfg, TruncationSpec(n_max=6, check="none", basis="squeezed")
         )
@@ -413,7 +412,7 @@ class TestSqueezedBasisOracle:
         # a purely squeezed drive has zero frame occupation: the frame
         # vacuum is the exact steady state, whatever the cutoff
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=np.sqrt(2.0))
-        exact = stationary_field(cfg).moments
+        exact = steady_state(cfg).stacked()
         result = full_cavity_atom_oracle(
             cfg, TruncationSpec(n_max=4, check="none", basis="squeezed")
         )
