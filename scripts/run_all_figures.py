@@ -3,9 +3,9 @@
 
 Each experiment writes ``<outdir>/<name>.csv`` plus the matching
 ``.manifest``; rerunning with the same seed reproduces the files byte for
-byte.  The full set takes about 11 s on one core with one BLAS thread:
-fig3b (5.5 s), fig5a (2.0 s) and fig3c (1.9 s) dominate, and fig3a takes
-0.8 s.
+byte.  The full set takes about 9 s on one core with one BLAS thread:
+fig3b (5.5 s) and fig3c (2.1 s) dominate, fig3a takes 0.7 s and fig5a
+0.2 s.
 
 Usage:
     python3 scripts/run_all_figures.py --outdir figure_data --workers 2
