@@ -8,10 +8,15 @@ Every generator carries an integer U(1) charge per Hilbert basis state
 (all zeros unless the model supplies one) and must conserve it weakly:
 each entry maps the operator sector ``charge[i] - charge[j]`` to itself.
 A steady state lies in the charge-diagonal block ``charge[i] ==
-charge[j]``, so it comes from one sparse LU solve of that block alone,
-with its redundant first row replaced by the trace condition; the same
-factors certify that the steady state is unique before it is returned.
-An all-zero charge makes the block the whole space.
+charge[j]``.  Every generator here also maps Hermitian operators to
+Hermitian ones, so the block is solved in its real Hermitian basis
+(``rho_ii``, ``sqrt(2) Re rho_ij`` and ``sqrt(2) Im rho_ij`` for
+``i < j``), where the generator is a real matrix of the block's side.
+One sparse LU solve of that real matrix, with its redundant first row
+replaced by the trace condition, gives the steady state; the same
+factors certify that it is unique before it is returned.  An all-zero
+charge makes the block the whole space.  The U(1) block reduction is
+that of Buca and Prosen, New J. Phys. 14, 073007 (2012).
 
 Dissipator normalization: ``lindblad_dissipator(c, rate)`` encodes
 ``rate * (2 c rho c^dag - {c^dag c, rho})``, i.e. the rate multiplies the
@@ -221,48 +226,105 @@ def _condition_estimate(system: sp.csc_matrix, lu) -> float:
     return float(spla.norm(system, 1) * np.sqrt(growth))
 
 
+def _hermitian_basis(charge: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Unitary ``U`` from the block's real coordinates to ``vec(rho)``.
+
+    The block holds the pairs ``(i, j)`` with ``charge[i] == charge[j]``.
+    Walking its upper triangle ``i <= j`` in row-major order, each
+    diagonal pair adds the coordinate ``rho_ii`` and each ``i < j`` pair
+    adds ``sqrt(2) Re rho_ij`` and then ``sqrt(2) Im rho_ij``, so
+    coordinate 0 is ``rho_00``.  ``U`` has ``dim**2`` rows (zero off the
+    block) and one column per coordinate; ``U @ x`` is the Hermitian
+    ``vec(rho)`` with those coordinates.  Also returns the coordinates
+    of the diagonal entries.
+    """
+    dim = charge.size
+    i, j = np.nonzero(np.triu(np.equal.outer(charge, charge)))
+    diagonal = i == j
+    ends = np.cumsum(np.where(diagonal, 1, 2))
+    first = ends - np.where(diagonal, 1, 2)
+    off = ~diagonal
+    re_col, i_off, j_off = first[off], i[off], j[off]
+    upper_entry, lower_entry = i_off + j_off * dim, j_off + i_off * dim
+    half = np.sqrt(0.5)
+    rows = np.concatenate(
+        (i[diagonal] * (dim + 1), upper_entry, lower_entry, upper_entry, lower_entry)
+    )
+    cols = np.concatenate((first[diagonal], re_col, re_col, re_col + 1, re_col + 1))
+    values = np.concatenate(
+        (
+            np.ones(dim, complex),
+            np.full(2 * re_col.size, half, complex),
+            np.full(re_col.size, 1j * half),
+            np.full(re_col.size, -1j * half),
+        )
+    )
+    basis = sp.csr_matrix((values, (rows, cols)), shape=(dim * dim, int(ends[-1])))
+    return basis, first[diagonal]
+
+
 def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     """Unique unit-trace fixed point of a trace-preserving generator.
 
     The generator conserves its charge, so it maps the charge-diagonal
     block (the entries of ``vec(rho)`` with ``charge[i] == charge[j]``,
     which hold the whole diagonal) to itself, and the fixed point is
-    solved there.  Trace preservation makes the block's ``rho_00`` row
-    redundant, so that row is replaced by ``scale * vec(I)^T`` restricted
-    to the block and the system is solved by sparse LU with right-hand
-    side ``scale * e_0``; the solution is scattered back into a full
-    matrix, zero off the block.
+    solved there.  It also maps Hermitian operators to Hermitian ones, so
+    in the block's real Hermitian basis ``U`` (:func:`_hermitian_basis`)
+    it is the real matrix ``U^H L U`` of the block's side.  An imaginary
+    entry above ``_CHARGE_RTOL * scale`` means the generator does not
+    preserve Hermiticity and raises :class:`ConfigInvalid`.  Trace
+    preservation makes the ``rho_00`` row redundant, so that row is
+    replaced by ``scale`` on every diagonal coordinate and the real
+    system is solved by sparse LU with right-hand side ``scale * e_0``;
+    ``U`` maps the solution back to a full Hermitian matrix, zero off the
+    block.
 
     The same factors certify that the block kernel is one-dimensional: a
     singular factorization or a condition estimate of at least
     ``_CONDITION_LIMIT`` raises :class:`DegenerateSteadyState` rather than
-    silently picking a representative.  That certifies the full kernel
-    too.  Fixed points of a trace-preserving generator are spanned by
-    density matrices, so a second fixed point would give a second steady
-    state ``sigma``.  Its charge pinching ``sum_q P_q sigma P_q`` is also
-    stationary (it averages ``e^{i phi Q} sigma e^{-i phi Q}``, with which
-    the generator commutes) and lies in the block, so it equals the
-    block's unique state ``rho``.  A pinching never shrinks the support,
-    so every steady state lives on the support of ``rho``; there ``rho``
-    is faithful, and the steady states mirror the fixed-point algebra of
-    the adjoint generator, a finite-dimensional algebra on which the U(1)
-    action fixes only the multiples of the identity.  Such an ergodic
-    action of U(1) is trivial, so the algebra, and the kernel, is
-    one-dimensional: ``sigma = rho``.
+    silently picking a representative.  ``U`` is unitary and leaves the
+    ``rho_00`` row alone, so the real bordered system is a unitary
+    similarity of the complex bordered block and has its 2-norm
+    condition.  That certifies the full kernel too.  The real map is a
+    similarity on the Hermitian part of the block, and Hermitian fixed
+    points span the kernel (the Hermitian and anti-Hermitian parts of a
+    fixed point are fixed points), so a one-dimensional real kernel is a
+    one-dimensional block kernel.  Fixed points of a trace-preserving
+    generator are spanned by density matrices, so a second fixed point
+    would give a second steady state ``sigma``.  Its charge pinching
+    ``sum_q P_q sigma P_q`` is also stationary (it averages ``e^{i phi Q}
+    sigma e^{-i phi Q}``, with which the generator commutes) and lies in
+    the block, so it equals the block's unique state ``rho``.  A pinching
+    never shrinks the support, so every steady state lives on the support
+    of ``rho``; there ``rho`` is faithful, and the steady states mirror
+    the fixed-point algebra of the adjoint generator, a finite-dimensional
+    algebra on which the U(1) action fixes only the multiples of the
+    identity.  Such an ergodic action of U(1) is trivial, so the algebra,
+    and the kernel, is one-dimensional: ``sigma = rho``.
 
-    The result is Hermitized, normalized, and checked for residual
-    against the full generator and for positivity.
+    The result is normalized, and checked for residual against the full
+    generator and for positivity.
     """
     dim = liouvillian.dim
     scale = liouvillian.scale
     if not np.isfinite(scale):
         raise ConfigInvalid("generator has non-finite entries")
-    keep = np.flatnonzero(_operator_sectors(liouvillian.charge) == 0)
-    block = liouvillian.matrix[keep][:, keep]
-    diagonal = np.searchsorted(keep, np.arange(dim) * (dim + 1))
+    basis, diagonal = _hermitian_basis(liouvillian.charge)
+    # rows of U^H pick the block rows; off-block columns meet empty rows of U
+    block = ((basis.conj().T @ liouvillian.matrix) @ basis).tocsr()
+    imaginary = float(np.abs(block.data.imag).max()) if block.nnz else 0.0
+    if imaginary > _CHARGE_RTOL * scale:
+        raise ConfigInvalid(
+            f"generator does not preserve Hermiticity: imaginary entry "
+            f"{imaginary:.3e} in the real basis (above {_CHARGE_RTOL:.0e} * "
+            f"scale {scale:.3e})"
+        )
+    block = block.real
+    block.eliminate_zeros()
+    side = block.shape[0]
     trace_row = sp.csr_matrix(
-        (np.full(dim, scale), (np.zeros(dim, dtype=int), diagonal)),
-        shape=(1, keep.size),
+        (np.full(dim, scale), (np.zeros(dim, dtype=int), diagonal)), shape=(1, side)
     )
     system = sp.vstack([trace_row, block[1:]], format="csc")
     try:
@@ -277,12 +339,9 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
             f"condition estimate {condition:.3e} of the trace-bordered generator "
             f"is not below {_CONDITION_LIMIT:.0e}: kernel is not one-dimensional"
         )
-    rhs = np.zeros(keep.size, dtype=system.dtype)
+    rhs = np.zeros(side)
     rhs[0] = scale
-    solution = np.zeros(dim * dim, dtype=system.dtype)
-    solution[keep] = lu.solve(rhs)
-    rho = unvec(solution, dim)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = unvec(basis @ lu.solve(rhs), dim)
     trace = np.trace(rho).real
     if not abs(trace) > 1e-10:
         raise NoConvergence(f"steady-state trace {trace:.3e} is zero or not finite")

@@ -5,8 +5,8 @@ generators engineered to have a *known* unique fixed point (pure
 absorbing states, thermal qubits), plus degenerate and near-degenerate
 cases that must be refused.  A dense singular-value kernel extraction
 of the full generator, kept here only as a reference, checks the sparse
-LU solve of the charge-diagonal block on random generators and on the
-two-pair spin models.
+LU solve of the charge-diagonal block, in its real Hermitian basis, on
+random generators and on the two-pair spin models.
 """
 
 import math
@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -293,6 +294,31 @@ class TestSteadyState:
             steady_state_dm(qubit_decay((2, 2), {0: 1.0, 1: 1e-10}))
         rho = steady_state_dm(qubit_decay((2, 2), {0: 1.0, 1: 1e-6}))
         assert fidelity_pure(rho, np.eye(4)[0]) >= 1.0 - 1e-10
+
+    def test_non_hermiticity_preserving_generator_refused(self):
+        # rho -> -i H rho without its -rho H partner maps the Hermitian
+        # rho_00 to an imaginary multiple of itself
+        generator = lindblad_dissipator(QUBIT_LOWER, 1.0) + left_multiply(
+            -0.3j * np.diag([1.0, -1.0])
+        )
+        with pytest.raises(ConfigInvalid, match="does not preserve Hermiticity"):
+            steady_state_dm(Liouvillian(dim=2, matrix=generator))
+
+    def test_factored_system_is_real_and_block_sized(self, monkeypatch):
+        factored = []
+        splu = spla.splu
+
+        def spy(system, *args, **kwargs):
+            factored.append(system)
+            return splu(system, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spy)
+        liou = build_xx_liouvillian(2, 1.0, 0.5, 1.0, 1.2)
+        assert np.iscomplexobj(liou.matrix.data)
+        steady_state_dm(liou)
+        (system,) = factored
+        assert system.dtype == np.float64
+        assert system.shape == (70, 70)  # C(8, 4) charge-diagonal entries
 
     def test_non_finite_generator_refused(self):
         generator = lindblad_dissipator(QUBIT_LOWER, 1.0).tolil()
