@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from math import ceil, sqrt
+from math import ceil, comb, sqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -60,7 +60,18 @@ __all__ = [
     "full_cavity_atom_oracle",
 ]
 
-_MAX_XX_PAIRS = 5
+#: the largest spin model that has been solved: 4 pairs, whose
+#: charge-diagonal block has side C(16, 8) = 12,870
+_MAX_XX_PAIRS = 4
+
+
+def _block_side(n_pairs: int) -> int:
+    """Side of the charge-diagonal block of ``2 * n_pairs`` spins.
+
+    Pairs ``(i, j)`` of basis states with equal ``N_array1 - N_array2``
+    number ``sum_q C(2n, n + q)^2 = C(4n, 2n)``.
+    """
+    return comb(4 * n_pairs, 2 * n_pairs)
 
 
 def _check_spin_pairs(n_pairs: int) -> None:
@@ -69,14 +80,32 @@ def _check_spin_pairs(n_pairs: int) -> None:
         raise ConfigInvalid(f"need at least one spin pair, got {n_pairs}")
     if n_pairs > _MAX_XX_PAIRS:
         raise DimensionBudgetExceeded(
-            f"{2 * n_pairs} spins exceed the {2 * _MAX_XX_PAIRS}-spin budget"
+            f"{2 * n_pairs} spins exceed the {2 * _MAX_XX_PAIRS}-spin budget: their "
+            f"charge-diagonal block side {_block_side(n_pairs):,} is above "
+            f"{_block_side(_MAX_XX_PAIRS):,}"
         )
 
 
 def _lowering_ops(n_spins: int) -> list[sp.csr_matrix]:
-    """Lowering operator on each of ``n_spins`` qubits (site 0 leftmost)."""
-    dims = (2,) * n_spins
-    return [embed_operator({site: QUBIT_LOWER}, dims) for site in range(n_spins)]
+    """Lowering operator on each of ``n_spins`` qubits (site 0 leftmost).
+
+    Site ``s`` is excited in basis state ``b`` when bit ``n_spins - 1 - s``
+    of ``b`` is set; its lowering operator maps ``b | mask`` to ``b`` for
+    every ``b`` with that bit clear, so each row holds at most one 1.
+    """
+    dim = 1 << n_spins
+    states = np.arange(dim)
+    ops = []
+    for site in range(n_spins):
+        mask = 1 << (n_spins - 1 - site)
+        ground = (states & mask) == 0
+        indptr = np.concatenate(([0], np.cumsum(ground)))
+        ops.append(
+            sp.csr_matrix(
+                (np.ones(dim // 2), states[ground] | mask, indptr), shape=(dim, dim)
+            )
+        )
+    return ops
 
 
 def _array_charge(dims: tuple[int, ...], first_array_sites) -> np.ndarray:
@@ -211,28 +240,35 @@ def _spin_pair_superop(coeff_left, coeff_right, coeff_mid, sbar) -> sp.csr_matri
     """Assemble sum_{jk} of left/right/sandwich quadratic spin terms.
 
     ``coeff_left`` weights ``s_j s_k rho``, ``coeff_right`` weights
-    ``rho s_j s_k`` and ``coeff_mid`` weights ``s_j rho s_k``.
+    ``rho s_j s_k`` and ``coeff_mid`` weights ``s_j rho s_k``.  With the
+    operators flattened into the rows of ``F``, ``C @ F`` holds every
+    k-sum ``sum_k C_jk s_k`` at once.  The one-sided terms are then one
+    product ``[s_0 ... s_n] @ vstack_j(sum_k C_jk s_k)``, and the sandwich
+    ``sum_jk C_jk (s_k^T kron s_j)`` is one COO: the entries of ``F^T @
+    (C @ F)`` moved to their positions in the Kronecker product.
     """
     dim = sbar[0].shape[0]
-    q_left = sp.csr_matrix((dim, dim), dtype=complex)
-    q_right = sp.csr_matrix((dim, dim), dtype=complex)
-    total = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
-    for j, op_j in enumerate(sbar):
-        row_left = sp.csr_matrix((dim, dim), dtype=complex)
-        row_right = sp.csr_matrix((dim, dim), dtype=complex)
-        row_mid = sp.csr_matrix((dim, dim), dtype=complex)
-        for k, op_k in enumerate(sbar):
-            if coeff_left[j, k] != 0.0:
-                row_left = row_left + coeff_left[j, k] * op_k
-            if coeff_right[j, k] != 0.0:
-                row_right = row_right + coeff_right[j, k] * op_k
-            if coeff_mid[j, k] != 0.0:
-                row_mid = row_mid + coeff_mid[j, k] * op_k
-        q_left = q_left + op_j @ row_left
-        q_right = q_right + op_j @ row_right
-        if row_mid.nnz:
-            total = total + sp.kron(row_mid.T, op_j, format="csr")
-    total = total + left_multiply(q_left) + right_multiply(q_right)
+    n_ops = len(sbar)
+    flat = sp.vstack([op.reshape(1, dim * dim) for op in sbar], format="csr")
+    side_by_side = sp.hstack(sbar, format="csr")
+
+    def k_sums(coeff) -> sp.csr_matrix:
+        return sp.csr_matrix(np.asarray(coeff, complex)) @ flat
+
+    def one_sided(coeff) -> sp.csr_matrix:
+        return side_by_side @ k_sums(coeff).reshape(n_ops * dim, dim).tocsr()
+
+    # entry (a_r dim + a_c, b_r dim + b_c) of F^T (C F) is sum_jk C_jk
+    # s_j[a_r, a_c] s_k[b_r, b_c], which kron(s_k^T, s_j) puts at row
+    # b_c dim + a_r and column b_r dim + a_c
+    outer = (flat.T @ k_sums(coeff_mid)).tocoo()
+    a_r, a_c = np.divmod(outer.row, dim)
+    b_r, b_c = np.divmod(outer.col, dim)
+    total = sp.csr_matrix(
+        (outer.data, (b_c * dim + a_r, b_r * dim + a_c)), shape=(dim * dim, dim * dim)
+    )
+    total = total + left_multiply(one_sided(coeff_left))
+    total = total + right_multiply(one_sided(coeff_right))
     return total.tocsr()
 
 

@@ -9,7 +9,9 @@ uncorrelated drive, and the Fock-truncated cavity+spin oracle.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import entrep.spins
 from entrep.arrays import ArrayConfig, ladder_drift, steady_state
 from entrep.baselines import pair_amplitude, pure_pair_logneg, replicated_state
 from entrep.errors import (
@@ -19,15 +21,20 @@ from entrep.errors import (
     TruncationUnconverged,
 )
 from entrep.liouville import (
+    QUBIT_LOWER,
+    embed_operator,
     fidelity_pure,
+    left_multiply,
     logneg_qubits,
     reduced_pair_dm,
+    right_multiply,
     steady_state_dm,
 )
 from entrep.spins import (
     TruncationSpec,
     _array_charge,
     _fock_liouvillian,
+    _lowering_ops,
     _squeezed_frame,
     adiabaticity_ratio,
     build_effective_closed_form,
@@ -145,6 +152,141 @@ class TestXXChains:
                 build_xx_liouvillian(2, 1.0, 1.0, 1.0, mbar)
         with pytest.raises(DimensionBudgetExceeded):
             build_xx_liouvillian(6, 1.0, 0.5, 1.0, 0.0)
+
+    def test_four_pairs_replicate_the_drive(self):
+        # eight spins: the charge-diagonal block has side 12,870
+        nbar = 1.0
+        rho = steady_state_dm(build_xx_liouvillian(4, 1.0, 0.5, nbar, pure_drive(nbar)))
+        assert 1.0 - fidelity_pure(rho, replicated_state(nbar, 4)) <= 1e-8
+        expected = pure_pair_logneg(pair_amplitude(nbar))
+        for j in range(4):
+            value = logneg_qubits(reduced_pair_dm(rho, j, 4 + j, 8))
+            assert value == pytest.approx(expected, abs=1e-8)
+
+
+class TestSpinBudget:
+    """Five pairs (block side 184,756) are refused before any assembly."""
+
+    @pytest.fixture
+    def no_assembly(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembly started")
+
+        for name in ("_lowering_ops", "ladder_drift", "steady_state"):
+            monkeypatch.setattr(entrep.spins, name, refuse)
+
+    def test_xx_chain(self, no_assembly):
+        with pytest.raises(DimensionBudgetExceeded, match="block side 184,756"):
+            build_xx_liouvillian(5, 1.0, 0.5, 1.0, 0.0)
+
+    def test_effective_model(self, no_assembly):
+        with pytest.raises(DimensionBudgetExceeded, match="block side 184,756"):
+            build_effective_general(reduced_config(5, nbar=0.5, mbar=0.5))
+
+    def test_cli_run_exits_2(self, no_assembly, tmp_path, capsys):
+        from entrep.cli import main
+
+        out = tmp_path / "fig3c.csv"
+        code = main(
+            ["run", "--experiment", "fig3c", "--set", "n_sites=5", "--out", str(out)]
+        )
+        assert code == 2
+        assert "block side 184,756" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def kron_lowering_ops(n_spins: int) -> list[sp.csr_matrix]:
+    """Lowering operators as Kronecker chains; reference for ``_lowering_ops``."""
+    dims = (2,) * n_spins
+    return [embed_operator({site: QUBIT_LOWER}, dims) for site in range(n_spins)]
+
+
+def loop_spin_pair_superop(coeff_left, coeff_right, coeff_mid, sbar) -> sp.csr_matrix:
+    """The quadratic spin terms as a double loop of sparse additions.
+
+    Reference for ``_spin_pair_superop``: ``coeff_left`` weights ``s_j
+    s_k rho``, ``coeff_right`` ``rho s_j s_k`` and ``coeff_mid`` ``s_j rho
+    s_k``; the sandwich is ``sum_j kron((sum_k C_jk s_k)^T, s_j)``.
+    """
+    dim = sbar[0].shape[0]
+    q_left = sp.csr_matrix((dim, dim), dtype=complex)
+    q_right = sp.csr_matrix((dim, dim), dtype=complex)
+    total = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
+    for j, op_j in enumerate(sbar):
+        row_left = sp.csr_matrix((dim, dim), dtype=complex)
+        row_right = sp.csr_matrix((dim, dim), dtype=complex)
+        row_mid = sp.csr_matrix((dim, dim), dtype=complex)
+        for k, op_k in enumerate(sbar):
+            if coeff_left[j, k] != 0.0:
+                row_left = row_left + coeff_left[j, k] * op_k
+            if coeff_right[j, k] != 0.0:
+                row_right = row_right + coeff_right[j, k] * op_k
+            if coeff_mid[j, k] != 0.0:
+                row_mid = row_mid + coeff_mid[j, k] * op_k
+        q_left = q_left + op_j @ row_left
+        q_right = q_right + op_j @ row_right
+        if row_mid.nnz:
+            total = total + sp.kron(row_mid.T, op_j, format="csr")
+    total = total + left_multiply(q_left) + right_multiply(q_right)
+    return total.tocsr()
+
+
+def assert_same_csr(got, want):
+    got, want = got.tocsr(), want.tocsr()
+    got.sort_indices()
+    want.sort_indices()
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+class TestAssemblyMatchesReferences:
+    """The loop-free builders give the reference generators bit for bit."""
+
+    @pytest.mark.parametrize("n_spins", range(1, 9))
+    def test_lowering_ops(self, n_spins):
+        for got, want in zip(_lowering_ops(n_spins), kron_lowering_ops(n_spins), strict=True):
+            assert_same_csr(got, want)
+
+    @pytest.fixture
+    def reference_assembly(self, monkeypatch):
+        def build(builder):
+            fast = builder().matrix
+            with monkeypatch.context() as patch:
+                patch.setattr(entrep.spins, "_lowering_ops", kron_lowering_ops)
+                patch.setattr(entrep.spins, "_spin_pair_superop", loop_spin_pair_superop)
+                reference = builder().matrix
+            return fast, reference
+
+        return build
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_xx_generator(self, n_pairs, reference_assembly):
+        fast, reference = reference_assembly(
+            lambda: build_xx_liouvillian(n_pairs, (0.9, 1.3)[: n_pairs - 1], 0.5, 0.8, 0.7)
+        )
+        assert_same_csr(fast, reference)
+
+    @pytest.mark.filterwarnings("ignore:timescale-separation")
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_effective_generator(self, n_pairs, reference_assembly):
+        cfg = ArrayConfig.homogeneous(
+            n_pairs, eta=0.8, kappa=0.1, zeta=1.3, nbar=0.9, mbar=1.1, g=0.03
+        )
+        fast, reference = reference_assembly(
+            lambda: build_effective_general(cfg).liouvillian
+        )
+        assert_same_csr(fast, reference)
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_closed_form_generator(self, n_pairs, reference_assembly):
+        fast, reference = reference_assembly(
+            lambda: build_effective_closed_form(
+                n_pairs, eta=0.8, zeta=1.3, g=0.03, nbar=0.9, mbar=1.1
+            ).liouvillian
+        )
+        assert_same_csr(fast, reference)
 
 
 def reduced_config(n_sites, *, nbar, mbar, g=0.02, eta=1.0, zeta=1.0, kappa=0.0):
