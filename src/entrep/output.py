@@ -59,15 +59,16 @@ def output_quadrature_map(n_modes: int) -> np.ndarray:
     """4N x 4N map from stacked ladder indices to per-mode quadrature rows.
 
     Row ``2m`` collects ``a_m + adag_m`` and row ``2m + 1`` collects
-    ``i (a_m - adag_m)``.  The port moments never need it: the 4N output
+    ``-i (a_m - adag_m)``: ``sqrt(2)`` times ``x_m`` and ``p_m`` in the
+    package's convention ``p = (a - adag) / (i sqrt(2))``.  The port moments never need it: the 4N output
     oracle in ``tests/quadrature_oracle.py`` rotates its stacked spectra
     with it, and the benchmark tracer times it by name.
     """
     m = np.arange(n_modes)
     theta = np.zeros((2 * n_modes, 2 * n_modes), complex)
     theta[2 * m, m] = theta[2 * m, n_modes + m] = 1.0
-    theta.imag[2 * m + 1, m] = 1.0
-    theta.imag[2 * m + 1, n_modes + m] = -1.0
+    theta.imag[2 * m + 1, m] = -1.0
+    theta.imag[2 * m + 1, n_modes + m] = 1.0
     return theta
 
 

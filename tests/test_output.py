@@ -125,7 +125,7 @@ def kronecker_quadrature_map(n_modes: int) -> np.ndarray:
             theta[j - 1, k - 1] = (
                 (j == 2 * k - 1)
                 + (j == 2 * k - size - 1)
-                + 1j * ((j == 2 * k) - (j == 2 * k - size))
+                - 1j * ((j == 2 * k) - (j == 2 * k - size))
             )
     return theta
 
@@ -139,16 +139,16 @@ class TestQuadratureMap:
 
     def test_single_mode(self):
         assert np.allclose(
-            output_quadrature_map(1), np.array([[1.0, 1.0], [1.0j, -1.0j]])
+            output_quadrature_map(1), np.array([[1.0, 1.0], [-1.0j, 1.0j]])
         )
 
     def test_two_modes(self):
         expected = np.array(
             [
                 [1.0, 0.0, 1.0, 0.0],
-                [1.0j, 0.0, -1.0j, 0.0],
+                [-1.0j, 0.0, 1.0j, 0.0],
                 [0.0, 1.0, 0.0, 1.0],
-                [0.0, 1.0j, 0.0, -1.0j],
+                [0.0, -1.0j, 0.0, 1.0j],
             ]
         )
         assert np.allclose(output_quadrature_map(2), expected)
@@ -216,6 +216,21 @@ class TestStackedResolventOracle:
         plus = quarters(oracle.output_correlations(lossy_config(), omega))
         minus = quarters(oracle.output_correlations(lossy_config(), -omega))
         assert np.allclose(plus[1], minus[2].T + np.eye(4), atol=1e-11)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])  # configs with an imaginary m
+    def test_oracle_covariance_reads_back_the_port_moments(self, seed):
+        # the covariance's p rows follow p = (a - adag) / (i sqrt(2)), so
+        # reading it back gives the cross-moment m, not its conjugate
+        cfg, (p, q) = random_config(seed)
+        n = cfg.n_modes
+        omegas = [0.0, 0.9, -1.6]
+        moments = port_moments(cfg, (p, q), omegas)
+        assert np.abs(moments.m.imag).max() > 1e-3  # m and conj(m) differ
+        for k, omega in enumerate(omegas):
+            stacked = oracle.ladder_correlations_from_cm(oracle.output_covariance(cfg, omega))
+            assert abs(stacked[p, q] - moments.m[k]) <= 1e-12
+            assert abs(stacked[n + p, p] - moments.n_p[k]) <= 1e-12
+            assert abs(stacked[n + q, q] - moments.n_q[k]) <= 1e-12
 
     def test_oracle_vacuum_input_gives_identity_covariance(self):
         cfg = replace(lossy_config(), nbar=0.0, mbar=0.0)
