@@ -241,8 +241,9 @@ def _hermitian_basis(charge: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     dim = charge.size
     i, j = np.nonzero(np.triu(np.equal.outer(charge, charge)))
     diagonal = i == j
-    ends = np.cumsum(np.where(diagonal, 1, 2))
-    first = ends - np.where(diagonal, 1, 2)
+    width = np.where(diagonal, 1, 2)
+    ends = np.cumsum(width)
+    first = ends - width
     off = ~diagonal
     re_col, i_off, j_off = first[off], i[off], j[off]
     upper_entry, lower_entry = i_off + j_off * dim, j_off + i_off * dim

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 import entrep.spins
 from entrep.arrays import ArrayConfig, ladder_drift, steady_state
 from entrep.baselines import pair_amplitude, pure_pair_logneg, replicated_state
+from entrep.cli import main
 from entrep.errors import (
     ConfigInvalid,
     DimensionBudgetExceeded,
@@ -184,8 +185,6 @@ class TestSpinBudget:
             build_effective_general(reduced_config(5, nbar=0.5, mbar=0.5))
 
     def test_cli_run_exits_2(self, no_assembly, tmp_path, capsys):
-        from entrep.cli import main
-
         out = tmp_path / "fig3c.csv"
         code = main(
             ["run", "--experiment", "fig3c", "--set", "n_sites=5", "--out", str(out)]
