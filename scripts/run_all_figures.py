@@ -3,9 +3,9 @@
 
 Each experiment writes ``<outdir>/<name>.csv`` plus the matching
 ``.manifest``; rerunning with the same seed reproduces the files byte for
-byte.  The full set takes about 9 s on one core with one BLAS thread:
-fig3b (5.5 s) and fig3c (2.1 s) dominate, fig3a takes 0.7 s and fig5a
-0.2 s.
+byte.  The full set takes about 5.5 s on one core with one BLAS thread:
+fig3b (3.4 s) dominates, fig3a and fig3c take 0.9 s each and fig5a
+0.1 s.
 
 Usage:
     python3 scripts/run_all_figures.py --outdir figure_data --workers 2
