@@ -238,12 +238,11 @@ def ladder_drift(cfg: ArrayConfig) -> np.ndarray:
             "the Gaussian cavity branch requires all atom couplings g = 0; "
             "use the spin-dynamics layer for g > 0"
         )
-    n = cfg.n_sites
-    ladder = np.zeros((2 * n, 2 * n), dtype=complex)
-    for bond in range(n - 1):
-        for offset, rate in ((0, cfg.eta[bond]), (n, cfg.eta[n - 1 + bond])):
-            a, b = offset + bond, offset + bond + 1
-            ladder[a, b] = ladder[b, a] = -1j * rate
+    # the first superdiagonal holds array one's bonds, a zero across the
+    # seam between the arrays and array two's bonds
+    seam = cfg.n_sites - 1
+    hops = -1j * np.array(cfg.eta[:seam] + (0.0,) + cfg.eta[seam:])
+    ladder = np.diag(hops, 1) + np.diag(hops, -1)
     ladder -= np.diag(np.asarray(cfg.kappa, dtype=float))
     for j in cfg.driven_modes:
         ladder[j, j] -= cfg.zeta

@@ -18,9 +18,10 @@ factors certify that it is unique before it is returned.  An all-zero
 charge makes the block the whole space.  The U(1) block reduction is
 that of Buca and Prosen, New J. Phys. 14, 073007 (2012).
 
-Dissipator normalization: ``lindblad_dissipator(c, rate)`` encodes
-``rate * (2 c rho c^dag - {c^dag c, rho})``, i.e. the rate multiplies the
-doubled bracket, matching the decay convention d<a>/dt = -rate * <a>.
+Every generator is assembled by one routine, :func:`quadratic_superop`,
+for a master equation quadratic in one list of operators;
+:func:`gksl_superop` is its GKSL front (Gorini, Kossakowski and
+Sudarshan, J. Math. Phys. 17, 821 (1976)).
 """
 
 from __future__ import annotations
@@ -43,18 +44,16 @@ from .errors import (
 __all__ = [
     "Liouvillian",
     "QUBIT_LOWER",
-    "QUBIT_RAISE",
     "destroy",
     "embed_operator",
     "fidelity_pure",
-    "hamiltonian_superop",
+    "gksl_superop",
     "left_multiply",
-    "lindblad_dissipator",
     "logneg_qubits",
     "partial_trace",
+    "quadratic_superop",
     "reduced_pair_dm",
     "right_multiply",
-    "sandwich",
     "steady_state_dm",
     "unvec",
     "vec",
@@ -62,9 +61,6 @@ __all__ = [
 
 #: lowering operator in the (ground, excited) qubit basis
 QUBIT_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
-QUBIT_RAISE = QUBIT_LOWER.T.copy()
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -93,26 +89,60 @@ def right_multiply(op) -> sp.csr_matrix:
     return sp.kron(mat.T, sp.identity(mat.shape[0], format="csr"), format="csr")
 
 
-def sandwich(left_op, right_op) -> sp.csr_matrix:
-    """Superoperator of ``rho -> left_op @ rho @ right_op``."""
-    return sp.kron(_csr(right_op).T, _csr(left_op), format="csr")
+def quadratic_superop(ops, left, right, mid) -> sp.csr_matrix:
+    """Superoperator quadratic in the operators ``ops = [o_1, ..., o_n]``.
 
+    ``left`` weights ``o_j o_k rho``, ``right`` weights ``rho o_j o_k``
+    and ``mid`` weights ``o_j rho o_k`` (each an ``n x n`` coefficient
+    matrix, summed over ``j, k``).  With the operators flattened into the
+    rows of ``F``, ``C @ F`` holds every k-sum ``sum_k C_jk o_k`` at once.
+    The one-sided terms are then one product ``[o_1 ... o_n] @
+    vstack_j(sum_k C_jk o_k)``, and the two-sided term ``sum_jk C_jk
+    (o_k^T kron o_j)`` is one COO: the entries of ``F^T @ (C @ F)`` moved to
+    their positions in the Kronecker product.
+    """
+    ops = [_csr(op) for op in ops]
+    dim = ops[0].shape[0]
+    n_ops = len(ops)
+    flat = sp.vstack([op.reshape(1, dim * dim) for op in ops], format="csr")
+    side_by_side = sp.hstack(ops, format="csr")
 
-def hamiltonian_superop(hamiltonian) -> sp.csr_matrix:
-    """Superoperator of ``rho -> -i [H, rho]``."""
-    mat = _csr(hamiltonian)
-    eye = sp.identity(mat.shape[0], format="csr")
-    return -1j * (sp.kron(eye, mat, format="csr") - sp.kron(mat.T, eye, format="csr"))
+    def k_sums(coeff) -> sp.csr_matrix:
+        return sp.csr_matrix(np.asarray(coeff, complex)) @ flat
 
+    def one_sided(coeff) -> sp.csr_matrix:
+        return side_by_side @ k_sums(coeff).reshape(n_ops * dim, dim).tocsr()
 
-def lindblad_dissipator(c_op, rate: float = 1.0) -> sp.csr_matrix:
-    """``rate * (2 c rho c^dag - c^dag c rho - rho c^dag c)`` as a superoperator."""
-    c = _csr(c_op)
-    cdag = c.conjugate().T.tocsr()
-    cdag_c = (cdag @ c).tocsr()
-    return rate * (
-        2.0 * sandwich(c, cdag) - left_multiply(cdag_c) - right_multiply(cdag_c)
+    # entry (a_r dim + a_c, b_r dim + b_c) of F^T (C F) is sum_jk C_jk
+    # o_j[a_r, a_c] o_k[b_r, b_c], which kron(o_k^T, o_j) puts at row
+    # b_c dim + a_r and column b_r dim + a_c
+    outer = (flat.T @ k_sums(mid)).tocoo()
+    a_r, a_c = np.divmod(outer.row, dim)
+    b_r, b_c = np.divmod(outer.col, dim)
+    total = sp.csr_matrix(
+        (outer.data, (b_c * dim + a_r, b_r * dim + a_c)), shape=(dim * dim, dim * dim)
     )
+    total = total + left_multiply(one_sided(left))
+    total = total + right_multiply(one_sided(right))
+    return total.tocsr()
+
+
+def gksl_superop(ops, h, e) -> sp.csr_matrix:
+    """GKSL generator quadratic in the operators ``ops``.
+
+    Superoperator of ``rho -> -i [H, rho] + sum_jk e_jk (2 o_j rho o_k -
+    {o_k o_j, rho})`` with ``H = sum_jk h_jk o_j o_k``.  A jump ``c`` at
+    ``rate`` is ``e[c, c^dag] = rate``, and a correlated drive ``x (c_1
+    rho c_2 + c_2 rho c_1 - {c_1 c_2, rho})`` of commuting ``c_1, c_2``
+    is ``e[c_1, c_2] = e[c_2, c_1] = x / 2``.
+
+    Dissipator normalization: the jump ``c`` at ``rate`` encodes ``rate *
+    (2 c rho c^dag - {c^dag c, rho})``, i.e. the rate multiplies the
+    doubled bracket, matching the decay convention d<a>/dt = -rate * <a>.
+    """
+    h = np.asarray(h)
+    e = np.asarray(e)
+    return quadratic_superop(ops, -1j * h - e.T, 1j * h - e.T, 2.0 * e)
 
 
 def destroy(n_levels: int) -> np.ndarray:

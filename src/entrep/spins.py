@@ -14,6 +14,14 @@ so they can cross-check each other:
 * :func:`full_cavity_atom_oracle` — brute-force Fock-truncated solve of
   the joint cavity+spin master equation (small systems only).
 
+Each route is a master equation quadratic in one stacked list of site
+operators, and each is assembled by one routine: the builders fill small
+coefficient matrices over their operators, a Hamiltonian matrix ``h``
+and a jump matrix ``e``, for :func:`entrep.liouville.gksl_superop`, and
+the general reduction hands its kernels straight to the assembler under
+it, :func:`entrep.liouville.quadratic_superop`.  The squeezed reservoir
+on the two driven end sites is one block of ``e`` (:func:`_end_drive`).
+
 Index layout matches :mod:`entrep.arrays`: sites ``0..N-1`` are the first
 array, ``N..2N-1`` the second, and the driven pair is ``(0, N)``.
 """
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from math import ceil, comb, sqrt
+from math import ceil, comb, prod, sqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -36,12 +44,9 @@ from .liouville import (
     QUBIT_LOWER,
     destroy,
     embed_operator,
-    hamiltonian_superop,
-    left_multiply,
-    lindblad_dissipator,
+    gksl_superop,
     partial_trace,
-    right_multiply,
-    sandwich,
+    quadratic_superop,
     steady_state_dm,
 )
 
@@ -123,41 +128,28 @@ def _array_charge(dims: tuple[int, ...], first_array_sites) -> np.ndarray:
     return charge.reshape(-1)
 
 
-def _correlated_drive(c_1, c_2, rate: float) -> sp.csr_matrix:
-    """Two-site correlated dissipative term.
+def _stacked_spin_ops(n_pairs: int) -> list[sp.csr_matrix]:
+    """The 4N stacked spin operators: raising ops first, then lowering."""
+    lowering = _lowering_ops(2 * n_pairs)
+    raising = [op.conjugate().T.tocsr() for op in lowering]
+    return raising + lowering
 
-    Superoperator of ``rate * (c1 rho c2 + c2 rho c1 - c1 c2 rho
-    - rho c1 c2 + h.c.)`` for commuting ``c1``, ``c2``.
+
+def _end_drive(e: np.ndarray, low, rise, rate: float, nbar: float, mbar: float) -> None:
+    """Add the correlated reservoir on two end sites to the jump matrix ``e``.
+
+    ``low`` and ``rise`` hold the indices of the two sites' lowering
+    operators ``c_1, c_2`` and of their raising partners in the operator
+    list of :func:`entrep.liouville.gksl_superop`.  Each site decays at
+    ``rate (nbar + 1)`` and is pumped at ``rate nbar``; the correlated
+    term ``2 rate mbar (c_1 rho c_2 + c_2 rho c_1 - {c_1 c_2, rho}) + h.c.``
+    sits on ``e[low_1, low_2]``, ``e[rise_1, rise_2]`` and their mirrors.
     """
-    prod = (c_1 @ c_2).tocsr()
-    half = (
-        sandwich(c_1, c_2)
-        + sandwich(c_2, c_1)
-        - left_multiply(prod)
-        - right_multiply(prod)
-    )
-    c1d = c_1.conjugate().T.tocsr()
-    c2d = c_2.conjugate().T.tocsr()
-    prod_d = (c1d @ c2d).tocsr()
-    half_dag = (
-        sandwich(c2d, c1d)
-        + sandwich(c1d, c2d)
-        - left_multiply(prod_d)
-        - right_multiply(prod_d)
-    )
-    return rate * (half + half_dag)
-
-
-def _thermal_end_drive(ops, first: int, second: int, rate: float, nbar: float, mbar: float,
-                       cross_sign: float) -> sp.csr_matrix:
-    """Thermal + correlated drive acting on the two end sites of a pair."""
-    total = None
-    for site in (first, second):
-        term = lindblad_dissipator(ops[site], rate * (nbar + 1.0))
-        term = term + lindblad_dissipator(ops[site].conjugate().T.tocsr(), rate * nbar)
-        total = term if total is None else total + term
-    total = total + _correlated_drive(ops[first], ops[second], cross_sign * 2.0 * rate * mbar)
-    return total
+    low, rise = np.asarray(low), np.asarray(rise)
+    e[low, rise] += rate * (nbar + 1.0)
+    e[rise, low] += rate * nbar
+    e[low, low[::-1]] += rate * mbar
+    e[rise, rise[::-1]] += rate * mbar
 
 
 def build_xx_liouvillian(
@@ -180,6 +172,10 @@ def build_xx_liouvillian(
     state returned by :func:`entrep.baselines.replicated_state`; the
     opposite phase is unitarily equivalent (redefine ``sigma -> -sigma``
     on one array) and pins the partner state with flipped pair phases.
+
+    The operators are the stacked spin operators (raising, then
+    lowering); ``h`` holds each array's bonds between a raising and a
+    lowering operator, and ``e`` the end drive.
     """
     _check_spin_pairs(n_pairs)
     try:
@@ -197,21 +193,17 @@ def build_xx_liouvillian(
         raise ConfigInvalid(f"couplings must be finite, got {coupling!r}")
 
     n_spins = 2 * n_pairs
-    ops = _lowering_ops(n_spins)
-    dim = 2**n_spins
-    hamiltonian = sp.csr_matrix((dim, dim), dtype=complex)
-    for array_offset in (0, n_pairs):
-        for bond, strength in enumerate(couplings):
-            lo = ops[array_offset + bond]
-            hi = ops[array_offset + bond + 1]
-            hop = (lo.conjugate().T @ hi).tocsr()
-            hamiltonian = hamiltonian + strength * (hop + hop.conjugate().T)
-    generator = hamiltonian_superop(hamiltonian)
-    generator = generator + _thermal_end_drive(
-        ops, 0, n_pairs, gamma, nbar, mbar, cross_sign=-1.0
-    )
+    # H = sum_jk h[j, k] s_j^+ s_k^-: raising ops are rows 0..n_spins-1
+    # of the stacked list, lowering ops the next n_spins
+    chain = np.diag(couplings, 1) + np.diag(couplings, -1)
+    h = np.zeros((2 * n_spins, 2 * n_spins))
+    h[:n_spins, n_spins:] = sla.block_diag(chain, chain)
+    e = np.zeros_like(h)
+    ends = np.array([0, n_pairs])
+    _end_drive(e, ends + n_spins, ends, gamma, nbar, -mbar)
+    generator = gksl_superop(_stacked_spin_ops(n_pairs), h, e)
     charge = _array_charge((2,) * n_spins, range(n_pairs))
-    return Liouvillian(dim=dim, matrix=generator.tocsr(), charge=charge)
+    return Liouvillian(dim=2**n_spins, matrix=generator, charge=charge)
 
 
 # ---------------------------------------------------------------------------
@@ -234,62 +226,6 @@ class EffectiveSpinModel:
     kernel_reversed: np.ndarray
     drift: np.ndarray
     moments: np.ndarray
-
-
-def _spin_pair_superop(coeff_left, coeff_right, coeff_mid, sbar) -> sp.csr_matrix:
-    """Assemble sum_{jk} of left/right/sandwich quadratic spin terms.
-
-    ``coeff_left`` weights ``s_j s_k rho``, ``coeff_right`` weights
-    ``rho s_j s_k`` and ``coeff_mid`` weights ``s_j rho s_k``.  With the
-    operators flattened into the rows of ``F``, ``C @ F`` holds every
-    k-sum ``sum_k C_jk s_k`` at once.  The one-sided terms are then one
-    product ``[s_0 ... s_n] @ vstack_j(sum_k C_jk s_k)``, and the sandwich
-    ``sum_jk C_jk (s_k^T kron s_j)`` is one COO: the entries of ``F^T @
-    (C @ F)`` moved to their positions in the Kronecker product.
-    """
-    dim = sbar[0].shape[0]
-    n_ops = len(sbar)
-    flat = sp.vstack([op.reshape(1, dim * dim) for op in sbar], format="csr")
-    side_by_side = sp.hstack(sbar, format="csr")
-
-    def k_sums(coeff) -> sp.csr_matrix:
-        return sp.csr_matrix(np.asarray(coeff, complex)) @ flat
-
-    def one_sided(coeff) -> sp.csr_matrix:
-        return side_by_side @ k_sums(coeff).reshape(n_ops * dim, dim).tocsr()
-
-    # entry (a_r dim + a_c, b_r dim + b_c) of F^T (C F) is sum_jk C_jk
-    # s_j[a_r, a_c] s_k[b_r, b_c], which kron(s_k^T, s_j) puts at row
-    # b_c dim + a_r and column b_r dim + a_c
-    outer = (flat.T @ k_sums(coeff_mid)).tocoo()
-    a_r, a_c = np.divmod(outer.row, dim)
-    b_r, b_c = np.divmod(outer.col, dim)
-    total = sp.csr_matrix(
-        (outer.data, (b_c * dim + a_r, b_r * dim + a_c)), shape=(dim * dim, dim * dim)
-    )
-    total = total + left_multiply(one_sided(coeff_left))
-    total = total + right_multiply(one_sided(coeff_right))
-    return total.tocsr()
-
-
-def _stacked_spin_ops(n_pairs: int) -> list[sp.csr_matrix]:
-    """The 4N stacked spin operators: raising ops first, then lowering."""
-    lowering = _lowering_ops(2 * n_pairs)
-    raising = [op.conjugate().T.tocsr() for op in lowering]
-    return raising + lowering
-
-
-def _effective_from_kernels(
-    kernel: np.ndarray, kernel_reversed: np.ndarray, n_pairs: int
-) -> sp.csr_matrix:
-    """Spin generator from the two quadratic kernels.
-
-    The reduction gives ``drho = sum_jk [ T_jk sbar_j sbar_k rho
-    + (Tbar^T)_jk rho sbar_j sbar_k - (T^T + Tbar)_jk sbar_j rho sbar_k ]``.
-    """
-    sbar = _stacked_spin_ops(n_pairs)
-    coeff_mid = -(kernel.T + kernel_reversed)
-    return _spin_pair_superop(kernel, kernel_reversed.T, coeff_mid, sbar)
 
 
 def _homogeneous_coupling(cfg: ArrayConfig) -> float:
@@ -323,8 +259,10 @@ def build_effective_general(cfg: ArrayConfig) -> EffectiveSpinModel:
     The field sector (``cfg`` with couplings removed) supplies the exact
     drift ``M = diag(L, conj L)`` and steady stacked moments ``A0``; the
     memory kernels follow by integrating the field correlations,
-    ``kernel = g^2 M^{-1} A0`` and ``kernel_reversed = g^2 M^{-1} A0^T``.
-    Emits a warning when the timescale-separation ratio exceeds 0.1.
+    ``kernel = g^2 M^{-1} A0`` and ``kernel_reversed = g^2 M^{-1} A0^T``,
+    which are the coefficients of :func:`entrep.liouville.quadratic_superop`
+    over the stacked spin operators.  Emits a warning when the
+    timescale-separation ratio exceeds 0.1.
     """
     n_pairs = cfg.n_sites
     _check_spin_pairs(n_pairs)
@@ -342,7 +280,14 @@ def build_effective_general(cfg: ArrayConfig) -> EffectiveSpinModel:
     moments = steady_state(field_cfg).stacked()
     kernel = g**2 * np.linalg.solve(drift, moments)
     kernel_reversed = g**2 * np.linalg.solve(drift, moments.T)
-    generator = _effective_from_kernels(kernel, kernel_reversed, n_pairs)
+    # drho = sum_jk [T_jk s_j s_k rho + (Tbar^T)_jk rho s_j s_k
+    #                - (T^T + Tbar)_jk s_j rho s_k]
+    generator = quadratic_superop(
+        _stacked_spin_ops(n_pairs),
+        kernel,
+        kernel_reversed.T,
+        -(kernel.T + kernel_reversed),
+    )
     return EffectiveSpinModel(
         liouvillian=Liouvillian(
             dim=4**n_pairs,
@@ -472,20 +417,28 @@ def build_effective_closed_form(
     coupling ``g`` and no local mode losses.  Equivalent to
     :func:`build_effective_general` on the matching config whenever the
     pattern identity ``g^2 inv(field drift) = i J X - gamma Y`` holds;
-    tests pin that equivalence to near machine precision.
+    tests pin that equivalence to near machine precision.  The GKSL
+    coefficients over the stacked spin operators are ``h = J X_big`` and
+    ``e = gamma Y_big^T``.  ``eta``, ``zeta`` and ``g`` must be finite and
+    positive, and a damping rate that underflows to zero is refused.
     """
     _check_spin_pairs(n_pairs)
-    if zeta <= 0.0 or g <= 0.0 or (n_pairs > 1 and eta <= 0.0):
-        raise ConfigInvalid("need positive zeta, g and (for chains) eta")
+    if not all(0.0 < value < np.inf for value in (eta, zeta, g)):
+        raise ConfigInvalid(
+            f"need finite positive eta, zeta and g, got eta={eta}, zeta={zeta}, g={g}"
+        )
     check_drive(nbar, mbar)
     hopping_rate, damping_rate = closed_form_rates(n_pairs, eta, zeta, g)
+    if not (0.0 < damping_rate < np.inf and hopping_rate < np.inf):
+        raise ConfigInvalid(
+            f"closed-form rates J={hopping_rate} and gamma={damping_rate} must be "
+            "finite with gamma > 0"
+        )
     ratio = hopping_rate / damping_rate if n_pairs > 1 else 0.0
     x_big, y_big, pats = _closed_form_blocks(n_pairs, nbar, mbar, ratio)
-    coeff_left = -damping_rate * y_big - 1j * hopping_rate * x_big
-    coeff_right = -damping_rate * y_big + 1j * hopping_rate * x_big
-    coeff_mid = 2.0 * damping_rate * y_big.T
-    sbar = _stacked_spin_ops(n_pairs)
-    generator = _spin_pair_superop(coeff_left, coeff_right, coeff_mid, sbar)
+    generator = gksl_superop(
+        _stacked_spin_ops(n_pairs), hopping_rate * x_big, damping_rate * y_big.T
+    )
     return ClosedFormModel(
         liouvillian=Liouvillian(
             dim=4**n_pairs,
@@ -514,9 +467,9 @@ def default_fock_levels(nbar: float) -> int:
 class TruncationSpec:
     """Controls the Fock truncation of the full-model oracle.
 
-    ``check`` is one of ``auto`` (full recheck at ``n_max + 2`` when it
-    fits the superoperator-side budget, else a field-only recheck),
-    ``full``, ``field`` or ``none``.
+    ``check`` is ``auto`` (a full recheck at ``n_max + 2`` when it fits
+    the superoperator-side budget, else a field-only recheck) or
+    ``none``.
 
     ``basis`` selects the number basis the driven pair is truncated in.
     ``"bare"`` uses the physical modes; ``"squeezed"`` applies the
@@ -535,7 +488,7 @@ class TruncationSpec:
     basis: str = "bare"
 
     def __post_init__(self) -> None:
-        if self.check not in ("auto", "full", "field", "none"):
+        if self.check not in ("auto", "none"):
             raise ConfigInvalid(f"unknown truncation check mode {self.check!r}")
         if self.basis not in ("bare", "squeezed"):
             raise ConfigInvalid(f"unknown truncation basis {self.basis!r}")
@@ -583,84 +536,94 @@ def _squeezed_frame(nbar: float, mbar: float) -> tuple[float, float, float]:
     return n_th, c, s
 
 
+def _stacked(lowering: list[sp.csr_matrix]) -> list[sp.csr_matrix]:
+    """Lowering operators followed by their raising partners."""
+    return lowering + [op.conjugate().T.tocsr() for op in lowering]
+
+
 def _fock_liouvillian(
     cfg: ArrayConfig, n_max: int, *, include_spins: bool, basis: str = "bare"
-) -> tuple[Liouvillian, tuple[int, ...], list[sp.csr_matrix]]:
+) -> tuple[Liouvillian, tuple[int, ...], list[sp.csr_matrix], np.ndarray]:
+    """Generator of the Fock-truncated cavity+spin model, ``dims`` and field frame.
+
+    The operators are the truncation-basis lowering operators ``t_s`` of
+    the ``2N`` modes, their raising partners and, with spins, the spin
+    lowering and raising operators.  The rows of the real ``frame`` write
+    the stacked physical field operators ``(a_0 ... a_{2N-1}, a_0^dag
+    ...)`` in the stacked ``t_s``: the identity in the bare basis, the
+    Bogoliubov transform of :func:`_squeezed_frame` on the driven pair in
+    the squeezed one.  Hopping, spin coupling and local losses are
+    coefficient matrices ``h`` and ``e`` over the physical operators,
+    carried to the truncation basis as ``B^T h B`` and ``B^T e B`` (``B``
+    is ``frame`` with the spin operators kept).  The drive is the
+    correlated reservoir on the physical end modes in the bare basis and,
+    exactly, two thermal reservoirs on the frame modes in the squeezed one.
+    """
     n_levels = n_max + 1
     n_modes = cfg.n_modes
     with_spins = include_spins and any(g > 0.0 for g in cfg.g)
     dims = (n_levels,) * n_modes + ((2,) * n_modes if with_spins else ())
     lower = destroy(n_levels)
-    number_ops = [embed_operator({site: lower}, dims) for site in range(n_modes)]
+    field_ops = _stacked([embed_operator({site: lower}, dims) for site in range(n_modes)])
+    spin_sites = range(n_modes, len(dims))  # empty without spins
+    spin_ops = _stacked([embed_operator({site: QUBIT_LOWER}, dims) for site in spin_sites])
+    n_ops = len(field_ops) + len(spin_ops)
+    # operator indices: t_s at s, t_s^dag at n_modes + s, and the spin
+    # lowering and raising operators of mode s at 2 n_modes + s and 3 n_modes + s
+    modes = np.arange(n_modes)
+    chains = np.reshape(cfg.eta, (2, cfg.n_sites - 1))
+    h = np.zeros((n_ops, n_ops))
+    h[n_modes : 2 * n_modes, :n_modes] = sla.block_diag(
+        *(np.diag(rates, 1) + np.diag(rates, -1) for rates in chains)
+    )
+    if with_spins:
+        g_modes = np.tile(cfg.g, 2)
+        h[3 * n_modes + modes, modes] = g_modes
+        h[n_modes + modes, 2 * n_modes + modes] = g_modes
+    e = np.zeros_like(h)
+    e[modes, n_modes + modes] = cfg.kappa
+    ends = np.array([0, cfg.n_sites])
+    frame = np.eye(2 * n_modes)
     if basis == "squeezed":
         n_th, coeff_c, coeff_s = _squeezed_frame(cfg.nbar, cfg.mbar)
-        first, second = 0, cfg.n_sites
-        mode_ops = list(number_ops)
-        mode_ops[first] = (
-            coeff_c * number_ops[first] - coeff_s * number_ops[second].conjugate().T
-        ).tocsr()
-        mode_ops[second] = (
-            coeff_c * number_ops[second] - coeff_s * number_ops[first].conjugate().T
-        ).tocsr()
+        low, rise = ends, n_modes + ends
+        frame[low, low] = frame[rise, rise] = coeff_c
+        frame[low, rise[::-1]] = frame[rise, low[::-1]] = -coeff_s
+        full = sla.block_diag(frame, np.eye(len(spin_ops)))
+        h = full.T @ h @ full
+        e = full.T @ e @ full
+        _end_drive(e, low, rise, cfg.zeta, n_th, 0.0)
     else:
-        mode_ops = number_ops
-    dim = n_levels**n_modes * (2**n_modes if with_spins else 1)
-
-    hamiltonian = sp.csr_matrix((dim, dim), dtype=complex)
-    for array_index, offset in enumerate((0, cfg.n_sites)):
-        for bond in range(cfg.n_sites - 1):
-            hop = (
-                mode_ops[offset + bond].conjugate().T @ mode_ops[offset + bond + 1]
-            ).tocsr()
-            strength = cfg.eta[array_index * (cfg.n_sites - 1) + bond]
-            hamiltonian = hamiltonian + strength * (hop + hop.conjugate().T)
-    if with_spins:
-        spin_ops = [
-            embed_operator({n_modes + site: QUBIT_LOWER}, dims)
-            for site in range(n_modes)
-        ]
-        for site in range(n_modes):
-            g_site = cfg.g[site % cfg.n_sites]
-            if g_site > 0.0:
-                coupling = (spin_ops[site].conjugate().T @ mode_ops[site]).tocsr()
-                hamiltonian = hamiltonian + g_site * (coupling + coupling.conjugate().T)
-    generator = hamiltonian_superop(hamiltonian)
-    for site, kappa in enumerate(cfg.kappa):
-        if kappa > 0.0:
-            generator = generator + lindblad_dissipator(mode_ops[site], kappa)
-    if basis == "squeezed":
-        # In the Bogoliubov frame the correlated drive is exactly two
-        # independent thermal reservoirs on the frame modes.
-        for site in (0, cfg.n_sites):
-            generator = generator + lindblad_dissipator(
-                number_ops[site], cfg.zeta * (n_th + 1.0)
-            )
-            if n_th > 0.0:
-                generator = generator + lindblad_dissipator(
-                    number_ops[site].conjugate().T.tocsr(), cfg.zeta * n_th
-                )
-    else:
-        generator = generator + _thermal_end_drive(
-            mode_ops, 0, cfg.n_sites, cfg.zeta, cfg.nbar, cfg.mbar, cross_sign=+1.0
-        )
+        _end_drive(e, ends, n_modes + ends, cfg.zeta, cfg.nbar, cfg.mbar)
+    generator = gksl_superop(field_ops + spin_ops, h, e)
     # in the squeezed frame the charge counts frame quanta: each frame
     # operator c t_1 - s t_2^dag lowers it by one, like a bare a_1
     first_array = [site for site in range(len(dims)) if site % n_modes < cfg.n_sites]
     charge = _array_charge(dims, first_array)
-    return Liouvillian(dim=dim, matrix=generator.tocsr(), charge=charge), dims, mode_ops
+    liouvillian = Liouvillian(dim=prod(dims), matrix=generator, charge=charge)
+    return liouvillian, dims, field_ops, frame
 
 
 def _field_moments(
-    rho: np.ndarray, mode_ops: list[sp.csr_matrix]
+    rho: np.ndarray, field_ops: list[sp.csr_matrix], frame: np.ndarray
 ) -> np.ndarray:
-    """Stacked <abar_j abar_k> matrix from a Fock-space density matrix."""
-    n_modes = len(mode_ops)
-    stacked = list(mode_ops) + [op.conjugate().T.tocsr() for op in mode_ops]
-    moments = np.zeros((2 * n_modes, 2 * n_modes), complex)
-    for j, op_j in enumerate(stacked):
-        for k, op_k in enumerate(stacked):
-            moments[j, k] = (op_j @ (op_k @ rho)).diagonal().sum()
-    return moments
+    """Stacked <abar_j abar_k> matrix from a Fock-space density matrix.
+
+    With the physical operators ``frame @ field_ops``, the moments are
+    ``frame [tr(t_j t_k rho)] frame^T``.  The sparse product of the
+    stacked operators with themselves holds every ``t_j t_k`` as a block;
+    each of its entries ``(t_j t_k)[x, z]`` adds ``rho[z, x]`` times
+    itself to ``tr(t_j t_k rho)``.
+    """
+    dim = rho.shape[0]
+    n_ops = len(field_ops)
+    products = (sp.vstack(field_ops, format="csr") @ sp.hstack(field_ops, format="csr")).tocoo()
+    j, x = np.divmod(products.row, dim)
+    k, z = np.divmod(products.col, dim)
+    traces = sp.coo_matrix(
+        (products.data * rho[z, x], (j, k)), shape=(n_ops, n_ops)
+    ).toarray()
+    return frame @ traces @ frame.T
 
 
 def full_cavity_atom_oracle(
@@ -688,35 +651,28 @@ def full_cavity_atom_oracle(
             f"superoperator side {superop_side(n_max, has_spins)} exceeds the "
             f"budget {trunc.side_budget}; reduce n_max or the number of sites"
         )
-    liou, dims, mode_ops = _fock_liouvillian(
+    liou, dims, field_ops, frame = _fock_liouvillian(
         cfg, n_max, include_spins=True, basis=trunc.basis
     )
     rho = steady_state_dm(liou)
-    moments = _field_moments(rho, mode_ops)
+    moments = _field_moments(rho, field_ops, frame)
     spin_dm = None
     if has_spins:
         spin_sites = tuple(range(cfg.n_modes, 2 * cfg.n_modes))
         spin_dm = partial_trace(rho, dims, spin_sites)
 
-    check_mode = trunc.check
-    check_shift = float("nan")
-    if check_mode == "auto":
-        check_mode = (
-            "full" if superop_side(n_max + 2, has_spins) <= trunc.side_budget else "field"
+    def solved_moments(levels: int, include_spins: bool) -> np.ndarray:
+        liou, _, ops, frame = _fock_liouvillian(
+            cfg, levels, include_spins=include_spins, basis=trunc.basis
         )
-    if check_mode != "none":
-        include = check_mode == "full"
-        if include:
-            ref_moments = moments
-        else:
-            ref_liou, _, ref_ops = _fock_liouvillian(
-                cfg, n_max, include_spins=False, basis=trunc.basis
-            )
-            ref_moments = _field_moments(steady_state_dm(ref_liou), ref_ops)
-        big_liou, _, big_ops = _fock_liouvillian(
-            cfg, n_max + 2, include_spins=include, basis=trunc.basis
-        )
-        big_moments = _field_moments(steady_state_dm(big_liou), big_ops)
+        return _field_moments(steady_state_dm(liou), ops, frame)
+
+    check_mode, check_shift = "none", float("nan")
+    if trunc.check == "auto":
+        include = superop_side(n_max + 2, has_spins) <= trunc.side_budget
+        check_mode = "full" if include else "field"
+        ref_moments = moments if include else solved_moments(n_max, False)
+        big_moments = solved_moments(n_max + 2, include)
         check_shift = float(np.abs(big_moments - ref_moments).max())
         if check_shift > 1e-3 * max(1.0, cfg.nbar):
             raise TruncationUnconverged(

@@ -77,7 +77,34 @@ class TestArrayConfig:
             ArrayConfig.homogeneous(2, nbar=1.0, mbar=1.5)
 
 
+def loop_ladder_drift(cfg: ArrayConfig) -> np.ndarray:
+    """The ladder drift with its bonds placed one at a time; reference for ``ladder_drift``."""
+    n = cfg.n_sites
+    ladder = np.zeros((2 * n, 2 * n), dtype=complex)
+    for bond in range(n - 1):
+        for offset, rate in ((0, cfg.eta[bond]), (n, cfg.eta[n - 1 + bond])):
+            a, b = offset + bond, offset + bond + 1
+            ladder[a, b] = ladder[b, a] = -1j * rate
+    ladder -= np.diag(np.asarray(cfg.kappa, dtype=float))
+    for j in cfg.driven_modes:
+        ladder[j, j] -= cfg.zeta
+    return ladder
+
+
 class TestDrift:
+    @pytest.mark.parametrize("n_sites", range(1, 10))
+    def test_matches_the_bond_loop_bit_for_bit(self, n_sites):
+        rng = np.random.default_rng(n_sites)
+        cfg = ArrayConfig(
+            n_sites=n_sites,
+            eta=tuple(rng.uniform(0.1, 2.0, 2 * (n_sites - 1))),
+            kappa=tuple(rng.uniform(0.0, 1.0, 2 * n_sites)),
+            zeta=0.7,
+            nbar=0.5,
+            mbar=0.3,
+        )
+        assert ladder_drift(cfg).tobytes() == loop_ladder_drift(cfg).tobytes()
+
     def test_single_pair_pure_damping(self):
         cfg = ArrayConfig.homogeneous(1, eta=1.0, kappa=0.0, zeta=1.0)
         assert np.array_equal(ladder_drift(cfg), -np.eye(2))

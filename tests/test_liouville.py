@@ -6,7 +6,9 @@ absorbing states, thermal qubits), plus degenerate and near-degenerate
 cases that must be refused.  A dense singular-value kernel extraction
 of the full generator, kept here only as a reference, checks the sparse
 LU solve of the charge-diagonal block, in its real Hermitian basis, on
-random generators and on the two-pair spin models.
+random generators and on the two-pair spin models.  The random
+generators are summed term by term from ``superop_reference``; the
+quadratic assembler is checked against dense products.
 """
 
 import math
@@ -32,14 +34,13 @@ from entrep.liouville import (
     destroy,
     embed_operator,
     fidelity_pure,
-    hamiltonian_superop,
+    gksl_superop,
     left_multiply,
-    lindblad_dissipator,
     logneg_qubits,
     partial_trace,
+    quadratic_superop,
     reduced_pair_dm,
     right_multiply,
-    sandwich,
     steady_state_dm,
     unvec,
     vec,
@@ -50,6 +51,7 @@ from entrep.spins import (
     build_effective_general,
     build_xx_liouvillian,
 )
+from superop_reference import hamiltonian_superop, lindblad_dissipator, sandwich
 
 
 def random_matrix(rng, dim):
@@ -154,25 +156,47 @@ class TestVectorization:
             unvec(sandwich(a_mat, b_mat) @ vec(x_mat), dim), a_mat @ x_mat @ b_mat
         )
 
-    def test_hamiltonian_superop_is_commutator(self):
-        rng = np.random.default_rng(7)
-        h_rand = random_matrix(rng, 4)
-        h_mat = h_rand + h_rand.conj().T
-        rho = random_density_matrix(rng, 4)
-        got = unvec(hamiltonian_superop(h_mat) @ vec(rho), 4)
-        assert np.allclose(got, -1j * (h_mat @ rho - rho @ h_mat))
-
-    def test_dissipator_matches_bracket(self):
-        rng = np.random.default_rng(13)
-        c_mat = random_matrix(rng, 3)
-        rho = random_density_matrix(rng, 3)
-        rate = 0.37
-        got = unvec(lindblad_dissipator(c_mat, rate) @ vec(rho), 3)
-        cdag = c_mat.conj().T
-        want = rate * (
-            2.0 * c_mat @ rho @ cdag - cdag @ c_mat @ rho - rho @ cdag @ c_mat
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_assembler_matches_dense_products(self, dim, n_ops, seed):
+        rng = np.random.default_rng(seed)
+        ops = [random_matrix(rng, dim) for _ in range(n_ops)]
+        left, right, mid, h_mat, e_mat = (random_matrix(rng, n_ops) for _ in range(5))
+        x_mat = random_matrix(rng, dim)
+        pairs = [(j, k) for j in range(n_ops) for k in range(n_ops)]
+        got = unvec(quadratic_superop(ops, left, right, mid) @ vec(x_mat), dim)
+        want = sum(
+            left[j, k] * ops[j] @ ops[k] @ x_mat
+            + right[j, k] * x_mat @ ops[j] @ ops[k]
+            + mid[j, k] * ops[j] @ x_mat @ ops[k]
+            for j, k in pairs
         )
         assert np.allclose(got, want)
+        # the GKSL front: -i [H, X] + sum_jk e_jk (2 o_j X o_k - {o_k o_j, X})
+        hamiltonian = sum(h_mat[j, k] * ops[j] @ ops[k] for j, k in pairs)
+        got = unvec(gksl_superop(ops, h_mat, e_mat) @ vec(x_mat), dim)
+        want = -1j * (hamiltonian @ x_mat - x_mat @ hamiltonian) + sum(
+            e_mat[j, k]
+            * (
+                2.0 * ops[j] @ x_mat @ ops[k]
+                - ops[k] @ ops[j] @ x_mat
+                - x_mat @ ops[k] @ ops[j]
+            )
+            for j, k in pairs
+        )
+        assert np.allclose(got, want)
+        # a jump c at rate sits on e[c, c^dag]: rate (2 c X c^dag - {c^dag c, X})
+        c_mat, rate = ops[0], 0.37
+        cdag = c_mat.conj().T
+        jump = gksl_superop([c_mat, cdag], np.zeros((2, 2)), [[0.0, rate], [0.0, 0.0]])
+        want = rate * (
+            2.0 * c_mat @ x_mat @ cdag - cdag @ c_mat @ x_mat - x_mat @ cdag @ c_mat
+        )
+        assert np.allclose(unvec(jump @ vec(x_mat), dim), want)
 
 
 class TestGeneratorStructure:

@@ -2,8 +2,11 @@
 
 import importlib
 import importlib.util
+import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import entrep
 
@@ -24,6 +27,21 @@ def test_readme_quick_start_imports_are_exported():
     assert set(names) <= set(entrep.__all__)
     for name in entrep.__all__:
         assert hasattr(entrep, name), name
+
+
+EXPORTING_MODULES = sorted(
+    module
+    for module in (f"entrep.{info.name}" for info in pkgutil.iter_modules(entrep.__path__))
+    if hasattr(importlib.import_module(module), "__all__")
+)
+
+
+@pytest.mark.parametrize("module_name", EXPORTING_MODULES)
+def test_every_exported_name_resolves(module_name):
+    # a deleted function or constant must leave no stale export behind
+    module = importlib.import_module(module_name)
+    assert module.__all__
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_every_name_the_benchmark_tracer_wraps_is_a_callable():

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import entrep.liouville
 import entrep.spins
+import superop_reference
 from entrep.arrays import ArrayConfig, ladder_drift, steady_state
 from entrep.baselines import pair_amplitude, pure_pair_logneg, replicated_state
 from entrep.cli import main
@@ -34,6 +36,7 @@ from entrep.liouville import (
 from entrep.spins import (
     TruncationSpec,
     _array_charge,
+    _field_moments,
     _fock_liouvillian,
     _lowering_ops,
     _squeezed_frame,
@@ -200,10 +203,10 @@ def kron_lowering_ops(n_spins: int) -> list[sp.csr_matrix]:
     return [embed_operator({site: QUBIT_LOWER}, dims) for site in range(n_spins)]
 
 
-def loop_spin_pair_superop(coeff_left, coeff_right, coeff_mid, sbar) -> sp.csr_matrix:
+def loop_quadratic_superop(sbar, coeff_left, coeff_right, coeff_mid) -> sp.csr_matrix:
     """The quadratic spin terms as a double loop of sparse additions.
 
-    Reference for ``_spin_pair_superop``: ``coeff_left`` weights ``s_j
+    Reference for ``quadratic_superop``: ``coeff_left`` weights ``s_j
     s_k rho``, ``coeff_right`` ``rho s_j s_k`` and ``coeff_mid`` ``s_j rho
     s_k``; the sandwich is ``sum_j kron((sum_k C_jk s_k)^T, s_j)``.
     """
@@ -254,7 +257,9 @@ class TestAssemblyMatchesReferences:
             fast = builder().matrix
             with monkeypatch.context() as patch:
                 patch.setattr(entrep.spins, "_lowering_ops", kron_lowering_ops)
-                patch.setattr(entrep.spins, "_spin_pair_superop", loop_spin_pair_superop)
+                # the GKSL front looks the assembler up in liouville
+                patch.setattr(entrep.liouville, "quadratic_superop", loop_quadratic_superop)
+                patch.setattr(entrep.spins, "quadratic_superop", loop_quadratic_superop)
                 reference = builder().matrix
             return fast, reference
 
@@ -286,6 +291,38 @@ class TestAssemblyMatchesReferences:
             ).liouvillian
         )
         assert_same_csr(fast, reference)
+
+
+class TestGeneratorsMatchPerTermReference:
+    """The coefficient-matrix builders against the per-term Kronecker sums."""
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    @pytest.mark.parametrize("nbar,mbar", [(0.8, 0.7), (1.0, np.sqrt(2.0))])
+    def test_xx_generator_is_bitwise_equal(self, n_pairs, nbar, mbar):
+        args = (n_pairs, (0.9, 1.3)[: n_pairs - 1], 0.5, nbar, mbar)
+        assert_same_csr(
+            build_xx_liouvillian(*args).matrix, superop_reference.xx_generator(*args)
+        )
+
+    @pytest.mark.parametrize("basis", ["bare", "squeezed"])
+    @pytest.mark.parametrize("include_spins", [True, False], ids=["spins", "field"])
+    @pytest.mark.parametrize("n_sites,n_max", [(1, 3), (2, 1)])
+    def test_fock_generator_and_moments(self, n_sites, n_max, include_spins, basis):
+        cfg = ArrayConfig.homogeneous(
+            n_sites, eta=0.8, kappa=0.2, zeta=1.3, nbar=0.7, mbar=0.9, g=0.04
+        )
+        liou, _, field_ops, frame = _fock_liouvillian(
+            cfg, n_max, include_spins=include_spins, basis=basis
+        )
+        want, mode_ops = superop_reference.fock_generator(
+            cfg, n_max, include_spins=include_spins, basis=basis
+        )
+        assert np.abs((liou.matrix - want).data).max() <= 1e-12 * liou.scale
+        # the moment formula holds for any state, not only the steady one
+        rho = random_hermitian(np.random.default_rng(n_max), liou.dim)
+        moments = _field_moments(rho, field_ops, frame)
+        expected = superop_reference.field_moments(rho, mode_ops)
+        assert np.abs(moments - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def reduced_config(n_sites, *, nbar, mbar, g=0.02, eta=1.0, zeta=1.0, kappa=0.0):
@@ -449,6 +486,14 @@ class TestClosedForm:
             build_effective_closed_form(2, eta=1.0, zeta=0.0, g=0.1, nbar=1.0, mbar=0.0)
         with pytest.raises(ConfigInvalid):
             build_effective_closed_form(2, eta=0.0, zeta=1.0, g=0.1, nbar=1.0, mbar=0.0)
+        for bad in (np.nan, np.inf):
+            for name in ("eta", "zeta", "g"):
+                rates = dict(eta=1.0, zeta=1.0, g=0.1) | {name: bad}
+                with pytest.raises(ConfigInvalid):
+                    build_effective_closed_form(2, **rates, nbar=1.0, mbar=0.0)
+        # g^2 underflows: a zero damping rate, refused rather than divided by
+        with pytest.raises(ConfigInvalid, match="gamma=0.0"):
+            build_effective_closed_form(2, eta=1.0, zeta=1.0, g=1e-200, nbar=1.0, mbar=0.0)
         for mbar in (1.5, 3.0):  # above sqrt(2), the bound at nbar = 1
             with pytest.raises(OverSqueezed):
                 build_effective_closed_form(2, eta=1.0, zeta=1.0, g=0.1, nbar=1.0, mbar=mbar)
@@ -481,7 +526,7 @@ class TestFockOracle:
     def test_unconverged_truncation_raises(self):
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=np.sqrt(2.0))
         with pytest.raises(TruncationUnconverged):
-            full_cavity_atom_oracle(cfg, TruncationSpec(n_max=2, check="full"))
+            full_cavity_atom_oracle(cfg, TruncationSpec(n_max=2))
 
     def test_budget_guard(self):
         cfg = ArrayConfig.homogeneous(2, zeta=1.0, nbar=1.0, mbar=1.0)
@@ -514,8 +559,9 @@ class TestFockOracle:
         assert default_fock_levels(2.0) == 9
 
     def test_truncation_spec_validation(self):
-        with pytest.raises(ConfigInvalid):
-            TruncationSpec(check="bogus")
+        for check in ("bogus", "full", "field"):
+            with pytest.raises(ConfigInvalid):
+                TruncationSpec(check=check)
         with pytest.raises(ConfigInvalid):
             TruncationSpec(n_max=0)
 
@@ -533,8 +579,8 @@ class TestSqueezedBasisOracle:
         # at mbar = 0 the frame rotation is the identity, so the two
         # generators must agree entry for entry
         cfg = ArrayConfig.homogeneous(1, kappa=0.2, zeta=1.0, nbar=0.7, g=0.04)
-        bare, _, _ = _fock_liouvillian(cfg, 4, include_spins=True, basis="bare")
-        squeezed, _, _ = _fock_liouvillian(cfg, 4, include_spins=True, basis="squeezed")
+        bare, *_ = _fock_liouvillian(cfg, 4, include_spins=True, basis="bare")
+        squeezed, *_ = _fock_liouvillian(cfg, 4, include_spins=True, basis="squeezed")
         difference = bare.matrix - squeezed.matrix
         gap = np.abs(difference.data).max() if difference.nnz else 0.0
         assert gap <= 1e-12 * max(1.0, bare.scale)

@@ -17,6 +17,7 @@ from entrep.validate import (
     SUITE_NAMES,
     CheckResult,
     SuiteReport,
+    _worst_entry,
     report_to_json,
     run_all,
     run_suite,
@@ -65,6 +66,21 @@ class TestBudgetGating:
     def test_everything_skipped_collapses_the_suite(self):
         report = run_suite("fixed-point", budget=10)
         assert report.status == "skipped"
+
+
+class TestWorstEntry:
+    def test_first_of_two_tied_entries_in_row_major_order_is_named(self):
+        ref = np.zeros((4, 4))
+        got = np.zeros((4, 4))
+        got[0, 2] = 2.446e-05
+        # the mirror entry is larger only by round-off
+        got[1, 3] = 2.446e-05 * (1.0 + 1e-12)
+        value, detail = _worst_entry(got, ref)
+        assert detail.startswith("worst moment entry [0,2]:")
+        assert value == got[0, 2]
+        # a real gap is not a tie
+        got[1, 3] = 2.446e-05 * (1.0 + 1e-6)
+        assert _worst_entry(got, ref)[1].startswith("worst moment entry [1,3]:")
 
 
 class TestSuitesPass:
