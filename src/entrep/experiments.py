@@ -79,7 +79,9 @@ ParamValue = Union[int, float, str]
 class ExperimentDef:
     """Static description of one named experiment.
 
-    A sweep point evaluates one value of ``point_key``, or of the swept
+    ``sweep`` maps the resolved parameters to the sweep values, and
+    ``point(value, params, seed)`` evaluates one of them to its rows.  A
+    sweep point evaluates one value of ``point_key``, or of the swept
     column when that is empty; fig5b evaluates one ``kappa_end`` and
     returns a row per ``omega``.
     """
@@ -88,25 +90,14 @@ class ExperimentDef:
     sweep_key: str
     defaults: Mapping[str, ParamValue]
     description: str
+    sweep: Callable[[Mapping[str, ParamValue]], list]
+    point: Callable[..., list[tuple]]
     extra_columns: tuple[str, ...] = ()
     point_key: str = ""
 
     @property
     def columns(self) -> tuple[str, ...]:
         return (self.sweep_key,) + _BASE_COLUMNS + self.extra_columns
-
-
-EXPERIMENTS: dict[str, ExperimentDef] = {}
-
-
-def _register(exp: ExperimentDef, sweep, point) -> None:
-    EXPERIMENTS[exp.name] = exp
-    _SWEEP_FUNCS[exp.name] = sweep
-    _POINT_FUNCS[exp.name] = point
-
-
-_SWEEP_FUNCS: dict[str, Callable] = {}
-_POINT_FUNCS: dict[str, Callable] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +150,17 @@ def _uniform_config(p: Mapping[str, ParamValue], **over: float) -> ArrayConfig:
     )
 
 
-def _end_damped_config(p: Mapping[str, ParamValue], kappa_end: float, **over) -> ArrayConfig:
-    cfg = _uniform_config(p, kappa=0.0, **over)
+def _with_end_loss(cfg: ArrayConfig, kappa_end: float) -> ArrayConfig:
+    """``cfg`` with ``kappa_end`` added to the loss of both far end sites."""
     n = cfg.n_sites
-    kappa = [0.0] * (2 * n)
-    kappa[n - 1] = kappa_end
-    kappa[2 * n - 1] = kappa_end
+    kappa = list(cfg.kappa)
+    kappa[n - 1] += kappa_end
+    kappa[2 * n - 1] += kappa_end
     return replace(cfg, kappa=tuple(kappa))
+
+
+def _end_damped_config(p: Mapping[str, ParamValue], kappa_end: float) -> ArrayConfig:
+    return _with_end_loss(_uniform_config(p, kappa=0.0), kappa_end)
 
 
 def _gaussian_rows(cfg: ArrayConfig, sweep_value: float) -> list[tuple]:
@@ -185,9 +180,8 @@ def _spin_pair_rows(rho: np.ndarray, n_pairs: int, sweep_value: float, reference
 
 
 # ---------------------------------------------------------------------------
-# per-experiment sweep values and point evaluators (module level so that a
-# process pool can dispatch them); a point evaluator gets the sweep value,
-# the resolved parameters and the run's seed
+# per-experiment sweep values and point evaluators; a point evaluator gets
+# the sweep value, the resolved parameters and the run's seed
 
 
 def _nonnegative_levels(p, key: str) -> list[float]:
@@ -212,7 +206,15 @@ def _point_fig2b(value, p, seed):
     return _gaussian_rows(_uniform_config(p, n_sites=value), value)
 
 
+#: the one cross-correlation rule fig2c applies; its manifest records it
+_FIG2C_MBAR_RULE = "sqrt(nbar*(nbar+1))"
+
+
 def _sweep_fig2c(p):
+    if p["mbar_rule"] != _FIG2C_MBAR_RULE:
+        raise ConfigInvalid(
+            f"fig2c applies mbar_rule = {_FIG2C_MBAR_RULE} only, got {p['mbar_rule']!r}"
+        )
     grid = _linear_grid(p, "nbar_min", "nbar_max", "grid_points")
     if grid[0] < 0.0:
         raise ConfigInvalid(f"nbar_min must be >= 0, got {grid[0]}")
@@ -246,8 +248,7 @@ def _point_fig2e(value, p, seed):
 
 def _point_fig3b(value, p, seed):
     cfg = _uniform_config(p, mbar=value)
-    model = build_effective_general(cfg)
-    rho = steady_state_dm(model.liouvillian)
+    rho = steady_state_dm(build_effective_general(cfg))
     reference = pure_pair_logneg(pair_amplitude(float(p["nbar"])))
     return _spin_pair_rows(rho, cfg.n_sites, value, reference)
 
@@ -299,12 +300,7 @@ def _sweep_custom(p):
 
 
 def _point_custom(value, p, seed):
-    cfg = _uniform_config(p)
-    n, kappa_end = cfg.n_sites, float(p["kappa_end"])
-    kappa = list(cfg.kappa)
-    kappa[n - 1] += kappa_end
-    kappa[2 * n - 1] += kappa_end
-    return _gaussian_rows(replace(cfg, kappa=tuple(kappa)), value)
+    return _gaussian_rows(_with_end_loss(_uniform_config(p), float(p["kappa_end"])), value)
 
 
 def _point_fig3a(value, p, seed):
@@ -327,7 +323,7 @@ def _point_fig3a(value, p, seed):
     ]
 
 
-_register(
+_DEFINITIONS = (
     ExperimentDef(
         name="fig2a",
         sweep_key="kappa0",
@@ -340,12 +336,9 @@ _register(
             "mbar": _SQRT2,
             "kappa_levels": "0.0,0.02,0.1",
         },
+        sweep=lambda p: _nonnegative_levels(p, "kappa_levels"),
+        point=_point_fig2a,
     ),
-    lambda p: _nonnegative_levels(p, "kappa_levels"),
-    _point_fig2a,
-)
-
-_register(
     ExperimentDef(
         name="fig2b",
         sweep_key="n_sites",
@@ -359,12 +352,9 @@ _register(
             "nbar": 1.0,
             "mbar": _SQRT2,
         },
+        sweep=_sweep_fig2b,
+        point=_point_fig2b,
     ),
-    _sweep_fig2b,
-    _point_fig2b,
-)
-
-_register(
     ExperimentDef(
         name="fig2c",
         sweep_key="nbar",
@@ -377,14 +367,11 @@ _register(
             "nbar_min": 0.0,
             "nbar_max": 3.0,
             "grid_points": 25,
-            "mbar_rule": "sqrt(nbar*(nbar+1))",
+            "mbar_rule": _FIG2C_MBAR_RULE,
         },
+        sweep=_sweep_fig2c,
+        point=_point_fig2c,
     ),
-    _sweep_fig2c,
-    _point_fig2c,
-)
-
-_register(
     ExperimentDef(
         name="fig2d",
         sweep_key="mbar",
@@ -399,12 +386,9 @@ _register(
             "mbar_max": _SQRT2,
             "grid_points": 25,
         },
+        sweep=_sweep_mbar,
+        point=_point_fig2d,
     ),
-    _sweep_mbar,
-    _point_fig2d,
-)
-
-_register(
     ExperimentDef(
         name="fig2e",
         sweep_key="kappa_end",
@@ -419,12 +403,9 @@ _register(
             "kappa_end_max": 100.0,
             "grid_points": 31,
         },
+        sweep=_sweep_log_kappa,
+        point=_point_fig2e,
     ),
-    _sweep_log_kappa,
-    _point_fig2e,
-)
-
-_register(
     ExperimentDef(
         name="fig3a",
         sweep_key="delta_xi",
@@ -440,12 +421,9 @@ _register(
             "samples": 500,
         },
         extra_columns=("e_norm_min", "e_norm_max", "e_norm_sem"),
+        sweep=lambda p: _nonnegative_levels(p, "delta_levels"),
+        point=_point_fig3a,
     ),
-    lambda p: _nonnegative_levels(p, "delta_levels"),
-    _point_fig3a,
-)
-
-_register(
     ExperimentDef(
         name="fig3b",
         sweep_key="mbar",
@@ -461,12 +439,9 @@ _register(
             "mbar_max": _SQRT2,
             "grid_points": 25,
         },
+        sweep=_sweep_mbar,
+        point=_point_fig3b,
     ),
-    _sweep_mbar,
-    _point_fig3b,
-)
-
-_register(
     ExperimentDef(
         name="fig3c",
         sweep_key="mbar",
@@ -480,12 +455,9 @@ _register(
             "mbar_max": _SQRT2,
             "grid_points": 25,
         },
+        sweep=_sweep_mbar,
+        point=_point_fig3c,
     ),
-    _sweep_mbar,
-    _point_fig3c,
-)
-
-_register(
     ExperimentDef(
         name="fig5a",
         sweep_key="kappa_end",
@@ -504,12 +476,9 @@ _register(
             "omega_points": 121,
         },
         extra_columns=("omega_peak",),
+        sweep=_sweep_fig5a,
+        point=_point_fig5a,
     ),
-    _sweep_fig5a,
-    _point_fig5a,
-)
-
-_register(
     ExperimentDef(
         name="fig5b",
         sweep_key="omega",
@@ -526,12 +495,9 @@ _register(
             "omega_max": 3.0,
             "omega_points": 1201,
         },
+        sweep=_sweep_fig5b,
+        point=_point_fig5b,
     ),
-    _sweep_fig5b,
-    _point_fig5b,
-)
-
-_register(
     ExperimentDef(
         name="custom",
         sweep_key="point",
@@ -545,11 +511,12 @@ _register(
             "nbar": 0.0,
             "mbar": 0.0,
         },
+        sweep=_sweep_custom,
+        point=_point_custom,
     ),
-    _sweep_custom,
-    _point_custom,
 )
 
+EXPERIMENTS: dict[str, ExperimentDef] = {exp.name: exp for exp in _DEFINITIONS}
 
 # ---------------------------------------------------------------------------
 # configuration resolution
@@ -624,7 +591,10 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     ``#`` starts a comment, whether it opens the line or trails a value.
     """
     entries: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.partition("#")[0].strip()
         if not stripped:
@@ -704,7 +674,7 @@ def manifest_path_for(out_path: str | Path) -> Path:
 def _eval_point(job: tuple) -> list[tuple]:
     experiment, point_key, value, params, seed = job
     try:
-        return _POINT_FUNCS[experiment](value, params, seed)
+        return EXPERIMENTS[experiment].point(value, params, seed)
     except ExperimentFailed:
         raise
     except ModelError as exc:
@@ -723,7 +693,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """
     exp = EXPERIMENTS[cfg.experiment]
     params = resolve_params(cfg)
-    values = _SWEEP_FUNCS[cfg.experiment](params)
+    values = exp.sweep(params)
     seed = int(cfg.seed)
     point_key = exp.point_key or exp.sweep_key
     jobs = [(cfg.experiment, point_key, value, params, seed) for value in values]

@@ -22,6 +22,14 @@ the general reduction hands its kernels straight to the assembler under
 it, :func:`entrep.liouville.quadratic_superop`.  The squeezed reservoir
 on the two driven end sites is one block of ``e`` (:func:`_end_drive`).
 
+Every model lives on a product of sites, each a ``d``-level truncated
+boson (a qubit is ``d = 2``), and everything size-dependent follows from
+the site dimensions ``dims``: :func:`_lowering_ops` gives each site's
+lowering operator, :func:`_array_charge` the conserved charge
+``N_array1 - N_array2``, and :func:`check_size` refuses a model whose
+superoperator side ``prod(dims)**2`` exceeds the budget
+(:data:`SIDE_BUDGET` unless the caller passes one).
+
 Index layout matches :mod:`entrep.arrays`: sites ``0..N-1`` are the first
 array, ``N..2N-1`` the second, and the driven pair is ``(0, N)``.
 """
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from math import ceil, comb, prod, sqrt
+from math import ceil, prod, sqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -41,9 +49,6 @@ from .errors import ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverge
 from .gaussian import check_drive
 from .liouville import (
     Liouvillian,
-    QUBIT_LOWER,
-    destroy,
-    embed_operator,
     gksl_superop,
     partial_trace,
     quadratic_superop,
@@ -51,63 +56,75 @@ from .liouville import (
 )
 
 __all__ = [
-    "ClosedFormModel",
-    "EffectiveSpinModel",
     "FockSteadyState",
     "PatternMatrices",
+    "SIDE_BUDGET",
     "TruncationSpec",
     "adiabaticity_ratio",
     "build_effective_closed_form",
     "build_effective_general",
     "build_xx_liouvillian",
+    "check_size",
     "coupling_pattern_matrices",
     "default_fock_levels",
     "full_cavity_atom_oracle",
 ]
 
-#: the largest spin model that has been solved: 4 pairs, whose
-#: charge-diagonal block has side C(16, 8) = 12,870
-_MAX_XX_PAIRS = 4
+#: largest admissible superoperator side ``prod(dims)**2``; it admits
+#: 1 to 4 spin pairs (4 pairs: side 65,536, charge-diagonal block 12,870)
+SIDE_BUDGET = 120_000
 
 
-def _block_side(n_pairs: int) -> int:
-    """Side of the charge-diagonal block of ``2 * n_pairs`` spins.
+def check_size(dims: tuple[int, ...], budget: int = SIDE_BUDGET) -> None:
+    """Refuse a model on sites of dimensions ``dims`` above the side budget.
 
-    Pairs ``(i, j)`` of basis states with equal ``N_array1 - N_array2``
-    number ``sum_q C(2n, n + q)^2 = C(4n, 2n)``.
+    Raises :class:`DimensionBudgetExceeded` when the superoperator side
+    ``prod(dims)**2`` exceeds ``budget``, naming that side and the side of
+    the charge-diagonal block the steady-state solve factors.  The charge
+    of a site with ``d`` levels is ``0..d-1`` in array one and ``-(d-1)..0``
+    in array two, the same spread either way, so the number ``c[q]`` of
+    basis states at each charge is the convolution of ``ones(d)`` over all
+    sites, and the block holds ``c @ c`` pairs of equal charge.
     """
-    return comb(4 * n_pairs, 2 * n_pairs)
-
-
-def _check_spin_pairs(n_pairs: int) -> None:
-    """Refuse spin models with no pair or beyond the ``_MAX_XX_PAIRS`` budget."""
-    if n_pairs < 1:
-        raise ConfigInvalid(f"need at least one spin pair, got {n_pairs}")
-    if n_pairs > _MAX_XX_PAIRS:
+    side = prod(dims) ** 2
+    if side > budget:
+        counts = np.ones(1, dtype=object)  # exact integers at any size
+        for levels in dims:
+            counts = np.convolve(counts, np.ones(levels, dtype=object))
         raise DimensionBudgetExceeded(
-            f"{2 * n_pairs} spins exceed the {2 * _MAX_XX_PAIRS}-spin budget: their "
-            f"charge-diagonal block side {_block_side(n_pairs):,} is above "
-            f"{_block_side(_MAX_XX_PAIRS):,}"
+            f"needs superoperator side {side} (charge-diagonal block side "
+            f"{counts @ counts:,}), over the budget {budget}"
         )
 
 
-def _lowering_ops(n_spins: int) -> list[sp.csr_matrix]:
-    """Lowering operator on each of ``n_spins`` qubits (site 0 leftmost).
+def _check_spin_pairs(n_pairs: int) -> None:
+    """Refuse spin models with no pair or above :data:`SIDE_BUDGET`."""
+    if n_pairs < 1:
+        raise ConfigInvalid(f"need at least one spin pair, got {n_pairs}")
+    check_size((2,) * (2 * n_pairs))
 
-    Site ``s`` is excited in basis state ``b`` when bit ``n_spins - 1 - s``
-    of ``b`` is set; its lowering operator maps ``b | mask`` to ``b`` for
-    every ``b`` with that bit clear, so each row holds at most one 1.
+
+def _lowering_ops(dims: tuple[int, ...]) -> list[sp.csr_matrix]:
+    """Lowering operator of each site of ``dims`` (site 0 leftmost).
+
+    A site with ``d`` levels is a ``d``-level truncated boson (a qubit is
+    ``d = 2``).  In basis state ``b`` site ``s`` sits at level ``l = (b //
+    stride) % d``, with ``stride = prod(dims[s + 1:])``; its lowering
+    operator maps ``b + stride`` to ``sqrt(l + 1) b`` for every ``b`` with
+    ``l < d - 1``, so each row holds at most one entry.
     """
-    dim = 1 << n_spins
+    dim = prod(dims)
     states = np.arange(dim)
     ops = []
-    for site in range(n_spins):
-        mask = 1 << (n_spins - 1 - site)
-        ground = (states & mask) == 0
-        indptr = np.concatenate(([0], np.cumsum(ground)))
+    for site, levels in enumerate(dims):
+        stride = prod(dims[site + 1 :])
+        level = states // stride % levels
+        lowerable = level < levels - 1
+        indptr = np.concatenate(([0], np.cumsum(lowerable)))
         ops.append(
             sp.csr_matrix(
-                (np.ones(dim // 2), states[ground] | mask, indptr), shape=(dim, dim)
+                (np.sqrt(level[lowerable] + 1.0), states[lowerable] + stride, indptr),
+                shape=(dim, dim),
             )
         )
     return ops
@@ -130,9 +147,17 @@ def _array_charge(dims: tuple[int, ...], first_array_sites) -> np.ndarray:
 
 def _stacked_spin_ops(n_pairs: int) -> list[sp.csr_matrix]:
     """The 4N stacked spin operators: raising ops first, then lowering."""
-    lowering = _lowering_ops(2 * n_pairs)
+    lowering = _lowering_ops((2,) * (2 * n_pairs))
     raising = [op.conjugate().T.tocsr() for op in lowering]
     return raising + lowering
+
+
+def _spin_liouvillian(n_pairs: int, generator) -> Liouvillian:
+    """``generator`` on ``2 n_pairs`` spins, with their array charge."""
+    dims = (2,) * (2 * n_pairs)
+    return Liouvillian(
+        dim=prod(dims), matrix=generator, charge=_array_charge(dims, range(n_pairs))
+    )
 
 
 def _end_drive(e: np.ndarray, low, rise, rate: float, nbar: float, mbar: float) -> None:
@@ -201,31 +226,12 @@ def build_xx_liouvillian(
     e = np.zeros_like(h)
     ends = np.array([0, n_pairs])
     _end_drive(e, ends + n_spins, ends, gamma, nbar, -mbar)
-    generator = gksl_superop(_stacked_spin_ops(n_pairs), h, e)
-    charge = _array_charge((2,) * n_spins, range(n_pairs))
-    return Liouvillian(dim=2**n_spins, matrix=generator, charge=charge)
+    return _spin_liouvillian(n_pairs, gksl_superop(_stacked_spin_ops(n_pairs), h, e))
 
 
 # ---------------------------------------------------------------------------
 # adiabatic elimination: general construction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class EffectiveSpinModel:
-    """Reduced spin generator with its memory kernels.
-
-    ``kernel``/``kernel_reversed`` are the 4N x 4N matrices weighting the
-    time-ordered and reversed field correlations; ``drift`` is the full
-    doubled field drift and ``moments`` the steady second-moment matrix,
-    both in the (lowering, raising) stacked ordering.
-    """
-
-    liouvillian: Liouvillian
-    kernel: np.ndarray
-    kernel_reversed: np.ndarray
-    drift: np.ndarray
-    moments: np.ndarray
 
 
 def _homogeneous_coupling(cfg: ArrayConfig) -> float:
@@ -253,7 +259,7 @@ def adiabaticity_ratio(cfg: ArrayConfig) -> float:
     return float(g * np.sqrt(cfg.nbar + 1.0) / rates.min())
 
 
-def build_effective_general(cfg: ArrayConfig) -> EffectiveSpinModel:
+def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     """Second-order reduced spin generator for an arbitrary array config.
 
     The field sector (``cfg`` with couplings removed) supplies the exact
@@ -288,17 +294,7 @@ def build_effective_general(cfg: ArrayConfig) -> EffectiveSpinModel:
         kernel_reversed.T,
         -(kernel.T + kernel_reversed),
     )
-    return EffectiveSpinModel(
-        liouvillian=Liouvillian(
-            dim=4**n_pairs,
-            matrix=generator,
-            charge=_array_charge((2,) * (2 * n_pairs), range(n_pairs)),
-        ),
-        kernel=kernel,
-        kernel_reversed=kernel_reversed,
-        drift=drift,
-        moments=moments,
-    )
+    return _spin_liouvillian(n_pairs, generator)
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +342,6 @@ def coupling_pattern_matrices(
     return PatternMatrices(hopping=x_mat, damping=y_mat, signs=signs, mixed=mixed)
 
 
-@dataclass(frozen=True, eq=False)
-class ClosedFormModel:
-    """Closed-form reduced spin generator and its ingredients."""
-
-    liouvillian: Liouvillian
-    patterns: PatternMatrices
-    hopping_rate: float
-    damping_rate: float
-    coherent_blocks: np.ndarray
-    dissipative_blocks: np.ndarray
-
-
 def closed_form_rates(n_pairs: int, eta: float, zeta: float, g: float) -> tuple[float, float]:
     """Hopping rate J and collective damping rate of the reduction.
 
@@ -371,7 +355,7 @@ def closed_form_rates(n_pairs: int, eta: float, zeta: float, g: float) -> tuple[
 
 def _closed_form_blocks(
     n_pairs: int, nbar: float, mbar: float, hop_to_damp_ratio: float
-) -> tuple[np.ndarray, np.ndarray, PatternMatrices]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the 4N x 4N coherent (X-type) and dissipative (Y-type) blocks.
 
     The quarter layout follows the stacked spin ordering (raising array
@@ -399,7 +383,7 @@ def _closed_form_blocks(
     x_big[q3, q4] = x_big[q4, q3] = -mbar * xz
     x_big[q1, q3] = x_big[q2, q4] = -(1.0 + nbar) * x_mat
     x_big[q3, q1] = x_big[q4, q2] = nbar * x_mat
-    return x_big, y_big, pats
+    return x_big, y_big
 
 
 def build_effective_closed_form(
@@ -410,7 +394,7 @@ def build_effective_closed_form(
     g: float,
     nbar: float,
     mbar: float,
-) -> ClosedFormModel:
+) -> Liouvillian:
     """Closed-form reduced spin generator for homogeneous lossless arrays.
 
     Valid for uniform hopping ``eta``, end-drive rate ``zeta``, uniform
@@ -435,22 +419,11 @@ def build_effective_closed_form(
             "finite with gamma > 0"
         )
     ratio = hopping_rate / damping_rate if n_pairs > 1 else 0.0
-    x_big, y_big, pats = _closed_form_blocks(n_pairs, nbar, mbar, ratio)
+    x_big, y_big = _closed_form_blocks(n_pairs, nbar, mbar, ratio)
     generator = gksl_superop(
         _stacked_spin_ops(n_pairs), hopping_rate * x_big, damping_rate * y_big.T
     )
-    return ClosedFormModel(
-        liouvillian=Liouvillian(
-            dim=4**n_pairs,
-            matrix=generator,
-            charge=_array_charge((2,) * (2 * n_pairs), range(n_pairs)),
-        ),
-        patterns=pats,
-        hopping_rate=hopping_rate,
-        damping_rate=damping_rate,
-        coherent_blocks=x_big,
-        dissipative_blocks=y_big,
-    )
+    return _spin_liouvillian(n_pairs, generator)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +457,7 @@ class TruncationSpec:
 
     n_max: int | None = None
     check: str = "auto"
-    side_budget: int = 120_000
+    side_budget: int = SIDE_BUDGET
     basis: str = "bare"
 
     def __post_init__(self) -> None:
@@ -541,6 +514,16 @@ def _stacked(lowering: list[sp.csr_matrix]) -> list[sp.csr_matrix]:
     return lowering + [op.conjugate().T.tocsr() for op in lowering]
 
 
+def _fock_dims(cfg: ArrayConfig, n_max: int, include_spins: bool) -> tuple[int, ...]:
+    """Site dimensions of the truncated model: ``2N`` modes, then any spins.
+
+    Spins are kept when ``include_spins`` is set and some coupling is
+    nonzero.
+    """
+    with_spins = include_spins and any(g > 0.0 for g in cfg.g)
+    return (n_max + 1,) * cfg.n_modes + ((2,) * cfg.n_modes if with_spins else ())
+
+
 def _fock_liouvillian(
     cfg: ArrayConfig, n_max: int, *, include_spins: bool, basis: str = "bare"
 ) -> tuple[Liouvillian, tuple[int, ...], list[sp.csr_matrix], np.ndarray]:
@@ -559,14 +542,12 @@ def _fock_liouvillian(
     correlated reservoir on the physical end modes in the bare basis and,
     exactly, two thermal reservoirs on the frame modes in the squeezed one.
     """
-    n_levels = n_max + 1
     n_modes = cfg.n_modes
-    with_spins = include_spins and any(g > 0.0 for g in cfg.g)
-    dims = (n_levels,) * n_modes + ((2,) * n_modes if with_spins else ())
-    lower = destroy(n_levels)
-    field_ops = _stacked([embed_operator({site: lower}, dims) for site in range(n_modes)])
-    spin_sites = range(n_modes, len(dims))  # empty without spins
-    spin_ops = _stacked([embed_operator({site: QUBIT_LOWER}, dims) for site in spin_sites])
+    dims = _fock_dims(cfg, n_max, include_spins)
+    with_spins = len(dims) > n_modes
+    lowering = _lowering_ops(dims)
+    field_ops = _stacked(lowering[:n_modes])
+    spin_ops = _stacked(lowering[n_modes:])  # empty without spins
     n_ops = len(field_ops) + len(spin_ops)
     # operator indices: t_s at s, t_s^dag at n_modes + s, and the spin
     # lowering and raising operators of mode s at 2 n_modes + s and 3 n_modes + s
@@ -634,30 +615,20 @@ def full_cavity_atom_oracle(
     Intended as an independent oracle for small systems (single pair of
     sites with spins; a few sites without).  Raises
     :class:`DimensionBudgetExceeded` when the superoperator side would
-    exceed the budget and :class:`TruncationUnconverged` when the
+    exceed ``trunc.side_budget`` (:func:`check_size`) and :class:`TruncationUnconverged` when the
     ``n_max + 2`` recheck moves any field second moment by more than
     1e-3 * max(1, nbar).
     """
     trunc = trunc or TruncationSpec()
     n_max = trunc.n_max if trunc.n_max is not None else default_fock_levels(cfg.nbar)
-
-    def superop_side(levels: int, with_spins: bool) -> int:
-        factor = 2**cfg.n_modes if with_spins else 1
-        return ((levels + 1) ** cfg.n_modes * factor) ** 2
-
-    has_spins = any(g > 0.0 for g in cfg.g)
-    if superop_side(n_max, has_spins) > trunc.side_budget:
-        raise DimensionBudgetExceeded(
-            f"superoperator side {superop_side(n_max, has_spins)} exceeds the "
-            f"budget {trunc.side_budget}; reduce n_max or the number of sites"
-        )
+    check_size(_fock_dims(cfg, n_max, True), trunc.side_budget)
     liou, dims, field_ops, frame = _fock_liouvillian(
         cfg, n_max, include_spins=True, basis=trunc.basis
     )
     rho = steady_state_dm(liou)
     moments = _field_moments(rho, field_ops, frame)
     spin_dm = None
-    if has_spins:
+    if len(dims) > cfg.n_modes:
         spin_sites = tuple(range(cfg.n_modes, 2 * cfg.n_modes))
         spin_dm = partial_trace(rho, dims, spin_sites)
 
@@ -669,10 +640,13 @@ def full_cavity_atom_oracle(
 
     check_mode, check_shift = "none", float("nan")
     if trunc.check == "auto":
-        include = superop_side(n_max + 2, has_spins) <= trunc.side_budget
-        check_mode = "full" if include else "field"
-        ref_moments = moments if include else solved_moments(n_max, False)
-        big_moments = solved_moments(n_max + 2, include)
+        try:
+            check_size(_fock_dims(cfg, n_max + 2, True), trunc.side_budget)
+        except DimensionBudgetExceeded:
+            check_mode, ref_moments = "field", solved_moments(n_max, False)
+        else:
+            check_mode, ref_moments = "full", moments
+        big_moments = solved_moments(n_max + 2, check_mode == "full")
         check_shift = float(np.abs(big_moments - ref_moments).max())
         if check_shift > 1e-3 * max(1.0, cfg.nbar):
             raise TruncationUnconverged(

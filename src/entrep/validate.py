@@ -18,9 +18,9 @@ and reports per-check pass/fail with the measured discrepancy:
     The driven XX chains against the analytic replicated pure state at
     maximal drive correlation.
 
-A suite whose solves would exceed the superoperator-side ``budget`` is
-marked ``skipped`` (never silently passed).  Failures are report
-entries, not exceptions.
+A suite whose solves would exceed the superoperator-side ``budget``
+(:func:`entrep.spins.check_size`) is marked ``skipped`` (never silently
+passed).  Failures are report entries, not exceptions.
 """
 
 from __future__ import annotations
@@ -33,15 +33,17 @@ import numpy as np
 
 from .arrays import ArrayConfig, steady_state
 from .baselines import replicated_state
-from .errors import ModelError
+from .errors import DimensionBudgetExceeded, ModelError
 from .liouville import fidelity_pure, gksl_superop, steady_state_dm
 from .output import _PEAK_TIE_RTOL
 from .spins import (
+    SIDE_BUDGET,
     TruncationSpec,
     _stacked_spin_ops,
     build_effective_closed_form,
     build_effective_general,
     build_xx_liouvillian,
+    check_size,
     closed_form_rates,
     coupling_pattern_matrices,
     full_cavity_atom_oracle,
@@ -55,14 +57,6 @@ __all__ = [
     "run_all",
     "run_suite",
 ]
-
-SUITE_NAMES = (
-    "gaussian-vs-fock",
-    "effective-vs-full",
-    "closed-form-vs-general",
-    "fixed-point",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -100,14 +94,6 @@ def _finish(suite: str, checks: list[CheckResult], all_skipped: str = "") -> Sui
     return SuiteReport(suite=suite, status=status, checks=tuple(checks))
 
 
-def _over_budget(needed_side: int, budget: int) -> str:
-    return f"needs superoperator side {needed_side}, over the budget {budget}"
-
-
-def _skip(suite: str, needed_side: int, budget: int) -> SuiteReport:
-    return SuiteReport(suite=suite, status="skipped", reason=_over_budget(needed_side, budget))
-
-
 def _worst_entry(got: np.ndarray, ref: np.ndarray) -> tuple[float, str]:
     """Largest ``|got - ref|`` entry and a detail string naming it.
 
@@ -128,20 +114,17 @@ def _worst_entry(got: np.ndarray, ref: np.ndarray) -> tuple[float, str]:
 
 def _suite_gaussian_vs_fock(budget: int) -> SuiteReport:
     ladder = (4, 8, 12)
-    needed = ((ladder[-1] + 1) ** 2) ** 2
-    if needed > budget:
-        return _skip("gaussian-vs-fock", needed, budget)
     cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=0.5, mbar=math.sqrt(0.75))
     reference = steady_state(cfg).stacked()
     checks: list[CheckResult] = []
-    errors = []
-    details = []
-    for n_max in ladder:
-        oracle = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=n_max, check="none"))
-        err, detail = _worst_entry(oracle.moments, reference)
-        errors.append(err)
-        details.append(detail)
-    checks.append(_gated(f"moment-agreement-nmax{ladder[-1]}", errors[-1], 1e-3, details[-1]))
+    worst = {}
+    # largest cutoff first, so an over-budget ladder is refused before any solve
+    for n_max in reversed(ladder):
+        trunc = TruncationSpec(n_max=n_max, check="none", side_budget=budget)
+        worst[n_max] = _worst_entry(full_cavity_atom_oracle(cfg, trunc).moments, reference)
+    errors = [worst[n_max][0] for n_max in ladder]
+    err, detail = worst[ladder[-1]]
+    checks.append(_gated(f"moment-agreement-nmax{ladder[-1]}", err, 1e-3, detail))
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
     checks.append(
         CheckResult(
@@ -157,16 +140,12 @@ def _suite_gaussian_vs_fock(budget: int) -> SuiteReport:
 
 def _suite_effective_vs_full(budget: int) -> SuiteReport:
     n_max = 6
-    needed = ((n_max + 1) ** 2 * 4) ** 2
-    if needed > budget:
-        return _skip("effective-vs-full", needed, budget)
+    trunc = TruncationSpec(n_max=n_max, check="none", side_budget=budget, basis="squeezed")
     checks = []
     for mbar in (1.2, math.sqrt(2.0)):
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=mbar, g=0.01)
-        oracle = full_cavity_atom_oracle(
-            cfg, TruncationSpec(n_max=n_max, check="none", basis="squeezed")
-        )
-        effective = steady_state_dm(build_effective_general(cfg).liouvillian)
+        oracle = full_cavity_atom_oracle(cfg, trunc)
+        effective = steady_state_dm(build_effective_general(cfg))
         distance = 0.5 * float(np.abs(np.linalg.eigvalsh(oracle.spin_dm - effective)).sum())
         checks.append(
             _gated(
@@ -214,13 +193,15 @@ def _suite_closed_form_vs_general(budget: int) -> SuiteReport:
     params = dict(eta=0.8, zeta=1.3, g=0.01, nbar=1.0, mbar=1.2)
     checks = []
     for n_pairs in (2, 3):
-        side = 4 ** (2 * n_pairs)
-        if side > budget:
-            detail = _over_budget(side, budget)
-            checks.append(CheckResult(f"generator-gap-{n_pairs}-pairs", "skipped", detail=detail))
+        try:
+            check_size((2,) * (2 * n_pairs), budget)
+        except DimensionBudgetExceeded as exc:
+            checks.append(
+                CheckResult(f"generator-gap-{n_pairs}-pairs", "skipped", detail=str(exc))
+            )
             continue
-        general = build_effective_general(ArrayConfig.homogeneous(n_pairs, **params)).liouvillian
-        closed = build_effective_closed_form(n_pairs, **params).liouvillian
+        general = build_effective_general(ArrayConfig.homogeneous(n_pairs, **params))
+        closed = build_effective_closed_form(n_pairs, **params)
         gap = np.abs((closed.matrix - general.matrix)).max()
         scale = max(general.scale, 1e-300)
         checks.append(
@@ -257,11 +238,11 @@ def _suite_closed_form_vs_general(budget: int) -> SuiteReport:
 def _suite_fixed_point(budget: int) -> SuiteReport:
     checks = []
     for n_pairs in (1, 2, 3):
-        side = 4 ** (2 * n_pairs)
-        if side > budget:
-            detail = _over_budget(side, budget)
+        try:
+            check_size((2,) * (2 * n_pairs), budget)
+        except DimensionBudgetExceeded as exc:
             checks.append(
-                CheckResult(f"replication-infidelity-{n_pairs}-pairs", "skipped", detail=detail)
+                CheckResult(f"replication-infidelity-{n_pairs}-pairs", "skipped", detail=str(exc))
             )
             continue
         for nbar in (0.5, 1.0):
@@ -287,14 +268,22 @@ _SUITES = {
     "fixed-point": _suite_fixed_point,
 }
 
+SUITE_NAMES = tuple(_SUITES)
 
-def run_suite(name: str, budget: int = 120_000) -> SuiteReport:
-    """Run one named suite; unexpected model errors become failed checks."""
+
+def run_suite(name: str, budget: int = SIDE_BUDGET) -> SuiteReport:
+    """Run one named suite at the superoperator-side ``budget``.
+
+    A model over the budget skips the suite; other model errors become a
+    failed check.
+    """
     if name not in _SUITES:
         known = ", ".join(SUITE_NAMES)
         raise ValueError(f"unknown suite {name!r}; choose from {known}")
     try:
         return _SUITES[name](budget)
+    except DimensionBudgetExceeded as exc:
+        return SuiteReport(suite=name, status="skipped", reason=str(exc))
     except ModelError as exc:
         return SuiteReport(
             suite=name,
@@ -309,7 +298,7 @@ def run_suite(name: str, budget: int = 120_000) -> SuiteReport:
         )
 
 
-def run_all(budget: int = 120_000) -> tuple[SuiteReport, ...]:
+def run_all(budget: int = SIDE_BUDGET) -> tuple[SuiteReport, ...]:
     return tuple(run_suite(name, budget) for name in SUITE_NAMES)
 
 

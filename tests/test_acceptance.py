@@ -200,7 +200,7 @@ def test_criterion_7_adiabatic_elimination():
             cfg, TruncationSpec(n_max=8, basis="squeezed")
         )
         assert oracle.check_mode == "field"  # convergence gate genuinely ran
-        effective = steady_state_dm(build_effective_general(cfg).liouvillian)
+        effective = steady_state_dm(build_effective_general(cfg))
         distances[mbar] = 0.5 * float(
             np.abs(np.linalg.eigvalsh(oracle.spin_dm - effective)).sum()
         )

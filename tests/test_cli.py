@@ -53,6 +53,36 @@ class TestRun:
         assert code == 2
         assert "conflicts" in stderr
 
+    @pytest.mark.parametrize("entry", ["seed = abc", "workers = two"])
+    def test_non_integer_run_key_in_config_file_exits_2(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"experiment = custom\n{entry}\n", encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert entry.split()[0] in stderr and "not an integer" in stderr
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        code, _, stderr = run_cli(capsys, "run", "--config", str(missing))
+        assert code == 2
+        assert f"cannot read config file {missing}" in stderr
+
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("experiment = custom\nnbar = 0.5 # \u00b5\n".encode("latin-1"))
+        code, _, stderr = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert f"cannot read config file {cfg}" in stderr
+
+    def test_fig2c_refuses_a_cross_correlation_rule_it_does_not_apply(self, tmp_path, capsys):
+        out = tmp_path / "fig2c.csv"
+        code, _, stderr = run_cli(
+            capsys, "run", "--experiment", "fig2c", "--set", "mbar_rule=0", "--out", str(out)
+        )
+        assert code == 2
+        assert "mbar_rule" in stderr
+        assert not out.exists() and not out.with_suffix(".manifest").exists()
+
     def test_missing_experiment(self, capsys):
         code, _, stderr = run_cli(capsys, "run")
         assert code == 2

@@ -273,11 +273,9 @@ class TestSteadyState:
             liou = build_xx_liouvillian(2, 1.0, 0.5, nbar, mbar)
         elif model == "effective":
             cfg = ArrayConfig.homogeneous(2, eta=eta, zeta=zeta, nbar=nbar, mbar=mbar, g=g)
-            liou = build_effective_general(cfg).liouvillian
+            liou = build_effective_general(cfg)
         else:
-            liou = build_effective_closed_form(
-                2, eta=eta, zeta=zeta, g=g, nbar=nbar, mbar=mbar
-            ).liouvillian
+            liou = build_effective_closed_form(2, eta=eta, zeta=zeta, g=g, nbar=nbar, mbar=mbar)
         assert liou.charge.any()
         assert np.abs(steady_state_dm(liou) - svd_steady_state(liou)).max() <= 1e-10
 

@@ -7,9 +7,13 @@ state under a purely-squeezed drive, the product thermal state under an
 uncorrelated drive, and the Fock-truncated cavity+spin oracle.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import entrep.liouville
 import entrep.spins
@@ -25,6 +29,7 @@ from entrep.errors import (
 )
 from entrep.liouville import (
     QUBIT_LOWER,
+    destroy,
     embed_operator,
     fidelity_pure,
     left_multiply,
@@ -44,6 +49,7 @@ from entrep.spins import (
     build_effective_closed_form,
     build_effective_general,
     build_xx_liouvillian,
+    check_size,
     closed_form_rates,
     coupling_pattern_matrices,
     default_fock_levels,
@@ -75,6 +81,22 @@ def test_array_charge_counts_excitations_per_array():
     # a three-level mode in array one, a qubit in array two; site 0 leftmost
     assert np.array_equal(_array_charge((3, 2), [0]), [0, -1, 1, 0, 2, 1])
     assert np.array_equal(_array_charge((2, 2), range(2)), [0, 1, 1, 2])
+
+
+@given(
+    dims=st.lists(st.integers(2, 5), min_size=1, max_size=5).map(tuple),
+    first_mask=st.integers(0, 2**5 - 1),
+)
+@example(dims=(7, 7, 2, 2), first_mask=0b0101)  # the one-pair Fock+spin oracle at n_max 6
+@settings(max_examples=300, deadline=None)
+def test_block_side_counts_equal_charge_pairs(dims, first_mask):
+    # the block side check_size reports does not depend on which sites
+    # belong to the first array
+    first = [site for site in range(len(dims)) if first_mask >> site & 1]
+    charge = _array_charge(dims, first)
+    pairs = int(np.equal.outer(charge, charge).sum())
+    with pytest.raises(DimensionBudgetExceeded, match=re.escape(f"block side {pairs:,})")):
+        check_size(dims, budget=0)
 
 
 class TestXXChains:
@@ -197,10 +219,12 @@ class TestSpinBudget:
         assert not out.exists()
 
 
-def kron_lowering_ops(n_spins: int) -> list[sp.csr_matrix]:
+def kron_lowering_ops(dims: tuple[int, ...]) -> list[sp.csr_matrix]:
     """Lowering operators as Kronecker chains; reference for ``_lowering_ops``."""
-    dims = (2,) * n_spins
-    return [embed_operator({site: QUBIT_LOWER}, dims) for site in range(n_spins)]
+    return [
+        embed_operator({site: QUBIT_LOWER if levels == 2 else destroy(levels)}, dims)
+        for site, levels in enumerate(dims)
+    ]
 
 
 def loop_quadratic_superop(sbar, coeff_left, coeff_right, coeff_mid) -> sp.csr_matrix:
@@ -246,9 +270,14 @@ def assert_same_csr(got, want):
 class TestAssemblyMatchesReferences:
     """The loop-free builders give the reference generators bit for bit."""
 
-    @pytest.mark.parametrize("n_spins", range(1, 9))
-    def test_lowering_ops(self, n_spins):
-        for got, want in zip(_lowering_ops(n_spins), kron_lowering_ops(n_spins), strict=True):
+    @pytest.mark.parametrize(
+        "dims",
+        [(2,) * n_spins for n_spins in range(1, 9)]
+        + [(3,), (5, 5), (5, 5, 2, 2), (9, 9, 2, 2), (4, 3, 2)],
+        ids=str,
+    )
+    def test_lowering_ops(self, dims):
+        for got, want in zip(_lowering_ops(dims), kron_lowering_ops(dims), strict=True):
             assert_same_csr(got, want)
 
     @pytest.fixture
@@ -278,9 +307,7 @@ class TestAssemblyMatchesReferences:
         cfg = ArrayConfig.homogeneous(
             n_pairs, eta=0.8, kappa=0.1, zeta=1.3, nbar=0.9, mbar=1.1, g=0.03
         )
-        fast, reference = reference_assembly(
-            lambda: build_effective_general(cfg).liouvillian
-        )
+        fast, reference = reference_assembly(lambda: build_effective_general(cfg))
         assert_same_csr(fast, reference)
 
     @pytest.mark.parametrize("n_pairs", [1, 2, 3])
@@ -288,7 +315,7 @@ class TestAssemblyMatchesReferences:
         fast, reference = reference_assembly(
             lambda: build_effective_closed_form(
                 n_pairs, eta=0.8, zeta=1.3, g=0.03, nbar=0.9, mbar=1.1
-            ).liouvillian
+            )
         )
         assert_same_csr(fast, reference)
 
@@ -334,13 +361,13 @@ def reduced_config(n_sites, *, nbar, mbar, g=0.02, eta=1.0, zeta=1.0, kappa=0.0)
 class TestEffectiveReduction:
     def test_single_pair_matches_replicated_state(self):
         cfg = reduced_config(1, nbar=1.0, mbar=pure_drive(1.0))
-        rho = steady_state_dm(build_effective_general(cfg).liouvillian)
+        rho = steady_state_dm(build_effective_general(cfg))
         assert fidelity_pure(rho, replicated_state(1.0, 1)) >= 1.0 - 1e-9
 
     def test_three_pair_chain_replicates(self):
         nbar = 1.0
         cfg = reduced_config(3, nbar=nbar, mbar=pure_drive(nbar), g=0.01)
-        rho = steady_state_dm(build_effective_general(cfg).liouvillian)
+        rho = steady_state_dm(build_effective_general(cfg))
         assert fidelity_pure(rho, replicated_state(nbar, 3)) >= 1.0 - 1e-6
         expected = pure_pair_logneg(pair_amplitude(nbar))
         for pair in ((0, 3), (1, 4), (2, 5)):
@@ -349,22 +376,19 @@ class TestEffectiveReduction:
 
     def test_three_pair_solve_is_bitwise_repeatable(self):
         cfg = reduced_config(3, nbar=1.0, mbar=1.2, g=0.01)
-        liou = build_effective_general(cfg).liouvillian
+        liou = build_effective_general(cfg)
         assert np.array_equal(steady_state_dm(liou), steady_state_dm(liou))
 
-    def test_kernel_scales_with_coupling_squared(self):
+    def test_generator_scales_with_coupling_squared(self):
         cfg = reduced_config(2, nbar=0.6, mbar=0.7, g=0.01)
         cfg_double = reduced_config(2, nbar=0.6, mbar=0.7, g=0.02)
-        small = build_effective_general(cfg)
-        large = build_effective_general(cfg_double)
-        assert np.allclose(large.kernel, 4.0 * small.kernel, rtol=1e-12, atol=0.0)
-        assert np.allclose(
-            large.kernel_reversed, 4.0 * small.kernel_reversed, rtol=1e-12, atol=0.0
-        )
+        small = build_effective_general(cfg).matrix.toarray()
+        large = build_effective_general(cfg_double).matrix.toarray()
+        assert np.allclose(large, 4.0 * small, rtol=1e-12, atol=0.0)
 
     def test_generator_preserves_trace_and_hermiticity(self):
         model = build_effective_general(reduced_config(2, nbar=0.8, mbar=1.0))
-        check_generator_structure(model.liouvillian, seed=2)
+        check_generator_structure(model, seed=2)
 
     def test_adiabaticity_ratio_value(self):
         cfg = reduced_config(1, nbar=1.0, mbar=0.5, g=0.05, zeta=0.7, kappa=0.3)
@@ -430,10 +454,10 @@ class TestClosedForm:
     def test_matches_general_construction(self, n_pairs, nbar, mbar):
         eta, zeta, g = 0.8, 1.3, 0.03
         cfg = reduced_config(n_pairs, nbar=nbar, mbar=mbar, g=g, eta=eta, zeta=zeta)
-        general = build_effective_general(cfg).liouvillian
+        general = build_effective_general(cfg)
         closed = build_effective_closed_form(
             n_pairs, eta=eta, zeta=zeta, g=g, nbar=nbar, mbar=mbar
-        ).liouvillian
+        )
         difference = general.matrix - closed.matrix
         gap = np.abs(difference.data).max() if difference.nnz else 0.0
         assert gap <= 1e-12 * max(1.0, general.scale)
@@ -472,14 +496,14 @@ class TestClosedForm:
         model = build_effective_closed_form(
             2, eta=1.0, zeta=1.2, g=0.02, nbar=nbar, mbar=pure_drive(nbar)
         )
-        rho = steady_state_dm(model.liouvillian)
+        rho = steady_state_dm(model)
         assert fidelity_pure(rho, replicated_state(nbar, 2)) >= 1.0 - 1e-9
 
     def test_generator_preserves_trace_and_hermiticity(self):
         model = build_effective_closed_form(
             3, eta=0.7, zeta=1.1, g=0.04, nbar=0.6, mbar=0.8
         )
-        check_generator_structure(model.liouvillian, seed=3)
+        check_generator_structure(model, seed=3)
 
     def test_validation(self):
         with pytest.raises(ConfigInvalid):
@@ -549,7 +573,7 @@ class TestFockOracle:
             1, zeta=1.0, nbar=nbar, mbar=pure_drive(nbar), g=0.05
         )
         oracle = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=6, check="none"))
-        reduced = steady_state_dm(build_effective_general(cfg).liouvillian)
+        reduced = steady_state_dm(build_effective_general(cfg))
         gap = 0.5 * np.abs(np.linalg.eigvalsh(oracle.spin_dm - reduced)).sum()
         assert gap <= 1.5e-2
         assert fidelity_pure(oracle.spin_dm, replicated_state(nbar, 1)) >= 0.99
@@ -610,7 +634,7 @@ class TestSqueezedBasisOracle:
         oracle = full_cavity_atom_oracle(
             cfg, TruncationSpec(n_max=6, check="none", basis="squeezed")
         )
-        reduced = steady_state_dm(build_effective_general(cfg).liouvillian)
+        reduced = steady_state_dm(build_effective_general(cfg))
         gap = 0.5 * np.abs(np.linalg.eigvalsh(oracle.spin_dm - reduced)).sum()
         assert gap <= 1e-6
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import entrep.arrays
+import entrep.spins
 from entrep.validate import (
     SUITE_NAMES,
     CheckResult,
@@ -56,6 +57,16 @@ class TestBudgetGating:
         report = run_suite("effective-vs-full", budget=1000)
         assert report.status == "skipped"
         assert "38416" in report.reason and "1000" in report.reason
+
+    def test_over_budget_oracle_suites_skip_before_any_solve(self, monkeypatch):
+        def refuse(liouvillian):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(entrep.spins, "steady_state_dm", refuse)
+        for name in ("gaussian-vs-fock", "effective-vs-full"):
+            report = run_suite(name, budget=1000)
+            assert report.status == "skipped"
+            assert "charge-diagonal block side" in report.reason
 
     def test_partial_skips_inside_a_suite(self):
         report = run_suite("fixed-point", budget=300)
