@@ -12,11 +12,18 @@ charge[j]``.  Every generator here also maps Hermitian operators to
 Hermitian ones, so the block is solved in its real Hermitian basis
 (``rho_ii``, ``sqrt(2) Re rho_ij`` and ``sqrt(2) Im rho_ij`` for
 ``i < j``), where the generator is a real matrix of the block's side.
-One sparse LU solve of that real matrix, with its redundant first row
-replaced by the trace condition, gives the steady state; the same
-factors certify that it is unique before it is returned.  An all-zero
-charge makes the block the whole space.  The U(1) block reduction is
-that of Buca and Prosen, New J. Phys. 14, 073007 (2012).
+A generator may also declare a swap: a basis permutation that negates
+the charge and commutes with it, such as the exchange of two identical
+arrays.  The swap splits the block's real coordinates into an even and
+an odd half, and the generator into one real matrix per half.  The even
+half, with its redundant first row replaced by the trace condition,
+gives the steady state by one sparse LU solve; the odd half is factored
+too, and the factors of both halves certify that the state is unique
+before it is returned.  Without a swap the odd half is empty, and an
+all-zero charge makes the block the whole space.  The U(1) block
+reduction is that of Buca and Prosen, New J. Phys. 14, 073007 (2012);
+the Z2 symmetry sectors are as in Albert and Jiang, Phys. Rev. A 89,
+022118 (2014).
 
 Every generator is assembled by one routine, :func:`quadratic_superop`,
 for a master equation quadratic in one list of operators;
@@ -180,18 +187,31 @@ def _operator_sectors(charge: np.ndarray) -> np.ndarray:
     return vec(np.subtract.outer(charge, charge))
 
 
+def _largest_crossing(matrix: sp.csr_matrix, sector: np.ndarray) -> float:
+    """Largest ``|entry|`` of ``matrix`` whose row and column sectors differ."""
+    rows = np.repeat(sector, np.diff(matrix.indptr))
+    return float(np.abs(matrix.data[rows != sector[matrix.indices]]).max(initial=0.0))
+
+
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Vectorized generator of a finite-dimensional master equation.
 
     ``charge`` holds one integer U(1) charge per Hilbert basis state
     (default all zeros); the generator must map each operator sector
-    ``charge[i] - charge[j]`` to itself.
+    ``charge[i] - charge[j]`` to itself.  ``swap`` optionally declares a
+    symmetry: a permutation ``s`` of the Hilbert basis, an involution
+    with ``charge[s] == -charge``, whose superoperator ``rho_ij ->
+    rho_s(i)s(j)`` the generator commutes with (the exchange of two
+    identical arrays).  Construction checks only the permutation; the
+    commutation is checked where the solve uses it
+    (:func:`steady_state_dm`).
     """
 
     dim: int
     matrix: sp.csr_matrix  # any sparse matrix or dense array; stored as CSR
     charge: np.ndarray | None = None  # stored as a read-only int64 array
+    swap: np.ndarray | None = None  # stored as a read-only int64 array
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _csr(self.matrix))
@@ -200,24 +220,37 @@ class Liouvillian:
             raise ConfigInvalid(
                 f"generator shape {self.matrix.shape} does not match dim {self.dim}"
             )
-        raw = np.zeros(self.dim, np.int64) if self.charge is None else np.asarray(self.charge)
-        if raw.shape != (self.dim,) or raw.dtype.kind not in "iu":
-            raise ConfigInvalid(
-                f"charge must hold {self.dim} integers, got {raw.shape} {raw.dtype}"
-            )
-        charge = raw.astype(np.int64)
-        charge.flags.writeable = False
-        object.__setattr__(self, "charge", charge)
-        sectors = _operator_sectors(charge)
-        rows = np.repeat(np.arange(side), np.diff(self.matrix.indptr))
-        crossing = np.abs(
-            self.matrix.data[sectors[rows] != sectors[self.matrix.indices]]
+        charge = self._basis_integers(
+            np.zeros(self.dim, np.int64) if self.charge is None else self.charge, "charge"
         )
-        if crossing.size and crossing.max() > _CHARGE_RTOL * self.scale:
+        object.__setattr__(self, "charge", charge)
+        if self.swap is not None:
+            swap = self._basis_integers(self.swap, "swap")
+            identity = np.arange(self.dim)
+            if not np.array_equal(np.sort(swap), identity):
+                raise ConfigInvalid("swap is not a permutation of the basis states")
+            if not np.array_equal(swap[swap], identity):
+                raise ConfigInvalid("swap is not an involution")
+            if not np.array_equal(charge[swap], -charge):
+                raise ConfigInvalid("swap does not map charge to -charge")
+            object.__setattr__(self, "swap", swap)
+        crossing = _largest_crossing(self.matrix, _operator_sectors(charge))
+        if crossing > _CHARGE_RTOL * self.scale:
             raise ConfigInvalid(
-                f"generator entry {crossing.max():.3e} crosses charge sectors "
+                f"generator entry {crossing:.3e} crosses charge sectors "
                 f"(above {_CHARGE_RTOL:.0e} * scale {self.scale:.3e})"
             )
+
+    def _basis_integers(self, values, name: str) -> np.ndarray:
+        """``values`` as a read-only int64 array of one entry per basis state."""
+        raw = np.asarray(values)
+        if raw.shape != (self.dim,) or raw.dtype.kind not in "iu":
+            raise ConfigInvalid(
+                f"{name} must hold {self.dim} integers, got {raw.shape} {raw.dtype}"
+            )
+        out = raw.astype(np.int64)
+        out.flags.writeable = False
+        return out
 
     @property
     def scale(self) -> float:
@@ -240,23 +273,33 @@ _CONDITION_LIMIT = 1e8
 _RESIDUAL_RTOL = 1e-9
 
 
-def _condition_estimate(system: sp.csc_matrix, lu) -> float:
-    """Condition estimate ``||system||_1 * ||system^-1||_2`` from LU factors.
+def _factor(system: sp.csc_matrix, name: str) -> tuple[spla.SuperLU, float, float]:
+    """Sparse LU of ``system`` with ``||system||_1`` and ``||system^-1||_2``.
 
-    ``||system^-1||_2`` comes from three inverse-iteration steps on
+    ``||system^-1||_2`` is estimated by three inverse-iteration steps on
     ``system^H system``, started from a fixed seeded vector so the
-    estimate is deterministic.
+    estimate is deterministic.  A singular factorization raises
+    :class:`DegenerateSteadyState` naming the ``name`` system.
     """
+    try:
+        lu = spla.splu(system)
+    except RuntimeError as exc:
+        raise DegenerateSteadyState(
+            f"{name} is singular ({exc}): kernel is not one-dimensional"
+        ) from exc
     x = np.random.default_rng(0).standard_normal(system.shape[0])
     x /= np.linalg.norm(x)
     for _ in range(3):
         x = lu.solve(lu.solve(x, trans="H"))
         growth = np.linalg.norm(x)
         x /= growth
-    return float(spla.norm(system, 1) * np.sqrt(growth))
+    one_norm = np.asarray(abs(system).sum(axis=0)).max(initial=0.0)
+    return lu, float(one_norm), float(np.sqrt(growth))
 
 
-def _hermitian_basis(charge: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+def _hermitian_basis(
+    charge: np.ndarray,
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
     """Unitary ``U`` from the block's real coordinates to ``vec(rho)``.
 
     The block holds the pairs ``(i, j)`` with ``charge[i] == charge[j]``.
@@ -265,33 +308,66 @@ def _hermitian_basis(charge: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     adds ``sqrt(2) Re rho_ij`` and then ``sqrt(2) Im rho_ij``, so
     coordinate 0 is ``rho_00``.  ``U`` has ``dim**2`` rows (zero off the
     block) and one column per coordinate; ``U @ x`` is the Hermitian
-    ``vec(rho)`` with those coordinates.  Also returns the coordinates
-    of the diagonal entries.
+    ``vec(rho)`` with those coordinates.  Also returns, per coordinate,
+    its pair ``(i, j)`` and its part (1 for ``Im rho_ij``, else 0).
     """
     dim = charge.size
-    i, j = np.nonzero(np.triu(np.equal.outer(charge, charge)))
+    pair_i, pair_j = np.nonzero(np.triu(np.equal.outer(charge, charge)))
+    width = np.where(pair_i == pair_j, 1, 2)
+    i, j = np.repeat(pair_i, width), np.repeat(pair_j, width)
+    coord = np.arange(i.size)
+    part = coord - np.repeat(np.cumsum(width) - width, width)
     diagonal = i == j
-    width = np.where(diagonal, 1, 2)
-    ends = np.cumsum(width)
-    first = ends - width
     off = ~diagonal
-    re_col, i_off, j_off = first[off], i[off], j[off]
-    upper_entry, lower_entry = i_off + j_off * dim, j_off + i_off * dim
-    half = np.sqrt(0.5)
-    rows = np.concatenate(
-        (i[diagonal] * (dim + 1), upper_entry, lower_entry, upper_entry, lower_entry)
-    )
-    cols = np.concatenate((first[diagonal], re_col, re_col, re_col + 1, re_col + 1))
-    values = np.concatenate(
-        (
-            np.ones(dim, complex),
-            np.full(2 * re_col.size, half, complex),
-            np.full(re_col.size, 1j * half),
-            np.full(re_col.size, -1j * half),
-        )
-    )
-    basis = sp.csr_matrix((values, (rows, cols)), shape=(dim * dim, int(ends[-1])))
-    return basis, first[diagonal]
+    # rho_ij and rho_ji get x / sqrt(2) from a Re coordinate and +-i y /
+    # sqrt(2) from an Im coordinate
+    upper = np.where(part[off] == 1, 1j, 1.0) * np.sqrt(0.5)
+    rows = np.concatenate((i[diagonal] * (dim + 1), (i + j * dim)[off], (j + i * dim)[off]))
+    cols = np.concatenate((coord[diagonal], coord[off], coord[off]))
+    values = np.concatenate((np.ones(dim), upper, upper.conj()))
+    basis = sp.csr_matrix((values, (rows, cols)), shape=(dim * dim, i.size))
+    return basis, i, j, part
+
+
+def _swap_parity(
+    i: np.ndarray, j: np.ndarray, part: np.ndarray, swap: np.ndarray
+) -> tuple[sp.csr_matrix, int]:
+    """Orthogonal ``[E O]`` splitting the real coordinates by swap parity.
+
+    The coordinates are those of :func:`_hermitian_basis`, given by
+    their pairs ``(i, j)`` and parts.  The swap ``s`` maps ``rho_ij`` to
+    ``rho_s(i)s(j)``, which on the real coordinates is a signed
+    permutation: coordinate ``k`` goes to ``sigma_k`` times the
+    coordinate ``p(k)`` of the same part on the sorted pair ``(s(i),
+    s(j))``, and ``sigma_k = -1`` exactly for an ``Im rho_ij`` with
+    ``s(i) > s(j)``.  A fixed coordinate (``p(k) = k``) is the even
+    column ``e_k`` when ``sigma_k = 1`` and the odd column ``e_k``
+    otherwise; each swapped pair ``k < p(k)`` gives the even column
+    ``(e_k + sigma_k e_p(k)) / sqrt(2)`` and the odd column ``(e_k -
+    sigma_k e_p(k)) / sqrt(2)``.  The even columns come first, each half
+    ordered by ``k``, so even column 0 holds coordinate 0.  Also returns
+    the number of even columns.
+    """
+    dim = swap.size
+    swap_i, swap_j = swap[i], swap[j]
+    # coordinates are sorted by this key, so the partner is a lookup
+    key = (i * dim + j) * 2 + part
+    swapped = (np.minimum(swap_i, swap_j) * dim + np.maximum(swap_i, swap_j)) * 2 + part
+    partner = np.searchsorted(key, swapped)
+    sign = np.where((part == 1) & (swap_i > swap_j), -1.0, 1.0)
+    coord = np.arange(key.size)
+    fixed, lead = partner == coord, coord < partner
+    even = np.flatnonzero(lead | (fixed & (sign > 0)))
+    odd = np.flatnonzero(lead | (fixed & (sign < 0)))
+    first = np.concatenate((even, odd))  # the smaller coordinate of each column
+    column = np.arange(first.size)
+    paired = lead[first]
+    weight = np.where(paired, np.sqrt(0.5), 1.0)
+    parity = np.repeat([1.0, -1.0], [even.size, odd.size])
+    rows = np.concatenate((first, partner[first[paired]]))
+    cols = np.concatenate((column, column[paired]))
+    values = np.concatenate((weight, (parity * sign[first] * weight)[paired]))
+    return sp.csr_matrix((values, (rows, cols)), shape=(key.size, key.size)), even.size
 
 
 def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
@@ -302,37 +378,56 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     which hold the whole diagonal) to itself, and the fixed point is
     solved there.  It also maps Hermitian operators to Hermitian ones, so
     in the block's real Hermitian basis ``U`` (:func:`_hermitian_basis`)
-    it is the real matrix ``U^H L U`` of the block's side.  An imaginary
-    entry above ``_CHARGE_RTOL * scale`` means the generator does not
-    preserve Hermiticity and raises :class:`ConfigInvalid`.  Trace
-    preservation makes the ``rho_00`` row redundant, so that row is
-    replaced by ``scale`` on every diagonal coordinate and the real
-    system is solved by sparse LU with right-hand side ``scale * e_0``;
-    ``U`` maps the solution back to a full Hermitian matrix, zero off the
-    block.
+    it is a real matrix of the block's side.  The declared swap (the
+    identity when there is none) maps the block to itself, since it
+    negates the charge, and splits the real coordinates into an even and
+    an odd half ``[E O]`` (:func:`_swap_parity`).  The generator is
+    projected once onto ``W = U [E O]``: ``W^H L W``.  An imaginary entry
+    above ``_CHARGE_RTOL * scale`` means the generator does not preserve
+    Hermiticity, and an entry between the halves above the same bound
+    means it does not commute with the swap; either raises
+    :class:`ConfigInvalid`.  Both halves are then factored by sparse LU.
+    The trace functional is even, and trace preservation makes the even
+    row holding ``rho_00`` (row 0) redundant, so that row is replaced by
+    ``scale`` times the trace functional and the even half is solved
+    with right-hand side ``scale * e_0``.  The steady state has no odd
+    part, and the traceless odd half must be nonsingular on its own.
+    ``W`` maps the solution back to a full Hermitian matrix, zero off the
+    block.  With no swap the odd half is empty and the even half is the
+    whole block.
 
     The same factors certify that the block kernel is one-dimensional: a
-    singular factorization or a condition estimate of at least
-    ``_CONDITION_LIMIT`` raises :class:`DegenerateSteadyState` rather than
-    silently picking a representative.  ``U`` is unitary and leaves the
-    ``rho_00`` row alone, so the real bordered system is a unitary
-    similarity of the complex bordered block and has its 2-norm
-    condition.  That certifies the full kernel too.  The real map is a
-    similarity on the Hermitian part of the block, and Hermitian fixed
-    points span the kernel (the Hermitian and anti-Hermitian parts of a
-    fixed point are fixed points), so a one-dimensional real kernel is a
-    one-dimensional block kernel.  Fixed points of a trace-preserving
-    generator are spanned by density matrices, so a second fixed point
-    would give a second steady state ``sigma``.  Its charge pinching
-    ``sum_q P_q sigma P_q`` is also stationary (it averages ``e^{i phi Q}
-    sigma e^{-i phi Q}``, with which the generator commutes) and lies in
-    the block, so it equals the block's unique state ``rho``.  A pinching
-    never shrinks the support, so every steady state lives on the support
-    of ``rho``; there ``rho`` is faithful, and the steady states mirror
-    the fixed-point algebra of the adjoint generator, a finite-dimensional
-    algebra on which the U(1) action fixes only the multiples of the
-    identity.  Such an ergodic action of U(1) is trivial, so the algebra,
-    and the kernel, is one-dimensional: ``sigma = rho``.
+    singular factorization of either half, or a condition estimate of at
+    least ``_CONDITION_LIMIT``, raises :class:`DegenerateSteadyState`
+    rather than silently picking a representative.  The estimate is that
+    of the trace-bordered block, which is the direct sum of the bordered
+    even half and the odd half: the larger of the halves' 1-norms times
+    the larger of their inverse-norm estimates.  ``W`` is unitary, so
+    the real bordered system is a unitary similarity of the complex
+    block with its row along ``W``'s first column (the ``rho_00`` row
+    when the swap fixes basis state 0) replaced by the trace, and has its
+    2-norm condition.  That certifies the full kernel too.  The real map
+    is a similarity on the Hermitian part of the block, and Hermitian
+    fixed points span the kernel (the Hermitian and anti-Hermitian parts
+    of a fixed point are fixed points), so a one-dimensional real kernel
+    is a one-dimensional block kernel.
+    Fixed points of a trace-preserving generator are spanned by density
+    matrices, so a second fixed point would give a second steady state
+    ``sigma``.  Its charge pinching ``sum_q P_q sigma P_q`` is also
+    stationary (it averages ``e^{i phi Q} sigma e^{-i phi Q}``, with
+    which the generator commutes) and lies in the block, so it equals
+    the block's unique state ``rho``.  A pinching never shrinks the
+    support, so every steady state lives on the support of ``rho``; there
+    ``rho`` is faithful, and the steady states mirror the fixed-point
+    algebra of the adjoint generator, a finite-dimensional algebra on
+    which the U(1) action fixes only the multiples of the identity.  Such
+    an ergodic action of U(1) is trivial, so the algebra, and the kernel,
+    is one-dimensional: ``sigma = rho``.  Factoring the even half alone
+    would not do: averaging over the swap instead pins only the even
+    part, and the two-element group can act ergodically on a larger
+    algebra (it may exchange two stationary states, as in
+    ``|01><01| - |10><10|`` of two qubits that both decay into the
+    singly excited states).
 
     The result is normalized, and checked for residual against the full
     generator and for positivity.
@@ -341,8 +436,11 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     scale = liouvillian.scale
     if not np.isfinite(scale):
         raise ConfigInvalid("generator has non-finite entries")
-    basis, diagonal = _hermitian_basis(liouvillian.charge)
-    # rows of U^H pick the block rows; off-block columns meet empty rows of U
+    swap = np.arange(dim) if liouvillian.swap is None else liouvillian.swap
+    hermitian, i, j, part = _hermitian_basis(liouvillian.charge)
+    parity, n_even = _swap_parity(i, j, part, swap)
+    basis = hermitian @ parity
+    # rows of W^H pick the block rows; off-block columns meet empty rows of W
     block = ((basis.conj().T @ liouvillian.matrix) @ basis).tocsr()
     imaginary = float(np.abs(block.data.imag).max()) if block.nnz else 0.0
     if imaginary > _CHARGE_RTOL * scale:
@@ -354,25 +452,29 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     block = block.real
     block.eliminate_zeros()
     side = block.shape[0]
-    trace_row = sp.csr_matrix(
-        (np.full(dim, scale), (np.zeros(dim, dtype=int), diagonal)), shape=(1, side)
+    crossing = _largest_crossing(block, np.arange(side) >= n_even)
+    if crossing > _CHARGE_RTOL * scale:
+        raise ConfigInvalid(
+            f"generator does not commute with the declared swap: entry "
+            f"{crossing:.3e} couples its even and odd halves (above "
+            f"{_CHARGE_RTOL:.0e} * scale {scale:.3e})"
+        )
+    # the trace functional: 1 on each rho_ii coordinate, rotated by [E O]
+    trace_row = np.asarray(parity[i == j].sum(axis=0)).ravel()[:n_even]
+    even_system = sp.vstack(
+        [sp.csr_matrix(scale * trace_row), block[1:n_even, :n_even]], format="csc"
     )
-    system = sp.vstack([trace_row, block[1:]], format="csc")
-    try:
-        lu = spla.splu(system)
-    except RuntimeError as exc:
-        raise DegenerateSteadyState(
-            f"trace-bordered generator is singular ({exc}): kernel is not one-dimensional"
-        ) from exc
-    condition = _condition_estimate(system, lu)
+    lu, even_norm, even_inverse = _factor(even_system, "trace-bordered even half")
+    _, odd_norm, odd_inverse = _factor(block[n_even:, n_even:].tocsc(), "odd half")
+    condition = max(even_norm, odd_norm) * max(even_inverse, odd_inverse)
     if not condition < _CONDITION_LIMIT:
         raise DegenerateSteadyState(
             f"condition estimate {condition:.3e} of the trace-bordered generator "
             f"is not below {_CONDITION_LIMIT:.0e}: kernel is not one-dimensional"
         )
-    rhs = np.zeros(side)
+    rhs = np.zeros(n_even)
     rhs[0] = scale
-    rho = unvec(basis @ lu.solve(rhs), dim)
+    rho = unvec(basis[:, :n_even] @ lu.solve(rhs), dim)
     trace = np.trace(rho).real
     if not abs(trace) > 1e-10:
         raise NoConvergence(f"steady-state trace {trace:.3e} is zero or not finite")

@@ -26,9 +26,11 @@ Every model lives on a product of sites, each a ``d``-level truncated
 boson (a qubit is ``d = 2``), and everything size-dependent follows from
 the site dimensions ``dims``: :func:`_lowering_ops` gives each site's
 lowering operator, :func:`_array_charge` the conserved charge
-``N_array1 - N_array2``, and :func:`check_size` refuses a model whose
-superoperator side ``prod(dims)**2`` exceeds the budget
-(:data:`SIDE_BUDGET` unless the caller passes one).
+``N_array1 - N_array2``, :func:`_array_swap` the exchange of the two
+arrays, which every generator declares when its arrays are identical,
+and :func:`check_size` refuses a model whose superoperator side
+``prod(dims)**2`` exceeds the budget (:data:`SIDE_BUDGET` unless the
+caller passes one).
 
 Index layout matches :mod:`entrep.arrays`: sites ``0..N-1`` are the first
 array, ``N..2N-1`` the second, and the driven pair is ``(0, N)``.
@@ -145,6 +147,31 @@ def _array_charge(dims: tuple[int, ...], first_array_sites) -> np.ndarray:
     return charge.reshape(-1)
 
 
+def _array_swap(dims: tuple[int, ...], n_sites: int) -> np.ndarray:
+    """Basis permutation exchanging the two arrays of a model on ``dims``.
+
+    Sites come in groups of ``2 n_sites`` (the modes, then any spins), the
+    first ``n_sites`` of each group in array one, and site ``s`` of a
+    group trades places with site ``s + n_sites`` (mod ``2 n_sites``) of
+    the same dimension.  Entry ``b`` is the basis state that ``b`` becomes.
+    It negates :func:`_array_charge`, and a generator of two identical
+    arrays commutes with it.
+    """
+    group, offset = np.divmod(np.arange(len(dims)), 2 * n_sites)
+    partner = 2 * n_sites * group + (offset + n_sites) % (2 * n_sites)
+    return np.arange(prod(dims)).reshape(dims).transpose(partner).reshape(-1)
+
+
+def _arrays_identical(cfg: ArrayConfig) -> bool:
+    """Whether both arrays have the same bonds and local losses.
+
+    The drive and the spin couplings are shared, so such a model
+    commutes with :func:`_array_swap`.
+    """
+    n = cfg.n_sites
+    return cfg.eta[: n - 1] == cfg.eta[n - 1 :] and cfg.kappa[:n] == cfg.kappa[n:]
+
+
 def _stacked_spin_ops(n_pairs: int) -> list[sp.csr_matrix]:
     """The 4N stacked spin operators: raising ops first, then lowering."""
     lowering = _lowering_ops((2,) * (2 * n_pairs))
@@ -152,11 +179,17 @@ def _stacked_spin_ops(n_pairs: int) -> list[sp.csr_matrix]:
     return raising + lowering
 
 
-def _spin_liouvillian(n_pairs: int, generator) -> Liouvillian:
-    """``generator`` on ``2 n_pairs`` spins, with their array charge."""
+def _spin_liouvillian(n_pairs: int, generator, identical_arrays: bool) -> Liouvillian:
+    """``generator`` on ``2 n_pairs`` spins, with their array charge.
+
+    The array swap is declared when the two arrays are identical.
+    """
     dims = (2,) * (2 * n_pairs)
     return Liouvillian(
-        dim=prod(dims), matrix=generator, charge=_array_charge(dims, range(n_pairs))
+        dim=prod(dims),
+        matrix=generator,
+        charge=_array_charge(dims, range(n_pairs)),
+        swap=_array_swap(dims, n_pairs) if identical_arrays else None,
     )
 
 
@@ -226,7 +259,10 @@ def build_xx_liouvillian(
     e = np.zeros_like(h)
     ends = np.array([0, n_pairs])
     _end_drive(e, ends + n_spins, ends, gamma, nbar, -mbar)
-    return _spin_liouvillian(n_pairs, gksl_superop(_stacked_spin_ops(n_pairs), h, e))
+    # both arrays have the same bonds, so the model is swap-symmetric
+    return _spin_liouvillian(
+        n_pairs, gksl_superop(_stacked_spin_ops(n_pairs), h, e), identical_arrays=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +330,7 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
         kernel_reversed.T,
         -(kernel.T + kernel_reversed),
     )
-    return _spin_liouvillian(n_pairs, generator)
+    return _spin_liouvillian(n_pairs, generator, _arrays_identical(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +459,7 @@ def build_effective_closed_form(
     generator = gksl_superop(
         _stacked_spin_ops(n_pairs), hopping_rate * x_big, damping_rate * y_big.T
     )
-    return _spin_liouvillian(n_pairs, generator)
+    return _spin_liouvillian(n_pairs, generator, identical_arrays=True)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +477,8 @@ class TruncationSpec:
     """Controls the Fock truncation of the full-model oracle.
 
     ``check`` is ``auto`` (a full recheck at ``n_max + 2`` when it fits
-    the superoperator-side budget, else a field-only recheck) or
-    ``none``.
+    the superoperator-side budget, else a field-only recheck, which must
+    fit it) or ``none``.
 
     ``basis`` selects the number basis the driven pair is truncated in.
     ``"bare"`` uses the physical modes; ``"squeezed"`` applies the
@@ -580,8 +616,12 @@ def _fock_liouvillian(
     # in the squeezed frame the charge counts frame quanta: each frame
     # operator c t_1 - s t_2^dag lowers it by one, like a bare a_1
     first_array = [site for site in range(len(dims)) if site % n_modes < cfg.n_sites]
-    charge = _array_charge(dims, first_array)
-    liouvillian = Liouvillian(dim=prod(dims), matrix=generator, charge=charge)
+    liouvillian = Liouvillian(
+        dim=prod(dims),
+        matrix=generator,
+        charge=_array_charge(dims, first_array),
+        swap=_array_swap(dims, cfg.n_sites) if _arrays_identical(cfg) else None,
+    )
     return liouvillian, dims, field_ops, frame
 
 
@@ -614,10 +654,15 @@ def full_cavity_atom_oracle(
 
     Intended as an independent oracle for small systems (single pair of
     sites with spins; a few sites without).  Raises
-    :class:`DimensionBudgetExceeded` when the superoperator side would
-    exceed ``trunc.side_budget`` (:func:`check_size`) and :class:`TruncationUnconverged` when the
-    ``n_max + 2`` recheck moves any field second moment by more than
-    1e-3 * max(1, nbar).
+    :class:`DimensionBudgetExceeded` when the superoperator side of the
+    model, or of the ``n_max + 2`` recheck that ``trunc.check == "auto"``
+    runs, would exceed ``trunc.side_budget`` (:func:`check_size`), and
+    :class:`TruncationUnconverged` when that recheck moves any field
+    second moment by more than 1e-3 * max(1, nbar).  The recheck is the
+    full model at ``n_max + 2`` when it fits the budget, else the
+    field-only model at ``n_max`` and ``n_max + 2``; a model without
+    spins is its own field-only model, so it is only ever rechecked in
+    full.
     """
     trunc = trunc or TruncationSpec()
     n_max = trunc.n_max if trunc.n_max is not None else default_fock_levels(cfg.nbar)
@@ -640,12 +685,14 @@ def full_cavity_atom_oracle(
 
     check_mode, check_shift = "none", float("nan")
     if trunc.check == "auto":
+        check_mode, ref_moments = "full", moments
         try:
             check_size(_fock_dims(cfg, n_max + 2, True), trunc.side_budget)
         except DimensionBudgetExceeded:
+            # without spins the field-only model is the full one and is
+            # refused here too, before any solve
+            check_size(_fock_dims(cfg, n_max + 2, False), trunc.side_budget)
             check_mode, ref_moments = "field", solved_moments(n_max, False)
-        else:
-            check_mode, ref_moments = "full", moments
         big_moments = solved_moments(n_max + 2, check_mode == "full")
         check_shift = float(np.abs(big_moments - ref_moments).max())
         if check_shift > 1e-3 * max(1.0, cfg.nbar):

@@ -30,6 +30,8 @@ from entrep.errors import (
 from entrep.liouville import (
     Liouvillian,
     QUBIT_LOWER,
+    _hermitian_basis,
+    _swap_parity,
     assert_density_matrix,
     destroy,
     embed_operator,
@@ -338,9 +340,74 @@ class TestSteadyState:
         liou = build_xx_liouvillian(2, 1.0, 0.5, 1.0, 1.2)
         assert np.iscomplexobj(liou.matrix.data)
         steady_state_dm(liou)
-        (system,) = factored
-        assert system.dtype == np.float64
-        assert system.shape == (70, 70)  # C(8, 4) charge-diagonal entries
+        # C(8, 4) = 70 charge-diagonal entries; the swap fixes the four
+        # states with equal arrays, so its trace on the block is 4**2 and
+        # the halves hold (70 + 16) / 2 and (70 - 16) / 2 coordinates
+        even, odd = factored
+        assert even.dtype == odd.dtype == np.float64
+        assert even.shape == (43, 43)
+        assert odd.shape == (27, 27)
+        assert even.shape[0] + odd.shape[0] == 70
+
+    def test_degenerate_odd_half_refused(self):
+        # both singly excited states absorb; the even half has the unique
+        # state |01><01| + |10><10| (halved), but the odd
+        # |01><01| - |10><10| is stationary too
+        ket = np.eye(4)
+        generator = sum(
+            lindblad_dissipator(np.outer(ket[to], ket[source]), 1.0)
+            for to in (1, 2)
+            for source in (3, 0)
+        )
+        liou = Liouvillian(
+            dim=4, matrix=generator, charge=[0, -1, 1, 0], swap=[0, 2, 1, 3]
+        )
+        with pytest.raises(DegenerateSteadyState, match="odd half is singular"):
+            steady_state_dm(liou)
+
+    def test_bad_declared_swap_refused(self):
+        # qubits decaying at unequal rates do not commute with their swap
+        unequal = qubit_decay((2, 2), {0: 1.0, 1: 2.0}).matrix
+        with pytest.raises(ConfigInvalid, match="does not commute with the declared swap"):
+            steady_state_dm(Liouvillian(dim=4, matrix=unequal, swap=[0, 2, 1, 3]))
+        equal = qubit_decay((2, 2), {0: 1.0, 1: 1.0}).matrix
+        with pytest.raises(ConfigInvalid, match="not a permutation"):
+            Liouvillian(dim=4, matrix=equal, swap=[0, 2, 2, 3])
+        with pytest.raises(ConfigInvalid, match="not a permutation"):
+            Liouvillian(dim=4, matrix=equal, swap=[0, 2, 1, 4])
+        with pytest.raises(ConfigInvalid, match="swap must hold 4 integers"):
+            Liouvillian(dim=4, matrix=equal, swap=[0.0, 2.0, 1.0, 3.0])
+        with pytest.raises(ConfigInvalid, match="not an involution"):
+            Liouvillian(dim=4, matrix=equal, swap=[1, 2, 0, 3])
+        # the charge N_0 - N_1 is negated by the swap, N_0 + N_1 is not
+        with pytest.raises(ConfigInvalid, match="does not map charge to -charge"):
+            Liouvillian(dim=4, matrix=equal, charge=[0, 1, 1, 2], swap=[0, 2, 1, 3])
+        swapped = Liouvillian(dim=4, matrix=equal, charge=[0, -1, 1, 0], swap=[0, 2, 1, 3])
+        assert not swapped.swap.flags.writeable
+        assert np.array_equal(steady_state_dm(swapped), np.diag([1.0, 0.0, 0.0, 0.0]))
+
+    def test_swapped_solve_is_deterministic(self):
+        liou = build_xx_liouvillian(3, 1.0, 0.5, 1.0, 1.2)
+        assert liou.swap is not None
+        assert np.array_equal(steady_state_dm(liou), steady_state_dm(liou))
+
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_parity_basis_is_unitary_and_splits_the_swap(self, n_pairs):
+        liou = build_xx_liouvillian(n_pairs, 1.0, 0.5, 1.0, 1.2)
+        dim, swap = liou.dim, liou.swap
+        hermitian, i, j, part = _hermitian_basis(liou.charge)
+        parity, n_even = _swap_parity(i, j, part, swap)
+        basis = (hermitian @ parity).toarray()
+        assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() <= 1e-15
+        # column k is vec of a Hermitian matrix that the swap maps to
+        # +itself (even, k < n_even) or -itself (odd)
+        for k in range(basis.shape[1]):
+            mat = unvec(basis[:, k], dim)
+            assert np.array_equal(mat, mat.conj().T)
+            parity_sign = 1.0 if k < n_even else -1.0
+            assert np.array_equal(mat[np.ix_(swap, swap)], parity_sign * mat)
+        # even column 0 holds rho_00 alone: the swap fixes the ground state
+        assert basis[0, 0] == 1.0 and np.count_nonzero(basis[0]) == 1
 
     def test_non_finite_generator_refused(self):
         generator = lindblad_dissipator(QUBIT_LOWER, 1.0).tolil()

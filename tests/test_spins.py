@@ -29,6 +29,7 @@ from entrep.errors import (
 )
 from entrep.liouville import (
     QUBIT_LOWER,
+    Liouvillian,
     destroy,
     embed_operator,
     fidelity_pure,
@@ -41,6 +42,7 @@ from entrep.liouville import (
 from entrep.spins import (
     TruncationSpec,
     _array_charge,
+    _array_swap,
     _field_moments,
     _fock_liouvillian,
     _lowering_ops,
@@ -97,6 +99,18 @@ def test_block_side_counts_equal_charge_pairs(dims, first_mask):
     pairs = int(np.equal.outer(charge, charge).sum())
     with pytest.raises(DimensionBudgetExceeded, match=re.escape(f"block side {pairs:,})")):
         check_size(dims, budget=0)
+
+
+def test_array_swap_exchanges_the_arrays():
+    # two modes of three levels, then their two spins; site 0 leftmost
+    dims = (3, 3, 2, 2)
+    states = np.array(np.unravel_index(np.arange(36), dims)).T
+    swap = _array_swap(dims, 1)
+    assert np.array_equal(states[swap], states[:, [1, 0, 3, 2]])
+    charge = _array_charge(dims, [0, 2])
+    assert np.array_equal(charge[swap], -charge)
+    # two pairs of qubits: (a0, a1, b0, b1) -> (b0, b1, a0, a1)
+    assert np.array_equal(_array_swap((2,) * 4, 2)[0b0110], 0b1001)
 
 
 class TestXXChains:
@@ -358,6 +372,59 @@ def reduced_config(n_sites, *, nbar, mbar, g=0.02, eta=1.0, zeta=1.0, kappa=0.0)
     )
 
 
+def without_swap(liou):
+    """The same generator and charge with no swap declared."""
+    return Liouvillian(dim=liou.dim, matrix=liou.matrix, charge=liou.charge)
+
+
+def swap_cases():
+    for n_pairs in (1, 2, 3, 4):
+        yield f"xx-{n_pairs}", lambda n=n_pairs: build_xx_liouvillian(n, 1.0, 0.5, 1.0, 1.2)
+    for n_pairs in (1, 2, 3):
+        cfg = reduced_config(n_pairs, nbar=1.0, mbar=1.2, g=0.01)
+        yield f"effective-{n_pairs}", lambda cfg=cfg: build_effective_general(cfg)
+        yield f"closed-form-{n_pairs}", lambda n=n_pairs: build_effective_closed_form(
+            n, eta=1.0, zeta=1.0, g=0.01, nbar=1.0, mbar=1.2
+        )
+    for basis in ("bare", "squeezed"):
+        for n_sites, n_max, spins in ((1, 2, True), (2, 2, False)):
+            cfg = ArrayConfig.homogeneous(
+                n_sites, eta=0.8, kappa=0.2, zeta=1.3, nbar=0.7, mbar=0.9, g=0.04
+            )
+            yield f"fock-{basis}-{n_sites}-{n_max}-{'spins' if spins else 'field'}", (
+                lambda cfg=cfg, n_max=n_max, spins=spins, basis=basis: _fock_liouvillian(
+                    cfg, n_max, include_spins=spins, basis=basis
+                )[0]
+            )
+
+
+SWAP_CASES = dict(swap_cases())
+
+
+class TestArraySwap:
+    """Every builder declares the swap of identical arrays; it changes no state."""
+
+    @pytest.mark.filterwarnings("ignore:timescale-separation")
+    @pytest.mark.parametrize("case", list(SWAP_CASES))
+    def test_declared_swap_changes_nothing(self, case):
+        liou = SWAP_CASES[case]()
+        assert liou.swap is not None
+        swapped, plain = steady_state_dm(liou), steady_state_dm(without_swap(liou))
+        assert np.abs(swapped - plain).max() <= 1e-13
+
+    def test_asymmetric_arrays_get_no_swap(self):
+        base = reduced_config(2, nbar=1.0, mbar=1.2, g=0.01)
+        bonds = ArrayConfig(**{**vars(base), "eta": (1.0, 1.1)})
+        liou = build_effective_general(bonds)
+        assert liou.swap is None
+        steady_state_dm(liou)
+        losses = ArrayConfig.homogeneous(1, kappa=0.2, zeta=1.0, nbar=0.5, mbar=0.6, g=0.04)
+        losses = ArrayConfig(**{**vars(losses), "kappa": (0.2, 0.3)})
+        liou, *_ = _fock_liouvillian(losses, 2, include_spins=True)
+        assert liou.swap is None
+        steady_state_dm(liou)
+
+
 class TestEffectiveReduction:
     def test_single_pair_matches_replicated_state(self):
         cfg = reduced_config(1, nbar=1.0, mbar=pure_drive(1.0))
@@ -556,6 +623,32 @@ class TestFockOracle:
         cfg = ArrayConfig.homogeneous(2, zeta=1.0, nbar=1.0, mbar=1.0)
         with pytest.raises(DimensionBudgetExceeded):
             full_cavity_atom_oracle(cfg)
+
+    @pytest.fixture
+    def solved_sides(self, monkeypatch):
+        """Superoperator side of every steady-state solve the oracle runs."""
+        sides = []
+        solve = entrep.spins.steady_state_dm
+
+        def spy(liou):
+            sides.append(liou.dim**2)
+            return solve(liou)
+
+        monkeypatch.setattr(entrep.spins, "steady_state_dm", spy)
+        return sides
+
+    def test_field_recheck_is_size_checked_before_solving(self, solved_sides):
+        # without spins the n_max + 2 recheck (side 11**4) is the full
+        # model; over the budget it is refused after the one n_max solve
+        cfg = ArrayConfig.homogeneous(1, kappa=0.1, zeta=1.0, nbar=0.1, mbar=0.2)
+        with pytest.raises(DimensionBudgetExceeded, match="side 14641 "):
+            full_cavity_atom_oracle(cfg, TruncationSpec(n_max=8, side_budget=12_000))
+        assert solved_sides == [6561]
+        solved_sides.clear()
+        result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=8, side_budget=14_641))
+        assert solved_sides == [6561, 14641]
+        assert result.check_mode == "full"
+        assert result.check_shift <= 1e-3
 
     def test_auto_check_falls_back_to_field_recheck(self):
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=0.1, mbar=0.25, g=0.05)
