@@ -3,9 +3,9 @@
 
 Each experiment writes ``<outdir>/<name>.csv`` plus the matching
 ``.manifest``; rerunning with the same seed reproduces the files byte for
-byte.  The full set takes about 5 s on one core with one BLAS thread
-(4.6 to 5.5 s over five runs on a 2-vCPU host): fig3b (about 3 s)
-dominates, fig3a takes 0.7 s, fig3c 0.6 s and fig5a 0.2 s.
+byte.  The full set takes about 4 s on one core with one BLAS thread
+(3.5 to 3.9 s over three runs on a 2-vCPU host): fig3b (about 2 s)
+dominates, fig3a takes 0.7 to 0.9 s, fig3c 0.6 to 0.8 s and fig5a 0.2 s.
 
 Usage:
     python3 scripts/run_all_figures.py --outdir figure_data --workers 2

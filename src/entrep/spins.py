@@ -82,7 +82,8 @@ def check_size(dims: tuple[int, ...], budget: int = SIDE_BUDGET) -> None:
 
     Raises :class:`DimensionBudgetExceeded` when the superoperator side
     ``prod(dims)**2`` exceeds ``budget``, naming that side and the side of
-    the charge-diagonal block the steady-state solve factors.  The charge
+    the charge-diagonal block the steady-state solve factors (in two
+    swap-parity halves when the arrays are identical).  The charge
     of a site with ``d`` levels is ``0..d-1`` in array one and ``-(d-1)..0``
     in array two, the same spread either way, so the number ``c[q]`` of
     basis states at each charge is the convolution of ``ones(d)`` over all

@@ -128,6 +128,28 @@ def charged_liouvillian(rng, n_qubits):
     return Liouvillian(dim=dim, matrix=generator, charge=charge)
 
 
+def swapped_liouvillian(rng, dim):
+    """Random generator commuting with a random involution of the basis.
+
+    The involution exchanges a random number of random state pairs (it
+    may move state 0); each term is added together with its image.
+    """
+    order = rng.permutation(dim)
+    swap = np.arange(dim)
+    n_pairs = int(rng.integers(1, dim // 2 + 1))
+    swap[order[: 2 * n_pairs : 2]] = order[1 : 2 * n_pairs : 2]
+    swap[order[1 : 2 * n_pairs : 2]] = order[: 2 * n_pairs : 2]
+    perm = np.eye(dim)[:, swap]  # perm e_i = e_swap[i]
+    h_rand = random_matrix(rng, dim)
+    h_rand = h_rand + h_rand.conj().T
+    generator = hamiltonian_superop(h_rand + perm @ h_rand @ perm.T)
+    for _ in range(3):
+        jump, rate = random_matrix(rng, dim), rng.uniform(0.5, 2.0)
+        generator = generator + lindblad_dissipator(jump, rate)
+        generator = generator + lindblad_dissipator(perm @ jump @ perm.T, rate)
+    return Liouvillian(dim=dim, matrix=generator, swap=swap)
+
+
 def qubit_decay(dims, rates):
     """Decay of each qubit ``site`` at ``rates[site]`` on the register ``dims``."""
     generator = sum(
@@ -266,6 +288,14 @@ class TestSteadyState:
         liou = charged_liouvillian(np.random.default_rng(seed), n_qubits)
         assert np.abs(steady_state_dm(liou) - svd_steady_state(liou)).max() <= 1e-10
 
+    @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_swap_matches_svd_reference(self, dim, seed):
+        liou = swapped_liouvillian(np.random.default_rng(seed), dim)
+        rho = steady_state_dm(liou)
+        assert np.abs(rho - svd_steady_state(liou)).max() <= 1e-10
+        assert np.abs(rho[np.ix_(liou.swap, liou.swap)] - rho).max() <= 1e-12
+
     @pytest.mark.filterwarnings("ignore:timescale-separation")
     @pytest.mark.parametrize("mbar", [1.2, math.sqrt(2.0)], ids=["mbar-1.2", "mbar-sqrt2"])
     @pytest.mark.parametrize("model", ["xx", "effective", "closed-form"])
@@ -349,20 +379,25 @@ class TestSteadyState:
         assert odd.shape == (27, 27)
         assert even.shape[0] + odd.shape[0] == 70
 
-    def test_degenerate_odd_half_refused(self):
+    @pytest.mark.parametrize(
+        "leak,message", [(0.0, "odd half is singular"), (1e-10, "condition estimate")]
+    )
+    def test_degenerate_odd_half_refused(self, leak, message):
         # both singly excited states absorb; the even half has the unique
         # state |01><01| + |10><10| (halved), but the odd
-        # |01><01| - |10><10| is stationary too
+        # |01><01| - |10><10| is stationary too, up to the rate of a leak
+        # between them
         ket = np.eye(4)
         generator = sum(
-            lindblad_dissipator(np.outer(ket[to], ket[source]), 1.0)
-            for to in (1, 2)
-            for source in (3, 0)
+            lindblad_dissipator(np.outer(ket[to], ket[source]), rate)
+            for to, source, rate in [
+                (1, 3, 1.0), (2, 3, 1.0), (1, 0, 1.0), (2, 0, 1.0), (1, 2, leak), (2, 1, leak)
+            ]
         )
         liou = Liouvillian(
             dim=4, matrix=generator, charge=[0, -1, 1, 0], swap=[0, 2, 1, 3]
         )
-        with pytest.raises(DegenerateSteadyState, match="odd half is singular"):
+        with pytest.raises(DegenerateSteadyState, match=message):
             steady_state_dm(liou)
 
     def test_bad_declared_swap_refused(self):

@@ -8,6 +8,7 @@ uncorrelated drive, and the Fock-truncated cavity+spin oracle.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -414,13 +415,11 @@ class TestArraySwap:
 
     def test_asymmetric_arrays_get_no_swap(self):
         base = reduced_config(2, nbar=1.0, mbar=1.2, g=0.01)
-        bonds = ArrayConfig(**{**vars(base), "eta": (1.0, 1.1)})
-        liou = build_effective_general(bonds)
+        liou = build_effective_general(replace(base, eta=(1.0, 1.1)))
         assert liou.swap is None
         steady_state_dm(liou)
         losses = ArrayConfig.homogeneous(1, kappa=0.2, zeta=1.0, nbar=0.5, mbar=0.6, g=0.04)
-        losses = ArrayConfig(**{**vars(losses), "kappa": (0.2, 0.3)})
-        liou, *_ = _fock_liouvillian(losses, 2, include_spins=True)
+        liou, *_ = _fock_liouvillian(replace(losses, kappa=(0.2, 0.3)), 2, include_spins=True)
         assert liou.swap is None
         steady_state_dm(liou)
 
@@ -624,22 +623,17 @@ class TestFockOracle:
         with pytest.raises(DimensionBudgetExceeded):
             full_cavity_atom_oracle(cfg)
 
-    @pytest.fixture
-    def solved_sides(self, monkeypatch):
-        """Superoperator side of every steady-state solve the oracle runs."""
-        sides = []
+    def test_field_recheck_is_size_checked_before_solving(self, monkeypatch):
+        # without spins the n_max + 2 recheck (side 11**4) is the full
+        # model; over the budget it is refused after the one n_max solve
+        solved_sides = []
         solve = entrep.spins.steady_state_dm
 
         def spy(liou):
-            sides.append(liou.dim**2)
+            solved_sides.append(liou.dim**2)
             return solve(liou)
 
         monkeypatch.setattr(entrep.spins, "steady_state_dm", spy)
-        return sides
-
-    def test_field_recheck_is_size_checked_before_solving(self, solved_sides):
-        # without spins the n_max + 2 recheck (side 11**4) is the full
-        # model; over the budget it is refused after the one n_max solve
         cfg = ArrayConfig.homogeneous(1, kappa=0.1, zeta=1.0, nbar=0.1, mbar=0.2)
         with pytest.raises(DimensionBudgetExceeded, match="side 14641 "):
             full_cavity_atom_oracle(cfg, TruncationSpec(n_max=8, side_budget=12_000))
