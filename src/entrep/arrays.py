@@ -167,6 +167,17 @@ class ArrayConfig:
         """True when all atom couplings vanish (pure cavity model)."""
         return all(v == 0.0 for v in self.g)
 
+    @property
+    def mirrored(self) -> bool:
+        """True when both arrays have the same bonds and local losses.
+
+        The drive and the atom couplings are shared, so the two arrays are
+        then mirror images: they have one ladder drift block, and every
+        spin or Fock generator commutes with their exchange.
+        """
+        n = self.n_sites
+        return self.eta[: n - 1] == self.eta[n - 1 :] and self.kappa[:n] == self.kappa[n:]
+
 
 @dataclass(frozen=True, eq=False)
 class SteadyMoments:
@@ -258,13 +269,11 @@ def steady_state(cfg: ArrayConfig) -> SteadyMoments:
     """
     ladder = ladder_drift(cfg)
     n = cfg.n_sites
-    one, two = ladder[:n, :n], ladder[n:, n:]
-    identical = np.array_equal(one, two)
-    form_one = schur_form(one)
-    form_two = form_one if identical else schur_form(two)
+    form_one = schur_form(ladder[:n, :n])
+    form_two = form_one if cfg.mirrored else schur_form(ladder[n:, n:])
     source = -2.0 * cfg.zeta * cfg.nbar
     n1 = solve_rank_one_sylvester(form_one.conj(), form_one, source)
-    n2 = n1 if identical else solve_rank_one_sylvester(form_two.conj(), form_two, source)
+    n2 = n1 if cfg.mirrored else solve_rank_one_sylvester(form_two.conj(), form_two, source)
     m = solve_rank_one_sylvester(form_one, form_two, 2.0 * cfg.zeta * cfg.mbar)
     return SteadyMoments(n1=n1, n2=n2, m=m, uncertainty_margin=uncertainty_margin(n1, n2, m))
 
@@ -297,8 +306,10 @@ class DisorderSpec:
     Each sample perturbs every bond independently: ``eta_b = eta0 + xi_b``
     with ``xi_b`` uniform on ``[-delta_xi/2, +delta_xi/2]`` (all 2(N-1)
     bonds of both arrays, drawn independently).  ``delta_xi < eta0``
-    keeps every coupling strictly positive.  Sampling is deterministic
-    under ``seed`` and independent of worker count.
+    keeps every coupling strictly positive; a base with no bonds (one
+    site per array) has nothing to perturb and admits any width.
+    Sampling is deterministic under ``seed`` and independent of worker
+    count.
     """
 
     base: ArrayConfig
@@ -308,14 +319,13 @@ class DisorderSpec:
 
     def __post_init__(self) -> None:
         eta = self.base.eta
-        if len(eta) and len(set(eta)) != 1:
+        if len(set(eta)) > 1:
             raise ConfigInvalid("disorder ensembles need a homogeneous base coupling")
-        eta0 = eta[0] if eta else 0.0
         if self.delta_xi < 0.0:
             raise ConfigInvalid(f"delta_xi must be >= 0, got {self.delta_xi}")
-        if self.delta_xi > 0.0 and self.delta_xi >= eta0:
+        if eta and self.delta_xi > 0.0 and self.delta_xi >= self.eta0:
             raise ConfigInvalid(
-                f"delta_xi={self.delta_xi} too large for base coupling {eta0}"
+                f"delta_xi={self.delta_xi} too large for base coupling {self.eta0}"
             )
         if self.samples < 1:
             raise ConfigInvalid(f"samples must be >= 1, got {self.samples}")

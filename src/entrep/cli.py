@@ -102,16 +102,6 @@ def _parse_set_pairs(pairs: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _int_entry(entries: dict[str, str], key: str, default: int) -> int:
-    """Integer value of a config-file ``key``, or ``default`` when absent."""
-    try:
-        return int(entries.get(key, default))
-    except ValueError as exc:
-        raise ConfigInvalid(
-            f"config file {key} = {entries[key]!r} is not an integer"
-        ) from exc
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     file_entries = read_config_file(args.config) if args.config else {}
     reserved = {key: file_entries.pop(key) for key in _RESERVED_KEYS if key in file_entries}
@@ -126,8 +116,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
 
     out = args.out if args.out is not None else reserved.get("out")
-    seed = args.seed if args.seed is not None else _int_entry(reserved, "seed", 0)
-    workers = args.workers if args.workers is not None else _int_entry(reserved, "workers", 1)
+    seed = args.seed if args.seed is not None else reserved.get("seed", 0)
+    workers = args.workers if args.workers is not None else reserved.get("workers", 1)
 
     overrides = dict(file_entries)
     for key, value in _parse_set_pairs(args.set).items():

@@ -529,7 +529,9 @@ class ExperimentConfig:
     ``overrides`` may replace any key of the experiment's defaults; an
     unknown key is rejected so typos cannot silently run the wrong
     sweep.  ``out`` defaults to ``<experiment>.csv`` in the working
-    directory.
+    directory.  ``seed`` and ``workers`` may be given as integer strings
+    (as a config file holds them) and are stored as ints; a fractional or
+    non-numeric value is refused.
     """
 
     experiment: str
@@ -547,14 +549,27 @@ class ExperimentConfig:
             raise ConfigInvalid(
                 f"unknown override keys for {self.experiment}: {sorted(unknown)}"
             )
-        if not 0 <= int(self.seed) < 2**64:
+        for key in ("seed", "workers"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        if not 0 <= self.seed < 2**64:
             raise ConfigInvalid("seed must fit in an unsigned 64-bit integer")
-        if int(self.workers) < 1:
+        if self.workers < 1:
             raise ConfigInvalid(f"workers must be >= 1, got {self.workers}")
 
     @property
     def out_path(self) -> Path:
         return Path(self.out) if self.out is not None else Path(f"{self.experiment}.csv")
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int: a string must spell one, a number must be whole."""
+    try:
+        number = int(value) if isinstance(value, str) else value
+        if number != int(number):
+            raise ValueError
+        return int(number)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"{key} = {value!r} is not an integer") from exc
 
 
 def _coerce(key: str, value: ParamValue, default: ParamValue) -> ParamValue:
@@ -647,7 +662,7 @@ def _manifest_value(value: ParamValue) -> str:
 
 
 def _build_manifest(cfg: ExperimentConfig, params: Mapping[str, ParamValue]) -> tuple:
-    entries = [("experiment", cfg.experiment), ("seed", str(int(cfg.seed)))]
+    entries = [("experiment", cfg.experiment), ("seed", str(cfg.seed))]
     entries.extend((key, _manifest_value(params[key])) for key in sorted(params))
     return tuple(entries)
 
@@ -694,11 +709,12 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     exp = EXPERIMENTS[cfg.experiment]
     params = resolve_params(cfg)
     values = exp.sweep(params)
-    seed = int(cfg.seed)
     point_key = exp.point_key or exp.sweep_key
-    jobs = [(cfg.experiment, point_key, value, params, seed) for value in values]
-    if int(cfg.workers) > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=int(cfg.workers)) as pool:
+    jobs = [(cfg.experiment, point_key, value, params, cfg.seed) for value in values]
+    # the pool starts every worker at once, so it gets no more than the jobs
+    workers = min(cfg.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_eval_point, jobs))
     else:
         chunks = [_eval_point(job) for job in jobs]

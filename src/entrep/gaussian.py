@@ -7,10 +7,9 @@
   pair from its occupations and cross-moment.
 * **Oracle.** :func:`solve_lyapunov` on a :class:`DriftDiffusion` solves
   any real quadrature covariance flow, and :class:`QuadratureCovariance`,
-  :func:`reduce_to_pair`, :func:`log_negativity_gaussian` and
-  :func:`symplectic_eigenvalues` take the negativity of any two-mode
-  covariance.  No runtime module calls them; the tests cross-check the
-  moment routes with them.
+  :func:`log_negativity_gaussian` and :func:`symplectic_eigenvalues` take
+  the negativity of any two-mode covariance.  No runtime module calls
+  them; the tests cross-check the moment routes with them.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -39,7 +38,6 @@ from scipy.linalg.lapack import ztrsyl
 
 from .errors import (
     ConfigInvalid,
-    IndexOutOfRange,
     NoConvergence,
     NonPhysicalResult,
     NotHurwitz,
@@ -57,7 +55,6 @@ __all__ = [
     "logneg_from_nu",
     "normalized_logneg",
     "pair_logneg",
-    "reduce_to_pair",
     "schur_form",
     "solve_lyapunov",
     "solve_rank_one_sylvester",
@@ -314,16 +311,6 @@ def symplectic_eigenvalues(sigma) -> np.ndarray:
         raise NotPositiveDefinite("covariance matrix must be positive definite")
     moduli = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ mat)))
     return 0.5 * (moduli[0::2] + moduli[1::2])
-
-
-def reduce_to_pair(sigma, j: int, k: int) -> QuadratureCovariance:
-    """4x4 covariance of modes ``j`` and ``k`` (0-based), in that order."""
-    mat = _matrix_of(sigma)
-    n = _require_even_square(mat, "covariance matrix")
-    if not (0 <= j < n and 0 <= k < n) or j == k:
-        raise IndexOutOfRange(f"mode pair ({j}, {k}) invalid for {n} modes (0-based)")
-    idx = [2 * j, 2 * j + 1, 2 * k, 2 * k + 1]
-    return QuadratureCovariance(mat[np.ix_(idx, idx)])
 
 
 def log_negativity_gaussian(sigma) -> float:

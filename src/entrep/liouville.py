@@ -50,9 +50,6 @@ from .errors import (
 
 __all__ = [
     "Liouvillian",
-    "QUBIT_LOWER",
-    "destroy",
-    "embed_operator",
     "fidelity_pure",
     "gksl_superop",
     "left_multiply",
@@ -65,10 +62,6 @@ __all__ = [
     "unvec",
     "vec",
 ]
-
-#: lowering operator in the (ground, excited) qubit basis
-QUBIT_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
-
 
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
@@ -150,30 +143,6 @@ def gksl_superop(ops, h, e) -> sp.csr_matrix:
     h = np.asarray(h)
     e = np.asarray(e)
     return quadratic_superop(ops, -1j * h - e.T, 1j * h - e.T, 2.0 * e)
-
-
-def destroy(n_levels: int) -> np.ndarray:
-    """Bosonic annihilation operator truncated to ``n_levels`` Fock states."""
-    if n_levels < 2:
-        raise ConfigInvalid(f"need at least two Fock levels, got {n_levels}")
-    return np.diag(np.sqrt(np.arange(1.0, n_levels)), k=1)
-
-
-def embed_operator(site_ops: dict[int, np.ndarray], dims: tuple[int, ...]) -> sp.csr_matrix:
-    """Tensor product acting as given operators on selected sites.
-
-    Site 0 is the leftmost (most significant) tensor factor, matching the
-    row-major ``reshape(dims)`` convention used everywhere else.
-    """
-    out = sp.identity(1, format="csr")
-    for site, dim in enumerate(dims):
-        factor = _csr(site_ops[site]) if site in site_ops else sp.identity(dim, format="csr")
-        if factor.shape != (dim, dim):
-            raise ConfigInvalid(
-                f"operator on site {site} has shape {factor.shape}, expected {(dim, dim)}"
-            )
-        out = sp.kron(out, factor, format="csr")
-    return out
 
 
 #: entries crossing charge sectors at or below this times the generator
@@ -259,11 +228,6 @@ class Liouvillian:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(rho), self.dim)
-
-    def trace_defect(self) -> float:
-        """Max deviation of the adjoint generator from annihilating identity."""
-        id_vec = vec(np.eye(self.dim))
-        return float(np.abs(id_vec @ self.matrix).max())
 
 
 #: a condition estimate of the trace-bordered generator at or above this

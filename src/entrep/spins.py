@@ -25,15 +25,19 @@ on the two driven end sites is one block of ``e`` (:func:`_end_drive`).
 Every model lives on a product of sites, each a ``d``-level truncated
 boson (a qubit is ``d = 2``), and everything size-dependent follows from
 the site dimensions ``dims``: :func:`_lowering_ops` gives each site's
-lowering operator, :func:`_array_charge` the conserved charge
-``N_array1 - N_array2``, :func:`_array_swap` the exchange of the two
-arrays, which every generator declares when its arrays are identical,
-and :func:`check_size` refuses a model whose superoperator side
-``prod(dims)**2`` exceeds the budget (:data:`SIDE_BUDGET` unless the
-caller passes one).
+lowering operator, and :func:`check_size` refuses a model whose
+superoperator side ``prod(dims)**2`` exceeds the budget
+(:data:`SIDE_BUDGET` unless the caller passes one).
 
 Index layout matches :mod:`entrep.arrays`: sites ``0..N-1`` are the first
-array, ``N..2N-1`` the second, and the driven pair is ``(0, N)``.
+array, ``N..2N-1`` the second, and the driven pair is ``(0, N)``.  A
+Fock model repeats that layout once for the ``2N`` modes and once for
+their spins, so one group rule says which array a site is in: the sites
+come in groups of ``2N``, and site ``s`` is in array one when ``s mod
+2N < N``.  :func:`_array_liouvillian` gives every generator the charge
+``N_array1 - N_array2`` of that rule (:func:`_array_charge`) and, when
+the two arrays are mirror images (:attr:`entrep.arrays.ArrayConfig.mirrored`),
+their exchange (:func:`_array_swap`).
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from .liouville import (
 
 __all__ = [
     "FockSteadyState",
-    "PatternMatrices",
     "SIDE_BUDGET",
     "TruncationSpec",
     "adiabaticity_ratio",
@@ -87,7 +90,8 @@ def check_size(dims: tuple[int, ...], budget: int = SIDE_BUDGET) -> None:
     of a site with ``d`` levels is ``0..d-1`` in array one and ``-(d-1)..0``
     in array two, the same spread either way, so the number ``c[q]`` of
     basis states at each charge is the convolution of ``ones(d)`` over all
-    sites, and the block holds ``c @ c`` pairs of equal charge.
+    sites, and the block holds ``c @ c`` pairs of equal charge, whichever
+    sites the group rule of :func:`_array_charge` puts in array one.
     """
     side = prod(dims) ** 2
     if side > budget:
@@ -104,7 +108,7 @@ def _check_spin_pairs(n_pairs: int) -> None:
     """Refuse spin models with no pair or above :data:`SIDE_BUDGET`."""
     if n_pairs < 1:
         raise ConfigInvalid(f"need at least one spin pair, got {n_pairs}")
-    check_size((2,) * (2 * n_pairs))
+    check_size(_spin_dims(n_pairs))
 
 
 def _lowering_ops(dims: tuple[int, ...]) -> list[sp.csr_matrix]:
@@ -133,17 +137,18 @@ def _lowering_ops(dims: tuple[int, ...]) -> list[sp.csr_matrix]:
     return ops
 
 
-def _array_charge(dims: tuple[int, ...], first_array_sites) -> np.ndarray:
+def _array_charge(dims: tuple[int, ...], n_sites: int) -> np.ndarray:
     """U(1) charge ``N_array1 - N_array2`` of each basis state of ``dims``.
 
-    A site's level index is its excitation count (Fock number, or 1 for
-    an excited qubit); sites in ``first_array_sites`` count positive,
-    every other site negative.  Every generator built here conserves it.
+    Sites come in groups of ``2 n_sites`` (the modes, then any spins),
+    and site ``s`` is in array one when ``s mod 2 n_sites < n_sites``.  A
+    site's level index is its excitation count (Fock number, or 1 for an
+    excited qubit), counted positive in array one and negative in array
+    two.  Every generator built here conserves it.
     """
-    first = set(first_array_sites)
     charge = np.zeros((), dtype=np.int64)
     for site, dim in enumerate(dims):
-        levels = np.arange(dim) if site in first else -np.arange(dim)
+        levels = np.arange(dim) if site % (2 * n_sites) < n_sites else -np.arange(dim)
         charge = np.add.outer(charge, levels)
     return charge.reshape(-1)
 
@@ -151,47 +156,43 @@ def _array_charge(dims: tuple[int, ...], first_array_sites) -> np.ndarray:
 def _array_swap(dims: tuple[int, ...], n_sites: int) -> np.ndarray:
     """Basis permutation exchanging the two arrays of a model on ``dims``.
 
-    Sites come in groups of ``2 n_sites`` (the modes, then any spins), the
-    first ``n_sites`` of each group in array one, and site ``s`` of a
-    group trades places with site ``s + n_sites`` (mod ``2 n_sites``) of
-    the same dimension.  Entry ``b`` is the basis state that ``b`` becomes.
-    It negates :func:`_array_charge`, and a generator of two identical
-    arrays commutes with it.
+    With the groups of :func:`_array_charge`, site ``s`` of a group trades
+    places with site ``s + n_sites`` (mod ``2 n_sites``) of the same
+    dimension.  Entry ``b`` is the basis state that ``b`` becomes.  It
+    negates :func:`_array_charge`, and a generator of two mirrored arrays
+    commutes with it.
     """
     group, offset = np.divmod(np.arange(len(dims)), 2 * n_sites)
     partner = 2 * n_sites * group + (offset + n_sites) % (2 * n_sites)
     return np.arange(prod(dims)).reshape(dims).transpose(partner).reshape(-1)
 
 
-def _arrays_identical(cfg: ArrayConfig) -> bool:
-    """Whether both arrays have the same bonds and local losses.
+def _array_liouvillian(
+    dims: tuple[int, ...], n_sites: int, generator, identical_arrays: bool
+) -> Liouvillian:
+    """``generator`` on the sites ``dims`` of two arrays of ``n_sites``.
 
-    The drive and the spin couplings are shared, so such a model
-    commutes with :func:`_array_swap`.
+    It carries the array charge, and the array swap when the two arrays
+    are identical.
     """
-    n = cfg.n_sites
-    return cfg.eta[: n - 1] == cfg.eta[n - 1 :] and cfg.kappa[:n] == cfg.kappa[n:]
+    return Liouvillian(
+        dim=prod(dims),
+        matrix=generator,
+        charge=_array_charge(dims, n_sites),
+        swap=_array_swap(dims, n_sites) if identical_arrays else None,
+    )
+
+
+def _spin_dims(n_pairs: int) -> tuple[int, ...]:
+    """Site dimensions of ``n_pairs`` spin pairs: ``2 n_pairs`` qubits."""
+    return (2,) * (2 * n_pairs)
 
 
 def _stacked_spin_ops(n_pairs: int) -> list[sp.csr_matrix]:
     """The 4N stacked spin operators: raising ops first, then lowering."""
-    lowering = _lowering_ops((2,) * (2 * n_pairs))
+    lowering = _lowering_ops(_spin_dims(n_pairs))
     raising = [op.conjugate().T.tocsr() for op in lowering]
     return raising + lowering
-
-
-def _spin_liouvillian(n_pairs: int, generator, identical_arrays: bool) -> Liouvillian:
-    """``generator`` on ``2 n_pairs`` spins, with their array charge.
-
-    The array swap is declared when the two arrays are identical.
-    """
-    dims = (2,) * (2 * n_pairs)
-    return Liouvillian(
-        dim=prod(dims),
-        matrix=generator,
-        charge=_array_charge(dims, range(n_pairs)),
-        swap=_array_swap(dims, n_pairs) if identical_arrays else None,
-    )
 
 
 def _end_drive(e: np.ndarray, low, rise, rate: float, nbar: float, mbar: float) -> None:
@@ -261,9 +262,8 @@ def build_xx_liouvillian(
     ends = np.array([0, n_pairs])
     _end_drive(e, ends + n_spins, ends, gamma, nbar, -mbar)
     # both arrays have the same bonds, so the model is swap-symmetric
-    return _spin_liouvillian(
-        n_pairs, gksl_superop(_stacked_spin_ops(n_pairs), h, e), identical_arrays=True
-    )
+    generator = gksl_superop(_stacked_spin_ops(n_pairs), h, e)
+    return _array_liouvillian(_spin_dims(n_pairs), n_pairs, generator, True)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,7 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
         kernel_reversed.T,
         -(kernel.T + kernel_reversed),
     )
-    return _spin_liouvillian(n_pairs, generator, _arrays_identical(cfg))
+    return _array_liouvillian(_spin_dims(n_pairs), n_pairs, generator, cfg.mirrored)
 
 
 # ---------------------------------------------------------------------------
@@ -339,27 +339,12 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PatternMatrices:
-    """Parity-dependent coupling patterns of the closed-form reduction.
+def coupling_pattern_matrices(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pattern matrices ``(X, Y, Z)`` for a chain of ``n_sites`` (parity-aware).
 
-    ``hopping`` (X) carries the coherent part, ``damping`` (Y) the
-    dissipative part, ``signs`` (Z) is the alternating diagonal, and
-    ``mixed`` is the combination ``(Y + i (J/gamma) X) Z`` retained for
-    diagnostics.
-    """
-
-    hopping: np.ndarray
-    damping: np.ndarray
-    signs: np.ndarray
-    mixed: np.ndarray
-
-
-def coupling_pattern_matrices(
-    n_sites: int, hop_to_damp_ratio: float = 1.0
-) -> PatternMatrices:
-    """X/Y/Z pattern matrices for a chain of ``n_sites`` (parity-aware).
-
+    The hopping pattern X carries the coherent part of the closed-form
+    reduction, the damping pattern Y the dissipative part, and Z is the
+    alternating sign diagonal ``diag((-1)^j)``.
     Sites at an even distance ``r`` from the far end form the anchor
     sublattice.  ``Y = s s^T`` with ``s = (-1)^(r/2)`` on anchor sites and
     0 elsewhere.  ``X[j, k]`` is nonzero only for odd ``|j - k|`` whose
@@ -375,8 +360,7 @@ def coupling_pattern_matrices(
     anchored = np.minimum.outer(r, r) % 2 == 0
     x_mat = np.where((gap % 2 == 1) & anchored, np.where(gap % 4 == 1, 1.0, -1.0), 0.0)
     signs = np.diag([(-1.0) ** j for j in range(n_sites)])
-    mixed = (y_mat + 1j * hop_to_damp_ratio * x_mat) @ signs
-    return PatternMatrices(hopping=x_mat, damping=y_mat, signs=signs, mixed=mixed)
+    return x_mat, y_mat, signs
 
 
 def closed_form_rates(n_pairs: int, eta: float, zeta: float, g: float) -> tuple[float, float]:
@@ -391,7 +375,7 @@ def closed_form_rates(n_pairs: int, eta: float, zeta: float, g: float) -> tuple[
 
 
 def _closed_form_blocks(
-    n_pairs: int, nbar: float, mbar: float, hop_to_damp_ratio: float
+    n_pairs: int, nbar: float, mbar: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the 4N x 4N coherent (X-type) and dissipative (Y-type) blocks.
 
@@ -403,8 +387,7 @@ def _closed_form_blocks(
     ``closed-form-vs-general`` validation suite reports its deviation as
     the ``alternative-block-layout-gap`` check.
     """
-    pats = coupling_pattern_matrices(n_pairs, hop_to_damp_ratio)
-    x_mat, y_mat, signs = pats.hopping, pats.damping, pats.signs
+    x_mat, y_mat, signs = coupling_pattern_matrices(n_pairs)
     n = n_pairs
     x_big = np.zeros((4 * n, 4 * n), complex)
     y_big = np.zeros((4 * n, 4 * n), complex)
@@ -455,12 +438,11 @@ def build_effective_closed_form(
             f"closed-form rates J={hopping_rate} and gamma={damping_rate} must be "
             "finite with gamma > 0"
         )
-    ratio = hopping_rate / damping_rate if n_pairs > 1 else 0.0
-    x_big, y_big = _closed_form_blocks(n_pairs, nbar, mbar, ratio)
+    x_big, y_big = _closed_form_blocks(n_pairs, nbar, mbar)
     generator = gksl_superop(
         _stacked_spin_ops(n_pairs), hopping_rate * x_big, damping_rate * y_big.T
     )
-    return _spin_liouvillian(n_pairs, generator, identical_arrays=True)
+    return _array_liouvillian(_spin_dims(n_pairs), n_pairs, generator, True)
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +598,7 @@ def _fock_liouvillian(
     generator = gksl_superop(field_ops + spin_ops, h, e)
     # in the squeezed frame the charge counts frame quanta: each frame
     # operator c t_1 - s t_2^dag lowers it by one, like a bare a_1
-    first_array = [site for site in range(len(dims)) if site % n_modes < cfg.n_sites]
-    liouvillian = Liouvillian(
-        dim=prod(dims),
-        matrix=generator,
-        charge=_array_charge(dims, first_array),
-        swap=_array_swap(dims, cfg.n_sites) if _arrays_identical(cfg) else None,
-    )
+    liouvillian = _array_liouvillian(dims, cfg.n_sites, generator, cfg.mirrored)
     return liouvillian, dims, field_ops, frame
 
 

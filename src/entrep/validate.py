@@ -172,8 +172,8 @@ def _alternative_layout_generator(
     """
     hopping_rate, damping_rate = closed_form_rates(n_pairs, eta, zeta, g)
     ratio = hopping_rate / damping_rate if n_pairs > 1 else 0.0
-    pats = coupling_pattern_matrices(n_pairs, ratio)
-    x_mat, y_mat, mixed = pats.hopping, pats.damping, pats.mixed
+    x_mat, y_mat, signs = coupling_pattern_matrices(n_pairs)
+    mixed = (y_mat + 1j * ratio * x_mat) @ signs
     n = n_pairs
     x_big = np.zeros((4 * n, 4 * n), complex)
     y_big = np.zeros((4 * n, 4 * n), complex)

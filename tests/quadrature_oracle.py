@@ -6,9 +6,9 @@ the complex ladder drift is embedded as a real 4N x 4N quadrature drift,
 the diffusion matrix is written out in quadratures, and the covariance
 comes from :func:`entrep.gaussian.solve_lyapunov`, with its own Hurwitz,
 residual and symplectic-physicality certificates.  Stacked ladder moments
-and per-pair negativities are then read back from the covariance.  The
-closed-form two-mode squeezed thermal covariance serves as a reference
-state.
+and per-pair negativities are then read back from the covariance, each
+pair cut out by :func:`reduce_to_pair`.  The closed-form two-mode
+squeezed thermal covariance serves as a reference state.
 
 The output spectra of :mod:`entrep.output` have a 4N reference too: the
 stacked resolvent formula of quantum regression and input-output theory
@@ -24,18 +24,29 @@ import numpy as np
 import scipy.linalg as sla
 
 from entrep.arrays import ArrayConfig, ladder_drift, steady_state
-from entrep.errors import ConfigInvalid, NonPhysicalResult
+from entrep.errors import ConfigInvalid, IndexOutOfRange, NonPhysicalResult
 from entrep.gaussian import (
     DriftDiffusion,
     QuadratureCovariance,
+    _matrix_of,
+    _require_even_square,
     check_drive,
     log_negativity_gaussian,
-    reduce_to_pair,
     solve_lyapunov,
 )
 from entrep.output import output_quadrature_map
 
 _IMAG_RESIDUE_TOL = 1e-9
+
+
+def reduce_to_pair(sigma, j: int, k: int) -> QuadratureCovariance:
+    """4x4 covariance of modes ``j`` and ``k`` (0-based), in that order."""
+    mat = _matrix_of(sigma)
+    n = _require_even_square(mat, "covariance matrix")
+    if not (0 <= j < n and 0 <= k < n) or j == k:
+        raise IndexOutOfRange(f"mode pair ({j}, {k}) invalid for {n} modes (0-based)")
+    idx = [2 * j, 2 * j + 1, 2 * k, 2 * k + 1]
+    return QuadratureCovariance(mat[np.ix_(idx, idx)])
 
 
 def quadrature_embedding(ladder: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ stacked operator list (:func:`entrep.liouville.gksl_superop`).  This
 module keeps the construction it replaced: one Kronecker superoperator
 per commutator, jump and correlated-drive term, summed one at a time,
 with the squeezed frame's Bogoliubov operators rebuilt as sparse
-matrices.  Tests compare the builders against it; nothing in ``src``
-imports it.
+matrices, and the Kronecker-chain site operators (:func:`destroy`,
+:func:`embed_operator`) it is built from.  Tests compare the builders
+against it, and check any generator's trace preservation with
+:func:`trace_defect`; nothing in ``src`` imports it.
 """
 
 from __future__ import annotations
@@ -15,18 +17,46 @@ import numpy as np
 import scipy.sparse as sp
 
 from entrep.arrays import ArrayConfig
-from entrep.liouville import (
-    QUBIT_LOWER,
-    destroy,
-    embed_operator,
-    left_multiply,
-    right_multiply,
-)
+from entrep.errors import ConfigInvalid
+from entrep.liouville import Liouvillian, left_multiply, right_multiply, vec
 from entrep.spins import _squeezed_frame
+
+#: lowering operator in the (ground, excited) qubit basis
+QUBIT_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
 def _csr(op) -> sp.csr_matrix:
     return op.tocsr() if sp.issparse(op) else sp.csr_matrix(np.asarray(op))
+
+
+def destroy(n_levels: int) -> np.ndarray:
+    """Bosonic annihilation operator truncated to ``n_levels`` Fock states."""
+    if n_levels < 2:
+        raise ConfigInvalid(f"need at least two Fock levels, got {n_levels}")
+    return np.diag(np.sqrt(np.arange(1.0, n_levels)), k=1)
+
+
+def embed_operator(site_ops: dict[int, np.ndarray], dims: tuple[int, ...]) -> sp.csr_matrix:
+    """Tensor product acting as given operators on selected sites.
+
+    Site 0 is the leftmost (most significant) tensor factor, matching the
+    row-major ``reshape(dims)`` convention of ``entrep``.
+    """
+    out = sp.identity(1, format="csr")
+    for site, dim in enumerate(dims):
+        factor = _csr(site_ops[site]) if site in site_ops else sp.identity(dim, format="csr")
+        if factor.shape != (dim, dim):
+            raise ConfigInvalid(
+                f"operator on site {site} has shape {factor.shape}, expected {(dim, dim)}"
+            )
+        out = sp.kron(out, factor, format="csr")
+    return out
+
+
+def trace_defect(liouvillian: Liouvillian) -> float:
+    """Max deviation of the adjoint generator from annihilating identity."""
+    id_vec = vec(np.eye(liouvillian.dim))
+    return float(np.abs(id_vec @ liouvillian.matrix).max())
 
 
 def sandwich(left_op, right_op) -> sp.csr_matrix:

@@ -76,6 +76,20 @@ class TestArrayConfig:
         with pytest.raises(OverSqueezed):
             ArrayConfig.homogeneous(2, nbar=1.0, mbar=1.5)
 
+    def test_mirrored_compares_bonds_and_losses(self):
+        cfg = ArrayConfig.homogeneous(2, eta=1.0, kappa=0.1, zeta=1.0, nbar=1.0, mbar=1.2)
+        assert cfg.mirrored
+        assert replace(cfg, g=(0.1, 0.2)).mirrored  # the couplings are shared
+        assert not replace(cfg, eta=(1.0, 1.1)).mirrored
+        assert not replace(cfg, kappa=(0.1, 0.1, 0.1, 0.0)).mirrored
+        # different losses that round to one ladder diagonal: both arrays
+        # are solved, and their occupations agree
+        close = replace(cfg, kappa=(1e-17, 0.1, 0.0, 0.1))
+        ladder = ladder_drift(close)
+        assert np.array_equal(ladder[:2, :2], ladder[2:, 2:]) and not close.mirrored
+        moments = steady_state(close)
+        assert np.array_equal(moments.n1, moments.n2)
+
 
 def loop_ladder_drift(cfg: ArrayConfig) -> np.ndarray:
     """The ladder drift with its bonds placed one at a time; reference for ``ladder_drift``."""

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrep.errors import ConfigInvalid, ExperimentFailed
+from entrep import experiments
+from entrep.arrays import ArrayConfig, pair_entanglement_profile
+from entrep.errors import ConfigInvalid, ExperimentFailed, ModelError
 from entrep.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -66,6 +68,20 @@ class TestConfigValidation:
             ExperimentConfig(experiment="fig2a", seed=-1)
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(experiment="fig2a", workers=0)
+
+    @pytest.mark.parametrize("key", ["seed", "workers"])
+    @pytest.mark.parametrize("value", ["abc", "2.5", 1.5, float("nan"), None])
+    def test_non_integer_seed_and_workers_rejected(self, key, value):
+        # a model error naming the key, never a silent truncation
+        with pytest.raises(ModelError, match=f"{key} = .* is not an integer"):
+            ExperimentConfig(experiment="fig2a", **{key: value})
+
+    def test_seed_and_workers_are_stored_as_ints(self):
+        cfg = ExperimentConfig(experiment="fig3a", seed="18446744073709551615", workers="2")
+        assert (cfg.seed, cfg.workers) == (2**64 - 1, 2)
+        cfg = ExperimentConfig(experiment="fig3a", seed=3.0, workers=np.int64(2))
+        assert type(cfg.seed) is int and type(cfg.workers) is int
+        assert (cfg.seed, cfg.workers) == (3, 2)
 
     def test_overrides_are_coerced_to_the_default_types(self):
         cfg = ExperimentConfig(
@@ -255,6 +271,48 @@ class TestDatasetWriter:
             assert row[3] == pytest.approx(0.7177618087431478, abs=1e-12)
             assert round(row[3], 4) == 0.7178
 
+    def test_pool_gets_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
+        # the pool forks every worker up front, so an idle one is a wasted fork
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        serial = run_experiment(tiny_run(tmp_path, name="serial.csv"))
+        cfg = tiny_run(tmp_path, name="wide.csv", workers=64)
+        n_jobs = len(EXPERIMENTS[cfg.experiment].sweep(resolve_params(cfg)))
+        assert 1 < n_jobs < 64
+        assert run_experiment(cfg).rows == serial.rows
+        assert pools == [n_jobs]
+        # one job runs in the caller's process
+        run_experiment(ExperimentConfig("custom", out=tmp_path / "one.csv", workers=64))
+        assert pools == [n_jobs]
+
+    def test_one_site_arrays_have_no_bonds_to_disorder(self, tmp_path):
+        cfg = ExperimentConfig(
+            experiment="fig3a",
+            overrides={"n_sites": 1, "samples": 5, "delta_levels": "0.0,0.5,3.0"},
+            out=tmp_path / "one-pair.csv",
+        )
+        table = run_experiment(cfg)
+        base = ArrayConfig.homogeneous(1, kappa=0.02, zeta=1.0, nbar=1.0, mbar=np.sqrt(2.0))
+        profile = pair_entanglement_profile(base)
+        assert [row[:2] for row in table.rows] == [(0.0, 1), (0.5, 1), (3.0, 1)]
+        for row in table.rows:
+            norm = profile.normalized[0]
+            assert row[2:] == (profile.raw[0], norm, profile.drive_raw, norm, norm, 0.0)
+
     def test_spin_pairs_vanish_at_thermal_cross_correlation(self, tmp_path):
         # XX-chain sweep: at mbar = nbar = 1 the drive is unentangled and
         # so are the pairs; at the physical bound they are maximal
@@ -271,8 +329,6 @@ class TestDatasetWriter:
         assert all(row[2] > 0.9 for row in last)
 
     def test_zero_width_disorder_column_is_the_homogeneous_profile(self, tmp_path):
-        from entrep.arrays import ArrayConfig, pair_entanglement_profile
-
         cfg = ExperimentConfig(
             experiment="fig3a",
             overrides={"n_sites": 4, "samples": 12, "delta_levels": "0.0"},

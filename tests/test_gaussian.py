@@ -33,7 +33,6 @@ from entrep.gaussian import (
     log_negativity_gaussian,
     logneg_from_nu,
     normalized_logneg,
-    reduce_to_pair,
     schur_form,
     solve_lyapunov,
     solve_rank_one_sylvester,
@@ -42,7 +41,11 @@ from entrep.gaussian import (
     symplectic_form,
     uncertainty_margin,
 )
-from quadrature_oracle import quadrature_embedding, two_mode_squeezed_thermal_cm
+from quadrature_oracle import (
+    quadrature_embedding,
+    reduce_to_pair,
+    two_mode_squeezed_thermal_cm,
+)
 
 # Reference: -log2(3 - 2*sqrt(2)), the negativity of the (nbar=1,
 # mbar=sqrt(2)) two-mode squeezed vacuum, and its normalized value.
