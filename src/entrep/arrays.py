@@ -24,8 +24,12 @@ are non-zero (one isolated driven pair gets ``nbar`` and ``-mbar``):
     M   = <a_j^(1) a_k^(2)>:         L_1 M + M L_2^T = +2 zeta mbar e0 e0^T
 
 :func:`steady_state` solves them on one complex Schur form per distinct
-array drift.  Each pair (j, N+j) is a phase-insensitive two-mode state,
-so its smallest partially transposed symplectic eigenvalue is
+array drift.  The solve runs on stacks of independent problems of one
+size: :func:`disorder_sweep` puts both arrays' drift blocks of every
+bond draw of a disorder level into one ``(2S, N, N)`` stack and solves
+the level in one call, and :func:`steady_state` is the same solve on a
+stack of one configuration.  Each pair (j, N+j) is a phase-insensitive
+two-mode state, so its smallest partially transposed symplectic eigenvalue is
 ``n_1 + n_2 + 1 - sqrt((n_1 - n_2)^2 + 4 |m|^2)`` in its occupations and
 cross-moment (Serafini, Illuminati & De Siena, J. Phys. B 37, L21, 2004),
 which :func:`entrep.gaussian.pair_logneg` evaluates.
@@ -39,9 +43,10 @@ field's value exactly, for any chain length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .baselines import driving_entanglement
 from .errors import ConfigInvalid
@@ -235,6 +240,36 @@ class EntanglementProfile:
         object.__setattr__(self, "normalized", norm)
 
 
+#: Most complex entries in one stacked array of a disorder solve: a level
+#: is solved in chunks of samples whose largest stack, the ``(S, 2N, 2N)``
+#: uncertainty blocks, stays below this (16 MiB), so peak memory does not
+#: grow with the number of samples.
+_STACK_ENTRIES = 2**20
+
+
+def _ladder_blocks(cfg: ArrayConfig, bonds: np.ndarray) -> np.ndarray:
+    """The arrays' ladder drift blocks for every row of ``bonds`` taken as ``cfg.eta``.
+
+    ``bonds`` is ``(S, 2(N-1))``; returns the ``(2S, N, N)`` stack of array
+    one's S blocks followed by array two's.  Raises ConfigInvalid when an
+    atom coupling is on.
+    """
+    if not cfg.is_gaussian:
+        raise ConfigInvalid(
+            "the Gaussian cavity branch requires all atom couplings g = 0; "
+            "use the spin-dynamics layer for g > 0"
+        )
+    n, samples = cfg.n_sites, len(bonds)
+    hops = (-1j * bonds).reshape(samples, 2, n - 1).swapaxes(0, 1)
+    # each array's flattened blocks; strided slices pick their diagonals
+    blocks = np.zeros((2, samples, n * n), dtype=complex)
+    blocks[..., 1 :: n + 1] += hops
+    blocks[..., n :: n + 1] += hops
+    blocks[..., :: n + 1] -= np.reshape(cfg.kappa, (2, 1, n))
+    blocks[..., 0] -= cfg.zeta
+    return blocks.reshape(2 * samples, n, n)
+
+
 def ladder_drift(cfg: ArrayConfig) -> np.ndarray:
     """First-moment drift of the cavity fields.
 
@@ -244,20 +279,35 @@ def ladder_drift(cfg: ArrayConfig) -> np.ndarray:
     couple coherently, so ``L`` is block diagonal.  Raises ConfigInvalid
     when an atom coupling is on.
     """
-    if not cfg.is_gaussian:
-        raise ConfigInvalid(
-            "the Gaussian cavity branch requires all atom couplings g = 0; "
-            "use the spin-dynamics layer for g > 0"
-        )
-    # the first superdiagonal holds array one's bonds, a zero across the
-    # seam between the arrays and array two's bonds
-    seam = cfg.n_sites - 1
-    hops = -1j * np.array(cfg.eta[:seam] + (0.0,) + cfg.eta[seam:])
-    ladder = np.diag(hops, 1) + np.diag(hops, -1)
-    ladder -= np.diag(np.asarray(cfg.kappa, dtype=float))
-    for j in cfg.driven_modes:
-        ladder[j, j] -= cfg.zeta
-    return ladder
+    return sla.block_diag(*_ladder_blocks(cfg, np.array([cfg.eta])))
+
+
+def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray, mirrored: bool) -> tuple:
+    """Steady ``(n1, n2, m, margin)`` of ``cfg`` for every row of ``bonds`` as its ``eta``.
+
+    One solve on stacks: ``n1``, ``n2`` and ``m`` are ``(S, N, N)`` and
+    ``margin`` holds one uncertainty margin per sample.  Both arrays'
+    drifts form one ``(2S, N, N)`` stack, so one Schur call and one
+    Sylvester call serve both arrays' occupations; a refused slice ``S +
+    s`` is sample s of array two.  ``mirrored`` states that every row
+    mirrors the arrays (:attr:`ArrayConfig.mirrored`), so array two's
+    moments are array one's and only array one is solved.
+    """
+    samples = len(bonds)
+    drifts = _ladder_blocks(cfg, bonds)
+    forms = schur_form(drifts[:samples] if mirrored else drifts)
+    normal = solve_rank_one_sylvester(forms.conj(), forms, -2.0 * cfg.zeta * cfg.nbar)
+    form_one = forms._make(field[:samples] for field in forms)
+    form_two = forms._make(field[-samples:] for field in forms)
+    m = solve_rank_one_sylvester(form_one, form_two, 2.0 * cfg.zeta * cfg.mbar)
+    n1, n2 = normal[:samples], normal[-samples:]
+    return n1, n2, m, uncertainty_margin(n1, n2, m, mirrored=mirrored)
+
+
+def _pair_lognegs(n1: np.ndarray, n2: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Raw negativity of every pair (j, N+j), for one set of moments or a stack."""
+    n1, n2, m = (moments.diagonal(axis1=-2, axis2=-1) for moments in (n1, n2, m))
+    return pair_logneg(n1.real, n2.real, m)
 
 
 def steady_state(cfg: ArrayConfig) -> SteadyMoments:
@@ -267,15 +317,8 @@ def steady_state(cfg: ArrayConfig) -> SteadyMoments:
     kappa = 0), NoConvergence on a failed or inaccurate solve, and
     NonPhysicalResult when the moments violate the uncertainty relation.
     """
-    ladder = ladder_drift(cfg)
-    n = cfg.n_sites
-    form_one = schur_form(ladder[:n, :n])
-    form_two = form_one if cfg.mirrored else schur_form(ladder[n:, n:])
-    source = -2.0 * cfg.zeta * cfg.nbar
-    n1 = solve_rank_one_sylvester(form_one.conj(), form_one, source)
-    n2 = n1 if cfg.mirrored else solve_rank_one_sylvester(form_two.conj(), form_two, source)
-    m = solve_rank_one_sylvester(form_one, form_two, 2.0 * cfg.zeta * cfg.mbar)
-    return SteadyMoments(n1=n1, n2=n2, m=m, uncertainty_margin=uncertainty_margin(n1, n2, m))
+    n1, n2, m, margin = _stacked_moments(cfg, np.array([cfg.eta]), cfg.mirrored)
+    return SteadyMoments(n1=n1[0], n2=n2[0], m=m[0], uncertainty_margin=float(margin[0]))
 
 
 def pair_entanglement_profile(cfg: ArrayConfig) -> EntanglementProfile:
@@ -285,9 +328,7 @@ def pair_entanglement_profile(cfg: ArrayConfig) -> EntanglementProfile:
     value every pair reaches in the lossless (kappa = 0) model.
     """
     moments = steady_state(cfg)
-    raw = pair_logneg(
-        moments.n1.diagonal().real, moments.n2.diagonal().real, moments.m.diagonal()
-    )
+    raw = _pair_lognegs(moments.n1, moments.n2, moments.m)
     normalized = raw / (1.0 + raw)
     drive = driving_entanglement(cfg.nbar, cfg.mbar)
     return EntanglementProfile(
@@ -363,34 +404,50 @@ def disorder_sweep(spec: DisorderSpec) -> DisorderResult:
 
     Each sample draws its bonds from its own child of a single seed
     sequence, so results are bitwise-reproducible for a fixed seed;
-    aggregation order is fixed by sample index.  A zero-width ensemble is
-    its one homogeneous profile: averaging hundreds of identical rows
-    would smear it by tens of ulps.
+    aggregation order is fixed by sample index.  The level is one stacked
+    steady-state solve: the drawn ``(S, 2(N-1))`` bonds become one ``(2S,
+    N, N)`` stack of both arrays' drift blocks, with no per-sample config
+    or profile.  It is solved in chunks of samples whose stacked arrays
+    hold at most ``_STACK_ENTRIES`` complex entries, and the chunks are
+    joined in sample order before the statistics, so chunking never
+    changes a result.  A zero-width
+    ensemble is its one homogeneous profile: averaging hundreds of
+    identical rows would smear it by tens of ulps.
     """
-    n_bonds = 2 * (spec.base.n_sites - 1)
-    if spec.delta_xi == 0.0 or n_bonds == 0:
-        draws = [np.full(n_bonds, spec.eta0)]
+    base = spec.base
+    n_sites = base.n_sites
+    if spec.delta_xi == 0.0 or not base.eta:
+        bonds, mirrored = np.array([base.eta]), base.mirrored
     else:
         half = 0.5 * spec.delta_xi
-        draws = [
-            spec.eta0 + np.random.default_rng(child).uniform(-half, half, size=n_bonds)
-            for child in np.random.SeedSequence(spec.seed).spawn(spec.samples)
+        bonds = np.array(
+            [
+                spec.eta0 + np.random.default_rng(child).uniform(-half, half, size=len(base.eta))
+                for child in np.random.SeedSequence(spec.seed).spawn(spec.samples)
+            ]
+        )
+        mirrored = False
+    chunk = max(1, _STACK_ENTRIES // (2 * n_sites) ** 2)
+    raw = np.concatenate(
+        [
+            _pair_lognegs(*_stacked_moments(base, bonds[start : start + chunk], mirrored)[:3])
+            for start in range(0, len(bonds), chunk)
         ]
-    profiles = [pair_entanglement_profile(replace(spec.base, eta=tuple(eta))) for eta in draws]
-    raw = np.vstack([profile.raw for profile in profiles])
-    norm = np.vstack([profile.normalized for profile in profiles])
+    )
+    norm = raw / (1.0 + raw)
     if len(norm) > 1:
         sem = norm.std(axis=0, ddof=1) / np.sqrt(len(norm))
     else:
         sem = np.zeros(norm.shape[1])
+    drive = driving_entanglement(base.nbar, base.mbar)
     return DisorderResult(
-        pair_labels=profiles[0].pair_labels,
+        pair_labels=tuple(range(1, n_sites + 1)),
         raw_mean=raw.mean(axis=0),
         norm_mean=norm.mean(axis=0),
         norm_min=norm.min(axis=0),
         norm_max=norm.max(axis=0),
         norm_sem=sem,
-        drive_raw=profiles[0].drive_raw,
-        drive_normalized=profiles[0].drive_normalized,
+        drive_raw=drive,
+        drive_normalized=normalized_logneg(drive),
         samples=spec.samples,
     )

@@ -573,12 +573,9 @@ def _integer(key: str, value) -> int:
 
 
 def _coerce(key: str, value: ParamValue, default: ParamValue) -> ParamValue:
+    if isinstance(default, int) and not isinstance(default, bool):
+        return _integer(key, value)
     try:
-        if isinstance(default, int) and not isinstance(default, bool):
-            as_float = float(value)
-            if not as_float.is_integer():
-                raise ValueError("not an integer")
-            return int(as_float)
         if isinstance(default, float):
             as_float = float(value)
             if not math.isfinite(as_float):
@@ -592,7 +589,12 @@ def _coerce(key: str, value: ParamValue, default: ParamValue) -> ParamValue:
 
 
 def resolve_params(cfg: ExperimentConfig) -> dict[str, ParamValue]:
-    """Defaults merged with overrides, coerced to the defaults' types."""
+    """Defaults merged with overrides, coerced to the defaults' types.
+
+    An integer parameter takes the rule of ``seed`` and ``workers``: a
+    string must spell an int exactly and a number must be whole, so no
+    value is rounded on its way in.
+    """
     defaults = EXPERIMENTS[cfg.experiment].defaults
     return {
         key: _coerce(key, cfg.overrides.get(key, default), default)

@@ -4,7 +4,11 @@
   solve the arrays' N x N ladder-moment equations (Bartels & Stewart,
   Comm. ACM 15, 820, 1972), :func:`uncertainty_margin` certifies them and
   :func:`pair_logneg` gives the negativity of every steady and output
-  pair from its occupations and cross-moment.
+  pair from its occupations and cross-moment.  The three solvers take one
+  N x N problem or a stack ``(S, N, N)`` of S independent ones: only the
+  Schur factorization and the triangular ``ztrsyl`` solve run once per
+  slice, while the back-transform, the residual and margin certificates
+  run once per stack, and a refusal names the first slice that failed.
 * **Oracle.** :func:`solve_lyapunov` on a :class:`DriftDiffusion` solves
   any real quadrature covariance flow, and :class:`QuadratureCovariance`,
   :func:`log_negativity_gaussian` and :func:`symplectic_eigenvalues` take
@@ -214,26 +218,65 @@ def solve_lyapunov(gen: DriftDiffusion) -> QuadratureCovariance:
     return QuadratureCovariance(sigma)
 
 
+def _first_failure(failed: np.ndarray, values: np.ndarray) -> tuple[str, float]:
+    """Label and value of the first failing slice of a per-slice check.
+
+    ``failed`` and ``values`` hold one entry per slice of a stack, or are
+    0-d for a single problem, whose label is empty.
+    """
+    if failed.ndim == 0:
+        return "", float(values)
+    index = int(np.flatnonzero(failed)[0])
+    return f" (slice {index})", float(values[index])
+
+
 def _require_hurwitz(eigenvalues: np.ndarray) -> None:
-    top = eigenvalues.real.max()
-    if top >= -HURWITZ_TOL:
+    """Eigenvalues along the last axis, one row per slice of a stack."""
+    top = eigenvalues.real.max(axis=-1)
+    failed = top >= -HURWITZ_TOL
+    if failed.any():
+        where, value = _first_failure(failed, top)
         raise NotHurwitz(
-            f"max Re eigenvalue of drift = {top:.3e} >= -{HURWITZ_TOL}; "
+            f"max Re eigenvalue of drift{where} = {value:.3e} >= -{HURWITZ_TOL}; "
             "no unique steady state"
         )
 
 
-def _require_residual(what: str, residual: float, source: float) -> None:
-    if residual > _RESIDUAL_RTOL * max(1.0, source):
+def _require_residual(what: str, residual: np.ndarray, source: float) -> None:
+    """``residual`` is one maximum per slice of a stack, or a scalar."""
+    failed = np.asarray(residual) > _RESIDUAL_RTOL * max(1.0, source)
+    if failed.any():
+        where, value = _first_failure(failed, residual)
         raise NoConvergence(
-            f"{what} residual {residual:.3e} exceeds tolerance; "
+            f"{what} residual{where} {value:.3e} exceeds tolerance; "
             "generator is likely ill-conditioned"
         )
+
+
+def _slices(stack: np.ndarray) -> np.ndarray:
+    """``stack`` as ``(S, N, N)``: a single N x N matrix is a stack of one."""
+    return stack.reshape((-1,) + stack.shape[-2:])
+
+
+def _blocks(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
+    """The 2 x 2 block matrix of four (stacks of) N x N matrices.
+
+    Same result as ``np.block``, whose Python overhead exceeds the
+    eigenvalue solve of a small block.
+    """
+    return np.concatenate(
+        (
+            np.concatenate((top_left, top_right), axis=-1),
+            np.concatenate((bottom_left, bottom_right), axis=-1),
+        ),
+        axis=-2,
+    )
 
 
 class SchurForm(NamedTuple):
     """Complex Schur form ``drift = q t q^H``: ``t`` upper triangular, ``q`` unitary.
 
+    Each field is N x N, or ``(S, N, N)`` for a stack of drifts.
     :meth:`conj` gives the conjugate drift's form without a new factorization.
     """
 
@@ -246,9 +289,16 @@ class SchurForm(NamedTuple):
 
 
 def schur_form(drift: np.ndarray) -> SchurForm:
-    """Schur form of a ladder drift; NotHurwitz unless every Re eigenvalue < -HURWITZ_TOL."""
-    t, q = sla.schur(np.asarray(drift, dtype=complex), output="complex")
-    _require_hurwitz(t.diagonal())
+    """Schur form of a ladder drift, or of each slice of an ``(S, N, N)`` stack.
+
+    Raises NotHurwitz, naming the first failing slice of a stack, unless
+    every Re eigenvalue is below -HURWITZ_TOL.
+    """
+    drift = np.asarray(drift, dtype=complex)
+    t, q = np.empty_like(drift), np.empty_like(drift)
+    for one, t_one, q_one in zip(_slices(drift), _slices(t), _slices(q)):
+        t_one[...], q_one[...] = sla.schur(one, output="complex")
+    _require_hurwitz(t.diagonal(axis1=-2, axis2=-1))
     return SchurForm(drift, t, q)
 
 
@@ -256,22 +306,31 @@ def solve_rank_one_sylvester(a: SchurForm, b: SchurForm, source: float) -> np.nd
     """``X`` solving ``A X + X B^T = source * e0 e0^T`` for Hurwitz ``A``, ``B``.
 
     ``X = q_a Y q_b^T`` turns it into ``t_a Y + Y t_b^T = source (q_a^H e0)
-    (q_b^H e0)^T``, which ``ztrsyl`` solves by back substitution.  Raises
-    NoConvergence on a ``ztrsyl`` failure or a residual above
-    ``1e-10 * max(1, |source|)``.
+    (q_b^H e0)^T``, which ``ztrsyl`` solves by back substitution.  On
+    stacks of forms, ``X`` is the ``(S, N, N)`` stack of every slice's
+    solution.  Raises NoConvergence, naming the first failing slice of a
+    stack, on a ``ztrsyl`` failure or a residual above ``1e-10 * max(1,
+    |source|)``.
     """
-    rhs = source * np.outer(a.q[0].conj(), b.q[0].conj())
-    y, scale, info = ztrsyl(a.t, b.t.conj(), rhs, trana="N", tranb="C")
-    if info != 0:
-        raise NoConvergence(f"triangular Sylvester solve failed (ztrsyl info={info})")
-    x = a.q @ (y / scale) @ b.q.T
-    residual = a.drift @ x + x @ b.drift.T
-    residual[0, 0] -= source
-    _require_residual("Sylvester", np.abs(residual).max(), abs(source))
+    rhs = source * (a.q[..., 0, :, None].conj() * b.q[..., 0, None, :].conj())
+    y, scale, info = np.empty_like(rhs), np.empty(rhs.shape[:-2]), np.empty(rhs.shape[:-2], int)
+    ys, scales, infos = _slices(y), scale.reshape(-1), info.reshape(-1)
+    for index, (ta, tb, c) in enumerate(zip(_slices(a.t), _slices(b.t).conj(), _slices(rhs))):
+        ys[index], scales[index], infos[index] = ztrsyl(ta, tb, c, trana="N", tranb="C")
+    if info.any():
+        where, value = _first_failure(info != 0, info)
+        raise NoConvergence(f"triangular Sylvester solve{where} failed (ztrsyl info={value:.0f})")
+    y /= scale[..., None, None]
+    x = a.q @ y @ b.q.swapaxes(-1, -2)
+    residual = a.drift @ x + x @ b.drift.swapaxes(-1, -2)
+    residual[..., 0, 0] -= source
+    _require_residual("Sylvester", np.abs(residual).max(axis=(-2, -1)), abs(source))
     return x
 
 
-def uncertainty_margin(n1: np.ndarray, n2: np.ndarray, m: np.ndarray) -> float:
+def uncertainty_margin(
+    n1: np.ndarray, n2: np.ndarray, m: np.ndarray, *, mirrored: bool = False
+) -> float | np.ndarray:
     """Physicality certificate of a two-group ladder-moment state.
 
     For a zero-mean state whose only non-zero second moments are
@@ -282,16 +341,26 @@ def uncertainty_margin(n1: np.ndarray, n2: np.ndarray, m: np.ndarray) -> float:
     >= 0 exactly when every symplectic eigenvalue is >= 1, and tends to
     ``(nu_min - 1) / 2`` there.  Below ``-1e-6 / 2`` (the covariance route's
     ``nu_min < 1 - 1e-6``) it raises NonPhysicalResult.
+
+    ``mirrored`` states that the groups are mirror images (``n1 = n2``
+    and ``m = m^T``), so that the second block equals the first and only
+    the first is diagonalized.  Stacks ``(S, N, N)`` of moments give one
+    margin per slice, and a refusal names the first failing slice.
     """
-    eye = np.eye(m.shape[0])
-    first = np.block([[eye + n1.T, m], [m.conj().T, n2]])
-    second = np.block([[eye + n2.T, m.T], [m.conj(), n1]])
-    lowest = float(min(np.linalg.eigvalsh(first)[0], np.linalg.eigvalsh(second)[0]))
-    if lowest < -0.5 * _PHYSICALITY_TOL:
+    eye = np.eye(m.shape[-1])
+    m_t = m.swapaxes(-1, -2)
+    first = _blocks(eye + n1.swapaxes(-1, -2), m, m_t.conj(), n2)
+    lowest = np.linalg.eigvalsh(first)[..., 0]
+    if not mirrored:
+        second = _blocks(eye + n2.swapaxes(-1, -2), m_t, m.conj(), n1)
+        lowest = np.minimum(lowest, np.linalg.eigvalsh(second)[..., 0])
+    failed = lowest < -0.5 * _PHYSICALITY_TOL
+    if failed.any():
+        where, value = _first_failure(failed, lowest)
         raise NonPhysicalResult(
-            f"uncertainty relation violated by {-lowest:.3e}; moments are unphysical"
+            f"uncertainty relation violated{where} by {-value:.3e}; moments are unphysical"
         )
-    return lowest
+    return float(lowest) if lowest.ndim == 0 else lowest
 
 
 def symplectic_eigenvalues(sigma) -> np.ndarray:

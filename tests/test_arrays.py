@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entrep.arrays
 import quadrature_oracle as oracle
 from entrep.arrays import (
     ArrayConfig,
+    DisorderResult,
     DisorderSpec,
     disorder_sweep,
     ladder_drift,
@@ -306,6 +308,43 @@ class TestSteadyState:
                 uncertainty_margin(moments.n1, moments.n2, m)
 
 
+@st.composite
+def mirrored_configs(draw):
+    """Random N <= 8 arrays that are mirror images: shared bonds and losses."""
+    n = draw(st.integers(1, 8))
+    bonds = tuple(draw(st.lists(st.floats(0.0, 2.0), min_size=n - 1, max_size=n - 1)))
+    losses = tuple(draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
+    nbar = draw(st.floats(0.0, 2.0))
+    mbar = draw(st.floats(0.0, 1.0)) * squeezing_bound(nbar)
+    zeta = draw(st.floats(0.1, 2.0))
+    return ArrayConfig(
+        n_sites=n, eta=bonds * 2, kappa=losses * 2, zeta=zeta, nbar=nbar, mbar=mbar
+    )
+
+
+class TestMirroredMargin:
+    @given(cfg=mirrored_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_the_two_uncertainty_blocks_agree(self, cfg):
+        assert cfg.mirrored
+        try:
+            moments = steady_state(cfg)
+        except NotHurwitz:
+            return
+        n1, n2, m = moments.n1, moments.n2, moments.m
+        eye = np.eye(cfg.n_sites)
+        first = np.block([[eye + n1.T, m], [m.conj().T, n2]])
+        second = np.block([[eye + n2.T, m.T], [m.conj(), n1]])
+        lowest = [np.linalg.eigvalsh(block)[0] for block in (first, second)]
+        # both blocks carry the solve's error, which grows like the
+        # inverse of the slowest decay rate
+        margin = -np.linalg.eigvals(ladder_drift(cfg)).real.max()
+        tol = 1e-13 * max(1.0, np.abs(first).max()) * max(1.0, 1.0 / margin)
+        assert abs(lowest[0] - lowest[1]) <= tol
+        assert abs(moments.uncertainty_margin - lowest[0]) <= tol
+        assert uncertainty_margin(n1, n2, m, mirrored=True) == pytest.approx(lowest[0], abs=tol)
+
+
 class TestEntanglementProfile:
     def test_lossless_profile_equals_drive_reference(self):
         cfg = ArrayConfig.homogeneous(4, eta=1.0, kappa=0.0, zeta=1.0, nbar=1.0, mbar=math.sqrt(2.0))
@@ -401,7 +440,98 @@ class TestEntanglementProfile:
         assert np.all(interior.min(axis=0) < interior[0] - 1e-6)
 
 
+def per_sample_disorder_sweep(spec: DisorderSpec) -> DisorderResult:
+    """The per-sample route: one config and one profile per drawn sample.
+
+    Reference for :func:`disorder_sweep`, which solves the same draws as
+    one stacked batch.
+    """
+    n_bonds = 2 * (spec.base.n_sites - 1)
+    if spec.delta_xi == 0.0 or n_bonds == 0:
+        draws = [np.full(n_bonds, spec.eta0)]
+    else:
+        half = 0.5 * spec.delta_xi
+        draws = [
+            spec.eta0 + np.random.default_rng(child).uniform(-half, half, size=n_bonds)
+            for child in np.random.SeedSequence(spec.seed).spawn(spec.samples)
+        ]
+    profiles = [pair_entanglement_profile(replace(spec.base, eta=tuple(eta))) for eta in draws]
+    raw = np.vstack([profile.raw for profile in profiles])
+    norm = np.vstack([profile.normalized for profile in profiles])
+    if len(norm) > 1:
+        sem = norm.std(axis=0, ddof=1) / np.sqrt(len(norm))
+    else:
+        sem = np.zeros(norm.shape[1])
+    return DisorderResult(
+        pair_labels=profiles[0].pair_labels,
+        raw_mean=raw.mean(axis=0),
+        norm_mean=norm.mean(axis=0),
+        norm_min=norm.min(axis=0),
+        norm_max=norm.max(axis=0),
+        norm_sem=sem,
+        drive_raw=profiles[0].drive_raw,
+        drive_normalized=profiles[0].drive_normalized,
+        samples=spec.samples,
+    )
+
+
+STATISTICS = ("raw_mean", "norm_mean", "norm_min", "norm_max", "norm_sem")
+
+
+@st.composite
+def disorder_specs(draw):
+    """Random N <= 6, S <= 6 ensembles with random losses, drive and width."""
+    n = draw(st.integers(1, 6))
+    eta0 = draw(st.floats(0.5, 2.0))
+    kappa = tuple(draw(st.lists(st.floats(0.0, 0.5), min_size=2 * n, max_size=2 * n)))
+    nbar = draw(st.floats(0.0, 2.0))
+    mbar = draw(st.floats(0.0, 1.0)) * squeezing_bound(nbar)
+    base = ArrayConfig(
+        n_sites=n,
+        eta=(eta0,) * (2 * (n - 1)),
+        kappa=kappa,
+        zeta=draw(st.floats(0.1, 2.0)),
+        nbar=nbar,
+        mbar=mbar,
+    )
+    return DisorderSpec(
+        base=base,
+        delta_xi=draw(st.floats(0.0, 0.99)) * eta0,
+        samples=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
 class TestDisorder:
+    @given(spec=disorder_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_level_matches_the_per_sample_loop(self, spec):
+        got, want = disorder_sweep(spec), per_sample_disorder_sweep(spec)
+        for name in STATISTICS:
+            assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-13
+        assert got.pair_labels == want.pair_labels
+        assert (got.drive_raw, got.drive_normalized) == (want.drive_raw, want.drive_normalized)
+        assert got.samples == want.samples
+
+    def test_chunked_level_equals_the_whole_level(self, monkeypatch):
+        spec = self.make_spec(delta_xi=0.4, samples=8)
+        whole = disorder_sweep(spec)
+        stacks = []
+        schur_form = entrep.arrays.schur_form
+
+        def spy(drift):
+            stacks.append(drift.shape)
+            return schur_form(drift)
+
+        # three samples of N = 3, whose 6 x 6 uncertainty blocks hold 36 entries each
+        monkeypatch.setattr(entrep.arrays, "_STACK_ENTRIES", 3 * 36)
+        monkeypatch.setattr(entrep.arrays, "schur_form", spy)
+        chunked = disorder_sweep(spec)
+        # both arrays' drifts share one stack: 2 x (3, 3, 2) samples
+        assert stacks == [(6, 3, 3), (6, 3, 3), (4, 3, 3)]
+        for name in STATISTICS:
+            assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+
     def make_spec(self, delta_xi=0.2, samples=6, seed=77):
         base = ArrayConfig.homogeneous(3, eta=1.0, kappa=0.02, zeta=1.0, nbar=1.0, mbar=1.3)
         return DisorderSpec(base=base, delta_xi=delta_xi, samples=samples, seed=seed)

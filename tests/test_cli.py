@@ -61,6 +61,16 @@ class TestRun:
         assert code == 2
         assert entry.split()[0] in stderr and "not an integer" in stderr
 
+    def test_over_precise_integer_override_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "fig3a.csv"
+        code, _, stderr = run_cli(
+            capsys, "run", "--experiment", "fig3a", "--set", "samples=2.0000000000000001",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "samples" in stderr and "not an integer" in stderr
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
         code, _, stderr = run_cli(capsys, "run", "--config", str(missing))

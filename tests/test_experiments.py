@@ -97,6 +97,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="n_sites_max"):
             resolve_params(cfg)
 
+    def test_integer_overrides_are_exact(self):
+        # 2**53 + 1 has no float64; reading it through float gave 2**53
+        cfg = ExperimentConfig(experiment="fig3a", overrides={"samples": "9007199254740993"})
+        assert resolve_params(cfg)["samples"] == 2**53 + 1
+        cfg = ExperimentConfig(experiment="fig3a", overrides={"samples": 12.0})
+        assert type(resolve_params(cfg)["samples"]) is int
+
+    @pytest.mark.parametrize("value", ["2.0000000000000001", "2.0", "1e3", float("inf")])
+    def test_integer_override_that_only_rounds_to_an_int_is_refused(self, value):
+        cfg = ExperimentConfig(experiment="fig3a", overrides={"samples": value})
+        with pytest.raises(ConfigInvalid, match="samples = .* is not an integer"):
+            resolve_params(cfg)
+
     def test_non_numeric_for_float_key_rejected(self):
         cfg = ExperimentConfig(experiment="fig2b", overrides={"kappa": "soft"})
         with pytest.raises(ConfigInvalid, match="kappa"):

@@ -30,6 +30,7 @@ from entrep.errors import (
 from entrep.gaussian import (
     DriftDiffusion,
     QuadratureCovariance,
+    SchurForm,
     log_negativity_gaussian,
     logneg_from_nu,
     normalized_logneg,
@@ -285,6 +286,77 @@ class TestRankOneSylvester:
         wrong = form._replace(drift=1.01 * form.drift)
         with pytest.raises(NoConvergence):
             solve_rank_one_sylvester(wrong, form, 1.0)
+
+
+def random_ladder_stack(seed: int, slices: int, n: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.array([random_hurwitz_ladder(rng, n) for _ in range(slices)])
+
+
+class TestStackedCore:
+    """Stacks ``(S, N, N)`` give, slice by slice, what the N x N calls give."""
+
+    @pytest.mark.parametrize("slices", [1, 4])
+    def test_stacked_solve_equals_the_per_slice_solves(self, slices):
+        one, two = random_ladder_stack(0, slices, 5), random_ladder_stack(1, slices, 5)
+        forms_one, forms_two = schur_form(one), schur_form(two)
+        assert forms_one.t.shape == forms_one.q.shape == (slices, 5, 5)
+        got = solve_rank_one_sylvester(forms_one.conj(), forms_two, 0.7)
+        for k in range(slices):
+            single_one, single_two = schur_form(one[k]), schur_form(two[k])
+            assert np.array_equal(forms_one.t[k], single_one.t)
+            assert np.array_equal(forms_one.q[k], single_one.q)
+            want = solve_rank_one_sylvester(single_one.conj(), single_two, 0.7)
+            assert np.array_equal(got[k], want)
+
+    def test_stacked_margin_equals_the_per_slice_margins(self):
+        n = np.diag([0.5, 2.0])
+        m = np.array([[0.3, 0.1], [0.0, 0.4]])
+        scales = np.array([0.0, 0.5, 1.0])
+        margins = uncertainty_margin(
+            np.array([n] * 3), np.array([n] * 3), scales[:, None, None] * m
+        )
+        assert margins.shape == (3,)
+        for k, scale in enumerate(scales):
+            assert margins[k] == uncertainty_margin(n, n, scale * m)
+
+    def test_marginal_slice_is_named(self):
+        stack = random_ladder_stack(2, 4, 3)
+        stack[2] = np.diag([-1.0, 1e-14, -0.5])  # one undamped mode
+        with pytest.raises(NotHurwitz, match=r"\(slice 2\)"):
+            schur_form(stack)
+
+    def test_inaccurate_slice_is_named(self):
+        form = schur_form(random_ladder_stack(3, 3, 4))
+        drift = form.drift.copy()
+        drift[1] *= 1.01
+        with pytest.raises(NoConvergence, match=r"Sylvester residual \(slice 1\)"):
+            solve_rank_one_sylvester(form._replace(drift=drift), form, 1.0)
+
+    def test_singular_triangular_slice_is_named(self):
+        # t_a + t_b = 0 on slice 1: ztrsyl reports a perturbed solve
+        t_a = np.array([[[-1.0]], [[-1.0]]], complex)
+        t_b = np.array([[[-1.0]], [[1.0]]], complex)
+        q = np.ones((2, 1, 1), complex)
+        with pytest.raises(NoConvergence, match=r"solve \(slice 1\) failed \(ztrsyl info=1\)"):
+            solve_rank_one_sylvester(SchurForm(t_a, t_a, q), SchurForm(t_b, t_b, q), 1.0)
+
+    def test_oversqueezed_slice_is_named(self):
+        n = np.ones((3, 1, 1))
+        m = np.array([[[1.0]], [[math.sqrt(2.0)]], [[1.5]]])
+        with pytest.raises(NonPhysicalResult, match=r"violated \(slice 2\)"):
+            uncertainty_margin(n, n, m)
+
+    def test_single_matrices_keep_their_messages_and_types(self):
+        with pytest.raises(NotHurwitz, match=r"^max Re eigenvalue of drift = "):
+            schur_form(np.array([[-1.0, 0.0], [0.0, 1e-14]], complex))
+        with pytest.raises(NonPhysicalResult, match=r"^uncertainty relation violated by "):
+            uncertainty_margin(np.ones((1, 1)), np.ones((1, 1)), np.array([[1.5]]))
+        n = np.diag([0.5, 2.0])
+        assert type(uncertainty_margin(n, n, np.zeros((2, 2)))) is float
+        form = schur_form(random_hurwitz_ladder(np.random.default_rng(4), 3))
+        assert form.t.shape == form.q.shape == (3, 3)
+        assert solve_rank_one_sylvester(form.conj(), form, 1.0).shape == (3, 3)
 
 
 class TestUncertaintyMargin:
