@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .baselines import driving_entanglement
 from .errors import ConfigInvalid
@@ -260,12 +259,12 @@ def _ladder_blocks(cfg: ArrayConfig, bonds: np.ndarray) -> np.ndarray:
             "use the spin-dynamics layer for g > 0"
         )
     n, samples = cfg.n_sites, len(bonds)
-    hops = (-1j * bonds).reshape(samples, 2, n - 1).swapaxes(0, 1)
+    hops = -1j * bonds.reshape(samples, 2, n - 1).swapaxes(0, 1)
     # each array's flattened blocks; strided slices pick their diagonals
     blocks = np.zeros((2, samples, n * n), dtype=complex)
     blocks[..., 1 :: n + 1] += hops
     blocks[..., n :: n + 1] += hops
-    blocks[..., :: n + 1] -= np.reshape(cfg.kappa, (2, 1, n))
+    blocks[..., :: n + 1] -= np.array(cfg.kappa).reshape(2, 1, n)
     blocks[..., 0] -= cfg.zeta
     return blocks.reshape(2 * samples, n, n)
 
@@ -279,7 +278,10 @@ def ladder_drift(cfg: ArrayConfig) -> np.ndarray:
     couple coherently, so ``L`` is block diagonal.  Raises ConfigInvalid
     when an atom coupling is on.
     """
-    return sla.block_diag(*_ladder_blocks(cfg, np.array([cfg.eta])))
+    n = cfg.n_sites
+    ladder = np.zeros((2 * n, 2 * n), dtype=complex)
+    ladder[:n, :n], ladder[n:, n:] = _ladder_blocks(cfg, np.array([cfg.eta]))
+    return ladder
 
 
 def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray, mirrored: bool) -> tuple:
