@@ -16,9 +16,11 @@ Steady moments
 --------------
 Ladder moments evolve as d<a>/dt = L <a> with ``L = -i*eta(hopping) -
 diag(kappa_j + zeta*[j is driven])``, block diagonal with one block
-``L_i`` per array.  The steady state is Gaussian and zero-mean; vacuum
-loss adds no noise in normal order, so only two kinds of second moment
-are non-zero (one isolated driven pair gets ``nbar`` and ``-mbar``):
+``L_i`` per array, so :func:`ladder_drift` and :attr:`SteadyMoments.drift`
+hold only the ``(2, N, N)`` stack ``(L_1, L_2)``.  The steady state is
+Gaussian and zero-mean; vacuum loss adds no noise in normal order, so only
+two kinds of second moment are non-zero (one isolated driven pair gets
+``nbar`` and ``-mbar``):
 
     N_i = <a_j^dag a_k> in array i:  conj(L_i) N_i + N_i L_i^T = -2 zeta nbar e0 e0^T
     M   = <a_j^(1) a_k^(2)>:         L_1 M + M L_2^T = +2 zeta mbar e0 e0^T
@@ -189,16 +191,18 @@ class SteadyMoments:
 
     ``n1[j, k] = <a_j^dag a_k>`` in array one, ``n2`` the same in array
     two, ``m[j, k] = <a_j a_{N+k}>`` across them; ``uncertainty_margin`` is
-    :func:`entrep.gaussian.uncertainty_margin` of the three.
+    :func:`entrep.gaussian.uncertainty_margin` of the three, and ``drift``
+    the stack :func:`ladder_drift` of the blocks they were solved from.
     """
 
     n1: np.ndarray
     n2: np.ndarray
     m: np.ndarray
     uncertainty_margin: float
+    drift: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("n1", "n2", "m"):
+        for name in ("n1", "n2", "m", "drift"):
             arr = np.array(getattr(self, name), dtype=complex)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -270,26 +274,23 @@ def _ladder_blocks(cfg: ArrayConfig, bonds: np.ndarray) -> np.ndarray:
 
 
 def ladder_drift(cfg: ArrayConfig) -> np.ndarray:
-    """First-moment drift of the cavity fields.
+    """First-moment drift of the cavity fields, one block per array.
 
-    Builds the complex 2N x 2N matrix ``L`` with d<a>/dt = L <a>:
-    ``-i*eta`` on nearest-neighbour bonds within each array and
-    ``-(kappa_j + zeta*[j driven])`` on the diagonal.  The arrays never
-    couple coherently, so ``L`` is block diagonal.  Raises ConfigInvalid
-    when an atom coupling is on.
+    Returns the complex ``(2, N, N)`` stack ``(L_1, L_2)`` of the arrays'
+    blocks of ``L`` with d<a>/dt = L <a>: ``-i*eta`` on nearest-neighbour
+    bonds within each array and ``-(kappa_j + zeta*[j driven])`` on the
+    diagonal.  The arrays never couple coherently, so ``L`` has no other
+    entries.  Raises ConfigInvalid when an atom coupling is on.
     """
-    n = cfg.n_sites
-    ladder = np.zeros((2 * n, 2 * n), dtype=complex)
-    ladder[:n, :n], ladder[n:, n:] = _ladder_blocks(cfg, np.array([cfg.eta]))
-    return ladder
+    return _ladder_blocks(cfg, np.array([cfg.eta]))
 
 
 def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray, mirrored: bool) -> tuple:
-    """Steady ``(n1, n2, m, margin)`` of ``cfg`` for every row of ``bonds`` as its ``eta``.
+    """Steady ``(n1, n2, m, margin, drifts)`` of ``cfg`` for every row of ``bonds`` as its ``eta``.
 
     One solve on stacks: ``n1``, ``n2`` and ``m`` are ``(S, N, N)`` and
     ``margin`` holds one uncertainty margin per sample.  Both arrays'
-    drifts form one ``(2S, N, N)`` stack, so one Schur call and one
+    drifts form the one ``(2S, N, N)`` stack ``drifts``, so one Schur call and one
     Sylvester call serve both arrays' occupations; a refused slice ``S +
     s`` is sample s of array two.  ``mirrored`` states that every row
     mirrors the arrays (:attr:`ArrayConfig.mirrored`), so array two's
@@ -303,7 +304,7 @@ def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray, mirrored: bool) -> tup
     form_two = forms._make(field[-samples:] for field in forms)
     m = solve_rank_one_sylvester(form_one, form_two, 2.0 * cfg.zeta * cfg.mbar)
     n1, n2 = normal[:samples], normal[-samples:]
-    return n1, n2, m, uncertainty_margin(n1, n2, m, mirrored=mirrored)
+    return n1, n2, m, uncertainty_margin(n1, n2, m, mirrored=mirrored), drifts
 
 
 def _pair_lognegs(n1: np.ndarray, n2: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -319,8 +320,8 @@ def steady_state(cfg: ArrayConfig) -> SteadyMoments:
     kappa = 0), NoConvergence on a failed or inaccurate solve, and
     NonPhysicalResult when the moments violate the uncertainty relation.
     """
-    n1, n2, m, margin = _stacked_moments(cfg, np.array([cfg.eta]), cfg.mirrored)
-    return SteadyMoments(n1=n1[0], n2=n2[0], m=m[0], uncertainty_margin=float(margin[0]))
+    n1, n2, m, margin, drift = _stacked_moments(cfg, np.array([cfg.eta]), cfg.mirrored)
+    return SteadyMoments(n1[0], n2[0], m[0], float(margin[0]), drift)
 
 
 def pair_entanglement_profile(cfg: ArrayConfig) -> EntanglementProfile:

@@ -555,6 +555,8 @@ class ExperimentConfig:
             raise ConfigInvalid("seed must fit in an unsigned 64-bit integer")
         if self.workers < 1:
             raise ConfigInvalid(f"workers must be >= 1, got {self.workers}")
+        if manifest_path_for(self.out_path) == self.out_path:
+            raise ConfigInvalid(f"out {self.out_path} is its own manifest path; use another suffix")
 
     @property
     def out_path(self) -> Path:
@@ -670,18 +672,20 @@ def _build_manifest(cfg: ExperimentConfig, params: Mapping[str, ParamValue]) -> 
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` via a temporary file; an OSError becomes ConfigInvalid naming ``path``."""
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".", suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def manifest_path_for(out_path: str | Path) -> Path:

@@ -4,11 +4,12 @@
   solve the arrays' N x N ladder-moment equations (Bartels & Stewart,
   Comm. ACM 15, 820, 1972), :func:`uncertainty_margin` certifies them and
   :func:`pair_logneg` gives the negativity of every steady and output
-  pair from its occupations and cross-moment.  The three solvers take one
-  N x N problem or a stack ``(S, N, N)`` of S independent ones: only the
-  Schur factorization and the triangular ``ztrsyl`` solve run once per
-  slice, while the back-transform, the residual and margin certificates
-  run once per stack, and a refusal names the first slice that failed.
+  pair from its occupations and cross-moment.  The three solvers take
+  stacks ``(S, N, N)`` of S independent problems of one size (a single
+  problem is a stack of one): only the Schur factorization and the
+  triangular ``ztrsyl`` solve run once per slice, while the
+  back-transform, the residual and margin certificates run once per
+  stack, and a refusal names the first slice that failed.
 * **Oracle.** :func:`solve_lyapunov` on a :class:`DriftDiffusion` solves
   any real quadrature covariance flow, and :class:`QuadratureCovariance`,
   :func:`log_negativity_gaussian` and :func:`symplectic_eigenvalues` take
@@ -203,10 +204,11 @@ def solve_lyapunov(gen: DriftDiffusion) -> QuadratureCovariance:
         which signals a malformed generator rather than rounding noise.
     """
     a, d = gen.drift, gen.diffusion
-    _require_hurwitz(np.linalg.eigvals(a))
+    _require_hurwitz(np.linalg.eigvals(a)[None])
     sigma = sla.solve_continuous_lyapunov(a, -d)
     sigma = 0.5 * (sigma + sigma.T)
-    _require_residual("Lyapunov", np.abs(a @ sigma + sigma @ a.T + d).max(), np.abs(d).max())
+    residual = np.abs(a @ sigma + sigma @ a.T + d).max()[None]
+    _require_residual("Lyapunov", residual, np.abs(d).max())
     try:
         nu_min = symplectic_eigenvalues(sigma)[0]
     except NotPositiveDefinite as exc:
@@ -219,13 +221,7 @@ def solve_lyapunov(gen: DriftDiffusion) -> QuadratureCovariance:
 
 
 def _first_failure(failed: np.ndarray, values: np.ndarray) -> tuple[str, float]:
-    """Label and value of the first failing slice of a per-slice check.
-
-    ``failed`` and ``values`` hold one entry per slice of a stack, or are
-    0-d for a single problem, whose label is empty.
-    """
-    if failed.ndim == 0:
-        return "", float(values)
+    """Label and value of the first failing slice; one entry per slice of a stack."""
     index = int(np.flatnonzero(failed)[0])
     return f" (slice {index})", float(values[index])
 
@@ -243,8 +239,8 @@ def _require_hurwitz(eigenvalues: np.ndarray) -> None:
 
 
 def _require_residual(what: str, residual: np.ndarray, source: float) -> None:
-    """``residual`` is one maximum per slice of a stack, or a scalar."""
-    failed = np.asarray(residual) > _RESIDUAL_RTOL * max(1.0, source)
+    """``residual`` is one maximum per slice of a stack."""
+    failed = residual > _RESIDUAL_RTOL * max(1.0, source)
     if failed.any():
         where, value = _first_failure(failed, residual)
         raise NoConvergence(
@@ -253,13 +249,8 @@ def _require_residual(what: str, residual: np.ndarray, source: float) -> None:
         )
 
 
-def _slices(stack: np.ndarray) -> np.ndarray:
-    """``stack`` as ``(S, N, N)``: a single N x N matrix is a stack of one."""
-    return stack.reshape((-1,) + stack.shape[-2:])
-
-
 def _blocks(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
-    """The 2 x 2 block matrix of four (stacks of) N x N matrices.
+    """The 2 x 2 block matrix of four ``(S, N, N)`` stacks, slice by slice.
 
     Same result as ``np.block``, whose Python overhead exceeds the
     eigenvalue solve of a small block.
@@ -276,8 +267,8 @@ def _blocks(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
 class SchurForm(NamedTuple):
     """Complex Schur form ``drift = q t q^H``: ``t`` upper triangular, ``q`` unitary.
 
-    Each field is N x N, or ``(S, N, N)`` for a stack of drifts.
-    :meth:`conj` gives the conjugate drift's form without a new factorization.
+    Each field is the ``(S, N, N)`` stack of every slice's matrix.
+    :meth:`conj` gives the conjugate drifts' forms without a new factorization.
     """
 
     drift: np.ndarray
@@ -289,14 +280,14 @@ class SchurForm(NamedTuple):
 
 
 def schur_form(drift: np.ndarray) -> SchurForm:
-    """Schur form of a ladder drift, or of each slice of an ``(S, N, N)`` stack.
+    """Schur form of each slice of an ``(S, N, N)`` stack of ladder drifts.
 
-    Raises NotHurwitz, naming the first failing slice of a stack, unless
-    every Re eigenvalue is below -HURWITZ_TOL.
+    Raises NotHurwitz, naming the first failing slice, unless every Re
+    eigenvalue is below -HURWITZ_TOL.
     """
     drift = np.asarray(drift, dtype=complex)
     t, q = np.empty_like(drift), np.empty_like(drift)
-    for one, t_one, q_one in zip(_slices(drift), _slices(t), _slices(q)):
+    for one, t_one, q_one in zip(drift, t, q):
         t_one[...], q_one[...] = sla.schur(one, output="complex")
     _require_hurwitz(t.diagonal(axis1=-2, axis2=-1))
     return SchurForm(drift, t, q)
@@ -306,32 +297,31 @@ def solve_rank_one_sylvester(a: SchurForm, b: SchurForm, source: float) -> np.nd
     """``X`` solving ``A X + X B^T = source * e0 e0^T`` for Hurwitz ``A``, ``B``.
 
     ``X = q_a Y q_b^T`` turns it into ``t_a Y + Y t_b^T = source (q_a^H e0)
-    (q_b^H e0)^T``, which ``ztrsyl`` solves by back substitution.  On
-    stacks of forms, ``X`` is the ``(S, N, N)`` stack of every slice's
-    solution.  Raises NoConvergence, naming the first failing slice of a
-    stack, on a ``ztrsyl`` failure or a residual above ``1e-10 * max(1,
-    |source|)``.
+    (q_b^H e0)^T``, which ``ztrsyl`` solves by back substitution.  ``a``
+    and ``b`` are forms of ``(S, N, N)`` stacks, and ``X`` is the stack of
+    every slice's solution.  Raises NoConvergence, naming the first
+    failing slice, on a ``ztrsyl`` failure or a residual above ``1e-10 *
+    max(1, |source|)``.
     """
-    rhs = source * (a.q[..., 0, :, None].conj() * b.q[..., 0, None, :].conj())
-    y, scale, info = np.empty_like(rhs), np.empty(rhs.shape[:-2]), np.empty(rhs.shape[:-2], int)
-    ys, scales, infos = _slices(y), scale.reshape(-1), info.reshape(-1)
-    for index, (ta, tb, c) in enumerate(zip(_slices(a.t), _slices(b.t).conj(), _slices(rhs))):
-        ys[index], scales[index], infos[index] = ztrsyl(ta, tb, c, trana="N", tranb="C")
+    rhs = source * (a.q[:, 0, :, None].conj() * b.q[:, 0, None, :].conj())
+    y, scale, info = np.empty_like(rhs), np.empty(len(rhs)), np.empty(len(rhs), int)
+    for index, (ta, tb, c) in enumerate(zip(a.t, b.t.conj(), rhs)):
+        y[index], scale[index], info[index] = ztrsyl(ta, tb, c, trana="N", tranb="C")
     if info.any():
         where, value = _first_failure(info != 0, info)
         raise NoConvergence(f"triangular Sylvester solve{where} failed (ztrsyl info={value:.0f})")
-    y /= scale[..., None, None]
+    y /= scale[:, None, None]
     x = a.q @ y @ b.q.swapaxes(-1, -2)
     residual = a.drift @ x + x @ b.drift.swapaxes(-1, -2)
-    residual[..., 0, 0] -= source
+    residual[:, 0, 0] -= source
     _require_residual("Sylvester", np.abs(residual).max(axis=(-2, -1)), abs(source))
     return x
 
 
 def uncertainty_margin(
     n1: np.ndarray, n2: np.ndarray, m: np.ndarray, *, mirrored: bool = False
-) -> float | np.ndarray:
-    """Physicality certificate of a two-group ladder-moment state.
+) -> np.ndarray:
+    """Physicality certificate of each slice of ``(S, N, N)`` two-group moments.
 
     For a zero-mean state whose only non-zero second moments are
     ``n1 = <a^dag a>`` within group one, ``n2`` within group two and
@@ -344,8 +334,8 @@ def uncertainty_margin(
 
     ``mirrored`` states that the groups are mirror images (``n1 = n2``
     and ``m = m^T``), so that the second block equals the first and only
-    the first is diagonalized.  Stacks ``(S, N, N)`` of moments give one
-    margin per slice, and a refusal names the first failing slice.
+    the first is diagonalized.  Returns one margin per slice; a refusal
+    names the first failing slice.
     """
     eye = np.eye(m.shape[-1])
     m_t = m.swapaxes(-1, -2)
@@ -360,7 +350,7 @@ def uncertainty_margin(
         raise NonPhysicalResult(
             f"uncertainty relation violated{where} by {-value:.3e}; moments are unphysical"
         )
-    return float(lowest) if lowest.ndim == 0 else lowest
+    return lowest
 
 
 def symplectic_eigenvalues(sigma) -> np.ndarray:

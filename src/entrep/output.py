@@ -6,8 +6,8 @@ never couple coherently and the field has no within-array anomalous
 moments, so at each frequency the pair's symmetrized output spectra form
 a phase-insensitive two-mode state.  Quantum regression and input-output
 theory (Gardiner and Collett, PRA 31, 3761, 1985) give its three port
-moments from the array drifts ``L_1``, ``L_2`` and the steady moments
-``N_1``, ``N_2``, ``M`` of :mod:`entrep.arrays`::
+moments from what :func:`entrep.arrays.steady_state` returns, the array
+drifts ``L_1``, ``L_2`` and the steady moments ``N_1``, ``N_2``, ``M``::
 
     R_p(omega) = (L_1 + i omega)^-1 e_i + (L_1 - i omega)^-1 e_i
     n_p = -2 kappa_p Re(N_1[i, :] . R_p)
@@ -35,24 +35,28 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .arrays import ArrayConfig, SteadyMoments, ladder_drift, steady_state
+from .arrays import ArrayConfig, SteadyMoments, steady_state
 from .errors import ClosedPort, ConfigInvalid
 from .gaussian import pair_logneg
 
 __all__ = [
     "OutputSpectrum",
     "PortMoments",
+    "first_peak_index",
     "output_covariance",
     "output_pair_spectrum",
     "output_quadrature_map",
     "peak_frequency",
 ]
 
-# Grid values within this fraction of the largest one count as the same
-# peak height, and the first of them in grid order is refined.  An even
-# spectrum then reports the same one of its two mirror peaks whatever
-# the rounding of the two values.
-_PEAK_TIE_RTOL = 1e-9
+def first_peak_index(values: np.ndarray) -> int:
+    """Flat index of the first entry within a relative 1e-9 of the largest.
+
+    Entries that close tie, and the first of them in row-major order wins,
+    so mirror-image values (the two peaks of an even spectrum, the mirror
+    entries of a moment matrix) never trade places with round-off.
+    """
+    return int(np.flatnonzero(values >= (1.0 - 1e-9) * values.max())[0])
 
 
 def output_quadrature_map(n_modes: int) -> np.ndarray:
@@ -100,16 +104,14 @@ def output_covariance(
 ) -> PortMoments:
     """Port moments of an output pair over a frequency grid.
 
-    ``moments`` is ``steady_state(cfg)``; ``pair`` holds one mode of each
-    array, in either order.  These three moments are the pair's whole
-    output covariance.
+    ``moments`` is ``steady_state(cfg)``, whose drift stack supplies both
+    arrays' resolvents; ``pair`` holds one mode of each array, in either
+    order.  These three moments are the pair's whole output covariance.
     """
     p, q = sorted(pair)
-    n = cfg.n_sites
-    i, j = p, q - n
-    ladder = ladder_drift(cfg)
-    r_p = _resolvent_sum(ladder[:n, :n], i, omegas)
-    r_q = _resolvent_sum(ladder[n:, n:], j, omegas)
+    i, j = p, q - cfg.n_sites
+    r_p = _resolvent_sum(moments.drift[0], i, omegas)
+    r_q = _resolvent_sum(moments.drift[1], j, omegas)
     kappa_p, kappa_q = cfg.kappa[p], cfg.kappa[q]
     return PortMoments(
         n_p=-2.0 * kappa_p * (r_p @ moments.n1[i]).real,
@@ -185,8 +187,8 @@ def peak_frequency(
 
     Returns ``(omega_star, raw_logneg_at_peak)``; the refinement is a
     bounded scalar search between the grid neighbours of the coarse
-    argmax.  Grid values within a relative 1e-9 of the maximum tie, and
-    the lowest-frequency one of them wins.  The grid must be strictly
+    argmax.  Grid values tie as in :func:`first_peak_index`, so the
+    lowest-frequency one of them wins.  The grid must be strictly
     increasing and hold at least two frequencies.  Scan and refinement
     share one steady state.
     """
@@ -198,7 +200,7 @@ def peak_frequency(
         return pair_logneg(*output_covariance(cfg, moments, pair, omegas))
 
     raw = raw_at(grid)
-    best = int(np.flatnonzero(raw >= (1.0 - _PEAK_TIE_RTOL) * raw.max())[0])
+    best = first_peak_index(raw)
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
     result = minimize_scalar(

@@ -286,7 +286,7 @@ def adiabaticity_ratio(cfg: ArrayConfig) -> float:
 
     The spin timescale is ``1 / (g sqrt(nbar + 1))`` and the field
     timescale the inverse of the smallest decay rate (smallest
-    ``|Re eigenvalue|`` of the field ladder drift).
+    ``|Re eigenvalue|`` of the field ladder drift's two array blocks).
     """
     if all(g == 0.0 for g in cfg.g):
         return 0.0
@@ -299,8 +299,9 @@ def adiabaticity_ratio(cfg: ArrayConfig) -> float:
 def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     """Second-order reduced spin generator for an arbitrary array config.
 
-    The field sector (``cfg`` with couplings removed) supplies the exact
-    drift ``M = diag(L, conj L)`` and steady stacked moments ``A0``; the
+    The field sector (``cfg`` with couplings removed) supplies, from one
+    steady solve, the exact drift ``M = diag(L_1, L_2, conj L_1, conj L_2)``
+    and the stacked moments ``A0``; the
     memory kernels follow by integrating the field correlations,
     ``kernel = g^2 M^{-1} A0`` and ``kernel_reversed = g^2 M^{-1} A0^T``,
     which are the coefficients of :func:`entrep.liouville.quadratic_superop`
@@ -317,10 +318,9 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
             "the reduced spin model is unreliable here",
             stacklevel=2,
         )
-    field_cfg = replace(cfg, g=(0.0,) * n_pairs)
-    ladder = ladder_drift(field_cfg)
-    drift = sla.block_diag(ladder, ladder.conj())
-    moments = steady_state(field_cfg).stacked()
+    field = steady_state(replace(cfg, g=(0.0,) * n_pairs))
+    drift = sla.block_diag(*field.drift, *field.drift.conj())
+    moments = field.stacked()
     kernel = g**2 * np.linalg.solve(drift, moments)
     kernel_reversed = g**2 * np.linalg.solve(drift, moments.T)
     # drho = sum_jk [T_jk s_j s_k rho + (Tbar^T)_jk rho s_j s_k

@@ -35,7 +35,7 @@ from .arrays import ArrayConfig, steady_state
 from .baselines import replicated_state
 from .errors import DimensionBudgetExceeded, ModelError
 from .liouville import fidelity_pure, gksl_superop, steady_state_dm
-from .output import _PEAK_TIE_RTOL
+from .output import first_peak_index
 from .spins import (
     SIDE_BUDGET,
     TruncationSpec,
@@ -97,14 +97,11 @@ def _finish(suite: str, checks: list[CheckResult], all_skipped: str = "") -> Sui
 def _worst_entry(got: np.ndarray, ref: np.ndarray) -> tuple[float, str]:
     """Largest ``|got - ref|`` entry and a detail string naming it.
 
-    Entries within a relative 1e-9 of the maximum tie, and the first of
-    them in row-major order wins (the rule of
-    :func:`entrep.output.peak_frequency`), so mirror entries of a moment
-    matrix do not trade places with round-off.
+    Near-equal entries tie by :func:`entrep.output.first_peak_index`, so
+    mirror entries of a moment matrix do not trade places with round-off.
     """
     diff = np.abs(got - ref)
-    worst = int(np.flatnonzero(diff >= (1.0 - _PEAK_TIE_RTOL) * diff.max())[0])
-    j, k = np.unravel_index(worst, diff.shape)
+    j, k = np.unravel_index(first_peak_index(diff), diff.shape)
     detail = (
         f"worst moment entry [{j},{k}]: fock={got[j, k]:.6e} "
         f"gaussian={ref[j, k]:.6e} |diff|={diff[j, k]:.3e}"

@@ -72,7 +72,7 @@ def quadrature_embedding(ladder: np.ndarray) -> np.ndarray:
 
 def quadrature_drift(cfg: ArrayConfig) -> np.ndarray:
     """The arrays' 4N x 4N real quadrature drift."""
-    return quadrature_embedding(ladder_drift(cfg))
+    return quadrature_embedding(sla.block_diag(*ladder_drift(cfg)))
 
 
 def diffusion_matrix(cfg: ArrayConfig) -> np.ndarray:
@@ -174,7 +174,7 @@ def output_correlations(cfg: ArrayConfig, omega: float) -> np.ndarray:
     adag>`` quarter (the output commutator) and ``N = A0 - E`` the normally
     ordered part of the runtime's stacked steady moments ``A0``.
     """
-    ladder = ladder_drift(cfg)
+    ladder = sla.block_diag(*ladder_drift(cfg))
     drift = sla.block_diag(ladder, ladder.conj())
     moments = steady_state(cfg).stacked()
     n = cfg.n_modes

@@ -88,23 +88,21 @@ class TestArrayConfig:
         # are solved, and their occupations agree
         close = replace(cfg, kappa=(1e-17, 0.1, 0.0, 0.1))
         ladder = ladder_drift(close)
-        assert np.array_equal(ladder[:2, :2], ladder[2:, 2:]) and not close.mirrored
+        assert np.array_equal(ladder[0], ladder[1]) and not close.mirrored
         moments = steady_state(close)
         assert np.array_equal(moments.n1, moments.n2)
 
 
 def loop_ladder_drift(cfg: ArrayConfig) -> np.ndarray:
-    """The ladder drift with its bonds placed one at a time; reference for ``ladder_drift``."""
+    """The ladder drift blocks with their bonds placed one at a time; reference for ``ladder_drift``."""
     n = cfg.n_sites
-    ladder = np.zeros((2 * n, 2 * n), dtype=complex)
-    for bond in range(n - 1):
-        for offset, rate in ((0, cfg.eta[bond]), (n, cfg.eta[n - 1 + bond])):
-            a, b = offset + bond, offset + bond + 1
-            ladder[a, b] = ladder[b, a] = -1j * rate
-    ladder -= np.diag(np.asarray(cfg.kappa, dtype=float))
-    for j in cfg.driven_modes:
-        ladder[j, j] -= cfg.zeta
-    return ladder
+    blocks = np.zeros((2, n, n), dtype=complex)
+    for array, block in enumerate(blocks):
+        for bond in range(n - 1):
+            block[bond, bond + 1] = block[bond + 1, bond] = -1j * cfg.eta[array * (n - 1) + bond]
+        block -= np.diag(np.asarray(cfg.kappa[array * n : (array + 1) * n], dtype=float))
+        block[0, 0] -= cfg.zeta
+    return blocks
 
 
 class TestDrift:
@@ -123,7 +121,7 @@ class TestDrift:
 
     def test_single_pair_pure_damping(self):
         cfg = ArrayConfig.homogeneous(1, eta=1.0, kappa=0.0, zeta=1.0)
-        assert np.array_equal(ladder_drift(cfg), -np.eye(2))
+        assert np.array_equal(ladder_drift(cfg), -np.ones((2, 1, 1)))
         assert np.array_equal(oracle.quadrature_drift(cfg), -np.eye(4))
 
     def test_two_site_hopping_by_hand(self):
@@ -158,16 +156,10 @@ class TestDrift:
             )
 
         expected = by_parts(
-            np.concatenate([np.linalg.eigvals(ladder), np.linalg.eigvals(ladder.conj())])
+            np.concatenate([np.linalg.eigvals(ladder), np.linalg.eigvals(ladder.conj())]).ravel()
         )
         actual = by_parts(np.linalg.eigvals(oracle.quadrature_drift(cfg)))
         assert np.abs(expected - actual).max() <= 1e-10
-
-    def test_arrays_never_couple_coherently(self):
-        cfg = ArrayConfig.homogeneous(3, eta=0.7, kappa=0.1, zeta=1.0)
-        ladder = ladder_drift(cfg)
-        assert np.array_equal(ladder[:3, 3:], np.zeros((3, 3)))
-        assert np.array_equal(ladder[3:, :3], np.zeros((3, 3)))
 
     def test_rejects_atom_couplings(self):
         cfg = ArrayConfig.homogeneous(2, g=0.1, nbar=1.0, mbar=1.0)
@@ -252,6 +244,15 @@ class TestSteadyState:
         moments = steady_state(ArrayConfig.homogeneous(2, zeta=1.0, nbar=1.0, mbar=1.2))
         with pytest.raises(ValueError):
             moments.m[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            moments.drift[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("kappa_two", [0.1, 0.3])  # mirrored, then not
+    def test_moments_carry_both_drift_blocks(self, kappa_two):
+        cfg = ArrayConfig(
+            n_sites=2, eta=(1.0, 1.0), kappa=(0.1, 0.0, kappa_two, 0.0), zeta=0.8, nbar=0.5, mbar=0.4
+        )
+        assert steady_state(cfg).drift.tobytes() == ladder_drift(cfg).tobytes()
 
     @given(cfg=small_configs())
     @settings(max_examples=40, deadline=None)
@@ -270,8 +271,7 @@ class TestSteadyState:
         assert np.abs(got - oracle.pair_lognegs(cfg)).max() <= 1000.0 * tol
 
     def test_exceptional_point_matches_the_quadrature_route(self):
-        ladder = ladder_drift(EXCEPTIONAL_POINT)[:2, :2]
-        values = np.linalg.eigvals(ladder)
+        values = np.linalg.eigvals(ladder_drift(EXCEPTIONAL_POINT)[0])
         assert abs(values[0] - values[1]) <= 1e-6  # one defective eigenvalue
         got = steady_state(EXCEPTIONAL_POINT).stacked()
         assert np.abs(got - oracle.stacked_moments(EXCEPTIONAL_POINT)).max() <= 1e-12
@@ -299,13 +299,14 @@ class TestSteadyState:
             nu_min = symplectic_eigenvalues(oracle.covariance_from_moments(stacked))[0]
         except ModelError:
             nu_min = -math.inf  # not even positive definite
+        stack = (moments.n1[None], moments.n2[None], m[None])
         if scale == 1.0:
             assert nu_min >= 1.0 - 1e-9
-            assert uncertainty_margin(moments.n1, moments.n2, m) >= -1e-12
+            assert uncertainty_margin(*stack)[0] >= -1e-12
         else:
             assert nu_min < 1.0 - 1e-6
             with pytest.raises(NonPhysicalResult):
-                uncertainty_margin(moments.n1, moments.n2, m)
+                uncertainty_margin(*stack)
 
 
 @st.composite
@@ -342,7 +343,8 @@ class TestMirroredMargin:
         tol = 1e-13 * max(1.0, np.abs(first).max()) * max(1.0, 1.0 / margin)
         assert abs(lowest[0] - lowest[1]) <= tol
         assert abs(moments.uncertainty_margin - lowest[0]) <= tol
-        assert uncertainty_margin(n1, n2, m, mirrored=True) == pytest.approx(lowest[0], abs=tol)
+        margin = uncertainty_margin(n1[None], n2[None], m[None], mirrored=True)[0]
+        assert margin == pytest.approx(lowest[0], abs=tol)
 
 
 class TestEntanglementProfile:

@@ -146,6 +146,25 @@ class TestRun:
         assert "finite" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "target,message",
+        [
+            ("taken", "cannot write"),  # a directory where the CSV should go
+            ("plain/x.csv", "cannot write"),  # a file where its directory should be
+            ("d.manifest", "is its own manifest path"),  # the manifest would replace the CSV
+        ],
+    )
+    def test_unwritable_out_exits_2_and_writes_nothing(self, tmp_path, capsys, target, message):
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "plain").write_text("", encoding="utf-8")
+        code, stdout, stderr = run_cli(
+            capsys, "run", "--experiment", "custom", "--out", str(tmp_path / target)
+        )
+        assert code == 2 and stdout == ""
+        assert message in stderr and str(tmp_path / target) in stderr
+        # no CSV, manifest or temporary file is left behind
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["plain", "taken"]
+
 
 class TestValidate:
     def test_single_suite_json(self, capsys):

@@ -115,6 +115,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="kappa"):
             resolve_params(cfg)
 
+    def test_output_path_that_is_its_own_manifest_path_is_refused(self):
+        with pytest.raises(ConfigInvalid, match="its own manifest path"):
+            ExperimentConfig(experiment="custom", out="runs/d.manifest")
+
     def test_default_output_path_is_named_after_the_experiment(self):
         assert ExperimentConfig(experiment="fig2c").out_path == Path("fig2c.csv")
         assert manifest_path_for("a/b/fig2c.csv") == Path("a/b/fig2c.manifest")

@@ -268,21 +268,21 @@ class TestRankOneSylvester:
         rng = np.random.default_rng(seed)
         one = random_hurwitz_ladder(rng, 5)
         two = random_hurwitz_ladder(rng, 5)
-        first = schur_form(one)
+        first = schur_form(one[None])
         first = first.conj() if conjugate else first
         source = rng.uniform(-2.0, 2.0)
-        got = solve_rank_one_sylvester(first, schur_form(two), source)
+        got = solve_rank_one_sylvester(first, schur_form(two[None]), source)
         rhs = np.zeros((5, 5), complex)
         rhs[0, 0] = source
-        want = scipy.linalg.solve_sylvester(first.drift, two.T, rhs)
-        assert np.abs(got - want).max() <= 1e-12
+        want = scipy.linalg.solve_sylvester(first.drift[0], two.T, rhs)
+        assert np.abs(got[0] - want).max() <= 1e-12
 
     def test_schur_form_refuses_a_marginal_drift(self):
         with pytest.raises(NotHurwitz):
-            schur_form(np.array([[-1.0, 0.0], [0.0, 1e-14]], complex))
+            schur_form(np.array([[[-1.0, 0.0], [0.0, 1e-14]]], complex))
 
     def test_refuses_an_inaccurate_solve(self):
-        form = schur_form(random_hurwitz_ladder(np.random.default_rng(1), 4))
+        form = schur_form(random_hurwitz_ladder(np.random.default_rng(1), 4)[None])
         wrong = form._replace(drift=1.01 * form.drift)
         with pytest.raises(NoConvergence):
             solve_rank_one_sylvester(wrong, form, 1.0)
@@ -294,7 +294,7 @@ def random_ladder_stack(seed: int, slices: int, n: int) -> np.ndarray:
 
 
 class TestStackedCore:
-    """Stacks ``(S, N, N)`` give, slice by slice, what the N x N calls give."""
+    """Stacks ``(S, N, N)`` give, slice by slice, what stacks of one give."""
 
     @pytest.mark.parametrize("slices", [1, 4])
     def test_stacked_solve_equals_the_per_slice_solves(self, slices):
@@ -303,11 +303,11 @@ class TestStackedCore:
         assert forms_one.t.shape == forms_one.q.shape == (slices, 5, 5)
         got = solve_rank_one_sylvester(forms_one.conj(), forms_two, 0.7)
         for k in range(slices):
-            single_one, single_two = schur_form(one[k]), schur_form(two[k])
-            assert np.array_equal(forms_one.t[k], single_one.t)
-            assert np.array_equal(forms_one.q[k], single_one.q)
+            single_one, single_two = schur_form(one[k : k + 1]), schur_form(two[k : k + 1])
+            assert np.array_equal(forms_one.t[k], single_one.t[0])
+            assert np.array_equal(forms_one.q[k], single_one.q[0])
             want = solve_rank_one_sylvester(single_one.conj(), single_two, 0.7)
-            assert np.array_equal(got[k], want)
+            assert np.array_equal(got[k], want[0])
 
     def test_stacked_margin_equals_the_per_slice_margins(self):
         n = np.diag([0.5, 2.0])
@@ -318,7 +318,7 @@ class TestStackedCore:
         )
         assert margins.shape == (3,)
         for k, scale in enumerate(scales):
-            assert margins[k] == uncertainty_margin(n, n, scale * m)
+            assert margins[k] == uncertainty_margin(n[None], n[None], scale * m[None])[0]
 
     def test_marginal_slice_is_named(self):
         stack = random_ladder_stack(2, 4, 3)
@@ -347,32 +347,23 @@ class TestStackedCore:
         with pytest.raises(NonPhysicalResult, match=r"violated \(slice 2\)"):
             uncertainty_margin(n, n, m)
 
-    def test_single_matrices_keep_their_messages_and_types(self):
-        with pytest.raises(NotHurwitz, match=r"^max Re eigenvalue of drift = "):
-            schur_form(np.array([[-1.0, 0.0], [0.0, 1e-14]], complex))
-        with pytest.raises(NonPhysicalResult, match=r"^uncertainty relation violated by "):
-            uncertainty_margin(np.ones((1, 1)), np.ones((1, 1)), np.array([[1.5]]))
-        n = np.diag([0.5, 2.0])
-        assert type(uncertainty_margin(n, n, np.zeros((2, 2)))) is float
-        form = schur_form(random_hurwitz_ladder(np.random.default_rng(4), 3))
-        assert form.t.shape == form.q.shape == (3, 3)
-        assert solve_rank_one_sylvester(form.conj(), form, 1.0).shape == (3, 3)
-
 
 class TestUncertaintyMargin:
+    """Stacks of one two-group state."""
+
     def test_two_mode_squeezed_vacuum_sits_on_the_boundary(self):
-        n = np.array([[1.0]])
-        m = np.array([[-math.sqrt(2.0)]])
-        assert abs(uncertainty_margin(n, n, m)) <= 1e-12
+        n = np.array([[[1.0]]])
+        m = np.array([[[-math.sqrt(2.0)]]])
+        assert abs(uncertainty_margin(n, n, m)[0]) <= 1e-12
 
     def test_thermal_state_keeps_half_its_gap(self):
-        n = np.diag([0.5, 2.0])
-        assert uncertainty_margin(n, n, np.zeros((2, 2))) == pytest.approx(0.5)
+        n = np.diag([0.5, 2.0])[None]
+        assert uncertainty_margin(n, n, np.zeros((1, 2, 2)))[0] == pytest.approx(0.5)
 
     def test_refuses_oversqueezed_moments(self):
-        n = np.array([[1.0]])
+        n = np.array([[[1.0]]])
         with pytest.raises(NonPhysicalResult):
-            uncertainty_margin(n, n, np.array([[1.5]]))
+            uncertainty_margin(n, n, np.array([[[1.5]]]))
 
 
 class TestNormalizedLogneg:

@@ -16,8 +16,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
+import entrep.arrays
 import entrep.output
 import quadrature_oracle as oracle
 from entrep.arrays import ArrayConfig, ladder_drift, steady_state
@@ -205,7 +206,7 @@ class TestStackedResolventOracle:
         assert_matches_the_stacked_resolvent(cfg, pair[::-1], omegas)
 
     def test_defective_array_drift(self):
-        block = ladder_drift(DEFECTIVE)[:2, :2]
+        block = ladder_drift(DEFECTIVE)[0]
         values, vectors = np.linalg.eig(block)
         assert abs(values[0] - values[1]) <= 1e-6
         assert np.linalg.cond(vectors) > 1e6
@@ -260,7 +261,7 @@ class TestRegressionOracle:
     @pytest.mark.parametrize("omega", [0.0, 0.37, -1.1])
     def test_port_moments_match_time_domain_integration(self, omega):
         cfg = lossy_config()
-        ladder = ladder_drift(cfg)
+        ladder = block_diag(*ladder_drift(cfg))
         pairs, _, normal, _ = quarters(steady_state(cfg).stacked())
         gains = np.diag(np.sqrt(np.asarray(cfg.kappa, float)))
         conj = ladder.conj()
@@ -467,6 +468,30 @@ class TestSteadyStateReuse:
     def test_peak_frequency_scan_and_refinement(self, calls):
         peak_frequency(end_damped_config(), np.linspace(1.0, 1.8, 9))
         assert len(calls) == 1
+
+
+class TestDriftReuse:
+    """Every frequency reads the drift off the steady record: one drift build per route."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        seen = []
+        build = entrep.arrays._ladder_blocks
+
+        def counting(cfg, bonds):
+            seen.append(cfg)
+            return build(cfg, bonds)
+
+        monkeypatch.setattr(entrep.arrays, "_ladder_blocks", counting)
+        return seen
+
+    def test_pair_spectrum(self, builds):
+        output_pair_spectrum(end_damped_config(), np.linspace(-2.5, 2.5, 21))
+        assert len(builds) == 1
+
+    def test_peak_frequency_scan_and_refinement(self, builds):
+        peak_frequency(end_damped_config(), np.linspace(1.0, 1.8, 9))
+        assert len(builds) == 1
 
     def test_a_grid_is_one_port_moment_call(self, monkeypatch):
         grids = []

@@ -534,7 +534,7 @@ class TestClosedForm:
     def test_pattern_identity_reproduces_field_drift_inverse(self, n_sites):
         eta, zeta, g = 0.9, 1.4, 0.07
         cfg = ArrayConfig.homogeneous(n_sites, eta=eta, kappa=0.0, zeta=zeta)
-        single_array = ladder_drift(cfg)[:n_sites, :n_sites]
+        single_array = ladder_drift(cfg)[0]
         hopping_rate, damping_rate = closed_form_rates(n_sites, eta, zeta, g)
         x_mat, y_mat, signs = coupling_pattern_matrices(n_sites)
         x_ref, y_ref = kronecker_pattern_matrices(n_sites)
