@@ -24,13 +24,10 @@ are lossless.  The package computes:
 
 from __future__ import annotations
 
-# experiments goes first so that multiprocessing, which its process pool
-# needs, loads before the scipy submodules: that order imports the
-# package a few percent faster than the alphabetical one
-from .experiments import EXPERIMENTS, run_experiment
 from .arrays import ArrayConfig, pair_entanglement_profile
 from .baselines import driving_entanglement
 from .errors import ExperimentFailed, ModelError
+from .experiments import EXPERIMENTS, run_experiment
 from .liouville import logneg_qubits, reduced_pair_dm, steady_state_dm
 from .spins import build_xx_liouvillian
 

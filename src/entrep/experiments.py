@@ -671,21 +671,34 @@ def _build_manifest(cfg: ExperimentConfig, params: Mapping[str, ParamValue]) -> 
     return tuple(entries)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` via a temporary file; an OSError becomes ConfigInvalid naming ``path``."""
-    path = Path(path)
-    tmp = None
+def _write_dataset(out: Path, csv_text: str, manifest_text: str) -> None:
+    """Write the CSV and its manifest via temporary files: both or neither.
+
+    Both texts reach disk before either target is replaced, and the CSV
+    is placed last; if it cannot be, the manifest just placed is removed.
+    An OSError becomes ConfigInvalid naming the path that failed.
+    """
+    path = Path(out)
+    targets = ((manifest_path_for(path), manifest_text), (path, csv_text))
+    staged, placed = [], []
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in targets:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            staged.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        for tmp, (path, _) in zip(staged, targets):
+            os.replace(tmp, path)
+            placed.append(path)
     except OSError as exc:
+        for done in placed:
+            os.unlink(done)
         raise ConfigInvalid(f"cannot write {path}: {exc}") from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def manifest_path_for(out_path: str | Path) -> Path:
@@ -710,7 +723,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
 
     Nothing is written until every sweep point has succeeded, so a
     failure (reported with the offending sweep point) leaves no partial
-    files behind.
+    files behind; neither does a CSV or manifest that cannot be written.
     """
     exp = EXPERIMENTS[cfg.experiment]
     params = resolve_params(cfg)
@@ -731,7 +744,5 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         rows=tuple(rows),
         manifest=_build_manifest(cfg, params),
     )
-    out = cfg.out_path
-    _write_atomic(out, table.to_csv())
-    _write_atomic(manifest_path_for(out), table.manifest_text())
+    _write_dataset(cfg.out_path, table.to_csv(), table.manifest_text())
     return table

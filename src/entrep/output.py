@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .arrays import ArrayConfig, SteadyMoments, steady_state
 from .errors import ClosedPort, ConfigInvalid
@@ -192,6 +191,10 @@ def peak_frequency(
     increasing and hold at least two frequencies.  Scan and refinement
     share one steady state.
     """
+    # scipy.optimize costs about a third of the package's import time and
+    # only this search uses it, so it loads here rather than with the module
+    from scipy.optimize import minimize_scalar
+
     moments, grid, pair = _prepared(cfg, coarse_omegas, pair)
     if grid.size < 2 or not np.all(np.diff(grid) > 0.0):
         raise ConfigInvalid("peak search needs a strictly increasing frequency grid")

@@ -290,10 +290,13 @@ def adiabaticity_ratio(cfg: ArrayConfig) -> float:
     """
     if all(g == 0.0 for g in cfg.g):
         return 0.0
-    g = max(cfg.g)
-    field_cfg = replace(cfg, g=(0.0,) * cfg.n_sites)
-    rates = np.abs(np.linalg.eigvals(ladder_drift(field_cfg)).real)
-    return float(g * np.sqrt(cfg.nbar + 1.0) / rates.min())
+    return _field_ratio(cfg, ladder_drift(replace(cfg, g=(0.0,) * cfg.n_sites)))
+
+
+def _field_ratio(cfg: ArrayConfig, field_drift: np.ndarray) -> float:
+    """:func:`adiabaticity_ratio` from the field drift stack already at hand."""
+    rates = np.abs(np.linalg.eigvals(field_drift).real)
+    return float(max(cfg.g) * np.sqrt(cfg.nbar + 1.0) / rates.min())
 
 
 def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
@@ -306,19 +309,19 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     ``kernel = g^2 M^{-1} A0`` and ``kernel_reversed = g^2 M^{-1} A0^T``,
     which are the coefficients of :func:`entrep.liouville.quadratic_superop`
     over the stacked spin operators.  Emits a warning when the
-    timescale-separation ratio exceeds 0.1.
+    timescale-separation ratio, read off the same field drift, exceeds 0.1.
     """
     n_pairs = cfg.n_sites
     _check_spin_pairs(n_pairs)
     g = _homogeneous_coupling(cfg)
-    ratio = adiabaticity_ratio(cfg)
+    field = steady_state(replace(cfg, g=(0.0,) * n_pairs))
+    ratio = _field_ratio(cfg, field.drift)
     if ratio > 0.1:
         warnings.warn(
             f"timescale-separation ratio {ratio:.3f} > 0.1; "
             "the reduced spin model is unreliable here",
             stacklevel=2,
         )
-    field = steady_state(replace(cfg, g=(0.0,) * n_pairs))
     drift = sla.block_diag(*field.drift, *field.drift.conj())
     moments = field.stacked()
     kernel = g**2 * np.linalg.solve(drift, moments)

@@ -165,6 +165,19 @@ class TestRun:
         # no CSV, manifest or temporary file is left behind
         assert sorted(path.name for path in tmp_path.rglob("*")) == ["plain", "taken"]
 
+    @pytest.mark.parametrize("taken", ["d.csv", "d.manifest"])
+    def test_a_dataset_half_that_cannot_be_placed_leaves_neither_file(
+        self, tmp_path, capsys, taken
+    ):
+        # a directory already holds the CSV's or the manifest's name
+        (tmp_path / taken).mkdir()
+        code, stdout, stderr = run_cli(
+            capsys, "run", "--experiment", "custom", "--out", str(tmp_path / "d.csv")
+        )
+        assert code == 2 and stdout == ""
+        assert f"cannot write {tmp_path / taken}" in stderr
+        assert [path.name for path in tmp_path.rglob("*")] == [taken]
+
 
 class TestValidate:
     def test_single_suite_json(self, capsys):

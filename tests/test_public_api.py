@@ -2,8 +2,12 @@
 
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,61 @@ def test_every_name_the_benchmark_tracer_wraps_is_a_callable():
         if not callable(getattr(module, func_name, None)):
             missing.append(qualified)
     assert missing == []
+
+
+# a fresh interpreter imports the package and every module under it,
+# reports which scipy subpackages came with it, then runs one peak search
+# and reports again
+_IMPORT_PROBE = """
+import importlib, json, pkgutil, sys
+import numpy as np
+import entrep
+for info in pkgutil.iter_modules(entrep.__path__):
+    importlib.import_module(f"entrep.{info.name}")
+from entrep import arrays, output
+
+def scipy_subpackages():
+    return sorted({name.split(".")[1] for name in sys.modules if name.startswith("scipy.")})
+
+on_import = scipy_subpackages()
+cfg = arrays.ArrayConfig(
+    n_sites=3, eta=(1.0,) * 4, kappa=(0.0, 0.0, 0.4, 0.0, 0.0, 0.4),
+    zeta=0.5, nbar=1.0, mbar=np.sqrt(2.0), g=(0.0,) * 3,
+)
+omega, value = output.peak_frequency(cfg, np.linspace(1.0, 1.8, 9))
+print(json.dumps({
+    "on_import": on_import,
+    "after_peak_search": scipy_subpackages(),
+    "peak": [omega.hex(), value.hex()],
+}))
+"""
+
+# what only the peak search needs: scipy.optimize and what it drags in
+PEAK_SEARCH_ONLY = {"optimize", "special", "fft", "spatial"}
+
+
+@pytest.fixture(scope="module")
+def import_probe():
+    env = dict(os.environ)
+    src = str(Path(entrep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def test_importing_the_package_loads_no_optimizer(import_probe):
+    loaded = set(import_probe["on_import"])
+    assert PEAK_SEARCH_ONLY.isdisjoint(loaded)
+    # private helpers and the version module come with scipy itself
+    assert {name for name in loaded if not name.startswith("_")} - {"version"} == {
+        "linalg",
+        "sparse",
+    }
+
+
+def test_the_peak_search_loads_the_optimizer_and_keeps_its_result(import_probe):
+    assert "optimize" in import_probe["after_peak_search"]
+    # the bits the search returned while scipy.optimize loaded with the module
+    assert import_probe["peak"] == ["0x1.570965bf48e14p+0", "0x1.3e9c5d75e3e6ep+1"]

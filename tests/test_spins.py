@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entrep.arrays
 import entrep.liouville
 import entrep.spins
 import superop_reference
@@ -469,6 +470,25 @@ class TestEffectiveReduction:
         cfg = reduced_config(1, nbar=1.0, mbar=0.5, g=0.5)
         with pytest.warns(UserWarning, match="timescale-separation"):
             build_effective_general(cfg)
+
+    def test_warning_quotes_the_public_ratio(self):
+        cfg = reduced_config(2, nbar=1.0, mbar=0.5, g=0.5, kappa=0.3)
+        with pytest.warns(UserWarning) as caught:
+            build_effective_general(cfg)
+        assert f"ratio {adiabaticity_ratio(cfg):.3f} > 0.1" in str(caught[0].message)
+
+    def test_one_field_drift_build_per_model(self, monkeypatch):
+        # the ratio and the kernels read the one field steady state's drift
+        builds = []
+        build = entrep.arrays._ladder_blocks
+
+        def counting(cfg, bonds):
+            builds.append(cfg)
+            return build(cfg, bonds)
+
+        monkeypatch.setattr(entrep.arrays, "_ladder_blocks", counting)
+        build_effective_general(reduced_config(2, nbar=0.8, mbar=1.0))
+        assert len(builds) == 1
 
     def test_coupling_validation(self):
         base = reduced_config(2, nbar=0.5, mbar=0.5)
