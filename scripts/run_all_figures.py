@@ -3,10 +3,9 @@
 
 Each experiment writes ``<outdir>/<name>.csv`` plus the matching
 ``.manifest``; rerunning with the same seed reproduces the files byte for
-byte.  The full set takes about 3.5 s on one core with one BLAS thread
-(2.8 to 3.8 s over three runs on a 2-vCPU host): fig3b (about 2 s)
-dominates, fig3a takes 0.4 to 0.5 s, fig3c 0.5 to 0.7 s and fig5a 0.1 to
-0.2 s.
+byte.  The full set takes 3.1 to 3.8 s on one core with one BLAS thread
+(five runs on a 2-vCPU host): fig3b (1.8 to 2.2 s) dominates, fig3a takes
+0.4 to 0.6 s, fig3c 0.5 to 0.8 s and fig5a 0.3 to 0.4 s.
 
 Usage:
     python3 scripts/run_all_figures.py --outdir figure_data --workers 2

@@ -16,25 +16,25 @@ Steady moments
 --------------
 Ladder moments evolve as d<a>/dt = L <a> with ``L = -i*eta(hopping) -
 diag(kappa_j + zeta*[j is driven])``, block diagonal with one block
-``L_i`` per array, so :func:`ladder_drift` and :attr:`SteadyMoments.drift`
-hold only the ``(2, N, N)`` stack ``(L_1, L_2)``.  The steady state is
-Gaussian and zero-mean; vacuum loss adds no noise in normal order, so only
-two kinds of second moment are non-zero (one isolated driven pair gets
-``nbar`` and ``-mbar``):
+``L_i`` per array, so :func:`ladder_drift` holds only the ``(2, N, N)``
+stack ``(L_1, L_2)``.  The steady state is Gaussian and zero-mean; vacuum
+loss adds no noise in normal order, so only two kinds of second moment are
+non-zero (one isolated driven pair gets ``nbar`` and ``-mbar``):
 
     N_i = <a_j^dag a_k> in array i:  conj(L_i) N_i + N_i L_i^T = -2 zeta nbar e0 e0^T
     M   = <a_j^(1) a_k^(2)>:         L_1 M + M L_2^T = +2 zeta mbar e0 e0^T
 
-:func:`steady_state` solves them on one complex Schur form per distinct
-array drift.  The solve runs on stacks of independent problems of one
-size: :func:`disorder_sweep` puts both arrays' drift blocks of every
-bond draw of a disorder level into one ``(2S, N, N)`` stack and solves
-the level in one call, and :func:`steady_state` is the same solve on a
-stack of one configuration.  Each pair (j, N+j) is a phase-insensitive
-two-mode state, so its smallest partially transposed symplectic eigenvalue is
-``n_1 + n_2 + 1 - sqrt((n_1 - n_2)^2 + 4 |m|^2)`` in its occupations and
-cross-moment (Serafini, Illuminati & De Siena, J. Phys. B 37, L21, 2004),
-which :func:`entrep.gaussian.pair_logneg` evaluates.
+:func:`steady_state` solves them on one complex Schur form per distinct array
+drift, and :attr:`SteadyMoments.forms` carries both arrays' forms on to every
+later resolvent, kernel and decay rate.  The solve runs on stacks of
+independent problems of one size: :func:`disorder_sweep` puts both arrays'
+drift blocks of every bond draw of a disorder level into one ``(2S, N, N)``
+stack and solves the level in one call, and :func:`steady_state` is the same
+solve on a stack of one configuration.  Each pair (j, N+j) is a
+phase-insensitive two-mode state, so its smallest partially transposed
+symplectic eigenvalue is ``n_1 + n_2 + 1 - sqrt((n_1 - n_2)^2 + 4 |m|^2)`` in
+its occupations and cross-moment (Serafini, Illuminati & De Siena, J. Phys.
+B 37, L21, 2004), which :func:`entrep.gaussian.pair_logneg` evaluates.
 
 Entanglement replication: with kappa = 0 every pair (j, N+j) relaxes to
 a two-mode squeezed thermal state with the *same* (nbar, mbar) as the
@@ -52,6 +52,7 @@ import numpy as np
 from .baselines import driving_entanglement
 from .errors import ConfigInvalid
 from .gaussian import (
+    SchurForm,
     check_drive,
     normalized_logneg,
     pair_logneg,
@@ -191,21 +192,23 @@ class SteadyMoments:
 
     ``n1[j, k] = <a_j^dag a_k>`` in array one, ``n2`` the same in array
     two, ``m[j, k] = <a_j a_{N+k}>`` across them; ``uncertainty_margin`` is
-    :func:`entrep.gaussian.uncertainty_margin` of the three, and ``drift``
-    the stack :func:`ladder_drift` of the blocks they were solved from.
+    :func:`entrep.gaussian.uncertainty_margin` of the three, and ``forms`` the
+    Schur forms of the blocks :func:`ladder_drift` they were solved from
+    (``forms.drift``), array two's a copy of array one's when they are equal.
     """
 
     n1: np.ndarray
     n2: np.ndarray
     m: np.ndarray
     uncertainty_margin: float
-    drift: np.ndarray
+    forms: SchurForm
 
     def __post_init__(self) -> None:
-        for name in ("n1", "n2", "m", "drift"):
-            arr = np.array(getattr(self, name), dtype=complex)
+        for name in ("n1", "n2", "m"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=complex))
+        object.__setattr__(self, "forms", self.forms._make(f.view() for f in self.forms))
+        for arr in (self.n1, self.n2, self.m, *self.forms):
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     def stacked(self) -> np.ndarray:
         """The 4N x 4N moments ``<abar abar^T>``, ``abar = (a_1..a_2N, adag_1..adag_2N)``.
@@ -285,26 +288,28 @@ def ladder_drift(cfg: ArrayConfig) -> np.ndarray:
     return _ladder_blocks(cfg, np.array([cfg.eta]))
 
 
-def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray, mirrored: bool) -> tuple:
-    """Steady ``(n1, n2, m, margin, drifts)`` of ``cfg`` for every row of ``bonds`` as its ``eta``.
+def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray) -> tuple:
+    """Steady ``(n1, n2, m, margin, forms)`` of ``cfg`` for every row of ``bonds`` as its ``eta``.
 
     One solve on stacks: ``n1``, ``n2`` and ``m`` are ``(S, N, N)`` and
     ``margin`` holds one uncertainty margin per sample.  Both arrays'
-    drifts form the one ``(2S, N, N)`` stack ``drifts``, so one Schur call and one
+    drifts form one ``(2S, N, N)`` stack, so one Schur call and one
     Sylvester call serve both arrays' occupations; a refused slice ``S +
-    s`` is sample s of array two.  ``mirrored`` states that every row
-    mirrors the arrays (:attr:`ArrayConfig.mirrored`), so array two's
-    moments are array one's and only array one is solved.
+    s`` is sample s of array two.  When array two's drifts equal array
+    one's, so do its moments, and only array one is solved.  ``forms``
+    is the Schur forms of the whole stack.
     """
     samples = len(bonds)
     drifts = _ladder_blocks(cfg, bonds)
+    mirrored = np.array_equal(drifts[:samples], drifts[samples:])
     forms = schur_form(drifts[:samples] if mirrored else drifts)
     normal = solve_rank_one_sylvester(forms.conj(), forms, -2.0 * cfg.zeta * cfg.nbar)
+    forms = forms._make(np.concatenate((f, f)) if mirrored else f for f in forms)
     form_one = forms._make(field[:samples] for field in forms)
-    form_two = forms._make(field[-samples:] for field in forms)
+    form_two = forms._make(field[samples:] for field in forms)
     m = solve_rank_one_sylvester(form_one, form_two, 2.0 * cfg.zeta * cfg.mbar)
     n1, n2 = normal[:samples], normal[-samples:]
-    return n1, n2, m, uncertainty_margin(n1, n2, m, mirrored=mirrored), drifts
+    return n1, n2, m, uncertainty_margin(n1, n2, m, mirrored=mirrored), forms
 
 
 def _pair_lognegs(n1: np.ndarray, n2: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -320,8 +325,8 @@ def steady_state(cfg: ArrayConfig) -> SteadyMoments:
     kappa = 0), NoConvergence on a failed or inaccurate solve, and
     NonPhysicalResult when the moments violate the uncertainty relation.
     """
-    n1, n2, m, margin, drift = _stacked_moments(cfg, np.array([cfg.eta]), cfg.mirrored)
-    return SteadyMoments(n1[0], n2[0], m[0], float(margin[0]), drift)
+    n1, n2, m, margin, forms = _stacked_moments(cfg, np.array([cfg.eta]))
+    return SteadyMoments(n1[0], n2[0], m[0], float(margin[0]), forms)
 
 
 def pair_entanglement_profile(cfg: ArrayConfig) -> EntanglementProfile:
@@ -420,7 +425,7 @@ def disorder_sweep(spec: DisorderSpec) -> DisorderResult:
     base = spec.base
     n_sites = base.n_sites
     if spec.delta_xi == 0.0 or not base.eta:
-        bonds, mirrored = np.array([base.eta]), base.mirrored
+        bonds = np.array([base.eta])
     else:
         half = 0.5 * spec.delta_xi
         bonds = np.array(
@@ -429,11 +434,10 @@ def disorder_sweep(spec: DisorderSpec) -> DisorderResult:
                 for child in np.random.SeedSequence(spec.seed).spawn(spec.samples)
             ]
         )
-        mirrored = False
     chunk = max(1, _STACK_ENTRIES // (2 * n_sites) ** 2)
     raw = np.concatenate(
         [
-            _pair_lognegs(*_stacked_moments(base, bonds[start : start + chunk], mirrored)[:3])
+            _pair_lognegs(*_stacked_moments(base, bonds[start : start + chunk])[:3])
             for start in range(0, len(bonds), chunk)
         ]
     )

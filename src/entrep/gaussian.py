@@ -1,15 +1,15 @@
 """Gaussian-state core: moment solves, symplectic spectra, logarithmic negativity.
 
-* **Runtime.** :func:`schur_form` and :func:`solve_rank_one_sylvester`
-  solve the arrays' N x N ladder-moment equations (Bartels & Stewart,
-  Comm. ACM 15, 820, 1972), :func:`uncertainty_margin` certifies them and
-  :func:`pair_logneg` gives the negativity of every steady and output
-  pair from its occupations and cross-moment.  The three solvers take
-  stacks ``(S, N, N)`` of S independent problems of one size (a single
-  problem is a stack of one): only the Schur factorization and the
-  triangular ``ztrsyl`` solve run once per slice, while the
-  back-transform, the residual and margin certificates run once per
-  stack, and a refusal names the first slice that failed.
+* **Runtime.** :func:`schur_form` and :func:`solve_rank_one_sylvester` solve the
+  arrays' N x N ladder-moment equations (Bartels & Stewart, Comm. ACM 15, 820,
+  1972), :meth:`SchurForm.solve` gives the output resolvents and spin kernels on
+  the same forms, :func:`uncertainty_margin` certifies the moments and
+  :func:`pair_logneg` gives the negativity of every steady and output pair from
+  its occupations and cross-moment.  The three solvers take stacks ``(S, N, N)``
+  of S independent problems of one size (a single problem is a stack of one):
+  only the Schur factorization and the triangular ``ztrsyl`` solve run once per
+  slice, while the back-transform, the residual and margin certificates run once
+  per stack, and a refusal names the first slice that failed.
 * **Oracle.** :func:`solve_lyapunov` on a :class:`DriftDiffusion` solves
   any real quadrature covariance flow, and :class:`QuadratureCovariance`,
   :func:`log_negativity_gaussian` and :func:`symplectic_eigenvalues` take
@@ -227,9 +227,9 @@ def _first_failure(failed: np.ndarray, values: np.ndarray) -> tuple[str, float]:
 
 
 def _require_hurwitz(eigenvalues: np.ndarray) -> None:
-    """Eigenvalues along the last axis, one row per slice of a stack."""
+    """Eigenvalues along the last axis, one row per slice of a stack; NaN fails."""
     top = eigenvalues.real.max(axis=-1)
-    failed = top >= -HURWITZ_TOL
+    failed = ~(top < -HURWITZ_TOL)
     if failed.any():
         where, value = _first_failure(failed, top)
         raise NotHurwitz(
@@ -239,8 +239,8 @@ def _require_hurwitz(eigenvalues: np.ndarray) -> None:
 
 
 def _require_residual(what: str, residual: np.ndarray, source: float) -> None:
-    """``residual`` is one maximum per slice of a stack."""
-    failed = residual > _RESIDUAL_RTOL * max(1.0, source)
+    """``residual`` is one maximum per slice of a stack; one not finite fails."""
+    failed = ~(np.isfinite(residual) & (residual <= _RESIDUAL_RTOL * max(1.0, source)))
     if failed.any():
         where, value = _first_failure(failed, residual)
         raise NoConvergence(
@@ -267,8 +267,8 @@ def _blocks(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
 class SchurForm(NamedTuple):
     """Complex Schur form ``drift = q t q^H``: ``t`` upper triangular, ``q`` unitary.
 
-    Each field is the ``(S, N, N)`` stack of every slice's matrix.
-    :meth:`conj` gives the conjugate drifts' forms without a new factorization.
+    Each field is the ``(S, N, N)`` stack of every slice's matrix.  Neither
+    :meth:`conj` (the conjugate drifts' forms) nor :meth:`solve` factors anew.
     """
 
     drift: np.ndarray
@@ -277,6 +277,22 @@ class SchurForm(NamedTuple):
 
     def conj(self) -> "SchurForm":
         return SchurForm(self.drift.conj(), self.t.conj(), self.q.conj())
+
+    def solve(self, rhs: np.ndarray, shifts) -> np.ndarray:
+        """``(drift + s)^-1 rhs`` of every slice for each of the W ``shifts`` s.
+
+        ``rhs`` is ``(S, N, K)`` and the result ``(W, S, N, K)``.  It is ``q
+        (t + s)^-1 q^H rhs``: one back substitution over the columns of ``t``
+        serves every shift, slice and column at once, and each shift's
+        values take the same operations whatever the other shifts are.
+        """
+        shifts = np.asarray(shifts)[:, None, None, None]
+        y = np.repeat((self.q.conj().swapaxes(-1, -2) @ rhs)[None], len(shifts), axis=0)
+        pivots = self.t.diagonal(axis1=-2, axis2=-1)[..., None] + shifts
+        for col in range(rhs.shape[1] - 1, -1, -1):
+            y[:, :, col] /= pivots[:, :, col]
+            y[:, :, :col] -= self.t[:, :col, col, None] * y[:, :, col, None]
+        return self.q @ y
 
 
 def schur_form(drift: np.ndarray) -> SchurForm:
@@ -344,7 +360,7 @@ def uncertainty_margin(
     if not mirrored:
         second = _blocks(eye + n2.swapaxes(-1, -2), m_t, m.conj(), n1)
         lowest = np.minimum(lowest, np.linalg.eigvalsh(second)[..., 0])
-    failed = lowest < -0.5 * _PHYSICALITY_TOL
+    failed = ~(lowest >= -0.5 * _PHYSICALITY_TOL)
     if failed.any():
         where, value = _first_failure(failed, lowest)
         raise NonPhysicalResult(

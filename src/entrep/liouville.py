@@ -235,6 +235,7 @@ class Liouvillian:
 _CONDITION_LIMIT = 1e8
 #: steady-state residual tolerance, relative to the generator scale
 _RESIDUAL_RTOL = 1e-9
+_EIG_FLOOR = -1e-8  #: most negative eigenvalue a density matrix may have
 
 
 def _factor(system: sp.csc_matrix, name: str) -> tuple[spla.SuperLU, float, float]:
@@ -453,7 +454,7 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     return rho
 
 
-def assert_density_matrix(rho: np.ndarray, *, eig_floor: float = -1e-8) -> None:
+def assert_density_matrix(rho: np.ndarray) -> None:
     """Hermiticity / unit-trace / positivity checks, with small tolerances."""
     mat = np.asarray(rho)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -463,8 +464,8 @@ def assert_density_matrix(rho: np.ndarray, *, eig_floor: float = -1e-8) -> None:
     if abs(np.trace(mat).real - 1.0) > 1e-10 or abs(np.trace(mat).imag) > 1e-10:
         raise InvalidState(f"density matrix trace {np.trace(mat)} != 1")
     min_eig = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
-    if min_eig < eig_floor:
-        raise InvalidState(f"density matrix has eigenvalue {min_eig:.3e} < {eig_floor}")
+    if min_eig < _EIG_FLOOR:
+        raise InvalidState(f"density matrix has eigenvalue {min_eig:.3e} < {_EIG_FLOOR}")
 
 
 def partial_trace(

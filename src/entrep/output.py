@@ -1,12 +1,12 @@
 """Frequency-resolved entanglement of the fields leaking out of the arrays.
 
-Every damped cavity leaks into its own port.  An output pair takes port
-p = site i of array one and port q = site j of array two; the two arrays
-never couple coherently and the field has no within-array anomalous
-moments, so at each frequency the pair's symmetrized output spectra form
-a phase-insensitive two-mode state.  Quantum regression and input-output
-theory (Gardiner and Collett, PRA 31, 3761, 1985) give its three port
-moments from what :func:`entrep.arrays.steady_state` returns, the array
+Every damped cavity leaks into its own port.  An output pair takes port p =
+site i of array one and port q = site j of array two; the two arrays never
+couple coherently and the field has no within-array anomalous moments, so at
+each frequency the pair's symmetrized output spectra form a phase-insensitive
+two-mode state.  Quantum regression and input-output theory (Gardiner and
+Collett, PRA 31, 3761, 1985) give its three port moments from what
+:func:`entrep.arrays.steady_state` returns, the Schur forms of the array
 drifts ``L_1``, ``L_2`` and the steady moments ``N_1``, ``N_2``, ``M``::
 
     R_p(omega) = (L_1 + i omega)^-1 e_i + (L_1 - i omega)^-1 e_i
@@ -15,10 +15,11 @@ drifts ``L_1``, ``L_2`` and the steady moments ``N_1``, ``N_2``, ``M``::
     m   = -sqrt(kappa_p kappa_q) (R_p . M[:, j] + M[i, :] . R_q)
 
 Both drifts are complex symmetric, so each ``R`` is a row as well as a
-column of its resolvent.  :func:`output_covariance` evaluates them for a
-whole frequency grid with batched N x N solves, and
-:func:`entrep.gaussian.pair_logneg` turns them into the pair's
-negativity with the same closed form as the steady pairs.
+column of its resolvent.  :func:`output_covariance` evaluates both ports' ``R``
+for a whole frequency grid in one shifted back substitution on the steady
+state's Schur forms (:meth:`entrep.gaussian.SchurForm.solve`), and
+:func:`entrep.gaussian.pair_logneg` turns them into the pair's negativity
+with the same closed form as the steady pairs.
 
 Normalization is fixed by three exact anchors, all pinned in tests: a
 vacuum input gives zero port moments at every frequency, a thermal
@@ -87,30 +88,20 @@ class PortMoments(NamedTuple):
     m: np.ndarray
 
 
-def _resolvent_sum(drift: np.ndarray, site: int, omegas: np.ndarray) -> np.ndarray:
-    """``(L + i omega)^-1 e + (L - i omega)^-1 e`` for every omega, one row each."""
-    n = drift.shape[0]
-    shifts = 1j * np.concatenate([omegas, -omegas])
-    stack = drift + shifts[:, None, None] * np.eye(n)
-    unit = np.zeros((len(shifts), n, 1), complex)
-    unit[:, site] = 1.0
-    solved = np.linalg.solve(stack, unit)[..., 0]
-    return solved[: len(omegas)] + solved[len(omegas) :]
-
-
 def output_covariance(
     cfg: ArrayConfig, moments: SteadyMoments, pair: tuple[int, int], omegas: np.ndarray
 ) -> PortMoments:
     """Port moments of an output pair over a frequency grid.
 
-    ``moments`` is ``steady_state(cfg)``, whose drift stack supplies both
+    ``moments`` is ``steady_state(cfg)``, whose Schur forms supply both
     arrays' resolvents; ``pair`` holds one mode of each array, in either
     order.  These three moments are the pair's whole output covariance.
     """
     p, q = sorted(pair)
     i, j = p, q - cfg.n_sites
-    r_p = _resolvent_sum(moments.drift[0], i, omegas)
-    r_q = _resolvent_sum(moments.drift[1], j, omegas)
+    units = np.eye(cfg.n_sites)[[i, j], :, None]
+    solved = moments.forms.solve(units, 1j * np.concatenate([omegas, -omegas]))[..., 0]
+    r_p, r_q = (solved[: len(omegas)] + solved[len(omegas) :]).swapaxes(0, 1)
     kappa_p, kappa_q = cfg.kappa[p], cfg.kappa[q]
     return PortMoments(
         n_p=-2.0 * kappa_p * (r_p @ moments.n1[i]).real,

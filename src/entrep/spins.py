@@ -52,7 +52,7 @@ import scipy.sparse as sp
 
 from .arrays import ArrayConfig, ladder_drift, steady_state
 from .errors import ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged
-from .gaussian import check_drive
+from .gaussian import SchurForm, check_drive, schur_form
 from .liouville import (
     Liouvillian,
     gksl_superop,
@@ -276,8 +276,8 @@ def _homogeneous_coupling(cfg: ArrayConfig) -> float:
     if len(values) != 1:
         raise ConfigInvalid(f"need a homogeneous spin-field coupling, got {cfg.g}")
     g = values.pop()
-    if g <= 0.0:
-        raise ConfigInvalid(f"need a positive spin-field coupling, got {g}")
+    if not (g > 0.0 and g * g < np.inf):
+        raise ConfigInvalid(f"need a positive spin-field coupling with a finite square, got g={g}")
     return g
 
 
@@ -285,17 +285,18 @@ def adiabaticity_ratio(cfg: ArrayConfig) -> float:
     """Field-to-spin timescale ratio; elimination needs this << 1.
 
     The spin timescale is ``1 / (g sqrt(nbar + 1))`` and the field
-    timescale the inverse of the smallest decay rate (smallest
-    ``|Re eigenvalue|`` of the field ladder drift's two array blocks).
+    timescale the inverse of the smallest decay rate (smallest ``|Re
+    eigenvalue|`` of the field ladder drift's two array blocks, read off
+    their Schur forms).  Raises NotHurwitz when the field has no steady state.
     """
     if all(g == 0.0 for g in cfg.g):
         return 0.0
-    return _field_ratio(cfg, ladder_drift(replace(cfg, g=(0.0,) * cfg.n_sites)))
+    return _field_ratio(cfg, schur_form(ladder_drift(replace(cfg, g=(0.0,) * cfg.n_sites))))
 
 
-def _field_ratio(cfg: ArrayConfig, field_drift: np.ndarray) -> float:
-    """:func:`adiabaticity_ratio` from the field drift stack already at hand."""
-    rates = np.abs(np.linalg.eigvals(field_drift).real)
+def _field_ratio(cfg: ArrayConfig, forms: SchurForm) -> float:
+    """:func:`adiabaticity_ratio` from the field's Schur forms already at hand."""
+    rates = np.abs(forms.t.diagonal(axis1=-2, axis2=-1).real)
     return float(max(cfg.g) * np.sqrt(cfg.nbar + 1.0) / rates.min())
 
 
@@ -303,29 +304,32 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     """Second-order reduced spin generator for an arbitrary array config.
 
     The field sector (``cfg`` with couplings removed) supplies, from one
-    steady solve, the exact drift ``M = diag(L_1, L_2, conj L_1, conj L_2)``
-    and the stacked moments ``A0``; the
-    memory kernels follow by integrating the field correlations,
-    ``kernel = g^2 M^{-1} A0`` and ``kernel_reversed = g^2 M^{-1} A0^T``,
-    which are the coefficients of :func:`entrep.liouville.quadratic_superop`
-    over the stacked spin operators.  Emits a warning when the
-    timescale-separation ratio, read off the same field drift, exceeds 0.1.
+    steady solve, the Schur forms of the exact drift ``M = diag(L_1, L_2, conj
+    L_1, conj L_2)`` and the stacked moments ``A0``; the memory kernels follow
+    by integrating the field correlations, ``kernel = g^2 M^{-1} A0`` and
+    ``kernel_reversed = g^2 M^{-1} A0^T``, which are the coefficients of
+    :func:`entrep.liouville.quadratic_superop` over the stacked spin
+    operators.  ``M^{-1}`` is applied block by block on the forms.  Emits a
+    warning when the timescale-separation ratio, read off the same forms,
+    exceeds 0.1.
     """
     n_pairs = cfg.n_sites
     _check_spin_pairs(n_pairs)
     g = _homogeneous_coupling(cfg)
     field = steady_state(replace(cfg, g=(0.0,) * n_pairs))
-    ratio = _field_ratio(cfg, field.drift)
+    ratio = _field_ratio(cfg, field.forms)
     if ratio > 0.1:
         warnings.warn(
             f"timescale-separation ratio {ratio:.3f} > 0.1; "
             "the reduced spin model is unreliable here",
             stacklevel=2,
         )
-    drift = sla.block_diag(*field.drift, *field.drift.conj())
     moments = field.stacked()
-    kernel = g**2 * np.linalg.solve(drift, moments)
-    kernel_reversed = g**2 * np.linalg.solve(drift, moments.T)
+    # the rows of A0 and A0^T in M's four N-row blocks L_1, L_2, conj L_1, conj L_2
+    blocks = SchurForm(*map(np.concatenate, zip(field.forms, field.forms.conj())))
+    rhs = np.concatenate((moments, moments.T), axis=1).reshape(4, n_pairs, -1)
+    solved = g**2 * blocks.solve(rhs, [0.0])[0].reshape(4 * n_pairs, -1)
+    kernel, kernel_reversed = np.split(solved, 2, axis=1)
     # drho = sum_jk [T_jk s_j s_k rho + (Tbar^T)_jk rho s_j s_k
     #                - (T^T + Tbar)_jk s_j rho s_k]
     generator = quadratic_superop(

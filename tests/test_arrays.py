@@ -84,8 +84,8 @@ class TestArrayConfig:
         assert replace(cfg, g=(0.1, 0.2)).mirrored  # the couplings are shared
         assert not replace(cfg, eta=(1.0, 1.1)).mirrored
         assert not replace(cfg, kappa=(0.1, 0.1, 0.1, 0.0)).mirrored
-        # different losses that round to one ladder diagonal: both arrays
-        # are solved, and their occupations agree
+        # different losses that round to one ladder diagonal: one drift,
+        # so one array is solved, and their occupations agree
         close = replace(cfg, kappa=(1e-17, 0.1, 0.0, 0.1))
         ladder = ladder_drift(close)
         assert np.array_equal(ladder[0], ladder[1]) and not close.mirrored
@@ -244,15 +244,16 @@ class TestSteadyState:
         moments = steady_state(ArrayConfig.homogeneous(2, zeta=1.0, nbar=1.0, mbar=1.2))
         with pytest.raises(ValueError):
             moments.m[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            moments.drift[0, 0, 0] = 0.0
+        for field in moments.forms:
+            with pytest.raises(ValueError):
+                field[0, 0, 0] = 0.0
 
     @pytest.mark.parametrize("kappa_two", [0.1, 0.3])  # mirrored, then not
     def test_moments_carry_both_drift_blocks(self, kappa_two):
         cfg = ArrayConfig(
             n_sites=2, eta=(1.0, 1.0), kappa=(0.1, 0.0, kappa_two, 0.0), zeta=0.8, nbar=0.5, mbar=0.4
         )
-        assert steady_state(cfg).drift.tobytes() == ladder_drift(cfg).tobytes()
+        assert steady_state(cfg).forms.drift.tobytes() == ladder_drift(cfg).tobytes()
 
     @given(cfg=small_configs())
     @settings(max_examples=40, deadline=None)

@@ -165,6 +165,26 @@ class TestRun:
         # no CSV, manifest or temporary file is left behind
         assert sorted(path.name for path in tmp_path.rglob("*")) == ["plain", "taken"]
 
+    @pytest.mark.parametrize(
+        ("experiment", "overrides", "message"),
+        [
+            # 2 zeta nbar overflows, and the Sylvester residual is NaN
+            ("custom", ["nbar=1e308", "mbar=1e308"], "NoConvergence: Sylvester residual"),
+            # g**2 overflows in the effective model's kernels
+            ("fig3b", ["g=1e200"], "ConfigInvalid: need a positive spin-field coupling"),
+        ],
+        ids=["nbar-overflow", "g-overflow"],
+    )
+    def test_overflowing_input_exits_2(self, tmp_path, capsys, experiment, overrides, message):
+        out = tmp_path / "x.csv"
+        sets = [arg for value in overrides for arg in ("--set", value)]
+        code, stdout, stderr = run_cli(
+            capsys, "run", "--experiment", experiment, *sets, "--out", str(out)
+        )
+        assert code == 2 and stdout == ""
+        assert message in stderr
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("taken", ["d.csv", "d.manifest"])
     def test_a_dataset_half_that_cannot_be_placed_leaves_neither_file(
         self, tmp_path, capsys, taken

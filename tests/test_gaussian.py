@@ -293,6 +293,43 @@ def random_ladder_stack(seed: int, slices: int, n: int) -> np.ndarray:
     return np.array([random_hurwitz_ladder(rng, n) for _ in range(slices)])
 
 
+def assert_solves_like_dense_solves(stack: np.ndarray, columns: int, shifts) -> None:
+    """``SchurForm.solve`` against one dense solve per shift and slice, to 1e-12 relative."""
+    rng = np.random.default_rng(columns)
+    slices, n, _ = stack.shape
+    rhs = rng.normal(size=(slices, n, columns)) + 1j * rng.normal(size=(slices, n, columns))
+    got = schur_form(stack).solve(rhs, shifts)
+    assert got.shape == (len(shifts), slices, n, columns)
+    for w, shift in enumerate(shifts):
+        for k in range(slices):
+            want = np.linalg.solve(stack[k] + shift * np.eye(n), rhs[k])
+            assert np.abs(got[w, k] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestShiftedSolve:
+    """``SchurForm.solve`` gives ``(drift + s)^-1 rhs`` on the forms alone."""
+
+    @pytest.mark.parametrize("slices", [1, 2])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_matches_dense_solves(self, slices, columns):
+        stack = random_ladder_stack(5 + slices, slices, 6)
+        assert_solves_like_dense_solves(stack, columns, [0.0, 0.8j, -0.8j, 2.5j])
+
+    def test_a_defective_drift(self):
+        # the exceptional point -1.5 (twice) of a damped two-site array
+        block = np.array([[-2.5, -1j], [-1j, -0.5]])
+        assert abs(np.linalg.det(block + 1.5 * np.eye(2))) <= 1e-15
+        assert_solves_like_dense_solves(block[None], 2, [0.0, 1.5j, -0.3j])
+
+    def test_a_shift_is_solved_alike_on_any_grid(self):
+        form = schur_form(random_ladder_stack(9, 2, 5))
+        rhs = np.ones((2, 5, 1))
+        grid = 1j * np.linspace(-2.0, 2.0, 7)
+        whole = form.solve(rhs, grid)
+        assert np.array_equal(form.solve(rhs, grid[::-1]), whole[::-1])
+        assert np.array_equal(form.solve(rhs, grid[3:4])[0], whole[3])
+
+
 class TestStackedCore:
     """Stacks ``(S, N, N)`` give, slice by slice, what stacks of one give."""
 
@@ -340,6 +377,12 @@ class TestStackedCore:
         q = np.ones((2, 1, 1), complex)
         with pytest.raises(NoConvergence, match=r"solve \(slice 1\) failed \(ztrsyl info=1\)"):
             solve_rank_one_sylvester(SchurForm(t_a, t_a, q), SchurForm(t_b, t_b, q), 1.0)
+
+    def test_a_non_finite_residual_is_refused(self):
+        # an overflowing source makes the residual NaN, which no bound admits
+        form = schur_form(random_ladder_stack(4, 2, 3))
+        with pytest.raises(NoConvergence, match="residual"):
+            solve_rank_one_sylvester(form.conj(), form, -math.inf)
 
     def test_oversqueezed_slice_is_named(self):
         n = np.ones((3, 1, 1))

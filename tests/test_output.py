@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad, quad_vec
 from scipy.linalg import block_diag, expm
 
@@ -30,6 +31,7 @@ from entrep.output import (
     output_quadrature_map,
     peak_frequency,
 )
+from entrep.spins import build_effective_general
 
 
 def lossy_config() -> ArrayConfig:
@@ -468,6 +470,49 @@ class TestSteadyStateReuse:
     def test_peak_frequency_scan_and_refinement(self, calls):
         peak_frequency(end_damped_config(), np.linspace(1.0, 1.8, 9))
         assert len(calls) == 1
+
+
+def effective_model(cfg: ArrayConfig) -> None:
+    build_effective_general(replace(cfg, g=(0.01,) * cfg.n_sites))
+
+
+class TestOneFactorization:
+    """Steady state, resolvents, kernels and decay rates share one Schur form per array."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        seen = []
+        schur = scipy.linalg.schur
+
+        def counting(matrix, *args, **kwargs):
+            seen.append(matrix.shape)
+            return schur(matrix, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second factorization of the drift")
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        for name in ("solve", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        return seen
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda cfg: output_pair_spectrum(cfg, np.linspace(-2.5, 2.5, 21)),
+            lambda cfg: peak_frequency(cfg, np.linspace(0.0, 1.8, 10)),
+            effective_model,
+        ],
+        ids=["pair-spectrum", "peak-frequency", "effective-model"],
+    )
+    @pytest.mark.parametrize(
+        ("cfg", "arrays"),
+        [(end_damped_config(), 1), (lossy_config(), 2)],
+        ids=["mirrored", "unmirrored"],
+    )
+    def test_one_schur_form_per_distinct_array(self, factored, route, cfg, arrays):
+        route(cfg)
+        assert len(factored) == arrays
 
 
 class TestDriftReuse:

@@ -26,6 +26,7 @@ from entrep.cli import main
 from entrep.errors import (
     ConfigInvalid,
     DimensionBudgetExceeded,
+    NotHurwitz,
     OverSqueezed,
     TruncationUnconverged,
 )
@@ -465,6 +466,12 @@ class TestEffectiveReduction:
             0.05 * np.sqrt(2.0) / 1.0, rel=1e-12
         )
         assert adiabaticity_ratio(reduced_config(1, nbar=1.0, mbar=0.5, g=0.0)) == 0.0
+
+    def test_adiabaticity_ratio_of_an_undamped_field_is_refused(self):
+        # with no decay channel the field has no timescale and no steady state
+        cfg = reduced_config(2, nbar=1.0, mbar=0.5, zeta=0.0, kappa=0.0)
+        with pytest.raises(NotHurwitz):
+            adiabaticity_ratio(cfg)
 
     def test_slow_field_triggers_warning(self):
         cfg = reduced_config(1, nbar=1.0, mbar=0.5, g=0.5)
