@@ -45,7 +45,7 @@ field's value exactly, for any chain length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,6 +173,11 @@ class ArrayConfig:
     def is_gaussian(self) -> bool:
         """True when all atom couplings vanish (pure cavity model)."""
         return all(v == 0.0 for v in self.g)
+
+    @property
+    def field_only(self) -> "ArrayConfig":
+        """The same arrays with every atom coupling off: the pure cavity model."""
+        return replace(self, g=(0.0,) * self.n_sites)
 
     @property
     def mirrored(self) -> bool:

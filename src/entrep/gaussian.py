@@ -422,10 +422,10 @@ def pair_logneg(n1, n2, m) -> np.ndarray:
     ``n1 = <a^dag a>``, ``n2 = <b^dag b>`` and the cross-moment ``m = <a b>``
     has the smallest partially transposed symplectic eigenvalue
     ``n1 + n2 + 1 - sqrt((n1 - n2)^2 + 4 |m|^2)`` (Serafini, Illuminati &
-    De Siena, J. Phys. B 37, L21, 2004); :func:`logneg_from_nu` turns it
-    into the negativity.  Works elementwise on arrays.
+    De Siena, J. Phys. B 37, L21, 2004), the root taken by overflow-free
+    ``hypot``; :func:`logneg_from_nu` turns it into the negativity, elementwise.
     """
-    return logneg_from_nu(n1 + n2 + 1.0 - np.sqrt((n1 - n2) ** 2 + 4.0 * np.abs(m) ** 2))
+    return logneg_from_nu(n1 + n2 + 1.0 - np.hypot(n1 - n2, 2.0 * np.abs(m)))
 
 
 def normalized_logneg(value: float) -> float:

@@ -145,10 +145,10 @@ def gksl_superop(ops, h, e) -> sp.csr_matrix:
     return quadratic_superop(ops, -1j * h - e.T, 1j * h - e.T, 2.0 * e)
 
 
-#: entries crossing charge sectors at or below this times the generator
-#: scale are round-off, dropped by the block restriction; larger ones
-#: mean the charge is not conserved
-_CHARGE_RTOL = 1e-12
+#: entries at or below this times the generator scale are round-off: a
+#: :class:`Liouvillian` does not store them, and an imaginary part or a
+#: swap-parity crossing of the real block below it is ignored
+_ROUNDOFF_RTOL = 1e-12
 
 
 def _operator_sectors(charge: np.ndarray) -> np.ndarray:
@@ -166,14 +166,15 @@ def _largest_crossing(matrix: sp.csr_matrix, sector: np.ndarray) -> float:
 class Liouvillian:
     """Vectorized generator of a finite-dimensional master equation.
 
-    ``charge`` holds one integer U(1) charge per Hilbert basis state
-    (default all zeros); the generator must map each operator sector
-    ``charge[i] - charge[j]`` to itself.  ``swap`` optionally declares a
-    symmetry: a permutation ``s`` of the Hilbert basis, an involution
-    with ``charge[s] == -charge``, whose superoperator ``rho_ij ->
-    rho_s(i)s(j)`` the generator commutes with (the exchange of two
-    identical arrays).  Construction checks only the permutation; the
-    commutation is checked where the solve uses it
+    ``matrix`` must be finite; a copy without its round-off, the entries at
+    or below ``_ROUNDOFF_RTOL * scale``, is stored.  ``charge`` holds one
+    integer U(1) charge per Hilbert basis state (default all zeros); every
+    stored entry must map its operator sector ``charge[i] - charge[j]`` to
+    itself.  ``swap`` optionally declares a symmetry: a permutation ``s`` of
+    the Hilbert basis, an involution with ``charge[s] == -charge``, whose
+    superoperator ``rho_ij -> rho_s(i)s(j)`` the generator commutes with
+    (the exchange of two identical arrays).  Construction checks only the
+    permutation; the commutation is checked where the solve uses it
     (:func:`steady_state_dm`).
     """
 
@@ -183,12 +184,17 @@ class Liouvillian:
     swap: np.ndarray | None = None  # stored as a read-only int64 array
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _csr(self.matrix))
+        # the round-off is dropped below, so store a copy of the caller's matrix
+        object.__setattr__(self, "matrix", _csr(self.matrix).copy())
         side = self.dim * self.dim
         if self.matrix.shape != (side, side):
             raise ConfigInvalid(
                 f"generator shape {self.matrix.shape} does not match dim {self.dim}"
             )
+        if not np.isfinite(self.scale):
+            raise ConfigInvalid("generator has non-finite entries")
+        self.matrix.data[np.abs(self.matrix.data) <= _ROUNDOFF_RTOL * self.scale] = 0
+        self.matrix.eliminate_zeros()
         charge = self._basis_integers(
             np.zeros(self.dim, np.int64) if self.charge is None else self.charge, "charge"
         )
@@ -204,10 +210,10 @@ class Liouvillian:
                 raise ConfigInvalid("swap does not map charge to -charge")
             object.__setattr__(self, "swap", swap)
         crossing = _largest_crossing(self.matrix, _operator_sectors(charge))
-        if crossing > _CHARGE_RTOL * self.scale:
+        if crossing > 0.0:
             raise ConfigInvalid(
                 f"generator entry {crossing:.3e} crosses charge sectors "
-                f"(above {_CHARGE_RTOL:.0e} * scale {self.scale:.3e})"
+                f"(above {_ROUNDOFF_RTOL:.0e} * scale {self.scale:.3e})"
             )
 
     def _basis_integers(self, values, name: str) -> np.ndarray:
@@ -348,7 +354,7 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     negates the charge, and splits the real coordinates into an even and
     an odd half ``[E O]`` (:func:`_swap_parity`).  The generator is
     projected once onto ``W = U [E O]``: ``W^H L W``.  An imaginary entry
-    above ``_CHARGE_RTOL * scale`` means the generator does not preserve
+    above ``_ROUNDOFF_RTOL * scale`` means the generator does not preserve
     Hermiticity, and an entry between the halves above the same bound
     means it does not commute with the swap; either raises
     :class:`ConfigInvalid`.  Both halves are then factored by sparse LU.
@@ -394,13 +400,11 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     ``|01><01| - |10><10|`` of two qubits that both decay into the
     singly excited states).
 
-    The result is normalized, and checked for residual against the full
-    generator and for positivity.
+    The result is normalized, and checked for residual against the stored
+    generator (without round-off) and for positivity.
     """
     dim = liouvillian.dim
     scale = liouvillian.scale
-    if not np.isfinite(scale):
-        raise ConfigInvalid("generator has non-finite entries")
     swap = np.arange(dim) if liouvillian.swap is None else liouvillian.swap
     hermitian, i, j, part = _hermitian_basis(liouvillian.charge)
     parity, n_even = _swap_parity(i, j, part, swap)
@@ -408,21 +412,21 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     # rows of W^H pick the block rows; off-block columns meet empty rows of W
     block = ((basis.conj().T @ liouvillian.matrix) @ basis).tocsr()
     imaginary = float(np.abs(block.data.imag).max()) if block.nnz else 0.0
-    if imaginary > _CHARGE_RTOL * scale:
+    if imaginary > _ROUNDOFF_RTOL * scale:
         raise ConfigInvalid(
             f"generator does not preserve Hermiticity: imaginary entry "
-            f"{imaginary:.3e} in the real basis (above {_CHARGE_RTOL:.0e} * "
+            f"{imaginary:.3e} in the real basis (above {_ROUNDOFF_RTOL:.0e} * "
             f"scale {scale:.3e})"
         )
     block = block.real
     block.eliminate_zeros()
     side = block.shape[0]
     crossing = _largest_crossing(block, np.arange(side) >= n_even)
-    if crossing > _CHARGE_RTOL * scale:
+    if crossing > _ROUNDOFF_RTOL * scale:
         raise ConfigInvalid(
             f"generator does not commute with the declared swap: entry "
             f"{crossing:.3e} couples its even and odd halves (above "
-            f"{_CHARGE_RTOL:.0e} * scale {scale:.3e})"
+            f"{_ROUNDOFF_RTOL:.0e} * scale {scale:.3e})"
         )
     # the trace functional: 1 on each rho_ii coordinate, rotated by [E O]
     trace_row = np.asarray(parity[i == j].sum(axis=0)).ravel()[:n_even]

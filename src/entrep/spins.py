@@ -43,7 +43,7 @@ their exchange (:func:`_array_swap`).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil, prod, sqrt
 
 import numpy as np
@@ -289,9 +289,9 @@ def adiabaticity_ratio(cfg: ArrayConfig) -> float:
     eigenvalue|`` of the field ladder drift's two array blocks, read off
     their Schur forms).  Raises NotHurwitz when the field has no steady state.
     """
-    if all(g == 0.0 for g in cfg.g):
+    if cfg.is_gaussian:
         return 0.0
-    return _field_ratio(cfg, schur_form(ladder_drift(replace(cfg, g=(0.0,) * cfg.n_sites))))
+    return _field_ratio(cfg, schur_form(ladder_drift(cfg.field_only)))
 
 
 def _field_ratio(cfg: ArrayConfig, forms: SchurForm) -> float:
@@ -303,10 +303,10 @@ def _field_ratio(cfg: ArrayConfig, forms: SchurForm) -> float:
 def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     """Second-order reduced spin generator for an arbitrary array config.
 
-    The field sector (``cfg`` with couplings removed) supplies, from one
-    steady solve, the Schur forms of the exact drift ``M = diag(L_1, L_2, conj
-    L_1, conj L_2)`` and the stacked moments ``A0``; the memory kernels follow
-    by integrating the field correlations, ``kernel = g^2 M^{-1} A0`` and
+    The field sector (``cfg.field_only``) supplies, from one steady solve,
+    the Schur forms of the exact drift ``M = diag(L_1, L_2, conj L_1, conj
+    L_2)`` and the stacked moments ``A0``; the memory kernels follow by
+    integrating the field correlations, ``kernel = g^2 M^{-1} A0`` and
     ``kernel_reversed = g^2 M^{-1} A0^T``, which are the coefficients of
     :func:`entrep.liouville.quadratic_superop` over the stacked spin
     operators.  ``M^{-1}`` is applied block by block on the forms.  Emits a
@@ -316,7 +316,7 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     n_pairs = cfg.n_sites
     _check_spin_pairs(n_pairs)
     g = _homogeneous_coupling(cfg)
-    field = steady_state(replace(cfg, g=(0.0,) * n_pairs))
+    field = steady_state(cfg.field_only)
     ratio = _field_ratio(cfg, field.forms)
     if ratio > 0.1:
         warnings.warn(
@@ -540,18 +540,17 @@ def _stacked(lowering: list[sp.csr_matrix]) -> list[sp.csr_matrix]:
     return lowering + [op.conjugate().T.tocsr() for op in lowering]
 
 
-def _fock_dims(cfg: ArrayConfig, n_max: int, include_spins: bool) -> tuple[int, ...]:
+def _fock_dims(cfg: ArrayConfig, n_max: int) -> tuple[int, ...]:
     """Site dimensions of the truncated model: ``2N`` modes, then any spins.
 
-    Spins are kept when ``include_spins`` is set and some coupling is
-    nonzero.
+    The model has spins exactly when some coupling is on (``not
+    cfg.is_gaussian``); its field-only model is that of ``cfg.field_only``.
     """
-    with_spins = include_spins and any(g > 0.0 for g in cfg.g)
-    return (n_max + 1,) * cfg.n_modes + ((2,) * cfg.n_modes if with_spins else ())
+    return (n_max + 1,) * cfg.n_modes + (() if cfg.is_gaussian else (2,) * cfg.n_modes)
 
 
 def _fock_liouvillian(
-    cfg: ArrayConfig, n_max: int, *, include_spins: bool, basis: str = "bare"
+    cfg: ArrayConfig, n_max: int, basis: str = "bare"
 ) -> tuple[Liouvillian, tuple[int, ...], list[sp.csr_matrix], np.ndarray]:
     """Generator of the Fock-truncated cavity+spin model, ``dims`` and field frame.
 
@@ -569,8 +568,7 @@ def _fock_liouvillian(
     exactly, two thermal reservoirs on the frame modes in the squeezed one.
     """
     n_modes = cfg.n_modes
-    dims = _fock_dims(cfg, n_max, include_spins)
-    with_spins = len(dims) > n_modes
+    dims = _fock_dims(cfg, n_max)
     lowering = _lowering_ops(dims)
     field_ops = _stacked(lowering[:n_modes])
     spin_ops = _stacked(lowering[n_modes:])  # empty without spins
@@ -583,7 +581,7 @@ def _fock_liouvillian(
     h[n_modes : 2 * n_modes, :n_modes] = sla.block_diag(
         *(np.diag(rates, 1) + np.diag(rates, -1) for rates in chains)
     )
-    if with_spins:
+    if spin_ops:
         g_modes = np.tile(cfg.g, 2)
         h[3 * n_modes + modes, modes] = g_modes
         h[n_modes + modes, 2 * n_modes + modes] = g_modes
@@ -631,6 +629,13 @@ def _field_moments(
     return frame @ traces @ frame.T
 
 
+def _fock_solve(cfg: ArrayConfig, n_max: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Steady state and field moments of the truncated model."""
+    liou, _, field_ops, frame = _fock_liouvillian(cfg, n_max, basis)
+    rho = steady_state_dm(liou)
+    return rho, _field_moments(rho, field_ops, frame)
+
+
 def full_cavity_atom_oracle(
     cfg: ArrayConfig, trunc: TruncationSpec | None = None
 ) -> FockSteadyState:
@@ -644,40 +649,30 @@ def full_cavity_atom_oracle(
     :class:`TruncationUnconverged` when that recheck moves any field
     second moment by more than 1e-3 * max(1, nbar).  The recheck is the
     full model at ``n_max + 2`` when it fits the budget, else the
-    field-only model at ``n_max`` and ``n_max + 2``; a model without
-    spins is its own field-only model, so it is only ever rechecked in
-    full.
+    field-only model (``cfg.field_only``) at ``n_max`` and ``n_max + 2``;
+    a model without spins is its own field-only model, so it is only ever
+    rechecked in full.
     """
     trunc = trunc or TruncationSpec()
     n_max = trunc.n_max if trunc.n_max is not None else default_fock_levels(cfg.nbar)
-    check_size(_fock_dims(cfg, n_max, True), trunc.side_budget)
-    liou, dims, field_ops, frame = _fock_liouvillian(
-        cfg, n_max, include_spins=True, basis=trunc.basis
-    )
-    rho = steady_state_dm(liou)
-    moments = _field_moments(rho, field_ops, frame)
+    dims = _fock_dims(cfg, n_max)
+    check_size(dims, trunc.side_budget)
+    rho, moments = _fock_solve(cfg, n_max, trunc.basis)
     spin_dm = None
-    if len(dims) > cfg.n_modes:
-        spin_sites = tuple(range(cfg.n_modes, 2 * cfg.n_modes))
-        spin_dm = partial_trace(rho, dims, spin_sites)
-
-    def solved_moments(levels: int, include_spins: bool) -> np.ndarray:
-        liou, _, ops, frame = _fock_liouvillian(
-            cfg, levels, include_spins=include_spins, basis=trunc.basis
-        )
-        return _field_moments(steady_state_dm(liou), ops, frame)
-
+    if not cfg.is_gaussian:
+        spin_dm = partial_trace(rho, dims, tuple(range(cfg.n_modes, 2 * cfg.n_modes)))
     check_mode, check_shift = "none", float("nan")
     if trunc.check == "auto":
-        check_mode, ref_moments = "full", moments
+        check_mode, check_cfg, ref_moments = "full", cfg, moments
         try:
-            check_size(_fock_dims(cfg, n_max + 2, True), trunc.side_budget)
+            check_size(_fock_dims(cfg, n_max + 2), trunc.side_budget)
         except DimensionBudgetExceeded:
             # without spins the field-only model is the full one and is
             # refused here too, before any solve
-            check_size(_fock_dims(cfg, n_max + 2, False), trunc.side_budget)
-            check_mode, ref_moments = "field", solved_moments(n_max, False)
-        big_moments = solved_moments(n_max + 2, check_mode == "full")
+            check_size(_fock_dims(cfg.field_only, n_max + 2), trunc.side_budget)
+            check_mode, check_cfg = "field", cfg.field_only
+            ref_moments = _fock_solve(check_cfg, n_max, trunc.basis)[1]
+        big_moments = _fock_solve(check_cfg, n_max + 2, trunc.basis)[1]
         check_shift = float(np.abs(big_moments - ref_moments).max())
         if check_shift > 1e-3 * max(1.0, cfg.nbar):
             raise TruncationUnconverged(

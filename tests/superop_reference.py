@@ -131,7 +131,7 @@ def xx_generator(n_pairs: int, coupling, gamma: float, nbar: float, mbar: float)
     return generator.tocsr()
 
 
-def fock_generator(cfg: ArrayConfig, n_max: int, *, include_spins: bool, basis: str = "bare"):
+def fock_generator(cfg: ArrayConfig, n_max: int, basis: str = "bare"):
     """Generator and physical mode operators of the truncated cavity+spin model.
 
     Term by term, in the order of :func:`entrep.spins._fock_liouvillian`;
@@ -140,7 +140,7 @@ def fock_generator(cfg: ArrayConfig, n_max: int, *, include_spins: bool, basis: 
     """
     n_levels = n_max + 1
     n_modes = cfg.n_modes
-    with_spins = include_spins and any(g > 0.0 for g in cfg.g)
+    with_spins = any(g > 0.0 for g in cfg.g)
     dims = (n_levels,) * n_modes + ((2,) * n_modes if with_spins else ())
     lower = destroy(n_levels)
     number_ops = [embed_operator({site: lower}, dims) for site in range(n_modes)]

@@ -78,6 +78,16 @@ class TestArrayConfig:
         with pytest.raises(OverSqueezed):
             ArrayConfig.homogeneous(2, nbar=1.0, mbar=1.5)
 
+    @pytest.mark.parametrize("eta", [(1.0, 1.0), (1.0, 1.1)], ids=["mirrored", "asymmetric"])
+    def test_field_only_turns_off_the_couplings_alone(self, eta):
+        cfg = ArrayConfig(
+            n_sites=2, eta=eta, kappa=(0.1,) * 4, zeta=1.0, nbar=1.0, mbar=1.2, g=(0.1, 0.2)
+        )
+        field = cfg.field_only
+        assert field.is_gaussian and field.field_only == field
+        assert replace(field, g=cfg.g) == cfg
+        assert field.mirrored == cfg.mirrored
+
     def test_mirrored_compares_bonds_and_losses(self):
         cfg = ArrayConfig.homogeneous(2, eta=1.0, kappa=0.1, zeta=1.0, nbar=1.0, mbar=1.2)
         assert cfg.mirrored

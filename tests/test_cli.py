@@ -7,6 +7,7 @@ on stderr and data (CSV paths or the JSON report) on stdout.
 
 import json
 
+import numpy as np
 import pytest
 
 import entrep.validate
@@ -184,6 +185,18 @@ class TestRun:
         assert code == 2 and stdout == ""
         assert message in stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_huge_occupation_writes_finite_cells(self, tmp_path, capsys):
+        # disorder makes the arrays' occupations differ by about 1e184 at
+        # nbar = 1e300, whose square overflows; the negativity there is 0
+        out = tmp_path / "fig3a.csv"
+        code, _, _ = run_cli(
+            capsys, "run", "--experiment", "fig3a", "--set", "nbar=1e300",
+            "--set", "samples=3", "--out", str(out),
+        )
+        assert code == 0
+        cells = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert cells.shape == (30, 8) and np.isfinite(cells).all()
 
     @pytest.mark.parametrize("taken", ["d.csv", "d.manifest"])
     def test_a_dataset_half_that_cannot_be_placed_leaves_neither_file(

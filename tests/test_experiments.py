@@ -7,6 +7,7 @@ point, 12 significant digits, one header row, plus a flat key-value
 manifest restating every parameter that produced the table.
 """
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -356,3 +357,18 @@ class TestDatasetWriter:
         profile = pair_entanglement_profile(base)
         for row, raw, norm in zip(table.rows, profile.raw, profile.normalized):
             assert row[2] == raw and row[3] == norm
+
+
+def test_run_all_figures_writes_the_run_experiment_bytes(tmp_path, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_figures.py"
+    spec = importlib.util.spec_from_file_location("run_all_figures", script)
+    run_all_figures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all_figures)
+    outdir = tmp_path / "script"
+    assert run_all_figures.main(["--only", "fig2a", "fig3c", "--outdir", str(outdir)]) == 0
+    assert "done: 2 datasets" in capsys.readouterr().out
+    for name in ("fig2a", "fig3c"):
+        cfg = ExperimentConfig(experiment=name, out=tmp_path / f"{name}.csv")
+        run_experiment(cfg)
+        for path in (cfg.out_path, manifest_path_for(cfg.out_path)):
+            assert (outdir / path.name).read_bytes() == path.read_bytes()

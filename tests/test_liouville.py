@@ -267,7 +267,14 @@ class TestGeneratorStructure:
     def test_round_off_cross_sector_entry_dropped(self):
         generator = lindblad_dissipator(QUBIT_LOWER, 1.0).tolil()
         generator[1, 0] = 1e-15
-        rho = steady_state_dm(Liouvillian(dim=2, matrix=generator, charge=[0, 1]))
+        generator = generator.tocsr()
+        liou = Liouvillian(dim=2, matrix=generator, charge=[0, 1])
+        # the round-off is dropped from a copy; the caller's matrix keeps it
+        assert liou.matrix[1, 0] == 0.0 and liou.matrix.nnz == generator.nnz - 1
+        assert generator[1, 0] == 1e-15
+        # the floor holds in every sector, not only for crossing entries
+        assert Liouvillian(dim=2, matrix=generator).matrix.nnz == generator.nnz - 1
+        rho = steady_state_dm(liou)
         assert np.array_equal(rho, np.diag([1.0, 0.0]))
 
 
@@ -450,10 +457,11 @@ class TestSteadyState:
         assert basis[0, 0] == 1.0 and np.count_nonzero(basis[0]) == 1
 
     def test_non_finite_generator_refused(self):
-        generator = lindblad_dissipator(QUBIT_LOWER, 1.0).tolil()
-        generator[1, 2] = np.nan
-        with pytest.raises(ModelError):
-            steady_state_dm(Liouvillian(dim=2, matrix=generator))
+        for bad in (np.nan, np.inf):
+            generator = lindblad_dissipator(QUBIT_LOWER, 1.0).tolil()
+            generator[1, 2] = bad
+            with pytest.raises(ModelError):
+                steady_state_dm(Liouvillian(dim=2, matrix=generator))
 
 
 class TestOperators:

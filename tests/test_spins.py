@@ -31,6 +31,7 @@ from entrep.errors import (
     TruncationUnconverged,
 )
 from entrep.liouville import (
+    _ROUNDOFF_RTOL,
     Liouvillian,
     fidelity_pure,
     left_multiply,
@@ -351,18 +352,16 @@ class TestGeneratorsMatchPerTermReference:
         )
 
     @pytest.mark.parametrize("basis", ["bare", "squeezed"])
-    @pytest.mark.parametrize("include_spins", [True, False], ids=["spins", "field"])
+    @pytest.mark.parametrize("field_only", [False, True], ids=["spins", "field"])
     @pytest.mark.parametrize("n_sites,n_max", [(1, 3), (2, 1)])
-    def test_fock_generator_and_moments(self, n_sites, n_max, include_spins, basis):
+    def test_fock_generator_and_moments(self, n_sites, n_max, field_only, basis):
         cfg = ArrayConfig.homogeneous(
             n_sites, eta=0.8, kappa=0.2, zeta=1.3, nbar=0.7, mbar=0.9, g=0.04
         )
-        liou, _, field_ops, frame = _fock_liouvillian(
-            cfg, n_max, include_spins=include_spins, basis=basis
-        )
-        want, mode_ops = superop_reference.fock_generator(
-            cfg, n_max, include_spins=include_spins, basis=basis
-        )
+        if field_only:
+            cfg = cfg.field_only
+        liou, _, field_ops, frame = _fock_liouvillian(cfg, n_max, basis)
+        want, mode_ops = superop_reference.fock_generator(cfg, n_max, basis)
         assert np.abs((liou.matrix - want).data).max() <= 1e-12 * liou.scale
         # the moment formula holds for any state, not only the steady one
         rho = random_hermitian(np.random.default_rng(n_max), liou.dim)
@@ -396,14 +395,22 @@ def swap_cases():
             cfg = ArrayConfig.homogeneous(
                 n_sites, eta=0.8, kappa=0.2, zeta=1.3, nbar=0.7, mbar=0.9, g=0.04
             )
+            model = cfg if spins else cfg.field_only
             yield f"fock-{basis}-{n_sites}-{n_max}-{'spins' if spins else 'field'}", (
-                lambda cfg=cfg, n_max=n_max, spins=spins, basis=basis: _fock_liouvillian(
-                    cfg, n_max, include_spins=spins, basis=basis
+                lambda model=model, n_max=n_max, basis=basis: _fock_liouvillian(
+                    model, n_max, basis
                 )[0]
             )
 
 
 SWAP_CASES = dict(swap_cases())
+
+
+@pytest.mark.filterwarnings("ignore:timescale-separation")
+@pytest.mark.parametrize("case", list(SWAP_CASES))
+def test_builders_store_no_round_off(case):
+    liou = SWAP_CASES[case]()
+    assert np.abs(liou.matrix.data).min() > _ROUNDOFF_RTOL * liou.scale
 
 
 class TestArraySwap:
@@ -423,7 +430,7 @@ class TestArraySwap:
         assert liou.swap is None
         steady_state_dm(liou)
         losses = ArrayConfig.homogeneous(1, kappa=0.2, zeta=1.0, nbar=0.5, mbar=0.6, g=0.04)
-        liou, *_ = _fock_liouvillian(replace(losses, kappa=(0.2, 0.3)), 2, include_spins=True)
+        liou, *_ = _fock_liouvillian(replace(losses, kappa=(0.2, 0.3)), 2)
         assert liou.swap is None
         steady_state_dm(liou)
 
@@ -545,14 +552,25 @@ def kronecker_pattern_matrices(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
 class TestClosedForm:
     @pytest.mark.filterwarnings("ignore:timescale-separation")
     @pytest.mark.parametrize("n_pairs", [1, 2, 3])
-    @pytest.mark.parametrize("nbar,mbar", [(0.5, 0.5), (1.0, 1.2), (1.0, np.sqrt(2.0))])
-    def test_matches_general_construction(self, n_pairs, nbar, mbar):
-        eta, zeta, g = 0.8, 1.3, 0.03
+    @pytest.mark.parametrize(
+        "nbar,mbar,g",
+        [
+            pytest.param(0.5, 0.5, 0.03, id="0.5-0.5"),
+            pytest.param(1.0, 1.2, 0.03, id="1.0-1.2"),
+            pytest.param(1.0, np.sqrt(2.0), 0.03, id="1.0-1.4142135623730951"),
+            # the parameters of validate's closed-form-vs-general suite
+            pytest.param(1.0, 1.2, 0.01, id="validate"),
+        ],
+    )
+    def test_matches_general_construction(self, n_pairs, nbar, mbar, g):
+        eta, zeta = 0.8, 1.3
         cfg = reduced_config(n_pairs, nbar=nbar, mbar=mbar, g=g, eta=eta, zeta=zeta)
         general = build_effective_general(cfg)
         closed = build_effective_closed_form(
             n_pairs, eta=eta, zeta=zeta, g=g, nbar=nbar, mbar=mbar
         )
+        # the general kernels' round-off where the pattern matrices are zero is not stored
+        assert general.matrix.nnz == closed.matrix.nnz
         difference = general.matrix - closed.matrix
         gap = np.abs(difference.data).max() if difference.nnz else 0.0
         assert gap <= 1e-12 * max(1.0, general.scale)
@@ -718,8 +736,8 @@ class TestSqueezedBasisOracle:
         # at mbar = 0 the frame rotation is the identity, so the two
         # generators must agree entry for entry
         cfg = ArrayConfig.homogeneous(1, kappa=0.2, zeta=1.0, nbar=0.7, g=0.04)
-        bare, *_ = _fock_liouvillian(cfg, 4, include_spins=True, basis="bare")
-        squeezed, *_ = _fock_liouvillian(cfg, 4, include_spins=True, basis="squeezed")
+        bare, *_ = _fock_liouvillian(cfg, 4, "bare")
+        squeezed, *_ = _fock_liouvillian(cfg, 4, "squeezed")
         difference = bare.matrix - squeezed.matrix
         gap = np.abs(difference.data).max() if difference.nnz else 0.0
         assert gap <= 1e-12 * max(1.0, bare.scale)
