@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import driving_entanglement
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, as_integer, as_seed
 from .gaussian import (
     SchurForm,
     check_drive,
@@ -105,13 +105,15 @@ class ArrayConfig:
     g: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n_sites < 1:
-            raise ConfigInvalid(f"n_sites must be >= 1, got {self.n_sites}")
-        object.__setattr__(self, "eta", tuple(float(v) for v in self.eta))
-        object.__setattr__(self, "kappa", tuple(float(v) for v in self.kappa))
-        g = self.g if len(self.g) else (0.0,) * self.n_sites
-        object.__setattr__(self, "g", tuple(float(v) for v in g))
-        n = self.n_sites
+        n = as_integer("n_sites", self.n_sites, 1)
+        object.__setattr__(self, "n_sites", n)
+        for key in ("eta", "kappa", "g"):
+            try:
+                object.__setattr__(self, key, tuple(float(v) for v in getattr(self, key)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigInvalid(f"{key} must hold numbers, got {getattr(self, key)!r}") from exc
+        if not self.g:
+            object.__setattr__(self, "g", (0.0,) * n)
         if len(self.eta) != 2 * (n - 1):
             raise ConfigInvalid(
                 f"expected {2 * (n - 1)} bond couplings for n_sites={n}, "
@@ -148,6 +150,7 @@ class ArrayConfig:
         g: float = 0.0,
     ) -> "ArrayConfig":
         """Uniform couplings/rates; ``zeta`` defaults to ``eta``."""
+        n_sites = as_integer("n_sites", n_sites, 1)
         if zeta is None:
             zeta = eta
         return cls(
@@ -342,12 +345,11 @@ def pair_entanglement_profile(cfg: ArrayConfig) -> EntanglementProfile:
     """
     moments = steady_state(cfg)
     raw = _pair_lognegs(moments.n1, moments.n2, moments.m)
-    normalized = raw / (1.0 + raw)
     drive = driving_entanglement(cfg.nbar, cfg.mbar)
     return EntanglementProfile(
         pair_labels=tuple(range(1, cfg.n_sites + 1)),
         raw=raw,
-        normalized=normalized,
+        normalized=normalized_logneg(raw),
         drive_raw=drive,
         drive_normalized=normalized_logneg(drive),
     )
@@ -372,19 +374,17 @@ class DisorderSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "samples", as_integer("samples", self.samples, 1))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         eta = self.base.eta
         if len(set(eta)) > 1:
             raise ConfigInvalid("disorder ensembles need a homogeneous base coupling")
-        if self.delta_xi < 0.0:
-            raise ConfigInvalid(f"delta_xi must be >= 0, got {self.delta_xi}")
+        if not 0.0 <= self.delta_xi < math.inf:
+            raise ConfigInvalid(f"delta_xi must be finite and >= 0, got {self.delta_xi}")
         if eta and self.delta_xi > 0.0 and self.delta_xi >= self.eta0:
             raise ConfigInvalid(
                 f"delta_xi={self.delta_xi} too large for base coupling {self.eta0}"
             )
-        if self.samples < 1:
-            raise ConfigInvalid(f"samples must be >= 1, got {self.samples}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigInvalid("seed must fit in an unsigned 64-bit integer")
 
     @property
     def eta0(self) -> float:
@@ -446,7 +446,7 @@ def disorder_sweep(spec: DisorderSpec) -> DisorderResult:
             for start in range(0, len(bonds), chunk)
         ]
     )
-    norm = raw / (1.0 + raw)
+    norm = normalized_logneg(raw)
     if len(norm) > 1:
         sem = norm.std(axis=0, ddof=1) / np.sqrt(len(norm))
     else:

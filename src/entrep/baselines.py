@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigInvalid
-from .gaussian import check_drive, logneg_from_nu
+from .errors import ConfigInvalid, as_integer
+from .gaussian import check_drive, pair_logneg
 
 __all__ = [
     "driving_params",
@@ -47,33 +47,43 @@ def driving_params(nbar_thermal: float, squeezing: float) -> tuple[float, float]
         mbar = (n_T + 1/2) * sinh(2*r0)
 
     The output saturates mbar = sqrt(nbar*(nbar+1)) exactly when n_T = 0.
+    Inputs and results must be finite; an overflow raises ConfigInvalid.
     """
-    if nbar_thermal < 0.0 or squeezing < 0.0:
+    if not (0.0 <= nbar_thermal < math.inf and 0.0 <= squeezing < math.inf):
         raise ConfigInvalid(
-            f"need nbar_thermal >= 0 and squeezing >= 0, got "
+            f"need finite nbar_thermal >= 0 and squeezing >= 0, got "
             f"({nbar_thermal}, {squeezing})"
         )
-    nbar = nbar_thermal + (2.0 * nbar_thermal + 1.0) * math.sinh(squeezing) ** 2
-    mbar = (nbar_thermal + 0.5) * math.sinh(2.0 * squeezing)
+    try:
+        nbar = nbar_thermal + (2.0 * nbar_thermal + 1.0) * math.sinh(squeezing) ** 2
+        mbar = (nbar_thermal + 0.5) * math.sinh(2.0 * squeezing)
+        if max(nbar, mbar) == math.inf:
+            raise OverflowError
+    except OverflowError as exc:
+        raise ConfigInvalid(
+            f"reservoir statistics of ({nbar_thermal}, {squeezing}) overflow"
+        ) from exc
     return nbar, mbar
 
 
 def driving_entanglement(nbar: float, mbar: float) -> float:
     """Logarithmic negativity of the reservoir field itself.
 
-    Equals ``max(0, -log2(2*nbar + 1 - 2*mbar))``, through the same 1e-12
-    separability rule as every pair (:func:`entrep.gaussian.logneg_from_nu`);
-    positive exactly when mbar > nbar.  This is the replication target for
-    every pair.
+    The drive is the isolated driven pair, occupations ``nbar`` and
+    cross-moment ``mbar``, so its value is :func:`entrep.gaussian.pair_logneg`
+    of those: ``max(0, -log2(2*nbar + 1 - 2*mbar))`` through the same formula,
+    1e-12 separability rule and refusal of a cancelled eigenvalue as every
+    pair; positive exactly when mbar > nbar.  This is the replication target
+    for every pair.
     """
     check_drive(nbar, mbar)
-    return float(logneg_from_nu(2.0 * nbar + 1.0 - 2.0 * mbar))
+    return float(pair_logneg(nbar, nbar, mbar))
 
 
 def pair_amplitude(nbar: float) -> float:
     """Excited-component amplitude c = sqrt(nbar/(2*nbar+1)) of one pair."""
-    if nbar < 0.0:
-        raise ConfigInvalid(f"nbar must be >= 0, got {nbar}")
+    if not 0.0 <= nbar < math.inf:
+        raise ConfigInvalid(f"nbar must be finite and >= 0, got {nbar}")
     return math.sqrt(nbar / (2.0 * nbar + 1.0))
 
 
@@ -89,8 +99,7 @@ def replicated_state(nbar: float, n_pairs: int) -> np.ndarray:
     i.e. the sign of the excited component alternates along the chain,
     starting positive at the driven end.
     """
-    if n_pairs < 1:
-        raise ConfigInvalid(f"need at least one pair, got {n_pairs}")
+    n_pairs = as_integer("n_pairs", n_pairs, 1)
     c = pair_amplitude(nbar)
     ground = math.sqrt(1.0 - c * c)
     psi = np.ones(1)

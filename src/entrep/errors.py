@@ -6,9 +6,15 @@ boundary.  The subclasses are deliberately fine-grained: numerical
 failure modes (non-Hurwitz drift, degenerate steady states, unconverged
 Fock truncations) need different remedies, and the validation layer
 reports them separately.
+
+:func:`as_integer` is the one rule every count, index and seed passes on its
+way in, and :func:`as_seed` the one seed range; they live here because every
+module already imports this one.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class ModelError(Exception):
@@ -69,3 +75,31 @@ class InvalidState(ModelError):
 
 class ExperimentFailed(ModelError):
     """A sweep point of an experiment raised; the message names the point."""
+
+
+def as_integer(key: str, value, minimum: int | None = None, bound: int | None = None) -> int:
+    """``value`` as an int in ``[minimum, bound)``, either end optional.
+
+    A string must spell an int and a number must be whole, so no value is
+    rounded on its way in; a bool is not a count and is refused.  Anything
+    else raises :class:`ConfigInvalid` naming ``key``.
+    """
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        number = int(value) if isinstance(value, str) else value
+        if number != int(number):
+            raise ValueError
+        number = int(number)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"{key} = {value!r} is not an integer") from exc
+    if minimum is not None and number < minimum:
+        raise ConfigInvalid(f"{key} must be >= {minimum}, got {number}")
+    if bound is not None and number >= bound:
+        raise ConfigInvalid(f"{key} must be < {bound}, got {number}")
+    return number
+
+
+def as_seed(value) -> int:
+    """``value`` as a seed: an integer that fits in an unsigned 64-bit word."""
+    return as_integer("seed", value, 0, 2**64)

@@ -48,7 +48,7 @@ from .arrays import (
     pair_entanglement_profile,
 )
 from .baselines import driving_entanglement, pair_amplitude, pure_pair_logneg
-from .errors import ConfigInvalid, ExperimentFailed, ModelError
+from .errors import ConfigInvalid, ExperimentFailed, ModelError, as_integer, as_seed
 from .gaussian import check_drive, normalized_logneg, squeezing_bound
 from .liouville import logneg_qubits, reduced_pair_dm, steady_state_dm
 from .output import output_pair_spectrum, peak_frequency
@@ -171,7 +171,8 @@ def _gaussian_rows(cfg: ArrayConfig, sweep_value: float) -> list[tuple]:
     ]
 
 
-def _spin_pair_rows(rho: np.ndarray, n_pairs: int, sweep_value: float, reference: float) -> list[tuple]:
+def _spin_pair_rows(rho: np.ndarray, n_pairs: int, sweep_value: float, nbar: float) -> list[tuple]:
+    reference = pure_pair_logneg(pair_amplitude(nbar))
     rows = []
     for j in range(n_pairs):
         raw = logneg_qubits(reduced_pair_dm(rho, j, n_pairs + j, 2 * n_pairs))
@@ -249,8 +250,7 @@ def _point_fig2e(value, p, seed):
 def _point_fig3b(value, p, seed):
     cfg = _uniform_config(p, mbar=value)
     rho = steady_state_dm(build_effective_general(cfg))
-    reference = pure_pair_logneg(pair_amplitude(float(p["nbar"])))
-    return _spin_pair_rows(rho, cfg.n_sites, value, reference)
+    return _spin_pair_rows(rho, cfg.n_sites, value, float(p["nbar"]))
 
 
 def _point_fig3c(value, p, seed):
@@ -258,8 +258,7 @@ def _point_fig3c(value, p, seed):
         int(p["n_sites"]), float(p["coupling"]), float(p["gamma"]), float(p["nbar"]), value
     )
     rho = steady_state_dm(liou)
-    reference = pure_pair_logneg(pair_amplitude(float(p["nbar"])))
-    return _spin_pair_rows(rho, int(p["n_sites"]), value, reference)
+    return _spin_pair_rows(rho, int(p["n_sites"]), value, float(p["nbar"]))
 
 
 def _omega_grid(p):
@@ -549,12 +548,8 @@ class ExperimentConfig:
             raise ConfigInvalid(
                 f"unknown override keys for {self.experiment}: {sorted(unknown)}"
             )
-        for key in ("seed", "workers"):
-            object.__setattr__(self, key, _integer(key, getattr(self, key)))
-        if not 0 <= self.seed < 2**64:
-            raise ConfigInvalid("seed must fit in an unsigned 64-bit integer")
-        if self.workers < 1:
-            raise ConfigInvalid(f"workers must be >= 1, got {self.workers}")
+        object.__setattr__(self, "seed", as_seed(self.seed))
+        object.__setattr__(self, "workers", as_integer("workers", self.workers, 1))
         if manifest_path_for(self.out_path) == self.out_path:
             raise ConfigInvalid(f"out {self.out_path} is its own manifest path; use another suffix")
 
@@ -563,20 +558,9 @@ class ExperimentConfig:
         return Path(self.out) if self.out is not None else Path(f"{self.experiment}.csv")
 
 
-def _integer(key: str, value) -> int:
-    """``value`` as an int: a string must spell one, a number must be whole."""
-    try:
-        number = int(value) if isinstance(value, str) else value
-        if number != int(number):
-            raise ValueError
-        return int(number)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigInvalid(f"{key} = {value!r} is not an integer") from exc
-
-
 def _coerce(key: str, value: ParamValue, default: ParamValue) -> ParamValue:
     if isinstance(default, int) and not isinstance(default, bool):
-        return _integer(key, value)
+        return as_integer(key, value)
     try:
         if isinstance(default, float):
             as_float = float(value)

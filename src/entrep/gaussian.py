@@ -4,12 +4,16 @@
   arrays' N x N ladder-moment equations (Bartels & Stewart, Comm. ACM 15, 820,
   1972), :meth:`SchurForm.solve` gives the output resolvents and spin kernels on
   the same forms, :func:`uncertainty_margin` certifies the moments and
-  :func:`pair_logneg` gives the negativity of every steady and output pair from
-  its occupations and cross-moment.  The three solvers take stacks ``(S, N, N)``
-  of S independent problems of one size (a single problem is a stack of one):
-  only the Schur factorization and the triangular ``ztrsyl`` solve run once per
-  slice, while the back-transform, the residual and margin certificates run once
-  per stack, and a refusal names the first slice that failed.
+  :func:`pair_logneg` gives the negativity of every steady and output pair, and
+  of the drive itself, from its occupations and cross-moment.  The three solvers
+  take stacks ``(S, N, N)`` of S independent problems of one size (a single
+  problem is a stack of one): only the Schur factorization and the triangular
+  ``ztrsyl`` solve run once per slice, while the back-transform, the residual
+  and margin certificates run once per stack, and a refusal names the first
+  slice that failed.
+* **One path to a dataset cell.** :func:`logneg_from_nu` is the one map from a
+  smallest symplectic eigenvalue nu to a negativity E, and refuses a nu with no
+  significant digits left; :func:`normalized_logneg` is the one E/(1+E).
 * **Oracle.** :func:`solve_lyapunov` on a :class:`DriftDiffusion` solves
   any real quadrature covariance flow, and :class:`QuadratureCovariance`,
   :func:`log_negativity_gaussian` and :func:`symplectic_eigenvalues` take
@@ -408,9 +412,17 @@ def logneg_from_nu(nu) -> np.ndarray:
     """``max(0, -log2(nu))`` for smallest partially transposed symplectic eigenvalues.
 
     Values within 1e-12 of 1 sit exactly on the separability boundary and
-    give exactly 0.0.
+    give exactly 0.0.  A value that is not positive and finite has lost
+    every significant digit (round-off cancelled it) and raises
+    NonPhysicalResult rather than giving an infinite or NaN negativity.
     """
     nu = np.asarray(nu, dtype=float)
+    valid = (nu > 0.0) & (nu < math.inf)
+    if not valid.all():
+        raise NonPhysicalResult(
+            f"symplectic eigenvalue {nu[~valid].flat[0]} is not positive and finite: "
+            "round-off left it no significant digits"
+        )
     separable = nu >= 1.0 - 1e-12
     return np.where(separable, 0.0, -np.log2(np.where(separable, 1.0, nu)))
 
@@ -428,8 +440,17 @@ def pair_logneg(n1, n2, m) -> np.ndarray:
     return logneg_from_nu(n1 + n2 + 1.0 - np.hypot(n1 - n2, 2.0 * np.abs(m)))
 
 
-def normalized_logneg(value: float) -> float:
-    """Map a logarithmic negativity E >= 0 onto [0, 1) via E/(1+E)."""
-    if value < 0.0:
-        raise ConfigInvalid(f"logarithmic negativity must be >= 0, got {value}")
-    return value / (1.0 + value)
+def normalized_logneg(value):
+    """Map logarithmic negativities E >= 0 onto [0, 1) via E/(1+E), elementwise.
+
+    The one place the package writes this map: a scalar gives a float and an
+    array an array.  A negative, infinite or NaN E raises ConfigInvalid.
+    """
+    value = np.asarray(value, dtype=float)
+    valid = (value >= 0.0) & (value < math.inf)
+    if not valid.all():
+        raise ConfigInvalid(
+            f"logarithmic negativity must be finite and >= 0, got {value[~valid].flat[0]}"
+        )
+    normalized = value / (1.0 + value)
+    return normalized if normalized.ndim else float(normalized)

@@ -459,16 +459,23 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
 
 
 def assert_density_matrix(rho: np.ndarray) -> None:
-    """Hermiticity / unit-trace / positivity checks, with small tolerances."""
+    """Finiteness / Hermiticity / unit-trace / positivity checks, with small tolerances.
+
+    Each check is written ``not (value <= bound)``, so a NaN fails it
+    instead of passing the comparison.
+    """
     mat = np.asarray(rho)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidState(f"density matrix must be square, got {mat.shape}")
-    if np.abs(mat - mat.conj().T).max() > 1e-10 * max(1.0, np.abs(mat).max()):
+    if not np.isfinite(mat).all():
+        raise InvalidState("density matrix has a non-finite entry")
+    if not np.abs(mat - mat.conj().T).max() <= 1e-10 * max(1.0, np.abs(mat).max()):
         raise InvalidState("density matrix is not Hermitian")
-    if abs(np.trace(mat).real - 1.0) > 1e-10 or abs(np.trace(mat).imag) > 1e-10:
-        raise InvalidState(f"density matrix trace {np.trace(mat)} != 1")
+    trace = np.trace(mat)
+    if not (abs(trace.real - 1.0) <= 1e-10 and abs(trace.imag) <= 1e-10):
+        raise InvalidState(f"density matrix trace {trace} != 1")
     min_eig = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
-    if min_eig < _EIG_FLOOR:
+    if not min_eig >= _EIG_FLOOR:
         raise InvalidState(f"density matrix has eigenvalue {min_eig:.3e} < {_EIG_FLOOR}")
 
 

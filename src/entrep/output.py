@@ -36,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import ArrayConfig, SteadyMoments, steady_state
-from .errors import ClosedPort, ConfigInvalid
-from .gaussian import pair_logneg
+from .errors import ClosedPort, ConfigInvalid, as_integer
+from .gaussian import normalized_logneg, pair_logneg
 
 __all__ = [
     "OutputSpectrum",
@@ -125,10 +125,13 @@ class OutputSpectrum:
 
 
 def _require_open_pair(cfg: ArrayConfig, pair: tuple[int, int]) -> tuple[int, int]:
-    j, k = pair
+    """``pair`` as exactly two integer ports, both damped, one in each array."""
+    try:
+        j, k = pair
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"need a pair of two ports, got {pair!r}") from exc
+    j, k = (as_integer("port", port, 0, cfg.n_modes) for port in (j, k))
     for port in (j, k):
-        if not 0 <= port < cfg.n_modes:
-            raise ConfigInvalid(f"port {port} outside the {cfg.n_modes}-mode register")
         if cfg.kappa[port] <= 0.0:
             raise ClosedPort(
                 f"mode {port} has no damped port; its output carries no signal"
@@ -165,7 +168,7 @@ def output_pair_spectrum(
     """
     moments, omegas, pair = _prepared(cfg, omegas, pair)
     raw = pair_logneg(*output_covariance(cfg, moments, pair, omegas))
-    return OutputSpectrum(omegas=omegas, raw=raw, normalized=raw / (1.0 + raw), pair=pair)
+    return OutputSpectrum(omegas=omegas, raw=raw, normalized=normalized_logneg(raw), pair=pair)
 
 
 def peak_frequency(

@@ -51,7 +51,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .arrays import ArrayConfig, ladder_drift, steady_state
-from .errors import ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged
+from .errors import ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged, as_integer
 from .gaussian import SchurForm, check_drive, schur_form
 from .liouville import (
     Liouvillian,
@@ -104,11 +104,11 @@ def check_size(dims: tuple[int, ...], budget: int = SIDE_BUDGET) -> None:
         )
 
 
-def _check_spin_pairs(n_pairs: int) -> None:
-    """Refuse spin models with no pair or above :data:`SIDE_BUDGET`."""
-    if n_pairs < 1:
-        raise ConfigInvalid(f"need at least one spin pair, got {n_pairs}")
+def _check_spin_pairs(n_pairs: int) -> int:
+    """``n_pairs`` as an int; refuse spin models with no pair or above :data:`SIDE_BUDGET`."""
+    n_pairs = as_integer("n_pairs", n_pairs, 1)
     check_size(_spin_dims(n_pairs))
+    return n_pairs
 
 
 def _lowering_ops(dims: tuple[int, ...]) -> list[sp.csr_matrix]:
@@ -237,7 +237,7 @@ def build_xx_liouvillian(
     lowering); ``h`` holds each array's bonds between a raising and a
     lowering operator, and ``e`` the end drive.
     """
-    _check_spin_pairs(n_pairs)
+    n_pairs = _check_spin_pairs(n_pairs)
     try:
         couplings = np.broadcast_to(
             np.asarray(coupling, float), (max(n_pairs - 1, 0),)
@@ -433,7 +433,7 @@ def build_effective_closed_form(
     ``e = gamma Y_big^T``.  ``eta``, ``zeta`` and ``g`` must be finite and
     positive, and a damping rate that underflows to zero is refused.
     """
-    _check_spin_pairs(n_pairs)
+    n_pairs = _check_spin_pairs(n_pairs)
     if not all(0.0 < value < np.inf for value in (eta, zeta, g)):
         raise ConfigInvalid(
             f"need finite positive eta, zeta and g, got eta={eta}, zeta={zeta}, g={g}"
@@ -491,8 +491,8 @@ class TruncationSpec:
             raise ConfigInvalid(f"unknown truncation check mode {self.check!r}")
         if self.basis not in ("bare", "squeezed"):
             raise ConfigInvalid(f"unknown truncation basis {self.basis!r}")
-        if self.n_max is not None and self.n_max < 1:
-            raise ConfigInvalid(f"need n_max >= 1, got {self.n_max}")
+        if self.n_max is not None:
+            object.__setattr__(self, "n_max", as_integer("n_max", self.n_max, 1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,11 +68,21 @@ class TestArrayConfig:
             dict(n_sites=1, eta=(), kappa=(0.0, 0.0), zeta=1.0, nbar=float("nan"), mbar=0.0),
             dict(n_sites=1, eta=(), kappa=(float("inf"), 0.0), zeta=1.0, nbar=0.0, mbar=0.0),
             dict(n_sites=1, eta=(), kappa=(0.0, 0.0), zeta=1.0, nbar=1.0, mbar=0.0, g=(float("nan"),)),
+            dict(n_sites=2.5, eta=(1.0, 1.0), kappa=(0.0,) * 4, zeta=1.0, nbar=0.0, mbar=0.0),
+            dict(n_sites=True, eta=(), kappa=(0.0, 0.0), zeta=1.0, nbar=0.0, mbar=0.0),
+            dict(n_sites=2, eta=("a", "b"), kappa=(0.0,) * 4, zeta=1.0, nbar=0.0, mbar=0.0),
+            dict(n_sites=1, eta=(), kappa=(0.0, None), zeta=1.0, nbar=0.0, mbar=0.0),
         ],
     )
     def test_rejects_malformed_configs(self, kwargs):
         with pytest.raises(ConfigInvalid):
             ArrayConfig(**kwargs)
+
+    def test_site_count_takes_the_one_integer_rule(self):
+        with pytest.raises(ConfigInvalid, match="n_sites = 2.5 is not an integer"):
+            ArrayConfig.homogeneous(2.5)
+        whole = ArrayConfig.homogeneous(2.0, kappa=0.1)
+        assert type(whole.n_sites) is int and whole == ArrayConfig.homogeneous(2, kappa=0.1)
 
     def test_rejects_oversqueezed_reservoir(self):
         with pytest.raises(OverSqueezed):
@@ -579,3 +589,24 @@ class TestDisorder:
         good = ArrayConfig.homogeneous(2, eta=1.0, zeta=1.0, nbar=0.5, mbar=0.5)
         with pytest.raises(ConfigInvalid):
             DisorderSpec(base=good, delta_xi=1.0, samples=2, seed=1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(samples=3.5),
+            dict(samples=0),
+            dict(seed=1.5),
+            dict(seed=-1),
+            dict(seed=2**64),
+            dict(delta_xi=float("nan")),
+            dict(delta_xi=float("inf")),
+        ],
+    )
+    def test_rejects_malformed_counts_and_widths(self, kwargs):
+        # each is refused at construction, not once the ensemble is solved
+        good = ArrayConfig.homogeneous(2, eta=1.0, zeta=1.0, nbar=0.5, mbar=0.5)
+        with pytest.raises(ConfigInvalid):
+            DisorderSpec(**(dict(base=good, delta_xi=0.1, samples=2, seed=1) | kwargs))
+        lone = ArrayConfig.homogeneous(1, zeta=1.0, nbar=0.5, mbar=0.5)  # no bond to bound delta_xi
+        with pytest.raises(ConfigInvalid):
+            DisorderSpec(**(dict(base=lone, delta_xi=0.1, samples=2, seed=1) | kwargs))

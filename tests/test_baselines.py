@@ -20,8 +20,8 @@ from entrep.baselines import (
     pure_pair_logneg,
     replicated_state,
 )
-from entrep.errors import ConfigInvalid, OverSqueezed
-from entrep.gaussian import squeezing_bound
+from entrep.errors import ConfigInvalid, NonPhysicalResult, OverSqueezed
+from entrep.gaussian import pair_logneg, squeezing_bound
 
 
 def qubit_pair_logneg_oracle(state: np.ndarray) -> float:
@@ -52,8 +52,11 @@ class TestDrivingParams:
                 assert mbar < squeezing_bound(nbar) - 1e-12
 
     def test_rejects_negative_inputs(self):
-        with pytest.raises(ConfigInvalid):
-            driving_params(-0.5, 1.0)
+        # also non-finite inputs, and results that overflow
+        for args in ((-0.5, 1.0), (math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1),
+                     (0.0, 1000.0), (1e308, 1.0)):
+            with pytest.raises(ConfigInvalid):
+                driving_params(*args)
 
 
 class TestDrivingEntanglement:
@@ -90,6 +93,18 @@ class TestDrivingEntanglement:
     def test_rejects_oversqueezed(self):
         with pytest.raises(OverSqueezed):
             driving_entanglement(1.0, 1.5)
+
+    def test_is_the_pair_formula_of_the_isolated_driven_pair(self):
+        for nbar in (0.0, 1e-3, 0.5, 1.0, 7.3, 1e4):
+            bound = squeezing_bound(nbar)
+            for mbar in (0.0, 0.5 * nbar, nbar, 0.5 * (nbar + bound), bound):
+                expected = float(pair_logneg(nbar, nbar, mbar))
+                assert driving_entanglement(nbar, mbar) == expected
+        assert driving_entanglement(1e300, 1.0) == float(pair_logneg(1e300, 1e300, 1.0)) == 0.0
+        # at the bound, 2 nbar + 1 - 2 mbar cancels to zero for nbar = 1e8:
+        # refused by the pair rule rather than returned as inf
+        with pytest.raises(NonPhysicalResult):
+            driving_entanglement(1e8, squeezing_bound(1e8))
 
 
 class TestReplicatedState:
@@ -152,8 +167,10 @@ class TestReplicatedState:
         assert abs(values[0] - pure_pair_logneg(pair_amplitude(nbar))) <= 1e-12
 
     def test_rejects_empty_chain(self):
-        with pytest.raises(ConfigInvalid):
-            replicated_state(1.0, 0)
+        # also a non-finite occupation and a pair count that is no integer
+        for args in ((1.0, 0), (math.nan, 2), (math.inf, 2), (1.0, 2.5), (1.0, True)):
+            with pytest.raises(ConfigInvalid):
+                replicated_state(*args)
 
 
 class TestPurePairLogneg:
@@ -188,6 +205,11 @@ class TestPairAmplitude:
     def test_known_points(self):
         assert pair_amplitude(0.0) == 0.0
         assert abs(pair_amplitude(1.0) - 1.0 / math.sqrt(3.0)) <= 1e-15
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_occupation(self, nbar):
+        with pytest.raises(ConfigInvalid):
+            pair_amplitude(nbar)
 
     def test_saturates_at_bell_amplitude(self):
         assert pair_amplitude(1e9) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)

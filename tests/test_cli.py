@@ -186,6 +186,26 @@ class TestRun:
         assert message in stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # mbar equals squeezing_bound(1e8) in floating point: both the
+            # pairs' and the drive's 2nbar + 1 - 2mbar cancel to zero or below
+            ["--experiment", "custom", "--set", "nbar=1e8", "--set", "mbar=100000000.5"],
+            # the drive's nu at nbar = 1e9 and mbar = sqrt(nbar (nbar + 1)) is 0
+            ["--experiment", "fig2c", "--set", "nbar_max=1e9", "--set", "grid_points=2"],
+        ],
+        ids=["custom", "fig2c"],
+    )
+    def test_cancelled_symplectic_eigenvalue_exits_2(self, tmp_path, capsys, overrides):
+        # written as inf and nan cells before; now refused, and no file is left
+        code, stdout, stderr = run_cli(
+            capsys, "run", *overrides, "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 2 and stdout == ""
+        assert "NonPhysicalResult" in stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_huge_occupation_writes_finite_cells(self, tmp_path, capsys):
         # disorder makes the arrays' occupations differ by about 1e184 at
         # nbar = 1e300, whose square overflows; the negativity there is 0

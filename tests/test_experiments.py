@@ -68,6 +68,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(experiment="fig2a", seed=-1)
         with pytest.raises(ConfigInvalid):
+            ExperimentConfig(experiment="fig2a", seed=2**64)
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(experiment="fig2a", seed=True)
+        with pytest.raises(ConfigInvalid):
             ExperimentConfig(experiment="fig2a", workers=0)
 
     @pytest.mark.parametrize("key", ["seed", "workers"])

@@ -254,6 +254,14 @@ class TestLogNegativity:
         nu = symplectic_eigenvalues(flip @ sigma.sigma @ flip)[0]
         assert log_negativity_gaussian(sigma) == float(logneg_from_nu(nu))
 
+    @pytest.mark.parametrize("nu", [0.0, -1e-9, math.nan, math.inf])
+    def test_refuses_an_eigenvalue_with_no_digits(self, nu):
+        # a cancelled nu would give an infinite or NaN negativity
+        with pytest.raises(NonPhysicalResult):
+            logneg_from_nu(nu)
+        with pytest.raises(NonPhysicalResult):
+            logneg_from_nu(np.array([1.5, 0.3, nu]))
+
 
 def random_hurwitz_ladder(rng: np.random.Generator, n: int) -> np.ndarray:
     """Complex ladder drift with a Hermitian hopping part and local damping."""
@@ -417,8 +425,19 @@ class TestNormalizedLogneg:
         assert round(value, 4) == 0.7178
 
     def test_rejects_negative(self):
-        with pytest.raises(ConfigInvalid):
-            normalized_logneg(-0.1)
+        # NaN passes a "value < 0" test, so it is named here too
+        for value in (-0.1, -1e-3, math.nan):
+            with pytest.raises(ConfigInvalid):
+                normalized_logneg(value)
+            with pytest.raises(ConfigInvalid):
+                normalized_logneg(np.array([[0.5, value], [0.0, 1.0]]))
+
+    def test_elementwise_map_is_the_closed_form_bit_for_bit(self):
+        raw = np.random.default_rng(7).exponential(size=(3, 5))
+        raw[0, 0] = 0.0
+        got = normalized_logneg(raw)
+        assert got.shape == raw.shape and np.array_equal(got, raw / (1.0 + raw))
+        assert type(normalized_logneg(raw[1, 1])) is float
 
     @given(
         small=st.floats(0.0, 50.0),

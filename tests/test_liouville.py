@@ -557,12 +557,25 @@ class TestQubitLogneg:
             logneg_qubits(np.diag([1.5, -0.5, 0.0, 0.0]))
         with pytest.raises(InvalidState):
             logneg_qubits(np.eye(8) / 8.0)
+        # NaN passes every ">" and "<" test, so it must be refused as such
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidState):
+                logneg_qubits(np.full((4, 4), bad))
 
 
 class TestStateChecks:
     def test_assert_density_matrix_accepts_random_states(self):
         rng = np.random.default_rng(31)
         assert_density_matrix(random_density_matrix(rng, 5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_assert_density_matrix_refuses_non_finite_entries(self, bad):
+        with pytest.raises(InvalidState):
+            assert_density_matrix(np.full((2, 2), bad))
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 0] = bad
+        with pytest.raises(InvalidState):
+            assert_density_matrix(rho)
 
     def test_fidelity_pure_on_eigenstate(self):
         psi = np.array([1.0, 0.0])

@@ -417,6 +417,22 @@ class TestPairSpectra:
                 output_pair_spectrum(cfg, [0.0], pair=pair)
             with pytest.raises(ConfigInvalid, match="one port in each array"):
                 peak_frequency(cfg, [0.0, 1.0], pair=pair)
+        # exactly two integer ports: a bool, a fraction or a third port is
+        # refused, never read as an index that gives a wrong-shaped result
+        wide = ArrayConfig.homogeneous(3, eta=1.0, kappa=0.1, zeta=1.0, nbar=1.0, mbar=1.2)
+        for pair in ((True, 4), (2.5, 5), (0, 1, 2), (3,), 5):
+            with pytest.raises(ConfigInvalid):
+                output_pair_spectrum(wide, [0.0], pair=pair)
+            with pytest.raises(ConfigInvalid):
+                peak_frequency(wide, [0.0, 1.0], pair=pair)
+        # a whole float is an integer port under the package's one rule
+        assert np.array_equal(
+            output_pair_spectrum(wide, [0.0, 1.0], pair=(2.0, 5)).raw,
+            output_pair_spectrum(wide, [0.0, 1.0], pair=(2, 5)).raw,
+        )
+        assert peak_frequency(wide, [0.0, 1.0], pair=(2.0, 5)) == peak_frequency(
+            wide, [0.0, 1.0], pair=(2, 5)
+        )
         for omegas in ([np.nan], [0.0, np.inf], [-np.inf, 0.5], []):
             with pytest.raises(ConfigInvalid):
                 output_pair_spectrum(cfg, omegas)

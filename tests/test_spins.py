@@ -180,6 +180,15 @@ class TestXXChains:
     def test_validation(self):
         with pytest.raises(ConfigInvalid):
             build_xx_liouvillian(0, 1.0, 0.5, 1.0, 0.0)
+        for count in (2.5, True, "two"):
+            with pytest.raises(ConfigInvalid, match="n_pairs"):
+                build_xx_liouvillian(count, 1.0, 0.5, 1.0, 0.0)
+            with pytest.raises(ConfigInvalid, match="n_pairs"):
+                build_effective_closed_form(count, eta=1.0, zeta=1.0, g=0.1, nbar=1.0, mbar=0.0)
+        # a whole float is a pair count under the package's one integer rule
+        whole = build_xx_liouvillian(2.0, 1.0, 0.5, 1.0, 0.0)
+        exact = build_xx_liouvillian(2, 1.0, 0.5, 1.0, 0.0)
+        assert whole.dim == exact.dim and (whole.matrix != exact.matrix).nnz == 0
         with pytest.raises(ConfigInvalid):
             build_xx_liouvillian(3, [1.0, 2.0, 3.0], 0.5, 1.0, 0.0)
         with pytest.raises(ConfigInvalid):
@@ -721,6 +730,10 @@ class TestFockOracle:
                 TruncationSpec(check=check)
         with pytest.raises(ConfigInvalid):
             TruncationSpec(n_max=0)
+        for n_max in (2.5, True, "3.0"):
+            with pytest.raises(ConfigInvalid, match="n_max"):
+                TruncationSpec(n_max=n_max)
+        assert type(TruncationSpec(n_max=3.0).n_max) is int
 
 
 class TestSqueezedBasisOracle:
