@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import ztrsyl
+from scipy.linalg.lapack import dgees, ztrsyl
 
 from .errors import (
     ConfigInvalid,
@@ -81,6 +81,9 @@ HURWITZ_TOL = 1e-12
 # Residual acceptance threshold of every steady-moment solve, relative to
 # max(1, largest source entry).
 _RESIDUAL_RTOL = 1e-10
+
+# Round-off level of a drift entry, relative to its slice's largest entry.
+_ROUNDOFF_RTOL = 1e-12
 
 # How far below 1 a symplectic eigenvalue of a solver-produced covariance
 # may fall before the generator is declared malformed.
@@ -299,18 +302,92 @@ class SchurForm(NamedTuple):
         return self.q @ y
 
 
-def schur_form(drift: np.ndarray) -> SchurForm:
-    """Schur form of each slice of an ``(S, N, N)`` stack of ladder drifts.
+def _keep_order(real: float, imag: float) -> int:
+    """``dgees`` eigenvalue selector; the forms are not reordered, so it is never called."""
+    return 0
 
-    Raises NotHurwitz, naming the first failing slice, unless every Re
-    eigenvalue is below -HURWITZ_TOL.
+
+def _real_schur(gauged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur forms ``gauged = z t z^T`` of each slice of a real ``(S, N, N)`` stack.
+
+    ``t`` is quasi upper triangular in LAPACK's standard form: a complex
+    eigenvalue pair is a 2 x 2 diagonal block with equal diagonal entries,
+    and every other entry below the diagonal is exactly zero.  Raises
+    NoConvergence, naming the slice, when ``dgees`` reports a failure.
+    """
+    t, z = np.empty_like(gauged), np.empty_like(gauged)
+    for index, one in enumerate(gauged):
+        t[index], _, _, _, z[index], _, info = dgees(_keep_order, one)
+        if info:
+            raise NoConvergence(
+                f"real Schur factorization (slice {index}) failed (dgees info={info})"
+            )
+    return t, z
+
+
+def _split_pairs(t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex triangular ``t`` and unitary ``z`` from real Schur forms ``z t z^T``.
+
+    Each 2 x 2 block ``[[a, b], [c, d]]`` (``c != 0``) of ``t`` is split by
+    the rotation whose first column is its eigenvector ``(mu, c) / r``, ``mu
+    = lambda - d``, which leaves ``lambda`` above a zero.  The blocks are
+    disjoint and no rotation touches another block, so every rotation of
+    the stack comes from the original ``t`` and all are applied at once:
+    to the rows of ``t``, then to its columns, then to the columns of ``z``.
+    """
+    slices, k = np.nonzero(t.diagonal(offset=-1, axis1=-2, axis2=-1))
+    a, b = t[slices, k, k], t[slices, k, k + 1]
+    c, d = t[slices, k + 1, k], t[slices, k + 1, k + 1]
+    half = 0.5 * (a - d)
+    mu = half + np.sqrt(half * half + b * c + 0j)
+    r = np.hypot(np.abs(mu), c)
+    cos, sin = (mu / r)[:, None], (c / r)[:, None]
+    t, z = t.astype(complex), z.astype(complex)
+    upper, lower = t[slices, k], t[slices, k + 1]
+    t[slices, k], t[slices, k + 1] = cos.conj() * upper + sin * lower, cos * lower - sin * upper
+    for stack in (t, z):
+        left, right = stack[slices, :, k], stack[slices, :, k + 1]
+        stack[slices, :, k] = cos * left + sin * right
+        stack[slices, :, k + 1] = cos.conj() * right - sin * left
+    t[slices, k + 1, k] = 0.0
+    return t, z
+
+
+def schur_form(drift: np.ndarray) -> SchurForm:
+    """Schur form of each slice of an ``(S, N, N)`` stack of open-chain ladder drifts.
+
+    An open chain is bipartite, so the gauge ``a_j -> i^j a_j`` (``P =
+    diag(1, i, -1, -i, ...)``) makes its drift ``L = -i eta (hopping) -
+    diag(damping)`` real: ``P L P^* = -diag(damping) + eta (real
+    antisymmetric)``.  Each gauged slice is factored by LAPACK's real
+    ``dgees``, the 2 x 2 blocks of its complex eigenvalue pairs are split by
+    one stacked pass of unitary rotations, and ``q = P^* z`` undoes the
+    gauge.  A slice is factored alone, whatever stack it sits in.
+
+    Raises ConfigInvalid, naming the first failing slice, for a non-finite
+    entry or for a drift that the gauge does not make real to round-off
+    (``1e-12`` of its largest entry): it is not an open-chain drift.
+    Raises NoConvergence when ``dgees`` fails, and NotHurwitz unless every
+    Re eigenvalue is below -HURWITZ_TOL.
     """
     drift = np.asarray(drift, dtype=complex)
-    t, q = np.empty_like(drift), np.empty_like(drift)
-    for one, t_one, q_one in zip(drift, t, q):
-        t_one[...], q_one[...] = sla.schur(one, output="complex")
+    finite = np.isfinite(drift).all(axis=(-2, -1))
+    if not finite.all():
+        where, _ = _first_failure(~finite, finite)
+        raise ConfigInvalid(f"ladder drift{where} has a non-finite entry")
+    phases = np.array([1, 1j, -1, -1j])[np.arange(drift.shape[-1]) % 4]
+    gauged = phases[:, None] * drift * phases.conj()
+    residue = np.abs(gauged.imag).max(axis=(-2, -1))
+    failed = residue > _ROUNDOFF_RTOL * np.abs(drift).max(axis=(-2, -1))
+    if failed.any():
+        where, value = _first_failure(failed, residue)
+        raise ConfigInvalid(
+            f"ladder drift{where} is not an open chain: its gauged imaginary part "
+            f"{value:.3e} exceeds round-off"
+        )
+    t, z = _split_pairs(*_real_schur(gauged.real))
     _require_hurwitz(t.diagonal(axis1=-2, axis2=-1))
-    return SchurForm(drift, t, q)
+    return SchurForm(drift, t, phases.conj()[:, None] * z)
 
 
 def solve_rank_one_sylvester(a: SchurForm, b: SchurForm, source: float) -> np.ndarray:

@@ -17,7 +17,9 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgees
 
+import entrep.gaussian
 from entrep.errors import (
     ConfigInvalid,
     IndexOutOfRange,
@@ -263,10 +265,17 @@ class TestLogNegativity:
             logneg_from_nu(np.array([1.5, 0.3, nu]))
 
 
+def chain_ladder(bonds, damping, drive: float) -> np.ndarray:
+    """Open-chain ladder drift ``-i (hopping) - diag(damping + drive e0)``."""
+    drift = -1j * (np.diag(bonds, 1) + np.diag(bonds, -1)) - np.diag(damping)
+    drift[0, 0] -= drive
+    return drift
+
+
 def random_hurwitz_ladder(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Complex ladder drift with a Hermitian hopping part and local damping."""
-    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return -1j * 0.5 * (h + h.conj().T) - np.diag(rng.uniform(0.2, 1.0, size=n))
+    """Open chain with random bonds, random site damping and a random drive on site 0."""
+    bonds = rng.normal(size=n - 1)
+    return chain_ladder(bonds, rng.uniform(0.2, 1.0, size=n), rng.uniform(0.5, 2.0))
 
 
 class TestRankOneSylvester:
@@ -338,6 +347,32 @@ class TestShiftedSolve:
         assert np.array_equal(form.solve(rhs, grid[3:4])[0], whole[3])
 
 
+def block_structure_stack(kind: str) -> np.ndarray:
+    """Open chains whose real Schur forms have the named diagonal block structure.
+
+    In the real gauge a complex eigenvalue pair is a 2 x 2 block and a real
+    eigenvalue a 1 x 1 block.
+    """
+    rng = np.random.default_rng(11)
+    bonds = rng.uniform(0.5, 1.5, size=(3, 4))
+    if kind == "lossless":
+        # damping only from the drive, far below the bonds: complex pairs only
+        return np.array([chain_ladder(b, np.zeros(4), 0.3) for b in bonds[:, :3]])
+    if kind == "overdamped":
+        # bonds far below the spread of the damping: real eigenvalues only
+        return np.array([chain_ladder(0.01 * b, np.linspace(0.2, 1.8, 5), 0.1) for b in bonds])
+    if kind == "mixed":
+        # three strongly bonded, weakly damped sites, then two strongly damped ones
+        damping = [0.1, 0.1, 0.2, 2.0, 4.0]
+        return np.array([chain_ladder(0.02 * b * [50, 50, 1, 1], damping, 0.2) for b in bonds])
+    if kind == "one-site":
+        return -rng.uniform(0.1, 2.0, size=(4, 1, 1)).astype(complex)
+    if kind == "two-site":
+        return np.array([chain_ladder([b], [0.1, 0.4], 0.5) for b in (0.05, 0.5, 3.0)])
+    # the exceptional point -1.5 (twice) of a damped two-site array
+    return np.array([[[-2.5, -1j], [-1j, -0.5]]])
+
+
 class TestStackedCore:
     """Stacks ``(S, N, N)`` give, slice by slice, what stacks of one give."""
 
@@ -365,6 +400,62 @@ class TestStackedCore:
         for k, scale in enumerate(scales):
             assert margins[k] == uncertainty_margin(n[None], n[None], scale * m[None])[0]
 
+    @pytest.mark.parametrize(
+        "kind", ["lossless", "overdamped", "mixed", "one-site", "two-site", "exceptional"]
+    )
+    def test_every_block_structure_is_an_exact_schur_form(self, kind):
+        stack = block_structure_stack(kind)
+        form = schur_form(stack)
+        scale = np.abs(stack).max()
+        n = stack.shape[-1]
+        rebuilt = form.q @ form.t @ form.q.conj().swapaxes(-1, -2)
+        assert np.abs(rebuilt - stack).max() <= 1e-13 * scale
+        assert np.abs(form.q.conj().swapaxes(-1, -2) @ form.q - np.eye(n)).max() <= 1e-13
+        assert not np.tril(form.t, -1).any()
+        for k in range(len(stack)):
+            single = schur_form(stack[k : k + 1])
+            assert np.array_equal(form.t[k], single.t[0])
+            assert np.array_equal(form.q[k], single.q[0])
+
+    def test_the_stacks_hold_the_block_structures_they_name(self):
+        # 2 x 2 real Schur blocks are complex pairs, 1 x 1 blocks real eigenvalues
+        def complex_pairs(kind):
+            return np.abs(np.linalg.eigvals(block_structure_stack(kind)).imag) > 1e-9
+
+        assert complex_pairs("lossless").sum(axis=-1).tolist() == [4, 4, 4]
+        assert not complex_pairs("overdamped").any()
+        assert complex_pairs("mixed").any(axis=-1).all()
+        assert not complex_pairs("mixed").all(axis=-1).any()
+
+    def test_refuses_a_drift_that_is_not_an_open_chain(self):
+        # all-to-all Hermitian hopping: no gauge makes it real
+        rng = np.random.default_rng(0)
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        stack = random_ladder_stack(0, 3, 4)
+        stack[1] = -0.5j * (h + h.conj().T) - np.eye(4)
+        with pytest.raises(ConfigInvalid, match=r"\(slice 1\) is not an open chain"):
+            schur_form(stack)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_refuses_a_non_finite_drift(self, value):
+        stack = random_ladder_stack(1, 3, 4)
+        stack[2, 1, 2] = value
+        with pytest.raises(ConfigInvalid, match=r"\(slice 2\) has a non-finite entry"):
+            schur_form(stack)
+
+    def test_a_failed_real_factorization_is_named(self, monkeypatch):
+        calls = []
+
+        def failing(select, matrix):
+            *factors, info = dgees(select, matrix)
+            calls.append(matrix.shape)
+            return (*factors, 2 if len(calls) == 2 else info)
+
+        monkeypatch.setattr(entrep.gaussian, "dgees", failing)
+        with pytest.raises(NoConvergence, match=r"\(slice 1\) failed \(dgees info=2\)"):
+            schur_form(random_ladder_stack(2, 3, 4))
+        assert len(calls) == 2
+
     def test_marginal_slice_is_named(self):
         stack = random_ladder_stack(2, 4, 3)
         stack[2] = np.diag([-1.0, 1e-14, -0.5])  # one undamped mode
@@ -387,9 +478,11 @@ class TestStackedCore:
             solve_rank_one_sylvester(SchurForm(t_a, t_a, q), SchurForm(t_b, t_b, q), 1.0)
 
     def test_a_non_finite_residual_is_refused(self):
-        # an overflowing source makes the residual NaN, which no bound admits
+        # an overflowing source makes the residual NaN, which no bound admits;
+        # q's first row has exact zeros (the real eigenvector of an odd chain),
+        # so -inf * 0 already puts the NaN into the right-hand side
         form = schur_form(random_ladder_stack(4, 2, 3))
-        with pytest.raises(NoConvergence, match="residual"):
+        with pytest.raises(NoConvergence, match="residual"), np.errstate(invalid="ignore"):
             solve_rank_one_sylvester(form.conj(), form, -math.inf)
 
     def test_oversqueezed_slice_is_named(self):

@@ -20,6 +20,7 @@ from scipy.integrate import quad, quad_vec
 from scipy.linalg import block_diag, expm
 
 import entrep.arrays
+import entrep.gaussian
 import entrep.output
 import quadrature_oracle as oracle
 from entrep.arrays import ArrayConfig, ladder_drift, steady_state
@@ -498,16 +499,18 @@ class TestOneFactorization:
     @pytest.fixture
     def factored(self, monkeypatch):
         seen = []
-        schur = scipy.linalg.schur
+        dgees = entrep.gaussian.dgees
 
-        def counting(matrix, *args, **kwargs):
+        def counting(select, matrix):
             seen.append(matrix.shape)
-            return schur(matrix, *args, **kwargs)
+            return dgees(select, matrix)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a second factorization of the drift")
 
-        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        # each real Schur factorization of one gauged drift slice is one dgees call
+        monkeypatch.setattr(entrep.gaussian, "dgees", counting)
+        monkeypatch.setattr(scipy.linalg, "schur", refuse)
         for name in ("solve", "eigvals", "eig"):
             monkeypatch.setattr(np.linalg, name, refuse)
         return seen
