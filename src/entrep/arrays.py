@@ -26,7 +26,12 @@ non-zero (one isolated driven pair gets ``nbar`` and ``-mbar``):
 
 :func:`steady_state` solves them on one complex Schur form per distinct array
 drift, and :attr:`SteadyMoments.forms` carries both arrays' forms on to every
-later resolvent, kernel and decay rate.  The solve runs on stacks of
+later resolvent, kernel and decay rate.  Each chain is bipartite, so the gauge
+``a_j -> i^j a_j`` makes ``L_i`` real, ``-diag(kappa_j + zeta*[j is driven])``
+plus ``eta`` times a real antisymmetric tridiagonal matrix: each form comes
+from one real Schur factorization (LAPACK ``dgees``) whose 2 x 2 blocks are
+split by unitary rotations (:func:`entrep.gaussian.schur_form`), which
+refuses any drift the gauge does not make real.  The solve runs on stacks of
 independent problems of one size: :func:`disorder_sweep` puts both arrays'
 drift blocks of every bond draw of a disorder level into one ``(2S, N, N)``
 stack and solves the level in one call, and :func:`steady_state` is the same

@@ -8,13 +8,19 @@ Fock truncations) need different remedies, and the validation layer
 reports them separately.
 
 :func:`as_integer` is the one rule every count, index and seed passes on its
-way in, and :func:`as_seed` the one seed range; they live here because every
-module already imports this one.
+way in, :func:`as_seed` the one seed range and :data:`ROUNDOFF_RTOL` the one
+round-off level; they live here because every module already imports this one.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+#: Entries at or below this times a problem's scale are round-off: a stored
+#: Liouvillian drops them, and neither an imaginary part that a real basis or
+#: gauge must remove nor a swap-parity crossing may exceed it.
+ROUNDOFF_RTOL = 1e-12
 
 
 class ModelError(Exception):

@@ -11,6 +11,12 @@
   ``ztrsyl`` solve run once per slice, while the back-transform, the residual
   and margin certificates run once per stack, and a refusal names the first
   slice that failed.
+* **Real gauge.** An open chain is bipartite, so ``a_j -> i^j a_j`` makes
+  every array drift real.  :func:`schur_form` factors each gauged slice with
+  LAPACK's real ``dgees``, splits the 2 x 2 blocks of its complex eigenvalue
+  pairs with one stacked pass of unitary rotations, and undoes the gauge in
+  ``q``; a drift that the gauge does not make real is not a chain drift and
+  is refused.
 * **One path to a dataset cell.** :func:`logneg_from_nu` is the one map from a
   smallest symplectic eigenvalue nu to a negativity E, and refuses a nu with no
   significant digits left; :func:`normalized_logneg` is the one E/(1+E).
@@ -46,6 +52,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dgees, ztrsyl
 
 from .errors import (
+    ROUNDOFF_RTOL,
     ConfigInvalid,
     NoConvergence,
     NonPhysicalResult,
@@ -81,9 +88,6 @@ HURWITZ_TOL = 1e-12
 # Residual acceptance threshold of every steady-moment solve, relative to
 # max(1, largest source entry).
 _RESIDUAL_RTOL = 1e-10
-
-# Round-off level of a drift entry, relative to its slice's largest entry.
-_ROUNDOFF_RTOL = 1e-12
 
 # How far below 1 a symplectic eigenvalue of a solver-produced covariance
 # may fall before the generator is declared malformed.
@@ -366,7 +370,7 @@ def schur_form(drift: np.ndarray) -> SchurForm:
 
     Raises ConfigInvalid, naming the first failing slice, for a non-finite
     entry or for a drift that the gauge does not make real to round-off
-    (``1e-12`` of its largest entry): it is not an open-chain drift.
+    (``ROUNDOFF_RTOL`` of its largest entry): it is not an open-chain drift.
     Raises NoConvergence when ``dgees`` fails, and NotHurwitz unless every
     Re eigenvalue is below -HURWITZ_TOL.
     """
@@ -378,7 +382,7 @@ def schur_form(drift: np.ndarray) -> SchurForm:
     phases = np.array([1, 1j, -1, -1j])[np.arange(drift.shape[-1]) % 4]
     gauged = phases[:, None] * drift * phases.conj()
     residue = np.abs(gauged.imag).max(axis=(-2, -1))
-    failed = residue > _ROUNDOFF_RTOL * np.abs(drift).max(axis=(-2, -1))
+    failed = residue > ROUNDOFF_RTOL * np.abs(drift).max(axis=(-2, -1))
     if failed.any():
         where, value = _first_failure(failed, residue)
         raise ConfigInvalid(

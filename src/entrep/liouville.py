@@ -41,6 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
+    ROUNDOFF_RTOL,
     ConfigInvalid,
     DegenerateSteadyState,
     IndexOutOfRange,
@@ -145,12 +146,6 @@ def gksl_superop(ops, h, e) -> sp.csr_matrix:
     return quadratic_superop(ops, -1j * h - e.T, 1j * h - e.T, 2.0 * e)
 
 
-#: entries at or below this times the generator scale are round-off: a
-#: :class:`Liouvillian` does not store them, and an imaginary part or a
-#: swap-parity crossing of the real block below it is ignored
-_ROUNDOFF_RTOL = 1e-12
-
-
 def _operator_sectors(charge: np.ndarray) -> np.ndarray:
     """Sector ``charge[i] - charge[j]`` of each entry of ``vec(rho)``."""
     return vec(np.subtract.outer(charge, charge))
@@ -167,7 +162,7 @@ class Liouvillian:
     """Vectorized generator of a finite-dimensional master equation.
 
     ``matrix`` must be finite; a copy without its round-off, the entries at
-    or below ``_ROUNDOFF_RTOL * scale``, is stored.  ``charge`` holds one
+    or below ``ROUNDOFF_RTOL * scale``, is stored.  ``charge`` holds one
     integer U(1) charge per Hilbert basis state (default all zeros); every
     stored entry must map its operator sector ``charge[i] - charge[j]`` to
     itself.  ``swap`` optionally declares a symmetry: a permutation ``s`` of
@@ -193,7 +188,7 @@ class Liouvillian:
             )
         if not np.isfinite(self.scale):
             raise ConfigInvalid("generator has non-finite entries")
-        self.matrix.data[np.abs(self.matrix.data) <= _ROUNDOFF_RTOL * self.scale] = 0
+        self.matrix.data[np.abs(self.matrix.data) <= ROUNDOFF_RTOL * self.scale] = 0
         self.matrix.eliminate_zeros()
         charge = self._basis_integers(
             np.zeros(self.dim, np.int64) if self.charge is None else self.charge, "charge"
@@ -213,7 +208,7 @@ class Liouvillian:
         if crossing > 0.0:
             raise ConfigInvalid(
                 f"generator entry {crossing:.3e} crosses charge sectors "
-                f"(above {_ROUNDOFF_RTOL:.0e} * scale {self.scale:.3e})"
+                f"(above {ROUNDOFF_RTOL:.0e} * scale {self.scale:.3e})"
             )
 
     def _basis_integers(self, values, name: str) -> np.ndarray:
@@ -354,7 +349,7 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     negates the charge, and splits the real coordinates into an even and
     an odd half ``[E O]`` (:func:`_swap_parity`).  The generator is
     projected once onto ``W = U [E O]``: ``W^H L W``.  An imaginary entry
-    above ``_ROUNDOFF_RTOL * scale`` means the generator does not preserve
+    above ``ROUNDOFF_RTOL * scale`` means the generator does not preserve
     Hermiticity, and an entry between the halves above the same bound
     means it does not commute with the swap; either raises
     :class:`ConfigInvalid`.  Both halves are then factored by sparse LU.
@@ -412,21 +407,21 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     # rows of W^H pick the block rows; off-block columns meet empty rows of W
     block = ((basis.conj().T @ liouvillian.matrix) @ basis).tocsr()
     imaginary = float(np.abs(block.data.imag).max()) if block.nnz else 0.0
-    if imaginary > _ROUNDOFF_RTOL * scale:
+    if imaginary > ROUNDOFF_RTOL * scale:
         raise ConfigInvalid(
             f"generator does not preserve Hermiticity: imaginary entry "
-            f"{imaginary:.3e} in the real basis (above {_ROUNDOFF_RTOL:.0e} * "
+            f"{imaginary:.3e} in the real basis (above {ROUNDOFF_RTOL:.0e} * "
             f"scale {scale:.3e})"
         )
     block = block.real
     block.eliminate_zeros()
     side = block.shape[0]
     crossing = _largest_crossing(block, np.arange(side) >= n_even)
-    if crossing > _ROUNDOFF_RTOL * scale:
+    if crossing > ROUNDOFF_RTOL * scale:
         raise ConfigInvalid(
             f"generator does not commute with the declared swap: entry "
             f"{crossing:.3e} couples its even and odd halves (above "
-            f"{_ROUNDOFF_RTOL:.0e} * scale {scale:.3e})"
+            f"{ROUNDOFF_RTOL:.0e} * scale {scale:.3e})"
         )
     # the trace functional: 1 on each rho_ii coordinate, rotated by [E O]
     trace_row = np.asarray(parity[i == j].sum(axis=0)).ravel()[:n_even]

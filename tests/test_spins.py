@@ -24,6 +24,7 @@ from entrep.arrays import ArrayConfig, ladder_drift, steady_state
 from entrep.baselines import pair_amplitude, pure_pair_logneg, replicated_state
 from entrep.cli import main
 from entrep.errors import (
+    ROUNDOFF_RTOL,
     ConfigInvalid,
     DimensionBudgetExceeded,
     NotHurwitz,
@@ -31,7 +32,6 @@ from entrep.errors import (
     TruncationUnconverged,
 )
 from entrep.liouville import (
-    _ROUNDOFF_RTOL,
     Liouvillian,
     fidelity_pure,
     left_multiply,
@@ -419,7 +419,7 @@ SWAP_CASES = dict(swap_cases())
 @pytest.mark.parametrize("case", list(SWAP_CASES))
 def test_builders_store_no_round_off(case):
     liou = SWAP_CASES[case]()
-    assert np.abs(liou.matrix.data).min() > _ROUNDOFF_RTOL * liou.scale
+    assert np.abs(liou.matrix.data).min() > ROUNDOFF_RTOL * liou.scale
 
 
 class TestArraySwap:
