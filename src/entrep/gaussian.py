@@ -404,7 +404,10 @@ def solve_rank_one_sylvester(a: SchurForm, b: SchurForm, source: float) -> np.nd
     failing slice, on a ``ztrsyl`` failure or a residual above ``1e-10 *
     max(1, |source|)``.
     """
-    rhs = source * (a.q[:, 0, :, None].conj() * b.q[:, 0, None, :].conj())
+    # an overflowing source meets q's exact zeros as inf * 0: the NaN it makes
+    # is refused below as a residual, without a numpy warning on the way
+    with np.errstate(invalid="ignore", over="ignore"):
+        rhs = source * (a.q[:, 0, :, None].conj() * b.q[:, 0, None, :].conj())
     y, scale, info = np.empty_like(rhs), np.empty(len(rhs)), np.empty(len(rhs), int)
     for index, (ta, tb, c) in enumerate(zip(a.t, b.t.conj(), rhs)):
         y[index], scale[index], info[index] = ztrsyl(ta, tb, c, trana="N", tranb="C")
