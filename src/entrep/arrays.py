@@ -235,28 +235,40 @@ class SteadyMoments:
         return np.block([[pairs, np.eye(len(normal)) + normal.T], [normal, pairs.conj()]])
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a float array that cannot be written to."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class EntanglementProfile:
     """Per-pair steady-state entanglement, plus the reservoir reference.
 
-    ``pair_labels[i] = i+1`` labels the pair (site i+1 of array one,
-    site i+1 of array two) in the 1-based convention used in all output
-    tables.
+    ``pair_labels[i] = i+1`` labels the pair of ``raw[i]`` (site i+1 of
+    array one, site i+1 of array two) in the 1-based convention used in all
+    output tables.  Labels and normalized values are derived, never stored.
     """
 
-    pair_labels: tuple[int, ...]
     raw: np.ndarray
-    normalized: np.ndarray
     drive_raw: float
-    drive_normalized: float
 
     def __post_init__(self) -> None:
-        raw = np.array(self.raw, dtype=float)
-        norm = np.array(self.normalized, dtype=float)
-        raw.flags.writeable = False
-        norm.flags.writeable = False
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "normalized", norm)
+        object.__setattr__(self, "raw", _read_only(self.raw))
+
+    @property
+    def pair_labels(self) -> tuple[int, ...]:
+        return tuple(range(1, len(self.raw) + 1))
+
+    @property
+    def normalized(self) -> np.ndarray:
+        """``raw / (1 + raw)`` of every pair."""
+        return _read_only(normalized_logneg(self.raw))
+
+    @property
+    def drive_normalized(self) -> float:
+        return normalized_logneg(self.drive_raw)
 
 
 #: Most complex entries in one stacked array of a disorder solve: a level
@@ -350,14 +362,7 @@ def pair_entanglement_profile(cfg: ArrayConfig) -> EntanglementProfile:
     """
     moments = steady_state(cfg)
     raw = _pair_lognegs(moments.n1, moments.n2, moments.m)
-    drive = driving_entanglement(cfg.nbar, cfg.mbar)
-    return EntanglementProfile(
-        pair_labels=tuple(range(1, cfg.n_sites + 1)),
-        raw=raw,
-        normalized=normalized_logneg(raw),
-        drive_raw=drive,
-        drive_normalized=normalized_logneg(drive),
-    )
+    return EntanglementProfile(raw=raw, drive_raw=driving_entanglement(cfg.nbar, cfg.mbar))
 
 
 @dataclass(frozen=True)
@@ -398,23 +403,27 @@ class DisorderSpec:
 
 @dataclass(frozen=True, eq=False)
 class DisorderResult:
-    """Elementwise sample statistics of the normalized pair profile."""
+    """Elementwise sample statistics of the normalized pair profile, per pair label."""
 
-    pair_labels: tuple[int, ...]
     raw_mean: np.ndarray
     norm_mean: np.ndarray
     norm_min: np.ndarray
     norm_max: np.ndarray
     norm_sem: np.ndarray
     drive_raw: float
-    drive_normalized: float
     samples: int
 
     def __post_init__(self) -> None:
         for field in ("raw_mean", "norm_mean", "norm_min", "norm_max", "norm_sem"):
-            arr = np.array(getattr(self, field), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, field, arr)
+            object.__setattr__(self, field, _read_only(getattr(self, field)))
+
+    @property
+    def pair_labels(self) -> tuple[int, ...]:
+        return tuple(range(1, len(self.raw_mean) + 1))
+
+    @property
+    def drive_normalized(self) -> float:
+        return normalized_logneg(self.drive_raw)
 
 
 def disorder_sweep(spec: DisorderSpec) -> DisorderResult:
@@ -456,15 +465,12 @@ def disorder_sweep(spec: DisorderSpec) -> DisorderResult:
         sem = norm.std(axis=0, ddof=1) / np.sqrt(len(norm))
     else:
         sem = np.zeros(norm.shape[1])
-    drive = driving_entanglement(base.nbar, base.mbar)
     return DisorderResult(
-        pair_labels=tuple(range(1, n_sites + 1)),
         raw_mean=raw.mean(axis=0),
         norm_mean=norm.mean(axis=0),
         norm_min=norm.min(axis=0),
         norm_max=norm.max(axis=0),
         norm_sem=sem,
-        drive_raw=drive,
-        drive_normalized=normalized_logneg(drive),
+        drive_raw=driving_entanglement(base.nbar, base.mbar),
         samples=spec.samples,
     )

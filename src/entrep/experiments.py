@@ -89,7 +89,6 @@ class ExperimentDef:
     name: str
     sweep_key: str
     defaults: Mapping[str, ParamValue]
-    description: str
     sweep: Callable[[Mapping[str, ParamValue]], list]
     point: Callable[..., list[tuple]]
     extra_columns: tuple[str, ...] = ()
@@ -175,7 +174,7 @@ def _spin_pair_rows(rho: np.ndarray, n_pairs: int, sweep_value: float, nbar: flo
     reference = pure_pair_logneg(pair_amplitude(nbar))
     rows = []
     for j in range(n_pairs):
-        raw = logneg_qubits(reduced_pair_dm(rho, j, n_pairs + j, 2 * n_pairs))
+        raw = logneg_qubits(reduced_pair_dm(rho, j, n_pairs + j))
         rows.append((sweep_value, j + 1, raw, normalized_logneg(raw), reference))
     return rows
 
@@ -326,7 +325,6 @@ _DEFINITIONS = (
     ExperimentDef(
         name="fig2a",
         sweep_key="kappa0",
-        description="pair profile of 20 pairs at uniform loss levels",
         defaults={
             "n_sites": 20,
             "eta": 1.0,
@@ -341,7 +339,6 @@ _DEFINITIONS = (
     ExperimentDef(
         name="fig2b",
         sweep_key="n_sites",
-        description="pair profile versus array length at uniform loss",
         defaults={
             "n_sites_min": 1,
             "n_sites_max": 30,
@@ -357,7 +354,6 @@ _DEFINITIONS = (
     ExperimentDef(
         name="fig2c",
         sweep_key="nbar",
-        description="pair profile versus occupation at maximal cross-correlation",
         defaults={
             "n_sites": 10,
             "eta": 1.0,
@@ -374,7 +370,6 @@ _DEFINITIONS = (
     ExperimentDef(
         name="fig2d",
         sweep_key="mbar",
-        description="pair profile versus cross-correlation at fixed occupation",
         defaults={
             "n_sites": 10,
             "eta": 1.0,
@@ -391,7 +386,6 @@ _DEFINITIONS = (
     ExperimentDef(
         name="fig2e",
         sweep_key="kappa_end",
-        description="pair profile versus loss applied to the far end sites only",
         defaults={
             "n_sites": 10,
             "eta": 1.0,
@@ -408,7 +402,6 @@ _DEFINITIONS = (
     ExperimentDef(
         name="fig3a",
         sweep_key="delta_xi",
-        description="ensemble statistics of the pair profile under hopping disorder",
         defaults={
             "n_sites": 10,
             "eta": 1.0,
@@ -426,7 +419,6 @@ _DEFINITIONS = (
     ExperimentDef(
         name="fig3b",
         sweep_key="mbar",
-        description="atomic pair entanglement of the effective spin model versus mbar",
         defaults={
             "n_sites": 3,
             "eta": 1.0,
@@ -444,7 +436,6 @@ _DEFINITIONS = (
     ExperimentDef(
         name="fig3c",
         sweep_key="mbar",
-        description="XX-chain pair entanglement versus mbar at coupling = damping",
         defaults={
             "n_sites": 3,
             "coupling": 1.0,
@@ -460,7 +451,6 @@ _DEFINITIONS = (
     ExperimentDef(
         name="fig5a",
         sweep_key="kappa_end",
-        description="peak output-field entanglement versus end-site loss",
         defaults={
             "n_sites": 10,
             "eta": 1.0,
@@ -482,7 +472,6 @@ _DEFINITIONS = (
         name="fig5b",
         sweep_key="omega",
         point_key="kappa_end",
-        description="frequency-resolved output-field entanglement at fixed end loss",
         defaults={
             "n_sites": 10,
             "eta": 1.0,
@@ -500,7 +489,6 @@ _DEFINITIONS = (
     ExperimentDef(
         name="custom",
         sweep_key="point",
-        description="pair profile of a single user-supplied uniform configuration",
         defaults={
             "n_sites": 2,
             "eta": 1.0,

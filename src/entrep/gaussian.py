@@ -260,21 +260,6 @@ def _require_residual(what: str, residual: np.ndarray, source: float) -> None:
         )
 
 
-def _blocks(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
-    """The 2 x 2 block matrix of four ``(S, N, N)`` stacks, slice by slice.
-
-    Same result as ``np.block``, whose Python overhead exceeds the
-    eigenvalue solve of a small block.
-    """
-    return np.concatenate(
-        (
-            np.concatenate((top_left, top_right), axis=-1),
-            np.concatenate((bottom_left, bottom_right), axis=-1),
-        ),
-        axis=-2,
-    )
-
-
 class SchurForm(NamedTuple):
     """Complex Schur form ``drift = q t q^H``: ``t`` upper triangular, ``q`` unitary.
 
@@ -315,9 +300,10 @@ def _real_schur(gauged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real Schur forms ``gauged = z t z^T`` of each slice of a real ``(S, N, N)`` stack.
 
     ``t`` is quasi upper triangular in LAPACK's standard form: a complex
-    eigenvalue pair is a 2 x 2 diagonal block with equal diagonal entries,
-    and every other entry below the diagonal is exactly zero.  Raises
-    NoConvergence, naming the slice, when ``dgees`` reports a failure.
+    eigenvalue pair is a 2 x 2 diagonal block with equal diagonal entries
+    and off-diagonal entries of opposite signs, and every other entry below
+    the diagonal is exactly zero.  Raises NoConvergence, naming the slice,
+    when ``dgees`` reports a failure.
     """
     t, z = np.empty_like(gauged), np.empty_like(gauged)
     for index, one in enumerate(gauged):
@@ -332,18 +318,19 @@ def _real_schur(gauged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _split_pairs(t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex triangular ``t`` and unitary ``z`` from real Schur forms ``z t z^T``.
 
-    Each 2 x 2 block ``[[a, b], [c, d]]`` (``c != 0``) of ``t`` is split by
-    the rotation whose first column is its eigenvector ``(mu, c) / r``, ``mu
-    = lambda - d``, which leaves ``lambda`` above a zero.  The blocks are
-    disjoint and no rotation touches another block, so every rotation of
-    the stack comes from the original ``t`` and all are applied at once:
-    to the rows of ``t``, then to its columns, then to the columns of ``z``.
+    Each 2 x 2 block ``[[a, b], [c, a]]`` (``c != 0``) of ``t`` is in
+    ``dgees``'s standard form, so ``b c < 0`` and its eigenvalue is ``lambda
+    = a + i sqrt(|b|) sqrt(|c|)``; the roots are taken apart so that ``b c``
+    cannot overflow.  The block is split by the rotation whose first column
+    is its eigenvector ``(mu, c) / r``, ``mu = lambda - a``, which leaves
+    ``lambda`` above a zero.  The blocks are disjoint and no rotation
+    touches another block, so every rotation of the stack comes from the
+    original ``t`` and all are applied at once: to the rows of ``t``, then
+    to its columns, then to the columns of ``z``.
     """
     slices, k = np.nonzero(t.diagonal(offset=-1, axis1=-2, axis2=-1))
-    a, b = t[slices, k, k], t[slices, k, k + 1]
-    c, d = t[slices, k + 1, k], t[slices, k + 1, k + 1]
-    half = 0.5 * (a - d)
-    mu = half + np.sqrt(half * half + b * c + 0j)
+    b, c = t[slices, k, k + 1], t[slices, k + 1, k]
+    mu = 1j * np.sqrt(np.abs(b)) * np.sqrt(np.abs(c))
     r = np.hypot(np.abs(mu), c)
     cos, sin = (mu / r)[:, None], (c / r)[:, None]
     t, z = t.astype(complex), z.astype(complex)
@@ -443,10 +430,10 @@ def uncertainty_margin(
     """
     eye = np.eye(m.shape[-1])
     m_t = m.swapaxes(-1, -2)
-    first = _blocks(eye + n1.swapaxes(-1, -2), m, m_t.conj(), n2)
+    first = np.block([[eye + n1.swapaxes(-1, -2), m], [m_t.conj(), n2]])
     lowest = np.linalg.eigvalsh(first)[..., 0]
     if not mirrored:
-        second = _blocks(eye + n2.swapaxes(-1, -2), m_t, m.conj(), n1)
+        second = np.block([[eye + n2.swapaxes(-1, -2), m_t], [m.conj(), n1]])
         lowest = np.minimum(lowest, np.linalg.eigvalsh(second)[..., 0])
     failed = ~(lowest >= -0.5 * _PHYSICALITY_TOL)
     if failed.any():

@@ -26,15 +26,16 @@ the Z2 symmetry sectors are as in Albert and Jiang, Phys. Rev. A 89,
 022118 (2014).
 
 Every generator is assembled by one routine, :func:`quadratic_superop`,
-for a master equation quadratic in one list of operators;
-:func:`gksl_superop` is its GKSL front (Gorini, Kossakowski and
-Sudarshan, J. Math. Phys. 17, 821 (1976)).
+for a master equation quadratic in one list of operators, which derives
+the sandwich term that keeps it trace-preserving; :func:`gksl_superop`
+is its GKSL front (Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17,
+821 (1976)).  Sizes are read off the inputs, never passed alongside them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,23 +91,24 @@ def right_multiply(op) -> sp.csr_matrix:
     return sp.kron(mat.T, sp.identity(mat.shape[0], format="csr"), format="csr")
 
 
-def quadratic_superop(ops, left, right, mid) -> sp.csr_matrix:
-    """Superoperator quadratic in the operators ``ops = [o_1, ..., o_n]``.
+def quadratic_superop(ops, left, right) -> sp.csr_matrix:
+    """Trace-preserving superoperator quadratic in the operators ``ops = [o_1, ..., o_n]``.
 
-    ``left`` weights ``o_j o_k rho``, ``right`` weights ``rho o_j o_k``
-    and ``mid`` weights ``o_j rho o_k`` (each an ``n x n`` coefficient
-    matrix, summed over ``j, k``).  With the operators flattened into the
-    rows of ``F``, ``C @ F`` holds every k-sum ``sum_k C_jk o_k`` at once.
-    The one-sided terms are then one product ``[o_1 ... o_n] @
-    vstack_j(sum_k C_jk o_k)``, and the two-sided term ``sum_jk C_jk
-    (o_k^T kron o_j)`` is one COO: the entries of ``F^T @ (C @ F)`` moved to
-    their positions in the Kronecker product.
+    ``left`` weights ``o_j o_k rho`` and ``right`` weights ``rho o_j o_k``
+    (each an ``n x n`` coefficient matrix, summed over ``j, k``); ``o_j rho
+    o_k`` gets ``mid = -(left + right)^T``, the one weight that preserves the
+    trace.  With the operators flattened into the rows of ``F``, ``C @ F``
+    holds every k-sum ``sum_k C_jk o_k`` at once.  The one-sided terms are
+    then one product ``[o_1 ... o_n] @ vstack_j(sum_k C_jk o_k)``, and the
+    sandwich ``sum_jk mid_jk (o_k^T kron o_j)`` is one COO: the entries of
+    ``F^T @ (mid @ F)`` moved to their positions in the Kronecker product.
     """
     ops = [_csr(op) for op in ops]
     dim = ops[0].shape[0]
     n_ops = len(ops)
     flat = sp.vstack([op.reshape(1, dim * dim) for op in ops], format="csr")
     side_by_side = sp.hstack(ops, format="csr")
+    mid = -(np.asarray(left) + np.asarray(right)).T
 
     def k_sums(coeff) -> sp.csr_matrix:
         return sp.csr_matrix(np.asarray(coeff, complex)) @ flat
@@ -143,7 +145,7 @@ def gksl_superop(ops, h, e) -> sp.csr_matrix:
     """
     h = np.asarray(h)
     e = np.asarray(e)
-    return quadratic_superop(ops, -1j * h - e.T, 1j * h - e.T, 2.0 * e)
+    return quadratic_superop(ops, -1j * h - e.T, 1j * h - e.T)
 
 
 def _operator_sectors(charge: np.ndarray) -> np.ndarray:
@@ -161,19 +163,18 @@ def _largest_crossing(matrix: sp.csr_matrix, sector: np.ndarray) -> float:
 class Liouvillian:
     """Vectorized generator of a finite-dimensional master equation.
 
-    ``matrix`` must be finite; a copy without its round-off, the entries at
-    or below ``ROUNDOFF_RTOL * scale``, is stored.  ``charge`` holds one
-    integer U(1) charge per Hilbert basis state (default all zeros); every
-    stored entry must map its operator sector ``charge[i] - charge[j]`` to
-    itself.  ``swap`` optionally declares a symmetry: a permutation ``s`` of
-    the Hilbert basis, an involution with ``charge[s] == -charge``, whose
-    superoperator ``rho_ij -> rho_s(i)s(j)`` the generator commutes with
-    (the exchange of two identical arrays).  Construction checks only the
-    permutation; the commutation is checked where the solve uses it
-    (:func:`steady_state_dm`).
+    ``matrix`` must be finite and square, of side ``dim**2``; a copy without
+    its round-off, the entries at or below ``ROUNDOFF_RTOL * scale``, is
+    stored.  ``charge`` holds one integer U(1) charge per Hilbert basis state
+    (default all zeros); every stored entry must map its operator sector
+    ``charge[i] - charge[j]`` to itself.  ``swap`` optionally declares a
+    symmetry: a permutation ``s`` of the Hilbert basis, an involution with
+    ``charge[s] == -charge``, whose superoperator ``rho_ij -> rho_s(i)s(j)``
+    the generator commutes with (the exchange of two identical arrays).
+    Construction checks only the permutation; the commutation is checked
+    where the solve uses it (:func:`steady_state_dm`).
     """
 
-    dim: int
     matrix: sp.csr_matrix  # any sparse matrix or dense array; stored as CSR
     charge: np.ndarray | None = None  # stored as a read-only int64 array
     swap: np.ndarray | None = None  # stored as a read-only int64 array
@@ -181,11 +182,9 @@ class Liouvillian:
     def __post_init__(self) -> None:
         # the round-off is dropped below, so store a copy of the caller's matrix
         object.__setattr__(self, "matrix", _csr(self.matrix).copy())
-        side = self.dim * self.dim
-        if self.matrix.shape != (side, side):
-            raise ConfigInvalid(
-                f"generator shape {self.matrix.shape} does not match dim {self.dim}"
-            )
+        rows, cols = self.matrix.shape
+        if rows != cols or isqrt(rows) ** 2 != rows:
+            raise ConfigInvalid(f"generator shape {self.matrix.shape} is not square of square side")
         if not np.isfinite(self.scale):
             raise ConfigInvalid("generator has non-finite entries")
         self.matrix.data[np.abs(self.matrix.data) <= ROUNDOFF_RTOL * self.scale] = 0
@@ -210,6 +209,11 @@ class Liouvillian:
                 f"generator entry {crossing:.3e} crosses charge sectors "
                 f"(above {ROUNDOFF_RTOL:.0e} * scale {self.scale:.3e})"
             )
+
+    @property
+    def dim(self) -> int:
+        """Hilbert dimension: the square root of the generator's side."""
+        return isqrt(self.matrix.shape[0])
 
     def _basis_integers(self, values, name: str) -> np.ndarray:
         """``values`` as a read-only int64 array of one entry per basis state."""
@@ -482,7 +486,10 @@ def partial_trace(
     n_sites = len(dims)
     if len(set(keep)) != len(keep) or any(not 0 <= s < n_sites for s in keep):
         raise IndexOutOfRange(f"cannot keep subsystems {keep} of {n_sites}")
-    tensor = np.asarray(rho).reshape(dims + dims)
+    rho, side = np.asarray(rho), prod(dims)
+    if rho.shape != (side, side):
+        raise ConfigInvalid(f"state of shape {rho.shape} does not fit dims {dims} (side {side})")
+    tensor = rho.reshape(dims + dims)
     row = list(range(n_sites))
     col = list(range(n_sites, 2 * n_sites))
     for site in range(n_sites):
@@ -494,10 +501,17 @@ def partial_trace(
     return reduced.reshape(dim_keep, dim_keep)
 
 
-def reduced_pair_dm(rho: np.ndarray, j: int, k: int, n_qubits: int) -> np.ndarray:
-    """4x4 state of qubits ``j`` and ``k`` (0-based), traced over the rest."""
+def reduced_pair_dm(rho: np.ndarray, j: int, k: int) -> np.ndarray:
+    """4x4 state of qubits ``j`` and ``k`` (0-based) of ``rho``, traced over the rest.
+
+    The qubit count is ``log2`` of ``rho``'s side; any other side is refused.
+    """
     if j == k:
         raise IndexOutOfRange(f"need two distinct qubits, got ({j}, {k})")
+    side = len(rho)
+    n_qubits = side.bit_length() - 1
+    if side < 1 or side != 1 << n_qubits:
+        raise ConfigInvalid(f"state side {side} is not a power of two: not a state of qubits")
     return partial_trace(rho, (2,) * n_qubits, (j, k))
 
 

@@ -116,8 +116,14 @@ class OutputSpectrum:
 
     omegas: np.ndarray
     raw: np.ndarray
-    normalized: np.ndarray
     pair: tuple[int, int]
+
+    @property
+    def normalized(self) -> np.ndarray:
+        """``raw / (1 + raw)`` at every frequency, read-only."""
+        norm = normalized_logneg(self.raw)
+        norm.flags.writeable = False
+        return norm
 
     @property
     def peak_raw(self) -> float:
@@ -168,7 +174,7 @@ def output_pair_spectrum(
     """
     moments, omegas, pair = _prepared(cfg, omegas, pair)
     raw = pair_logneg(*output_covariance(cfg, moments, pair, omegas))
-    return OutputSpectrum(omegas=omegas, raw=raw, normalized=normalized_logneg(raw), pair=pair)
+    return OutputSpectrum(omegas=omegas, raw=raw, pair=pair)
 
 
 def peak_frequency(

@@ -18,8 +18,9 @@ Each route is a master equation quadratic in one stacked list of site
 operators, and each is assembled by one routine: the builders fill small
 coefficient matrices over their operators, a Hamiltonian matrix ``h``
 and a jump matrix ``e``, for :func:`entrep.liouville.gksl_superop`, and
-the general reduction hands its kernels straight to the assembler under
-it, :func:`entrep.liouville.quadratic_superop`.  The squeezed reservoir
+the general reduction hands its one-sided kernels straight to the
+assembler under it, :func:`entrep.liouville.quadratic_superop`, which
+derives the trace-preserving sandwich term.  The squeezed reservoir
 on the two driven end sites is one block of ``e`` (:func:`_end_drive`).
 
 Every model lives on a product of sites, each a ``d``-level truncated
@@ -176,7 +177,6 @@ def _array_liouvillian(
     are identical.
     """
     return Liouvillian(
-        dim=prod(dims),
         matrix=generator,
         charge=_array_charge(dims, n_sites),
         swap=_array_swap(dims, n_sites) if identical_arrays else None,
@@ -307,7 +307,8 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     the Schur forms of the exact drift ``M = diag(L_1, L_2, conj L_1, conj
     L_2)`` and the stacked moments ``A0``; the memory kernels follow by
     integrating the field correlations, ``kernel = g^2 M^{-1} A0`` and
-    ``kernel_reversed = g^2 M^{-1} A0^T``, which are the coefficients of
+    ``kernel_reversed = g^2 M^{-1} A0^T``; ``kernel`` and its reversed
+    partner's transpose are the one-sided coefficients of
     :func:`entrep.liouville.quadratic_superop` over the stacked spin
     operators.  ``M^{-1}`` is applied block by block on the forms.  Emits a
     warning when the timescale-separation ratio, read off the same forms,
@@ -332,12 +333,7 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     kernel, kernel_reversed = np.split(solved, 2, axis=1)
     # drho = sum_jk [T_jk s_j s_k rho + (Tbar^T)_jk rho s_j s_k
     #                - (T^T + Tbar)_jk s_j rho s_k]
-    generator = quadratic_superop(
-        _stacked_spin_ops(n_pairs),
-        kernel,
-        kernel_reversed.T,
-        -(kernel.T + kernel_reversed),
-    )
+    generator = quadratic_superop(_stacked_spin_ops(n_pairs), kernel, kernel_reversed.T)
     return _array_liouvillian(_spin_dims(n_pairs), n_pairs, generator, cfg.mirrored)
 
 

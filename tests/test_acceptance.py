@@ -165,7 +165,7 @@ def test_criterion_5_spin_fixed_point():
         infidelity = 1.0 - fidelity_pure(rho, replicated_state(nbar, n_pairs))
         worst_infidelity = max(worst_infidelity, infidelity)
         for j in range(n_pairs):
-            value = logneg_qubits(reduced_pair_dm(rho, j, n_pairs + j, 2 * n_pairs))
+            value = logneg_qubits(reduced_pair_dm(rho, j, n_pairs + j))
             worst_logneg_gap = max(worst_logneg_gap, abs(value - target))
     _report(
         5,

@@ -376,6 +376,17 @@ class TestEntanglementProfile:
         assert np.abs(profile.raw - profile.drive_raw).max() <= 1e-10
         assert abs(profile.drive_raw - driving_entanglement(1.0, math.sqrt(2.0))) <= 1e-15
 
+    def test_derived_fields_follow_the_stored_ones(self):
+        cfg = ArrayConfig.homogeneous(3, eta=1.0, kappa=0.1, zeta=1.0, nbar=1.0, mbar=1.2)
+        profile = pair_entanglement_profile(cfg)
+        result = disorder_sweep(DisorderSpec(base=cfg, delta_xi=0.3, samples=4, seed=2))
+        assert profile.pair_labels == result.pair_labels == (1, 2, 3)
+        assert np.array_equal(profile.normalized, profile.raw / (1.0 + profile.raw))
+        for record in (profile, result):
+            assert record.drive_normalized == record.drive_raw / (1.0 + record.drive_raw)
+        for arr in (profile.raw, profile.normalized, result.raw_mean, result.norm_sem):
+            assert not arr.flags.writeable
+
     def test_separable_drive_replicates_nothing(self):
         cfg = ArrayConfig.homogeneous(3, eta=1.0, kappa=0.05, zeta=1.0, nbar=1.0, mbar=1.0)
         profile = pair_entanglement_profile(cfg)
@@ -486,14 +497,12 @@ def per_sample_disorder_sweep(spec: DisorderSpec) -> DisorderResult:
     else:
         sem = np.zeros(norm.shape[1])
     return DisorderResult(
-        pair_labels=profiles[0].pair_labels,
         raw_mean=raw.mean(axis=0),
         norm_mean=norm.mean(axis=0),
         norm_min=norm.min(axis=0),
         norm_max=norm.max(axis=0),
         norm_sem=sem,
         drive_raw=profiles[0].drive_raw,
-        drive_normalized=profiles[0].drive_normalized,
         samples=spec.samples,
     )
 

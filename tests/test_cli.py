@@ -173,8 +173,12 @@ class TestRun:
             ("custom", ["nbar=1e308", "mbar=1e308"], "NoConvergence: Sylvester residual"),
             # g**2 overflows in the effective model's kernels
             ("fig3b", ["g=1e200"], "ConfigInvalid: need a positive spin-field coupling"),
+            # eta**2 would overflow in a Schur pair split; the refusal may be
+            # reworded, so only the failing sweep point is pinned
+            ("custom", ["eta=1e200", "n_sites=3"], "sweep point"),
+            ("fig3a", ["eta=1e200", "samples=3"], "sweep point"),
         ],
-        ids=["nbar-overflow", "g-overflow"],
+        ids=["nbar-overflow", "g-overflow", "eta-overflow", "eta-overflow-disorder"],
     )
     def test_overflowing_input_exits_2(self, tmp_path, capsys, experiment, overrides, message):
         out = tmp_path / "x.csv"

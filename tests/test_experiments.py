@@ -44,7 +44,6 @@ class TestRegistry:
         assert len(EXPERIMENTS) >= 11
         for name, exp in EXPERIMENTS.items():
             assert exp.name == name
-            assert exp.description
             assert exp.defaults
             assert exp.columns[0] == exp.sweep_key
             assert len(set(exp.columns)) == len(exp.columns)

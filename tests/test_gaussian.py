@@ -427,6 +427,19 @@ class TestStackedCore:
         assert complex_pairs("mixed").any(axis=-1).all()
         assert not complex_pairs("mixed").all(axis=-1).any()
 
+    @pytest.mark.parametrize(
+        "kind", ["lossless", "overdamped", "mixed", "one-site", "two-site", "exceptional"]
+    )
+    def test_real_schur_blocks_are_in_standard_form(self, kind):
+        # the pair split relies on it: every 2 x 2 block [[a, b], [c, d]] has
+        # a == d exactly and b c < 0, so no b c is formed that could overflow
+        stack = block_structure_stack(kind)
+        phases = np.array([1, 1j, -1, -1j])[np.arange(stack.shape[-1]) % 4]
+        t, _ = entrep.gaussian._real_schur((phases[:, None] * stack * phases.conj()).real)
+        slices, k = np.nonzero(t.diagonal(offset=-1, axis1=-2, axis2=-1))
+        assert np.array_equal(t[slices, k, k], t[slices, k + 1, k + 1])
+        assert np.all(t[slices, k, k + 1] * t[slices, k + 1, k] < 0.0)
+
     def test_refuses_a_drift_that_is_not_an_open_chain(self):
         # all-to-all Hermitian hopping: no gauge makes it real
         rng = np.random.default_rng(0)

@@ -98,7 +98,7 @@ def absorbing_liouvillian(rng, dim, with_hamiltonian=True):
             + rest @ (h_rand + h_rand.conj().T) @ rest
         )
         generator = generator + hamiltonian_superop(hamiltonian)
-    return Liouvillian(dim=dim, matrix=generator.tocsr()), psi
+    return Liouvillian(matrix=generator.tocsr()), psi
 
 
 def svd_steady_state(liou, gap_rtol=1e-8):
@@ -130,7 +130,7 @@ def charged_liouvillian(rng, n_qubits):
     for jump_charge in (-1, 1, int(rng.choice([-1, 1]))):
         jump = np.where(shift == jump_charge, random_matrix(rng, dim), 0.0)
         generator = generator + lindblad_dissipator(jump, rng.uniform(0.5, 2.0))
-    return Liouvillian(dim=dim, matrix=generator, charge=charge)
+    return Liouvillian(matrix=generator, charge=charge)
 
 
 def swapped_liouvillian(rng, dim):
@@ -152,7 +152,7 @@ def swapped_liouvillian(rng, dim):
         jump, rate = random_matrix(rng, dim), rng.uniform(0.5, 2.0)
         generator = generator + lindblad_dissipator(jump, rate)
         generator = generator + lindblad_dissipator(perm @ jump @ perm.T, rate)
-    return Liouvillian(dim=dim, matrix=generator, swap=swap)
+    return Liouvillian(matrix=generator, swap=swap)
 
 
 def qubit_decay(dims, rates):
@@ -161,7 +161,7 @@ def qubit_decay(dims, rates):
         lindblad_dissipator(embed_operator({site: QUBIT_LOWER}, dims), rate)
         for site, rate in rates.items()
     )
-    return Liouvillian(dim=2 ** len(dims), matrix=generator)
+    return Liouvillian(matrix=generator)
 
 
 class TestVectorization:
@@ -194,10 +194,12 @@ class TestVectorization:
     def test_assembler_matches_dense_products(self, dim, n_ops, seed):
         rng = np.random.default_rng(seed)
         ops = [random_matrix(rng, dim) for _ in range(n_ops)]
-        left, right, mid, h_mat, e_mat = (random_matrix(rng, n_ops) for _ in range(5))
+        left, right, h_mat, e_mat = (random_matrix(rng, n_ops) for _ in range(4))
         x_mat = random_matrix(rng, dim)
         pairs = [(j, k) for j in range(n_ops) for k in range(n_ops)]
-        got = unvec(quadratic_superop(ops, left, right, mid) @ vec(x_mat), dim)
+        got = unvec(quadratic_superop(ops, left, right) @ vec(x_mat), dim)
+        # the sandwich term is the one that preserves the trace
+        mid = -(left + right).T
         want = sum(
             left[j, k] * ops[j] @ ops[k] @ x_mat
             + right[j, k] * x_mat @ ops[j] @ ops[k]
@@ -205,6 +207,7 @@ class TestVectorization:
             for j, k in pairs
         )
         assert np.allclose(got, want)
+        assert abs(np.trace(got)) <= 1e-10 * max(1.0, np.abs(want).max())
         # the GKSL front: -i [H, X] + sum_jk e_jk (2 o_j X o_k - {o_k o_j, X})
         hamiltonian = sum(h_mat[j, k] * ops[j] @ ops[k] for j, k in pairs)
         got = unvec(gksl_superop(ops, h_mat, e_mat) @ vec(x_mat), dim)
@@ -240,7 +243,7 @@ class TestGeneratorStructure:
             generator = generator + lindblad_dissipator(
                 random_matrix(rng, dim), rng.uniform(0.1, 2.0)
             )
-        liou = Liouvillian(dim=dim, matrix=generator.tocsr())
+        liou = Liouvillian(matrix=generator.tocsr())
         assert trace_defect(liou) <= 1e-12 * max(1.0, liou.scale)
         rho = random_density_matrix(rng, dim)
         image = liou.apply(rho)
@@ -248,32 +251,36 @@ class TestGeneratorStructure:
         assert np.abs(image - image.conj().T).max() <= 1e-12 * max(1.0, liou.scale)
 
     def test_liouvillian_shape_mismatch_rejected(self):
+        # the generator's side is dim**2: it must be square, with a square side
+        with pytest.raises(ConfigInvalid, match="not square"):
+            Liouvillian(matrix=sp.identity(4, format="csr")[:, :3])
+        with pytest.raises(ConfigInvalid, match="not square"):
+            Liouvillian(matrix=sp.identity(3, format="csr"))
+        assert Liouvillian(matrix=sp.identity(9, format="csr")).dim == 3
         with pytest.raises(ConfigInvalid):
-            Liouvillian(dim=3, matrix=sp.identity(4, format="csr"))
+            Liouvillian(matrix=sp.identity(4, format="csr"), charge=[0, 1, 2])
         with pytest.raises(ConfigInvalid):
-            Liouvillian(dim=2, matrix=sp.identity(4, format="csr"), charge=[0, 1, 2])
-        with pytest.raises(ConfigInvalid):
-            Liouvillian(dim=2, matrix=sp.identity(4, format="csr"), charge=[0, 0.5])
+            Liouvillian(matrix=sp.identity(4, format="csr"), charge=[0, 0.5])
 
     def test_cross_sector_entry_rejected(self):
         # vec index 1 is rho_10 (sector 1), index 0 is rho_00 (sector 0)
         generator = lindblad_dissipator(QUBIT_LOWER, 1.0).tolil()
         generator[1, 0] = 0.3
         with pytest.raises(ConfigInvalid, match="crosses charge sectors"):
-            Liouvillian(dim=2, matrix=generator, charge=[0, 1])
+            Liouvillian(matrix=generator, charge=[0, 1])
         # without a charge every entry is in the one sector
-        Liouvillian(dim=2, matrix=generator)
+        Liouvillian(matrix=generator)
 
     def test_round_off_cross_sector_entry_dropped(self):
         generator = lindblad_dissipator(QUBIT_LOWER, 1.0).tolil()
         generator[1, 0] = 1e-15
         generator = generator.tocsr()
-        liou = Liouvillian(dim=2, matrix=generator, charge=[0, 1])
+        liou = Liouvillian(matrix=generator, charge=[0, 1])
         # the round-off is dropped from a copy; the caller's matrix keeps it
         assert liou.matrix[1, 0] == 0.0 and liou.matrix.nnz == generator.nnz - 1
         assert generator[1, 0] == 1e-15
         # the floor holds in every sector, not only for crossing entries
-        assert Liouvillian(dim=2, matrix=generator).matrix.nnz == generator.nnz - 1
+        assert Liouvillian(matrix=generator).matrix.nnz == generator.nnz - 1
         rho = steady_state_dm(liou)
         assert np.array_equal(rho, np.diag([1.0, 0.0]))
 
@@ -328,7 +335,7 @@ class TestSteadyState:
         generator = lindblad_dissipator(QUBIT_LOWER, nbar + 1.0) + lindblad_dissipator(
             QUBIT_LOWER.T, nbar
         )
-        rho = steady_state_dm(Liouvillian(dim=2, matrix=generator))
+        rho = steady_state_dm(Liouvillian(matrix=generator))
         expected = np.diag([(nbar + 1.0), nbar]) / (2.0 * nbar + 1.0)
         assert np.abs(rho - expected).max() <= 1e-12
 
@@ -340,12 +347,10 @@ class TestSteadyState:
             qubit_decay((2, 2, 2), {0: 1.0}),
             # pure dephasing keeps every diagonal state; SuperLU fails
             # here with a different message than "exactly singular"
-            Liouvillian(dim=6, matrix=lindblad_dissipator(np.diag(np.arange(6.0)), 1.0)),
+            Liouvillian(matrix=lindblad_dissipator(np.diag(np.arange(6.0)), 1.0)),
             # the same with six charge sectors: the block is the diagonal alone
             Liouvillian(
-                dim=6,
-                matrix=lindblad_dissipator(np.diag(np.arange(6.0)), 1.0),
-                charge=np.arange(6),
+                matrix=lindblad_dissipator(np.diag(np.arange(6.0)), 1.0), charge=np.arange(6)
             ),
         ],
         ids=["two-qubits", "three-qubits", "dephasing-d6", "dephasing-d6-charged"],
@@ -368,7 +373,7 @@ class TestSteadyState:
             -0.3j * np.diag([1.0, -1.0])
         )
         with pytest.raises(ConfigInvalid, match="does not preserve Hermiticity"):
-            steady_state_dm(Liouvillian(dim=2, matrix=generator))
+            steady_state_dm(Liouvillian(matrix=generator))
 
     def test_factored_system_is_real_and_block_sized(self, monkeypatch):
         factored = []
@@ -406,9 +411,7 @@ class TestSteadyState:
                 (1, 3, 1.0), (2, 3, 1.0), (1, 0, 1.0), (2, 0, 1.0), (1, 2, leak), (2, 1, leak)
             ]
         )
-        liou = Liouvillian(
-            dim=4, matrix=generator, charge=[0, -1, 1, 0], swap=[0, 2, 1, 3]
-        )
+        liou = Liouvillian(matrix=generator, charge=[0, -1, 1, 0], swap=[0, 2, 1, 3])
         with pytest.raises(DegenerateSteadyState, match=message):
             steady_state_dm(liou)
 
@@ -416,20 +419,20 @@ class TestSteadyState:
         # qubits decaying at unequal rates do not commute with their swap
         unequal = qubit_decay((2, 2), {0: 1.0, 1: 2.0}).matrix
         with pytest.raises(ConfigInvalid, match="does not commute with the declared swap"):
-            steady_state_dm(Liouvillian(dim=4, matrix=unequal, swap=[0, 2, 1, 3]))
+            steady_state_dm(Liouvillian(matrix=unequal, swap=[0, 2, 1, 3]))
         equal = qubit_decay((2, 2), {0: 1.0, 1: 1.0}).matrix
         with pytest.raises(ConfigInvalid, match="not a permutation"):
-            Liouvillian(dim=4, matrix=equal, swap=[0, 2, 2, 3])
+            Liouvillian(matrix=equal, swap=[0, 2, 2, 3])
         with pytest.raises(ConfigInvalid, match="not a permutation"):
-            Liouvillian(dim=4, matrix=equal, swap=[0, 2, 1, 4])
+            Liouvillian(matrix=equal, swap=[0, 2, 1, 4])
         with pytest.raises(ConfigInvalid, match="swap must hold 4 integers"):
-            Liouvillian(dim=4, matrix=equal, swap=[0.0, 2.0, 1.0, 3.0])
+            Liouvillian(matrix=equal, swap=[0.0, 2.0, 1.0, 3.0])
         with pytest.raises(ConfigInvalid, match="not an involution"):
-            Liouvillian(dim=4, matrix=equal, swap=[1, 2, 0, 3])
+            Liouvillian(matrix=equal, swap=[1, 2, 0, 3])
         # the charge N_0 - N_1 is negated by the swap, N_0 + N_1 is not
         with pytest.raises(ConfigInvalid, match="does not map charge to -charge"):
-            Liouvillian(dim=4, matrix=equal, charge=[0, 1, 1, 2], swap=[0, 2, 1, 3])
-        swapped = Liouvillian(dim=4, matrix=equal, charge=[0, -1, 1, 0], swap=[0, 2, 1, 3])
+            Liouvillian(matrix=equal, charge=[0, 1, 1, 2], swap=[0, 2, 1, 3])
+        swapped = Liouvillian(matrix=equal, charge=[0, -1, 1, 0], swap=[0, 2, 1, 3])
         assert not swapped.swap.flags.writeable
         assert np.array_equal(steady_state_dm(swapped), np.diag([1.0, 0.0, 0.0, 0.0]))
 
@@ -461,7 +464,7 @@ class TestSteadyState:
             generator = lindblad_dissipator(QUBIT_LOWER, 1.0).tolil()
             generator[1, 2] = bad
             with pytest.raises(ModelError):
-                steady_state_dm(Liouvillian(dim=2, matrix=generator))
+                steady_state_dm(Liouvillian(matrix=generator))
 
 
 class TestOperators:
@@ -517,7 +520,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(8)
         singles = [random_density_matrix(rng, 2) for _ in range(3)]
         joint = np.kron(np.kron(singles[0], singles[1]), singles[2])
-        got = reduced_pair_dm(joint, 0, 2, 3)
+        got = reduced_pair_dm(joint, 0, 2)
         assert np.allclose(got, np.kron(singles[0], singles[2]))
 
     def test_bad_subsystems_rejected(self):
@@ -525,7 +528,15 @@ class TestPartialTrace:
         with pytest.raises(IndexOutOfRange):
             partial_trace(rho, (2, 2), (0, 2))
         with pytest.raises(IndexOutOfRange):
-            reduced_pair_dm(rho, 1, 1, 2)
+            reduced_pair_dm(rho, 1, 1)
+        # the state must have the size the subsystems multiply to
+        with pytest.raises(ConfigInvalid, match=r"\(16, 16\).*\(2, 2, 3\).*12"):
+            partial_trace(np.eye(16) / 16, (2, 2, 3), (0,))
+        with pytest.raises(ConfigInvalid, match=r"\(4, 2\)"):
+            partial_trace(np.ones((4, 2)), (2, 2), (0,))
+        # a state of qubits has a power-of-two side
+        with pytest.raises(ConfigInvalid, match="side 6 is not a power of two"):
+            reduced_pair_dm(np.eye(6) / 6, 0, 1)
 
 
 class TestQubitLogneg:

@@ -339,6 +339,7 @@ class TestPairSpectra:
         assert spec.pair == (2, 5)
         assert np.allclose(spec.raw, spec.raw[::-1], atol=1e-10)
         assert np.all(spec.normalized == spec.raw / (1.0 + spec.raw))
+        assert not spec.normalized.flags.writeable
 
     def test_end_damped_chain_peaks_at_normal_modes(self):
         # with ports only on the far ends, the entanglement spectrum

@@ -33,6 +33,18 @@ def test_readme_quick_start_imports_are_exported():
         assert hasattr(entrep, name), name
 
 
+def test_readme_quick_start_runs_and_prints_its_comments(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Quick start \(Python\)\n\n```python\n(.*?)```", text, re.S)
+    assert block is not None
+    exec(compile(block.group(1), str(README), "exec"), {})
+    values = re.findall(r"\d+\.\d+", capsys.readouterr().out)
+    # twenty replicated pairs, the reservoir's own value, then the spin pair
+    assert len(values) == 22
+    assert all(value.startswith("2.543106") for value in values[:21])
+    assert values[21].startswith("0.958144")
+
+
 EXPORTING_MODULES = sorted(
     module
     for module in (f"entrep.{info.name}" for info in pkgutil.iter_modules(entrep.__path__))

@@ -139,7 +139,7 @@ class TestXXChains:
         rho = steady_state_dm(build_xx_liouvillian(2, 1.0, 0.5, nbar, pure_drive(nbar)))
         expected = pure_pair_logneg(pair_amplitude(nbar))
         for pair in ((0, 2), (1, 3)):
-            value = logneg_qubits(reduced_pair_dm(rho, *pair, 4))
+            value = logneg_qubits(reduced_pair_dm(rho, *pair))
             assert value == pytest.approx(expected, abs=1e-8)
 
     def test_thermal_drive_gives_product_thermal_state(self):
@@ -155,7 +155,7 @@ class TestXXChains:
         nbar = 0.8
         rho = steady_state_dm(build_xx_liouvillian(2, 1.0, 0.5, nbar, nbar))
         for pair in ((0, 2), (1, 3)):
-            assert logneg_qubits(reduced_pair_dm(rho, *pair, 4)) == 0.0
+            assert logneg_qubits(reduced_pair_dm(rho, *pair)) == 0.0
 
     def test_entanglement_onset_sits_close_to_the_pure_drive_point(self):
         # the spin pairs entangle only near maximal reservoir squeezing:
@@ -167,7 +167,7 @@ class TestXXChains:
             rho = steady_state_dm(
                 build_xx_liouvillian(2, 1.0, 0.5, nbar, fraction * pure_drive(nbar))
             )
-            values.append(logneg_qubits(reduced_pair_dm(rho, 0, 2, 4)))
+            values.append(logneg_qubits(reduced_pair_dm(rho, 0, 2)))
         assert 0.9 * pure_drive(nbar) > nbar  # the drive itself is entangled
         assert values[0] == 0.0
         assert 0.0 < values[1] < values[2]
@@ -215,7 +215,7 @@ class TestXXChains:
         assert 1.0 - fidelity_pure(rho, replicated_state(nbar, 4)) <= 1e-8
         expected = pure_pair_logneg(pair_amplitude(nbar))
         for j in range(4):
-            value = logneg_qubits(reduced_pair_dm(rho, j, 4 + j, 8))
+            value = logneg_qubits(reduced_pair_dm(rho, j, 4 + j))
             assert value == pytest.approx(expected, abs=1e-8)
 
 
@@ -256,13 +256,15 @@ def kron_lowering_ops(dims: tuple[int, ...]) -> list[sp.csr_matrix]:
     ]
 
 
-def loop_quadratic_superop(sbar, coeff_left, coeff_right, coeff_mid) -> sp.csr_matrix:
+def loop_quadratic_superop(sbar, coeff_left, coeff_right) -> sp.csr_matrix:
     """The quadratic spin terms as a double loop of sparse additions.
 
     Reference for ``quadratic_superop``: ``coeff_left`` weights ``s_j
-    s_k rho``, ``coeff_right`` ``rho s_j s_k`` and ``coeff_mid`` ``s_j rho
-    s_k``; the sandwich is ``sum_j kron((sum_k C_jk s_k)^T, s_j)``.
+    s_k rho``, ``coeff_right`` ``rho s_j s_k`` and the trace-preserving
+    ``coeff_mid = -(coeff_left + coeff_right)^T`` ``s_j rho s_k``; the
+    sandwich is ``sum_j kron((sum_k C_jk s_k)^T, s_j)``.
     """
+    coeff_mid = -(np.asarray(coeff_left) + np.asarray(coeff_right)).T
     dim = sbar[0].shape[0]
     q_left = sp.csr_matrix((dim, dim), dtype=complex)
     q_right = sp.csr_matrix((dim, dim), dtype=complex)
@@ -387,7 +389,7 @@ def reduced_config(n_sites, *, nbar, mbar, g=0.02, eta=1.0, zeta=1.0, kappa=0.0)
 
 def without_swap(liou):
     """The same generator and charge with no swap declared."""
-    return Liouvillian(dim=liou.dim, matrix=liou.matrix, charge=liou.charge)
+    return Liouvillian(matrix=liou.matrix, charge=liou.charge)
 
 
 def swap_cases():
@@ -457,7 +459,7 @@ class TestEffectiveReduction:
         assert fidelity_pure(rho, replicated_state(nbar, 3)) >= 1.0 - 1e-6
         expected = pure_pair_logneg(pair_amplitude(nbar))
         for pair in ((0, 3), (1, 4), (2, 5)):
-            value = logneg_qubits(reduced_pair_dm(rho, *pair, 6))
+            value = logneg_qubits(reduced_pair_dm(rho, *pair))
             assert value == pytest.approx(expected, abs=1e-6)
 
     def test_three_pair_solve_is_bitwise_repeatable(self):
