@@ -235,9 +235,9 @@ class SteadyMoments:
         return np.block([[pairs, np.eye(len(normal)) + normal.T], [normal, pairs.conj()]])
 
 
-def _read_only(values) -> np.ndarray:
-    """``values`` as a float array that cannot be written to."""
-    arr = np.array(values, dtype=float)
+def read_only(values, dtype=float) -> np.ndarray:
+    """A copy of ``values`` as a ``dtype`` array (``None`` keeps its own) that cannot be written to."""
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -255,7 +255,7 @@ class EntanglementProfile:
     drive_raw: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "raw", _read_only(self.raw))
+        object.__setattr__(self, "raw", read_only(self.raw))
 
     @property
     def pair_labels(self) -> tuple[int, ...]:
@@ -264,7 +264,7 @@ class EntanglementProfile:
     @property
     def normalized(self) -> np.ndarray:
         """``raw / (1 + raw)`` of every pair."""
-        return _read_only(normalized_logneg(self.raw))
+        return read_only(normalized_logneg(self.raw))
 
     @property
     def drive_normalized(self) -> float:
@@ -415,7 +415,7 @@ class DisorderResult:
 
     def __post_init__(self) -> None:
         for field in ("raw_mean", "norm_mean", "norm_min", "norm_max", "norm_sem"):
-            object.__setattr__(self, field, _read_only(getattr(self, field)))
+            object.__setattr__(self, field, read_only(getattr(self, field)))
 
     @property
     def pair_labels(self) -> tuple[int, ...]:

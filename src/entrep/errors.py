@@ -9,7 +9,12 @@ reports them separately.
 
 :func:`as_integer` is the one rule every count, index and seed passes on its
 way in, :func:`as_seed` the one seed range and :data:`ROUNDOFF_RTOL` the one
-round-off level; they live here because every module already imports this one.
+round-off level.  :func:`certify` is the one comparison of a solver certificate
+with its threshold: every bound a solver result must meet (Hurwitz margin,
+residuals, physicality, kernel condition, truncation shift) passes through it,
+so a NaN or an infinite value fails each of them alike, and every refusal names
+the value, the bound and the failing slice.  They live here because every
+module already imports this one.
 """
 
 from __future__ import annotations
@@ -109,3 +114,24 @@ def as_integer(key: str, value, minimum: int | None = None, bound: int | None = 
 def as_seed(value) -> int:
     """``value`` as a seed: an integer that fits in an unsigned 64-bit word."""
     return as_integer("seed", value, 0, 2**64)
+
+
+def certify(values, bound, error: type[ModelError], what: str, *, strict: bool = False):
+    """``values``, unchanged, when each is finite and ``<= bound`` (``< bound`` if ``strict``).
+
+    Otherwise raises ``error``.  A NaN fails every comparison and an infinite
+    value is not finite, so neither can pass.  ``values`` is a scalar or holds
+    one entry (or row) per slice of an ``(S, ...)`` stack, and ``bound`` is a
+    scalar or broadcasts against it.  The message is ``what``, then the first
+    failing slice of a stack, then that value and its bound.  A lower bound
+    ``x >= b`` is certified as ``-x <= -b``.
+    """
+    checked = np.asarray(values)
+    passed = np.isfinite(checked) & (checked < bound if strict else checked <= bound)
+    if passed.all():
+        return values
+    first = int(np.flatnonzero(~passed)[0])
+    where = f" (slice {np.unravel_index(first, passed.shape)[0]})" if passed.ndim else ""
+    value = np.broadcast_to(checked, passed.shape).flat[first]
+    limit = np.broadcast_to(bound, passed.shape).flat[first]
+    raise error(f"{what}{where} = {value:.6g}, not {'<' if strict else '<='} {limit:.6g}")

@@ -9,8 +9,9 @@
   take stacks ``(S, N, N)`` of S independent problems of one size (a single
   problem is a stack of one): only the Schur factorization and the triangular
   ``ztrsyl`` solve run once per slice, while the back-transform, the residual
-  and margin certificates run once per stack, and a refusal names the first
-  slice that failed.
+  and margin certificates run once per stack.  Every certificate is compared
+  with its bound by :func:`~entrep.errors.certify`, whose refusal names the
+  first slice that failed, its value and the bound.
 * **Real gauge.** An open chain is bipartite, so ``a_j -> i^j a_j`` makes
   every array drift real.  :func:`schur_form` factors each gauged slice with
   LAPACK's real ``dgees``, splits the 2 x 2 blocks of its complex eigenvalue
@@ -59,6 +60,7 @@ from .errors import (
     NotHurwitz,
     NotPositiveDefinite,
     OverSqueezed,
+    certify,
 )
 
 __all__ = [
@@ -215,49 +217,33 @@ def solve_lyapunov(gen: DriftDiffusion) -> QuadratureCovariance:
         which signals a malformed generator rather than rounding noise.
     """
     a, d = gen.drift, gen.diffusion
-    _require_hurwitz(np.linalg.eigvals(a)[None])
+    _require_hurwitz(np.linalg.eigvals(a).real.max(), np.abs(a).max())
     sigma = sla.solve_continuous_lyapunov(a, -d)
     sigma = 0.5 * (sigma + sigma.T)
-    residual = np.abs(a @ sigma + sigma @ a.T + d).max()[None]
+    residual = np.abs(a @ sigma + sigma @ a.T + d).max()
     _require_residual("Lyapunov", residual, np.abs(d).max())
     try:
         nu_min = symplectic_eigenvalues(sigma)[0]
     except NotPositiveDefinite as exc:
         raise NonPhysicalResult("steady covariance is not positive definite") from exc
-    if nu_min < 1.0 - _PHYSICALITY_TOL:
-        raise NonPhysicalResult(
-            f"smallest symplectic eigenvalue {nu_min} < 1; generator is unphysical"
-        )
+    what = "generator is unphysical: minus the smallest symplectic eigenvalue"
+    certify(-nu_min, -(1.0 - _PHYSICALITY_TOL), NonPhysicalResult, what)
     return QuadratureCovariance(sigma)
 
 
-def _first_failure(failed: np.ndarray, values: np.ndarray) -> tuple[str, float]:
-    """Label and value of the first failing slice; one entry per slice of a stack."""
-    index = int(np.flatnonzero(failed)[0])
-    return f" (slice {index})", float(values[index])
+def _require_hurwitz(top, scale: float) -> None:
+    """``top``, the largest Re eigenvalue of each slice, below ``-HURWITZ_TOL``.
+
+    The refusal names ``scale``, the drift's largest entry, of which ``top``
+    may be no more than round-off.
+    """
+    what = f"no unique steady state of a drift with entries up to {scale:.6g}: max Re eigenvalue"
+    certify(top, -HURWITZ_TOL, NotHurwitz, what, strict=True)
 
 
-def _require_hurwitz(eigenvalues: np.ndarray) -> None:
-    """Eigenvalues along the last axis, one row per slice of a stack; NaN fails."""
-    top = eigenvalues.real.max(axis=-1)
-    failed = ~(top < -HURWITZ_TOL)
-    if failed.any():
-        where, value = _first_failure(failed, top)
-        raise NotHurwitz(
-            f"max Re eigenvalue of drift{where} = {value:.3e} >= -{HURWITZ_TOL}; "
-            "no unique steady state"
-        )
-
-
-def _require_residual(what: str, residual: np.ndarray, source: float) -> None:
-    """``residual`` is one maximum per slice of a stack; one not finite fails."""
-    failed = ~(np.isfinite(residual) & (residual <= _RESIDUAL_RTOL * max(1.0, source)))
-    if failed.any():
-        where, value = _first_failure(failed, residual)
-        raise NoConvergence(
-            f"{what} residual{where} {value:.3e} exceeds tolerance; "
-            "generator is likely ill-conditioned"
-        )
+def _require_residual(what: str, residual, source: float) -> None:
+    """``residual``, one maximum (per slice of a stack), against ``1e-10 * max(1, source)``."""
+    certify(residual, _RESIDUAL_RTOL * max(1.0, source), NoConvergence, f"{what} residual")
 
 
 class SchurForm(NamedTuple):
@@ -302,16 +288,13 @@ def _real_schur(gauged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``t`` is quasi upper triangular in LAPACK's standard form: a complex
     eigenvalue pair is a 2 x 2 diagonal block with equal diagonal entries
     and off-diagonal entries of opposite signs, and every other entry below
-    the diagonal is exactly zero.  Raises NoConvergence, naming the slice,
-    when ``dgees`` reports a failure.
+    the diagonal is exactly zero.  Raises NoConvergence, naming the first
+    slice, when ``dgees`` reports a failure.
     """
-    t, z = np.empty_like(gauged), np.empty_like(gauged)
+    t, z, info = np.empty_like(gauged), np.empty_like(gauged), np.empty(len(gauged), int)
     for index, one in enumerate(gauged):
-        t[index], _, _, _, z[index], _, info = dgees(_keep_order, one)
-        if info:
-            raise NoConvergence(
-                f"real Schur factorization (slice {index}) failed (dgees info={info})"
-            )
+        t[index], _, _, _, z[index], _, info[index] = dgees(_keep_order, one)
+    certify(np.abs(info), 0, NoConvergence, "real Schur factorization failed: |dgees info|")
     return t, z
 
 
@@ -362,22 +345,17 @@ def schur_form(drift: np.ndarray) -> SchurForm:
     Re eigenvalue is below -HURWITZ_TOL.
     """
     drift = np.asarray(drift, dtype=complex)
-    finite = np.isfinite(drift).all(axis=(-2, -1))
-    if not finite.all():
-        where, _ = _first_failure(~finite, finite)
-        raise ConfigInvalid(f"ladder drift{where} has a non-finite entry")
+    non_finite = np.count_nonzero(~np.isfinite(drift), axis=(-2, -1))
+    certify(non_finite, 0, ConfigInvalid, "ladder drift has a non-finite entry: count")
+    scale = np.abs(drift).max(axis=(-2, -1))
     phases = np.array([1, 1j, -1, -1j])[np.arange(drift.shape[-1]) % 4]
     gauged = phases[:, None] * drift * phases.conj()
     residue = np.abs(gauged.imag).max(axis=(-2, -1))
-    failed = residue > ROUNDOFF_RTOL * np.abs(drift).max(axis=(-2, -1))
-    if failed.any():
-        where, value = _first_failure(failed, residue)
-        raise ConfigInvalid(
-            f"ladder drift{where} is not an open chain: its gauged imaginary part "
-            f"{value:.3e} exceeds round-off"
-        )
+    what = "ladder drift is not an open chain: gauged imaginary part"
+    certify(residue, ROUNDOFF_RTOL * scale, ConfigInvalid, what)
     t, z = _split_pairs(*_real_schur(gauged.real))
-    _require_hurwitz(t.diagonal(axis1=-2, axis2=-1))
+    top = t.diagonal(axis1=-2, axis2=-1).real.max(axis=-1)
+    _require_hurwitz(top, scale.max(initial=0.0))
     return SchurForm(drift, t, phases.conj()[:, None] * z)
 
 
@@ -398,9 +376,7 @@ def solve_rank_one_sylvester(a: SchurForm, b: SchurForm, source: float) -> np.nd
     y, scale, info = np.empty_like(rhs), np.empty(len(rhs)), np.empty(len(rhs), int)
     for index, (ta, tb, c) in enumerate(zip(a.t, b.t.conj(), rhs)):
         y[index], scale[index], info[index] = ztrsyl(ta, tb, c, trana="N", tranb="C")
-    if info.any():
-        where, value = _first_failure(info != 0, info)
-        raise NoConvergence(f"triangular Sylvester solve{where} failed (ztrsyl info={value:.0f})")
+    certify(np.abs(info), 0, NoConvergence, "triangular Sylvester solve failed: |ztrsyl info|")
     y /= scale[:, None, None]
     x = a.q @ y @ b.q.swapaxes(-1, -2)
     residual = a.drift @ x + x @ b.drift.swapaxes(-1, -2)
@@ -435,13 +411,8 @@ def uncertainty_margin(
     if not mirrored:
         second = np.block([[eye + n2.swapaxes(-1, -2), m_t], [m.conj(), n1]])
         lowest = np.minimum(lowest, np.linalg.eigvalsh(second)[..., 0])
-    failed = ~(lowest >= -0.5 * _PHYSICALITY_TOL)
-    if failed.any():
-        where, value = _first_failure(failed, lowest)
-        raise NonPhysicalResult(
-            f"uncertainty relation violated{where} by {-value:.3e}; moments are unphysical"
-        )
-    return lowest
+    what = "moments are unphysical: uncertainty relation violated"
+    return -certify(-lowest, 0.5 * _PHYSICALITY_TOL, NonPhysicalResult, what)
 
 
 def symplectic_eigenvalues(sigma) -> np.ndarray:
@@ -488,12 +459,8 @@ def logneg_from_nu(nu) -> np.ndarray:
     NonPhysicalResult rather than giving an infinite or NaN negativity.
     """
     nu = np.asarray(nu, dtype=float)
-    valid = (nu > 0.0) & (nu < math.inf)
-    if not valid.all():
-        raise NonPhysicalResult(
-            f"symplectic eigenvalue {nu[~valid].flat[0]} is not positive and finite: "
-            "round-off left it no significant digits"
-        )
+    what = "round-off left a symplectic eigenvalue no significant digits: -nu"
+    certify(-nu, 0.0, NonPhysicalResult, what, strict=True)
     separable = nu >= 1.0 - 1e-12
     return np.where(separable, 0.0, -np.log2(np.where(separable, 1.0, nu)))
 

@@ -19,8 +19,10 @@ an odd half, and the generator into one real matrix per half.  The even
 half, with its redundant first row replaced by the trace condition,
 gives the steady state by one sparse LU solve; the odd half is factored
 too, and the factors of both halves certify that the state is unique
-before it is returned.  Without a swap the odd half is empty, and an
-all-zero charge makes the block the whole space.  The U(1) block
+before it is returned.  Each certificate meets its bound in
+:func:`~entrep.errors.certify`, whose refusal names the value and the
+bound.  Without a swap the odd half is empty, and an all-zero charge
+makes the block the whole space.  The U(1) block
 reduction is that of Buca and Prosen, New J. Phys. 14, 073007 (2012);
 the Z2 symmetry sectors are as in Albert and Jiang, Phys. Rev. A 89,
 022118 (2014).
@@ -48,6 +50,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidState,
     NoConvergence,
+    certify,
 )
 
 __all__ = [
@@ -204,11 +207,7 @@ class Liouvillian:
                 raise ConfigInvalid("swap does not map charge to -charge")
             object.__setattr__(self, "swap", swap)
         crossing = _largest_crossing(self.matrix, _operator_sectors(charge))
-        if crossing > 0.0:
-            raise ConfigInvalid(
-                f"generator entry {crossing:.3e} crosses charge sectors "
-                f"(above {ROUNDOFF_RTOL:.0e} * scale {self.scale:.3e})"
-            )
+        certify(crossing, 0.0, ConfigInvalid, "generator crosses charge sectors: largest entry")
 
     @property
     def dim(self) -> int:
@@ -410,23 +409,14 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     basis = hermitian @ parity
     # rows of W^H pick the block rows; off-block columns meet empty rows of W
     block = ((basis.conj().T @ liouvillian.matrix) @ basis).tocsr()
-    imaginary = float(np.abs(block.data.imag).max()) if block.nnz else 0.0
-    if imaginary > ROUNDOFF_RTOL * scale:
-        raise ConfigInvalid(
-            f"generator does not preserve Hermiticity: imaginary entry "
-            f"{imaginary:.3e} in the real basis (above {ROUNDOFF_RTOL:.0e} * "
-            f"scale {scale:.3e})"
-        )
+    imaginary = np.abs(block.data.imag).max(initial=0.0)
+    what = "generator does not preserve Hermiticity: largest imaginary entry in the real basis"
+    certify(imaginary, ROUNDOFF_RTOL * scale, ConfigInvalid, what)
     block = block.real
     block.eliminate_zeros()
-    side = block.shape[0]
-    crossing = _largest_crossing(block, np.arange(side) >= n_even)
-    if crossing > ROUNDOFF_RTOL * scale:
-        raise ConfigInvalid(
-            f"generator does not commute with the declared swap: entry "
-            f"{crossing:.3e} couples its even and odd halves (above "
-            f"{ROUNDOFF_RTOL:.0e} * scale {scale:.3e})"
-        )
+    crossing = _largest_crossing(block, np.arange(block.shape[0]) >= n_even)
+    what = "generator does not commute with the declared swap: largest even-odd entry"
+    certify(crossing, ROUNDOFF_RTOL * scale, ConfigInvalid, what)
     # the trace functional: 1 on each rho_ii coordinate, rotated by [E O]
     trace_row = np.asarray(parity[i == j].sum(axis=0)).ravel()[:n_even]
     even_system = sp.vstack(
@@ -435,47 +425,37 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     lu, even_norm, even_inverse = _factor(even_system, "trace-bordered even half")
     _, odd_norm, odd_inverse = _factor(block[n_even:, n_even:].tocsc(), "odd half")
     condition = max(even_norm, odd_norm) * max(even_inverse, odd_inverse)
-    if not condition < _CONDITION_LIMIT:
-        raise DegenerateSteadyState(
-            f"condition estimate {condition:.3e} of the trace-bordered generator "
-            f"is not below {_CONDITION_LIMIT:.0e}: kernel is not one-dimensional"
-        )
+    what = "kernel is not one-dimensional: condition estimate of the trace-bordered generator"
+    certify(condition, _CONDITION_LIMIT, DegenerateSteadyState, what, strict=True)
     rhs = np.zeros(n_even)
     rhs[0] = scale
     rho = unvec(basis[:, :n_even] @ lu.solve(rhs), dim)
     trace = np.trace(rho).real
-    if not abs(trace) > 1e-10:
-        raise NoConvergence(f"steady-state trace {trace:.3e} is zero or not finite")
+    what = "steady-state trace is zero or not finite: -|trace|"
+    certify(-abs(trace), -1e-10, NoConvergence, what, strict=True)
     rho /= trace
     residual = np.abs(liouvillian.apply(rho)).max()
-    if not residual <= _RESIDUAL_RTOL * scale:
-        raise NoConvergence(
-            f"steady-state residual {residual:.3e} exceeds tolerance "
-            f"{_RESIDUAL_RTOL:.0e} * scale {scale:.3e}"
-        )
+    certify(residual, _RESIDUAL_RTOL * scale, NoConvergence, "steady-state residual")
     assert_density_matrix(rho)
     return rho
 
 
 def assert_density_matrix(rho: np.ndarray) -> None:
-    """Finiteness / Hermiticity / unit-trace / positivity checks, with small tolerances.
-
-    Each check is written ``not (value <= bound)``, so a NaN fails it
-    instead of passing the comparison.
-    """
+    """Finiteness / Hermiticity / unit-trace / positivity checks, with small tolerances."""
     mat = np.asarray(rho)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidState(f"density matrix must be square, got {mat.shape}")
     if not np.isfinite(mat).all():
         raise InvalidState("density matrix has a non-finite entry")
-    if not np.abs(mat - mat.conj().T).max() <= 1e-10 * max(1.0, np.abs(mat).max()):
-        raise InvalidState("density matrix is not Hermitian")
+    skew = np.abs(mat - mat.conj().T).max()
+    what = "density matrix is not Hermitian: largest |rho - rho^H| entry"
+    certify(skew, 1e-10 * max(1.0, np.abs(mat).max()), InvalidState, what)
     trace = np.trace(mat)
-    if not (abs(trace.real - 1.0) <= 1e-10 and abs(trace.imag) <= 1e-10):
-        raise InvalidState(f"density matrix trace {trace} != 1")
-    min_eig = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
-    if not min_eig >= _EIG_FLOOR:
-        raise InvalidState(f"density matrix has eigenvalue {min_eig:.3e} < {_EIG_FLOOR}")
+    what = "density matrix trace is not 1: max(|Re trace - 1|, |Im trace|)"
+    certify(max(abs(trace.real - 1.0), abs(trace.imag)), 1e-10, InvalidState, what)
+    lowest = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
+    what = "density matrix has a negative eigenvalue: minus the lowest"
+    certify(-lowest, -_EIG_FLOOR, InvalidState, what)
 
 
 def partial_trace(

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import ArrayConfig, SteadyMoments, steady_state
+from .arrays import ArrayConfig, SteadyMoments, read_only, steady_state
 from .errors import ClosedPort, ConfigInvalid, as_integer
 from .gaussian import normalized_logneg, pair_logneg
 
@@ -112,18 +112,20 @@ def output_covariance(
 
 @dataclass(frozen=True, eq=False)
 class OutputSpectrum:
-    """Entanglement spectrum of one output port pair."""
+    """Entanglement spectrum of one output port pair; its arrays are read-only."""
 
     omegas: np.ndarray
     raw: np.ndarray
     pair: tuple[int, int]
 
+    def __post_init__(self) -> None:
+        for field in ("omegas", "raw"):
+            object.__setattr__(self, field, read_only(getattr(self, field)))
+
     @property
     def normalized(self) -> np.ndarray:
         """``raw / (1 + raw)`` at every frequency, read-only."""
-        norm = normalized_logneg(self.raw)
-        norm.flags.writeable = False
-        return norm
+        return read_only(normalized_logneg(self.raw))
 
     @property
     def peak_raw(self) -> float:

@@ -51,8 +51,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .arrays import ArrayConfig, ladder_drift, steady_state
-from .errors import ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged, as_integer
+from .arrays import ArrayConfig, ladder_drift, read_only, steady_state
+from .errors import (
+    ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged, as_integer, certify
+)
 from .gaussian import SchurForm, check_drive, schur_form
 from .liouville import (
     Liouvillian,
@@ -499,7 +501,7 @@ class FockSteadyState:
     (same ordering as the Gaussian route); ``spin_dm`` is the reduced
     spin state (None when no spins are coupled).  ``check_mode`` records
     which truncation recheck ran and ``check_shift`` the largest
-    second-moment change it saw.
+    second-moment change it saw.  The arrays are read-only.
     """
 
     rho: np.ndarray
@@ -509,6 +511,11 @@ class FockSteadyState:
     spin_dm: np.ndarray | None
     check_mode: str
     check_shift: float
+
+    def __post_init__(self) -> None:
+        for field in ("rho", "moments", "spin_dm"):
+            if getattr(self, field) is not None:
+                object.__setattr__(self, field, read_only(getattr(self, field), None))
 
 
 def _squeezed_frame(nbar: float, mbar: float) -> tuple[float, float, float]:
@@ -670,11 +677,8 @@ def full_cavity_atom_oracle(
             ref_moments = _fock_solve(check_cfg, n_max, trunc.basis)[1]
         big_moments = _fock_solve(check_cfg, n_max + 2, trunc.basis)[1]
         check_shift = float(np.abs(big_moments - ref_moments).max())
-        if check_shift > 1e-3 * max(1.0, cfg.nbar):
-            raise TruncationUnconverged(
-                f"field second moments shift by {check_shift:.2e} when the Fock "
-                f"cutoff grows from {n_max} to {n_max + 2}"
-            )
+        what = f"Fock cutoff {n_max} -> {n_max + 2}: largest field second-moment shift"
+        certify(check_shift, 1e-3 * max(1.0, cfg.nbar), TruncationUnconverged, what)
     return FockSteadyState(
         rho=rho,
         dims=dims,

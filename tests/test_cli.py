@@ -173,8 +173,8 @@ class TestRun:
             ("custom", ["nbar=1e308", "mbar=1e308"], "NoConvergence: Sylvester residual"),
             # g**2 overflows in the effective model's kernels
             ("fig3b", ["g=1e200"], "ConfigInvalid: need a positive spin-field coupling"),
-            # eta**2 would overflow in a Schur pair split; the refusal may be
-            # reworded, so only the failing sweep point is pinned
+            # damping of order 1 is round-off of a drift of scale 1e200: the
+            # Hurwitz refusal names the failing sweep point and that scale
             ("custom", ["eta=1e200", "n_sites=3"], "sweep point"),
             ("fig3a", ["eta=1e200", "samples=3"], "sweep point"),
         ],
@@ -188,6 +188,8 @@ class TestRun:
         )
         assert code == 2 and stdout == ""
         assert message in stderr
+        if "eta=1e200" in overrides:
+            assert "NotHurwitz" in stderr and "drift with entries up to 1e+200" in stderr
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -446,14 +446,14 @@ class TestStackedCore:
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         stack = random_ladder_stack(0, 3, 4)
         stack[1] = -0.5j * (h + h.conj().T) - np.eye(4)
-        with pytest.raises(ConfigInvalid, match=r"\(slice 1\) is not an open chain"):
+        with pytest.raises(ConfigInvalid, match=r"is not an open chain: .* \(slice 1\)"):
             schur_form(stack)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_refuses_a_non_finite_drift(self, value):
         stack = random_ladder_stack(1, 3, 4)
         stack[2, 1, 2] = value
-        with pytest.raises(ConfigInvalid, match=r"\(slice 2\) has a non-finite entry"):
+        with pytest.raises(ConfigInvalid, match=r"has a non-finite entry: count \(slice 2\) = 1"):
             schur_form(stack)
 
     def test_a_failed_real_factorization_is_named(self, monkeypatch):
@@ -465,15 +465,25 @@ class TestStackedCore:
             return (*factors, 2 if len(calls) == 2 else info)
 
         monkeypatch.setattr(entrep.gaussian, "dgees", failing)
-        with pytest.raises(NoConvergence, match=r"\(slice 1\) failed \(dgees info=2\)"):
+        with pytest.raises(NoConvergence, match=r"failed: \|dgees info\| \(slice 1\) = 2,"):
             schur_form(random_ladder_stack(2, 3, 4))
-        assert len(calls) == 2
+        # every slice is factored, then the first failure is named
+        assert len(calls) == 3
 
     def test_marginal_slice_is_named(self):
         stack = random_ladder_stack(2, 4, 3)
         stack[2] = np.diag([-1.0, 1e-14, -0.5])  # one undamped mode
         with pytest.raises(NotHurwitz, match=r"\(slice 2\)"):
             schur_form(stack)
+
+    def test_a_margin_of_exactly_the_tolerance_is_refused(self):
+        # the Hurwitz bound is strict: max Re eigenvalue == -1e-12 has no steady state
+        drift = np.diag([-1e-12, -1.0])
+        with pytest.raises(NotHurwitz, match=r"entries up to 1: .* = -1e-12, not < -1e-12$"):
+            schur_form(drift[None])
+        with pytest.raises(NotHurwitz, match=r"= -1e-12, not < -1e-12$"):
+            solve_lyapunov(DriftDiffusion(np.kron(drift, np.eye(2)), np.eye(4)))
+        schur_form(np.diag([np.nextafter(-1e-12, -1.0), -1.0])[None])
 
     def test_inaccurate_slice_is_named(self):
         form = schur_form(random_ladder_stack(3, 3, 4))
@@ -487,7 +497,7 @@ class TestStackedCore:
         t_a = np.array([[[-1.0]], [[-1.0]]], complex)
         t_b = np.array([[[-1.0]], [[1.0]]], complex)
         q = np.ones((2, 1, 1), complex)
-        with pytest.raises(NoConvergence, match=r"solve \(slice 1\) failed \(ztrsyl info=1\)"):
+        with pytest.raises(NoConvergence, match=r"solve failed: \|ztrsyl info\| \(slice 1\) = 1,"):
             solve_rank_one_sylvester(SchurForm(t_a, t_a, q), SchurForm(t_b, t_b, q), 1.0)
 
     def test_a_non_finite_residual_is_refused(self):

@@ -341,6 +341,18 @@ class TestPairSpectra:
         assert np.all(spec.normalized == spec.raw / (1.0 + spec.raw))
         assert not spec.normalized.flags.writeable
 
+    def test_spectrum_arrays_are_read_only(self):
+        cfg = ArrayConfig.homogeneous(2, eta=1.0, kappa=0.1, zeta=1.0, nbar=1.0, mbar=1.0)
+        omegas = np.linspace(-1.0, 1.0, 5)
+        spec = output_pair_spectrum(cfg, omegas)
+        peak = spec.peak_raw
+        for values in (spec.omegas, spec.raw):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 7.0
+        assert spec.peak_raw == peak
+        # the caller's grid is copied, not frozen
+        omegas[0] = 0.5
+
     def test_end_damped_chain_peaks_at_normal_modes(self):
         # with ports only on the far ends, the entanglement spectrum
         # peaks near the chain normal modes 2 eta cos(k pi / (N+1))

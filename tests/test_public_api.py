@@ -1,5 +1,6 @@
 """Names that the README and the benchmark tracer rely on stay in step with the package."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -70,6 +71,50 @@ def test_every_name_the_benchmark_tracer_wraps_is_a_callable():
         if not callable(getattr(module, func_name, None)):
             missing.append(qualified)
     assert missing == []
+
+
+# Solver certificates are compared with their bounds in one place,
+# entrep.errors.certify, which raises the error it is handed; these classes
+# may be raised by name only where a refusal is not a value against a bound.
+CERTIFICATE_ERRORS = {
+    "NotHurwitz",
+    "NoConvergence",
+    "NonPhysicalResult",
+    "DegenerateSteadyState",
+    "TruncationUnconverged",
+}
+NOT_A_BOUND = {
+    # splu raises on an exactly singular matrix: there is no value to compare
+    ("liouville", "_factor", "DegenerateSteadyState"),
+    # symplectic_eigenvalues refused the covariance as not positive definite
+    ("gaussian", "solve_lyapunov", "NonPhysicalResult"),
+}
+
+
+def named_raises(tree: ast.AST, scope: str = ""):
+    """``(function, class name)`` of every ``raise Name(...)`` or ``raise Name`` in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from named_raises(node, node.name)
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield scope, exc.id
+        yield from named_raises(node, scope)
+
+
+def test_certificate_errors_are_raised_only_by_the_one_bound_check():
+    found = set()
+    for path in sorted((ROOT / "src" / "entrep").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, name in named_raises(tree):
+            if name in CERTIFICATE_ERRORS:
+                found.add((path.stem, scope, name))
+    assert found == NOT_A_BOUND
+    # the walk does see a raise by name inside a function
+    sample = ast.parse("def f():\n    if x:\n        raise NotHurwitz('m')\n")
+    assert list(named_raises(sample)) == [("f", "NotHurwitz")]
 
 
 # a fresh interpreter imports the package and every module under it,

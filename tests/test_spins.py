@@ -661,6 +661,14 @@ class TestFockOracle:
         assert result.spin_dm is None
         assert np.abs(result.moments - exact).max() <= 5e-4
 
+    def test_result_arrays_are_read_only(self):
+        cfg = ArrayConfig.homogeneous(1, kappa=0.2, zeta=1.0, nbar=0.5, mbar=0.6, g=0.04)
+        result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=2, check="none"))
+        for values in (result.rho, result.moments, result.spin_dm):
+            assert np.iscomplexobj(values)
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0] = 7.0
+
     def test_truncation_error_shrinks_with_cutoff(self):
         cfg = ArrayConfig.homogeneous(1, kappa=0.1, zeta=1.0, nbar=0.5, mbar=0.6)
         exact = steady_state(cfg).stacked()
