@@ -2,10 +2,9 @@
 
 Three independent anchors used throughout the tests and experiments:
 
-* the reservoir statistics ``(nbar, mbar)`` of a two-mode squeezed
-  thermal field, parametrized by a thermal occupation and a squeezing
-  strength, together with its logarithmic negativity (the value that
-  steady-state replication should reproduce on every inter-array pair);
+* the logarithmic negativity of the reservoir field ``(nbar, mbar)``
+  itself, the value that steady-state replication should reproduce on
+  every inter-array pair;
 * the pure 2N-qubit state that the end-driven spin chains relax into
   when the reservoir is a two-mode squeezed *vacuum*: a tensor product
   of identical Schmidt pairs, one per inter-array pair, with amplitude
@@ -29,41 +28,11 @@ from .errors import ConfigInvalid, as_integer
 from .gaussian import check_drive, pair_logneg
 
 __all__ = [
-    "driving_params",
     "driving_entanglement",
     "pair_amplitude",
     "pure_pair_logneg",
     "replicated_state",
 ]
-
-
-def driving_params(nbar_thermal: float, squeezing: float) -> tuple[float, float]:
-    """Reservoir occupation and cross-correlation from (n_T, r0).
-
-    A thermal field with occupation ``nbar_thermal`` passed through a
-    two-mode squeezer of strength ``squeezing`` has
-
-        nbar = n_T + (2*n_T + 1) * sinh(r0)**2
-        mbar = (n_T + 1/2) * sinh(2*r0)
-
-    The output saturates mbar = sqrt(nbar*(nbar+1)) exactly when n_T = 0.
-    Inputs and results must be finite; an overflow raises ConfigInvalid.
-    """
-    if not (0.0 <= nbar_thermal < math.inf and 0.0 <= squeezing < math.inf):
-        raise ConfigInvalid(
-            f"need finite nbar_thermal >= 0 and squeezing >= 0, got "
-            f"({nbar_thermal}, {squeezing})"
-        )
-    try:
-        nbar = nbar_thermal + (2.0 * nbar_thermal + 1.0) * math.sinh(squeezing) ** 2
-        mbar = (nbar_thermal + 0.5) * math.sinh(2.0 * squeezing)
-        if max(nbar, mbar) == math.inf:
-            raise OverflowError
-    except OverflowError as exc:
-        raise ConfigInvalid(
-            f"reservoir statistics of ({nbar_thermal}, {squeezing}) overflow"
-        ) from exc
-    return nbar, mbar
 
 
 def driving_entanglement(nbar: float, mbar: float) -> float:

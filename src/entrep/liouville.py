@@ -28,10 +28,15 @@ the Z2 symmetry sectors are as in Albert and Jiang, Phys. Rev. A 89,
 022118 (2014).
 
 Every generator is assembled by one routine, :func:`quadratic_superop`,
-for a master equation quadratic in one list of operators, which derives
-the sandwich term that keeps it trace-preserving; :func:`gksl_superop`
-is its GKSL front (Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17,
-821 (1976)).  Sizes are read off the inputs, never passed alongside them.
+for a master equation quadratic in one list of operators, as one
+sandwich sum.  Each of its terms, ``o_j rho o_k`` with the weight that
+keeps it trace-preserving, ``A rho`` and ``rho B``, is a sandwich ``x rho
+y``, which the identity above places; one sparse product over the rows
+``x`` (the operators, then ``A``, ``B`` and the identity) sums them all.
+That row order fixes the order in which each entry is summed, and so its
+last bit.  :func:`gksl_superop` is the routine's GKSL front (Gorini,
+Kossakowski and Sudarshan, J. Math. Phys. 17, 821 (1976)).  Sizes are
+read off the inputs, never passed alongside them.
 """
 
 from __future__ import annotations
@@ -57,12 +62,10 @@ __all__ = [
     "Liouvillian",
     "fidelity_pure",
     "gksl_superop",
-    "left_multiply",
     "logneg_qubits",
     "partial_trace",
     "quadratic_superop",
     "reduced_pair_dm",
-    "right_multiply",
     "steady_state_dm",
     "unvec",
     "vec",
@@ -78,59 +81,60 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vector).reshape((dim, dim), order="F")
 
 
-def _csr(op) -> sp.csr_matrix:
-    return op.tocsr() if sp.issparse(op) else sp.csr_matrix(np.asarray(op))
-
-
-def left_multiply(op) -> sp.csr_matrix:
-    """Superoperator of ``rho -> op @ rho``."""
-    mat = _csr(op)
-    return sp.kron(sp.identity(mat.shape[0], format="csr"), mat, format="csr")
-
-
-def right_multiply(op) -> sp.csr_matrix:
-    """Superoperator of ``rho -> rho @ op``."""
-    mat = _csr(op)
-    return sp.kron(mat.T, sp.identity(mat.shape[0], format="csr"), format="csr")
-
-
 def quadratic_superop(ops, left, right) -> sp.csr_matrix:
     """Trace-preserving superoperator quadratic in the operators ``ops = [o_1, ..., o_n]``.
 
     ``left`` weights ``o_j o_k rho`` and ``right`` weights ``rho o_j o_k``
     (each an ``n x n`` coefficient matrix, summed over ``j, k``); ``o_j rho
     o_k`` gets ``mid = -(left + right)^T``, the one weight that preserves the
-    trace.  With the operators flattened into the rows of ``F``, ``C @ F``
-    holds every k-sum ``sum_k C_jk o_k`` at once.  The one-sided terms are
-    then one product ``[o_1 ... o_n] @ vstack_j(sum_k C_jk o_k)``, and the
-    sandwich ``sum_jk mid_jk (o_k^T kron o_j)`` is one COO: the entries of
-    ``F^T @ (mid @ F)`` moved to their positions in the Kronecker product.
+    trace.  Every term is a sandwich ``x rho y``: with ``A = sum_jk left_jk
+    o_j o_k`` and ``B = sum_jk right_jk o_j o_k`` the generator is ``sum_jk
+    C_jk x_j rho x_k`` over the rows ``x = (o_1, ..., o_n, A, B, 1)``, where
+    ``C`` holds ``mid`` over the operators, ``C[A, 1] = 1`` and ``C[1, B] =
+    1``.  With those rows flattened into ``F``, entry ``(a, b)`` of ``F^T
+    (C F)`` is ``sum_jk C_jk x_j[a] x_k[b]``, and ``vec(x rho y) = (y^T kron
+    x) vec(rho)`` moves it to one entry of the generator.  The product sums
+    each entry in row order: the operators' sandwich terms, then ``A rho``,
+    then ``rho B``.  That order fixes the rounding, so keep it.
     """
-    ops = [_csr(op) for op in ops]
+    ops = [sp.coo_matrix(op) for op in ops]
     dim = ops[0].shape[0]
     n_ops = len(ops)
-    flat = sp.vstack([op.reshape(1, dim * dim) for op in ops], format="csr")
-    side_by_side = sp.hstack(ops, format="csr")
-    mid = -(np.asarray(left) + np.asarray(right)).T
-
-    def k_sums(coeff) -> sp.csr_matrix:
-        return sp.csr_matrix(np.asarray(coeff, complex)) @ flat
-
-    def one_sided(coeff) -> sp.csr_matrix:
-        return side_by_side @ k_sums(coeff).reshape(n_ops * dim, dim).tocsr()
-
+    which = np.repeat(np.arange(n_ops), [op.nnz for op in ops])
+    rows = np.concatenate([op.row for op in ops])
+    cols = np.concatenate([op.col for op in ops])
+    data = np.concatenate([op.data for op in ops])
+    flat = sp.csr_matrix((data, (which, rows * dim + cols)), shape=(n_ops, dim * dim))
+    side_by_side = sp.csr_matrix((data, (rows, which * dim + cols)), shape=(dim, n_ops * dim))
+    # row s n + j of the k-sums is sum_k coeff_jk o_k, coeff = (left, right)[s];
+    # its entry (m, c) goes to row j dim + m and column s dim + c, so that
+    # side_by_side times the moved k-sums is [A B]
+    k_sums = (sp.csr_matrix(np.concatenate((left, right)).astype(complex)) @ flat).tocoo()
+    side, j = np.divmod(k_sums.row, n_ops)
+    m, c = np.divmod(k_sums.col, dim)
+    moved = sp.csr_matrix(
+        (k_sums.data, (j * dim + m, side * dim + c)), shape=(n_ops * dim, 2 * dim)
+    )
+    one_sided = (side_by_side @ moved).tocoo()  # [A B]
+    side, c = np.divmod(one_sided.col, dim)
+    # F: the operators, A, B and the identity, one row-major flattened row each
+    diagonal = np.arange(dim) * (dim + 1)
+    f_rows = np.concatenate((which, n_ops + side, np.full(dim, n_ops + 2)))
+    f_cols = np.concatenate((rows * dim + cols, one_sided.row * dim + c, diagonal))
+    f_data = np.concatenate((data, one_sided.data, np.ones(dim)))
+    f_mat = sp.csr_matrix((f_data, (f_rows, f_cols)), shape=(n_ops + 3, dim * dim))
+    weights = np.zeros((n_ops + 3, n_ops + 3), complex)
+    weights[:n_ops, :n_ops] = -(np.asarray(left) + np.asarray(right)).T
+    weights[n_ops, n_ops + 2] = weights[n_ops + 2, n_ops + 1] = 1.0
     # entry (a_r dim + a_c, b_r dim + b_c) of F^T (C F) is sum_jk C_jk
-    # o_j[a_r, a_c] o_k[b_r, b_c], which kron(o_k^T, o_j) puts at row
+    # x_j[a_r, a_c] x_k[b_r, b_c], which kron(x_k^T, x_j) puts at row
     # b_c dim + a_r and column b_r dim + a_c
-    outer = (flat.T @ k_sums(mid)).tocoo()
+    outer = (f_mat.T @ (sp.csr_matrix(weights) @ f_mat)).tocoo()
     a_r, a_c = np.divmod(outer.row, dim)
     b_r, b_c = np.divmod(outer.col, dim)
-    total = sp.csr_matrix(
+    return sp.csr_matrix(
         (outer.data, (b_c * dim + a_r, b_r * dim + a_c)), shape=(dim * dim, dim * dim)
     )
-    total = total + left_multiply(one_sided(left))
-    total = total + right_multiply(one_sided(right))
-    return total.tocsr()
 
 
 def gksl_superop(ops, h, e) -> sp.csr_matrix:
@@ -184,7 +188,7 @@ class Liouvillian:
 
     def __post_init__(self) -> None:
         # the round-off is dropped below, so store a copy of the caller's matrix
-        object.__setattr__(self, "matrix", _csr(self.matrix).copy())
+        object.__setattr__(self, "matrix", sp.csr_matrix(self.matrix, copy=True))
         rows, cols = self.matrix.shape
         if rows != cols or isqrt(rows) ** 2 != rows:
             raise ConfigInvalid(f"generator shape {self.matrix.shape} is not square of square side")

@@ -554,8 +554,8 @@ def _fock_dims(cfg: ArrayConfig, n_max: int) -> tuple[int, ...]:
 
 def _fock_liouvillian(
     cfg: ArrayConfig, n_max: int, basis: str = "bare"
-) -> tuple[Liouvillian, tuple[int, ...], list[sp.csr_matrix], np.ndarray]:
-    """Generator of the Fock-truncated cavity+spin model, ``dims`` and field frame.
+) -> tuple[Liouvillian, list[sp.csr_matrix], np.ndarray]:
+    """Generator of the Fock-truncated cavity+spin model, its field operators and frame.
 
     The operators are the truncation-basis lowering operators ``t_s`` of
     the ``2N`` modes, their raising partners and, with spins, the spin
@@ -607,7 +607,7 @@ def _fock_liouvillian(
     # in the squeezed frame the charge counts frame quanta: each frame
     # operator c t_1 - s t_2^dag lowers it by one, like a bare a_1
     liouvillian = _array_liouvillian(dims, cfg.n_sites, generator, cfg.mirrored)
-    return liouvillian, dims, field_ops, frame
+    return liouvillian, field_ops, frame
 
 
 def _field_moments(
@@ -634,7 +634,7 @@ def _field_moments(
 
 def _fock_solve(cfg: ArrayConfig, n_max: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
     """Steady state and field moments of the truncated model."""
-    liou, _, field_ops, frame = _fock_liouvillian(cfg, n_max, basis)
+    liou, field_ops, frame = _fock_liouvillian(cfg, n_max, basis)
     rho = steady_state_dm(liou)
     return rho, _field_moments(rho, field_ops, frame)
 

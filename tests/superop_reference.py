@@ -3,9 +3,10 @@
 ``entrep`` assembles every generator from coefficient matrices over one
 stacked operator list (:func:`entrep.liouville.gksl_superop`).  This
 module keeps the construction it replaced: one Kronecker superoperator
-per commutator, jump and correlated-drive term, summed one at a time,
-with the squeezed frame's Bogoliubov operators rebuilt as sparse
-matrices, and the Kronecker-chain site operators (:func:`destroy`,
+per commutator, jump and correlated-drive term (:func:`left_multiply`,
+:func:`right_multiply`, :func:`sandwich`), summed one at a time, with
+the squeezed frame's Bogoliubov operators rebuilt as sparse matrices,
+and the Kronecker-chain site operators (:func:`destroy`,
 :func:`embed_operator`) it is built from.  Tests compare the builders
 against it, and check any generator's trace preservation with
 :func:`trace_defect`; nothing in ``src`` imports it.
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 
 from entrep.arrays import ArrayConfig
 from entrep.errors import ConfigInvalid
-from entrep.liouville import Liouvillian, left_multiply, right_multiply, vec
+from entrep.liouville import Liouvillian, vec
 from entrep.spins import _squeezed_frame
 
 #: lowering operator in the (ground, excited) qubit basis
@@ -57,6 +58,18 @@ def trace_defect(liouvillian: Liouvillian) -> float:
     """Max deviation of the adjoint generator from annihilating identity."""
     id_vec = vec(np.eye(liouvillian.dim))
     return float(np.abs(id_vec @ liouvillian.matrix).max())
+
+
+def left_multiply(op) -> sp.csr_matrix:
+    """Superoperator of ``rho -> op @ rho``."""
+    mat = _csr(op)
+    return sp.kron(sp.identity(mat.shape[0], format="csr"), mat, format="csr")
+
+
+def right_multiply(op) -> sp.csr_matrix:
+    """Superoperator of ``rho -> rho @ op``."""
+    mat = _csr(op)
+    return sp.kron(mat.T, sp.identity(mat.shape[0], format="csr"), format="csr")
 
 
 def sandwich(left_op, right_op) -> sp.csr_matrix:

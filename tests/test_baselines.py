@@ -15,7 +15,6 @@ import pytest
 from entrep.arrays import ArrayConfig, pair_entanglement_profile
 from entrep.baselines import (
     driving_entanglement,
-    driving_params,
     pair_amplitude,
     pure_pair_logneg,
     replicated_state,
@@ -29,34 +28,6 @@ def qubit_pair_logneg_oracle(state: np.ndarray) -> float:
     rho = np.outer(state, state.conj())
     pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     return math.log2(np.abs(np.linalg.eigvalsh(pt)).sum())
-
-
-class TestDrivingParams:
-    def test_vacuum(self):
-        assert driving_params(0.0, 0.0) == (0.0, 0.0)
-
-    def test_pure_squeezing_values(self):
-        nbar, mbar = driving_params(0.0, 1.0)
-        assert abs(nbar - math.sinh(1.0) ** 2) <= 1e-15
-        assert abs(mbar - 0.5 * math.sinh(2.0)) <= 1e-15
-
-    @pytest.mark.parametrize("squeezing", [0.0, 0.2, 0.7, 1.5, 3.0])
-    def test_squeezed_vacuum_saturates_bound(self, squeezing):
-        nbar, mbar = driving_params(0.0, squeezing)
-        assert abs(mbar**2 - nbar * (nbar + 1.0)) <= 1e-9 * max(1.0, mbar**2)
-
-    def test_thermal_input_stays_strictly_inside_bound(self):
-        for nbar_thermal in (0.25, 1.0, 2.0):
-            for squeezing in (0.1, 1.0, 3.0):
-                nbar, mbar = driving_params(nbar_thermal, squeezing)
-                assert mbar < squeezing_bound(nbar) - 1e-12
-
-    def test_rejects_negative_inputs(self):
-        # also non-finite inputs, and results that overflow
-        for args in ((-0.5, 1.0), (math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1),
-                     (0.0, 1000.0), (1e308, 1.0)):
-            with pytest.raises(ConfigInvalid):
-                driving_params(*args)
 
 
 class TestDrivingEntanglement:

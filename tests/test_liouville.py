@@ -34,12 +34,10 @@ from entrep.liouville import (
     assert_density_matrix,
     fidelity_pure,
     gksl_superop,
-    left_multiply,
     logneg_qubits,
     partial_trace,
     quadratic_superop,
     reduced_pair_dm,
-    right_multiply,
     steady_state_dm,
     unvec,
     vec,
@@ -55,7 +53,9 @@ from superop_reference import (
     destroy,
     embed_operator,
     hamiltonian_superop,
+    left_multiply,
     lindblad_dissipator,
+    right_multiply,
     sandwich,
     trace_defect,
 )

@@ -73,6 +73,51 @@ def test_every_name_the_benchmark_tracer_wraps_is_a_callable():
     assert missing == []
 
 
+# An exported name must have a use in src/ or scripts/ outside its own
+# top-level definition, or be a function the benchmark tracer wraps: code
+# that only tests use lives in tests/.  These exports are queries for
+# library users that nothing in src/ calls.
+USER_QUERIES = {
+    # the effective model's validity ratio; build_effective_general reads
+    # the same value off the Schur forms it already holds
+    ("spins", "adiabaticity_ratio"),
+}
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names each top-level statement of ``tree`` reads or imports, less its own name."""
+    used = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        used |= names
+    return used
+
+
+def test_every_exported_name_has_a_use_outside_the_tests():
+    sources = [*(ROOT / "src" / "entrep").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    used = set().union(*(used_names(ast.parse(path.read_text("utf-8"))) for path in sources))
+    used |= {name for names in tracing.WRAPPED.values() for name in names}
+    unused = {
+        (module_name.split(".")[1], name)
+        for module_name in EXPORTING_MODULES
+        for name in importlib.import_module(module_name).__all__
+        if name not in used
+    }
+    assert unused == USER_QUERIES
+    # a recursive call is no use, and a call from another definition is
+    tree = ast.parse("def f():\n    return f()\n\ndef g():\n    return h()\n")
+    assert used_names(tree) == {"h"}
+
+
 # Solver certificates are compared with their bounds in one place,
 # entrep.errors.certify, which raises the error it is handed; these classes
 # may be raised by name only where a refusal is not a value against a bound.

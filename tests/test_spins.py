@@ -34,10 +34,8 @@ from entrep.errors import (
 from entrep.liouville import (
     Liouvillian,
     fidelity_pure,
-    left_multiply,
     logneg_qubits,
     reduced_pair_dm,
-    right_multiply,
     steady_state_dm,
 )
 from entrep.spins import (
@@ -58,7 +56,14 @@ from entrep.spins import (
     default_fock_levels,
     full_cavity_atom_oracle,
 )
-from superop_reference import QUBIT_LOWER, destroy, embed_operator, trace_defect
+from superop_reference import (
+    QUBIT_LOWER,
+    destroy,
+    embed_operator,
+    left_multiply,
+    right_multiply,
+    trace_defect,
+)
 
 
 def pure_drive(nbar: float) -> float:
@@ -350,6 +355,20 @@ class TestAssemblyMatchesReferences:
         )
         assert_same_csr(fast, reference)
 
+    @pytest.mark.parametrize("basis", ["bare", "squeezed"])
+    @pytest.mark.parametrize(
+        "n_sites,n_max,spins",
+        [(1, 3, True), (2, 1, True), (1, 2, False), (2, 2, False)],
+        ids=["spins-1-3", "spins-2-1", "field-1-2", "field-2-2"],
+    )
+    def test_fock_generator(self, n_sites, n_max, spins, basis, reference_assembly):
+        cfg = ArrayConfig.homogeneous(
+            n_sites, eta=0.8, kappa=0.2, zeta=1.3, nbar=0.7, mbar=0.9, g=0.04
+        )
+        model = cfg if spins else cfg.field_only
+        fast, reference = reference_assembly(lambda: _fock_liouvillian(model, n_max, basis)[0])
+        assert_same_csr(fast, reference)
+
 
 class TestGeneratorsMatchPerTermReference:
     """The coefficient-matrix builders against the per-term Kronecker sums."""
@@ -371,7 +390,7 @@ class TestGeneratorsMatchPerTermReference:
         )
         if field_only:
             cfg = cfg.field_only
-        liou, _, field_ops, frame = _fock_liouvillian(cfg, n_max, basis)
+        liou, field_ops, frame = _fock_liouvillian(cfg, n_max, basis)
         want, mode_ops = superop_reference.fock_generator(cfg, n_max, basis)
         assert np.abs((liou.matrix - want).data).max() <= 1e-12 * liou.scale
         # the moment formula holds for any state, not only the steady one
