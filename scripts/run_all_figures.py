@@ -3,7 +3,9 @@
 
 Each experiment writes ``<outdir>/<name>.csv`` plus the matching
 ``.manifest``; rerunning with the same seed reproduces the files byte for
-byte.  The script prints each dataset's wall time and the total.
+byte.  The script prints each dataset's wall time, the total, and the BLAS
+thread settings (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS``) the timings were taken under.
 
 Usage:
     python3 scripts/run_all_figures.py --outdir figure_data --workers 2
@@ -13,6 +15,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -20,6 +23,9 @@ from pathlib import Path
 from entrep.experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
 FIGURES = tuple(name for name in sorted(EXPERIMENTS) if name != "custom")
+
+#: The environment variables that set how many threads BLAS may start.
+THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,6 +59,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{time.perf_counter() - started:6.1f} s  -> {cfg.out_path}"
         )
     print(f"done: {len(names)} datasets in {time.perf_counter() - total:.1f} s")
+    print("threads: " + " ".join(f"{key}={os.environ.get(key, 'unset')}" for key in THREAD_SETTINGS))
     return 0
 
 

@@ -24,18 +24,22 @@ non-zero (one isolated driven pair gets ``nbar`` and ``-mbar``):
     N_i = <a_j^dag a_k> in array i:  conj(L_i) N_i + N_i L_i^T = -2 zeta nbar e0 e0^T
     M   = <a_j^(1) a_k^(2)>:         L_1 M + M L_2^T = +2 zeta mbar e0 e0^T
 
-:func:`steady_state` solves them on one complex Schur form per distinct array
+:func:`steady_state` solves them on one real Schur form per distinct array
 drift, and :attr:`SteadyMoments.forms` carries both arrays' forms on to every
 later resolvent, kernel and decay rate.  Each chain is bipartite, so the gauge
-``a_j -> i^j a_j`` makes ``L_i`` real, ``-diag(kappa_j + zeta*[j is driven])``
-plus ``eta`` times a real antisymmetric tridiagonal matrix: each form comes
-from one real Schur factorization (LAPACK ``dgees``) whose 2 x 2 blocks are
-split by unitary rotations (:func:`entrep.gaussian.schur_form`), which
-refuses any drift the gauge does not make real.  The solve runs on stacks of
-independent problems of one size: :func:`disorder_sweep` puts both arrays'
-drift blocks of every bond draw of a disorder level into one ``(2S, N, N)``
-stack and solves the level in one call, and :func:`steady_state` is the same
-solve on a stack of one configuration.  Each pair (j, N+j) is a
+``a_j -> i^j a_j`` (``P = diag(1, i, -1, -i, ...)``) makes ``G_i = P L_i P^*``
+real, ``-diag(kappa_j + zeta*[j is driven])`` plus ``eta`` times a real
+antisymmetric tridiagonal matrix: each form comes from one real Schur
+factorization (LAPACK ``dgees``) of ``G_i`` (:func:`entrep.gaussian.schur_form`),
+which refuses any drift the gauge does not make real.  The moment equations
+are real in the gauge as well: ``N_i = P n_i P^*`` and ``M = P^* m P^*`` with
+``G_i n_i + n_i G_i^T = -2 zeta nbar e0 e0^T`` and ``G_1 m + m G_2^T = 2 zeta
+mbar e0 e0^T``, so both are solved, and their uncertainty margin taken, in
+real arithmetic.  The solve runs on stacks of independent problems of one
+size: :func:`disorder_sweep` puts both arrays' drift blocks of every bond draw
+of a disorder level into one ``(2S, N, N)`` stack and solves the level in one
+call, and :func:`steady_state` is the same solve on a stack of one
+configuration.  Each pair (j, N+j) is a
 phase-insensitive two-mode state, so its smallest partially transposed
 symplectic eigenvalue is ``n_1 + n_2 + 1 - sqrt((n_1 - n_2)^2 + 4 |m|^2)`` in
 its occupations and cross-moment (Serafini, Illuminati & De Siena, J. Phys.
@@ -58,6 +62,7 @@ from .baselines import driving_entanglement
 from .errors import ConfigInvalid, as_integer, as_seed
 from .gaussian import (
     SchurForm,
+    chain_phases,
     check_drive,
     normalized_logneg,
     pair_logneg,
@@ -219,8 +224,7 @@ class SteadyMoments:
     def __post_init__(self) -> None:
         for name in ("n1", "n2", "m"):
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=complex))
-        object.__setattr__(self, "forms", self.forms._make(f.view() for f in self.forms))
-        for arr in (self.n1, self.n2, self.m, *self.forms):
+        for arr in (self.n1, self.n2, self.m):
             arr.flags.writeable = False
 
     def stacked(self) -> np.ndarray:
@@ -271,9 +275,9 @@ class EntanglementProfile:
         return normalized_logneg(self.drive_raw)
 
 
-#: Most complex entries in one stacked array of a disorder solve: a level
-#: is solved in chunks of samples whose largest stack, the ``(S, 2N, 2N)``
-#: uncertainty blocks, stays below this (16 MiB), so peak memory does not
+#: Most entries in one stacked array of a disorder solve: a level is solved
+#: in chunks of samples whose largest stack, the real ``(S, 2N, 2N)``
+#: uncertainty blocks, stays below this (8 MiB), so peak memory does not
 #: grow with the number of samples.
 _STACK_ENTRIES = 2**20
 
@@ -316,29 +320,32 @@ def ladder_drift(cfg: ArrayConfig) -> np.ndarray:
 def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray) -> tuple:
     """Steady ``(n1, n2, m, margin, forms)`` of ``cfg`` for every row of ``bonds`` as its ``eta``.
 
-    One solve on stacks: ``n1``, ``n2`` and ``m`` are ``(S, N, N)`` and
-    ``margin`` holds one uncertainty margin per sample.  Both arrays'
-    drifts form one ``(2S, N, N)`` stack, so one Schur call and one
-    Sylvester call serve both arrays' occupations; a refused slice ``S +
-    s`` is sample s of array two.  When array two's drifts equal array
-    one's, so do its moments, and only array one is solved.  ``forms``
-    is the Schur forms of the whole stack.
+    One solve on stacks: ``n1``, ``n2`` and ``m`` are the real ``(S, N, N)``
+    moments in the chain gauge (``N_i = P n_i P^*``, ``M = P^* m P^*``) and
+    ``margin`` holds one uncertainty margin per sample, taken on them.  Both
+    arrays' drifts form one ``(2S, N, N)`` stack, so one Schur call and one
+    Sylvester call serve both arrays' occupations; a refused slice ``S + s``
+    is sample s of array two.  When array two's drifts equal array one's,
+    so do its moments, and only array one is solved.  ``forms`` is the Schur
+    forms of the whole stack.
     """
     samples = len(bonds)
     drifts = _ladder_blocks(cfg, bonds)
     mirrored = np.array_equal(drifts[:samples], drifts[samples:])
     forms = schur_form(drifts[:samples] if mirrored else drifts)
-    normal = solve_rank_one_sylvester(forms.conj(), forms, -2.0 * cfg.zeta * cfg.nbar)
-    forms = forms._make(np.concatenate((f, f)) if mirrored else f for f in forms)
-    form_one = forms._make(field[:samples] for field in forms)
-    form_two = forms._make(field[samples:] for field in forms)
-    m = solve_rank_one_sylvester(form_one, form_two, 2.0 * cfg.zeta * cfg.mbar)
+    normal = solve_rank_one_sylvester(forms, forms, -2.0 * cfg.zeta * cfg.nbar)
+    if mirrored:
+        forms = forms[np.tile(np.arange(samples), 2)]
+    m = solve_rank_one_sylvester(forms[:samples], forms[samples:], 2.0 * cfg.zeta * cfg.mbar)
     n1, n2 = normal[:samples], normal[-samples:]
     return n1, n2, m, uncertainty_margin(n1, n2, m, mirrored=mirrored), forms
 
 
 def _pair_lognegs(n1: np.ndarray, n2: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Raw negativity of every pair (j, N+j), for one set of moments or a stack."""
+    """Raw negativity of every pair (j, N+j), for one set of moments or a stack, in either gauge.
+
+    The gauge's phases leave each pair's occupations and ``|m|`` as they are.
+    """
     n1, n2, m = (moments.diagonal(axis1=-2, axis2=-1) for moments in (n1, n2, m))
     return pair_logneg(n1.real, n2.real, m)
 
@@ -351,7 +358,10 @@ def steady_state(cfg: ArrayConfig) -> SteadyMoments:
     NonPhysicalResult when the moments violate the uncertainty relation.
     """
     n1, n2, m, margin, forms = _stacked_moments(cfg, np.array([cfg.eta]))
-    return SteadyMoments(n1[0], n2[0], m[0], float(margin[0]), forms)
+    phases = chain_phases(cfg.n_sites)
+    n1, n2 = phases[:, None] * np.concatenate((n1, n2)) * phases.conj()
+    m = phases.conj()[:, None] * m[0] * phases.conj()
+    return SteadyMoments(n1, n2, m, float(margin[0]), forms)
 
 
 def pair_entanglement_profile(cfg: ArrayConfig) -> EntanglementProfile:
@@ -435,7 +445,7 @@ def disorder_sweep(spec: DisorderSpec) -> DisorderResult:
     steady-state solve: the drawn ``(S, 2(N-1))`` bonds become one ``(2S,
     N, N)`` stack of both arrays' drift blocks, with no per-sample config
     or profile.  It is solved in chunks of samples whose stacked arrays
-    hold at most ``_STACK_ENTRIES`` complex entries, and the chunks are
+    hold at most ``_STACK_ENTRIES`` entries, and the chunks are
     joined in sample order before the statistics, so chunking never
     changes a result.  A zero-width
     ensemble is its one homogeneous profile: averaging hundreds of

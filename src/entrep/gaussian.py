@@ -1,23 +1,27 @@
 """Gaussian-state core: moment solves, symplectic spectra, logarithmic negativity.
 
 * **Runtime.** :func:`schur_form` and :func:`solve_rank_one_sylvester` solve the
-  arrays' N x N ladder-moment equations (Bartels & Stewart, Comm. ACM 15, 820,
-  1972), :meth:`SchurForm.solve` gives the output resolvents and spin kernels on
-  the same forms, :func:`uncertainty_margin` certifies the moments and
-  :func:`pair_logneg` gives the negativity of every steady and output pair, and
-  of the drive itself, from its occupations and cross-moment.  The three solvers
-  take stacks ``(S, N, N)`` of S independent problems of one size (a single
-  problem is a stack of one): only the Schur factorization and the triangular
-  ``ztrsyl`` solve run once per slice, while the back-transform, the residual
-  and margin certificates run once per stack.  Every certificate is compared
-  with its bound by :func:`~entrep.errors.certify`, whose refusal names the
-  first slice that failed, its value and the bound.
+  arrays' N x N ladder-moment equations in real arithmetic (Bartels & Stewart,
+  Comm. ACM 15, 820, 1972), :meth:`SchurForm.solve` gives the output resolvents
+  and spin kernels on the same forms, :func:`uncertainty_margin` certifies the
+  moments and :func:`pair_logneg` gives the negativity of every steady and
+  output pair, and of the drive itself, from its occupations and cross-moment.
+  The three solvers take stacks ``(S, N, N)`` of S independent problems of one
+  size (a single problem is a stack of one): only the Schur factorization and
+  the quasi-triangular Sylvester solve run once per slice, while the
+  back-transform, the residual and margin certificates run once per stack.
+  Every certificate is compared with its bound by :func:`~entrep.errors.certify`,
+  whose refusal names the first slice that failed, its value and the bound.
 * **Real gauge.** An open chain is bipartite, so ``a_j -> i^j a_j`` makes
   every array drift real.  :func:`schur_form` factors each gauged slice with
-  LAPACK's real ``dgees``, splits the 2 x 2 blocks of its complex eigenvalue
-  pairs with one stacked pass of unitary rotations, and undoes the gauge in
-  ``q``; a drift that the gauge does not make real is not a chain drift and
-  is refused.
+  LAPACK's real ``dgees`` and keeps the gauged drift, its quasi-triangular
+  factor and its orthogonal one; a drift that the gauge does not make real is
+  not a chain drift and is refused.  :func:`solve_rank_one_sylvester` solves
+  on those factors by the recursive blocked method of Jonsson & Kagstrom (ACM
+  TOMS 28, 392, 2002), whose leaves are LAPACK's ``dtrsyl``.  Only a complex
+  shift needs complex forms: :meth:`SchurForm.solve` splits the 2 x 2 blocks
+  of complex eigenvalue pairs with one stacked pass of unitary rotations, once
+  per form.
 * **One path to a dataset cell.** :func:`logneg_from_nu` is the one map from a
   smallest symplectic eigenvalue nu to a negativity E, and refuses a nu with no
   significant digits left; :func:`normalized_logneg` is the one E/(1+E).
@@ -46,11 +50,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dgees, ztrsyl
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from .errors import (
     ROUNDOFF_RTOL,
@@ -68,6 +72,7 @@ __all__ = [
     "DriftDiffusion",
     "QuadratureCovariance",
     "SchurForm",
+    "chain_phases",
     "check_drive",
     "log_negativity_gaussian",
     "logneg_from_nu",
@@ -90,6 +95,10 @@ HURWITZ_TOL = 1e-12
 # Residual acceptance threshold of every steady-moment solve, relative to
 # max(1, largest source entry).
 _RESIDUAL_RTOL = 1e-10
+
+# Largest side of a quasi-triangular Sylvester problem that one ``dtrsyl``
+# call solves; a larger one is cut in two.
+_LEAF = 64
 
 # How far below 1 a symplectic eigenvalue of a solver-produced covariance
 # may fall before the generator is declared malformed.
@@ -246,35 +255,60 @@ def _require_residual(what: str, residual, source: float) -> None:
     certify(residual, _RESIDUAL_RTOL * max(1.0, source), NoConvergence, f"{what} residual")
 
 
-class SchurForm(NamedTuple):
-    """Complex Schur form ``drift = q t q^H``: ``t`` upper triangular, ``q`` unitary.
+def chain_phases(n: int) -> np.ndarray:
+    """The diagonal ``(1, i, -1, -i, ...)`` of the open-chain gauge ``P`` on ``n`` sites."""
+    return np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
 
-    Each field is the ``(S, N, N)`` stack of every slice's matrix.  Neither
-    :meth:`conj` (the conjugate drifts' forms) nor :meth:`solve` factors anew.
+
+@dataclass(frozen=True, eq=False)
+class SchurForm:
+    """Real Schur forms ``gauged = z t z^T`` of gauged open-chain drifts.
+
+    ``gauged`` is the real ``P L P^*`` of each ladder drift ``L`` (``P =
+    diag(chain_phases(N))``), ``t`` its quasi upper triangular factor in
+    ``dgees``'s standard form and ``z`` the orthogonal one; each field is the
+    ``(S, N, N)`` stack of every slice's matrix, read-only.  Indexing takes
+    the forms of a subset of the slices.  :meth:`solve` splits the 2 x 2
+    blocks into complex triangular ones the first time it is called, and
+    never factors anew.
     """
 
-    drift: np.ndarray
+    gauged: np.ndarray
     t: np.ndarray
-    q: np.ndarray
+    z: np.ndarray
 
-    def conj(self) -> "SchurForm":
-        return SchurForm(self.drift.conj(), self.t.conj(), self.q.conj())
+    def __post_init__(self) -> None:
+        for name in ("gauged", "t", "z"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __getitem__(self, index) -> "SchurForm":
+        return SchurForm(self.gauged[index], self.t[index], self.z[index])
+
+    @cached_property
+    def _triangular(self) -> tuple[np.ndarray, np.ndarray]:
+        """Complex Schur forms ``L = q t q^H`` of the ungauged drifts: ``q = P^* z``."""
+        t, z = _split_pairs(self.t, self.z)
+        return t, chain_phases(t.shape[-1]).conj()[:, None] * z
 
     def solve(self, rhs: np.ndarray, shifts) -> np.ndarray:
-        """``(drift + s)^-1 rhs`` of every slice for each of the W ``shifts`` s.
+        """``(L + s)^-1 rhs`` of every slice's ungauged drift ``L`` for each of the W ``shifts`` s.
 
         ``rhs`` is ``(S, N, K)`` and the result ``(W, S, N, K)``.  It is ``q
-        (t + s)^-1 q^H rhs``: one back substitution over the columns of ``t``
-        serves every shift, slice and column at once, and each shift's
-        values take the same operations whatever the other shifts are.
+        (t + s)^-1 q^H rhs`` on the complex forms: one back substitution over
+        the columns of ``t`` serves every shift, slice and column at once,
+        and each shift's values take the same operations whatever the other
+        shifts are.
         """
+        t, q = self._triangular
         shifts = np.asarray(shifts)[:, None, None, None]
-        y = np.repeat((self.q.conj().swapaxes(-1, -2) @ rhs)[None], len(shifts), axis=0)
-        pivots = self.t.diagonal(axis1=-2, axis2=-1)[..., None] + shifts
+        y = np.repeat((q.conj().swapaxes(-1, -2) @ rhs)[None], len(shifts), axis=0)
+        pivots = t.diagonal(axis1=-2, axis2=-1)[..., None] + shifts
         for col in range(rhs.shape[1] - 1, -1, -1):
             y[:, :, col] /= pivots[:, :, col]
-            y[:, :, :col] -= self.t[:, :col, col, None] * y[:, :, col, None]
-        return self.q @ y
+            y[:, :, :col] -= t[:, :col, col, None] * y[:, :, col, None]
+        return q @ y
 
 
 def _keep_order(real: float, imag: float) -> int:
@@ -328,15 +362,15 @@ def _split_pairs(t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def schur_form(drift: np.ndarray) -> SchurForm:
-    """Schur form of each slice of an ``(S, N, N)`` stack of open-chain ladder drifts.
+    """Real Schur form of each slice of an ``(S, N, N)`` stack of open-chain ladder drifts.
 
     An open chain is bipartite, so the gauge ``a_j -> i^j a_j`` (``P =
     diag(1, i, -1, -i, ...)``) makes its drift ``L = -i eta (hopping) -
     diag(damping)`` real: ``P L P^* = -diag(damping) + eta (real
     antisymmetric)``.  Each gauged slice is factored by LAPACK's real
-    ``dgees``, the 2 x 2 blocks of its complex eigenvalue pairs are split by
-    one stacked pass of unitary rotations, and ``q = P^* z`` undoes the
-    gauge.  A slice is factored alone, whatever stack it sits in.
+    ``dgees``, alone, whatever stack it sits in; in its standard form both
+    diagonal entries of a 2 x 2 block are the real part of the block's
+    eigenvalues, so ``diag(t)`` holds every Re eigenvalue.
 
     Raises ConfigInvalid, naming the first failing slice, for a non-finite
     entry or for a drift that the gauge does not make real to round-off
@@ -348,39 +382,74 @@ def schur_form(drift: np.ndarray) -> SchurForm:
     non_finite = np.count_nonzero(~np.isfinite(drift), axis=(-2, -1))
     certify(non_finite, 0, ConfigInvalid, "ladder drift has a non-finite entry: count")
     scale = np.abs(drift).max(axis=(-2, -1))
-    phases = np.array([1, 1j, -1, -1j])[np.arange(drift.shape[-1]) % 4]
+    phases = chain_phases(drift.shape[-1])
     gauged = phases[:, None] * drift * phases.conj()
     residue = np.abs(gauged.imag).max(axis=(-2, -1))
     what = "ladder drift is not an open chain: gauged imaginary part"
     certify(residue, ROUNDOFF_RTOL * scale, ConfigInvalid, what)
-    t, z = _split_pairs(*_real_schur(gauged.real))
-    top = t.diagonal(axis1=-2, axis2=-1).real.max(axis=-1)
-    _require_hurwitz(top, scale.max(initial=0.0))
-    return SchurForm(drift, t, phases.conj()[:, None] * z)
+    gauged = gauged.real
+    t, z = _real_schur(gauged)
+    _require_hurwitz(t.diagonal(axis1=-2, axis2=-1).max(axis=-1), scale.max(initial=0.0))
+    return SchurForm(gauged, t, z)
+
+
+def _cut(t: np.ndarray) -> int:
+    """The middle of quasi-triangular ``t``, moved down by one where it would split a 2 x 2 block."""
+    k = len(t) // 2
+    return k + 1 if t[k, k - 1] else k
+
+
+def _quasi_triangular_sylvester(ta: np.ndarray, tb: np.ndarray, c: np.ndarray) -> tuple:
+    """``(y, scale, info)`` with ``ta y + y tb^T = scale c`` for real Schur factors ``ta``, ``tb``.
+
+    The recursive blocked solve of Jonsson & Kagstrom (ACM TOMS 28, 392,
+    2002): the larger side is cut in two between diagonal blocks, the
+    trailing half is solved first, and its one matmul updates the leading
+    half's right-hand side.  A problem whose sides are at most ``_LEAF`` is a
+    leaf, solved by LAPACK's ``dtrsyl``.  A leaf may scale its right-hand
+    side by ``scale <= 1`` against overflow; the other half and the product
+    of the scales follow, so ``scale`` holds for the whole ``y``.  ``info``
+    is the largest of the leaves'; 1 means that close eigenvalues of ``ta``
+    and ``-tb`` were perturbed.
+    """
+    rows, cols = c.shape
+    if max(rows, cols) <= _LEAF:
+        return dtrsyl(ta, tb, c, trana="N", tranb="T")
+    if rows >= cols:
+        k = _cut(ta)
+        y2, s2, i2 = _quasi_triangular_sylvester(ta[k:, k:], tb, c[k:])
+        y1, s1, i1 = _quasi_triangular_sylvester(ta[:k, :k], tb, s2 * c[:k] - ta[:k, k:] @ y2)
+        return np.vstack((y1, s1 * y2)), s1 * s2, max(i1, i2)
+    k = _cut(tb)
+    y2, s2, i2 = _quasi_triangular_sylvester(ta, tb[k:, k:], c[:, k:])
+    y1, s1, i1 = _quasi_triangular_sylvester(ta, tb[:k, :k], s2 * c[:, :k] - y2 @ tb[:k, k:].T)
+    return np.hstack((y1, s1 * y2)), s1 * s2, max(i1, i2)
 
 
 def solve_rank_one_sylvester(a: SchurForm, b: SchurForm, source: float) -> np.ndarray:
-    """``X`` solving ``A X + X B^T = source * e0 e0^T`` for Hurwitz ``A``, ``B``.
+    """``Y`` solving ``G_a Y + Y G_b^T = source * e0 e0^T`` for the forms' gauged drifts.
 
-    ``X = q_a Y q_b^T`` turns it into ``t_a Y + Y t_b^T = source (q_a^H e0)
-    (q_b^H e0)^T``, which ``ztrsyl`` solves by back substitution.  ``a``
-    and ``b`` are forms of ``(S, N, N)`` stacks, and ``X`` is the stack of
-    every slice's solution.  Raises NoConvergence, naming the first
-    failing slice, on a ``ztrsyl`` failure or a residual above ``1e-10 *
-    max(1, |source|)``.
+    ``Y = z_a W z_b^T`` turns it into ``t_a W + W t_b^T = source (z_a^T e0)
+    (z_b^T e0)^T``, which a recursive blocked solve on the quasi-triangular
+    factors gives in real arithmetic.  ``a`` and ``b`` are forms of ``(S, N,
+    N)`` stacks, and ``Y`` is the real stack of every slice's solution.  The
+    residual is taken in the gauge, whose phases leave every entry's modulus
+    as it is.  Raises NoConvergence, naming the first failing slice, on a
+    ``dtrsyl`` failure or a residual above ``1e-10 * max(1, |source|)``.
     """
-    # an overflowing source meets q's exact zeros as inf * 0: the NaN it makes
+    # an overflowing source meets z's exact zeros as inf * 0: the NaN it makes
     # is refused below as a residual, without a numpy warning on the way
     with np.errstate(invalid="ignore", over="ignore"):
-        rhs = source * (a.q[:, 0, :, None].conj() * b.q[:, 0, None, :].conj())
-    y, scale, info = np.empty_like(rhs), np.empty(len(rhs)), np.empty(len(rhs), int)
-    for index, (ta, tb, c) in enumerate(zip(a.t, b.t.conj(), rhs)):
-        y[index], scale[index], info[index] = ztrsyl(ta, tb, c, trana="N", tranb="C")
-    certify(np.abs(info), 0, NoConvergence, "triangular Sylvester solve failed: |ztrsyl info|")
-    y /= scale[:, None, None]
-    x = a.q @ y @ b.q.swapaxes(-1, -2)
-    residual = a.drift @ x + x @ b.drift.swapaxes(-1, -2)
-    residual[:, 0, 0] -= source
+        rhs = source * (a.z[:, 0, :, None] * b.z[:, 0, None, :])
+        y, scale, info = np.empty_like(rhs), np.empty(len(rhs)), np.empty(len(rhs), int)
+        for index, (ta, tb, c) in enumerate(zip(a.t, b.t, rhs)):
+            y[index], scale[index], info[index] = _quasi_triangular_sylvester(ta, tb, c)
+        y /= scale[:, None, None]
+        x = a.z @ y @ b.z.swapaxes(-1, -2)
+        residual = a.gauged @ x + x @ b.gauged.swapaxes(-1, -2)
+        residual[:, 0, 0] -= source
+    what = "quasi-triangular Sylvester solve failed: |dtrsyl info|"
+    certify(np.abs(info), 0, NoConvergence, what)
     _require_residual("Sylvester", np.abs(residual).max(axis=(-2, -1)), abs(source))
     return x
 
@@ -402,7 +471,10 @@ def uncertainty_margin(
     ``mirrored`` states that the groups are mirror images (``n1 = n2``
     and ``m = m^T``), so that the second block equals the first and only
     the first is diagonalized.  Returns one margin per slice; a refusal
-    names the first failing slice.
+    names the first failing slice.  The chain gauge's ``n_i -> P^* n_i P``,
+    ``m -> P m P`` changes each block by the unitary similarity ``diag(P,
+    P^*)`` and the margin not at all, so the gauged real moments of the
+    arrays take a real eigensolve.
     """
     eye = np.eye(m.shape[-1])
     m_t = m.swapaxes(-1, -2)

@@ -298,7 +298,7 @@ def adiabaticity_ratio(cfg: ArrayConfig) -> float:
 
 def _field_ratio(cfg: ArrayConfig, forms: SchurForm) -> float:
     """:func:`adiabaticity_ratio` from the field's Schur forms already at hand."""
-    rates = np.abs(forms.t.diagonal(axis1=-2, axis2=-1).real)
+    rates = np.abs(forms.t.diagonal(axis1=-2, axis2=-1))
     return float(max(cfg.g) * np.sqrt(cfg.nbar + 1.0) / rates.min())
 
 
@@ -306,8 +306,9 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     """Second-order reduced spin generator for an arbitrary array config.
 
     The field sector (``cfg.field_only``) supplies, from one steady solve,
-    the Schur forms of the exact drift ``M = diag(L_1, L_2, conj L_1, conj
-    L_2)`` and the stacked moments ``A0``; the memory kernels follow by
+    the Schur forms of ``L_1`` and ``L_2``, which serve every block of the
+    exact drift ``M = diag(L_1, L_2, conj L_1, conj L_2)``, and the stacked
+    moments ``A0``; the memory kernels follow by
     integrating the field correlations, ``kernel = g^2 M^{-1} A0`` and
     ``kernel_reversed = g^2 M^{-1} A0^T``; ``kernel`` and its reversed
     partner's transpose are the one-sided coefficients of
@@ -328,10 +329,12 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
             stacklevel=2,
         )
     moments = field.stacked()
-    # the rows of A0 and A0^T in M's four N-row blocks L_1, L_2, conj L_1, conj L_2
-    blocks = SchurForm(*map(np.concatenate, zip(field.forms, field.forms.conj())))
+    # the rows of A0 and A0^T in M's four N-row blocks L_1, L_2, conj L_1, conj L_2;
+    # conj(L)^-1 r = conj(L^-1 conj r), so one solve on L_1, L_2 serves all four
     rhs = np.concatenate((moments, moments.T), axis=1).reshape(4, n_pairs, -1)
-    solved = g**2 * blocks.solve(rhs, [0.0])[0].reshape(4 * n_pairs, -1)
+    both = field.forms.solve(np.concatenate((rhs[:2], rhs[2:].conj()), axis=-1), [0.0])[0]
+    plain, conjugate = np.split(both, 2, axis=-1)
+    solved = g**2 * np.concatenate((plain, conjugate.conj())).reshape(4 * n_pairs, -1)
     kernel, kernel_reversed = np.split(solved, 2, axis=1)
     # drho = sum_jk [T_jk s_j s_k rho + (Tbar^T)_jk rho s_j s_k
     #                - (T^T + Tbar)_jk s_j rho s_k]

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entrep.arrays
+import entrep.gaussian
 import quadrature_oracle as oracle
 from entrep.arrays import (
     ArrayConfig,
@@ -31,7 +32,12 @@ from entrep.arrays import (
 )
 from entrep.baselines import driving_entanglement
 from entrep.errors import ConfigInvalid, ModelError, NonPhysicalResult, NotHurwitz, OverSqueezed
-from entrep.gaussian import squeezing_bound, symplectic_eigenvalues, uncertainty_margin
+from entrep.gaussian import (
+    chain_phases,
+    squeezing_bound,
+    symplectic_eigenvalues,
+    uncertainty_margin,
+)
 
 #: The exceptional-point configuration: its single-array drift has one
 #: defective eigenvalue, so no eigenvector basis exists.
@@ -264,7 +270,7 @@ class TestSteadyState:
         moments = steady_state(ArrayConfig.homogeneous(2, zeta=1.0, nbar=1.0, mbar=1.2))
         with pytest.raises(ValueError):
             moments.m[0, 0] = 0.0
-        for field in moments.forms:
+        for field in (moments.forms.gauged, moments.forms.t, moments.forms.z):
             with pytest.raises(ValueError):
                 field[0, 0, 0] = 0.0
 
@@ -273,7 +279,9 @@ class TestSteadyState:
         cfg = ArrayConfig(
             n_sites=2, eta=(1.0, 1.0), kappa=(0.1, 0.0, kappa_two, 0.0), zeta=0.8, nbar=0.5, mbar=0.4
         )
-        assert steady_state(cfg).forms.drift.tobytes() == ladder_drift(cfg).tobytes()
+        phases = chain_phases(cfg.n_sites)
+        gauged = (phases[:, None] * ladder_drift(cfg) * phases.conj()).real
+        assert steady_state(cfg).forms.gauged.tobytes() == gauged.tobytes()
 
     @given(cfg=small_configs())
     @settings(max_examples=40, deadline=None)
@@ -303,6 +311,16 @@ class TestSteadyState:
         cfg = ArrayConfig.homogeneous(120, eta=1.0, kappa=0.0, zeta=1.0, nbar=1.0, mbar=math.sqrt(2.0))
         profile = pair_entanglement_profile(cfg)
         assert np.abs(profile.raw - driving_entanglement(1.0, math.sqrt(2.0))).max() <= 1e-10
+
+    def test_a_thousand_site_array_replicates_the_drive(self):
+        # the paper's claim at scale.  The slowest decay rate of a lossless
+        # array falls like 1/N^3, and the moments lose digits with it, on
+        # the real route as on the complex route it replaced: the pairs sit
+        # 2.7e-12 from the drive at N = 120, 1.4e-10 at N = 500 and 3.3e-10
+        # at N = 1000, so this size has its own bound
+        cfg = ArrayConfig.homogeneous(1000, eta=1.0, kappa=0.0, zeta=1.0, nbar=1.0, mbar=math.sqrt(2.0))
+        profile = pair_entanglement_profile(cfg)
+        assert np.abs(profile.raw - driving_entanglement(1.0, math.sqrt(2.0))).max() <= 1e-9
 
     @pytest.mark.parametrize("scale", [1.0, 1.2])
     def test_uncertainty_sign_agrees_with_symplectic_eigenvalues(self, scale):
@@ -563,6 +581,15 @@ class TestDisorder:
         assert stacks == [(6, 3, 3), (6, 3, 3), (4, 3, 3)]
         for name in STATISTICS:
             assert np.array_equal(getattr(chunked, name), getattr(whole, name))
+
+    def test_a_level_splits_no_schur_form(self, monkeypatch):
+        # the moments stay real in the chain gauge: only shifted solves split 2 x 2 blocks
+        def refuse(t, z):
+            raise AssertionError("a complex split on the moment path")
+
+        monkeypatch.setattr(entrep.gaussian, "_split_pairs", refuse)
+        disorder_sweep(self.make_spec(delta_xi=0.4, samples=8))
+        disorder_sweep(self.make_spec(delta_xi=0.0))
 
     def make_spec(self, delta_xi=0.2, samples=6, seed=77):
         base = ArrayConfig.homogeneous(3, eta=1.0, kappa=0.02, zeta=1.0, nbar=1.0, mbar=1.3)

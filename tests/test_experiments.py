@@ -369,7 +369,12 @@ def test_run_all_figures_writes_the_run_experiment_bytes(tmp_path, capsys):
     spec.loader.exec_module(run_all_figures)
     outdir = tmp_path / "script"
     assert run_all_figures.main(["--only", "fig2a", "fig3c", "--outdir", str(outdir)]) == 0
-    assert "done: 2 datasets" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "done: 2 datasets" in out
+    # the timings carry the BLAS thread settings they were taken under
+    threads = out.splitlines()[-1].split()
+    assert threads[0] == "threads:"
+    assert [pair.split("=")[0] for pair in threads[1:]] == list(run_all_figures.THREAD_SETTINGS)
     for name in ("fig2a", "fig3c"):
         cfg = ExperimentConfig(experiment=name, out=tmp_path / f"{name}.csv")
         run_experiment(cfg)

@@ -2,7 +2,7 @@
 
 The Lyapunov solver is cross-checked against the integral representation
 sigma = int_0^inf exp(A t) D exp(A^T t) dt evaluated by adaptive
-quadrature, the triangular Sylvester solve against scipy's dense one, and
+quadrature, the real Sylvester solve against scipy's dense complex one, and
 the entanglement routines against closed forms for two-mode squeezed
 thermal states.
 """
@@ -17,7 +17,7 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgees
+from scipy.linalg.lapack import dgees, dtrsyl
 
 import entrep.gaussian
 from entrep.errors import (
@@ -33,6 +33,7 @@ from entrep.gaussian import (
     DriftDiffusion,
     QuadratureCovariance,
     SchurForm,
+    chain_phases,
     log_negativity_gaussian,
     logneg_from_nu,
     normalized_logneg,
@@ -278,21 +279,28 @@ def random_hurwitz_ladder(rng: np.random.Generator, n: int) -> np.ndarray:
     return chain_ladder(bonds, rng.uniform(0.2, 1.0, size=n), rng.uniform(0.5, 2.0))
 
 
+def ungauged(gauged: np.ndarray, conjugate: bool) -> np.ndarray:
+    """The moments of a gauged solve: ``P Y P^*`` (normal, ``conjugate``) or ``P^* Y P^*`` (cross)."""
+    phases = chain_phases(gauged.shape[-1])
+    return (phases if conjugate else phases.conj())[:, None] * gauged * phases.conj()
+
+
 class TestRankOneSylvester:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("conjugate", [False, True])
     def test_matches_dense_sylvester_solve(self, seed, conjugate):
+        # the gauged solve gives conj(L_1) N + N L_2^T (conjugate) and
+        # L_1 M + M L_2^T alike, on the one real form of each drift
         rng = np.random.default_rng(seed)
         one = random_hurwitz_ladder(rng, 5)
         two = random_hurwitz_ladder(rng, 5)
-        first = schur_form(one[None])
-        first = first.conj() if conjugate else first
         source = rng.uniform(-2.0, 2.0)
-        got = solve_rank_one_sylvester(first, schur_form(two[None]), source)
+        got = solve_rank_one_sylvester(schur_form(one[None]), schur_form(two[None]), source)
         rhs = np.zeros((5, 5), complex)
         rhs[0, 0] = source
-        want = scipy.linalg.solve_sylvester(first.drift[0], two.T, rhs)
-        assert np.abs(got[0] - want).max() <= 1e-12
+        want = scipy.linalg.solve_sylvester(one.conj() if conjugate else one, two.T, rhs)
+        assert np.isrealobj(got)
+        assert np.abs(ungauged(got[0], conjugate) - want).max() <= 1e-12
 
     def test_schur_form_refuses_a_marginal_drift(self):
         with pytest.raises(NotHurwitz):
@@ -300,7 +308,7 @@ class TestRankOneSylvester:
 
     def test_refuses_an_inaccurate_solve(self):
         form = schur_form(random_hurwitz_ladder(np.random.default_rng(1), 4)[None])
-        wrong = form._replace(drift=1.01 * form.drift)
+        wrong = SchurForm(1.01 * form.gauged, form.t, form.z)
         with pytest.raises(NoConvergence):
             solve_rank_one_sylvester(wrong, form, 1.0)
 
@@ -380,13 +388,13 @@ class TestStackedCore:
     def test_stacked_solve_equals_the_per_slice_solves(self, slices):
         one, two = random_ladder_stack(0, slices, 5), random_ladder_stack(1, slices, 5)
         forms_one, forms_two = schur_form(one), schur_form(two)
-        assert forms_one.t.shape == forms_one.q.shape == (slices, 5, 5)
-        got = solve_rank_one_sylvester(forms_one.conj(), forms_two, 0.7)
+        assert forms_one.t.shape == forms_one.z.shape == (slices, 5, 5)
+        got = solve_rank_one_sylvester(forms_one, forms_two, 0.7)
         for k in range(slices):
             single_one, single_two = schur_form(one[k : k + 1]), schur_form(two[k : k + 1])
             assert np.array_equal(forms_one.t[k], single_one.t[0])
-            assert np.array_equal(forms_one.q[k], single_one.q[0])
-            want = solve_rank_one_sylvester(single_one.conj(), single_two, 0.7)
+            assert np.array_equal(forms_one.z[k], single_one.z[0])
+            want = solve_rank_one_sylvester(single_one, single_two, 0.7)
             assert np.array_equal(got[k], want[0])
 
     def test_stacked_margin_equals_the_per_slice_margins(self):
@@ -408,14 +416,26 @@ class TestStackedCore:
         form = schur_form(stack)
         scale = np.abs(stack).max()
         n = stack.shape[-1]
-        rebuilt = form.q @ form.t @ form.q.conj().swapaxes(-1, -2)
+        phases = chain_phases(n)
+        assert np.array_equal(form.gauged, (phases[:, None] * stack * phases.conj()).real)
+        rebuilt = form.z @ form.t @ form.z.swapaxes(-1, -2)
+        assert np.abs(rebuilt - form.gauged).max() <= 1e-13 * scale
+        assert np.abs(form.z.swapaxes(-1, -2) @ form.z - np.eye(n)).max() <= 1e-13
+        # quasi triangular: no two 2 x 2 blocks overlap
+        below = form.t.diagonal(offset=-1, axis1=-2, axis2=-1) != 0.0
+        assert not np.tril(form.t, -2).any() and not (below[:, 1:] & below[:, :-1]).any()
+        # the complex forms that the shifted solves split off rebuild the drift itself
+        t, q = form._triangular
+        rebuilt = q @ t @ q.conj().swapaxes(-1, -2)
         assert np.abs(rebuilt - stack).max() <= 1e-13 * scale
-        assert np.abs(form.q.conj().swapaxes(-1, -2) @ form.q - np.eye(n)).max() <= 1e-13
-        assert not np.tril(form.t, -1).any()
+        assert np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(n)).max() <= 1e-13
+        assert not np.tril(t, -1).any()
         for k in range(len(stack)):
             single = schur_form(stack[k : k + 1])
             assert np.array_equal(form.t[k], single.t[0])
-            assert np.array_equal(form.q[k], single.q[0])
+            assert np.array_equal(form.z[k], single.z[0])
+            assert np.array_equal(t[k], single._triangular[0][0])
+            assert np.array_equal(q[k], single._triangular[1][0])
 
     def test_the_stacks_hold_the_block_structures_they_name(self):
         # 2 x 2 real Schur blocks are complex pairs, 1 x 1 blocks real eigenvalues
@@ -487,30 +507,138 @@ class TestStackedCore:
 
     def test_inaccurate_slice_is_named(self):
         form = schur_form(random_ladder_stack(3, 3, 4))
-        drift = form.drift.copy()
+        drift = form.gauged.copy()
         drift[1] *= 1.01
         with pytest.raises(NoConvergence, match=r"Sylvester residual \(slice 1\)"):
-            solve_rank_one_sylvester(form._replace(drift=drift), form, 1.0)
+            solve_rank_one_sylvester(SchurForm(drift, form.t, form.z), form, 1.0)
 
     def test_singular_triangular_slice_is_named(self):
-        # t_a + t_b = 0 on slice 1: ztrsyl reports a perturbed solve
-        t_a = np.array([[[-1.0]], [[-1.0]]], complex)
-        t_b = np.array([[[-1.0]], [[1.0]]], complex)
-        q = np.ones((2, 1, 1), complex)
-        with pytest.raises(NoConvergence, match=r"solve failed: \|ztrsyl info\| \(slice 1\) = 1,"):
-            solve_rank_one_sylvester(SchurForm(t_a, t_a, q), SchurForm(t_b, t_b, q), 1.0)
+        # t_a + t_b = 0 on slice 1: dtrsyl reports a perturbed solve
+        t_a = np.array([[[-1.0]], [[-1.0]]])
+        t_b = np.array([[[-1.0]], [[1.0]]])
+        z = np.ones((2, 1, 1))
+        with pytest.raises(NoConvergence, match=r"solve failed: \|dtrsyl info\| \(slice 1\) = 1,"):
+            solve_rank_one_sylvester(SchurForm(t_a, t_a, z), SchurForm(t_b, t_b, z), 1.0)
 
     def test_a_non_finite_residual_is_refused(self):
         # an overflowing source makes the residual NaN, which no bound admits
         form = schur_form(random_ladder_stack(4, 2, 3))
         with pytest.raises(NoConvergence, match="residual"):
-            solve_rank_one_sylvester(form.conj(), form, -math.inf)
+            solve_rank_one_sylvester(form, form, -math.inf)
 
     def test_oversqueezed_slice_is_named(self):
         n = np.ones((3, 1, 1))
         m = np.array([[[1.0]], [[math.sqrt(2.0)]], [[1.5]]])
         with pytest.raises(NonPhysicalResult, match=r"violated \(slice 2\)"):
             uncertainty_margin(n, n, m)
+
+
+def long_structure_stack(kind: str, n: int) -> np.ndarray:
+    """Two chains of ``n`` sites with the block structure of :func:`block_structure_stack`'s ``kind``.
+
+    Each chain has one uniform bond (0.8, then 1.2), so that no mode of a
+    long lossless chain is localized away from its drive.
+    """
+    bonds = np.outer([0.8, 1.2], np.ones(n - 1))
+    if kind == "lossless":
+        return np.array([chain_ladder(b, np.zeros(n), 1.0) for b in bonds])
+    if kind == "overdamped":
+        return np.array([chain_ladder(0.01 * b, 0.2 + 0.05 * np.arange(n), 0.1) for b in bonds])
+    # a strongly bonded, weakly damped half, then a weakly bonded, strongly damped one
+    half = n // 2
+    damping = np.r_[np.full(half, 0.1), 2.0 + 0.05 * np.arange(n - half)]
+    strength = np.r_[np.ones(half), np.full(n - 1 - half, 0.01)]
+    return np.array([chain_ladder(strength * b, damping, 0.2) for b in bonds])
+
+
+SIDES = [1, 2, 64, 65, 130, 257]
+
+
+class TestRecursiveSylvester:
+    """The recursive blocked solve on quasi-triangular factors of every side and block structure."""
+
+    @pytest.mark.parametrize("n", SIDES)
+    @pytest.mark.parametrize("kind", ["lossless", "overdamped", "mixed"])
+    def test_matches_dense_solves_of_the_ungauged_drifts(self, kind, n):
+        stack = long_structure_stack(kind, n)
+        form = schur_form(stack)
+        rhs = np.zeros((n, n), complex)
+        rhs[0, 0] = 0.7
+        # the moments lose digits like the inverse of the slowest decay rate
+        tol = 1e-13 * max(1.0, 1.0 / -form.t.diagonal(axis1=-2, axis2=-1).max())
+        cross = ungauged(solve_rank_one_sylvester(form[:1], form[1:], 0.7)[0], False)
+        want = scipy.linalg.solve_sylvester(stack[0], stack[1].T, rhs)
+        assert np.abs(cross - want).max() <= tol * np.abs(want).max()
+        normal = ungauged(solve_rank_one_sylvester(form[1:], form[1:], 0.7)[0], True)
+        want = scipy.linalg.solve_sylvester(stack[1].conj(), stack[1].T, rhs)
+        assert np.abs(normal - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", SIDES)
+    @pytest.mark.parametrize("kind", ["lossless", "overdamped", "mixed"])
+    def test_matches_one_flat_dtrsyl_call(self, kind, n):
+        t_a, t_b = schur_form(long_structure_stack(kind, n)).t
+        c = np.random.default_rng(n).normal(size=(n, n))
+        got, scale, info = entrep.gaussian._quasi_triangular_sylvester(t_a, t_b, c)
+        want, want_scale, want_info = dtrsyl(t_a, t_b, c, trana="N", tranb="T")
+        assert (scale, info) == (want_scale, want_info) == (1.0, 0)
+        if n <= 64:
+            # a side of at most 64 is one leaf: the flat call itself
+            assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["lossless", "mixed"])
+    def test_a_cut_inside_a_two_by_two_block_moves_past_it(self, kind):
+        # the middle of 257 splits a complex pair's block of the first chain
+        t = schur_form(long_structure_stack(kind, 257)).t[0]
+        assert t[128, 127] != 0.0
+        assert entrep.gaussian._cut(t) == 129
+        assert entrep.gaussian._cut(t[:128, :128]) == 64 + (t[64, 63] != 0.0)
+
+    def test_every_leaf_is_at_most_64_wide(self, monkeypatch):
+        leaves = []
+
+        def recording(t_a, t_b, c, **kwargs):
+            leaves.append(c.shape)
+            return dtrsyl(t_a, t_b, c, **kwargs)
+
+        monkeypatch.setattr(entrep.gaussian, "dtrsyl", recording)
+        form = schur_form(long_structure_stack("mixed", 130))
+        solve_rank_one_sylvester(form[:1], form[1:], 1.0)
+        assert max(max(shape) for shape in leaves) <= 64
+        assert sum(rows * cols for rows, cols in leaves) == 130 * 130
+
+    def test_a_scaled_leaf_gives_the_unscaled_solution(self, monkeypatch):
+        # a leaf that scales its right-hand side by 1/2 against overflow:
+        # every later leaf and the other half follow, and the scale divides out
+        form = schur_form(long_structure_stack("lossless", 130))
+        want = solve_rank_one_sylvester(form[:1], form[1:], 1.0)
+        calls = []
+
+        def scaling(t_a, t_b, c, **kwargs):
+            y, scale, info = dtrsyl(t_a, t_b, c, **kwargs)
+            calls.append(c.shape)
+            return (0.5 * y, 0.5 * scale, info) if len(calls) == 2 else (y, scale, info)
+
+        monkeypatch.setattr(entrep.gaussian, "dtrsyl", scaling)
+        got = solve_rank_one_sylvester(form[:1], form[1:], 1.0)
+        assert len(calls) > 2
+        assert np.array_equal(got, want)
+
+    def test_a_failed_leaf_names_its_slice(self, monkeypatch):
+        form = schur_form(random_ladder_stack(5, 3, 70))
+        leaves = []
+
+        def failing(t_a, t_b, c, **kwargs):
+            y, scale, info = dtrsyl(t_a, t_b, c, **kwargs)
+            # a leaf's factor is a view of its slice's t
+            leaves.append(np.shares_memory(t_a, form.t[1]))
+            return y, scale, 1 if leaves[-1] else info
+
+        monkeypatch.setattr(entrep.gaussian, "dtrsyl", failing)
+        with pytest.raises(NoConvergence, match=r"\|dtrsyl info\| \(slice 1\) = 1,"):
+            solve_rank_one_sylvester(form, form, 1.0)
+        # every slice is solved, in leaves, then the first failure is named
+        assert len(leaves) > 3 and leaves.count(True) == len(leaves) // 3
 
 
 class TestUncertaintyMargin:

@@ -547,6 +547,32 @@ class TestOneFactorization:
         assert len(factored) == arrays
 
 
+class TestPairSplits:
+    """The complex split of a Schur form's 2 x 2 blocks runs once per form, on the first shifted solve."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        seen = []
+        split = entrep.gaussian._split_pairs
+
+        def counting(t, z):
+            seen.append(t.shape)
+            return split(t, z)
+
+        monkeypatch.setattr(entrep.gaussian, "_split_pairs", counting)
+        return seen
+
+    @pytest.mark.parametrize("cfg", [end_damped_config(), lossy_config()], ids=["mirrored", "unmirrored"])
+    def test_a_spectrum_splits_its_forms_once(self, splits, cfg):
+        output_pair_spectrum(cfg, np.linspace(-3.0, 3.0, 241))
+        assert splits == [(2, cfg.n_sites, cfg.n_sites)]
+
+    def test_a_peak_search_splits_its_forms_once(self, splits):
+        # the scan and every refinement step solve on the same steady forms
+        peak_frequency(end_damped_config(), np.linspace(1.0, 1.8, 9))
+        assert len(splits) == 1
+
+
 class TestDriftReuse:
     """Every frequency reads the drift off the steady record: one drift build per route."""
 
