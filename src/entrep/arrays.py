@@ -53,13 +53,12 @@ field's value exactly, for any chain length.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import driving_entanglement
-from .errors import ConfigInvalid, as_integer, as_seed
+from .errors import ConfigInvalid, as_integer, as_real, as_seed
 from .gaussian import (
     SchurForm,
     chain_phases,
@@ -84,6 +83,15 @@ __all__ = [
 ]
 
 
+def _rates(key: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of finite floats >= 0, entry i named ``key[i]``."""
+    try:
+        values = tuple(values)
+    except TypeError as exc:
+        raise ConfigInvalid(f"{key} must hold numbers, got {values!r}") from exc
+    return tuple(as_real(f"{key}[{i}]", value, 0.0) for i, value in enumerate(values))
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Full physical parametrization of the two driven arrays.
@@ -104,6 +112,9 @@ class ArrayConfig:
     g
         N atom-field couplings, one per pair; all zero selects the pure
         cavity (Gaussian) model.  Used only by the spin-dynamics layer.
+
+    Rates and occupations are stored as floats; one that is not a finite real
+    >= 0 (:func:`entrep.errors.as_real`) raises ConfigInvalid naming it.
     """
 
     n_sites: int
@@ -117,35 +128,18 @@ class ArrayConfig:
     def __post_init__(self) -> None:
         n = as_integer("n_sites", self.n_sites, 1)
         object.__setattr__(self, "n_sites", n)
-        for key in ("eta", "kappa", "g"):
-            try:
-                object.__setattr__(self, key, tuple(float(v) for v in getattr(self, key)))
-            except (TypeError, ValueError) as exc:
-                raise ConfigInvalid(f"{key} must hold numbers, got {getattr(self, key)!r}") from exc
-        if not self.g:
-            object.__setattr__(self, "g", (0.0,) * n)
-        if len(self.eta) != 2 * (n - 1):
-            raise ConfigInvalid(
-                f"expected {2 * (n - 1)} bond couplings for n_sites={n}, "
-                f"got {len(self.eta)}"
-            )
-        if len(self.kappa) != 2 * n:
-            raise ConfigInvalid(
-                f"expected {2 * n} decay rates for n_sites={n}, got {len(self.kappa)}"
-            )
-        if len(self.g) != n:
-            raise ConfigInvalid(
-                f"expected {n} atom couplings for n_sites={n}, got {len(self.g)}"
-            )
-        scalars = (self.zeta, self.nbar, self.mbar)
-        if not all(math.isfinite(v) for v in self.eta + self.kappa + self.g + scalars):
-            raise ConfigInvalid(f"every rate and occupation must be finite, got {self}")
-        for name, values in (("eta", self.eta), ("kappa", self.kappa), ("g", self.g)):
-            if any(v < 0.0 for v in values):
-                raise ConfigInvalid(f"all {name} entries must be >= 0, got {values}")
-        if self.zeta < 0.0:
-            raise ConfigInvalid(f"zeta must be >= 0, got {self.zeta}")
-        check_drive(self.nbar, self.mbar)
+        for key, values, size, what in (
+            ("eta", _rates("eta", self.eta), 2 * (n - 1), "bond couplings"),
+            ("kappa", _rates("kappa", self.kappa), 2 * n, "decay rates"),
+            ("g", _rates("g", self.g) or (0.0,) * n, n, "atom couplings"),
+        ):
+            if len(values) != size:
+                raise ConfigInvalid(f"expected {size} {what} for n_sites={n}, got {len(values)}")
+            object.__setattr__(self, key, values)
+        object.__setattr__(self, "zeta", as_real("zeta", self.zeta, 0.0))
+        nbar, mbar = check_drive(self.nbar, self.mbar)
+        object.__setattr__(self, "nbar", nbar)
+        object.__setattr__(self, "mbar", mbar)
 
     @classmethod
     def homogeneous(
@@ -327,16 +321,19 @@ def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray) -> tuple:
     Sylvester call serve both arrays' occupations; a refused slice ``S + s``
     is sample s of array two.  When array two's drifts equal array one's,
     so do its moments, and only array one is solved.  ``forms`` is the Schur
-    forms of the whole stack.
+    forms of the whole stack.  A source ``-2 zeta nbar`` or ``2 zeta mbar``
+    that overflows is refused as ConfigInvalid before any solve.
     """
+    normal_source = as_real("-2 zeta nbar", -2.0 * cfg.zeta * cfg.nbar)
+    pair_source = as_real("2 zeta mbar", 2.0 * cfg.zeta * cfg.mbar)
     samples = len(bonds)
     drifts = _ladder_blocks(cfg, bonds)
     mirrored = np.array_equal(drifts[:samples], drifts[samples:])
     forms = schur_form(drifts[:samples] if mirrored else drifts)
-    normal = solve_rank_one_sylvester(forms, forms, -2.0 * cfg.zeta * cfg.nbar)
+    normal = solve_rank_one_sylvester(forms, forms, normal_source)
     if mirrored:
         forms = forms[np.tile(np.arange(samples), 2)]
-    m = solve_rank_one_sylvester(forms[:samples], forms[samples:], 2.0 * cfg.zeta * cfg.mbar)
+    m = solve_rank_one_sylvester(forms[:samples], forms[samples:], pair_source)
     n1, n2 = normal[:samples], normal[-samples:]
     return n1, n2, m, uncertainty_margin(n1, n2, m, mirrored=mirrored), forms
 
@@ -399,8 +396,7 @@ class DisorderSpec:
         eta = self.base.eta
         if len(set(eta)) > 1:
             raise ConfigInvalid("disorder ensembles need a homogeneous base coupling")
-        if not 0.0 <= self.delta_xi < math.inf:
-            raise ConfigInvalid(f"delta_xi must be finite and >= 0, got {self.delta_xi}")
+        object.__setattr__(self, "delta_xi", as_real("delta_xi", self.delta_xi, 0.0))
         if eta and self.delta_xi > 0.0 and self.delta_xi >= self.eta0:
             raise ConfigInvalid(
                 f"delta_xi={self.delta_xi} too large for base coupling {self.eta0}"

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigInvalid, as_integer
+from .errors import ConfigInvalid, as_integer, as_real
 from .gaussian import check_drive, pair_logneg
 
 __all__ = [
@@ -45,14 +45,13 @@ def driving_entanglement(nbar: float, mbar: float) -> float:
     pair; positive exactly when mbar > nbar.  This is the replication target
     for every pair.
     """
-    check_drive(nbar, mbar)
+    nbar, mbar = check_drive(nbar, mbar)
     return float(pair_logneg(nbar, nbar, mbar))
 
 
 def pair_amplitude(nbar: float) -> float:
     """Excited-component amplitude c = sqrt(nbar/(2*nbar+1)) of one pair."""
-    if not 0.0 <= nbar < math.inf:
-        raise ConfigInvalid(f"nbar must be finite and >= 0, got {nbar}")
+    nbar = as_real("nbar", nbar, 0.0)
     return math.sqrt(nbar / (2.0 * nbar + 1.0))
 
 
@@ -90,6 +89,7 @@ def pure_pair_logneg(c: float) -> float:
     Valid for amplitudes up to the balanced (Bell) point c = 1/sqrt(2),
     which is the supremum reachable by the replication mechanism.
     """
-    if not 0.0 <= c <= 1.0 / math.sqrt(2.0) + 1e-12:
+    c = as_real("pair amplitude", c, 0.0)
+    if c > 1.0 / math.sqrt(2.0) + 1e-12:
         raise ConfigInvalid(f"pair amplitude must lie in [0, 1/sqrt(2)], got {c}")
     return math.log2(1.0 + 2.0 * c * math.sqrt(1.0 - c * c))

@@ -139,8 +139,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    if args.budget < 1:
-        raise ConfigInvalid(f"budget must be positive, got {args.budget}")
     if args.suite == "all":
         reports = run_all(args.budget)
     else:

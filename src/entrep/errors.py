@@ -8,8 +8,9 @@ Fock truncations) need different remedies, and the validation layer
 reports them separately.
 
 :func:`as_integer` is the one rule every count, index and seed passes on its
-way in, :func:`as_seed` the one seed range and :data:`ROUNDOFF_RTOL` the one
-round-off level.  :func:`certify` is the one comparison of a solver certificate
+way in and :func:`as_real` its twin for every rate, occupation and frequency,
+:func:`as_seed` the one seed range and :data:`ROUNDOFF_RTOL` the one round-off
+level.  :func:`certify` is the one comparison of a solver certificate
 with its threshold: every bound a solver result must meet (Hurwitz margin,
 residuals, physicality, kernel condition, truncation shift) passes through it,
 so a NaN or an infinite value fails each of them alike, and every refusal names
@@ -18,6 +19,8 @@ module already imports this one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -108,6 +111,31 @@ def as_integer(key: str, value, minimum: int | None = None, bound: int | None = 
         raise ConfigInvalid(f"{key} must be >= {minimum}, got {number}")
     if bound is not None and number >= bound:
         raise ConfigInvalid(f"{key} must be < {bound}, got {number}")
+    return number
+
+
+#: types that ``float()`` would read but that are not real numbers
+_NOT_REAL = (bool, np.bool_, complex, np.complexfloating)
+
+
+def as_real(key: str, value, minimum: float | None = None, *, strict: bool = False) -> float:
+    """``value`` as a finite float ``>= minimum`` (``> minimum`` if ``strict``).
+
+    ``minimum`` is optional.  A string must spell a number; a bool, a complex
+    number, a non-scalar, NaN and an infinity are refused.  Every refusal is a
+    :class:`ConfigInvalid` naming ``key``.
+    """
+    try:
+        # a float is taken as it is; only other types need the type check
+        if type(value) is not float and isinstance(value, _NOT_REAL):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"{key} = {value!r} is not a real number") from exc
+    if not math.isfinite(number):
+        raise ConfigInvalid(f"{key} must be finite, got {number}")
+    if minimum is not None and (number <= minimum if strict else number < minimum):
+        raise ConfigInvalid(f"{key} must be {'>' if strict else '>='} {minimum}, got {number}")
     return number
 
 

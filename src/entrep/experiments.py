@@ -48,7 +48,7 @@ from .arrays import (
     pair_entanglement_profile,
 )
 from .baselines import driving_entanglement, pair_amplitude, pure_pair_logneg
-from .errors import ConfigInvalid, ExperimentFailed, ModelError, as_integer, as_seed
+from .errors import ConfigInvalid, ExperimentFailed, ModelError, as_integer, as_real, as_seed
 from .gaussian import check_drive, normalized_logneg, squeezing_bound
 from .liouville import logneg_qubits, reduced_pair_dm, steady_state_dm
 from .output import output_pair_spectrum, peak_frequency
@@ -103,22 +103,18 @@ class ExperimentDef:
 # grid and config helpers
 
 
-def _float_list(text: str, key: str) -> list[float]:
-    try:
-        values = [float(token) for token in str(text).split(",") if token.strip()]
-    except ValueError as exc:
-        raise ConfigInvalid(f"{key} must be a comma-separated float list: {text!r}") from exc
-    if not values:
+def _levels(p: Mapping[str, ParamValue], key: str) -> list[float]:
+    """The comma-separated list ``p[key]``, sorted, each entry a finite real >= 0."""
+    levels = sorted(as_real(key, token, 0.0) for token in str(p[key]).split(",") if token.strip())
+    if not levels:
         raise ConfigInvalid(f"{key} must name at least one value")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigInvalid(f"{key} values must be finite: {text!r}")
-    return sorted(values)
+    return levels
 
 
 def _linear_grid(
     p: Mapping[str, ParamValue], lo_key: str, hi_key: str, count_key: str
 ) -> list[float]:
-    lo, hi, n = float(p[lo_key]), float(p[hi_key]), int(p[count_key])
+    lo, hi, n = p[lo_key], p[hi_key], p[count_key]
     if n < 2:
         raise ConfigInvalid(f"{count_key} must be >= 2, got {n}")
     if not lo < hi:
@@ -127,26 +123,21 @@ def _linear_grid(
 
 
 def _log_grid(p: Mapping[str, ParamValue], lo_key: str, hi_key: str) -> list[float]:
-    lo, hi, n = float(p[lo_key]), float(p[hi_key]), int(p["grid_points"])
+    lo = as_real(lo_key, p[lo_key], 0.0, strict=True)
+    hi, n = p[hi_key], p["grid_points"]
     if n < 2:
         raise ConfigInvalid(f"grid_points must be >= 2, got {n}")
-    if not 0.0 < lo < hi:
-        raise ConfigInvalid(f"need 0 < {lo_key} < {hi_key}, got {lo} and {hi}")
+    if not lo < hi:
+        raise ConfigInvalid(f"{lo_key}={lo} must be below {hi_key}={hi}")
     return [float(x) for x in np.logspace(math.log10(lo), math.log10(hi), n)]
 
 
 def _uniform_config(p: Mapping[str, ParamValue], **over: float) -> ArrayConfig:
-    merged = dict(p)
-    merged.update(over)
-    return ArrayConfig.homogeneous(
-        int(merged["n_sites"]),
-        eta=float(merged["eta"]),
-        kappa=float(merged.get("kappa", 0.0)),
-        zeta=float(merged["zeta"]),
-        nbar=float(merged["nbar"]),
-        mbar=float(merged["mbar"]),
-        g=float(merged.get("g", 0.0)),
-    )
+    """The uniform arrays of ``p``, ``over`` replacing its values; no ``kappa`` or ``g`` is 0."""
+    merged = {**p, **over}
+    keys = ("eta", "kappa", "zeta", "nbar", "mbar", "g")
+    rates = {key: merged[key] for key in keys if key in merged}
+    return ArrayConfig.homogeneous(merged["n_sites"], **rates)
 
 
 def _with_end_loss(cfg: ArrayConfig, kappa_end: float) -> ArrayConfig:
@@ -184,19 +175,12 @@ def _spin_pair_rows(rho: np.ndarray, n_pairs: int, sweep_value: float, nbar: flo
 # the sweep value, the resolved parameters and the run's seed
 
 
-def _nonnegative_levels(p, key: str) -> list[float]:
-    levels = _float_list(p[key], key)
-    if any(level < 0.0 for level in levels):
-        raise ConfigInvalid(f"{key} must be non-negative, got {levels}")
-    return levels
-
-
 def _point_fig2a(value, p, seed):
     return _gaussian_rows(_uniform_config(p, kappa=value), value)
 
 
 def _sweep_fig2b(p):
-    lo, hi = int(p["n_sites_min"]), int(p["n_sites_max"])
+    lo, hi = p["n_sites_min"], p["n_sites_max"]
     if not 1 <= lo <= hi:
         raise ConfigInvalid(f"need 1 <= n_sites_min <= n_sites_max, got {lo} and {hi}")
     return list(range(lo, hi + 1))
@@ -215,10 +199,8 @@ def _sweep_fig2c(p):
         raise ConfigInvalid(
             f"fig2c applies mbar_rule = {_FIG2C_MBAR_RULE} only, got {p['mbar_rule']!r}"
         )
-    grid = _linear_grid(p, "nbar_min", "nbar_max", "grid_points")
-    if grid[0] < 0.0:
-        raise ConfigInvalid(f"nbar_min must be >= 0, got {grid[0]}")
-    return grid
+    as_real("nbar_min", p["nbar_min"], 0.0)
+    return _linear_grid(p, "nbar_min", "nbar_max", "grid_points")
 
 
 def _point_fig2c(value, p, seed):
@@ -230,7 +212,7 @@ def _point_fig2c(value, p, seed):
 
 def _sweep_mbar(p):
     grid = _linear_grid(p, "mbar_min", "mbar_max", "grid_points")
-    check_drive(float(p["nbar"]), grid[-1])
+    check_drive(p["nbar"], grid[-1])
     return grid
 
 
@@ -249,15 +231,13 @@ def _point_fig2e(value, p, seed):
 def _point_fig3b(value, p, seed):
     cfg = _uniform_config(p, mbar=value)
     rho = steady_state_dm(build_effective_general(cfg))
-    return _spin_pair_rows(rho, cfg.n_sites, value, float(p["nbar"]))
+    return _spin_pair_rows(rho, cfg.n_sites, value, p["nbar"])
 
 
 def _point_fig3c(value, p, seed):
-    liou = build_xx_liouvillian(
-        int(p["n_sites"]), float(p["coupling"]), float(p["gamma"]), float(p["nbar"]), value
-    )
+    liou = build_xx_liouvillian(p["n_sites"], p["coupling"], p["gamma"], p["nbar"], value)
     rho = steady_state_dm(liou)
-    return _spin_pair_rows(rho, int(p["n_sites"]), value, float(p["nbar"]))
+    return _spin_pair_rows(rho, p["n_sites"], value, p["nbar"])
 
 
 def _omega_grid(p):
@@ -278,7 +258,7 @@ def _point_fig5a(value, p, seed):
 
 def _sweep_fig5b(p):
     _omega_grid(p)
-    return [float(p["kappa_end"])]
+    return [p["kappa_end"]]
 
 
 def _point_fig5b(value, p, seed):
@@ -292,18 +272,17 @@ def _point_fig5b(value, p, seed):
 
 
 def _sweep_custom(p):
-    if float(p["kappa_end"]) < 0.0:
-        raise ConfigInvalid(f"kappa_end must be >= 0, got {p['kappa_end']}")
+    as_real("kappa_end", p["kappa_end"], 0.0)
     return [0.0]
 
 
 def _point_custom(value, p, seed):
-    return _gaussian_rows(_with_end_loss(_uniform_config(p), float(p["kappa_end"])), value)
+    return _gaussian_rows(_with_end_loss(_uniform_config(p), p["kappa_end"]), value)
 
 
 def _point_fig3a(value, p, seed):
     spec = DisorderSpec(
-        base=_uniform_config(p), delta_xi=value, samples=int(p["samples"]), seed=seed
+        base=_uniform_config(p), delta_xi=value, samples=p["samples"], seed=seed
     )
     result = disorder_sweep(spec)
     return [
@@ -333,7 +312,7 @@ _DEFINITIONS = (
             "mbar": _SQRT2,
             "kappa_levels": "0.0,0.02,0.1",
         },
-        sweep=lambda p: _nonnegative_levels(p, "kappa_levels"),
+        sweep=lambda p: _levels(p, "kappa_levels"),
         point=_point_fig2a,
     ),
     ExperimentDef(
@@ -413,7 +392,7 @@ _DEFINITIONS = (
             "samples": 500,
         },
         extra_columns=("e_norm_min", "e_norm_max", "e_norm_sem"),
-        sweep=lambda p: _nonnegative_levels(p, "delta_levels"),
+        sweep=lambda p: _levels(p, "delta_levels"),
         point=_point_fig3a,
     ),
     ExperimentDef(
@@ -549,17 +528,9 @@ class ExperimentConfig:
 def _coerce(key: str, value: ParamValue, default: ParamValue) -> ParamValue:
     if isinstance(default, int) and not isinstance(default, bool):
         return as_integer(key, value)
-    try:
-        if isinstance(default, float):
-            as_float = float(value)
-            if not math.isfinite(as_float):
-                raise ValueError("not finite")
-            return as_float
-        return str(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(
-            f"override {key}={value!r} is not a valid finite {type(default).__name__}"
-        ) from exc
+    if isinstance(default, float):
+        return as_real(key, value)
+    return str(value)
 
 
 def resolve_params(cfg: ExperimentConfig) -> dict[str, ParamValue]:

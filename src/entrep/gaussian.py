@@ -64,6 +64,7 @@ from .errors import (
     NotHurwitz,
     NotPositiveDefinite,
     OverSqueezed,
+    as_real,
     certify,
 )
 
@@ -132,21 +133,21 @@ def squeezing_bound(nbar: float) -> float:
     return math.sqrt(nbar * (nbar + 1.0))
 
 
-def check_drive(nbar: float, mbar: float) -> None:
-    """Refuse reservoir statistics ``(nbar, mbar)`` that no state has.
+def check_drive(nbar, mbar) -> tuple[float, float]:
+    """Reservoir statistics ``(nbar, mbar)`` as floats, refused when no state has them.
 
-    Raises ConfigInvalid unless both are finite and >= 0 (NaN fails),
-    and OverSqueezed when ``mbar`` exceeds ``squeezing_bound(nbar)`` by
-    more than 1e-12.
+    Raises ConfigInvalid unless both are finite reals >= 0
+    (:func:`entrep.errors.as_real`), and OverSqueezed when ``mbar`` exceeds
+    ``squeezing_bound(nbar)`` by more than 1e-12.
     """
-    if not (0.0 <= nbar < math.inf and 0.0 <= mbar < math.inf):
-        raise ConfigInvalid(f"need finite nbar, mbar >= 0, got nbar={nbar}, mbar={mbar}")
+    nbar, mbar = as_real("nbar", nbar, 0.0), as_real("mbar", mbar, 0.0)
     bound = squeezing_bound(nbar)
     if mbar > bound + 1e-12:
         raise OverSqueezed(
             f"mbar={mbar} exceeds the physical bound sqrt(nbar*(nbar+1))={bound} "
             f"at nbar={nbar}"
         )
+    return nbar, mbar
 
 
 @dataclass(frozen=True, eq=False)

@@ -257,9 +257,7 @@ def _factor(system: sp.csc_matrix, name: str) -> tuple[spla.SuperLU, float, floa
     try:
         lu = spla.splu(system)
     except RuntimeError as exc:
-        raise DegenerateSteadyState(
-            f"{name} is singular ({exc}): kernel is not one-dimensional"
-        ) from exc
+        raise DegenerateSteadyState(f"{name} is singular: kernel is not one-dimensional") from exc
     x = np.random.default_rng(0).standard_normal(system.shape[0])
     x /= np.linalg.norm(x)
     for _ in range(3):

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import ArrayConfig, SteadyMoments, read_only, steady_state
-from .errors import ClosedPort, ConfigInvalid, as_integer
+from .errors import ClosedPort, ConfigInvalid, as_integer, as_real
 from .gaussian import normalized_logneg, pair_logneg
 
 __all__ = [
@@ -156,9 +156,10 @@ def _prepared(
     if pair is None:
         pair = (cfg.n_sites - 1, 2 * cfg.n_sites - 1)
     pair = _require_open_pair(cfg, pair)
-    omegas = np.asarray(omegas, float)
-    if omegas.ndim != 1 or omegas.size == 0 or not np.isfinite(omegas).all():
-        raise ConfigInvalid("need a non-empty 1-D grid of finite frequencies")
+    grid = np.asarray(omegas, dtype=object)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConfigInvalid(f"need a non-empty 1-D grid of frequencies, got shape {grid.shape}")
+    omegas = np.array([as_real(f"omegas[{i}]", omega) for i, omega in enumerate(grid)])
     return steady_state(cfg), omegas, pair
 
 

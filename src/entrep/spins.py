@@ -53,7 +53,7 @@ import scipy.sparse as sp
 
 from .arrays import ArrayConfig, ladder_drift, read_only, steady_state
 from .errors import (
-    ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged, as_integer, certify
+    ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged, as_integer, as_real, certify
 )
 from .gaussian import SchurForm, check_drive, schur_form
 from .liouville import (
@@ -240,19 +240,16 @@ def build_xx_liouvillian(
     lowering operator, and ``e`` the end drive.
     """
     n_pairs = _check_spin_pairs(n_pairs)
+    raw = np.asarray(coupling, dtype=object)
+    couplings = np.array([as_real("coupling", value) for value in raw.flat]).reshape(raw.shape)
     try:
-        couplings = np.broadcast_to(
-            np.asarray(coupling, float), (max(n_pairs - 1, 0),)
-        )
+        couplings = np.broadcast_to(couplings, (max(n_pairs - 1, 0),))
     except ValueError as exc:
         raise ConfigInvalid(
             f"cannot broadcast couplings {coupling!r} to {n_pairs - 1} bonds"
         ) from exc
-    if not 0.0 < gamma < np.inf:
-        raise ConfigInvalid(f"damping rate must be positive and finite, got {gamma}")
-    check_drive(nbar, mbar)
-    if not np.isfinite(couplings).all():
-        raise ConfigInvalid(f"couplings must be finite, got {coupling!r}")
+    gamma = as_real("gamma", gamma, 0.0, strict=True)
+    nbar, mbar = check_drive(nbar, mbar)
 
     n_spins = 2 * n_pairs
     # H = sum_jk h[j, k] s_j^+ s_k^-: raising ops are rows 0..n_spins-1
@@ -277,8 +274,8 @@ def _homogeneous_coupling(cfg: ArrayConfig) -> float:
     values = set(cfg.g)
     if len(values) != 1:
         raise ConfigInvalid(f"need a homogeneous spin-field coupling, got {cfg.g}")
-    g = values.pop()
-    if not (g > 0.0 and g * g < np.inf):
+    g = as_real("g", values.pop(), 0.0, strict=True)
+    if not g * g < np.inf:
         raise ConfigInvalid(f"need a positive spin-field coupling with a finite square, got g={g}")
     return g
 
@@ -435,11 +432,10 @@ def build_effective_closed_form(
     positive, and a damping rate that underflows to zero is refused.
     """
     n_pairs = _check_spin_pairs(n_pairs)
-    if not all(0.0 < value < np.inf for value in (eta, zeta, g)):
-        raise ConfigInvalid(
-            f"need finite positive eta, zeta and g, got eta={eta}, zeta={zeta}, g={g}"
-        )
-    check_drive(nbar, mbar)
+    eta = as_real("eta", eta, 0.0, strict=True)
+    zeta = as_real("zeta", zeta, 0.0, strict=True)
+    g = as_real("g", g, 0.0, strict=True)
+    nbar, mbar = check_drive(nbar, mbar)
     hopping_rate, damping_rate = closed_form_rates(n_pairs, eta, zeta, g)
     if not (0.0 < damping_rate < np.inf and hopping_rate < np.inf):
         raise ConfigInvalid(
@@ -494,6 +490,7 @@ class TruncationSpec:
             raise ConfigInvalid(f"unknown truncation basis {self.basis!r}")
         if self.n_max is not None:
             object.__setattr__(self, "n_max", as_integer("n_max", self.n_max, 1))
+        object.__setattr__(self, "side_budget", as_integer("side_budget", self.side_budget, 1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, steady_state
 from .baselines import replicated_state
-from .errors import DimensionBudgetExceeded, ModelError
+from .errors import ConfigInvalid, DimensionBudgetExceeded, ModelError, as_integer
 from .liouville import fidelity_pure, gksl_superop, steady_state_dm
 from .output import first_peak_index
 from .spins import (
@@ -271,12 +271,14 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, budget: int = SIDE_BUDGET) -> SuiteReport:
     """Run one named suite at the superoperator-side ``budget``.
 
-    A model over the budget skips the suite; other model errors become a
-    failed check.
+    An unknown suite or a budget that is not an integer >= 1 raises
+    ConfigInvalid before anything runs.  A model over the budget skips the
+    suite; other model errors become a failed check.
     """
     if name not in _SUITES:
         known = ", ".join(SUITE_NAMES)
-        raise ValueError(f"unknown suite {name!r}; choose from {known}")
+        raise ConfigInvalid(f"unknown suite {name!r}; choose from {known}")
+    budget = as_integer("budget", budget, 1)
     try:
         return _SUITES[name](budget)
     except DimensionBudgetExceeded as exc:

@@ -169,8 +169,8 @@ class TestRun:
     @pytest.mark.parametrize(
         ("experiment", "overrides", "message"),
         [
-            # 2 zeta nbar overflows, and the Sylvester residual is NaN
-            ("custom", ["nbar=1e308", "mbar=1e308"], "NoConvergence: Sylvester residual"),
+            # 2 zeta nbar overflows: the moment source is refused as input
+            ("custom", ["nbar=1e308", "mbar=1e308"], "ConfigInvalid: -2 zeta nbar must be finite"),
             # g**2 overflows in the effective model's kernels
             ("fig3b", ["g=1e200"], "ConfigInvalid: need a positive spin-field coupling"),
             # damping of order 1 is round-off of a drift of scale 1e200: the

@@ -1,11 +1,179 @@
-"""The one comparison of a solver certificate with its bound: ``errors.certify``."""
+"""The one rule for a real input, ``errors.as_real``, and the one comparison of a
+solver certificate with its bound, ``errors.certify``."""
 
 import math
 
 import numpy as np
 import pytest
 
-from entrep.errors import NoConvergence, NotHurwitz, certify
+from entrep import validate
+from entrep.arrays import ArrayConfig, DisorderSpec, steady_state
+from entrep.baselines import driving_entanglement, pair_amplitude, pure_pair_logneg
+from entrep.errors import ConfigInvalid, NoConvergence, NotHurwitz, as_real, certify
+from entrep.experiments import EXPERIMENTS, ExperimentConfig, resolve_params
+from entrep.gaussian import check_drive
+from entrep.output import output_pair_spectrum, peak_frequency
+from entrep.spins import TruncationSpec, build_effective_closed_form, build_xx_liouvillian
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, "nan", "-inf", True, np.True_, None, 1 + 0j,
+     np.complex128(1.0), np.array([1.0]), (1.0,), "one", "", 10**400],
+)
+def test_as_real_refuses_what_is_not_a_finite_real(value):
+    with pytest.raises(ConfigInvalid, match="^rate "):
+        as_real("rate", value)
+
+
+@pytest.mark.parametrize(
+    "value, number",
+    [(2, 2.0), (" 2.5 ", 2.5), ("1e-3", 1e-3), (np.float32(0.5), 0.5), (np.int64(-3), -3.0),
+     (np.array(4.0), 4.0), (-0.0, -0.0)],
+)
+def test_as_real_returns_a_float(value, number):
+    result = as_real("rate", value)
+    assert type(result) is float and result == number
+
+
+def test_as_real_bounds_below_at_or_strictly_above_the_minimum():
+    assert as_real("rate", 0.0, 0.0) == 0.0
+    with pytest.raises(ConfigInvalid, match=r"^rate must be > 0\.0, got 0\.0$"):
+        as_real("rate", 0.0, 0.0, strict=True)
+    assert as_real("rate", 5e-324, 0.0, strict=True) == 5e-324
+    with pytest.raises(ConfigInvalid, match=r"^rate must be >= 0\.0, got -1e-300$"):
+        as_real("rate", "-1e-300", 0.0)
+
+
+def test_as_real_names_the_key_and_the_value():
+    with pytest.raises(ConfigInvalid) as caught:
+        as_real("kappa[3]", "x", 0.0)
+    assert str(caught.value) == "kappa[3] = 'x' is not a real number"
+    with pytest.raises(ConfigInvalid) as caught:
+        as_real("kappa[3]", "inf", 0.0)
+    assert str(caught.value) == "kappa[3] must be finite, got inf"
+
+
+# Every public entry point that takes a real value or a budget, called with a
+# value it must refuse (a ConfigInvalid, never a bare TypeError or ValueError)
+# or with a spelled number it must read as that number.
+BASE = dict(n_sites=2, eta=(1.0, 1.0), kappa=(0.0,) * 4, zeta=1.0, nbar=0.0, mbar=0.0)
+OPEN = ArrayConfig.homogeneous(2, kappa=0.5, nbar=1.0, mbar=1.0)
+
+
+def config(**over):
+    return ArrayConfig(**{**BASE, **over})
+
+
+def sweep(experiment, **overrides):
+    return EXPERIMENTS[experiment].sweep(resolve_params(ExperimentConfig(experiment, overrides)))
+
+
+def matrix(liouvillian):
+    return liouvillian.matrix.toarray().tolist()
+
+
+REFUSED = {
+    "ArrayConfig-zeta-None": lambda: config(zeta=None),
+    "ArrayConfig-zeta-bool": lambda: config(zeta=True),
+    "ArrayConfig-nbar-None": lambda: config(nbar=None),
+    "ArrayConfig-mbar-text": lambda: config(mbar="x"),
+    "ArrayConfig-eta-nan": lambda: config(eta=(1.0, math.nan)),
+    "ArrayConfig-kappa-negative": lambda: config(kappa=(0.0, -1.0, 0.0, 0.0)),
+    "ArrayConfig-g-scalar": lambda: config(g=1.0),
+    "DisorderSpec-delta_xi-None": lambda: DisorderSpec(config(), None, 2, 0),
+    "DisorderSpec-delta_xi-inf": lambda: DisorderSpec(config(), math.inf, 2, 0),
+    "check_drive-None": lambda: check_drive(None, 0),
+    "driving_entanglement-text": lambda: driving_entanglement("x", 0),
+    "pair_amplitude-None": lambda: pair_amplitude(None),
+    "pure_pair_logneg-None": lambda: pure_pair_logneg(None),
+    "pure_pair_logneg-negative": lambda: pure_pair_logneg(-0.1),
+    "build_xx_liouvillian-coupling-text": lambda: build_xx_liouvillian(2, "a", 1.0, 0, 0),
+    "build_xx_liouvillian-gamma-None": lambda: build_xx_liouvillian(1, 1.0, None, 0, 0),
+    "build_xx_liouvillian-gamma-zero": lambda: build_xx_liouvillian(1, 1.0, 0.0, 0, 0),
+    "build_effective_closed_form-eta-None": lambda: build_effective_closed_form(
+        2, eta=None, zeta=1.0, g=0.1, nbar=0, mbar=0
+    ),
+    "build_effective_closed_form-g-zero": lambda: build_effective_closed_form(
+        2, eta=1.0, zeta=1.0, g=0.0, nbar=0, mbar=0
+    ),
+    "output_pair_spectrum-text": lambda: output_pair_spectrum(OPEN, ["a"]),
+    "output_pair_spectrum-nan": lambda: output_pair_spectrum(OPEN, [0.0, math.nan]),
+    "output_pair_spectrum-scalar": lambda: output_pair_spectrum(OPEN, 0.5),
+    "peak_frequency-None": lambda: peak_frequency(OPEN, [None, 1.0]),
+    "steady_state-source-overflow": lambda: steady_state(
+        ArrayConfig.homogeneous(1, nbar=1e308, mbar=1e308)
+    ),
+    "resolve_params-bool": lambda: sweep("custom", eta=True),
+    "resolve_params-inf": lambda: sweep("custom", eta="inf"),
+    "levels-text": lambda: sweep("fig2a", kappa_levels="0.1,x"),
+    "levels-negative": lambda: sweep("fig3a", delta_levels="0.1,-0.2"),
+    "fig2c-nbar_min-negative": lambda: sweep("fig2c", nbar_min=-1.0),
+    "custom-kappa_end-negative": lambda: sweep("custom", kappa_end=-1.0),
+    "log-grid-zero": lambda: sweep("fig2e", kappa_end_min=0.0),
+    "run_suite-budget-text": lambda: validate.run_suite("fixed-point", "x"),
+    "run_suite-budget-zero": lambda: validate.run_suite("fixed-point", 0),
+    "run_suite-budget-fraction": lambda: validate.run_suite("fixed-point", 2.5),
+    "run_suite-unknown": lambda: validate.run_suite("nope"),
+    "run_all-budget-None": lambda: validate.run_all(None),
+    "TruncationSpec-budget-text": lambda: TruncationSpec(side_budget="x"),
+    "TruncationSpec-budget-zero": lambda: TruncationSpec(side_budget=0),
+}
+
+SPELLED = {
+    "ArrayConfig-zeta": (lambda: config(zeta="1"), lambda: config(zeta=1.0)),
+    "ArrayConfig-drive": (
+        lambda: config(nbar="1", mbar="1.25"), lambda: config(nbar=1.0, mbar=1.25)
+    ),
+    "ArrayConfig-eta": (lambda: config(eta=("1", 2)), lambda: config(eta=(1.0, 2.0))),
+    "DisorderSpec-delta_xi": (
+        lambda: DisorderSpec(config(), "0.5", 2, 0).delta_xi,
+        lambda: DisorderSpec(config(), 0.5, 2, 0).delta_xi,
+    ),
+    "check_drive": (lambda: check_drive("1", "1"), lambda: check_drive(1.0, 1.0)),
+    "pair_amplitude": (lambda: pair_amplitude("1"), lambda: pair_amplitude(1.0)),
+    "pure_pair_logneg": (lambda: pure_pair_logneg("0.5"), lambda: pure_pair_logneg(0.5)),
+    "build_xx_liouvillian-gamma": (
+        lambda: matrix(build_xx_liouvillian(1, 1.0, "1", 0, 0)),
+        lambda: matrix(build_xx_liouvillian(1, 1.0, 1.0, 0, 0)),
+    ),
+    "build_xx_liouvillian-coupling": (
+        lambda: matrix(build_xx_liouvillian(2, "0.5", 1.0, 0, 0)),
+        lambda: matrix(build_xx_liouvillian(2, 0.5, 1.0, 0, 0)),
+    ),
+    "build_effective_closed_form-eta": (
+        lambda: matrix(build_effective_closed_form(2, eta="1", zeta=1, g=0.1, nbar=0, mbar=0)),
+        lambda: matrix(build_effective_closed_form(2, eta=1.0, zeta=1.0, g=0.1, nbar=0, mbar=0)),
+    ),
+    "output_pair_spectrum": (
+        lambda: output_pair_spectrum(OPEN, ["0.5"]).raw.tolist(),
+        lambda: output_pair_spectrum(OPEN, [0.5]).raw.tolist(),
+    ),
+    "run_suite-budget": (
+        lambda: validate.run_suite("fixed-point", "20"),
+        lambda: validate.run_suite("fixed-point", 20),
+    ),
+    "TruncationSpec-budget": (
+        lambda: TruncationSpec(side_budget="64"), lambda: TruncationSpec(side_budget=64)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
+def test_an_entry_point_refuses_a_bad_value_as_config_invalid(call):
+    with pytest.raises(ConfigInvalid):
+        call()
+
+
+@pytest.mark.parametrize("spelled, number", SPELLED.values(), ids=SPELLED.keys())
+def test_an_entry_point_reads_a_spelled_number_as_that_number(spelled, number):
+    assert spelled() == number()
+
+
+def test_a_config_stores_its_drive_as_floats():
+    cfg = config(zeta=1, nbar="1", mbar=np.float32(1.25))
+    assert all(type(value) is float for value in (cfg.zeta, cfg.nbar, cfg.mbar))
+    assert (cfg.zeta, cfg.nbar, cfg.mbar) == (1.0, 1.0, 1.25)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -162,6 +162,57 @@ def test_certificate_errors_are_raised_only_by_the_one_bound_check():
     assert list(named_raises(sample)) == [("f", "NotHurwitz")]
 
 
+# Real inputs are refused in one place, entrep.errors.as_real; elsewhere a
+# finiteness test or a comparison with infinity may only check a value the
+# package computed, never one a caller passed in.
+COMPUTED_FINITENESS = {
+    # g * g overflows although the coupling g itself is finite
+    ("spins", "_homogeneous_coupling"),
+    # the rates J and gamma are computed from eta, zeta and g
+    ("spins", "build_effective_closed_form"),
+    # negativities come out of a solve
+    ("gaussian", "normalized_logneg"),
+}
+
+
+def _is_attribute(node: ast.AST, attr: str, modules: tuple[str, ...]) -> bool:
+    """True when ``node`` is ``module.attr`` for one of ``modules``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    )
+
+
+def finiteness_checks(tree: ast.AST, scope: str = ""):
+    """The function of every ``math.isfinite`` call and comparison with ``math.inf``/``np.inf``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from finiteness_checks(node, node.name)
+            continue
+        if isinstance(node, ast.Call) and _is_attribute(node.func, "isfinite", ("math",)):
+            yield scope
+        sides = (node.left, *node.comparators) if isinstance(node, ast.Compare) else ()
+        if any(_is_attribute(side, "inf", ("math", "np")) for side in sides):
+            yield scope
+        yield from finiteness_checks(node, scope)
+
+
+def test_real_inputs_are_checked_only_by_the_one_rule():
+    found = set()
+    for path in sorted((ROOT / "src" / "entrep").glob("*.py")):
+        if path.stem != "errors":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found |= {(path.stem, scope) for scope in finiteness_checks(tree)}
+    assert found == COMPUTED_FINITENESS
+    # the walk sees both forms inside a function, and np.isfinite on an array is not one
+    sample = ast.parse(
+        "def f(x):\n    return 0 < x < np.inf or math.isfinite(x) or np.isfinite(x).all()\n"
+    )
+    assert list(finiteness_checks(sample)) == ["f", "f"]
+
+
 # a fresh interpreter imports the package and every module under it,
 # reports which scipy subpackages came with it, then runs one peak search
 # and reports again
