@@ -84,8 +84,10 @@ __all__ = [
 
 
 def _rates(key: str, values) -> tuple[float, ...]:
-    """``values`` as a tuple of finite floats >= 0, entry i named ``key[i]``."""
+    """``values`` as a tuple of finite floats >= 0, entry i named ``key[i]``; text is refused."""
     try:
+        if isinstance(values, str):
+            raise TypeError
         values = tuple(values)
     except TypeError as exc:
         raise ConfigInvalid(f"{key} must hold numbers, got {values!r}") from exc
@@ -264,10 +266,6 @@ class EntanglementProfile:
         """``raw / (1 + raw)`` of every pair."""
         return read_only(normalized_logneg(self.raw))
 
-    @property
-    def drive_normalized(self) -> float:
-        return normalized_logneg(self.drive_raw)
-
 
 #: Most entries in one stacked array of a disorder solve: a level is solved
 #: in chunks of samples whose largest stack, the real ``(S, 2N, 2N)``
@@ -426,10 +424,6 @@ class DisorderResult:
     @property
     def pair_labels(self) -> tuple[int, ...]:
         return tuple(range(1, len(self.raw_mean) + 1))
-
-    @property
-    def drive_normalized(self) -> float:
-        return normalized_logneg(self.drive_raw)
 
 
 def disorder_sweep(spec: DisorderSpec) -> DisorderResult:

@@ -82,12 +82,13 @@ def replicated_state(nbar: float, n_pairs: int) -> np.ndarray:
 
 
 def pure_pair_logneg(c: float) -> float:
-    """Logarithmic negativity of sqrt(1-c^2)|00> + c|11> (any sign on c).
+    """Logarithmic negativity of sqrt(1-c^2)|00> + c|11> for an amplitude c >= 0.
 
-    For this Schmidt form the trace norm of the partial transpose is
-    ``1 + 2*|c|*sqrt(1-c^2)``, so the result is its base-2 logarithm.
-    Valid for amplitudes up to the balanced (Bell) point c = 1/sqrt(2),
-    which is the supremum reachable by the replication mechanism.
+    For this Schmidt form the trace norm of the partial transpose is ``1 +
+    2*c*sqrt(1-c^2)``, so the result is its base-2 logarithm.  A negative c is
+    refused: the sign, which :func:`replicated_state` carries, changes no
+    negativity.  Valid up to the balanced (Bell) point c = 1/sqrt(2), the
+    supremum reachable by the replication mechanism.
     """
     c = as_real("pair amplitude", c, 0.0)
     if c > 1.0 / math.sqrt(2.0) + 1e-12:

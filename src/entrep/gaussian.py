@@ -25,10 +25,10 @@
 * **One path to a dataset cell.** :func:`logneg_from_nu` is the one map from a
   smallest symplectic eigenvalue nu to a negativity E, and refuses a nu with no
   significant digits left; :func:`normalized_logneg` is the one E/(1+E).
-* **Oracle.** :func:`solve_lyapunov` on a :class:`DriftDiffusion` solves
-  any real quadrature covariance flow, and :class:`QuadratureCovariance`,
-  :func:`log_negativity_gaussian` and :func:`symplectic_eigenvalues` take
-  the negativity of any two-mode covariance.  No runtime module calls
+* **Oracle.** :func:`solve_lyapunov` takes the drift and diffusion arrays of
+  any real quadrature covariance flow and returns its read-only covariance
+  array, and :func:`log_negativity_gaussian` and :func:`symplectic_eigenvalues`
+  take the negativity of any two-mode covariance.  No runtime module calls
   them; the tests cross-check the moment routes with them.
 
 Conventions used throughout the package
@@ -64,14 +64,13 @@ from .errors import (
     NotHurwitz,
     NotPositiveDefinite,
     OverSqueezed,
+    as_integer,
     as_real,
     certify,
 )
 
 __all__ = [
     "HURWITZ_TOL",
-    "DriftDiffusion",
-    "QuadratureCovariance",
     "SchurForm",
     "chain_phases",
     "check_drive",
@@ -106,13 +105,6 @@ _LEAF = 64
 _PHYSICALITY_TOL = 1e-6
 
 
-def _matrix_of(sigma) -> np.ndarray:
-    """Accept either a bare matrix or a QuadratureCovariance wrapper."""
-    if isinstance(sigma, QuadratureCovariance):
-        return sigma.sigma
-    return np.asarray(sigma, dtype=float)
-
-
 def _require_even_square(mat: np.ndarray, what: str) -> int:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigInvalid(f"{what} must be a square matrix, got shape {mat.shape}")
@@ -123,8 +115,7 @@ def _require_even_square(mat: np.ndarray, what: str) -> int:
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form with 2x2 blocks [[0, 1], [-1, 0]]."""
-    if n_modes < 1:
-        raise ConfigInvalid(f"need at least one mode, got {n_modes}")
+    n_modes = as_integer("n_modes", n_modes, 1)
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
@@ -150,83 +141,30 @@ def check_drive(nbar, mbar) -> tuple[float, float]:
     return nbar, mbar
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureCovariance:
-    """Symmetrized quadrature covariance matrix of an n-mode Gaussian state.
+def solve_lyapunov(drift, diffusion) -> np.ndarray:
+    """Steady-state covariance of the flow ``A sigma + sigma A^T + D = 0``, read-only.
 
-    The matrix is symmetrized and frozen on construction.  Physicality
-    (all symplectic eigenvalues >= 1) is *not* re-checked here — it is
-    asserted where covariances are produced, so that intermediate
-    matrices (e.g. partial transposes) can be handled uniformly.
+    ``drift`` is the real ``A`` on interleaved quadratures and ``diffusion``
+    the symmetric, positive-semidefinite ``D``, finite and of one even square
+    shape, or ConfigInvalid is raised.  The Schur-based Bartels-Stewart
+    solution is symmetrized and must pass three certificates: NotHurwitz
+    unless every drift eigenvalue decays strictly, NoConvergence when the
+    residual exceeds the acceptance threshold, and NonPhysicalResult when a
+    symplectic eigenvalue undershoots 1 beyond tolerance, which signals a
+    malformed generator rather than rounding noise.
     """
-
-    sigma: np.ndarray
-
-    def __post_init__(self) -> None:
-        sigma = np.array(_matrix_of(self.sigma), dtype=float)
-        _require_even_square(sigma, "covariance matrix")
-        sigma = 0.5 * (sigma + sigma.T)
-        sigma.flags.writeable = False
-        object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def n_modes(self) -> int:
-        return self.sigma.shape[0] // 2
-
-
-@dataclass(frozen=True, eq=False)
-class DriftDiffusion:
-    """Drift/diffusion pair of a linear covariance flow.
-
-    Describes ``d(sigma)/dt = A sigma + sigma A^T + D`` where ``A`` is the
-    real drift on interleaved quadratures and ``D`` the (symmetric,
-    positive-semidefinite) diffusion matrix.
-    """
-
-    drift: np.ndarray
-    diffusion: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.drift, dtype=float)
-        d = np.array(self.diffusion, dtype=float)
-        _require_even_square(a, "drift matrix")
-        if d.shape != a.shape:
-            raise ConfigInvalid(
-                f"drift and diffusion shapes differ: {a.shape} vs {d.shape}"
-            )
-        if not (np.isfinite(a).all() and np.isfinite(d).all()):
-            raise ConfigInvalid("drift and diffusion entries must be finite")
-        scale = max(1.0, np.abs(d).max())
-        if np.abs(d - d.T).max() > 1e-12 * scale:
-            raise ConfigInvalid("diffusion matrix must be symmetric")
-        d = 0.5 * (d + d.T)
-        if np.linalg.eigvalsh(d).min() < -1e-12 * scale:
-            raise ConfigInvalid("diffusion matrix must be positive semidefinite")
-        a.flags.writeable = False
-        d.flags.writeable = False
-        object.__setattr__(self, "drift", a)
-        object.__setattr__(self, "diffusion", d)
-
-
-def solve_lyapunov(gen: DriftDiffusion) -> QuadratureCovariance:
-    """Steady-state covariance of the flow ``A sigma + sigma A^T + D = 0``.
-
-    Uses the Schur-based Bartels-Stewart solver, then enforces three
-    certificates: the drift must be Hurwitz, the residual must vanish to
-    machine-level relative accuracy, and the result must be a physical
-    covariance matrix.
-
-    Raises
-    ------
-    NotHurwitz
-        If any drift eigenvalue fails to decay strictly.
-    NoConvergence
-        If the solver residual exceeds the acceptance threshold.
-    NonPhysicalResult
-        If a symplectic eigenvalue undershoots 1 beyond tolerance,
-        which signals a malformed generator rather than rounding noise.
-    """
-    a, d = gen.drift, gen.diffusion
+    a, d = np.asarray(drift, dtype=float), np.asarray(diffusion, dtype=float)
+    _require_even_square(a, "drift matrix")
+    if d.shape != a.shape:
+        raise ConfigInvalid(f"drift and diffusion shapes differ: {a.shape} vs {d.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(d).all()):
+        raise ConfigInvalid("drift and diffusion entries must be finite")
+    scale = max(1.0, np.abs(d).max())
+    if np.abs(d - d.T).max() > 1e-12 * scale:
+        raise ConfigInvalid("diffusion matrix must be symmetric")
+    d = 0.5 * (d + d.T)
+    if np.linalg.eigvalsh(d).min() < -1e-12 * scale:
+        raise ConfigInvalid("diffusion matrix must be positive semidefinite")
     _require_hurwitz(np.linalg.eigvals(a).real.max(), np.abs(a).max())
     sigma = sla.solve_continuous_lyapunov(a, -d)
     sigma = 0.5 * (sigma + sigma.T)
@@ -238,7 +176,8 @@ def solve_lyapunov(gen: DriftDiffusion) -> QuadratureCovariance:
         raise NonPhysicalResult("steady covariance is not positive definite") from exc
     what = "generator is unphysical: minus the smallest symplectic eigenvalue"
     certify(-nu_min, -(1.0 - _PHYSICALITY_TOL), NonPhysicalResult, what)
-    return QuadratureCovariance(sigma)
+    sigma.flags.writeable = False
+    return sigma
 
 
 def _require_hurwitz(top, scale: float) -> None:
@@ -495,7 +434,7 @@ def symplectic_eigenvalues(sigma) -> np.ndarray:
     in ascending order.  Eigenvalues come in +/- pairs, which are averaged
     to suppress rounding asymmetry.
     """
-    mat = _matrix_of(sigma)
+    mat = np.asarray(sigma, dtype=float)
     n = _require_even_square(mat, "covariance matrix")
     scale = max(1.0, np.abs(mat).max())
     if np.abs(mat - mat.T).max() > 1e-8 * scale:
@@ -516,7 +455,7 @@ def log_negativity_gaussian(sigma) -> float:
     exactly at the separability boundary, so separable inputs (vacuum,
     thermal, mbar <= nbar) return exactly 0.0.
     """
-    mat = _matrix_of(sigma)
+    mat = np.asarray(sigma, dtype=float)
     if mat.shape != (4, 4):
         raise ConfigInvalid(f"expected a two-mode 4x4 covariance, got {mat.shape}")
     flip = np.diag([1.0, 1.0, 1.0, -1.0])

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from math import isqrt, prod
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -55,6 +56,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidState,
     NoConvergence,
+    as_integer,
     certify,
 )
 
@@ -251,21 +253,26 @@ def _factor(system: sp.csc_matrix, name: str) -> tuple[spla.SuperLU, float, floa
 
     ``||system^-1||_2`` is estimated by three inverse-iteration steps on
     ``system^H system``, started from a fixed seeded vector so the
-    estimate is deterministic.  A singular factorization raises
+    estimate is deterministic.  The steps run on ``system`` over its
+    1-norm and take overflow-free norms, so ``c * system`` gets ``1 / c``
+    times the estimate whatever ``c``, and an empty system gets 0; steps
+    that overflow give a non-finite estimate, which the certificate
+    refuses.  A singular factorization raises
     :class:`DegenerateSteadyState` naming the ``name`` system.
     """
     try:
         lu = spla.splu(system)
     except RuntimeError as exc:
         raise DegenerateSteadyState(f"{name} is singular: kernel is not one-dimensional") from exc
+    one_norm = float(np.asarray(abs(system).sum(axis=0)).max(initial=0.0))
+    unit = one_norm or 1.0
     x = np.random.default_rng(0).standard_normal(system.shape[0])
-    x /= np.linalg.norm(x)
-    for _ in range(3):
-        x = lu.solve(lu.solve(x, trans="H"))
-        growth = np.linalg.norm(x)
-        x /= growth
-    one_norm = np.asarray(abs(system).sum(axis=0)).max(initial=0.0)
-    return lu, float(one_norm), float(np.sqrt(growth))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(3):
+            x = unit * lu.solve(unit * lu.solve(x, trans="H"))
+            growth = sla.norm(x, check_finite=False)
+            x /= growth
+    return lu, one_norm, float(np.sqrt(growth)) / unit
 
 
 def _hermitian_basis(
@@ -464,7 +471,8 @@ def partial_trace(
     rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]
 ) -> np.ndarray:
     """Reduced density matrix on the ``keep`` subsystems, in the given order."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(as_integer("dims", d, 1) for d in dims)
+    keep = tuple(as_integer("keep", s) for s in keep)
     n_sites = len(dims)
     if len(set(keep)) != len(keep) or any(not 0 <= s < n_sites for s in keep):
         raise IndexOutOfRange(f"cannot keep subsystems {keep} of {n_sites}")

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import ArrayConfig, SteadyMoments, read_only, steady_state
-from .errors import ClosedPort, ConfigInvalid, as_integer, as_real
+from .errors import ClosedPort, ConfigInvalid, as_integer, as_real, certify
 from .gaussian import normalized_logneg, pair_logneg
 
 __all__ = [
@@ -96,6 +96,8 @@ def output_covariance(
     ``moments`` is ``steady_state(cfg)``, whose Schur forms supply both
     arrays' resolvents; ``pair`` holds one mode of each array, in either
     order.  These three moments are the pair's whole output covariance.
+    Raises ConfigInvalid where ``n_p + n_q + 2 |m|``, which bounds every sum
+    :func:`entrep.gaussian.pair_logneg` forms of them, overflows.
     """
     p, q = sorted(pair)
     i, j = p, q - cfg.n_sites
@@ -103,11 +105,13 @@ def output_covariance(
     solved = moments.forms.solve(units, 1j * np.concatenate([omegas, -omegas]))[..., 0]
     r_p, r_q = (solved[: len(omegas)] + solved[len(omegas) :]).swapaxes(0, 1)
     kappa_p, kappa_q = cfg.kappa[p], cfg.kappa[q]
-    return PortMoments(
-        n_p=-2.0 * kappa_p * (r_p @ moments.n1[i]).real,
-        n_q=-2.0 * kappa_q * (r_q @ moments.n2[j]).real,
-        m=-math.sqrt(kappa_p * kappa_q) * (r_p @ moments.m[:, j] + r_q @ moments.m[i]),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        n_p = -2.0 * kappa_p * (r_p @ moments.n1[i]).real
+        n_q = -2.0 * kappa_q * (r_q @ moments.n2[j]).real
+        m = -math.sqrt(kappa_p * kappa_q) * (r_p @ moments.m[:, j] + r_q @ moments.m[i])
+        total = np.max(n_p + n_q + 2.0 * np.abs(m))
+    certify(total, np.finfo(float).max, ConfigInvalid, "port moments overflow: n_p + n_q + 2|m|")
+    return PortMoments(n_p, n_q, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +130,6 @@ class OutputSpectrum:
     def normalized(self) -> np.ndarray:
         """``raw / (1 + raw)`` at every frequency, read-only."""
         return read_only(normalized_logneg(self.raw))
-
-    @property
-    def peak_raw(self) -> float:
-        return float(self.raw.max())
 
 
 def _require_open_pair(cfg: ArrayConfig, pair: tuple[int, int]) -> tuple[int, int]:

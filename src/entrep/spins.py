@@ -206,7 +206,10 @@ def _end_drive(e: np.ndarray, low, rise, rate: float, nbar: float, mbar: float) 
     ``rate (nbar + 1)`` and is pumped at ``rate nbar``; the correlated
     term ``2 rate mbar (c_1 rho c_2 + c_2 rho c_1 - {c_1 c_2, rho}) + h.c.``
     sits on ``e[low_1, low_2]``, ``e[rise_1, rise_2]`` and their mirrors.
+    The assembly's sandwich weights double the largest, ``rate (nbar + 1)``:
+    a drive where that overflows is refused as ConfigInvalid.
     """
+    as_real("2 rate (nbar + 1) of the end drive", 2.0 * rate * (nbar + 1.0))
     low, rise = np.asarray(low), np.asarray(rise)
     e[low, rise] += rate * (nbar + 1.0)
     e[rise, low] += rate * nbar
@@ -242,6 +245,8 @@ def build_xx_liouvillian(
     n_pairs = _check_spin_pairs(n_pairs)
     raw = np.asarray(coupling, dtype=object)
     couplings = np.array([as_real("coupling", value) for value in raw.flat]).reshape(raw.shape)
+    # the commutator's two sides add in the real basis of the steady solve
+    as_real("2 coupling", 2.0 * float(np.abs(couplings).max(initial=0.0)))
     try:
         couplings = np.broadcast_to(couplings, (max(n_pairs - 1, 0),))
     except ValueError as exc:
@@ -356,8 +361,7 @@ def coupling_pattern_matrices(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.
     site nearer the far end is an anchor, where it is ``+1`` for
     ``|j - k| = 1 mod 4`` and ``-1`` for ``|j - k| = 3 mod 4``.
     """
-    if n_sites < 1:
-        raise ConfigInvalid(f"need at least one site, got {n_sites}")
+    n_sites = as_integer("n_sites", n_sites, 1)
     r = np.arange(n_sites)[::-1]  # distance of each site from the far end
     s = np.where(r % 2 == 0, (-1) ** (r // 2), 0)
     y_mat = np.outer(s, s).astype(float)
@@ -590,7 +594,7 @@ def _fock_liouvillian(
         h[n_modes + modes, 2 * n_modes + modes] = g_modes
     e = np.zeros_like(h)
     e[modes, n_modes + modes] = cfg.kappa
-    ends = np.array([0, cfg.n_sites])
+    ends = np.array(cfg.driven_modes)
     frame = np.eye(2 * n_modes)
     if basis == "squeezed":
         n_th, coeff_c, coeff_s = _squeezed_frame(cfg.nbar, cfg.mbar)

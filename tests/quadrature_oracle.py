@@ -26,9 +26,6 @@ import scipy.linalg as sla
 from entrep.arrays import ArrayConfig, ladder_drift, steady_state
 from entrep.errors import ConfigInvalid, IndexOutOfRange, NonPhysicalResult
 from entrep.gaussian import (
-    DriftDiffusion,
-    QuadratureCovariance,
-    _matrix_of,
     _require_even_square,
     check_drive,
     log_negativity_gaussian,
@@ -39,14 +36,14 @@ from entrep.output import output_quadrature_map
 _IMAG_RESIDUE_TOL = 1e-9
 
 
-def reduce_to_pair(sigma, j: int, k: int) -> QuadratureCovariance:
+def reduce_to_pair(sigma, j: int, k: int) -> np.ndarray:
     """4x4 covariance of modes ``j`` and ``k`` (0-based), in that order."""
-    mat = _matrix_of(sigma)
+    mat = np.asarray(sigma, dtype=float)
     n = _require_even_square(mat, "covariance matrix")
     if not (0 <= j < n and 0 <= k < n) or j == k:
         raise IndexOutOfRange(f"mode pair ({j}, {k}) invalid for {n} modes (0-based)")
     idx = [2 * j, 2 * j + 1, 2 * k, 2 * k + 1]
-    return QuadratureCovariance(mat[np.ix_(idx, idx)])
+    return mat[np.ix_(idx, idx)]
 
 
 def quadrature_embedding(ladder: np.ndarray) -> np.ndarray:
@@ -95,12 +92,12 @@ def diffusion_matrix(cfg: ArrayConfig) -> np.ndarray:
     return dmat
 
 
-def covariance(cfg: ArrayConfig) -> QuadratureCovariance:
+def covariance(cfg: ArrayConfig) -> np.ndarray:
     """Steady quadrature covariance from the 4N Lyapunov equation."""
-    return solve_lyapunov(DriftDiffusion(quadrature_drift(cfg), diffusion_matrix(cfg)))
+    return solve_lyapunov(quadrature_drift(cfg), diffusion_matrix(cfg))
 
 
-def ladder_correlations_from_cm(cm: QuadratureCovariance) -> np.ndarray:
+def ladder_correlations_from_cm(sigma: np.ndarray) -> np.ndarray:
     """Convert an interleaved quadrature covariance to stacked ladder moments.
 
     Returns the 4N x 4N matrix ``<abar_j abar_k>``: quarters ``<a a>``,
@@ -108,19 +105,18 @@ def ladder_correlations_from_cm(cm: QuadratureCovariance) -> np.ndarray:
     p) / sqrt(2)`` on the zero-mean Gaussian state; the commutator
     contribution appears only on the diagonal of ``<a adag>``.
     """
-    sigma = cm.sigma
     xs = sigma[0::2, 0::2]
     ps = sigma[1::2, 1::2]
     xp = sigma[0::2, 1::2]
     px = sigma[1::2, 0::2]
-    eye = np.eye(cm.n_modes)
+    eye = np.eye(len(sigma) // 2)
     lower_lower = 0.25 * ((xs - ps) + 1j * (xp + px))
     upper_lower = 0.25 * ((xs + ps) + 1j * (xp - px)) - 0.5 * eye
     lower_upper = 0.25 * ((xs + ps) + 1j * (px - xp)) + 0.5 * eye
     return np.block([[lower_lower, lower_upper], [upper_lower, lower_lower.conj()]])
 
 
-def covariance_from_moments(stacked: np.ndarray) -> QuadratureCovariance:
+def covariance_from_moments(stacked: np.ndarray) -> np.ndarray:
     """Interleaved quadrature covariance of stacked ladder moments.
 
     The inverse of :func:`ladder_correlations_from_cm`: with
@@ -132,7 +128,7 @@ def covariance_from_moments(stacked: np.ndarray) -> QuadratureCovariance:
     theta[2 * mode, mode] = theta[2 * mode, n + mode] = 1.0
     theta[2 * mode + 1, mode] = -1j
     theta[2 * mode + 1, n + mode] = 1j
-    return QuadratureCovariance(0.5 * (theta @ (stacked + stacked.T) @ theta.T).real)
+    return 0.5 * (theta @ (stacked + stacked.T) @ theta.T).real
 
 
 def stacked_moments(cfg: ArrayConfig) -> np.ndarray:
@@ -149,7 +145,7 @@ def pair_lognegs(cfg: ArrayConfig) -> np.ndarray:
     )
 
 
-def two_mode_squeezed_thermal_cm(nbar: float, mbar: float) -> QuadratureCovariance:
+def two_mode_squeezed_thermal_cm(nbar: float, mbar: float) -> np.ndarray:
     """Covariance of a two-mode squeezed thermal state.
 
     Both modes carry occupation ``nbar``; the cross-correlations are
@@ -162,7 +158,7 @@ def two_mode_squeezed_thermal_cm(nbar: float, mbar: float) -> QuadratureCovarian
     cross = 2.0 * mbar
     sigma[0, 2] = sigma[2, 0] = cross
     sigma[1, 3] = sigma[3, 1] = -cross
-    return QuadratureCovariance(sigma)
+    return sigma
 
 
 def output_correlations(cfg: ArrayConfig, omega: float) -> np.ndarray:
@@ -188,7 +184,7 @@ def output_correlations(cfg: ArrayConfig, omega: float) -> np.ndarray:
     return commutator - 2.0 * gains[:, None] * (forward + reverse) * gains
 
 
-def output_covariance(cfg: ArrayConfig, omega: float) -> QuadratureCovariance:
+def output_covariance(cfg: ArrayConfig, omega: float) -> np.ndarray:
     """Output covariance of every port in interleaved quadratures.
 
     Symmetrizes :func:`output_correlations` and rotates it with
@@ -204,7 +200,7 @@ def output_covariance(cfg: ArrayConfig, omega: float) -> QuadratureCovariance:
         raise NonPhysicalResult(
             f"output covariance has imaginary residue {residue:.2e} at omega={omega}"
         )
-    return QuadratureCovariance(sigma=gamma.real)
+    return gamma.real
 
 
 def output_port_moments(cfg: ArrayConfig, pair: tuple[int, int], omega: float):

@@ -208,7 +208,7 @@ class TestQuadratureOracleDiffusion:
 
     def test_isolated_pair_covariance(self):
         cfg = ArrayConfig.homogeneous(1, eta=1.0, kappa=0.0, zeta=1.0, nbar=1.0, mbar=math.sqrt(2.0))
-        sigma = oracle.covariance(cfg).sigma
+        sigma = oracle.covariance(cfg)
         assert np.allclose(sigma[:2, :2], 3.0 * np.eye(2))
         assert np.allclose(sigma[2:, 2:], 3.0 * np.eye(2))
         root8 = 2.0 * math.sqrt(2.0)
@@ -400,8 +400,6 @@ class TestEntanglementProfile:
         result = disorder_sweep(DisorderSpec(base=cfg, delta_xi=0.3, samples=4, seed=2))
         assert profile.pair_labels == result.pair_labels == (1, 2, 3)
         assert np.array_equal(profile.normalized, profile.raw / (1.0 + profile.raw))
-        for record in (profile, result):
-            assert record.drive_normalized == record.drive_raw / (1.0 + record.drive_raw)
         for arr in (profile.raw, profile.normalized, result.raw_mean, result.norm_sem):
             assert not arr.flags.writeable
 
@@ -560,7 +558,7 @@ class TestDisorder:
         for name in STATISTICS:
             assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-13
         assert got.pair_labels == want.pair_labels
-        assert (got.drive_raw, got.drive_normalized) == (want.drive_raw, want.drive_normalized)
+        assert got.drive_raw == want.drive_raw
         assert got.samples == want.samples
 
     def test_chunked_level_equals_the_whole_level(self, monkeypatch):

@@ -177,8 +177,26 @@ class TestRun:
             # Hurwitz refusal names the failing sweep point and that scale
             ("custom", ["eta=1e200", "n_sites=3"], "sweep point"),
             ("fig3a", ["eta=1e200", "samples=3"], "sweep point"),
+            # the spin assembly doubles the end drive's gamma (nbar + 1)
+            ("fig3c", ["gamma=1e308", "grid_points=2"], "ConfigInvalid: 2 rate (nbar + 1)"),
+            ("fig3c", ["nbar=1e308", "grid_points=2"], "ConfigInvalid: 2 rate (nbar + 1)"),
+            # the real basis of the spin solve adds the commutator's two sides
+            ("fig3c", ["n_sites=3", "coupling=1e308", "grid_points=2"], "ConfigInvalid: 2 coupling"),
+            # the port moments, or the sums the pair negativity forms of them
+            ("fig5a", ["nbar=1e308", "grid_points=2"], "ConfigInvalid: port moments overflow"),
+            ("fig5b", ["nbar=1e308"], "ConfigInvalid: port moments overflow"),
         ],
-        ids=["nbar-overflow", "g-overflow", "eta-overflow", "eta-overflow-disorder"],
+        ids=[
+            "nbar-overflow",
+            "g-overflow",
+            "eta-overflow",
+            "eta-overflow-disorder",
+            "spin-gamma-overflow",
+            "spin-nbar-overflow",
+            "spin-coupling-overflow",
+            "peak-nbar-overflow",
+            "spectrum-nbar-overflow",
+        ],
     )
     def test_overflowing_input_exits_2(self, tmp_path, capsys, experiment, overrides, message):
         out = tmp_path / "x.csv"

@@ -1,5 +1,6 @@
-"""The one rule for a real input, ``errors.as_real``, and the one comparison of a
-solver certificate with its bound, ``errors.certify``."""
+"""The one rule for a real input, ``errors.as_real``, its twin for an integer,
+``errors.as_integer``, and the one comparison of a solver certificate with its
+bound, ``errors.certify``."""
 
 import math
 
@@ -9,11 +10,24 @@ import pytest
 from entrep import validate
 from entrep.arrays import ArrayConfig, DisorderSpec, steady_state
 from entrep.baselines import driving_entanglement, pair_amplitude, pure_pair_logneg
-from entrep.errors import ConfigInvalid, NoConvergence, NotHurwitz, as_real, certify
+from entrep.errors import (
+    ConfigInvalid,
+    IndexOutOfRange,
+    NoConvergence,
+    NotHurwitz,
+    as_real,
+    certify,
+)
 from entrep.experiments import EXPERIMENTS, ExperimentConfig, resolve_params
-from entrep.gaussian import check_drive
+from entrep.gaussian import check_drive, symplectic_form
+from entrep.liouville import partial_trace, reduced_pair_dm
 from entrep.output import output_pair_spectrum, peak_frequency
-from entrep.spins import TruncationSpec, build_effective_closed_form, build_xx_liouvillian
+from entrep.spins import (
+    TruncationSpec,
+    build_effective_closed_form,
+    build_xx_liouvillian,
+    coupling_pattern_matrices,
+)
 
 
 @pytest.mark.parametrize(
@@ -168,6 +182,53 @@ def test_an_entry_point_refuses_a_bad_value_as_config_invalid(call):
 @pytest.mark.parametrize("spelled, number", SPELLED.values(), ids=SPELLED.keys())
 def test_an_entry_point_reads_a_spelled_number_as_that_number(spelled, number):
     assert spelled() == number()
+
+
+# A state of four qubits with no symmetry between them.
+_FACTOR = np.random.default_rng(5).standard_normal((16, 16))
+FOUR_QUBITS = _FACTOR @ _FACTOR.T / np.trace(_FACTOR @ _FACTOR.T)
+
+# Counts and indices pass errors.as_integer and a tuple field refuses text:
+# each call raises the error beside it, or equals the call beside it.  Before,
+# a fraction or text ended in a bare TypeError, a fractional dimension was
+# truncated, a bool counted as 0 or 1 and text was read character by character.
+INTEGERS = {
+    "ArrayConfig-eta-text": (lambda: config(eta="11"), ConfigInvalid),
+    "ArrayConfig-kappa-text": (lambda: config(kappa="0000"), ConfigInvalid),
+    "ArrayConfig-g-text": (lambda: config(g="00"), ConfigInvalid),
+    "coupling_pattern_matrices-fraction": (lambda: coupling_pattern_matrices(1.5), ConfigInvalid),
+    "coupling_pattern_matrices-bool": (lambda: coupling_pattern_matrices(True), ConfigInvalid),
+    "coupling_pattern_matrices-spelled": (
+        lambda: coupling_pattern_matrices("3"), lambda: coupling_pattern_matrices(3)
+    ),
+    "symplectic_form-fraction": (lambda: symplectic_form(1.5), ConfigInvalid),
+    "symplectic_form-zero": (lambda: symplectic_form(0), ConfigInvalid),
+    "reduced_pair_dm-fraction": (lambda: reduced_pair_dm(FOUR_QUBITS, 0.5, 1), ConfigInvalid),
+    "reduced_pair_dm-bool": (lambda: reduced_pair_dm(FOUR_QUBITS, True, 0), ConfigInvalid),
+    "reduced_pair_dm-spelled": (
+        lambda: reduced_pair_dm(FOUR_QUBITS, "0", 1), lambda: reduced_pair_dm(FOUR_QUBITS, 0, 1)
+    ),
+    "reduced_pair_dm-repeated": (lambda: reduced_pair_dm(FOUR_QUBITS, 2, 2), IndexOutOfRange),
+    "reduced_pair_dm-out-of-range": (lambda: reduced_pair_dm(FOUR_QUBITS, 0, 4), IndexOutOfRange),
+    "partial_trace-whole-float": (
+        lambda: partial_trace(FOUR_QUBITS, (2,) * 4, (1.0,)),
+        lambda: partial_trace(FOUR_QUBITS, (2,) * 4, (1,)),
+    ),
+    "partial_trace-fraction": (lambda: partial_trace(FOUR_QUBITS, (2,) * 4, (0.5,)), ConfigInvalid),
+    "partial_trace-dims-fraction": (
+        lambda: partial_trace(FOUR_QUBITS, (2.5, 2, 2, 2), (0,)), ConfigInvalid
+    ),
+    "partial_trace-repeated": (lambda: partial_trace(FOUR_QUBITS, (2,) * 4, (1, 1)), IndexOutOfRange),
+}
+
+
+@pytest.mark.parametrize("call, expected", INTEGERS.values(), ids=INTEGERS.keys())
+def test_a_count_or_index_passes_the_one_integer_rule(call, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert np.array_equal(np.asarray(call()), np.asarray(expected()))
 
 
 def test_a_config_stores_its_drive_as_floats():

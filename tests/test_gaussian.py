@@ -30,8 +30,6 @@ from entrep.errors import (
     OverSqueezed,
 )
 from entrep.gaussian import (
-    DriftDiffusion,
-    QuadratureCovariance,
     SchurForm,
     chain_phases,
     log_negativity_gaussian,
@@ -68,7 +66,7 @@ def random_physical_cm(rng: np.random.Generator, n_modes: int) -> np.ndarray:
 
 
 def random_thermal_generator(rng: np.random.Generator, n_modes: int):
-    """Random hopping Hamiltonian with per-mode thermal damping.
+    """``(drift, diffusion)`` of a random hopping Hamiltonian with per-mode thermal damping.
 
     Always a valid quantum generator: the Hamiltonian part is Hermitian
     and each mode is damped into its own thermal environment, so the
@@ -80,7 +78,7 @@ def random_thermal_generator(rng: np.random.Generator, n_modes: int):
     nbar = rng.uniform(0.0, 2.0, size=n_modes)
     drift = quadrature_embedding(-1j * g - np.diag(kappa))
     diffusion = np.diag(np.repeat(2.0 * kappa * (2.0 * nbar + 1.0), 2))
-    return DriftDiffusion(drift, diffusion)
+    return drift, diffusion
 
 
 class TestSymplecticForm:
@@ -97,8 +95,8 @@ class TestSymplecticForm:
 
 class TestSolveLyapunov:
     def test_vacuum_fixed_point(self):
-        sigma = solve_lyapunov(DriftDiffusion(-np.eye(4), 2.0 * np.eye(4)))
-        assert np.allclose(sigma.sigma, np.eye(4), atol=1e-13)
+        sigma = solve_lyapunov(-np.eye(4), 2.0 * np.eye(4))
+        assert np.allclose(sigma, np.eye(4), atol=1e-13)
 
     def test_integral_representation_oracle(self):
         drift = np.array([[-1.0, 0.3], [-0.3, -1.0]])
@@ -109,54 +107,62 @@ class TestSolveLyapunov:
             return propagator @ diffusion @ propagator.T
 
         brute, _ = scipy.integrate.quad_vec(integrand, 0.0, 50.0, epsabs=1e-12)
-        solved = solve_lyapunov(DriftDiffusion(drift, diffusion)).sigma
+        solved = solve_lyapunov(drift, diffusion)
         assert np.abs(solved - brute).max() <= 1e-8
 
     def test_integral_oracle_on_random_generator(self):
         rng = np.random.default_rng(7)
-        gen = random_thermal_generator(rng, 2)
+        drift, diffusion = random_thermal_generator(rng, 2)
 
         def integrand(t):
-            propagator = scipy.linalg.expm(gen.drift * t)
-            return propagator @ gen.diffusion @ propagator.T
+            propagator = scipy.linalg.expm(drift * t)
+            return propagator @ diffusion @ propagator.T
 
         brute, _ = scipy.integrate.quad_vec(integrand, 0.0, 80.0, epsabs=1e-12)
-        solved = solve_lyapunov(gen).sigma
+        solved = solve_lyapunov(drift, diffusion)
         assert np.abs(solved - brute).max() <= 1e-8
 
     def test_residual_and_physicality_over_random_generators(self):
         rng = np.random.default_rng(2024)
         for trial in range(60):
-            gen = random_thermal_generator(rng, 1 + trial % 4)
-            sigma = solve_lyapunov(gen).sigma
-            residual = np.abs(
-                gen.drift @ sigma + sigma @ gen.drift.T + gen.diffusion
-            ).max()
-            assert residual <= 1e-10 * max(1.0, np.abs(gen.diffusion).max())
+            drift, diffusion = random_thermal_generator(rng, 1 + trial % 4)
+            sigma = solve_lyapunov(drift, diffusion)
+            residual = np.abs(drift @ sigma + sigma @ drift.T + diffusion).max()
+            assert residual <= 1e-10 * max(1.0, np.abs(diffusion).max())
             assert np.array_equal(sigma, sigma.T)
             assert symplectic_eigenvalues(sigma).min() >= 1.0 - 1e-9
 
+    def test_result_is_a_symmetric_read_only_array(self):
+        # an asymmetric drift gives a covariance symmetric to round-off only
+        # before the solver symmetrizes it; the caller cannot write to it
+        drift = np.kron(np.array([[-1.0, 0.4], [-0.7, -1.3]]), np.eye(2))
+        sigma = solve_lyapunov(drift, 3.0 * np.eye(4))
+        assert type(sigma) is np.ndarray
+        assert np.array_equal(sigma, sigma.T)
+        with pytest.raises(ValueError, match="read-only"):
+            sigma[0, 0] = 5.0
+
     def test_rejects_marginally_stable_drift(self):
         with pytest.raises(NotHurwitz):
-            solve_lyapunov(DriftDiffusion(np.zeros((2, 2)), np.eye(2)))
+            solve_lyapunov(np.zeros((2, 2)), np.eye(2))
 
     def test_rejects_unphysical_generator(self):
         # classically solvable, but the steady covariance violates the
         # uncertainty bound (sigma = 0.25*I)
         with pytest.raises(NonPhysicalResult):
-            solve_lyapunov(DriftDiffusion(-np.eye(4), 0.5 * np.eye(4)))
+            solve_lyapunov(-np.eye(4), 0.5 * np.eye(4))
 
     def test_diffusion_validation(self):
         asym = np.eye(2)
         asym = asym + np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ConfigInvalid):
-            DriftDiffusion(-np.eye(2), asym)
-        with pytest.raises(ConfigInvalid):
-            DriftDiffusion(-np.eye(2), -np.eye(2))
-        with pytest.raises(ConfigInvalid):
-            DriftDiffusion([[np.nan, 0.0], [0.0, -1.0]], np.eye(2))
-        with pytest.raises(ConfigInvalid):
-            DriftDiffusion(-np.eye(2), [[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(ConfigInvalid, match="^diffusion matrix must be symmetric$"):
+            solve_lyapunov(-np.eye(2), asym)
+        with pytest.raises(ConfigInvalid, match="^diffusion matrix must be positive semidefinite$"):
+            solve_lyapunov(-np.eye(2), -np.eye(2))
+        with pytest.raises(ConfigInvalid, match="^drift and diffusion entries must be finite$"):
+            solve_lyapunov([[np.nan, 0.0], [0.0, -1.0]], np.eye(2))
+        with pytest.raises(ConfigInvalid, match="^drift and diffusion entries must be finite$"):
+            solve_lyapunov(-np.eye(2), [[np.inf, 0.0], [0.0, 1.0]])
 
 
 class TestSymplecticEigenvalues:
@@ -219,7 +225,7 @@ class TestLogNegativity:
         flip = np.diag([1.0, 1.0, 1.0, -1.0])
         for fraction in (0.0, 0.3, 0.7, 1.0):
             mbar = fraction * squeezing_bound(nbar)
-            sigma = two_mode_squeezed_thermal_cm(nbar, mbar).sigma
+            sigma = two_mode_squeezed_thermal_cm(nbar, mbar)
             nu_min = symplectic_eigenvalues(flip @ sigma @ flip)[0]
             assert abs(nu_min - (2.0 * nbar + 1.0 - 2.0 * mbar)) <= 1e-10
 
@@ -233,7 +239,7 @@ class TestLogNegativity:
         rng = np.random.default_rng(seed)
         nbar = rng.uniform(0.0, 2.0)
         mbar = rng.uniform(0.0, 1.0) * squeezing_bound(nbar)
-        sigma = two_mode_squeezed_thermal_cm(nbar, mbar).sigma
+        sigma = two_mode_squeezed_thermal_cm(nbar, mbar)
         rot = np.eye(4)
         block = np.array(
             [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
@@ -254,7 +260,7 @@ class TestLogNegativity:
         assert logneg_from_nu(nus)[4] > 0.0
         sigma = two_mode_squeezed_thermal_cm(1.0, math.sqrt(2.0))
         flip = np.diag([1.0, 1.0, 1.0, -1.0])
-        nu = symplectic_eigenvalues(flip @ sigma.sigma @ flip)[0]
+        nu = symplectic_eigenvalues(flip @ sigma @ flip)[0]
         assert log_negativity_gaussian(sigma) == float(logneg_from_nu(nu))
 
     @pytest.mark.parametrize("nu", [0.0, -1e-9, math.nan, math.inf])
@@ -502,7 +508,7 @@ class TestStackedCore:
         with pytest.raises(NotHurwitz, match=r"entries up to 1: .* = -1e-12, not < -1e-12$"):
             schur_form(drift[None])
         with pytest.raises(NotHurwitz, match=r"= -1e-12, not < -1e-12$"):
-            solve_lyapunov(DriftDiffusion(np.kron(drift, np.eye(2)), np.eye(4)))
+            solve_lyapunov(np.kron(drift, np.eye(2)), np.eye(4))
         schur_form(np.diag([np.nextafter(-1e-12, -1.0), -1.0])[None])
 
     def test_inaccurate_slice_is_named(self):
@@ -692,14 +698,14 @@ class TestNormalizedLogneg:
 
 class TestReduceToPair:
     def test_identity_blocks(self):
-        assert np.array_equal(reduce_to_pair(np.eye(8), 0, 2).sigma, np.eye(4))
+        assert np.array_equal(reduce_to_pair(np.eye(8), 0, 2), np.eye(4))
 
     def test_block_diagonal_extraction(self):
-        pair = two_mode_squeezed_thermal_cm(0.7, 0.9).sigma
+        pair = two_mode_squeezed_thermal_cm(0.7, 0.9)
         full = np.eye(8)
         idx = [0, 1, 4, 5]  # modes 0 and 2
         full[np.ix_(idx, idx)] = pair
-        assert np.allclose(reduce_to_pair(full, 0, 2).sigma, pair)
+        assert np.allclose(reduce_to_pair(full, 0, 2), pair)
 
     def test_permutation_oracle(self):
         rng = np.random.default_rng(11)
@@ -711,8 +717,8 @@ class TestReduceToPair:
             perm[2 * new, 2 * old] = 1.0
             perm[2 * new + 1, 2 * old + 1] = 1.0
         permuted = perm @ sigma @ perm.T
-        direct = reduce_to_pair(sigma, j, k).sigma
-        via_perm = reduce_to_pair(permuted, 0, 1).sigma
+        direct = reduce_to_pair(sigma, j, k)
+        via_perm = reduce_to_pair(permuted, 0, 1)
         assert np.abs(direct - via_perm).max() <= 1e-12
 
     @pytest.mark.parametrize("pair", [(0, 0), (0, 4), (-1, 1)])
@@ -723,10 +729,10 @@ class TestReduceToPair:
 
 class TestTwoModeSqueezedThermal:
     def test_vacuum_case(self):
-        assert np.array_equal(two_mode_squeezed_thermal_cm(0.0, 0.0).sigma, np.eye(4))
+        assert np.array_equal(two_mode_squeezed_thermal_cm(0.0, 0.0), np.eye(4))
 
     def test_block_structure(self):
-        sigma = two_mode_squeezed_thermal_cm(1.0, math.sqrt(2.0)).sigma
+        sigma = two_mode_squeezed_thermal_cm(1.0, math.sqrt(2.0))
         assert np.allclose(sigma[:2, :2], 3.0 * np.eye(2))
         assert np.allclose(sigma[2:, 2:], 3.0 * np.eye(2))
         assert np.allclose(sigma[:2, 2:], np.diag([2.0 * math.sqrt(2.0), -2.0 * math.sqrt(2.0)]))
@@ -757,11 +763,3 @@ class TestQuadratureEmbedding:
         actual = by_parts(np.linalg.eigvals(embedded))
         assert np.abs(expected - actual).max() <= 1e-9
 
-    def test_covariance_wrapper_symmetrizes(self):
-        mat = np.eye(4)
-        mat[0, 1] = 0.2
-        wrapped = QuadratureCovariance(mat)
-        assert np.array_equal(wrapped.sigma, wrapped.sigma.T)
-        assert wrapped.n_modes == 2
-        with pytest.raises(ValueError):
-            wrapped.sigma[0, 0] = 5.0

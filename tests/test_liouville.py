@@ -370,6 +370,30 @@ class TestSteadyState:
         rho = steady_state_dm(qubit_decay((2, 2), {0: 1.0, 1: 1e-6}))
         assert fidelity_pure(rho, np.eye(4)[0]) >= 1.0 - 1e-10
 
+    @pytest.mark.filterwarnings("ignore:timescale-separation")
+    @pytest.mark.parametrize("factor", [1e-100, 1e100])
+    def test_a_multiple_of_a_generator_gets_its_state_and_its_verdict(self, factor):
+        # the kernel certificate reads the generator's shape, not its scale:
+        # at these multiples its estimate once over- or underflowed to NaN
+        def verdict(liou):
+            try:
+                return steady_state_dm(liou)
+            except DegenerateSteadyState:
+                return None
+
+        cfg = ArrayConfig.homogeneous(2, nbar=1.0, mbar=1.2, g=0.01)
+        for liou in (
+            build_xx_liouvillian(2, 1.0, 0.5, 1.0, 1.2),
+            build_effective_general(cfg),
+            qubit_decay((2, 2), {0: 1.0, 1: 1e-10}),  # refused at every scale
+        ):
+            want = verdict(liou)
+            got = verdict(Liouvillian(factor * liou.matrix, liou.charge, liou.swap))
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.abs(got - want).max() <= 1e-12
+        assert want is None
+
     def test_non_hermiticity_preserving_generator_refused(self):
         # rho -> -i H rho without its -rho H partner maps the Hermitian
         # rho_00 to an imaginary multiple of itself

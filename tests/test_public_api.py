@@ -118,6 +118,30 @@ def test_every_exported_name_has_a_use_outside_the_tests():
     assert used_names(tree) == {"h"}
 
 
+def exported_members():
+    """``(module, class, member)`` of each public property or method of a class in an ``__all__``.
+
+    Stored fields are results and are not listed.
+    """
+    for module_name in EXPORTING_MODULES:
+        module = importlib.import_module(module_name)
+        tree = ast.parse(Path(module.__file__).read_text("utf-8"))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef) and stmt.name in module.__all__:
+                for member in stmt.body:
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        if not member.name.startswith("_"):
+                            yield module_name.split(".")[1], stmt.name, member.name
+
+
+def test_every_public_member_of_an_exported_class_has_a_use_outside_the_tests():
+    sources = [*(ROOT / "src" / "entrep").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    used = set().union(*(used_names(ast.parse(path.read_text("utf-8"))) for path in sources))
+    members = list(exported_members())
+    assert ("arrays", "SteadyMoments", "stacked") in members
+    assert [member for member in members if member[2] not in used] == []
+
+
 # Solver certificates are compared with their bounds in one place,
 # entrep.errors.certify, which raises the error it is handed; these classes
 # may be raised by name only where a refusal is not a value against a bound.
