@@ -16,30 +16,29 @@ Steady moments
 --------------
 Ladder moments evolve as d<a>/dt = L <a> with ``L = -i*eta(hopping) -
 diag(kappa_j + zeta*[j is driven])``, block diagonal with one block
-``L_i`` per array, so :func:`ladder_drift` holds only the ``(2, N, N)``
-stack ``(L_1, L_2)``.  The steady state is Gaussian and zero-mean; vacuum
-loss adds no noise in normal order, so only two kinds of second moment are
-non-zero (one isolated driven pair gets ``nbar`` and ``-mbar``):
+``L_i`` per array.  Each chain is bipartite, so the gauge ``a_j -> i^j a_j``
+(``P = diag(1, i, -1, -i, ...)``) makes ``G_i = P L_i P^*`` real: ``-eta_b``
+above the diagonal, ``+eta_b`` below it and ``-(kappa_j + zeta*[j is
+driven])`` on it.  The package builds only these, so :func:`gauged_drift`
+holds the real ``(2, N, N)`` stack ``(G_1, G_2)``.  The steady state is
+Gaussian and zero-mean; vacuum loss adds no noise in normal order, so only
+two kinds of second moment are non-zero (one isolated driven pair gets
+``nbar`` and ``-mbar``):
 
     N_i = <a_j^dag a_k> in array i:  conj(L_i) N_i + N_i L_i^T = -2 zeta nbar e0 e0^T
     M   = <a_j^(1) a_k^(2)>:         L_1 M + M L_2^T = +2 zeta mbar e0 e0^T
 
-:func:`steady_state` solves them on one real Schur form per distinct array
-drift, and :attr:`SteadyMoments.forms` carries both arrays' forms on to every
-later resolvent, kernel and decay rate.  Each chain is bipartite, so the gauge
-``a_j -> i^j a_j`` (``P = diag(1, i, -1, -i, ...)``) makes ``G_i = P L_i P^*``
-real, ``-diag(kappa_j + zeta*[j is driven])`` plus ``eta`` times a real
-antisymmetric tridiagonal matrix: each form comes from one real Schur
-factorization (LAPACK ``dgees``) of ``G_i`` (:func:`entrep.gaussian.schur_form`),
-which refuses any drift the gauge does not make real.  The moment equations
-are real in the gauge as well: ``N_i = P n_i P^*`` and ``M = P^* m P^*`` with
-``G_i n_i + n_i G_i^T = -2 zeta nbar e0 e0^T`` and ``G_1 m + m G_2^T = 2 zeta
-mbar e0 e0^T``, so both are solved, and their uncertainty margin taken, in
-real arithmetic.  The solve runs on stacks of independent problems of one
-size: :func:`disorder_sweep` puts both arrays' drift blocks of every bond draw
-of a disorder level into one ``(2S, N, N)`` stack and solves the level in one
-call, and :func:`steady_state` is the same solve on a stack of one
-configuration.  Each pair (j, N+j) is a
+They are real in the gauge as well: ``N_i = P n_i P^*`` and ``M = P^* m
+P^*`` with ``G_i n_i + n_i G_i^T = -2 zeta nbar e0 e0^T`` and ``G_1 m + m
+G_2^T = 2 zeta mbar e0 e0^T``.  :func:`steady_state` solves both on one real
+Schur form (LAPACK ``dgees``, :func:`entrep.gaussian.schur_form`) per
+distinct array drift, and takes their uncertainty margin, in real
+arithmetic; :attr:`SteadyMoments.forms` carries both arrays' forms on to
+every later resolvent, kernel and decay rate.  The solve runs on stacks of
+independent problems of one size: :func:`disorder_sweep` puts both arrays'
+drift blocks of every bond draw of a disorder level into one ``(2S, N, N)``
+stack and solves the level in one call, and :func:`steady_state` is the
+same solve on a stack of one configuration.  Each pair (j, N+j) is a
 phase-insensitive two-mode state, so its smallest partially transposed
 symplectic eigenvalue is ``n_1 + n_2 + 1 - sqrt((n_1 - n_2)^2 + 4 |m|^2)`` in
 its occupations and cross-moment (Serafini, Illuminati & De Siena, J. Phys.
@@ -77,7 +76,7 @@ __all__ = [
     "EntanglementProfile",
     "SteadyMoments",
     "disorder_sweep",
-    "ladder_drift",
+    "gauged_drift",
     "pair_entanglement_profile",
     "steady_state",
 ]
@@ -207,8 +206,8 @@ class SteadyMoments:
     ``n1[j, k] = <a_j^dag a_k>`` in array one, ``n2`` the same in array
     two, ``m[j, k] = <a_j a_{N+k}>`` across them; ``uncertainty_margin`` is
     :func:`entrep.gaussian.uncertainty_margin` of the three, and ``forms`` the
-    Schur forms of the blocks :func:`ladder_drift` they were solved from
-    (``forms.drift``), array two's a copy of array one's when they are equal.
+    Schur forms of the blocks of :func:`gauged_drift` they were solved from
+    (``forms.gauged``), array two's a copy of array one's when they are equal.
     """
 
     n1: np.ndarray
@@ -274,12 +273,12 @@ class EntanglementProfile:
 _STACK_ENTRIES = 2**20
 
 
-def _ladder_blocks(cfg: ArrayConfig, bonds: np.ndarray) -> np.ndarray:
-    """The arrays' ladder drift blocks for every row of ``bonds`` taken as ``cfg.eta``.
+def _gauged_blocks(cfg: ArrayConfig, bonds: np.ndarray) -> np.ndarray:
+    """The arrays' gauged drift blocks for every row of ``bonds`` taken as ``cfg.eta``.
 
-    ``bonds`` is ``(S, 2(N-1))``; returns the ``(2S, N, N)`` stack of array
-    one's S blocks followed by array two's.  Raises ConfigInvalid when an
-    atom coupling is on.
+    ``bonds`` is ``(S, 2(N-1))``; returns the real ``(2S, N, N)`` stack of
+    array one's S blocks followed by array two's.  Raises ConfigInvalid when
+    an atom coupling is on.
     """
     if not cfg.is_gaussian:
         raise ConfigInvalid(
@@ -287,26 +286,27 @@ def _ladder_blocks(cfg: ArrayConfig, bonds: np.ndarray) -> np.ndarray:
             "use the spin-dynamics layer for g > 0"
         )
     n, samples = cfg.n_sites, len(bonds)
-    hops = -1j * bonds.reshape(samples, 2, n - 1).swapaxes(0, 1)
+    hops = bonds.reshape(samples, 2, n - 1).swapaxes(0, 1)
     # each array's flattened blocks; strided slices pick their diagonals
-    blocks = np.zeros((2, samples, n * n), dtype=complex)
-    blocks[..., 1 :: n + 1] += hops
+    blocks = np.zeros((2, samples, n * n))
+    blocks[..., 1 :: n + 1] -= hops
     blocks[..., n :: n + 1] += hops
     blocks[..., :: n + 1] -= np.array(cfg.kappa).reshape(2, 1, n)
     blocks[..., 0] -= cfg.zeta
     return blocks.reshape(2 * samples, n, n)
 
 
-def ladder_drift(cfg: ArrayConfig) -> np.ndarray:
-    """First-moment drift of the cavity fields, one block per array.
+def gauged_drift(cfg: ArrayConfig) -> np.ndarray:
+    """First-moment drift of the cavity fields in the chain gauge, one block per array.
 
-    Returns the complex ``(2, N, N)`` stack ``(L_1, L_2)`` of the arrays'
-    blocks of ``L`` with d<a>/dt = L <a>: ``-i*eta`` on nearest-neighbour
-    bonds within each array and ``-(kappa_j + zeta*[j driven])`` on the
-    diagonal.  The arrays never couple coherently, so ``L`` has no other
-    entries.  Raises ConfigInvalid when an atom coupling is on.
+    Returns the real ``(2, N, N)`` stack ``(G_1, G_2)``, ``G_i = P L_i P^*``,
+    of the arrays' blocks of ``L`` with d<a>/dt = L <a>: ``-eta_b`` above
+    the diagonal and ``+eta_b`` below it on each bond b within an array, and
+    ``-(kappa_j + zeta*[j driven])`` on the diagonal.  The arrays never
+    couple coherently, so ``L`` has no other entries.  Raises ConfigInvalid
+    when an atom coupling is on.
     """
-    return _ladder_blocks(cfg, np.array([cfg.eta]))
+    return _gauged_blocks(cfg, np.array([cfg.eta]))
 
 
 def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray) -> tuple:
@@ -325,7 +325,7 @@ def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray) -> tuple:
     normal_source = as_real("-2 zeta nbar", -2.0 * cfg.zeta * cfg.nbar)
     pair_source = as_real("2 zeta mbar", 2.0 * cfg.zeta * cfg.mbar)
     samples = len(bonds)
-    drifts = _ladder_blocks(cfg, bonds)
+    drifts = _gauged_blocks(cfg, bonds)
     mirrored = np.array_equal(drifts[:samples], drifts[samples:])
     forms = schur_form(drifts[:samples] if mirrored else drifts)
     normal = solve_rank_one_sylvester(forms, forms, normal_source)

@@ -26,8 +26,8 @@ import numpy as np
 
 
 #: Entries at or below this times a problem's scale are round-off: a stored
-#: Liouvillian drops them, and neither an imaginary part that a real basis or
-#: gauge must remove nor a swap-parity crossing may exceed it.
+#: Liouvillian drops them, and neither an imaginary part that a real basis
+#: must remove nor a swap-parity crossing may exceed it.
 ROUNDOFF_RTOL = 1e-12
 
 

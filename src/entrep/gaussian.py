@@ -13,15 +13,14 @@
   Every certificate is compared with its bound by :func:`~entrep.errors.certify`,
   whose refusal names the first slice that failed, its value and the bound.
 * **Real gauge.** An open chain is bipartite, so ``a_j -> i^j a_j`` makes
-  every array drift real.  :func:`schur_form` factors each gauged slice with
-  LAPACK's real ``dgees`` and keeps the gauged drift, its quasi-triangular
-  factor and its orthogonal one; a drift that the gauge does not make real is
-  not a chain drift and is refused.  :func:`solve_rank_one_sylvester` solves
-  on those factors by the recursive blocked method of Jonsson & Kagstrom (ACM
-  TOMS 28, 392, 2002), whose leaves are LAPACK's ``dtrsyl``.  Only a complex
-  shift needs complex forms: :meth:`SchurForm.solve` splits the 2 x 2 blocks
-  of complex eigenvalue pairs with one stacked pass of unitary rotations, once
-  per form.
+  every array drift real, and :mod:`entrep.arrays` builds it so.
+  :func:`schur_form` factors each real gauged slice with LAPACK's real
+  ``dgees`` and keeps the gauged drift, its quasi-triangular factor and its
+  orthogonal one.  :func:`solve_rank_one_sylvester` solves on those factors
+  by the recursive blocked method of Jonsson & Kagstrom (ACM TOMS 28, 392,
+  2002), whose leaves are LAPACK's ``dtrsyl``.  Only a complex shift needs
+  complex forms: :meth:`SchurForm.solve` splits the 2 x 2 blocks of complex
+  eigenvalue pairs with one stacked pass of unitary rotations, once per form.
 * **One path to a dataset cell.** :func:`logneg_from_nu` is the one map from a
   smallest symplectic eigenvalue nu to a negativity E, and refuses a nu with no
   significant digits left; :func:`normalized_logneg` is the one E/(1+E).
@@ -57,7 +56,6 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dgees, dtrsyl
 
 from .errors import (
-    ROUNDOFF_RTOL,
     ConfigInvalid,
     NoConvergence,
     NonPhysicalResult,
@@ -120,18 +118,23 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def squeezing_bound(nbar: float) -> float:
-    """Largest cross-correlation mbar compatible with occupation nbar."""
-    return math.sqrt(nbar * (nbar + 1.0))
+    """Largest cross-correlation mbar compatible with occupation nbar: ``sqrt(nbar (nbar + 1))``.
+
+    From ``2**54`` up that root rounds to ``nbar``, which is returned, so the
+    product, which overflows above ``nbar = 1.3e154``, is never formed there.
+    """
+    return nbar if nbar >= 2.0**54 else math.sqrt(nbar * (nbar + 1.0))
 
 
 def check_drive(nbar, mbar) -> tuple[float, float]:
     """Reservoir statistics ``(nbar, mbar)`` as floats, refused when no state has them.
 
-    Raises ConfigInvalid unless both are finite reals >= 0
-    (:func:`entrep.errors.as_real`), and OverSqueezed when ``mbar`` exceeds
+    Raises ConfigInvalid unless both are finite reals >= 0 with a finite ``2
+    nbar + 1`` (:func:`entrep.errors.as_real`), and OverSqueezed when ``mbar`` exceeds
     ``squeezing_bound(nbar)`` by more than 1e-12.
     """
     nbar, mbar = as_real("nbar", nbar, 0.0), as_real("mbar", mbar, 0.0)
+    as_real("2 nbar + 1", 2.0 * nbar + 1.0)
     bound = squeezing_bound(nbar)
     if mbar > bound + 1e-12:
         raise OverSqueezed(
@@ -301,35 +304,28 @@ def _split_pairs(t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, z
 
 
-def schur_form(drift: np.ndarray) -> SchurForm:
-    """Real Schur form of each slice of an ``(S, N, N)`` stack of open-chain ladder drifts.
+def schur_form(gauged: np.ndarray) -> SchurForm:
+    """Real Schur form of each slice of an ``(S, N, N)`` stack of gauged open-chain drifts.
 
-    An open chain is bipartite, so the gauge ``a_j -> i^j a_j`` (``P =
-    diag(1, i, -1, -i, ...)``) makes its drift ``L = -i eta (hopping) -
-    diag(damping)`` real: ``P L P^* = -diag(damping) + eta (real
-    antisymmetric)``.  Each gauged slice is factored by LAPACK's real
-    ``dgees``, alone, whatever stack it sits in; in its standard form both
-    diagonal entries of a 2 x 2 block are the real part of the block's
-    eigenvalues, so ``diag(t)`` holds every Re eigenvalue.
+    A slice is the real ``P L P^* = -diag(damping) + eta (real
+    antisymmetric)`` of a ladder drift ``L`` (:func:`entrep.arrays.gauged_drift`).
+    Each is factored by LAPACK's real ``dgees``, alone, whatever stack it
+    sits in; in its standard form both diagonal entries of a 2 x 2 block are
+    the real part of the block's eigenvalues, so ``diag(t)`` holds every Re
+    eigenvalue.
 
-    Raises ConfigInvalid, naming the first failing slice, for a non-finite
-    entry or for a drift that the gauge does not make real to round-off
-    (``ROUNDOFF_RTOL`` of its largest entry): it is not an open-chain drift.
-    Raises NoConvergence when ``dgees`` fails, and NotHurwitz unless every
-    Re eigenvalue is below -HURWITZ_TOL.
+    Raises ConfigInvalid for a complex stack and, naming the first failing
+    slice, for a non-finite entry.  Raises NoConvergence when ``dgees``
+    fails, and NotHurwitz unless every Re eigenvalue is below -HURWITZ_TOL.
     """
-    drift = np.asarray(drift, dtype=complex)
-    non_finite = np.count_nonzero(~np.isfinite(drift), axis=(-2, -1))
-    certify(non_finite, 0, ConfigInvalid, "ladder drift has a non-finite entry: count")
-    scale = np.abs(drift).max(axis=(-2, -1))
-    phases = chain_phases(drift.shape[-1])
-    gauged = phases[:, None] * drift * phases.conj()
-    residue = np.abs(gauged.imag).max(axis=(-2, -1))
-    what = "ladder drift is not an open chain: gauged imaginary part"
-    certify(residue, ROUNDOFF_RTOL * scale, ConfigInvalid, what)
-    gauged = gauged.real
+    if np.iscomplexobj(gauged):
+        raise ConfigInvalid("a gauged open-chain drift is real, got a complex stack")
+    gauged = np.asarray(gauged, dtype=float)
+    non_finite = np.count_nonzero(~np.isfinite(gauged), axis=(-2, -1))
+    certify(non_finite, 0, ConfigInvalid, "gauged drift has a non-finite entry: count")
     t, z = _real_schur(gauged)
-    _require_hurwitz(t.diagonal(axis1=-2, axis2=-1).max(axis=-1), scale.max(initial=0.0))
+    top = t.diagonal(axis1=-2, axis2=-1).max(axis=-1)
+    _require_hurwitz(top, np.abs(gauged).max(initial=0.0))
     return SchurForm(gauged, t, z)
 
 

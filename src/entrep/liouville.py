@@ -19,7 +19,8 @@ an odd half, and the generator into one real matrix per half.  The even
 half, with its redundant first row replaced by the trace condition,
 gives the steady state by one sparse LU solve; the odd half is factored
 too, and the factors of both halves certify that the state is unique
-before it is returned.  Each certificate meets its bound in
+before it is returned, all on the generator over a power of two near its
+scale, which moves no bit and keeps every sum finite.  Each certificate meets its bound in
 :func:`~entrep.errors.certify`, whose refusal names the value and the
 bound.  Without a swap the odd half is empty, and an all-zero charge
 makes the block the whole space.  The U(1) block
@@ -236,9 +237,6 @@ class Liouvillian:
         """Largest entry magnitude; the reference scale for tolerances."""
         return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(rho), self.dim)
-
 
 #: a condition estimate of the trace-bordered generator at or above this
 #: means a second (near-)stationary state: the kernel is not one-dimensional
@@ -253,11 +251,9 @@ def _factor(system: sp.csc_matrix, name: str) -> tuple[spla.SuperLU, float, floa
 
     ``||system^-1||_2`` is estimated by three inverse-iteration steps on
     ``system^H system``, started from a fixed seeded vector so the
-    estimate is deterministic.  The steps run on ``system`` over its
-    1-norm and take overflow-free norms, so ``c * system`` gets ``1 / c``
-    times the estimate whatever ``c``, and an empty system gets 0; steps
-    that overflow give a non-finite estimate, which the certificate
-    refuses.  A singular factorization raises
+    estimate is deterministic.  The steps take overflow-free norms, and an
+    empty system gets 0; steps that overflow give a non-finite estimate,
+    which the certificate refuses.  A singular factorization raises
     :class:`DegenerateSteadyState` naming the ``name`` system.
     """
     try:
@@ -265,14 +261,18 @@ def _factor(system: sp.csc_matrix, name: str) -> tuple[spla.SuperLU, float, floa
     except RuntimeError as exc:
         raise DegenerateSteadyState(f"{name} is singular: kernel is not one-dimensional") from exc
     one_norm = float(np.asarray(abs(system).sum(axis=0)).max(initial=0.0))
-    unit = one_norm or 1.0
     x = np.random.default_rng(0).standard_normal(system.shape[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(3):
-            x = unit * lu.solve(unit * lu.solve(x, trans="H"))
+            x = lu.solve(lu.solve(x, trans="H"))
             growth = sla.norm(x, check_finite=False)
             x /= growth
-    return lu, one_norm, float(np.sqrt(growth)) / unit
+    return lu, one_norm, float(np.sqrt(growth))
+
+
+def _ldexp(values: np.ndarray, exponent: int) -> np.ndarray:
+    """Complex ``values`` times ``2**exponent``, part by part, also where that power overflows."""
+    return np.ldexp(np.ascontiguousarray(values, complex).view(float), exponent).view(complex)
 
 
 def _hermitian_basis(
@@ -351,6 +351,13 @@ def _swap_parity(
 def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     """Unique unit-trace fixed point of a trace-preserving generator.
 
+    The solve runs on the generator times ``2**-e`` (``scale = f 2**e``, ``f``
+    in ``[0.5, 1)``: ``np.frexp``), the power split between the two sides of
+    each product with it.  A power of two moves no bit (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002): each step gives what it gives
+    on the generator itself where that stays normal, and no sum overflows.
+    ``L`` and ``scale`` below are the scaled generator and its largest entry.
+
     The generator conserves its charge, so it maps the charge-diagonal
     block (the entries of ``vec(rho)`` with ``charge[i] == charge[j]``,
     which hold the whole diagonal) to itself, and the fixed point is
@@ -407,17 +414,22 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     ``|01><01| - |10><10|`` of two qubits that both decay into the
     singly excited states).
 
-    The result is normalized, and checked for residual against the stored
-    generator (without round-off) and for positivity.
+    The result is normalized, and checked for residual against the scaled
+    stored generator (without round-off) and for positivity.
     """
     dim = liouvillian.dim
-    scale = liouvillian.scale
+    scale, exponent = np.frexp(liouvillian.scale)
+    # half of 2**-exponent on each side: no copy of the generator, no overflow
+    left, right = -exponent // 2, (1 - exponent) // 2
     swap = np.arange(dim) if liouvillian.swap is None else liouvillian.swap
     hermitian, i, j, part = _hermitian_basis(liouvillian.charge)
     parity, n_even = _swap_parity(i, j, part, swap)
     basis = hermitian @ parity
     # rows of W^H pick the block rows; off-block columns meet empty rows of W
-    block = ((basis.conj().T @ liouvillian.matrix) @ basis).tocsr()
+    rows = basis.conj().T
+    rows.data = _ldexp(rows.data, left)
+    block = ((rows @ liouvillian.matrix) @ basis).tocsr()
+    block.data = _ldexp(block.data, right)
     imaginary = np.abs(block.data.imag).max(initial=0.0)
     what = "generator does not preserve Hermiticity: largest imaginary entry in the real basis"
     certify(imaginary, ROUNDOFF_RTOL * scale, ConfigInvalid, what)
@@ -443,7 +455,7 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     what = "steady-state trace is zero or not finite: -|trace|"
     certify(-abs(trace), -1e-10, NoConvergence, what, strict=True)
     rho /= trace
-    residual = np.abs(liouvillian.apply(rho)).max()
+    residual = np.abs(_ldexp(liouvillian.matrix @ _ldexp(vec(rho), left), right)).max()
     certify(residual, _RESIDUAL_RTOL * scale, NoConvergence, "steady-state residual")
     assert_density_matrix(rho)
     return rho

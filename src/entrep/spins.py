@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, prod, sqrt
+from math import prod, sqrt
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .arrays import ArrayConfig, ladder_drift, read_only, steady_state
+from .arrays import ArrayConfig, gauged_drift, read_only, steady_state
 from .errors import (
     ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged, as_integer, as_real, certify
 )
@@ -74,7 +74,6 @@ __all__ = [
     "build_xx_liouvillian",
     "check_size",
     "coupling_pattern_matrices",
-    "default_fock_levels",
     "full_cavity_atom_oracle",
 ]
 
@@ -280,8 +279,8 @@ def _homogeneous_coupling(cfg: ArrayConfig) -> float:
     if len(values) != 1:
         raise ConfigInvalid(f"need a homogeneous spin-field coupling, got {cfg.g}")
     g = as_real("g", values.pop(), 0.0, strict=True)
-    if not g * g < np.inf:
-        raise ConfigInvalid(f"need a positive spin-field coupling with a finite square, got g={g}")
+    # the memory kernels take g**2
+    as_real("g * g", g * g)
     return g
 
 
@@ -295,7 +294,7 @@ def adiabaticity_ratio(cfg: ArrayConfig) -> float:
     """
     if cfg.is_gaussian:
         return 0.0
-    return _field_ratio(cfg, schur_form(ladder_drift(cfg.field_only)))
+    return _field_ratio(cfg, schur_form(gauged_drift(cfg.field_only)))
 
 
 def _field_ratio(cfg: ArrayConfig, forms: SchurForm) -> float:
@@ -432,8 +431,8 @@ def build_effective_closed_form(
     pattern identity ``g^2 inv(field drift) = i J X - gamma Y`` holds;
     tests pin that equivalence to near machine precision.  The GKSL
     coefficients over the stacked spin operators are ``h = J X_big`` and
-    ``e = gamma Y_big^T``.  ``eta``, ``zeta`` and ``g`` must be finite and
-    positive, and a damping rate that underflows to zero is refused.
+    ``e = gamma Y_big^T``.  ``eta``, ``zeta``, ``g`` and the rates J and
+    gamma they give must be finite, all but J positive (gamma may underflow).
     """
     n_pairs = _check_spin_pairs(n_pairs)
     eta = as_real("eta", eta, 0.0, strict=True)
@@ -441,11 +440,8 @@ def build_effective_closed_form(
     g = as_real("g", g, 0.0, strict=True)
     nbar, mbar = check_drive(nbar, mbar)
     hopping_rate, damping_rate = closed_form_rates(n_pairs, eta, zeta, g)
-    if not (0.0 < damping_rate < np.inf and hopping_rate < np.inf):
-        raise ConfigInvalid(
-            f"closed-form rates J={hopping_rate} and gamma={damping_rate} must be "
-            "finite with gamma > 0"
-        )
+    hopping_rate = as_real("closed-form rate J", hopping_rate)
+    damping_rate = as_real("closed-form rate gamma", damping_rate, 0.0, strict=True)
     x_big, y_big = _closed_form_blocks(n_pairs, nbar, mbar)
     generator = gksl_superop(
         _stacked_spin_ops(n_pairs), hopping_rate * x_big, damping_rate * y_big.T
@@ -458,15 +454,11 @@ def build_effective_closed_form(
 # ---------------------------------------------------------------------------
 
 
-def default_fock_levels(nbar: float) -> int:
-    """Default Fock cutoff (highest retained occupation number)."""
-    return max(8, ceil(3.0 * (nbar + 1.0)))
-
-
 @dataclass(frozen=True)
 class TruncationSpec:
     """Controls the Fock truncation of the full-model oracle.
 
+    ``n_max`` is the cutoff, the highest retained occupation number.
     ``check`` is ``auto`` (a full recheck at ``n_max + 2`` when it fits
     the superoperator-side budget, else a field-only recheck, which must
     fit it) or ``none``.
@@ -482,7 +474,7 @@ class TruncationSpec:
     joint mode holding ``nbar + mbar`` photons).
     """
 
-    n_max: int | None = None
+    n_max: int
     check: str = "auto"
     side_budget: int = SIDE_BUDGET
     basis: str = "bare"
@@ -492,8 +484,7 @@ class TruncationSpec:
             raise ConfigInvalid(f"unknown truncation check mode {self.check!r}")
         if self.basis not in ("bare", "squeezed"):
             raise ConfigInvalid(f"unknown truncation basis {self.basis!r}")
-        if self.n_max is not None:
-            object.__setattr__(self, "n_max", as_integer("n_max", self.n_max, 1))
+        object.__setattr__(self, "n_max", as_integer("n_max", self.n_max, 1))
         object.__setattr__(self, "side_budget", as_integer("side_budget", self.side_budget, 1))
 
 
@@ -643,9 +634,7 @@ def _fock_solve(cfg: ArrayConfig, n_max: int, basis: str) -> tuple[np.ndarray, n
     return rho, _field_moments(rho, field_ops, frame)
 
 
-def full_cavity_atom_oracle(
-    cfg: ArrayConfig, trunc: TruncationSpec | None = None
-) -> FockSteadyState:
+def full_cavity_atom_oracle(cfg: ArrayConfig, trunc: TruncationSpec) -> FockSteadyState:
     """Brute-force steady state of the truncated cavity+spin model.
 
     Intended as an independent oracle for small systems (single pair of
@@ -660,8 +649,7 @@ def full_cavity_atom_oracle(
     a model without spins is its own field-only model, so it is only ever
     rechecked in full.
     """
-    trunc = trunc or TruncationSpec()
-    n_max = trunc.n_max if trunc.n_max is not None else default_fock_levels(cfg.nbar)
+    n_max = trunc.n_max
     dims = _fock_dims(cfg, n_max)
     check_size(dims, trunc.side_budget)
     rho, moments = _fock_solve(cfg, n_max, trunc.basis)

@@ -1,8 +1,11 @@
 """4N-quadrature routes to the steady state and the output spectra, kept as a test oracle.
 
 The runtime solves the N x N ladder-moment equations of
-:mod:`entrep.arrays`.  This module solves the same model the other way:
-the complex ladder drift is embedded as a real 4N x 4N quadrature drift,
+:mod:`entrep.arrays` on the real drift of the chain gauge.  This module
+solves the same model the other way: the physical complex ladder drift is
+built from the config bond by bond (:func:`ladder_drift`), independently of
+the runtime, and :func:`gauge` takes it to the runtime's real drift; it is
+embedded as a real 4N x 4N quadrature drift,
 the diffusion matrix is written out in quadratures, and the covariance
 comes from :func:`entrep.gaussian.solve_lyapunov`, with its own Hurwitz,
 residual and symplectic-physicality certificates.  Stacked ladder moments
@@ -23,10 +26,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from entrep.arrays import ArrayConfig, ladder_drift, steady_state
+from entrep.arrays import ArrayConfig, steady_state
 from entrep.errors import ConfigInvalid, IndexOutOfRange, NonPhysicalResult
 from entrep.gaussian import (
     _require_even_square,
+    chain_phases,
     check_drive,
     log_negativity_gaussian,
     solve_lyapunov,
@@ -44,6 +48,34 @@ def reduce_to_pair(sigma, j: int, k: int) -> np.ndarray:
         raise IndexOutOfRange(f"mode pair ({j}, {k}) invalid for {n} modes (0-based)")
     idx = [2 * j, 2 * j + 1, 2 * k, 2 * k + 1]
     return mat[np.ix_(idx, idx)]
+
+
+def ladder_drift(cfg: ArrayConfig) -> np.ndarray:
+    """The complex ``(2, N, N)`` ladder drift blocks ``(L_1, L_2)``, bonds placed one at a time.
+
+    ``L`` has ``-i eta_b`` on each bond b within an array and ``-(kappa_j +
+    zeta [j driven])`` on the diagonal, with d<a>/dt = L <a>.
+    """
+    n = cfg.n_sites
+    blocks = np.zeros((2, n, n), dtype=complex)
+    for array, block in enumerate(blocks):
+        for bond in range(n - 1):
+            block[bond, bond + 1] = block[bond + 1, bond] = -1j * cfg.eta[array * (n - 1) + bond]
+        block -= np.diag(np.asarray(cfg.kappa[array * n : (array + 1) * n], dtype=float))
+        block[0, 0] -= cfg.zeta
+    return blocks
+
+
+def gauge(ladder: np.ndarray) -> np.ndarray:
+    """``P L P^*`` of open-chain drifts ``L`` (``P = diag(chain_phases(N))``), which is real.
+
+    ``ladder`` is one ``(N, N)`` drift or a stack; an imaginary part left
+    after the gauge means the drift is not an open chain, and fails.
+    """
+    phases = chain_phases(ladder.shape[-1])
+    gauged = phases[:, None] * ladder * phases.conj()
+    assert not gauged.imag.any(), "the drift is not an open chain"
+    return gauged.real
 
 
 def quadrature_embedding(ladder: np.ndarray) -> np.ndarray:

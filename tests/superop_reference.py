@@ -8,8 +8,9 @@ per commutator, jump and correlated-drive term (:func:`left_multiply`,
 the squeezed frame's Bogoliubov operators rebuilt as sparse matrices,
 and the Kronecker-chain site operators (:func:`destroy`,
 :func:`embed_operator`) it is built from.  Tests compare the builders
-against it, and check any generator's trace preservation with
-:func:`trace_defect`; nothing in ``src`` imports it.
+against it, check any generator's trace preservation with
+:func:`trace_defect`, and take its image of an operator with :func:`apply`;
+nothing in ``src`` imports it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 
 from entrep.arrays import ArrayConfig
 from entrep.errors import ConfigInvalid
-from entrep.liouville import Liouvillian, vec
+from entrep.liouville import Liouvillian, unvec, vec
 from entrep.spins import _squeezed_frame
 
 #: lowering operator in the (ground, excited) qubit basis
@@ -58,6 +59,11 @@ def trace_defect(liouvillian: Liouvillian) -> float:
     """Max deviation of the adjoint generator from annihilating identity."""
     id_vec = vec(np.eye(liouvillian.dim))
     return float(np.abs(id_vec @ liouvillian.matrix).max())
+
+
+def apply(liouvillian: Liouvillian, rho: np.ndarray) -> np.ndarray:
+    """The generator's image of the operator ``rho``."""
+    return unvec(liouvillian.matrix @ vec(rho), liouvillian.dim)
 
 
 def left_multiply(op) -> sp.csr_matrix:

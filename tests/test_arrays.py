@@ -26,14 +26,13 @@ from entrep.arrays import (
     DisorderResult,
     DisorderSpec,
     disorder_sweep,
-    ladder_drift,
+    gauged_drift,
     pair_entanglement_profile,
     steady_state,
 )
 from entrep.baselines import driving_entanglement
 from entrep.errors import ConfigInvalid, ModelError, NonPhysicalResult, NotHurwitz, OverSqueezed
 from entrep.gaussian import (
-    chain_phases,
     squeezing_bound,
     symplectic_eigenvalues,
     uncertainty_margin,
@@ -90,9 +89,10 @@ class TestArrayConfig:
         whole = ArrayConfig.homogeneous(2.0, kappa=0.1)
         assert type(whole.n_sites) is int and whole == ArrayConfig.homogeneous(2, kappa=0.1)
 
-    def test_rejects_oversqueezed_reservoir(self):
+    @pytest.mark.parametrize(("nbar", "mbar"), [(1.0, 1.5), (1e150, 1e151), (1e160, 1e161)])
+    def test_rejects_oversqueezed_reservoir(self, nbar, mbar):
         with pytest.raises(OverSqueezed):
-            ArrayConfig.homogeneous(2, nbar=1.0, mbar=1.5)
+            ArrayConfig.homogeneous(2, nbar=nbar, mbar=mbar)
 
     @pytest.mark.parametrize("eta", [(1.0, 1.0), (1.0, 1.1)], ids=["mirrored", "asymmetric"])
     def test_field_only_turns_off_the_couplings_alone(self, eta):
@@ -113,27 +113,15 @@ class TestArrayConfig:
         # different losses that round to one ladder diagonal: one drift,
         # so one array is solved, and their occupations agree
         close = replace(cfg, kappa=(1e-17, 0.1, 0.0, 0.1))
-        ladder = ladder_drift(close)
-        assert np.array_equal(ladder[0], ladder[1]) and not close.mirrored
+        drift = gauged_drift(close)
+        assert np.array_equal(drift[0], drift[1]) and not close.mirrored
         moments = steady_state(close)
         assert np.array_equal(moments.n1, moments.n2)
 
 
-def loop_ladder_drift(cfg: ArrayConfig) -> np.ndarray:
-    """The ladder drift blocks with their bonds placed one at a time; reference for ``ladder_drift``."""
-    n = cfg.n_sites
-    blocks = np.zeros((2, n, n), dtype=complex)
-    for array, block in enumerate(blocks):
-        for bond in range(n - 1):
-            block[bond, bond + 1] = block[bond + 1, bond] = -1j * cfg.eta[array * (n - 1) + bond]
-        block -= np.diag(np.asarray(cfg.kappa[array * n : (array + 1) * n], dtype=float))
-        block[0, 0] -= cfg.zeta
-    return blocks
-
-
 class TestDrift:
     @pytest.mark.parametrize("n_sites", range(1, 10))
-    def test_matches_the_bond_loop_bit_for_bit(self, n_sites):
+    def test_is_the_gauged_ladder_drift(self, n_sites):
         rng = np.random.default_rng(n_sites)
         cfg = ArrayConfig(
             n_sites=n_sites,
@@ -143,11 +131,35 @@ class TestDrift:
             nbar=0.5,
             mbar=0.3,
         )
-        assert ladder_drift(cfg).tobytes() == loop_ladder_drift(cfg).tobytes()
+        drift = gauged_drift(cfg)
+        assert drift.dtype == float
+        assert np.array_equal(drift, oracle.gauge(oracle.ladder_drift(cfg)))
+
+    def test_a_disorder_level_stacks_the_gauged_drifts_of_its_draws(self, monkeypatch):
+        spec = DisorderSpec(
+            base=ArrayConfig.homogeneous(4, eta=1.0, kappa=0.1, zeta=0.8, nbar=1.0, mbar=1.2),
+            delta_xi=0.5,
+            samples=3,
+            seed=5,
+        )
+        stacks = []
+        schur_form = entrep.arrays.schur_form
+
+        def spy(drift):
+            stacks.append(drift)
+            return schur_form(drift)
+
+        monkeypatch.setattr(entrep.arrays, "schur_form", spy)
+        disorder_sweep(spec)
+        configs = [replace(spec.base, eta=tuple(eta)) for eta in disorder_draws(spec)]
+        want = np.array([oracle.gauge(oracle.ladder_drift(cfg)) for cfg in configs])
+        # array one's block of every draw, then array two's
+        assert len(stacks) == 1
+        assert np.array_equal(stacks[0], np.concatenate(want.swapaxes(0, 1)))
 
     def test_single_pair_pure_damping(self):
         cfg = ArrayConfig.homogeneous(1, eta=1.0, kappa=0.0, zeta=1.0)
-        assert np.array_equal(ladder_drift(cfg), -np.ones((2, 1, 1)))
+        assert np.array_equal(gauged_drift(cfg), -np.ones((2, 1, 1)))
         assert np.array_equal(oracle.quadrature_drift(cfg), -np.eye(4))
 
     def test_two_site_hopping_by_hand(self):
@@ -174,7 +186,7 @@ class TestDrift:
             nbar=0.5,
             mbar=0.4,
         )
-        ladder = ladder_drift(cfg)
+        ladder = oracle.ladder_drift(cfg)
 
         def by_parts(values):
             return np.array(
@@ -190,7 +202,7 @@ class TestDrift:
     def test_rejects_atom_couplings(self):
         cfg = ArrayConfig.homogeneous(2, g=0.1, nbar=1.0, mbar=1.0)
         with pytest.raises(ConfigInvalid):
-            ladder_drift(cfg)
+            gauged_drift(cfg)
 
 
 class TestQuadratureOracleDiffusion:
@@ -279,9 +291,7 @@ class TestSteadyState:
         cfg = ArrayConfig(
             n_sites=2, eta=(1.0, 1.0), kappa=(0.1, 0.0, kappa_two, 0.0), zeta=0.8, nbar=0.5, mbar=0.4
         )
-        phases = chain_phases(cfg.n_sites)
-        gauged = (phases[:, None] * ladder_drift(cfg) * phases.conj()).real
-        assert steady_state(cfg).forms.gauged.tobytes() == gauged.tobytes()
+        assert steady_state(cfg).forms.gauged.tobytes() == gauged_drift(cfg).tobytes()
 
     @given(cfg=small_configs())
     @settings(max_examples=40, deadline=None)
@@ -293,14 +303,14 @@ class TestSteadyState:
                 steady_state(cfg)
             return
         # either route loses digits like the inverse of the slowest decay rate
-        margin = -np.linalg.eigvals(ladder_drift(cfg)).real.max()
+        margin = -np.linalg.eigvals(oracle.ladder_drift(cfg)).real.max()
         tol = 1e-12 * max(1.0, 1.0 / margin)
         assert np.abs(steady_state(cfg).stacked() - want).max() <= 100.0 * tol
         got = pair_entanglement_profile(cfg).raw
         assert np.abs(got - oracle.pair_lognegs(cfg)).max() <= 1000.0 * tol
 
     def test_exceptional_point_matches_the_quadrature_route(self):
-        values = np.linalg.eigvals(ladder_drift(EXCEPTIONAL_POINT)[0])
+        values = np.linalg.eigvals(oracle.ladder_drift(EXCEPTIONAL_POINT)[0])
         assert abs(values[0] - values[1]) <= 1e-6  # one defective eigenvalue
         got = steady_state(EXCEPTIONAL_POINT).stacked()
         assert np.abs(got - oracle.stacked_moments(EXCEPTIONAL_POINT)).max() <= 1e-12
@@ -378,7 +388,7 @@ class TestMirroredMargin:
         lowest = [np.linalg.eigvalsh(block)[0] for block in (first, second)]
         # both blocks carry the solve's error, which grows like the
         # inverse of the slowest decay rate
-        margin = -np.linalg.eigvals(ladder_drift(cfg)).real.max()
+        margin = -np.linalg.eigvals(oracle.ladder_drift(cfg)).real.max()
         tol = 1e-13 * max(1.0, np.abs(first).max()) * max(1.0, 1.0 / margin)
         assert abs(lowest[0] - lowest[1]) <= tol
         assert abs(moments.uncertainty_margin - lowest[0]) <= tol
@@ -490,21 +500,25 @@ class TestEntanglementProfile:
         assert np.all(interior.min(axis=0) < interior[0] - 1e-6)
 
 
+def disorder_draws(spec: DisorderSpec) -> list[np.ndarray]:
+    """The bonds of every sample of ``spec``, drawn one sample at a time."""
+    n_bonds = 2 * (spec.base.n_sites - 1)
+    if spec.delta_xi == 0.0 or n_bonds == 0:
+        return [np.full(n_bonds, spec.eta0)]
+    half = 0.5 * spec.delta_xi
+    return [
+        spec.eta0 + np.random.default_rng(child).uniform(-half, half, size=n_bonds)
+        for child in np.random.SeedSequence(spec.seed).spawn(spec.samples)
+    ]
+
+
 def per_sample_disorder_sweep(spec: DisorderSpec) -> DisorderResult:
     """The per-sample route: one config and one profile per drawn sample.
 
     Reference for :func:`disorder_sweep`, which solves the same draws as
     one stacked batch.
     """
-    n_bonds = 2 * (spec.base.n_sites - 1)
-    if spec.delta_xi == 0.0 or n_bonds == 0:
-        draws = [np.full(n_bonds, spec.eta0)]
-    else:
-        half = 0.5 * spec.delta_xi
-        draws = [
-            spec.eta0 + np.random.default_rng(child).uniform(-half, half, size=n_bonds)
-            for child in np.random.SeedSequence(spec.seed).spawn(spec.samples)
-        ]
+    draws = disorder_draws(spec)
     profiles = [pair_entanglement_profile(replace(spec.base, eta=tuple(eta))) for eta in draws]
     raw = np.vstack([profile.raw for profile in profiles])
     norm = np.vstack([profile.normalized for profile in profiles])

@@ -118,6 +118,20 @@ class TestRun:
         assert "error:" in stderr and "sweep point" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("nbar", ["1e150", "1e160"])
+    def test_a_drive_over_its_bound_at_huge_occupation_exits_2(self, tmp_path, capsys, nbar):
+        # 10 to 20 times the bound; nbar (nbar + 1) overflows above 1.3e154
+        out = tmp_path / "never.csv"
+        code, _, stderr = run_cli(
+            capsys, "run", "--experiment", "fig3c", "--set", "n_sites=1",
+            "--set", f"nbar={nbar}", "--set", f"mbar_min={10 * float(nbar)}",
+            "--set", f"mbar_max={20 * float(nbar)}", "--set", "grid_points=2",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "exceeds the physical bound" in stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_end_loss_exits_2_before_any_point(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         code, _, stderr = run_cli(
@@ -169,25 +183,30 @@ class TestRun:
     @pytest.mark.parametrize(
         ("experiment", "overrides", "message"),
         [
+            # 2 nbar + 1, the scale of the drive's symplectic eigenvalues, overflows
+            ("custom", ["nbar=1e308", "mbar=1e308"], "ConfigInvalid: 2 nbar + 1 must be finite"),
+            ("custom", ["zeta=0.5", "nbar=1e308"], "ConfigInvalid: 2 nbar + 1 must be finite"),
             # 2 zeta nbar overflows: the moment source is refused as input
-            ("custom", ["nbar=1e308", "mbar=1e308"], "ConfigInvalid: -2 zeta nbar must be finite"),
+            ("custom", ["zeta=1e300", "nbar=1e10"], "ConfigInvalid: -2 zeta nbar must be finite"),
             # g**2 overflows in the effective model's kernels
-            ("fig3b", ["g=1e200"], "ConfigInvalid: need a positive spin-field coupling"),
+            ("fig3b", ["g=1e200"], "ConfigInvalid: g * g must be finite"),
             # damping of order 1 is round-off of a drift of scale 1e200: the
             # Hurwitz refusal names the failing sweep point and that scale
             ("custom", ["eta=1e200", "n_sites=3"], "sweep point"),
             ("fig3a", ["eta=1e200", "samples=3"], "sweep point"),
             # the spin assembly doubles the end drive's gamma (nbar + 1)
             ("fig3c", ["gamma=1e308", "grid_points=2"], "ConfigInvalid: 2 rate (nbar + 1)"),
-            ("fig3c", ["nbar=1e308", "grid_points=2"], "ConfigInvalid: 2 rate (nbar + 1)"),
+            ("fig3c", ["nbar=1e308", "grid_points=2"], "2 nbar + 1 must be finite"),
             # the real basis of the spin solve adds the commutator's two sides
             ("fig3c", ["n_sites=3", "coupling=1e308", "grid_points=2"], "ConfigInvalid: 2 coupling"),
             # the port moments, or the sums the pair negativity forms of them
-            ("fig5a", ["nbar=1e308", "grid_points=2"], "ConfigInvalid: port moments overflow"),
-            ("fig5b", ["nbar=1e308"], "ConfigInvalid: port moments overflow"),
+            ("fig5a", ["nbar=8e307", "grid_points=2"], "ConfigInvalid: port moments overflow"),
+            ("fig5b", ["nbar=1e308"], "ConfigInvalid: 2 nbar + 1 must be finite"),
         ],
         ids=[
             "nbar-overflow",
+            "drive-nbar-overflow",
+            "source-overflow",
             "g-overflow",
             "eta-overflow",
             "eta-overflow-disorder",

@@ -115,8 +115,9 @@ REFUSED = {
     "output_pair_spectrum-nan": lambda: output_pair_spectrum(OPEN, [0.0, math.nan]),
     "output_pair_spectrum-scalar": lambda: output_pair_spectrum(OPEN, 0.5),
     "peak_frequency-None": lambda: peak_frequency(OPEN, [None, 1.0]),
+    "check_drive-scale-overflow": lambda: check_drive(1e308, 0.0),
     "steady_state-source-overflow": lambda: steady_state(
-        ArrayConfig.homogeneous(1, nbar=1e308, mbar=1e308)
+        ArrayConfig.homogeneous(1, zeta=1e300, nbar=1e10)
     ),
     "resolve_params-bool": lambda: sweep("custom", eta=True),
     "resolve_params-inf": lambda: sweep("custom", eta="inf"),
@@ -130,8 +131,8 @@ REFUSED = {
     "run_suite-budget-fraction": lambda: validate.run_suite("fixed-point", 2.5),
     "run_suite-unknown": lambda: validate.run_suite("nope"),
     "run_all-budget-None": lambda: validate.run_all(None),
-    "TruncationSpec-budget-text": lambda: TruncationSpec(side_budget="x"),
-    "TruncationSpec-budget-zero": lambda: TruncationSpec(side_budget=0),
+    "TruncationSpec-budget-text": lambda: TruncationSpec(n_max=2, side_budget="x"),
+    "TruncationSpec-budget-zero": lambda: TruncationSpec(n_max=2, side_budget=0),
 }
 
 SPELLED = {
@@ -168,7 +169,8 @@ SPELLED = {
         lambda: validate.run_suite("fixed-point", 20),
     ),
     "TruncationSpec-budget": (
-        lambda: TruncationSpec(side_budget="64"), lambda: TruncationSpec(side_budget=64)
+        lambda: TruncationSpec(n_max=2, side_budget="64"),
+        lambda: TruncationSpec(n_max=2, side_budget=64),
     ),
 }
 

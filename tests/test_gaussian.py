@@ -32,6 +32,7 @@ from entrep.errors import (
 from entrep.gaussian import (
     SchurForm,
     chain_phases,
+    check_drive,
     log_negativity_gaussian,
     logneg_from_nu,
     normalized_logneg,
@@ -44,6 +45,7 @@ from entrep.gaussian import (
     uncertainty_margin,
 )
 from quadrature_oracle import (
+    gauge,
     quadrature_embedding,
     reduce_to_pair,
     two_mode_squeezed_thermal_cm,
@@ -272,6 +274,31 @@ class TestLogNegativity:
             logneg_from_nu(np.array([1.5, 0.3, nu]))
 
 
+class TestCheckDrive:
+    def test_the_bound_keeps_the_bits_of_the_root_of_the_product(self):
+        # from 2**54 up the bound is nbar itself; below, the formula as written
+        rng = np.random.default_rng(0)
+        large = np.exp(rng.uniform(math.log(2.0**54), math.log(1.3407807929942596e154), 2000))
+        small = np.exp(rng.uniform(math.log(1e-300), math.log(2.0**54), 2000))
+        for nbar in [0.0, 0.5, 1e8, 2.0**53, 2.0**53 + 2.0, *large.tolist(), *small.tolist()]:
+            assert squeezing_bound(nbar) == math.sqrt(nbar * (nbar + 1.0))
+
+    @pytest.mark.parametrize("nbar", [1e155, 1e160, 1e300, 8e307])
+    def test_the_bound_is_finite_where_the_product_overflows(self, nbar):
+        assert squeezing_bound(nbar) == nbar
+
+    @pytest.mark.parametrize("nbar", [1.0, 1e150, 1e160, 1e300])
+    def test_an_over_squeezed_drive_is_refused_at_any_occupation(self, nbar):
+        with pytest.raises(OverSqueezed):
+            check_drive(nbar, 10.0 * nbar)
+        assert check_drive(nbar, nbar) == (nbar, nbar)
+
+    def test_an_overflowing_drive_scale_is_refused(self):
+        with pytest.raises(ConfigInvalid, match=r"2 nbar \+ 1 must be finite, got inf"):
+            check_drive(1e308, 0.0)
+        assert check_drive(8e307, 0.0) == (8e307, 0.0)
+
+
 def chain_ladder(bonds, damping, drive: float) -> np.ndarray:
     """Open-chain ladder drift ``-i (hopping) - diag(damping + drive e0)``."""
     drift = -1j * (np.diag(bonds, 1) + np.diag(bonds, -1)) - np.diag(damping)
@@ -301,7 +328,8 @@ class TestRankOneSylvester:
         one = random_hurwitz_ladder(rng, 5)
         two = random_hurwitz_ladder(rng, 5)
         source = rng.uniform(-2.0, 2.0)
-        got = solve_rank_one_sylvester(schur_form(one[None]), schur_form(two[None]), source)
+        forms = schur_form(gauge(np.array([one, two])))
+        got = solve_rank_one_sylvester(forms[:1], forms[1:], source)
         rhs = np.zeros((5, 5), complex)
         rhs[0, 0] = source
         want = scipy.linalg.solve_sylvester(one.conj() if conjugate else one, two.T, rhs)
@@ -310,10 +338,10 @@ class TestRankOneSylvester:
 
     def test_schur_form_refuses_a_marginal_drift(self):
         with pytest.raises(NotHurwitz):
-            schur_form(np.array([[[-1.0, 0.0], [0.0, 1e-14]]], complex))
+            schur_form(np.array([[[-1.0, 0.0], [0.0, 1e-14]]]))
 
     def test_refuses_an_inaccurate_solve(self):
-        form = schur_form(random_hurwitz_ladder(np.random.default_rng(1), 4)[None])
+        form = schur_form(gauge(random_hurwitz_ladder(np.random.default_rng(1), 4)[None]))
         wrong = SchurForm(1.01 * form.gauged, form.t, form.z)
         with pytest.raises(NoConvergence):
             solve_rank_one_sylvester(wrong, form, 1.0)
@@ -329,7 +357,7 @@ def assert_solves_like_dense_solves(stack: np.ndarray, columns: int, shifts) -> 
     rng = np.random.default_rng(columns)
     slices, n, _ = stack.shape
     rhs = rng.normal(size=(slices, n, columns)) + 1j * rng.normal(size=(slices, n, columns))
-    got = schur_form(stack).solve(rhs, shifts)
+    got = schur_form(gauge(stack)).solve(rhs, shifts)
     assert got.shape == (len(shifts), slices, n, columns)
     for w, shift in enumerate(shifts):
         for k in range(slices):
@@ -353,7 +381,7 @@ class TestShiftedSolve:
         assert_solves_like_dense_solves(block[None], 2, [0.0, 1.5j, -0.3j])
 
     def test_a_shift_is_solved_alike_on_any_grid(self):
-        form = schur_form(random_ladder_stack(9, 2, 5))
+        form = schur_form(gauge(random_ladder_stack(9, 2, 5)))
         rhs = np.ones((2, 5, 1))
         grid = 1j * np.linspace(-2.0, 2.0, 7)
         whole = form.solve(rhs, grid)
@@ -393,11 +421,12 @@ class TestStackedCore:
     @pytest.mark.parametrize("slices", [1, 4])
     def test_stacked_solve_equals_the_per_slice_solves(self, slices):
         one, two = random_ladder_stack(0, slices, 5), random_ladder_stack(1, slices, 5)
-        forms_one, forms_two = schur_form(one), schur_form(two)
+        forms_one, forms_two = schur_form(gauge(one)), schur_form(gauge(two))
         assert forms_one.t.shape == forms_one.z.shape == (slices, 5, 5)
         got = solve_rank_one_sylvester(forms_one, forms_two, 0.7)
         for k in range(slices):
-            single_one, single_two = schur_form(one[k : k + 1]), schur_form(two[k : k + 1])
+            single_one = schur_form(gauge(one[k : k + 1]))
+            single_two = schur_form(gauge(two[k : k + 1]))
             assert np.array_equal(forms_one.t[k], single_one.t[0])
             assert np.array_equal(forms_one.z[k], single_one.z[0])
             want = solve_rank_one_sylvester(single_one, single_two, 0.7)
@@ -419,11 +448,10 @@ class TestStackedCore:
     )
     def test_every_block_structure_is_an_exact_schur_form(self, kind):
         stack = block_structure_stack(kind)
-        form = schur_form(stack)
+        form = schur_form(gauge(stack))
         scale = np.abs(stack).max()
         n = stack.shape[-1]
-        phases = chain_phases(n)
-        assert np.array_equal(form.gauged, (phases[:, None] * stack * phases.conj()).real)
+        assert np.array_equal(form.gauged, gauge(stack))
         rebuilt = form.z @ form.t @ form.z.swapaxes(-1, -2)
         assert np.abs(rebuilt - form.gauged).max() <= 1e-13 * scale
         assert np.abs(form.z.swapaxes(-1, -2) @ form.z - np.eye(n)).max() <= 1e-13
@@ -437,7 +465,7 @@ class TestStackedCore:
         assert np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(n)).max() <= 1e-13
         assert not np.tril(t, -1).any()
         for k in range(len(stack)):
-            single = schur_form(stack[k : k + 1])
+            single = schur_form(gauge(stack[k : k + 1]))
             assert np.array_equal(form.t[k], single.t[0])
             assert np.array_equal(form.z[k], single.z[0])
             assert np.array_equal(t[k], single._triangular[0][0])
@@ -459,25 +487,21 @@ class TestStackedCore:
     def test_real_schur_blocks_are_in_standard_form(self, kind):
         # the pair split relies on it: every 2 x 2 block [[a, b], [c, d]] has
         # a == d exactly and b c < 0, so no b c is formed that could overflow
-        stack = block_structure_stack(kind)
-        phases = np.array([1, 1j, -1, -1j])[np.arange(stack.shape[-1]) % 4]
-        t, _ = entrep.gaussian._real_schur((phases[:, None] * stack * phases.conj()).real)
+        t, _ = entrep.gaussian._real_schur(gauge(block_structure_stack(kind)))
         slices, k = np.nonzero(t.diagonal(offset=-1, axis1=-2, axis2=-1))
         assert np.array_equal(t[slices, k, k], t[slices, k + 1, k + 1])
         assert np.all(t[slices, k, k + 1] * t[slices, k + 1, k] < 0.0)
 
-    def test_refuses_a_drift_that_is_not_an_open_chain(self):
-        # all-to-all Hermitian hopping: no gauge makes it real
-        rng = np.random.default_rng(0)
-        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        stack = random_ladder_stack(0, 3, 4)
-        stack[1] = -0.5j * (h + h.conj().T) - np.eye(4)
-        with pytest.raises(ConfigInvalid, match=r"is not an open chain: .* \(slice 1\)"):
-            schur_form(stack)
+    def test_refuses_a_complex_stack(self):
+        # the drifts come gauged and real; complex entries, even with no
+        # imaginary part, are not a gauged drift
+        stack = gauge(random_ladder_stack(0, 3, 4))
+        with pytest.raises(ConfigInvalid, match="got a complex stack"):
+            schur_form(stack.astype(complex))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_refuses_a_non_finite_drift(self, value):
-        stack = random_ladder_stack(1, 3, 4)
+        stack = gauge(random_ladder_stack(1, 3, 4))
         stack[2, 1, 2] = value
         with pytest.raises(ConfigInvalid, match=r"has a non-finite entry: count \(slice 2\) = 1"):
             schur_form(stack)
@@ -492,12 +516,12 @@ class TestStackedCore:
 
         monkeypatch.setattr(entrep.gaussian, "dgees", failing)
         with pytest.raises(NoConvergence, match=r"failed: \|dgees info\| \(slice 1\) = 2,"):
-            schur_form(random_ladder_stack(2, 3, 4))
+            schur_form(gauge(random_ladder_stack(2, 3, 4)))
         # every slice is factored, then the first failure is named
         assert len(calls) == 3
 
     def test_marginal_slice_is_named(self):
-        stack = random_ladder_stack(2, 4, 3)
+        stack = gauge(random_ladder_stack(2, 4, 3))
         stack[2] = np.diag([-1.0, 1e-14, -0.5])  # one undamped mode
         with pytest.raises(NotHurwitz, match=r"\(slice 2\)"):
             schur_form(stack)
@@ -512,7 +536,7 @@ class TestStackedCore:
         schur_form(np.diag([np.nextafter(-1e-12, -1.0), -1.0])[None])
 
     def test_inaccurate_slice_is_named(self):
-        form = schur_form(random_ladder_stack(3, 3, 4))
+        form = schur_form(gauge(random_ladder_stack(3, 3, 4)))
         drift = form.gauged.copy()
         drift[1] *= 1.01
         with pytest.raises(NoConvergence, match=r"Sylvester residual \(slice 1\)"):
@@ -528,7 +552,7 @@ class TestStackedCore:
 
     def test_a_non_finite_residual_is_refused(self):
         # an overflowing source makes the residual NaN, which no bound admits
-        form = schur_form(random_ladder_stack(4, 2, 3))
+        form = schur_form(gauge(random_ladder_stack(4, 2, 3)))
         with pytest.raises(NoConvergence, match="residual"):
             solve_rank_one_sylvester(form, form, -math.inf)
 
@@ -567,7 +591,7 @@ class TestRecursiveSylvester:
     @pytest.mark.parametrize("kind", ["lossless", "overdamped", "mixed"])
     def test_matches_dense_solves_of_the_ungauged_drifts(self, kind, n):
         stack = long_structure_stack(kind, n)
-        form = schur_form(stack)
+        form = schur_form(gauge(stack))
         rhs = np.zeros((n, n), complex)
         rhs[0, 0] = 0.7
         # the moments lose digits like the inverse of the slowest decay rate
@@ -582,7 +606,7 @@ class TestRecursiveSylvester:
     @pytest.mark.parametrize("n", SIDES)
     @pytest.mark.parametrize("kind", ["lossless", "overdamped", "mixed"])
     def test_matches_one_flat_dtrsyl_call(self, kind, n):
-        t_a, t_b = schur_form(long_structure_stack(kind, n)).t
+        t_a, t_b = schur_form(gauge(long_structure_stack(kind, n))).t
         c = np.random.default_rng(n).normal(size=(n, n))
         got, scale, info = entrep.gaussian._quasi_triangular_sylvester(t_a, t_b, c)
         want, want_scale, want_info = dtrsyl(t_a, t_b, c, trana="N", tranb="T")
@@ -595,7 +619,7 @@ class TestRecursiveSylvester:
     @pytest.mark.parametrize("kind", ["lossless", "mixed"])
     def test_a_cut_inside_a_two_by_two_block_moves_past_it(self, kind):
         # the middle of 257 splits a complex pair's block of the first chain
-        t = schur_form(long_structure_stack(kind, 257)).t[0]
+        t = schur_form(gauge(long_structure_stack(kind, 257))).t[0]
         assert t[128, 127] != 0.0
         assert entrep.gaussian._cut(t) == 129
         assert entrep.gaussian._cut(t[:128, :128]) == 64 + (t[64, 63] != 0.0)
@@ -608,7 +632,7 @@ class TestRecursiveSylvester:
             return dtrsyl(t_a, t_b, c, **kwargs)
 
         monkeypatch.setattr(entrep.gaussian, "dtrsyl", recording)
-        form = schur_form(long_structure_stack("mixed", 130))
+        form = schur_form(gauge(long_structure_stack("mixed", 130)))
         solve_rank_one_sylvester(form[:1], form[1:], 1.0)
         assert max(max(shape) for shape in leaves) <= 64
         assert sum(rows * cols for rows, cols in leaves) == 130 * 130
@@ -616,7 +640,7 @@ class TestRecursiveSylvester:
     def test_a_scaled_leaf_gives_the_unscaled_solution(self, monkeypatch):
         # a leaf that scales its right-hand side by 1/2 against overflow:
         # every later leaf and the other half follow, and the scale divides out
-        form = schur_form(long_structure_stack("lossless", 130))
+        form = schur_form(gauge(long_structure_stack("lossless", 130)))
         want = solve_rank_one_sylvester(form[:1], form[1:], 1.0)
         calls = []
 
@@ -631,7 +655,7 @@ class TestRecursiveSylvester:
         assert np.array_equal(got, want)
 
     def test_a_failed_leaf_names_its_slice(self, monkeypatch):
-        form = schur_form(random_ladder_stack(5, 3, 70))
+        form = schur_form(gauge(random_ladder_stack(5, 3, 70)))
         leaves = []
 
         def failing(t_a, t_b, c, **kwargs):

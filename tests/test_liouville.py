@@ -50,6 +50,7 @@ from entrep.spins import (
 )
 from superop_reference import (
     QUBIT_LOWER,
+    apply,
     destroy,
     embed_operator,
     hamiltonian_superop,
@@ -246,7 +247,7 @@ class TestGeneratorStructure:
         liou = Liouvillian(matrix=generator.tocsr())
         assert trace_defect(liou) <= 1e-12 * max(1.0, liou.scale)
         rho = random_density_matrix(rng, dim)
-        image = liou.apply(rho)
+        image = apply(liou, rho)
         assert abs(np.trace(image)) <= 1e-12 * max(1.0, liou.scale)
         assert np.abs(image - image.conj().T).max() <= 1e-12 * max(1.0, liou.scale)
 
@@ -352,8 +353,13 @@ class TestSteadyState:
             Liouvillian(
                 matrix=lindblad_dissipator(np.diag(np.arange(6.0)), 1.0), charge=np.arange(6)
             ),
+            # the bonds are round-off of a drive at 4e307 and are not stored,
+            # so the far spins decouple; the solve's sums stay finite
+            build_xx_liouvillian(3, 1.0, 4e307, 0, 0),
         ],
-        ids=["two-qubits", "three-qubits", "dephasing-d6", "dephasing-d6-charged"],
+        ids=[
+            "two-qubits", "three-qubits", "dephasing-d6", "dephasing-d6-charged", "xx-huge-drive"
+        ],
     )
     def test_degenerate_kernel_refused(self, liou):
         with pytest.raises(DegenerateSteadyState) as caught:
@@ -393,6 +399,13 @@ class TestSteadyState:
             if want is not None:
                 assert np.abs(got - want).max() <= 1e-12
         assert want is None
+
+    @pytest.mark.parametrize("gamma", [1e-320, 1e-310, 3e307])
+    def test_a_one_pair_chain_gets_its_state_at_any_rate(self, gamma):
+        # the solve runs on the generator over its scale, so a subnormal
+        # or a nearly overflowing rate solves like gamma = 1
+        want = steady_state_dm(build_xx_liouvillian(1, 1.0, 1.0, 0, 0))
+        assert np.array_equal(steady_state_dm(build_xx_liouvillian(1, 1.0, gamma, 0, 0)), want)
 
     def test_non_hermiticity_preserving_generator_refused(self):
         # rho -> -i H rho without its -rho H partner maps the Hermitian

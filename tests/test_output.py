@@ -23,7 +23,7 @@ import entrep.arrays
 import entrep.gaussian
 import entrep.output
 import quadrature_oracle as oracle
-from entrep.arrays import ArrayConfig, ladder_drift, steady_state
+from entrep.arrays import ArrayConfig, steady_state
 from entrep.errors import ClosedPort, ConfigInvalid, NotHurwitz
 from entrep.gaussian import pair_logneg, squeezing_bound
 from entrep.output import (
@@ -209,7 +209,7 @@ class TestStackedResolventOracle:
         assert_matches_the_stacked_resolvent(cfg, pair[::-1], omegas)
 
     def test_defective_array_drift(self):
-        block = ladder_drift(DEFECTIVE)[0]
+        block = oracle.ladder_drift(DEFECTIVE)[0]
         values, vectors = np.linalg.eig(block)
         assert abs(values[0] - values[1]) <= 1e-6
         assert np.linalg.cond(vectors) > 1e6
@@ -264,7 +264,7 @@ class TestRegressionOracle:
     @pytest.mark.parametrize("omega", [0.0, 0.37, -1.1])
     def test_port_moments_match_time_domain_integration(self, omega):
         cfg = lossy_config()
-        ladder = block_diag(*ladder_drift(cfg))
+        ladder = block_diag(*oracle.ladder_drift(cfg))
         pairs, _, normal, _ = quarters(steady_state(cfg).stacked())
         gains = np.diag(np.sqrt(np.asarray(cfg.kappa, float)))
         conj = ladder.conj()
@@ -579,13 +579,13 @@ class TestDriftReuse:
     @pytest.fixture
     def builds(self, monkeypatch):
         seen = []
-        build = entrep.arrays._ladder_blocks
+        build = entrep.arrays._gauged_blocks
 
         def counting(cfg, bonds):
             seen.append(cfg)
             return build(cfg, bonds)
 
-        monkeypatch.setattr(entrep.arrays, "_ladder_blocks", counting)
+        monkeypatch.setattr(entrep.arrays, "_gauged_blocks", counting)
         return seen
 
     def test_pair_spectrum(self, builds):

@@ -190,10 +190,6 @@ def test_certificate_errors_are_raised_only_by_the_one_bound_check():
 # finiteness test or a comparison with infinity may only check a value the
 # package computed, never one a caller passed in.
 COMPUTED_FINITENESS = {
-    # g * g overflows although the coupling g itself is finite
-    ("spins", "_homogeneous_coupling"),
-    # the rates J and gamma are computed from eta, zeta and g
-    ("spins", "build_effective_closed_form"),
     # negativities come out of a solve
     ("gaussian", "normalized_logneg"),
 }

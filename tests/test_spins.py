@@ -20,7 +20,7 @@ import entrep.arrays
 import entrep.liouville
 import entrep.spins
 import superop_reference
-from entrep.arrays import ArrayConfig, ladder_drift, steady_state
+from entrep.arrays import ArrayConfig, steady_state
 from entrep.baselines import pair_amplitude, pure_pair_logneg, replicated_state
 from entrep.cli import main
 from entrep.errors import (
@@ -53,11 +53,12 @@ from entrep.spins import (
     check_size,
     closed_form_rates,
     coupling_pattern_matrices,
-    default_fock_levels,
     full_cavity_atom_oracle,
 )
+from quadrature_oracle import ladder_drift
 from superop_reference import (
     QUBIT_LOWER,
+    apply,
     destroy,
     embed_operator,
     left_multiply,
@@ -81,7 +82,7 @@ def check_generator_structure(liouvillian, seed=0):
     tol = 1e-12 * max(1.0, liouvillian.scale)
     assert trace_defect(liouvillian) <= tol
     for _ in range(5):
-        image = liouvillian.apply(random_hermitian(rng, liouvillian.dim))
+        image = apply(liouvillian, random_hermitian(rng, liouvillian.dim))
         assert abs(np.trace(image)) <= 10 * tol * liouvillian.dim
         assert np.abs(image - image.conj().T).max() <= 10 * tol * liouvillian.dim
 
@@ -232,7 +233,7 @@ class TestSpinBudget:
         def refuse(*args, **kwargs):
             raise AssertionError("assembly started")
 
-        for name in ("_lowering_ops", "ladder_drift", "steady_state"):
+        for name in ("_lowering_ops", "gauged_drift", "steady_state"):
             monkeypatch.setattr(entrep.spins, name, refuse)
 
     def test_xx_chain(self, no_assembly):
@@ -524,13 +525,13 @@ class TestEffectiveReduction:
     def test_one_field_drift_build_per_model(self, monkeypatch):
         # the ratio and the kernels read the one field steady state's drift
         builds = []
-        build = entrep.arrays._ladder_blocks
+        build = entrep.arrays._gauged_blocks
 
         def counting(cfg, bonds):
             builds.append(cfg)
             return build(cfg, bonds)
 
-        monkeypatch.setattr(entrep.arrays, "_ladder_blocks", counting)
+        monkeypatch.setattr(entrep.arrays, "_gauged_blocks", counting)
         build_effective_general(reduced_config(2, nbar=0.8, mbar=1.0))
         assert len(builds) == 1
 
@@ -658,7 +659,7 @@ class TestClosedForm:
                 with pytest.raises(ConfigInvalid):
                     build_effective_closed_form(2, **rates, nbar=1.0, mbar=0.0)
         # g^2 underflows: a zero damping rate, refused rather than divided by
-        with pytest.raises(ConfigInvalid, match="gamma=0.0"):
+        with pytest.raises(ConfigInvalid, match="rate gamma must be > 0.0, got 0.0"):
             build_effective_closed_form(2, eta=1.0, zeta=1.0, g=1e-200, nbar=1.0, mbar=0.0)
         for mbar in (1.5, 3.0):  # above sqrt(2), the bound at nbar = 1
             with pytest.raises(OverSqueezed):
@@ -705,7 +706,7 @@ class TestFockOracle:
     def test_budget_guard(self):
         cfg = ArrayConfig.homogeneous(2, zeta=1.0, nbar=1.0, mbar=1.0)
         with pytest.raises(DimensionBudgetExceeded):
-            full_cavity_atom_oracle(cfg)
+            full_cavity_atom_oracle(cfg, TruncationSpec(n_max=8))
 
     def test_field_recheck_is_size_checked_before_solving(self, monkeypatch):
         # without spins the n_max + 2 recheck (side 11**4) is the full
@@ -749,14 +750,12 @@ class TestFockOracle:
         assert gap <= 1.5e-2
         assert fidelity_pure(oracle.spin_dm, replicated_state(nbar, 1)) >= 0.99
 
-    def test_default_fock_levels(self):
-        assert default_fock_levels(0.0) == 8
-        assert default_fock_levels(2.0) == 9
-
     def test_truncation_spec_validation(self):
+        with pytest.raises(TypeError, match="n_max"):
+            TruncationSpec()  # the cutoff has no default
         for check in ("bogus", "full", "field"):
             with pytest.raises(ConfigInvalid):
-                TruncationSpec(check=check)
+                TruncationSpec(n_max=2, check=check)
         with pytest.raises(ConfigInvalid):
             TruncationSpec(n_max=0)
         for n_max in (2.5, True, "3.0"):
@@ -823,4 +822,4 @@ class TestSqueezedBasisOracle:
 
     def test_basis_validation(self):
         with pytest.raises(ConfigInvalid):
-            TruncationSpec(basis="rotated")
+            TruncationSpec(n_max=2, basis="rotated")
