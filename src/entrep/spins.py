@@ -12,7 +12,8 @@ so they can cross-check each other:
   analytically for homogeneous lossless arrays, written in terms of
   parity-dependent coupling-pattern matrices;
 * :func:`full_cavity_atom_oracle` — brute-force Fock-truncated solve of
-  the joint cavity+spin master equation (small systems only).
+  the joint cavity+spin master equation (small systems only), returned
+  only at a cutoff that a recheck two quanta higher certifies.
 
 Each route is a master equation quadratic in one stacked list of site
 operators, and each is assembled by one routine: the builders fill small
@@ -67,7 +68,6 @@ from .liouville import (
 __all__ = [
     "FockSteadyState",
     "SIDE_BUDGET",
-    "TruncationSpec",
     "adiabaticity_ratio",
     "build_effective_closed_form",
     "build_effective_general",
@@ -205,10 +205,11 @@ def _end_drive(e: np.ndarray, low, rise, rate: float, nbar: float, mbar: float) 
     ``rate (nbar + 1)`` and is pumped at ``rate nbar``; the correlated
     term ``2 rate mbar (c_1 rho c_2 + c_2 rho c_1 - {c_1 c_2, rho}) + h.c.``
     sits on ``e[low_1, low_2]``, ``e[rise_1, rise_2]`` and their mirrors.
-    The assembly's sandwich weights double the largest, ``rate (nbar + 1)``:
-    a drive where that overflows is refused as ConfigInvalid.
+    The assembly doubles the largest weight, ``rate (nbar + 1)``, and on
+    qubit ends sums both sites' into one diagonal entry, ``4 rate (nbar +
+    1)``: a drive where that overflows is refused as ConfigInvalid.
     """
-    as_real("2 rate (nbar + 1) of the end drive", 2.0 * rate * (nbar + 1.0))
+    as_real("4 rate (nbar + 1) of the end drive", 4.0 * rate * (nbar + 1.0))
     low, rise = np.asarray(low), np.asarray(rise)
     e[low, rise] += rate * (nbar + 1.0)
     e[rise, low] += rate * nbar
@@ -375,11 +376,21 @@ def closed_form_rates(n_pairs: int, eta: float, zeta: float, g: float) -> tuple[
     """Hopping rate J and collective damping rate of the reduction.
 
     The damping rate depends on the chain-length parity: ``zeta g^2 /
-    eta^2`` for even chains, ``g^2 / zeta`` for odd ones.
+    eta^2`` for even chains, ``g^2 / zeta`` for odd ones.  A rate that is
+    not finite, or a damping rate that is not positive, is refused as
+    ConfigInvalid naming it.
     """
-    hopping = g**2 / eta if n_pairs > 1 else 0.0
-    damping = zeta * g**2 / eta**2 if n_pairs % 2 == 0 else g**2 / zeta
-    return hopping, damping
+    name = "J"
+    try:
+        hopping = g**2 / eta if n_pairs > 1 else 0.0
+        name = "gamma"
+        damping = zeta * g**2 / eta**2 if n_pairs % 2 == 0 else g**2 / zeta
+    except (OverflowError, ZeroDivisionError) as exc:  # e.g. 1e200**2, or 1 / 1e-200**2
+        raise ConfigInvalid(f"closed-form rate {name} overflows the float range") from exc
+    return (
+        as_real("closed-form rate J", hopping),
+        as_real("closed-form rate gamma", damping, 0.0, strict=True),
+    )
 
 
 def _closed_form_blocks(
@@ -440,8 +451,6 @@ def build_effective_closed_form(
     g = as_real("g", g, 0.0, strict=True)
     nbar, mbar = check_drive(nbar, mbar)
     hopping_rate, damping_rate = closed_form_rates(n_pairs, eta, zeta, g)
-    hopping_rate = as_real("closed-form rate J", hopping_rate)
-    damping_rate = as_real("closed-form rate gamma", damping_rate, 0.0, strict=True)
     x_big, y_big = _closed_form_blocks(n_pairs, nbar, mbar)
     generator = gksl_superop(
         _stacked_spin_ops(n_pairs), hopping_rate * x_big, damping_rate * y_big.T
@@ -454,40 +463,6 @@ def build_effective_closed_form(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Controls the Fock truncation of the full-model oracle.
-
-    ``n_max`` is the cutoff, the highest retained occupation number.
-    ``check`` is ``auto`` (a full recheck at ``n_max + 2`` when it fits
-    the superoperator-side budget, else a field-only recheck, which must
-    fit it) or ``none``.
-
-    ``basis`` selects the number basis the driven pair is truncated in.
-    ``"bare"`` uses the physical modes; ``"squeezed"`` applies the
-    two-mode Bogoliubov transform that turns the correlated drive into
-    two uncorrelated thermal reservoirs of occupation
-    ``(sqrt((2 nbar + 1)^2 - 4 mbar^2) - 1) / 2``.  Both frames describe
-    the same model and report moments for the physical modes, but the
-    squeezed frame converges at far smaller ``n_max`` when ``mbar`` is
-    close to its physical bound (the bare frame then has to resolve a
-    joint mode holding ``nbar + mbar`` photons).
-    """
-
-    n_max: int
-    check: str = "auto"
-    side_budget: int = SIDE_BUDGET
-    basis: str = "bare"
-
-    def __post_init__(self) -> None:
-        if self.check not in ("auto", "none"):
-            raise ConfigInvalid(f"unknown truncation check mode {self.check!r}")
-        if self.basis not in ("bare", "squeezed"):
-            raise ConfigInvalid(f"unknown truncation basis {self.basis!r}")
-        object.__setattr__(self, "n_max", as_integer("n_max", self.n_max, 1))
-        object.__setattr__(self, "side_budget", as_integer("side_budget", self.side_budget, 1))
-
-
 @dataclass(frozen=True, eq=False)
 class FockSteadyState:
     """Steady state of the truncated cavity+spin model.
@@ -495,13 +470,12 @@ class FockSteadyState:
     ``moments`` is the stacked 4N x 4N second-moment matrix of the field
     (same ordering as the Gaussian route); ``spin_dm`` is the reduced
     spin state (None when no spins are coupled).  ``check_mode`` records
-    which truncation recheck ran and ``check_shift`` the largest
-    second-moment change it saw.  The arrays are read-only.
+    which truncation recheck certified the cutoff (``"full"`` or
+    ``"field"``) and ``check_shift`` the largest second-moment change it
+    saw.  The arrays are read-only.
     """
 
     rho: np.ndarray
-    dims: tuple[int, ...]
-    n_max: int
     moments: np.ndarray
     spin_dm: np.ndarray | None
     check_mode: str
@@ -634,47 +608,54 @@ def _fock_solve(cfg: ArrayConfig, n_max: int, basis: str) -> tuple[np.ndarray, n
     return rho, _field_moments(rho, field_ops, frame)
 
 
-def full_cavity_atom_oracle(cfg: ArrayConfig, trunc: TruncationSpec) -> FockSteadyState:
-    """Brute-force steady state of the truncated cavity+spin model.
+def full_cavity_atom_oracle(
+    cfg: ArrayConfig, n_max: int, *, basis: str = "bare", budget: int = SIDE_BUDGET
+) -> FockSteadyState:
+    """Brute-force steady state of the truncated cavity+spin model at a certified cutoff.
 
     Intended as an independent oracle for small systems (single pair of
-    sites with spins; a few sites without).  Raises
-    :class:`DimensionBudgetExceeded` when the superoperator side of the
-    model, or of the ``n_max + 2`` recheck that ``trunc.check == "auto"``
-    runs, would exceed ``trunc.side_budget`` (:func:`check_size`), and
-    :class:`TruncationUnconverged` when that recheck moves any field
-    second moment by more than 1e-3 * max(1, nbar).  The recheck is the
-    full model at ``n_max + 2`` when it fits the budget, else the
-    field-only model (``cfg.field_only``) at ``n_max`` and ``n_max + 2``;
-    a model without spins is its own field-only model, so it is only ever
-    rechecked in full.
+    sites with spins; a few sites without).  ``n_max`` is the highest
+    retained occupation number, in the physical modes (``basis="bare"``)
+    or in the two-mode Bogoliubov frame that turns the correlated drive
+    into two thermal reservoirs of occupation ``(sqrt((2 nbar + 1)^2 - 4
+    mbar^2) - 1) / 2`` (``"squeezed"``).  Both report moments for the
+    physical modes, but the squeezed frame converges at far smaller
+    ``n_max`` when ``mbar`` is near its bound (the bare frame then has to
+    resolve a joint mode holding ``nbar + mbar`` photons).
+
+    Every call certifies its cutoff: a recheck at ``n_max + 2`` must move
+    no field second moment by more than 1e-3 * max(1, nbar), else
+    :class:`TruncationUnconverged`.  The recheck is the full model at
+    ``n_max + 2`` when it fits ``budget``, else the field-only model
+    (``cfg.field_only``) at ``n_max`` and ``n_max + 2``; a model without
+    spins is its own field-only model, so it is only ever rechecked in
+    full.  Every size is checked against ``budget`` (:func:`check_size`)
+    before the first solve.
     """
-    n_max = trunc.n_max
+    n_max = as_integer("n_max", n_max, 1)
+    budget = as_integer("budget", budget, 1)
+    if basis not in ("bare", "squeezed"):
+        raise ConfigInvalid(f"unknown truncation basis {basis!r}")
     dims = _fock_dims(cfg, n_max)
-    check_size(dims, trunc.side_budget)
-    rho, moments = _fock_solve(cfg, n_max, trunc.basis)
+    check_size(dims, budget)
+    check_mode, check_cfg = "full", cfg
+    try:
+        check_size(_fock_dims(cfg, n_max + 2), budget)
+    except DimensionBudgetExceeded:
+        # without spins the field-only model is the full one, refused here too
+        check_size(_fock_dims(cfg.field_only, n_max + 2), budget)
+        check_mode, check_cfg = "field", cfg.field_only
+    rho, moments = _fock_solve(cfg, n_max, basis)
+    ref_moments = moments if check_mode == "full" else _fock_solve(check_cfg, n_max, basis)[1]
+    big_moments = _fock_solve(check_cfg, n_max + 2, basis)[1]
+    check_shift = float(np.abs(big_moments - ref_moments).max())
+    what = f"Fock cutoff {n_max} -> {n_max + 2}: largest field second-moment shift"
+    certify(check_shift, 1e-3 * max(1.0, cfg.nbar), TruncationUnconverged, what)
     spin_dm = None
     if not cfg.is_gaussian:
         spin_dm = partial_trace(rho, dims, tuple(range(cfg.n_modes, 2 * cfg.n_modes)))
-    check_mode, check_shift = "none", float("nan")
-    if trunc.check == "auto":
-        check_mode, check_cfg, ref_moments = "full", cfg, moments
-        try:
-            check_size(_fock_dims(cfg, n_max + 2), trunc.side_budget)
-        except DimensionBudgetExceeded:
-            # without spins the field-only model is the full one and is
-            # refused here too, before any solve
-            check_size(_fock_dims(cfg.field_only, n_max + 2), trunc.side_budget)
-            check_mode, check_cfg = "field", cfg.field_only
-            ref_moments = _fock_solve(check_cfg, n_max, trunc.basis)[1]
-        big_moments = _fock_solve(check_cfg, n_max + 2, trunc.basis)[1]
-        check_shift = float(np.abs(big_moments - ref_moments).max())
-        what = f"Fock cutoff {n_max} -> {n_max + 2}: largest field second-moment shift"
-        certify(check_shift, 1e-3 * max(1.0, cfg.nbar), TruncationUnconverged, what)
     return FockSteadyState(
         rho=rho,
-        dims=dims,
-        n_max=n_max,
         moments=moments,
         spin_dm=spin_dm,
         check_mode=check_mode,

@@ -5,10 +5,12 @@ and reports per-check pass/fail with the measured discrepancy:
 
 ``gaussian-vs-fock``
     Second moments of the Gaussian steady state against the truncated
-    number-basis oracle, over a ladder of Fock cutoffs.
+    number-basis oracle at the bare cutoffs 10 and 12, whose errors must
+    fall.
 ``effective-vs-full``
-    Reduced spin steady state of the full cavity+spin model against the
-    adiabatically eliminated spin-only generator.
+    Reduced spin steady state of the full cavity+spin model, truncated
+    at cutoff 8 in the squeezed basis, against the adiabatically
+    eliminated spin-only generator.
 ``closed-form-vs-general``
     The closed-form reduced generator against the general kernel
     construction, plus a recorded diagnostic for the alternative
@@ -18,9 +20,13 @@ and reports per-check pass/fail with the measured discrepancy:
     The driven XX chains against the analytic replicated pure state at
     maximal drive correlation.
 
-A suite whose solves would exceed the superoperator-side ``budget``
-(:func:`entrep.spins.check_size`) is marked ``skipped`` (never silently
-passed).  Failures are report entries, not exceptions.
+Both oracle suites rest only on cutoffs that
+:func:`entrep.spins.full_cavity_atom_oracle` certifies by its recheck two
+quanta higher; each check's ``detail`` names that recheck and its shift.
+A suite whose solves, the recheck included, would exceed the
+superoperator-side ``budget`` (:func:`entrep.spins.check_size`) is marked
+``skipped`` (never silently passed).  Failures are report entries, not
+exceptions.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .liouville import fidelity_pure, gksl_superop, steady_state_dm
 from .output import first_peak_index
 from .spins import (
     SIDE_BUDGET,
-    TruncationSpec,
     _stacked_spin_ops,
     build_effective_closed_form,
     build_effective_general,
@@ -109,39 +114,42 @@ def _worst_entry(got: np.ndarray, ref: np.ndarray) -> tuple[float, str]:
     return float(diff[j, k]), detail
 
 
+def _certified(n_max: int, oracle) -> str:
+    """How the oracle at cutoff ``n_max`` certified it."""
+    return (
+        f"cutoff {n_max} certified by the {oracle.check_mode} recheck at "
+        f"{n_max + 2} (largest moment shift {oracle.check_shift:.1e})"
+    )
+
+
 def _suite_gaussian_vs_fock(budget: int) -> SuiteReport:
-    ladder = (4, 8, 12)
+    ladder = (10, 12)
     cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=0.5, mbar=math.sqrt(0.75))
     reference = steady_state(cfg).stacked()
-    checks: list[CheckResult] = []
-    worst = {}
     # largest cutoff first, so an over-budget ladder is refused before any solve
-    for n_max in reversed(ladder):
-        trunc = TruncationSpec(n_max=n_max, check="none", side_budget=budget)
-        worst[n_max] = _worst_entry(full_cavity_atom_oracle(cfg, trunc).moments, reference)
-    errors = [worst[n_max][0] for n_max in ladder]
-    err, detail = worst[ladder[-1]]
-    checks.append(_gated(f"moment-agreement-nmax{ladder[-1]}", err, 1e-3, detail))
+    oracles = {n: full_cavity_atom_oracle(cfg, n, budget=budget) for n in reversed(ladder)}
+    worst = [_worst_entry(oracles[n].moments, reference) for n in ladder]
+    certified = [_certified(n, oracles[n]) for n in ladder]
+    errors = [err for err, _ in worst]
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
-    checks.append(
+    err, detail = worst[-1]
+    checks = [
+        _gated(f"moment-agreement-nmax{ladder[-1]}", err, 1e-3, f"{detail}; {certified[-1]}"),
         CheckResult(
             name="truncation-error-monotone",
             status="passed" if monotone else "failed",
-            value=None,
-            threshold=None,
-            detail="errors " + " > ".join(f"{e:.3e}" for e in errors),
-        )
-    )
+            detail="; ".join(["errors " + " > ".join(f"{e:.3e}" for e in errors), *certified]),
+        ),
+    ]
     return _finish("gaussian-vs-fock", checks)
 
 
 def _suite_effective_vs_full(budget: int) -> SuiteReport:
-    n_max = 6
-    trunc = TruncationSpec(n_max=n_max, check="none", side_budget=budget, basis="squeezed")
+    n_max = 8
     checks = []
     for mbar in (1.2, math.sqrt(2.0)):
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=mbar, g=0.01)
-        oracle = full_cavity_atom_oracle(cfg, trunc)
+        oracle = full_cavity_atom_oracle(cfg, n_max, basis="squeezed", budget=budget)
         effective = steady_state_dm(build_effective_general(cfg))
         distance = 0.5 * float(np.abs(np.linalg.eigvalsh(oracle.spin_dm - effective)).sum())
         checks.append(
@@ -149,7 +157,7 @@ def _suite_effective_vs_full(budget: int) -> SuiteReport:
                 f"spin-trace-distance-mbar-{mbar:.4f}",
                 distance,
                 1e-2,
-                f"full model truncated at n_max={n_max} in the squeezed basis",
+                f"full model truncated in the squeezed basis, {_certified(n_max, oracle)}",
             )
         )
     return _finish("effective-vs-full", checks)

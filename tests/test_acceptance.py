@@ -24,7 +24,7 @@ from entrep.liouville import (
 )
 from entrep.output import output_pair_spectrum, peak_frequency
 from entrep.spins import (
-    TruncationSpec,
+    _fock_solve,
     build_effective_general,
     build_xx_liouvillian,
     full_cavity_atom_oracle,
@@ -181,8 +181,10 @@ def test_criterion_6_gaussian_vs_fock_oracle():
     exact = steady_state(cfg).stacked()
     errors = []
     for n_max in (4, 8, 12):
-        oracle = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=n_max, check="none"))
-        errors.append(float(np.abs(oracle.moments - exact).max()))
+        # the ladder's lower rungs do not certify; the largest does (shift 2.1e-5)
+        moments = _fock_solve(cfg, n_max, "bare")[1]
+        errors.append(float(np.abs(moments - exact).max()))
+    assert full_cavity_atom_oracle(cfg, 12).check_shift <= 1e-3
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
     _report(
         6,
@@ -196,9 +198,7 @@ def test_criterion_7_adiabatic_elimination():
     distances = {}
     for mbar in (1.2, PURE_MBAR):
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=mbar, g=0.01)
-        oracle = full_cavity_atom_oracle(
-            cfg, TruncationSpec(n_max=8, basis="squeezed")
-        )
+        oracle = full_cavity_atom_oracle(cfg, 8, basis="squeezed")
         assert oracle.check_mode == "field"  # convergence gate genuinely ran
         effective = steady_state_dm(build_effective_general(cfg))
         distances[mbar] = 0.5 * float(

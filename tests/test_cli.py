@@ -194,8 +194,9 @@ class TestRun:
             # Hurwitz refusal names the failing sweep point and that scale
             ("custom", ["eta=1e200", "n_sites=3"], "sweep point"),
             ("fig3a", ["eta=1e200", "samples=3"], "sweep point"),
-            # the spin assembly doubles the end drive's gamma (nbar + 1)
-            ("fig3c", ["gamma=1e308", "grid_points=2"], "ConfigInvalid: 2 rate (nbar + 1)"),
+            # the spin assembly sums the end drive to 4 gamma (nbar + 1)
+            ("fig3c", ["gamma=1e308", "grid_points=2"], "ConfigInvalid: 4 rate (nbar + 1)"),
+            ("fig3c", ["nbar=8e307", "grid_points=2"], "ConfigInvalid: 4 rate (nbar + 1)"),
             ("fig3c", ["nbar=1e308", "grid_points=2"], "2 nbar + 1 must be finite"),
             # the real basis of the spin solve adds the commutator's two sides
             ("fig3c", ["n_sites=3", "coupling=1e308", "grid_points=2"], "ConfigInvalid: 2 coupling"),
@@ -211,6 +212,7 @@ class TestRun:
             "eta-overflow",
             "eta-overflow-disorder",
             "spin-gamma-overflow",
+            "spin-drive-sum-overflow",
             "spin-nbar-overflow",
             "spin-coupling-overflow",
             "peak-nbar-overflow",

@@ -23,10 +23,10 @@ from entrep.gaussian import check_drive, symplectic_form
 from entrep.liouville import partial_trace, reduced_pair_dm
 from entrep.output import output_pair_spectrum, peak_frequency
 from entrep.spins import (
-    TruncationSpec,
     build_effective_closed_form,
     build_xx_liouvillian,
     coupling_pattern_matrices,
+    full_cavity_atom_oracle,
 )
 
 
@@ -73,6 +73,8 @@ def test_as_real_names_the_key_and_the_value():
 # or with a spelled number it must read as that number.
 BASE = dict(n_sites=2, eta=(1.0, 1.0), kappa=(0.0,) * 4, zeta=1.0, nbar=0.0, mbar=0.0)
 OPEN = ArrayConfig.homogeneous(2, kappa=0.5, nbar=1.0, mbar=1.0)
+# an undriven pair of modes: the Fock cutoff 1 is exact, its recheck at 3 has side 256
+VACUUM = ArrayConfig.homogeneous(1, zeta=1.0)
 
 
 def config(**over):
@@ -131,8 +133,8 @@ REFUSED = {
     "run_suite-budget-fraction": lambda: validate.run_suite("fixed-point", 2.5),
     "run_suite-unknown": lambda: validate.run_suite("nope"),
     "run_all-budget-None": lambda: validate.run_all(None),
-    "TruncationSpec-budget-text": lambda: TruncationSpec(n_max=2, side_budget="x"),
-    "TruncationSpec-budget-zero": lambda: TruncationSpec(n_max=2, side_budget=0),
+    "full_cavity_atom_oracle-budget-text": lambda: full_cavity_atom_oracle(VACUUM, 1, budget="x"),
+    "full_cavity_atom_oracle-budget-zero": lambda: full_cavity_atom_oracle(VACUUM, 1, budget=0),
 }
 
 SPELLED = {
@@ -168,9 +170,9 @@ SPELLED = {
         lambda: validate.run_suite("fixed-point", "20"),
         lambda: validate.run_suite("fixed-point", 20),
     ),
-    "TruncationSpec-budget": (
-        lambda: TruncationSpec(n_max=2, side_budget="64"),
-        lambda: TruncationSpec(n_max=2, side_budget=64),
+    "full_cavity_atom_oracle-budget": (
+        lambda: full_cavity_atom_oracle(VACUUM, 1, budget="256").moments.tolist(),
+        lambda: full_cavity_atom_oracle(VACUUM, 1, budget=256).moments.tolist(),
     ),
 }
 

@@ -39,11 +39,12 @@ from entrep.liouville import (
     steady_state_dm,
 )
 from entrep.spins import (
-    TruncationSpec,
     _array_charge,
     _array_swap,
     _field_moments,
+    _fock_dims,
     _fock_liouvillian,
+    _fock_solve,
     _lowering_ops,
     _squeezed_frame,
     adiabaticity_ratio,
@@ -213,6 +214,15 @@ class TestXXChains:
                 build_xx_liouvillian(2, 1.0, 1.0, 1.0, mbar)
         with pytest.raises(DimensionBudgetExceeded):
             build_xx_liouvillian(6, 1.0, 0.5, 1.0, 0.0)
+
+    def test_the_end_drive_guard_takes_the_sum_the_assembly_forms(self):
+        # two excited end qubits decay out of one diagonal entry, 4 gamma (nbar + 1)
+        # (every warning is an error in this suite, so none may be raised on the way)
+        largest = np.finfo(float).max
+        assert build_xx_liouvillian(1, 1.0, largest / 4, 0.0, 0.0).scale == largest
+        for gamma, nbar in ((4.5e307, 0.0), (8.9e307, 0.0), (1.0, 8e307)):
+            with pytest.raises(ConfigInvalid, match=r"^4 rate \(nbar \+ 1\) of the end"):
+                build_xx_liouvillian(1, 1.0, gamma, nbar, 0.0)
 
     def test_four_pairs_replicate_the_drive(self):
         # eight spins: the charge-diagonal block has side 12,870
@@ -633,6 +643,23 @@ class TestClosedForm:
             pytest.approx(g**2 / zeta),
         )
         assert closed_form_rates(1, eta, zeta, g) == (0.0, pytest.approx(g**2 / zeta))
+        # a finite rate keeps the bits of its ** formula (g**2 != g * g here)
+        g = 0.009273568892309488
+        assert closed_form_rates(2, eta, zeta, g) == (g**2 / eta, zeta * g**2 / eta**2)
+
+    @pytest.mark.parametrize(
+        ("rates", "name"),
+        [
+            (dict(g=1e200), "J"),  # g**2 overflows
+            (dict(eta=1e200), "gamma"),  # eta**2 overflows
+            (dict(eta=1e-200), "gamma"),  # eta**2 underflows to 0 and is divided by
+        ],
+        ids=["g-overflow", "eta-overflow", "eta-underflow"],
+    )
+    def test_a_rate_outside_the_float_range_is_refused_by_name(self, rates, name):
+        rates = dict(eta=1.0, zeta=1.0, g=1.0) | rates
+        with pytest.raises(ConfigInvalid, match=f"^closed-form rate {name} overflows"):
+            build_effective_closed_form(2, **rates, nbar=1.0, mbar=0.0)
 
     def test_fixed_point_is_replicated(self):
         nbar = 0.9
@@ -674,7 +701,7 @@ class TestFockOracle:
         # Fock tail decays like ((nbar+mbar)/(nbar+mbar+1))^n: the cutoff
         # must resolve that mode, not just the single-site marginals
         cfg = ArrayConfig.homogeneous(1, kappa=0.1, zeta=1.0, nbar=0.5, mbar=0.6)
-        result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=10))
+        result = full_cavity_atom_oracle(cfg, 10)
         exact = steady_state(cfg).stacked()
         assert result.check_mode == "full"
         assert result.check_shift <= 1e-3
@@ -682,8 +709,10 @@ class TestFockOracle:
         assert np.abs(result.moments - exact).max() <= 5e-4
 
     def test_result_arrays_are_read_only(self):
-        cfg = ArrayConfig.homogeneous(1, kappa=0.2, zeta=1.0, nbar=0.5, mbar=0.6, g=0.04)
-        result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=2, check="none"))
+        # a weak drive certifies a small cutoff by the field-only recheck
+        cfg = ArrayConfig.homogeneous(1, kappa=0.2, zeta=1.0, nbar=0.05, mbar=0.1, g=0.04)
+        result = full_cavity_atom_oracle(cfg, 3, budget=5_000)
+        assert result.check_mode == "field"
         for values in (result.rho, result.moments, result.spin_dm):
             assert np.iscomplexobj(values)
             with pytest.raises(ValueError, match="read-only"):
@@ -694,23 +723,30 @@ class TestFockOracle:
         exact = steady_state(cfg).stacked()
         errors = []
         for n_max in (3, 6):
-            result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=n_max, check="none"))
-            errors.append(np.abs(result.moments - exact).max())
+            moments = _fock_solve(cfg, n_max, "bare")[1]  # neither cutoff certifies
+            errors.append(np.abs(moments - exact).max())
         assert errors[1] < errors[0]
 
     def test_unconverged_truncation_raises(self):
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=np.sqrt(2.0))
         with pytest.raises(TruncationUnconverged):
-            full_cavity_atom_oracle(cfg, TruncationSpec(n_max=2))
+            full_cavity_atom_oracle(cfg, 2)
+
+    def test_the_old_effective_vs_full_cutoff_is_refused(self):
+        # validate once compared against this uncertified cutoff: the
+        # recheck at 8 moves a field moment by 4.87e-3
+        cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=1.2, g=0.01)
+        with pytest.raises(TruncationUnconverged, match="cutoff 6 -> 8"):
+            full_cavity_atom_oracle(cfg, 6, basis="squeezed")
 
     def test_budget_guard(self):
         cfg = ArrayConfig.homogeneous(2, zeta=1.0, nbar=1.0, mbar=1.0)
         with pytest.raises(DimensionBudgetExceeded):
-            full_cavity_atom_oracle(cfg, TruncationSpec(n_max=8))
+            full_cavity_atom_oracle(cfg, 8)
 
     def test_field_recheck_is_size_checked_before_solving(self, monkeypatch):
         # without spins the n_max + 2 recheck (side 11**4) is the full
-        # model; over the budget it is refused after the one n_max solve
+        # model; over the budget it is refused before any solve
         solved_sides = []
         solve = entrep.spins.steady_state_dm
 
@@ -721,22 +757,20 @@ class TestFockOracle:
         monkeypatch.setattr(entrep.spins, "steady_state_dm", spy)
         cfg = ArrayConfig.homogeneous(1, kappa=0.1, zeta=1.0, nbar=0.1, mbar=0.2)
         with pytest.raises(DimensionBudgetExceeded, match="side 14641 "):
-            full_cavity_atom_oracle(cfg, TruncationSpec(n_max=8, side_budget=12_000))
-        assert solved_sides == [6561]
-        solved_sides.clear()
-        result = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=8, side_budget=14_641))
+            full_cavity_atom_oracle(cfg, 8, budget=12_000)
+        assert solved_sides == []
+        result = full_cavity_atom_oracle(cfg, 8, budget=14_641)
         assert solved_sides == [6561, 14641]
         assert result.check_mode == "full"
         assert result.check_shift <= 1e-3
 
     def test_auto_check_falls_back_to_field_recheck(self):
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=0.1, mbar=0.25, g=0.05)
-        result = full_cavity_atom_oracle(
-            cfg, TruncationSpec(n_max=4, side_budget=12_000)
-        )
+        result = full_cavity_atom_oracle(cfg, 4, budget=12_000)
         assert result.check_mode == "field"
         assert result.check_shift <= 1e-3
-        assert result.dims == (5, 5, 2, 2)
+        assert _fock_dims(cfg, 4) == (5, 5, 2, 2)
+        assert result.rho.shape == (100, 100)
         assert result.spin_dm is not None
 
     def test_spin_state_matches_effective_reduction(self):
@@ -744,24 +778,36 @@ class TestFockOracle:
         cfg = ArrayConfig.homogeneous(
             1, zeta=1.0, nbar=nbar, mbar=pure_drive(nbar), g=0.05
         )
-        oracle = full_cavity_atom_oracle(cfg, TruncationSpec(n_max=6, check="none"))
+        oracle = full_cavity_atom_oracle(cfg, 8)
         reduced = steady_state_dm(build_effective_general(cfg))
         gap = 0.5 * np.abs(np.linalg.eigvalsh(oracle.spin_dm - reduced)).sum()
         assert gap <= 1.5e-2
         assert fidelity_pure(oracle.spin_dm, replicated_state(nbar, 1)) >= 0.99
 
-    def test_truncation_spec_validation(self):
+    def test_input_validation(self, monkeypatch):
+        def refuse(liouvillian):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(entrep.spins, "steady_state_dm", refuse)
+        cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=0.1, mbar=0.2)
         with pytest.raises(TypeError, match="n_max"):
-            TruncationSpec()  # the cutoff has no default
-        for check in ("bogus", "full", "field"):
-            with pytest.raises(ConfigInvalid):
-                TruncationSpec(n_max=2, check=check)
+            full_cavity_atom_oracle(cfg)  # the cutoff has no default
+        with pytest.raises(TypeError, match="check"):
+            full_cavity_atom_oracle(cfg, 2, check="none")  # every call certifies
         with pytest.raises(ConfigInvalid):
-            TruncationSpec(n_max=0)
+            full_cavity_atom_oracle(cfg, 0)
         for n_max in (2.5, True, "3.0"):
             with pytest.raises(ConfigInvalid, match="n_max"):
-                TruncationSpec(n_max=n_max)
-        assert type(TruncationSpec(n_max=3.0).n_max) is int
+                full_cavity_atom_oracle(cfg, n_max)
+        for budget in (0, 2.5, "x"):
+            with pytest.raises(ConfigInvalid, match="budget"):
+                full_cavity_atom_oracle(cfg, 2, budget=budget)
+
+    def test_a_spelled_cutoff_is_that_cutoff(self):
+        cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=0.1, mbar=0.2)
+        want = full_cavity_atom_oracle(cfg, 6)
+        for n_max in (6.0, "6"):
+            assert np.array_equal(full_cavity_atom_oracle(cfg, n_max).moments, want.moments)
 
 
 class TestSqueezedBasisOracle:
@@ -788,26 +834,21 @@ class TestSqueezedBasisOracle:
         # drive statistics; the frame change wins two orders of magnitude
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=1.2)
         exact = steady_state(cfg).stacked()
-        result = full_cavity_atom_oracle(
-            cfg, TruncationSpec(n_max=6, check="none", basis="squeezed")
-        )
-        assert np.abs(result.moments - exact).max() <= 1e-2
+        moments = _fock_solve(cfg, 6, "squeezed")[1]  # the recheck at 8 moves it by 4.87e-3
+        assert np.abs(moments - exact).max() <= 1e-2
 
     def test_pure_drive_is_exact_at_small_cutoff(self):
         # a purely squeezed drive has zero frame occupation: the frame
         # vacuum is the exact steady state, whatever the cutoff
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=np.sqrt(2.0))
         exact = steady_state(cfg).stacked()
-        result = full_cavity_atom_oracle(
-            cfg, TruncationSpec(n_max=4, check="none", basis="squeezed")
-        )
+        result = full_cavity_atom_oracle(cfg, 4, basis="squeezed")
+        assert result.check_shift <= 1e-10
         assert np.abs(result.moments - exact).max() <= 1e-10
 
     def test_spin_state_matches_effective_reduction_at_pure_drive(self):
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=np.sqrt(2.0), g=0.01)
-        oracle = full_cavity_atom_oracle(
-            cfg, TruncationSpec(n_max=6, check="none", basis="squeezed")
-        )
+        oracle = full_cavity_atom_oracle(cfg, 6, basis="squeezed")
         reduced = steady_state_dm(build_effective_general(cfg))
         gap = 0.5 * np.abs(np.linalg.eigvalsh(oracle.spin_dm - reduced)).sum()
         assert gap <= 1e-6
@@ -821,5 +862,6 @@ class TestSqueezedBasisOracle:
         assert c**2 * n_th + s**2 * (n_th + 1.0) == pytest.approx(nbar, abs=1e-12)
 
     def test_basis_validation(self):
-        with pytest.raises(ConfigInvalid):
-            TruncationSpec(n_max=2, basis="rotated")
+        cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=1.2)
+        with pytest.raises(ConfigInvalid, match="basis 'rotated'"):
+            full_cavity_atom_oracle(cfg, 2, basis="rotated")

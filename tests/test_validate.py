@@ -14,6 +14,7 @@ import pytest
 
 import entrep.arrays
 import entrep.spins
+import entrep.validate
 from entrep.validate import (
     SUITE_NAMES,
     CheckResult,
@@ -56,17 +57,24 @@ class TestBudgetGating:
     def test_skip_reason_names_the_size_and_budget(self):
         report = run_suite("effective-vs-full", budget=1000)
         assert report.status == "skipped"
-        assert "38416" in report.reason and "1000" in report.reason
+        # the cutoff-8 model with its spins, the suite's first size
+        assert "104976" in report.reason and "1000" in report.reason
 
     def test_over_budget_oracle_suites_skip_before_any_solve(self, monkeypatch):
         def refuse(liouvillian):
             raise AssertionError("solve started")
 
         monkeypatch.setattr(entrep.spins, "steady_state_dm", refuse)
-        for name in ("gaussian-vs-fock", "effective-vs-full"):
-            report = run_suite(name, budget=1000)
+        # at 30,000 the cutoff-12 model (side 28,561) fits but its recheck at
+        # 14 does not, and a model without spins has no field-only recheck
+        for name, budget, side in (
+            ("gaussian-vs-fock", 1000, 28561),
+            ("effective-vs-full", 1000, 104976),
+            ("gaussian-vs-fock", 30_000, 50625),
+        ):
+            report = run_suite(name, budget=budget)
             assert report.status == "skipped"
-            assert "charge-diagonal block side" in report.reason
+            assert f"side {side} (charge-diagonal block side" in report.reason
 
     def test_partial_skips_inside_a_suite(self):
         report = run_suite("fixed-point", budget=300)
@@ -118,6 +126,25 @@ class TestSuitesPass:
         report = run_suite("effective-vs-full")
         assert report.status == "passed"
         assert all(c.value <= 1e-2 for c in report.checks)
+
+    def test_every_oracle_result_passes_its_certificate(self, monkeypatch):
+        results = []
+        oracle = entrep.validate.full_cavity_atom_oracle
+
+        def spy(cfg, n_max, **options):
+            result = oracle(cfg, n_max, **options)
+            results.append((cfg, result))
+            return result
+
+        monkeypatch.setattr(entrep.validate, "full_cavity_atom_oracle", spy)
+        for name in ("gaussian-vs-fock", "effective-vs-full"):
+            report = run_suite(name)
+            assert report.status == "passed"
+            assert all("certified by the" in c.detail for c in report.checks)
+        assert len(results) == 4
+        for cfg, result in results:
+            assert result.check_mode in ("full", "field")
+            assert 0.0 <= result.check_shift <= 1e-3 * max(1.0, cfg.nbar)
 
 
 class TestFaultInjection:
