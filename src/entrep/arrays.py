@@ -76,6 +76,7 @@ __all__ = [
     "EntanglementProfile",
     "SteadyMoments",
     "disorder_sweep",
+    "drive_split",
     "gauged_drift",
     "pair_entanglement_profile",
     "steady_state",
@@ -345,6 +346,12 @@ def _pair_lognegs(n1: np.ndarray, n2: np.ndarray, m: np.ndarray) -> np.ndarray:
     return pair_logneg(n1.real, n2.real, m)
 
 
+def _cross_moments(gauged: np.ndarray) -> np.ndarray:
+    """``M = P^* m P^*`` of cross moments ``m`` solved in the chain gauge."""
+    phases = chain_phases(len(gauged))
+    return phases.conj()[:, None] * gauged * phases.conj()
+
+
 def steady_state(cfg: ArrayConfig) -> SteadyMoments:
     """Unique Gaussian steady state of the driven arrays.
 
@@ -355,8 +362,22 @@ def steady_state(cfg: ArrayConfig) -> SteadyMoments:
     n1, n2, m, margin, forms = _stacked_moments(cfg, np.array([cfg.eta]))
     phases = chain_phases(cfg.n_sites)
     n1, n2 = phases[:, None] * np.concatenate((n1, n2)) * phases.conj()
-    m = phases.conj()[:, None] * m[0] * phases.conj()
-    return SteadyMoments(n1, n2, m, float(margin[0]), forms)
+    return SteadyMoments(n1, n2, _cross_moments(m[0]), float(margin[0]), forms)
+
+
+def drive_split(cfg: ArrayConfig) -> tuple[SteadyMoments, np.ndarray]:
+    """Steady state of ``cfg`` without its cross-correlation, and its cross moments per unit mbar.
+
+    ``mbar`` enters only the source ``2 zeta mbar`` of the cross moments: the
+    occupations ``N_i`` and the Schur forms do not depend on it, and ``M``
+    is linear in it.  So the steady state at any ``mbar`` has the returned
+    state's ``N_1``, ``N_2`` and forms and ``M = mbar`` times the returned
+    matrix, and a sweep of ``mbar`` solves the field once.  ``cfg.mbar`` is
+    not read; the returned state's ``M`` is zero.
+    """
+    free = steady_state(replace(cfg, mbar=0.0))
+    source = as_real("2 zeta", 2.0 * cfg.zeta)
+    return free, _cross_moments(solve_rank_one_sylvester(free.forms[:1], free.forms[1:], source)[0])
 
 
 def pair_entanglement_profile(cfg: ArrayConfig) -> EntanglementProfile:

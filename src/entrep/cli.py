@@ -63,7 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, help="random seed for sampled experiments (default 0)"
     )
     run_parser.add_argument(
-        "--workers", type=int, help="parallel sweep-point processes (default 1)"
+        "--workers",
+        type=int,
+        help="worker processes, each given one round-robin chunk of the sweep points (default 1)",
     )
     run_parser.add_argument(
         "--set",

@@ -9,6 +9,19 @@ every resolved parameter, so a dataset is reproducible from its
 manifest alone.  Identical ``(config, seed)`` always produce identical
 bytes, whatever the worker count.
 
+A run splits the sweep into one chunk per worker, dealing the points
+round-robin (point ``i`` to chunk ``i mod W``, ``W`` the smaller of the
+worker count and the number of points), so that a sweep whose cost grows
+along it, like fig2b's chain length, spreads evenly.  Each experiment
+evaluates a chunk at once: the spin sweeps (fig3b, fig3c) vary only the
+drive's ``mbar``, to which their generators are affine, and build what
+does not depend on it once per chunk, from the resolved parameters
+alone, so that a point's result does not depend on its chunk.  The other
+experiments evaluate a chunk point by point.  A chunk evaluates its
+points in sweep order and stops at its first failing one; the run
+reports the failing point that comes first in the sweep, which is the
+same whatever the worker count, and writes nothing.
+
 Experiment ids and their swept parameter:
 
 ========  ==============================================================
@@ -33,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -50,9 +63,9 @@ from .arrays import (
 from .baselines import driving_entanglement, pair_amplitude, pure_pair_logneg
 from .errors import ConfigInvalid, ExperimentFailed, ModelError, as_integer, as_real, as_seed
 from .gaussian import check_drive, normalized_logneg, squeezing_bound
-from .liouville import logneg_qubits, reduced_pair_dm, steady_state_dm
+from .liouville import logneg_qubits, reduced_pair_dm
 from .output import output_pair_spectrum, peak_frequency
-from .spins import build_effective_general, build_xx_liouvillian
+from .spins import effective_drive_sweep, xx_drive_sweep
 
 __all__ = [
     "EXPERIMENTS",
@@ -80,17 +93,20 @@ class ExperimentDef:
     """Static description of one named experiment.
 
     ``sweep`` maps the resolved parameters to the sweep values, and
-    ``point(value, params, seed)`` evaluates one of them to its rows.  A
-    sweep point evaluates one value of ``point_key``, or of the swept
-    column when that is empty; fig5b evaluates one ``kappa_end`` and
-    returns a row per ``omega``.
+    ``evaluate(values, params, seed)`` evaluates a chunk of them: it
+    returns an iterator that yields each value's rows in turn, doing a
+    point's work only when its rows are asked for, so that a failure
+    belongs to the point being evaluated (work shared by the chunk is done
+    with its first point).  A sweep point evaluates one value of
+    ``point_key``, or of the swept column when that is empty; fig5b
+    evaluates one ``kappa_end`` and returns a row per ``omega``.
     """
 
     name: str
     sweep_key: str
     defaults: Mapping[str, ParamValue]
     sweep: Callable[[Mapping[str, ParamValue]], list]
-    point: Callable[..., list[tuple]]
+    evaluate: Callable[..., Iterator[list[tuple]]]
     extra_columns: tuple[str, ...] = ()
     point_key: str = ""
 
@@ -161,18 +177,19 @@ def _gaussian_rows(cfg: ArrayConfig, sweep_value: float) -> list[tuple]:
     ]
 
 
-def _spin_pair_rows(rho: np.ndarray, n_pairs: int, sweep_value: float, nbar: float) -> list[tuple]:
-    reference = pure_pair_logneg(pair_amplitude(nbar))
-    rows = []
-    for j in range(n_pairs):
-        raw = logneg_qubits(reduced_pair_dm(rho, j, n_pairs + j))
-        rows.append((sweep_value, j + 1, raw, normalized_logneg(raw), reference))
-    return rows
-
-
 # ---------------------------------------------------------------------------
-# per-experiment sweep values and point evaluators; a point evaluator gets
-# the sweep value, the resolved parameters and the run's seed
+# per-experiment sweep values and evaluators; a point evaluator gets the
+# sweep value, the resolved parameters and the run's seed, and a chunk
+# evaluator the chunk's values in their place
+
+
+def _pointwise(point: Callable[..., list[tuple]]) -> Callable[..., Iterator[list[tuple]]]:
+    """The chunk evaluator that evaluates each value by ``point(value, params, seed)``."""
+
+    def evaluate(values, p, seed):
+        return (point(value, p, seed) for value in values)
+
+    return evaluate
 
 
 def _point_fig2a(value, p, seed):
@@ -228,16 +245,22 @@ def _point_fig2e(value, p, seed):
     return _gaussian_rows(_end_damped_config(p, value), value)
 
 
-def _point_fig3b(value, p, seed):
-    cfg = _uniform_config(p, mbar=value)
-    rho = steady_state_dm(build_effective_general(cfg))
-    return _spin_pair_rows(rho, cfg.n_sites, value, p["nbar"])
+def _spin_rows(values, p, states: Iterator[np.ndarray]):
+    """Each value's pair rows, from its state in ``states``."""
+    n_pairs = p["n_sites"]
+    reference = pure_pair_logneg(pair_amplitude(p["nbar"]))
+    for value, rho in zip(values, states):
+        raws = [logneg_qubits(reduced_pair_dm(rho, j, n_pairs + j)) for j in range(n_pairs)]
+        yield [(value, j + 1, raw, normalized_logneg(raw), reference) for j, raw in enumerate(raws)]
 
 
-def _point_fig3c(value, p, seed):
-    liou = build_xx_liouvillian(p["n_sites"], p["coupling"], p["gamma"], p["nbar"], value)
-    rho = steady_state_dm(liou)
-    return _spin_pair_rows(rho, p["n_sites"], value, p["nbar"])
+def _chunk_fig3b(values, p, seed):
+    yield from _spin_rows(values, p, effective_drive_sweep(_uniform_config(p), values))
+
+
+def _chunk_fig3c(values, p, seed):
+    states = xx_drive_sweep(p["n_sites"], p["coupling"], p["gamma"], p["nbar"], values)
+    yield from _spin_rows(values, p, states)
 
 
 def _omega_grid(p):
@@ -313,7 +336,7 @@ _DEFINITIONS = (
             "kappa_levels": "0.0,0.02,0.1",
         },
         sweep=lambda p: _levels(p, "kappa_levels"),
-        point=_point_fig2a,
+        evaluate=_pointwise(_point_fig2a),
     ),
     ExperimentDef(
         name="fig2b",
@@ -328,7 +351,7 @@ _DEFINITIONS = (
             "mbar": _SQRT2,
         },
         sweep=_sweep_fig2b,
-        point=_point_fig2b,
+        evaluate=_pointwise(_point_fig2b),
     ),
     ExperimentDef(
         name="fig2c",
@@ -344,7 +367,7 @@ _DEFINITIONS = (
             "mbar_rule": _FIG2C_MBAR_RULE,
         },
         sweep=_sweep_fig2c,
-        point=_point_fig2c,
+        evaluate=_pointwise(_point_fig2c),
     ),
     ExperimentDef(
         name="fig2d",
@@ -360,7 +383,7 @@ _DEFINITIONS = (
             "grid_points": 25,
         },
         sweep=_sweep_mbar,
-        point=_point_fig2d,
+        evaluate=_pointwise(_point_fig2d),
     ),
     ExperimentDef(
         name="fig2e",
@@ -376,7 +399,7 @@ _DEFINITIONS = (
             "grid_points": 31,
         },
         sweep=_sweep_log_kappa,
-        point=_point_fig2e,
+        evaluate=_pointwise(_point_fig2e),
     ),
     ExperimentDef(
         name="fig3a",
@@ -393,7 +416,7 @@ _DEFINITIONS = (
         },
         extra_columns=("e_norm_min", "e_norm_max", "e_norm_sem"),
         sweep=lambda p: _levels(p, "delta_levels"),
-        point=_point_fig3a,
+        evaluate=_pointwise(_point_fig3a),
     ),
     ExperimentDef(
         name="fig3b",
@@ -410,7 +433,7 @@ _DEFINITIONS = (
             "grid_points": 25,
         },
         sweep=_sweep_mbar,
-        point=_point_fig3b,
+        evaluate=_chunk_fig3b,
     ),
     ExperimentDef(
         name="fig3c",
@@ -425,7 +448,7 @@ _DEFINITIONS = (
             "grid_points": 25,
         },
         sweep=_sweep_mbar,
-        point=_point_fig3c,
+        evaluate=_chunk_fig3c,
     ),
     ExperimentDef(
         name="fig5a",
@@ -445,7 +468,7 @@ _DEFINITIONS = (
         },
         extra_columns=("omega_peak",),
         sweep=_sweep_fig5a,
-        point=_point_fig5a,
+        evaluate=_pointwise(_point_fig5a),
     ),
     ExperimentDef(
         name="fig5b",
@@ -463,7 +486,7 @@ _DEFINITIONS = (
             "omega_points": 1201,
         },
         sweep=_sweep_fig5b,
-        point=_point_fig5b,
+        evaluate=_pointwise(_point_fig5b),
     ),
     ExperimentDef(
         name="custom",
@@ -478,7 +501,7 @@ _DEFINITIONS = (
             "mbar": 0.0,
         },
         sweep=_sweep_custom,
-        point=_point_custom,
+        evaluate=_pointwise(_point_custom),
     ),
 )
 
@@ -648,39 +671,58 @@ def manifest_path_for(out_path: str | Path) -> Path:
     return Path(out_path).with_suffix(".manifest")
 
 
-def _eval_point(job: tuple) -> list[tuple]:
-    experiment, point_key, value, params, seed = job
-    try:
-        return EXPERIMENTS[experiment].point(value, params, seed)
-    except ExperimentFailed:
-        raise
-    except ModelError as exc:
-        raise ExperimentFailed(
-            f"{experiment}: sweep point {point_key}={value!r} failed "
-            f"({type(exc).__name__}: {exc})"
-        ) from exc
+def _eval_chunk(job: tuple) -> tuple[list[tuple], tuple[int, ExperimentFailed] | None]:
+    """Rows of a chunk's points, and its failure as ``(sweep index, error)`` or None.
+
+    The chunk's points are evaluated in sweep order up to the first that
+    fails; its error, a ModelError, is returned as an ExperimentFailed
+    naming the point, so that the caller can pick the first failure in
+    the sweep among all chunks.
+    """
+    experiment, point_key, first, stride, values, params, seed = job
+    results = EXPERIMENTS[experiment].evaluate(values, params, seed)
+    rows = []
+    for offset, value in enumerate(values):
+        try:
+            rows.extend(next(results))
+        except ModelError as exc:
+            failure = ExperimentFailed(
+                f"{experiment}: sweep point {point_key}={value!r} failed "
+                f"({type(exc).__name__}: {exc})"
+            )
+            failure.__cause__ = exc
+            return rows, (first + offset * stride, failure)
+    return rows, None
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Compute the full dataset, then atomically write CSV and manifest.
 
     Nothing is written until every sweep point has succeeded, so a
-    failure (reported with the offending sweep point) leaves no partial
-    files behind; neither does a CSV or manifest that cannot be written.
+    failure (reported with the first failing sweep point in sweep order)
+    leaves no partial files behind; neither does a CSV or manifest that
+    cannot be written.
     """
     exp = EXPERIMENTS[cfg.experiment]
     params = resolve_params(cfg)
     values = exp.sweep(params)
     point_key = exp.point_key or exp.sweep_key
-    jobs = [(cfg.experiment, point_key, value, params, cfg.seed) for value in values]
-    # the pool starts every worker at once, so it gets no more than the jobs
-    workers = min(cfg.workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_eval_point, jobs))
+    # one chunk per worker, the points dealt round-robin; the pool starts
+    # every worker at once, so it gets no more than the points
+    n_chunks = min(cfg.workers, len(values))
+    jobs = [
+        (cfg.experiment, point_key, first, n_chunks, values[first::n_chunks], params, cfg.seed)
+        for first in range(n_chunks)
+    ]
+    if n_chunks > 1:
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            chunks = list(pool.map(_eval_chunk, jobs))
     else:
-        chunks = [_eval_point(job) for job in jobs]
-    rows = [row for chunk in chunks for row in chunk]
+        chunks = [_eval_chunk(job) for job in jobs]
+    failures = [failure for _, failure in chunks if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows = [row for chunk_rows, _ in chunks for row in chunk_rows]
     rows.sort(key=lambda row: (row[0], row[1]))
     table = ResultTable(
         columns=exp.columns,

@@ -20,13 +20,32 @@ half, with its redundant first row replaced by the trace condition,
 gives the steady state by one sparse LU solve; the odd half is factored
 too, and the factors of both halves certify that the state is unique
 before it is returned, all on the generator over a power of two near its
-scale, which moves no bit and keeps every sum finite.  Each certificate meets its bound in
-:func:`~entrep.errors.certify`, whose refusal names the value and the
-bound.  Without a swap the odd half is empty, and an all-zero charge
-makes the block the whole space.  The U(1) block
+scale, which moves no bit and keeps every sum finite.  Each certificate
+meets its bound in :func:`~entrep.errors.certify`, whose refusal names
+the value and the bound.  Without a swap the odd half is empty, and an
+all-zero charge makes the block the whole space.  The U(1) block
 reduction is that of Buca and Prosen, New J. Phys. 14, 073007 (2012);
 the Z2 symmetry sectors are as in Albert and Jiang, Phys. Rev. A 89,
 022118 (2014).
+
+A generator that is affine in a real ``mbar``, ``L = L_free + mbar
+L_per``, such as a spin model swept over its drive's cross-correlation,
+is solved for many ``mbar`` at once by :func:`steady_state_sweep`: the
+basis is built, and each part projected onto the two real halves, once,
+and each point forms its halves as the same combination of the parts'
+on a fixed pattern, then only factors and solves them.
+:func:`steady_state_dm` is its one-point case, with no ``L_per``, and
+solves its generator on that generator's own patterns.  The
+certificates split by what they are of.  Charge conservation is
+certified on each part (:class:`Liouvillian`), and a sum of
+charge-conserving parts conserves the charge.  Preserving Hermiticity
+and commuting with the swap are linear too, so a point meets their
+bound when each part's largest offending entry, weighted by the
+magnitude of its coefficient and summed, does: at most
+``ROUNDOFF_RTOL`` times the point's scale.  The rest are the point's
+own: the condition estimate (below ``_CONDITION_LIMIT``), the trace,
+the residual against ``L_free + mbar L_per`` at that sum's own scale,
+and positivity.
 
 Every generator is assembled by one routine, :func:`quadratic_superop`,
 for a master equation quadratic in one list of operators, as one
@@ -42,6 +61,7 @@ read off the inputs, never passed alongside them.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import isqrt, prod
 
@@ -70,6 +90,7 @@ __all__ = [
     "quadratic_superop",
     "reduced_pair_dm",
     "steady_state_dm",
+    "steady_state_sweep",
     "unvec",
     "vec",
 ]
@@ -348,15 +369,199 @@ def _swap_parity(
     return sp.csr_matrix((values, (rows, cols)), shape=(key.size, key.size)), even.size
 
 
+def _on_one_pattern(
+    free: sp.spmatrix, per_mbar: sp.spmatrix | None, by_column: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Two matrices' entries on one compressed pattern (CSC when ``by_column``).
+
+    Returns the pattern's indices and pointers and each matrix's entries
+    on it, 0 where it has none, so that ``free + mbar per_mbar`` is the
+    same sum of the two data arrays.  Without ``per_mbar`` the pattern is
+    ``free``'s own and its entries are its data, uncopied; with it the
+    pattern is the union of both, canonical: sorted, each entry once.
+    """
+    free = free.tocsc() if by_column else free.tocsr()
+    if per_mbar is None:
+        return free.indices, free.indptr, free.data, None
+    per_mbar = per_mbar.tocsc() if by_column else per_mbar.tocsr()
+    n_major, n_minor = free.shape[::-1] if by_column else free.shape
+    keys = [
+        np.repeat(np.arange(n_major, dtype=np.int64), np.diff(matrix.indptr)) * n_minor
+        + matrix.indices
+        for matrix in (free, per_mbar)
+    ]
+    ordered = np.sort(np.concatenate(keys))
+    union = ordered[np.diff(ordered, prepend=-1) != 0]
+    major, minor = np.divmod(union, max(n_minor, 1))
+    data = []
+    for matrix, key in zip((free, per_mbar), keys):
+        values = np.zeros(union.size, np.result_type(free.dtype, per_mbar.dtype))
+        np.add.at(values, np.searchsorted(union, key), matrix.data)
+        data.append(values)
+    return minor, np.searchsorted(major, np.arange(n_major + 1)), *data
+
+
+def _combine(free, per_mbar, c_free: float, c_per: float):
+    """``c_free free + c_per per_mbar``, or ``c_free free`` without a per-``mbar`` part."""
+    return c_free * free if per_mbar is None else c_free * free + c_per * per_mbar
+
+
+def _project(
+    liouvillian: Liouvillian, basis: sp.csr_matrix, n_even: int
+) -> tuple[float, float, float, sp.csr_matrix]:
+    """``W^H L W`` over ``2**-e``, real, with the scale and its linear certificates' values.
+
+    ``e`` is the exponent of the generator's scale, split between the two
+    sides of the product.  The values are the largest imaginary entry and
+    the largest entry between the first ``n_even`` coordinates and the
+    rest (:func:`steady_state_sweep`).
+    """
+    scale = liouvillian.scale
+    exponent = int(np.frexp(scale)[1])
+    # half of 2**-exponent on each side: no copy of the generator, no overflow
+    left, right = -exponent // 2, (1 - exponent) // 2
+    # rows of W^H pick the block rows; off-block columns meet empty rows of W
+    rows = basis.conj().T
+    rows.data = _ldexp(rows.data, left)
+    block = ((rows @ liouvillian.matrix) @ basis).tocsr()
+    block.data = _ldexp(block.data, right)
+    imaginary = float(np.abs(block.data.imag).max(initial=0.0))
+    block = block.real
+    block.eliminate_zeros()
+    crossing = _largest_crossing(block, np.arange(block.shape[0]) >= n_even)
+    return scale, imaginary, crossing, block
+
+
+def _sweep_solver(
+    free: Liouvillian, per_mbar: Liouvillian | None
+) -> Callable[[float], np.ndarray]:
+    """The steady-state solve of one point of :func:`steady_state_sweep`.
+
+    Does what does not depend on ``mbar``, and keeps only what a point
+    reads: the solve's own arrays are freed when it returns.
+    """
+    if per_mbar is not None and (
+        per_mbar.dim != free.dim
+        or not np.array_equal(per_mbar.charge, free.charge)
+        or (per_mbar.swap is None) != (free.swap is None)
+        or (per_mbar.swap is not None and not np.array_equal(per_mbar.swap, free.swap))
+    ):
+        raise ConfigInvalid("the parts of a sweep must share their dimension, charge and swap")
+    dim = free.dim
+    swap = np.arange(dim) if free.swap is None else free.swap
+    hermitian, i, j, re_im = _hermitian_basis(free.charge)
+    parity, n_even = _swap_parity(i, j, re_im, swap)
+    basis = hermitian @ parity
+    n_odd, side = basis.shape[1] - n_even, dim * dim
+    # the trace functional: 1 on each rho_ii coordinate, rotated by [E O]
+    trace_row = np.asarray(parity[i == j].sum(axis=0)).ravel()[:n_even]
+    # the free part's even half carries the trace border in row 0, which
+    # the point scales; row 0 of each projected even half gives way to it
+    free_scale, free_imaginary, free_crossing, block = _project(free, basis, n_even)
+    free_even = sp.vstack([sp.csr_matrix(trace_row), block[1:n_even, :n_even]], format="csc")
+    free_odd = block[n_even:, n_even:]
+    per_scale, per_imaginary, per_crossing = 1.0, None, None
+    per_even = per_odd = per_generator = None
+    if per_mbar is not None:
+        per_scale, per_imaginary, per_crossing, block = _project(per_mbar, basis, n_even)
+        per_even = sp.vstack([sp.csr_matrix((1, n_even)), block[1:n_even, :n_even]], format="csc")
+        per_odd = block[n_even:, n_even:]
+        per_generator = per_mbar.matrix
+    del block
+    g_indices, g_indptr, g_free, g_per = _on_one_pattern(free.matrix, per_generator, False)
+    e_indices, e_indptr, e_free, e_per = _on_one_pattern(free_even, per_even, True)
+    o_indices, o_indptr, o_free, o_per = _on_one_pattern(free_odd, per_odd, True)
+    border = np.flatnonzero(e_indices == 0)
+    free_exponent, per_exponent = np.frexp(free_scale)[1], np.frexp(per_scale)[1]
+    even_basis = basis[:, :n_even]
+
+    def solve(mbar: float) -> np.ndarray:
+        generator, largest = g_free, free_scale
+        if g_per is not None:
+            # a sum that leaves the float range is refused just below
+            with np.errstate(over="ignore", invalid="ignore"):
+                generator = g_free + mbar * g_per
+                largest = np.abs(generator).max(initial=0.0)
+        if not np.isfinite(largest):
+            raise ConfigInvalid("generator has non-finite entries")
+        scale, exponent = np.frexp(largest)
+        left, right = -exponent // 2, (1 - exponent) // 2
+        c_free = np.ldexp(1.0, free_exponent - exponent)
+        c_per = np.ldexp(mbar, per_exponent - exponent)
+        bound = ROUNDOFF_RTOL * scale
+        imaginary = _combine(free_imaginary, per_imaginary, c_free, abs(c_per))
+        what = "generator does not preserve Hermiticity: largest imaginary entry in the real basis"
+        certify(imaginary, bound, ConfigInvalid, what)
+        crossing = _combine(free_crossing, per_crossing, c_free, abs(c_per))
+        what = "generator does not commute with the declared swap: largest even-odd entry"
+        certify(crossing, bound, ConfigInvalid, what)
+        even = _combine(e_free, e_per, c_free, c_per)
+        even[border] = scale * e_free[border]
+        even_system = sp.csc_matrix((even, e_indices, e_indptr), shape=(n_even, n_even))
+        odd = _combine(o_free, o_per, c_free, c_per)
+        odd_system = sp.csc_matrix((odd, o_indices, o_indptr), shape=(n_odd, n_odd))
+        lu, even_norm, even_inverse = _factor(even_system, "trace-bordered even half")
+        _, odd_norm, odd_inverse = _factor(odd_system, "odd half")
+        condition = max(even_norm, odd_norm) * max(even_inverse, odd_inverse)
+        what = "kernel is not one-dimensional: condition estimate of the trace-bordered generator"
+        certify(condition, _CONDITION_LIMIT, DegenerateSteadyState, what, strict=True)
+        rhs = np.zeros(n_even)
+        rhs[0] = scale
+        rho = unvec(even_basis @ lu.solve(rhs), dim)
+        trace = np.trace(rho).real
+        what = "steady-state trace is zero or not finite: -|trace|"
+        certify(-abs(trace), -1e-10, NoConvergence, what, strict=True)
+        rho /= trace
+        matrix = sp.csr_matrix((generator, g_indices, g_indptr), shape=(side, side))
+        residual = np.abs(_ldexp(matrix @ _ldexp(vec(rho), left), right)).max()
+        certify(residual, _RESIDUAL_RTOL * scale, NoConvergence, "steady-state residual")
+        assert_density_matrix(rho)
+        return rho
+
+    return solve
+
+
 def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     """Unique unit-trace fixed point of a trace-preserving generator.
 
-    The solve runs on the generator times ``2**-e`` (``scale = f 2**e``, ``f``
-    in ``[0.5, 1)``: ``np.frexp``), the power split between the two sides of
-    each product with it.  A power of two moves no bit (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002): each step gives what it gives
-    on the generator itself where that stays normal, and no sum overflows.
-    ``L`` and ``scale`` below are the scaled generator and its largest entry.
+    The one-point case of :func:`steady_state_sweep`: no per-``mbar``
+    part, so the point's generator is ``liouvillian`` itself, solved on
+    its own patterns.
+    """
+    return next(steady_state_sweep(liouvillian, None, [0.0]))
+
+
+def steady_state_sweep(
+    free: Liouvillian, per_mbar: Liouvillian | None, mbars
+) -> Iterator[np.ndarray]:
+    """Steady state of ``L = free + mbar per_mbar`` for each ``mbar`` of ``mbars``, in order.
+
+    ``free`` and ``per_mbar`` are generators on one Hilbert space with one
+    charge and one swap (else :class:`ConfigInvalid`); each has certified
+    on construction that it conserves the charge, and so does every ``L``.
+    ``per_mbar=None`` is the zero part: ``L`` is ``free`` at every point,
+    solved on its own patterns with no copy of its entries.  ``mbars`` may
+    be a lazy iterable of reals: a point is read, and solved, only when its
+    state is asked for.  Everything that does not depend on ``mbar`` is
+    done once, by the call itself: the basis below, each part's projection
+    and its linear certificates' values, and the patterns of the systems
+    factored per point (with a ``per_mbar``, the union of the two parts').
+    Per point each half is ``c_free`` times the free part's projected half
+    plus ``c_per`` times the per-``mbar`` part's on a fixed pattern, and
+    only their factorization, the solve and the point's own certificates
+    remain.
+
+    Each solve runs on ``L`` times ``2**-e`` (``scale = f 2**e``, ``f`` in
+    ``[0.5, 1)``: ``np.frexp``, ``scale`` the point's largest entry).  A
+    power of two moves no bit (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002): each step gives what it gives on the generator
+    itself where that stays normal, and no sum overflows.  Each part is
+    projected over its own power of two, ``2**-e_free`` or ``2**-e_per``,
+    split between the two sides of the product, and enters the point's
+    scaled halves with its coefficient: ``c_free = 2**(e_free - e)`` and
+    ``c_per = mbar 2**(e_per - e)``.  Without a per-``mbar`` part ``e_free
+    = e`` and ``c_free = 1``, which moves no bit.  ``L`` and ``scale``
+    below are the scaled generator and its largest entry.
 
     The generator conserves its charge, so it maps the charge-diagonal
     block (the entries of ``vec(rho)`` with ``charge[i] == charge[j]``,
@@ -366,20 +571,22 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     it is a real matrix of the block's side.  The declared swap (the
     identity when there is none) maps the block to itself, since it
     negates the charge, and splits the real coordinates into an even and
-    an odd half ``[E O]`` (:func:`_swap_parity`).  The generator is
-    projected once onto ``W = U [E O]``: ``W^H L W``.  An imaginary entry
-    above ``ROUNDOFF_RTOL * scale`` means the generator does not preserve
-    Hermiticity, and an entry between the halves above the same bound
-    means it does not commute with the swap; either raises
-    :class:`ConfigInvalid`.  Both halves are then factored by sparse LU.
-    The trace functional is even, and trace preservation makes the even
-    row holding ``rho_00`` (row 0) redundant, so that row is replaced by
-    ``scale`` times the trace functional and the even half is solved
-    with right-hand side ``scale * e_0``.  The steady state has no odd
-    part, and the traceless odd half must be nonsingular on its own.
-    ``W`` maps the solution back to a full Hermitian matrix, zero off the
-    block.  With no swap the odd half is empty and the even half is the
-    whole block.
+    an odd half ``[E O]`` (:func:`_swap_parity`).  Each part is projected
+    once onto ``W = U [E O]``: ``W^H L_k W``.  An imaginary entry of ``L``'s
+    projection above ``ROUNDOFF_RTOL * scale`` means the generator does
+    not preserve Hermiticity, and an entry between the halves above the
+    same bound means it does not commute with the swap; either raises
+    :class:`ConfigInvalid`.  Both are linear in the parts, so a point is
+    certified from the parts' values: ``c_free value_free + |c_per|
+    value_per`` bounds the point's largest such entry and must meet the
+    bound; without a per-``mbar`` part the free part's own value does.  Both halves are then factored by sparse LU.  The trace
+    functional is even, and trace preservation makes the even row holding
+    ``rho_00`` (row 0) redundant, so that row is replaced by ``scale`` times
+    the trace functional and the even half is solved with right-hand side
+    ``scale * e_0``.  The steady state has no odd part, and the traceless
+    odd half must be nonsingular on its own.  ``W`` maps the solution back
+    to a full Hermitian matrix, zero off the block.  With no swap the odd
+    half is empty and the even half is the whole block.
 
     The same factors certify that the block kernel is one-dimensional: a
     singular factorization of either half, or a condition estimate of at
@@ -414,51 +621,12 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
     ``|01><01| - |10><10|`` of two qubits that both decay into the
     singly excited states).
 
-    The result is normalized, and checked for residual against the scaled
-    stored generator (without round-off) and for positivity.
+    Each result is normalized, and checked for residual against the
+    point's scaled generator ``(free + mbar per_mbar) 2**-e`` (the parts
+    without their round-off) and for positivity.  The condition estimate,
+    the trace, the residual and the positivity are the point's own.
     """
-    dim = liouvillian.dim
-    scale, exponent = np.frexp(liouvillian.scale)
-    # half of 2**-exponent on each side: no copy of the generator, no overflow
-    left, right = -exponent // 2, (1 - exponent) // 2
-    swap = np.arange(dim) if liouvillian.swap is None else liouvillian.swap
-    hermitian, i, j, part = _hermitian_basis(liouvillian.charge)
-    parity, n_even = _swap_parity(i, j, part, swap)
-    basis = hermitian @ parity
-    # rows of W^H pick the block rows; off-block columns meet empty rows of W
-    rows = basis.conj().T
-    rows.data = _ldexp(rows.data, left)
-    block = ((rows @ liouvillian.matrix) @ basis).tocsr()
-    block.data = _ldexp(block.data, right)
-    imaginary = np.abs(block.data.imag).max(initial=0.0)
-    what = "generator does not preserve Hermiticity: largest imaginary entry in the real basis"
-    certify(imaginary, ROUNDOFF_RTOL * scale, ConfigInvalid, what)
-    block = block.real
-    block.eliminate_zeros()
-    crossing = _largest_crossing(block, np.arange(block.shape[0]) >= n_even)
-    what = "generator does not commute with the declared swap: largest even-odd entry"
-    certify(crossing, ROUNDOFF_RTOL * scale, ConfigInvalid, what)
-    # the trace functional: 1 on each rho_ii coordinate, rotated by [E O]
-    trace_row = np.asarray(parity[i == j].sum(axis=0)).ravel()[:n_even]
-    even_system = sp.vstack(
-        [sp.csr_matrix(scale * trace_row), block[1:n_even, :n_even]], format="csc"
-    )
-    lu, even_norm, even_inverse = _factor(even_system, "trace-bordered even half")
-    _, odd_norm, odd_inverse = _factor(block[n_even:, n_even:].tocsc(), "odd half")
-    condition = max(even_norm, odd_norm) * max(even_inverse, odd_inverse)
-    what = "kernel is not one-dimensional: condition estimate of the trace-bordered generator"
-    certify(condition, _CONDITION_LIMIT, DegenerateSteadyState, what, strict=True)
-    rhs = np.zeros(n_even)
-    rhs[0] = scale
-    rho = unvec(basis[:, :n_even] @ lu.solve(rhs), dim)
-    trace = np.trace(rho).real
-    what = "steady-state trace is zero or not finite: -|trace|"
-    certify(-abs(trace), -1e-10, NoConvergence, what, strict=True)
-    rho /= trace
-    residual = np.abs(_ldexp(liouvillian.matrix @ _ldexp(vec(rho), left), right)).max()
-    certify(residual, _RESIDUAL_RTOL * scale, NoConvergence, "steady-state residual")
-    assert_density_matrix(rho)
-    return rho
+    return map(_sweep_solver(free, per_mbar), mbars)
 
 
 def assert_density_matrix(rho: np.ndarray) -> None:

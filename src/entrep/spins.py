@@ -24,6 +24,15 @@ assembler under it, :func:`entrep.liouville.quadratic_superop`, which
 derives the trace-preserving sandwich term.  The squeezed reservoir
 on the two driven end sites is one block of ``e`` (:func:`_end_drive`).
 
+Both spin generators are affine in the drive's cross-correlation
+``mbar``: the coefficient code of each splits it into an ``mbar``-free
+part and a part per unit ``mbar``.  The builders assemble the sum at
+their one ``mbar``; a sweep over ``mbar`` (:func:`xx_drive_sweep`,
+:func:`effective_drive_sweep`) assembles each part once and hands both to
+:func:`entrep.liouville.steady_state_sweep`, so that each point pays only
+for its own factorization.  The effective model's field is solved once
+for such a sweep too (:func:`entrep.arrays.drive_split`).
+
 Every model lives on a product of sites, each a ``d``-level truncated
 boson (a qubit is ``d = 2``), and everything size-dependent follows from
 the site dimensions ``dims``: :func:`_lowering_ops` gives each site's
@@ -45,24 +54,26 @@ their exchange (:func:`_array_swap`).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from math import prod, sqrt
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .arrays import ArrayConfig, gauged_drift, read_only, steady_state
+from .arrays import ArrayConfig, drive_split, gauged_drift, read_only, steady_state
 from .errors import (
     ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged, as_integer, as_real, certify
 )
-from .gaussian import SchurForm, check_drive, schur_form
+from .gaussian import SchurForm, check_drive, schur_form, uncertainty_margin
 from .liouville import (
     Liouvillian,
     gksl_superop,
     partial_trace,
     quadratic_superop,
     steady_state_dm,
+    steady_state_sweep,
 )
 
 __all__ = [
@@ -74,7 +85,9 @@ __all__ = [
     "build_xx_liouvillian",
     "check_size",
     "coupling_pattern_matrices",
+    "effective_drive_sweep",
     "full_cavity_atom_oracle",
+    "xx_drive_sweep",
 ]
 
 #: largest admissible superoperator side ``prod(dims)**2``; it admits
@@ -196,25 +209,74 @@ def _stacked_spin_ops(n_pairs: int) -> list[sp.csr_matrix]:
     return raising + lowering
 
 
-def _end_drive(e: np.ndarray, low, rise, rate: float, nbar: float, mbar: float) -> None:
-    """Add the correlated reservoir on two end sites to the jump matrix ``e``.
+def _end_drive(e: np.ndarray, low, rise, rate: float, nbar: float, top: int) -> np.ndarray:
+    """Add the correlated reservoir's ``mbar``-free terms on two end sites to the jump matrix ``e``.
 
     ``low`` and ``rise`` hold the indices of the two sites' lowering
     operators ``c_1, c_2`` and of their raising partners in the operator
     list of :func:`entrep.liouville.gksl_superop`.  Each site decays at
-    ``rate (nbar + 1)`` and is pumped at ``rate nbar``; the correlated
-    term ``2 rate mbar (c_1 rho c_2 + c_2 rho c_1 - {c_1 c_2, rho}) + h.c.``
-    sits on ``e[low_1, low_2]``, ``e[rise_1, rise_2]`` and their mirrors.
-    The assembly doubles the largest weight, ``rate (nbar + 1)``, and on
-    qubit ends sums both sites' into one diagonal entry, ``4 rate (nbar +
-    1)``: a drive where that overflows is refused as ConfigInvalid.
+    ``rate (nbar + 1)`` and is pumped at ``rate nbar``.  Returns the jump
+    matrix of the correlated term per unit ``mbar``, ``2 rate (c_1 rho c_2 +
+    c_2 rho c_1 - {c_1 c_2, rho}) + h.c.``: ``rate`` on ``[low_1, low_2]``,
+    ``[rise_1, rise_2]`` and their mirrors.  The drive at ``mbar`` is ``e``
+    plus ``mbar`` times it.
+
+    ``top`` is the sites' top level (1 for qubits, the cutoff for Fock
+    sites).  The assembly doubles each weight and sums both sites' onto one
+    diagonal entry, whose largest is the decay out of the top level, ``4
+    top rate (nbar + 1)``: ``4 rate (nbar + 1)`` on qubit ends.  When ``nbar
+    (top - 1) > 1`` the decay and pump out of the level below are larger,
+    ``4 rate ((top - 1) (nbar + 1) + top nbar)``.  A drive where that sum
+    overflows is refused as ConfigInvalid naming it.
     """
-    as_real("4 rate (nbar + 1) of the end drive", 4.0 * rate * (nbar + 1.0))
+    if nbar * (top - 1) > 1.0:
+        below = (nbar + 1.0) * (top - 1) + nbar * top
+        name, largest = f"4 rate ({top - 1} (nbar + 1) + {top} nbar)", 4.0 * rate * below
+    else:
+        name, largest = f"{4 * top} rate (nbar + 1)", 4.0 * top * rate * (nbar + 1.0)
+    as_real(f"{name} of the end drive", largest)
     low, rise = np.asarray(low), np.asarray(rise)
     e[low, rise] += rate * (nbar + 1.0)
     e[rise, low] += rate * nbar
-    e[low, low[::-1]] += rate * mbar
-    e[rise, rise[::-1]] += rate * mbar
+    per_mbar = np.zeros_like(e)
+    per_mbar[low, low[::-1]] = per_mbar[rise, rise[::-1]] = rate
+    return per_mbar
+
+
+def _xx_coefficients(
+    n_pairs: int, coupling, gamma: float, nbar: float
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """``n_pairs`` as an int and the GKSL coefficients of :func:`build_xx_liouvillian`.
+
+    Returns ``h``, the ``mbar``-free jump matrix ``e`` and the jump matrix per
+    unit ``mbar``: the generator at ``mbar`` has ``e + mbar * per_mbar``.
+    Refuses every input but ``mbar`` as :func:`build_xx_liouvillian` does.
+    """
+    n_pairs = _check_spin_pairs(n_pairs)
+    raw = np.asarray(coupling, dtype=object)
+    couplings = np.array([as_real("coupling", value) for value in raw.flat]).reshape(raw.shape)
+    # the commutator's two sides add in the real basis of the steady solve
+    as_real("2 coupling", 2.0 * float(np.abs(couplings).max(initial=0.0)))
+    try:
+        couplings = np.broadcast_to(couplings, (max(n_pairs - 1, 0),))
+    except ValueError as exc:
+        raise ConfigInvalid(
+            f"cannot broadcast couplings {coupling!r} to {n_pairs - 1} bonds"
+        ) from exc
+    gamma = as_real("gamma", gamma, 0.0, strict=True)
+    nbar = check_drive(nbar, 0.0)[0]
+
+    n_spins = 2 * n_pairs
+    # H = sum_jk h[j, k] s_j^+ s_k^-: raising ops are rows 0..n_spins-1
+    # of the stacked list, lowering ops the next n_spins
+    chain = np.diag(couplings, 1) + np.diag(couplings, -1)
+    h = np.zeros((2 * n_spins, 2 * n_spins))
+    h[:n_spins, n_spins:] = sla.block_diag(chain, chain)
+    e = np.zeros_like(h)
+    ends = np.array([0, n_pairs])
+    # the opposite phase of the correlated term (see build_xx_liouvillian)
+    per_mbar = -_end_drive(e, ends + n_spins, ends, gamma, nbar, 1)
+    return n_pairs, h, e, per_mbar
 
 
 def build_xx_liouvillian(
@@ -240,34 +302,36 @@ def build_xx_liouvillian(
 
     The operators are the stacked spin operators (raising, then
     lowering); ``h`` holds each array's bonds between a raising and a
-    lowering operator, and ``e`` the end drive.
+    lowering operator, and ``e`` the end drive.  The generator is affine
+    in ``mbar``; :func:`xx_drive_sweep` solves a sweep of it.
     """
-    n_pairs = _check_spin_pairs(n_pairs)
-    raw = np.asarray(coupling, dtype=object)
-    couplings = np.array([as_real("coupling", value) for value in raw.flat]).reshape(raw.shape)
-    # the commutator's two sides add in the real basis of the steady solve
-    as_real("2 coupling", 2.0 * float(np.abs(couplings).max(initial=0.0)))
-    try:
-        couplings = np.broadcast_to(couplings, (max(n_pairs - 1, 0),))
-    except ValueError as exc:
-        raise ConfigInvalid(
-            f"cannot broadcast couplings {coupling!r} to {n_pairs - 1} bonds"
-        ) from exc
-    gamma = as_real("gamma", gamma, 0.0, strict=True)
-    nbar, mbar = check_drive(nbar, mbar)
-
-    n_spins = 2 * n_pairs
-    # H = sum_jk h[j, k] s_j^+ s_k^-: raising ops are rows 0..n_spins-1
-    # of the stacked list, lowering ops the next n_spins
-    chain = np.diag(couplings, 1) + np.diag(couplings, -1)
-    h = np.zeros((2 * n_spins, 2 * n_spins))
-    h[:n_spins, n_spins:] = sla.block_diag(chain, chain)
-    e = np.zeros_like(h)
-    ends = np.array([0, n_pairs])
-    _end_drive(e, ends + n_spins, ends, gamma, nbar, -mbar)
+    n_pairs, h, e, per_mbar = _xx_coefficients(n_pairs, coupling, gamma, nbar)
+    mbar = check_drive(nbar, mbar)[1]
     # both arrays have the same bonds, so the model is swap-symmetric
-    generator = gksl_superop(_stacked_spin_ops(n_pairs), h, e)
+    generator = gksl_superop(_stacked_spin_ops(n_pairs), h, e + mbar * per_mbar)
     return _array_liouvillian(_spin_dims(n_pairs), n_pairs, generator, True)
+
+
+def xx_drive_sweep(
+    n_pairs: int, coupling, gamma: float, nbar: float, mbars
+) -> Iterator[np.ndarray]:
+    """Steady state of :func:`build_xx_liouvillian` at each ``mbar`` of ``mbars``, in order.
+
+    That is, of ``build_xx_liouvillian(n_pairs, coupling, gamma, nbar, mbar)``.
+
+    The generator is ``L_0 + mbar L_1``: both parts are assembled here, once,
+    and :func:`entrep.liouville.steady_state_sweep` solves the points in
+    order, each ``mbar`` refused as the builder refuses it when its state
+    is asked for.  Each state is that of the builder's generator up to
+    round-off (the parts sum in another order).
+    """
+    n_pairs, h, e, per_mbar = _xx_coefficients(n_pairs, coupling, gamma, nbar)
+    ops = _stacked_spin_ops(n_pairs)
+    free, per_unit = (
+        _array_liouvillian(_spin_dims(n_pairs), n_pairs, gksl_superop(ops, *coefficients), True)
+        for coefficients in ((h, e), (np.zeros_like(h), per_mbar))
+    )
+    return steady_state_sweep(free, per_unit, (check_drive(nbar, mbar)[1] for mbar in mbars))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +368,36 @@ def _field_ratio(cfg: ArrayConfig, forms: SchurForm) -> float:
     return float(max(cfg.g) * np.sqrt(cfg.nbar + 1.0) / rates.min())
 
 
+def _warn_unless_adiabatic(cfg: ArrayConfig, forms: SchurForm) -> None:
+    """Warn the effective builders' caller when the timescale-separation ratio exceeds 0.1."""
+    ratio = _field_ratio(cfg, forms)
+    if ratio > 0.1:
+        warnings.warn(
+            f"timescale-separation ratio {ratio:.3f} > 0.1; "
+            "the reduced spin model is unreliable here",
+            stacklevel=3,
+        )
+
+
+def _memory_kernels(
+    forms: SchurForm, g: float, moments: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided coefficients ``g^2 M^{-1} A0``, ``(g^2 M^{-1} A0^T)^T`` of stacked moments ``A0``.
+
+    ``M = diag(L_1, L_2, conj L_1, conj L_2)`` is applied block by block on
+    the field's Schur forms; the coefficients are linear in ``A0``.
+    """
+    n_pairs = len(moments) // 4
+    # the rows of A0 and A0^T in M's four N-row blocks L_1, L_2, conj L_1, conj L_2;
+    # conj(L)^-1 r = conj(L^-1 conj r), so one solve on L_1, L_2 serves all four
+    rhs = np.concatenate((moments, moments.T), axis=1).reshape(4, n_pairs, -1)
+    both = forms.solve(np.concatenate((rhs[:2], rhs[2:].conj()), axis=-1), [0.0])[0]
+    plain, conjugate = np.split(both, 2, axis=-1)
+    solved = g**2 * np.concatenate((plain, conjugate.conj())).reshape(4 * n_pairs, -1)
+    kernel, kernel_reversed = np.split(solved, 2, axis=1)
+    return kernel, kernel_reversed.T
+
+
 def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     """Second-order reduced spin generator for an arbitrary array config.
 
@@ -317,31 +411,58 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     :func:`entrep.liouville.quadratic_superop` over the stacked spin
     operators.  ``M^{-1}`` is applied block by block on the forms.  Emits a
     warning when the timescale-separation ratio, read off the same forms,
-    exceeds 0.1.
+    exceeds 0.1.  The generator is affine in ``mbar``;
+    :func:`effective_drive_sweep` solves a sweep of it.
     """
-    n_pairs = cfg.n_sites
-    _check_spin_pairs(n_pairs)
+    n_pairs = _check_spin_pairs(cfg.n_sites)
     g = _homogeneous_coupling(cfg)
     field = steady_state(cfg.field_only)
-    ratio = _field_ratio(cfg, field.forms)
-    if ratio > 0.1:
-        warnings.warn(
-            f"timescale-separation ratio {ratio:.3f} > 0.1; "
-            "the reduced spin model is unreliable here",
-            stacklevel=2,
-        )
-    moments = field.stacked()
-    # the rows of A0 and A0^T in M's four N-row blocks L_1, L_2, conj L_1, conj L_2;
-    # conj(L)^-1 r = conj(L^-1 conj r), so one solve on L_1, L_2 serves all four
-    rhs = np.concatenate((moments, moments.T), axis=1).reshape(4, n_pairs, -1)
-    both = field.forms.solve(np.concatenate((rhs[:2], rhs[2:].conj()), axis=-1), [0.0])[0]
-    plain, conjugate = np.split(both, 2, axis=-1)
-    solved = g**2 * np.concatenate((plain, conjugate.conj())).reshape(4 * n_pairs, -1)
-    kernel, kernel_reversed = np.split(solved, 2, axis=1)
+    _warn_unless_adiabatic(cfg, field.forms)
+    kernels = _memory_kernels(field.forms, g, field.stacked())
     # drho = sum_jk [T_jk s_j s_k rho + (Tbar^T)_jk rho s_j s_k
     #                - (T^T + Tbar)_jk s_j rho s_k]
-    generator = quadratic_superop(_stacked_spin_ops(n_pairs), kernel, kernel_reversed.T)
+    generator = quadratic_superop(_stacked_spin_ops(n_pairs), *kernels)
     return _array_liouvillian(_spin_dims(n_pairs), n_pairs, generator, cfg.mirrored)
+
+
+def effective_drive_sweep(cfg: ArrayConfig, mbars) -> Iterator[np.ndarray]:
+    """Steady state of ``build_effective_general(replace(cfg, mbar=mbar))`` for each of ``mbars``.
+
+    Only the field's cross moments depend on ``mbar``, linearly
+    (:func:`entrep.arrays.drive_split`), and the kernels are linear in the
+    moments, so the generator is ``L_0 + mbar L_1``: the field is solved
+    once, both parts are assembled here, once, and
+    :func:`entrep.liouville.steady_state_sweep` solves the points in order.
+    The timescale-separation ratio does not depend on ``mbar`` and is
+    checked once.  Each ``mbar`` is refused as the config refuses it, and
+    its field moments are certified physical
+    (:func:`entrep.gaussian.uncertainty_margin`), when its state is asked
+    for.  Each state is that of the builder's generator up to round-off.
+    """
+    n_pairs = _check_spin_pairs(cfg.n_sites)
+    g = _homogeneous_coupling(cfg)
+    free, cross = drive_split(cfg.field_only)
+    _warn_unless_adiabatic(cfg, free.forms)
+    # the stacked moments are linear in M: with M alone their difference is its quarters
+    per_mbar = replace(free, m=cross).stacked() - free.stacked()
+    ops = _stacked_spin_ops(n_pairs)
+    parts = (
+        _array_liouvillian(
+            _spin_dims(n_pairs),
+            n_pairs,
+            quadratic_superop(ops, *_memory_kernels(free.forms, g, moments)),
+            cfg.mirrored,
+        )
+        for moments in (free.stacked(), per_mbar)
+    )
+
+    def checked():
+        for mbar in mbars:
+            mbar = check_drive(cfg.nbar, mbar)[1]
+            uncertainty_margin(free.n1, free.n2, mbar * cross)
+            yield mbar
+
+    return steady_state_sweep(*parts, checked())
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +690,9 @@ def _fock_liouvillian(
         full = sla.block_diag(frame, np.eye(len(spin_ops)))
         h = full.T @ h @ full
         e = full.T @ e @ full
-        _end_drive(e, low, rise, cfg.zeta, n_th, 0.0)
+        _end_drive(e, low, rise, cfg.zeta, n_th, n_max)
     else:
-        _end_drive(e, ends, n_modes + ends, cfg.zeta, cfg.nbar, cfg.mbar)
+        e += cfg.mbar * _end_drive(e, ends, n_modes + ends, cfg.zeta, cfg.nbar, n_max)
     generator = gksl_superop(field_ops + spin_ops, h, e)
     # in the squeezed frame the charge counts frame quanta: each frame
     # operator c t_1 - s t_2^dag lowers it by one, like a bare a_1

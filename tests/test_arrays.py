@@ -26,6 +26,7 @@ from entrep.arrays import (
     DisorderResult,
     DisorderSpec,
     disorder_sweep,
+    drive_split,
     gauged_drift,
     pair_entanglement_profile,
     steady_state,
@@ -292,6 +293,25 @@ class TestSteadyState:
             n_sites=2, eta=(1.0, 1.0), kappa=(0.1, 0.0, kappa_two, 0.0), zeta=0.8, nbar=0.5, mbar=0.4
         )
         assert steady_state(cfg).forms.gauged.tobytes() == gauged_drift(cfg).tobytes()
+
+    @pytest.mark.parametrize("kappa_two", [0.1, 0.3])  # mirrored, then not
+    def test_drive_split_is_the_state_with_its_cross_moments_per_unit_mbar(self, kappa_two):
+        cfg = ArrayConfig(
+            n_sites=3,
+            eta=(1.0, 0.7, 1.0, 0.7),
+            kappa=(0.1, 0.0, 0.2, kappa_two, 0.0, 0.2),
+            zeta=0.8,
+            nbar=0.5,
+            mbar=0.6,
+        )
+        free, cross = drive_split(cfg)
+        full = steady_state(cfg)
+        # the occupations and forms do not depend on mbar, bit for bit
+        for field in ("n1", "n2"):
+            assert np.array_equal(getattr(free, field), getattr(full, field))
+        assert free.forms.t.tobytes() == full.forms.t.tobytes()
+        assert not free.m.any()
+        assert np.abs(cfg.mbar * cross - full.m).max() <= 1e-15 * np.abs(full.m).max()
 
     @given(cfg=small_configs())
     @settings(max_examples=40, deadline=None)

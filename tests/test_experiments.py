@@ -14,9 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import entrep.liouville
+import entrep.spins
 from entrep import experiments
 from entrep.arrays import ArrayConfig, pair_entanglement_profile
-from entrep.errors import ConfigInvalid, ExperimentFailed, ModelError
+from entrep.errors import ConfigInvalid, ExperimentFailed, ModelError, NoConvergence
 from entrep.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -27,6 +29,26 @@ from entrep.experiments import (
 )
 
 CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2}$")
+
+
+class SerialPool:
+    """In-process stand-in for ProcessPoolExecutor; records each pool's size and jobs."""
+
+    pools = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        self.pools.append((self.max_workers, jobs))
+        return map(fn, jobs)
 
 
 def tiny_run(tmp_path: Path, name="smoke.csv", **kwargs) -> ExperimentConfig:
@@ -226,19 +248,88 @@ class TestDatasetWriter:
             outs.append(cfg.out_path.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("experiment", ["fig3c", "fig3b"])
-    def test_spin_sweep_workers_give_identical_bytes(self, tmp_path, experiment):
+    @pytest.mark.parametrize(
+        "experiment,overrides",
+        [
+            ("fig3c", {"n_sites": 3, "grid_points": 5}),
+            ("fig3b", {"n_sites": 3, "grid_points": 5}),
+            # each chain length is a point, and the cost grows with it
+            ("fig2b", {}),
+        ],
+        ids=["fig3c", "fig3b", "fig2b"],
+    )
+    def test_spin_sweep_workers_give_identical_bytes(self, tmp_path, experiment, overrides):
+        # uneven chunks at 2 and 3 workers
         outs = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             cfg = ExperimentConfig(
                 experiment=experiment,
-                overrides={"n_sites": 3, "grid_points": 3},
+                overrides=overrides,
                 out=tmp_path / f"{experiment}-w{workers}.csv",
                 workers=workers,
             )
             run_experiment(cfg)
-            outs.append(cfg.out_path.read_bytes())
-        assert outs[0] == outs[1]
+            outs.append(cfg.out_path.read_bytes() + manifest_path_for(cfg.out_path).read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_the_first_failing_point_in_the_sweep_is_named_at_any_worker_count(
+        self, tmp_path, monkeypatch
+    ):
+        # points 1 and 2 fail; dealt to 2 chunks, point 2 leads chunk 0's
+        # failures and point 1 chunk 1's, and point 1 must be named
+        overrides = {"n_sites": 2, "grid_points": 5}
+        values = EXPERIMENTS["fig3c"].sweep(
+            resolve_params(ExperimentConfig("fig3c", overrides=overrides))
+        )
+        refused = set(values[1:3])
+        sweep = entrep.spins.steady_state_sweep
+
+        def refusing(free, per_mbar, mbars):
+            def checked():
+                for mbar in mbars:
+                    if mbar in refused:
+                        raise NoConvergence(f"refused mbar {mbar}")
+                    yield mbar
+
+            return sweep(free, per_mbar, checked())
+
+        monkeypatch.setattr(entrep.spins, "steady_state_sweep", refusing)
+        message = re.escape(f"fig3c: sweep point mbar={values[1]!r} failed (NoConvergence: ")
+        for workers in (1, 2, 3):
+            cfg = ExperimentConfig(
+                experiment="fig3c", overrides=overrides, out=tmp_path / "x.csv", workers=workers
+            )
+            with pytest.raises(ExperimentFailed, match=message):
+                run_experiment(cfg)
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "experiment,assembler", [("fig3c", entrep.liouville), ("fig3b", entrep.spins)]
+    )
+    def test_a_chunk_assembles_its_parts_once_and_factors_each_point(
+        self, tmp_path, monkeypatch, experiment, assembler
+    ):
+        calls = []
+        for module, name in ((assembler, "quadratic_superop"), (entrep.liouville, "_factor")):
+            original = getattr(module, name)
+
+            def spy(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        for workers in (1, 2):
+            calls.clear()
+            cfg = ExperimentConfig(
+                experiment=experiment,
+                overrides={"n_sites": 2, "grid_points": 5},
+                out=tmp_path / f"w{workers}.csv",
+                workers=workers,
+            )
+            run_experiment(cfg)
+            assert calls.count("quadratic_superop") == 2 * workers
+            assert calls.count("_factor") == 2 * 5
 
     def test_failing_point_is_named_and_nothing_is_written(self, tmp_path):
         cases = [
@@ -293,32 +384,27 @@ class TestDatasetWriter:
             assert round(row[3], 4) == 0.7178
 
     def test_pool_gets_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
-        # the pool forks every worker up front, so an idle one is a wasted fork
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
+        # the pool forks every worker up front, so an idle one is a wasted
+        # fork: it gets one chunk of points per worker, and no more workers
+        # than points
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        SerialPool.pools.clear()
         serial = run_experiment(tiny_run(tmp_path, name="serial.csv"))
         cfg = tiny_run(tmp_path, name="wide.csv", workers=64)
-        n_jobs = len(EXPERIMENTS[cfg.experiment].sweep(resolve_params(cfg)))
-        assert 1 < n_jobs < 64
+        values = EXPERIMENTS[cfg.experiment].sweep(resolve_params(cfg))
+        n_points = len(values)
+        assert 1 < n_points < 64
         assert run_experiment(cfg).rows == serial.rows
-        assert pools == [n_jobs]
-        # one job runs in the caller's process
+        # one chunk per worker, the points dealt round-robin
+        ((workers, jobs),) = SerialPool.pools
+        assert workers == n_points
+        assert [job[4] for job in jobs] == [values[w::n_points] for w in range(n_points)]
+        cfg = tiny_run(tmp_path, name="two.csv", overrides={"n_sites_max": 5}, workers=2)
+        run_experiment(cfg)
+        assert [job[4] for job in SerialPool.pools[-1][1]] == [[1, 3, 5], [2, 4]]
+        # one point runs in the caller's process
         run_experiment(ExperimentConfig("custom", out=tmp_path / "one.csv", workers=64))
-        assert pools == [n_jobs]
+        assert len(SerialPool.pools) == 2
 
     def test_one_site_arrays_have_no_bonds_to_disorder(self, tmp_path):
         cfg = ExperimentConfig(

@@ -39,9 +39,11 @@ from entrep.liouville import (
     quadratic_superop,
     reduced_pair_dm,
     steady_state_dm,
+    steady_state_sweep,
     unvec,
     vec,
 )
+import entrep.liouville
 from entrep.arrays import ArrayConfig
 from entrep.spins import (
     build_effective_closed_form,
@@ -506,6 +508,112 @@ class TestSteadyState:
             generator[1, 2] = bad
             with pytest.raises(ModelError):
                 steady_state_dm(Liouvillian(matrix=generator))
+
+
+def trace_distance(rho, sigma):
+    return 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
+
+
+class TestSteadyStateSweep:
+    """A sweep of ``free + mbar per_mbar`` against the one-point solve of each sum."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        calls = []
+        factor = entrep.liouville._factor
+
+        def spy(system, name):
+            calls.append(name)
+            return factor(system, name)
+
+        monkeypatch.setattr(entrep.liouville, "_factor", spy)
+        return calls
+
+    def xx_parts(self, n_pairs):
+        free = build_xx_liouvillian(n_pairs, 1.0, 0.5, 1.0, 0.0)
+        per_mbar = build_xx_liouvillian(n_pairs, 1.0, 0.5, 1.0, 1.0).matrix - free.matrix
+        return free, Liouvillian(matrix=per_mbar, charge=free.charge, swap=free.swap)
+
+    def total(self, free, per_mbar, mbar):
+        matrix = free.matrix + mbar * per_mbar.matrix
+        return Liouvillian(matrix=matrix, charge=free.charge, swap=free.swap)
+
+    MBARS = (0.0, 0.7, 1.2, math.sqrt(2.0))
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_each_point_is_the_state_of_its_sum(self, n_pairs, factored):
+        free, per_mbar = self.xx_parts(n_pairs)
+        states = list(steady_state_sweep(free, per_mbar, self.MBARS))
+        assert factored == ["trace-bordered even half", "odd half"] * len(self.MBARS)
+        for mbar, rho in zip(self.MBARS, states):
+            want = steady_state_dm(self.total(free, per_mbar, mbar))
+            assert trace_distance(rho, want) <= 1e-12
+
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_each_point_matches_the_svd_reference(self, n_pairs):
+        free, per_mbar = self.xx_parts(n_pairs)
+        for mbar, rho in zip(self.MBARS, steady_state_sweep(free, per_mbar, self.MBARS)):
+            want = svd_steady_state(self.total(free, per_mbar, mbar))
+            assert np.abs(rho - want).max() <= 1e-10
+        # without a per-mbar part every point is the free generator's state
+        for rho in steady_state_sweep(free, None, [0.0, 1.2]):
+            assert np.abs(rho - svd_steady_state(free)).max() <= 1e-10
+
+    def test_points_are_solved_when_asked_for(self, factored):
+        def mbars():
+            yield 1.2
+            raise RuntimeError("second point read")
+
+        states = steady_state_sweep(*self.xx_parts(2), mbars())
+        assert factored == []
+        next(states)
+        assert len(factored) == 2
+        with pytest.raises(RuntimeError, match="second point read"):
+            next(states)
+
+    @pytest.mark.parametrize(
+        "term,message",
+        [
+            # decay of one array's end spin only: Hermitian, charge-free, not swap-even
+            (lambda dims: lindblad_dissipator(embed_operator({0: QUBIT_LOWER}, dims), 0.3),
+             "does not commute with the declared swap"),
+            # -i H rho without its -rho H partner, H even under the swap
+            (lambda dims: left_multiply(-0.3j * embed_operator(
+                {0: np.diag([1.0, -1.0]), 1: np.diag([1.0, -1.0])}, dims)),
+             "does not preserve Hermiticity"),
+        ],
+        ids=["swap", "hermiticity"],
+    )
+    def test_a_per_mbar_part_that_breaks_a_symmetry_is_refused_unfactored(
+        self, term, message, factored
+    ):
+        free, per_mbar = self.xx_parts(1)
+        broken = Liouvillian(
+            matrix=per_mbar.matrix + term((2, 2)), charge=free.charge, swap=free.swap
+        )
+        states = steady_state_sweep(free, broken, [1.2, 1.3])
+        with pytest.raises(ConfigInvalid, match=message + r".* = \S+, not <= \S+$"):
+            next(states)
+        assert factored == []
+        # the symmetric part alone still solves, at mbar zero
+        (rho,) = steady_state_sweep(free, broken, [0.0])
+        assert trace_distance(rho, steady_state_dm(free)) <= 1e-12
+
+    def test_parts_must_share_charge_and_swap(self):
+        free, per_mbar = self.xx_parts(1)
+        for other in (
+            Liouvillian(matrix=per_mbar.matrix, swap=free.swap),
+            Liouvillian(matrix=per_mbar.matrix, charge=free.charge),
+        ):
+            with pytest.raises(ConfigInvalid, match="share their dimension, charge and swap"):
+                next(steady_state_sweep(free, other, [1.0]))
+
+    def test_an_overflowing_sum_is_refused(self):
+        free, per_mbar = self.xx_parts(1)
+        # each part is finite, and so is its projection; 1e308 * 4 is not
+        large = Liouvillian(matrix=4.0 * per_mbar.matrix, charge=free.charge, swap=free.swap)
+        with pytest.raises(ConfigInvalid, match="non-finite entries"):
+            next(steady_state_sweep(free, large, [1e308]))
 
 
 class TestOperators:

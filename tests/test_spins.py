@@ -54,7 +54,9 @@ from entrep.spins import (
     check_size,
     closed_form_rates,
     coupling_pattern_matrices,
+    effective_drive_sweep,
     full_cavity_atom_oracle,
+    xx_drive_sweep,
 )
 from quadrature_oracle import ladder_drift
 from superop_reference import (
@@ -223,6 +225,22 @@ class TestXXChains:
         for gamma, nbar in ((4.5e307, 0.0), (8.9e307, 0.0), (1.0, 8e307)):
             with pytest.raises(ConfigInvalid, match=r"^4 rate \(nbar \+ 1\) of the end"):
                 build_xx_liouvillian(1, 1.0, gamma, nbar, 0.0)
+
+    def test_the_fock_end_drive_guard_takes_the_sum_for_its_cutoff(self):
+        # both driven modes at the top level 6 decay out of one diagonal entry,
+        # 24 zeta (nbar + 1); with nbar (6 - 1) > 1 the level below, with its
+        # pump, is larger: 4 zeta (5 (nbar + 1) + 6 nbar), 64 zeta at nbar = 1
+        largest = np.finfo(float).max
+        for nbar, top_sum, name in ((0.0, 24, r"24 rate \(nbar \+ 1\)"),
+                                    (1.0, 64, r"4 rate \(5 \(nbar \+ 1\) \+ 6 nbar\)")):
+            for basis in ("bare", "squeezed"):
+                cfg = ArrayConfig.homogeneous(1, zeta=largest / top_sum * 0.999, nbar=nbar)
+                liou = _fock_liouvillian(cfg, 6, basis)[0]
+                assert liou.scale == pytest.approx(top_sum * cfg.zeta, rel=1e-15)
+                for zeta in (largest / top_sum * 1.001, 1e307):
+                    cfg = ArrayConfig.homogeneous(1, zeta=zeta, nbar=nbar)
+                    with pytest.raises(ConfigInvalid, match=rf"^{name} of the end drive"):
+                        _fock_liouvillian(cfg, 6, basis)
 
     def test_four_pairs_replicate_the_drive(self):
         # eight spins: the charge-diagonal block has side 12,870
@@ -555,6 +573,60 @@ class TestEffectiveReduction:
             build_effective_general(replace(base, g=(0.0, 0.0)))
         with pytest.raises(DimensionBudgetExceeded):
             build_effective_general(reduced_config(6, nbar=0.5, mbar=0.5))
+
+
+def trace_distance(rho, sigma):
+    return 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
+
+
+MBAR_GRID = list(np.linspace(1.0, np.sqrt(2.0), 4)) + [0.0, 0.6]
+
+
+class TestDriveSweeps:
+    """A drive sweep against the one-point solve of each builder's generator."""
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    def test_xx_sweep_matches_each_point(self, n_pairs):
+        coupling = (0.9, 1.3)[: n_pairs - 1]
+        states = xx_drive_sweep(n_pairs, coupling, 0.5, 1.0, MBAR_GRID)
+        for mbar, rho in zip(MBAR_GRID, states, strict=True):
+            want = steady_state_dm(build_xx_liouvillian(n_pairs, coupling, 0.5, 1.0, mbar))
+            assert trace_distance(rho, want) <= 1e-12
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_effective_sweep_matches_each_point(self, n_pairs, mirrored):
+        kappa = (0.0,) * n_pairs + ((0.0,) * n_pairs if mirrored else (0.05,) * n_pairs)
+        cfg = ArrayConfig(
+            n_sites=n_pairs,
+            eta=(1.0,) * (2 * n_pairs - 2),
+            kappa=kappa,
+            zeta=1.0,
+            nbar=1.0,
+            mbar=0.0,
+            g=(0.01,) * n_pairs,
+        )
+        assert cfg.mirrored == mirrored
+        states = effective_drive_sweep(cfg, MBAR_GRID)
+        for mbar, rho in zip(MBAR_GRID, states, strict=True):
+            want = steady_state_dm(build_effective_general(replace(cfg, mbar=mbar)))
+            assert trace_distance(rho, want) <= 1e-12
+
+    def test_each_drive_is_refused_when_its_state_is_asked_for(self):
+        grid = [1.0, 1.2, 1.5, 1.3]  # 1.5 is above sqrt(2), the bound at nbar = 1
+        for states in (
+            xx_drive_sweep(2, 1.0, 0.5, 1.0, grid),
+            effective_drive_sweep(reduced_config(2, nbar=1.0, mbar=0.0, g=0.01), grid),
+        ):
+            next(states), next(states)
+            with pytest.raises(OverSqueezed, match="mbar=1.5 exceeds"):
+                next(states)
+
+    def test_the_timescale_warning_is_given_once_per_sweep(self):
+        cfg = reduced_config(1, nbar=1.0, mbar=0.0, g=0.5)
+        with pytest.warns(UserWarning, match="timescale-separation ratio") as caught:
+            states = list(effective_drive_sweep(cfg, [0.5, 1.0, 1.2]))
+        assert len(caught) == 1 and len(states) == 3
 
 
 def kronecker_pattern_matrices(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
