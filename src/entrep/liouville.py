@@ -30,22 +30,23 @@ the Z2 symmetry sectors are as in Albert and Jiang, Phys. Rev. A 89,
 
 A generator that is affine in a real ``mbar``, ``L = L_free + mbar
 L_per``, such as a spin model swept over its drive's cross-correlation,
-is solved for many ``mbar`` at once by :func:`steady_state_sweep`: the
-basis is built, and each part projected onto the two real halves, once,
-and each point forms its halves as the same combination of the parts'
-on a fixed pattern, then only factors and solves them.
-:func:`steady_state_dm` is its one-point case, with no ``L_per``, and
-solves its generator on that generator's own patterns.  The
+is solved for many ``mbar`` at once by :func:`steady_state_sweep`, which
+takes ``L_per``, a slope and not a generator, as a matrix on
+``L_free``'s space: the basis is built, and each part projected onto the
+two real halves, once, and each point forms its halves as the same
+combination of the parts' on one pattern, then only factors and solves
+them.  :func:`steady_state_dm` is its one-point case, with no ``L_per``,
+and solves its generator on that generator's own patterns.  The
 certificates split by what they are of.  Charge conservation is
-certified on each part (:class:`Liouvillian`), and a sum of
-charge-conserving parts conserves the charge.  Preserving Hermiticity
-and commuting with the swap are linear too, so a point meets their
-bound when each part's largest offending entry, weighted by the
-magnitude of its coefficient and summed, does: at most
-``ROUNDOFF_RTOL`` times the point's scale.  The rest are the point's
-own: the condition estimate (below ``_CONDITION_LIMIT``), the trace,
-the residual against ``L_free + mbar L_per`` at that sum's own scale,
-and positivity.
+certified on each part as a :class:`Liouvillian` (``L_per`` wrapped with
+``L_free``'s charge and swap), and a sum of charge-conserving parts
+conserves the charge.  Preserving Hermiticity and commuting with the
+swap are linear too, so a point meets their bound when each part's
+largest offending entry, weighted by the magnitude of its coefficient
+and summed, does: at most ``ROUNDOFF_RTOL`` times the point's scale.
+The rest are the point's own: the condition estimate (below
+``_CONDITION_LIMIT``), the trace, the residual against ``L_free + mbar
+L_per`` at that sum's own scale, and positivity.
 
 Every generator is assembled by one routine, :func:`quadratic_superop`,
 for a master equation quadratic in one list of operators, as one
@@ -78,6 +79,7 @@ from .errors import (
     InvalidState,
     NoConvergence,
     as_integer,
+    as_real,
     certify,
 )
 
@@ -203,7 +205,7 @@ class Liouvillian:
     ``charge[s] == -charge``, whose superoperator ``rho_ij -> rho_s(i)s(j)``
     the generator commutes with (the exchange of two identical arrays).
     Construction checks only the permutation; the commutation is checked
-    where the solve uses it (:func:`steady_state_dm`).
+    per point of a solve (:func:`steady_state_sweep`).
     """
 
     matrix: sp.csr_matrix  # any sparse matrix or dense array; stored as CSR
@@ -375,30 +377,26 @@ def _on_one_pattern(
     """Two matrices' entries on one compressed pattern (CSC when ``by_column``).
 
     Returns the pattern's indices and pointers and each matrix's entries
-    on it, 0 where it has none, so that ``free + mbar per_mbar`` is the
-    same sum of the two data arrays.  Without ``per_mbar`` the pattern is
-    ``free``'s own and its entries are its data, uncopied; with it the
-    pattern is the union of both, canonical: sorted, each entry once.
+    on it, so that ``free + mbar per_mbar`` is the same sum of the two data
+    arrays.  Without ``per_mbar`` the pattern is ``free``'s own and its
+    entries are its data, uncopied.  With it, each matrix's entries are
+    padded with zeros at the other's, and scipy's conversion from
+    coordinates sorts and sums them, zeros kept, into the union's pattern.
     """
     free = free.tocsc() if by_column else free.tocsr()
     if per_mbar is None:
         return free.indices, free.indptr, free.data, None
-    per_mbar = per_mbar.tocsc() if by_column else per_mbar.tocsr()
-    n_major, n_minor = free.shape[::-1] if by_column else free.shape
-    keys = [
-        np.repeat(np.arange(n_major, dtype=np.int64), np.diff(matrix.indptr)) * n_minor
-        + matrix.indices
-        for matrix in (free, per_mbar)
-    ]
-    ordered = np.sort(np.concatenate(keys))
-    union = ordered[np.diff(ordered, prepend=-1) != 0]
-    major, minor = np.divmod(union, max(n_minor, 1))
-    data = []
-    for matrix, key in zip((free, per_mbar), keys):
-        values = np.zeros(union.size, np.result_type(free.dtype, per_mbar.dtype))
-        np.add.at(values, np.searchsorted(union, key), matrix.data)
-        data.append(values)
-    return minor, np.searchsorted(major, np.arange(n_major + 1)), *data
+    free, per_mbar = free.tocoo(), per_mbar.tocoo()
+    at = (np.concatenate((free.row, per_mbar.row)), np.concatenate((free.col, per_mbar.col)))
+    compressed = sp.csc_matrix if by_column else sp.csr_matrix
+    # one padded buffer serves both conversions; each copies it
+    data = np.zeros(at[0].size, np.result_type(free.dtype, per_mbar.dtype))
+    data[: free.nnz] = free.data
+    free_on = compressed((data, at), shape=free.shape)
+    data[: free.nnz] = 0
+    data[free.nnz :] = per_mbar.data
+    per_on = compressed((data, at), shape=free.shape)
+    return free_on.indices, free_on.indptr, free_on.data, per_on.data
 
 
 def _combine(free, per_mbar, c_free: float, c_per: float):
@@ -407,14 +405,15 @@ def _combine(free, per_mbar, c_free: float, c_per: float):
 
 
 def _project(
-    liouvillian: Liouvillian, basis: sp.csr_matrix, n_even: int
-) -> tuple[float, float, float, sp.csr_matrix]:
-    """``W^H L W`` over ``2**-e``, real, with the scale and its linear certificates' values.
+    liouvillian: Liouvillian, basis: sp.csr_matrix, border: np.ndarray
+) -> tuple[float, float, float, sp.csc_matrix, sp.csr_matrix]:
+    """Scale, linear certificates' values and real halves of ``W^H L W`` over ``2**-e``.
 
     ``e`` is the exponent of the generator's scale, split between the two
     sides of the product.  The values are the largest imaginary entry and
-    the largest entry between the first ``n_even`` coordinates and the
-    rest (:func:`steady_state_sweep`).
+    the largest entry between the halves (:func:`steady_state_sweep`).  The
+    even half is the first ``border.size`` coordinates, with its row 0
+    replaced by ``border``.
     """
     scale = liouvillian.scale
     exponent = int(np.frexp(scale)[1])
@@ -428,8 +427,10 @@ def _project(
     imaginary = float(np.abs(block.data.imag).max(initial=0.0))
     block = block.real
     block.eliminate_zeros()
+    n_even = border.size
     crossing = _largest_crossing(block, np.arange(block.shape[0]) >= n_even)
-    return scale, imaginary, crossing, block
+    even = sp.vstack([sp.csr_matrix(border), block[1:n_even, :n_even]], format="csc")
+    return scale, imaginary, crossing, even, block[n_even:, n_even:]
 
 
 def _sweep_solver(
@@ -440,13 +441,6 @@ def _sweep_solver(
     Does what does not depend on ``mbar``, and keeps only what a point
     reads: the solve's own arrays are freed when it returns.
     """
-    if per_mbar is not None and (
-        per_mbar.dim != free.dim
-        or not np.array_equal(per_mbar.charge, free.charge)
-        or (per_mbar.swap is None) != (free.swap is None)
-        or (per_mbar.swap is not None and not np.array_equal(per_mbar.swap, free.swap))
-    ):
-        raise ConfigInvalid("the parts of a sweep must share their dimension, charge and swap")
     dim = free.dim
     swap = np.arange(dim) if free.swap is None else free.swap
     hermitian, i, j, re_im = _hermitian_basis(free.charge)
@@ -456,18 +450,17 @@ def _sweep_solver(
     # the trace functional: 1 on each rho_ii coordinate, rotated by [E O]
     trace_row = np.asarray(parity[i == j].sum(axis=0)).ravel()[:n_even]
     # the free part's even half carries the trace border in row 0, which
-    # the point scales; row 0 of each projected even half gives way to it
-    free_scale, free_imaginary, free_crossing, block = _project(free, basis, n_even)
-    free_even = sp.vstack([sp.csr_matrix(trace_row), block[1:n_even, :n_even]], format="csc")
-    free_odd = block[n_even:, n_even:]
+    # the point scales; the per-mbar part's has an empty row 0
+    free_scale, free_imaginary, free_crossing, free_even, free_odd = _project(
+        free, basis, trace_row
+    )
     per_scale, per_imaginary, per_crossing = 1.0, None, None
     per_even = per_odd = per_generator = None
     if per_mbar is not None:
-        per_scale, per_imaginary, per_crossing, block = _project(per_mbar, basis, n_even)
-        per_even = sp.vstack([sp.csr_matrix((1, n_even)), block[1:n_even, :n_even]], format="csc")
-        per_odd = block[n_even:, n_even:]
+        per_scale, per_imaginary, per_crossing, per_even, per_odd = _project(
+            per_mbar, basis, np.zeros(n_even)
+        )
         per_generator = per_mbar.matrix
-    del block
     g_indices, g_indptr, g_free, g_per = _on_one_pattern(free.matrix, per_generator, False)
     e_indices, e_indptr, e_free, e_per = _on_one_pattern(free_even, per_even, True)
     o_indices, o_indptr, o_free, o_per = _on_one_pattern(free_odd, per_odd, True)
@@ -476,6 +469,7 @@ def _sweep_solver(
     even_basis = basis[:, :n_even]
 
     def solve(mbar: float) -> np.ndarray:
+        mbar = as_real("mbar", mbar)
         generator, largest = g_free, free_scale
         if g_per is not None:
             # a sum that leaves the float range is refused just below
@@ -532,24 +526,26 @@ def steady_state_dm(liouvillian: Liouvillian) -> np.ndarray:
 
 
 def steady_state_sweep(
-    free: Liouvillian, per_mbar: Liouvillian | None, mbars
+    free: Liouvillian, per_mbar: sp.spmatrix | None, mbars
 ) -> Iterator[np.ndarray]:
     """Steady state of ``L = free + mbar per_mbar`` for each ``mbar`` of ``mbars``, in order.
 
-    ``free`` and ``per_mbar`` are generators on one Hilbert space with one
-    charge and one swap (else :class:`ConfigInvalid`); each has certified
-    on construction that it conserves the charge, and so does every ``L``.
+    ``per_mbar``, a sparse matrix on ``free``'s space, is wrapped once as
+    ``Liouvillian(per_mbar, free.charge, free.swap)``, which drops its
+    round-off and certifies that it conserves the charge, so every ``L``
+    does (else :class:`ConfigInvalid`, before anything is factored).
     ``per_mbar=None`` is the zero part: ``L`` is ``free`` at every point,
     solved on its own patterns with no copy of its entries.  ``mbars`` may
-    be a lazy iterable of reals: a point is read, and solved, only when its
-    state is asked for.  Everything that does not depend on ``mbar`` is
-    done once, by the call itself: the basis below, each part's projection
-    and its linear certificates' values, and the patterns of the systems
-    factored per point (with a ``per_mbar``, the union of the two parts').
-    Per point each half is ``c_free`` times the free part's projected half
-    plus ``c_per`` times the per-``mbar`` part's on a fixed pattern, and
-    only their factorization, the solve and the point's own certificates
-    remain.
+    be a lazy iterable: a point is read, as a real named ``mbar``
+    (:func:`~entrep.errors.as_real`), and solved, only when its state is
+    asked for.  Everything that does not depend on ``mbar`` is done once, by
+    the call itself: the basis below, each part's projection and its linear
+    certificates' values, and the patterns of the systems factored per point
+    (with a ``per_mbar``, one per system for both parts, each padded with
+    explicit zeros at the other's entries).  Per point each half is
+    ``c_free`` times the free part's projected half plus ``c_per`` times the
+    per-``mbar`` part's on that pattern, and only their factorization, the
+    solve and the point's own certificates remain.
 
     Each solve runs on ``L`` times ``2**-e`` (``scale = f 2**e``, ``f`` in
     ``[0.5, 1)``: ``np.frexp``, ``scale`` the point's largest entry).  A
@@ -579,8 +575,9 @@ def steady_state_sweep(
     :class:`ConfigInvalid`.  Both are linear in the parts, so a point is
     certified from the parts' values: ``c_free value_free + |c_per|
     value_per`` bounds the point's largest such entry and must meet the
-    bound; without a per-``mbar`` part the free part's own value does.  Both halves are then factored by sparse LU.  The trace
-    functional is even, and trace preservation makes the even row holding
+    bound; without a per-``mbar`` part the free part's own value does.
+    Both halves are then factored by sparse LU.  The trace functional is
+    even, and trace preservation makes the even row holding
     ``rho_00`` (row 0) redundant, so that row is replaced by ``scale`` times
     the trace functional and the even half is solved with right-hand side
     ``scale * e_0``.  The steady state has no odd part, and the traceless
@@ -626,6 +623,9 @@ def steady_state_sweep(
     without their round-off) and for positivity.  The condition estimate,
     the trace, the residual and the positivity are the point's own.
     """
+    if per_mbar is not None:
+        # rebound, so that a caller's unnamed matrix is freed once it is wrapped
+        per_mbar = Liouvillian(per_mbar, free.charge, free.swap)
     return map(_sweep_solver(free, per_mbar), mbars)
 
 

@@ -28,7 +28,8 @@ Both spin generators are affine in the drive's cross-correlation
 ``mbar``: the coefficient code of each splits it into an ``mbar``-free
 part and a part per unit ``mbar``.  The builders assemble the sum at
 their one ``mbar``; a sweep over ``mbar`` (:func:`xx_drive_sweep`,
-:func:`effective_drive_sweep`) assembles each part once and hands both to
+:func:`effective_drive_sweep`) assembles each part once and hands the
+``mbar``-free generator and the per-``mbar`` matrix to
 :func:`entrep.liouville.steady_state_sweep`, so that each point pays only
 for its own factorization.  The effective model's field is solved once
 for such a sweep too (:func:`entrep.arrays.drive_split`).
@@ -327,11 +328,9 @@ def xx_drive_sweep(
     """
     n_pairs, h, e, per_mbar = _xx_coefficients(n_pairs, coupling, gamma, nbar)
     ops = _stacked_spin_ops(n_pairs)
-    free, per_unit = (
-        _array_liouvillian(_spin_dims(n_pairs), n_pairs, gksl_superop(ops, *coefficients), True)
-        for coefficients in ((h, e), (np.zeros_like(h), per_mbar))
-    )
-    return steady_state_sweep(free, per_unit, (check_drive(nbar, mbar)[1] for mbar in mbars))
+    free = _array_liouvillian(_spin_dims(n_pairs), n_pairs, gksl_superop(ops, h, e), True)
+    checked = (check_drive(nbar, mbar)[1] for mbar in mbars)
+    return steady_state_sweep(free, gksl_superop(ops, np.zeros_like(h), per_mbar), checked)
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +445,9 @@ def effective_drive_sweep(cfg: ArrayConfig, mbars) -> Iterator[np.ndarray]:
     # the stacked moments are linear in M: with M alone their difference is its quarters
     per_mbar = replace(free, m=cross).stacked() - free.stacked()
     ops = _stacked_spin_ops(n_pairs)
-    parts = (
-        _array_liouvillian(
-            _spin_dims(n_pairs),
-            n_pairs,
-            quadratic_superop(ops, *_memory_kernels(free.forms, g, moments)),
-            cfg.mirrored,
-        )
-        for moments in (free.stacked(), per_mbar)
-    )
+
+    def part(moments):
+        return quadratic_superop(ops, *_memory_kernels(free.forms, g, moments))
 
     def checked():
         for mbar in mbars:
@@ -462,7 +455,12 @@ def effective_drive_sweep(cfg: ArrayConfig, mbars) -> Iterator[np.ndarray]:
             uncertainty_margin(free.n1, free.n2, mbar * cross)
             yield mbar
 
-    return steady_state_sweep(*parts, checked())
+    # each part is passed unnamed, so that only its wrapped copy outlives the wrap
+    return steady_state_sweep(
+        _array_liouvillian(_spin_dims(n_pairs), n_pairs, part(free.stacked()), cfg.mirrored),
+        part(per_mbar),
+        checked(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -529,13 +529,25 @@ class TestSteadyStateSweep:
         monkeypatch.setattr(entrep.liouville, "_factor", spy)
         return calls
 
+    @pytest.fixture
+    def patterns(self, monkeypatch):
+        calls = []
+        on_one_pattern = entrep.liouville._on_one_pattern
+
+        def spy(free, per_mbar, by_column):
+            out = on_one_pattern(free, per_mbar, by_column)
+            calls.append((free, per_mbar, by_column, out))
+            return out
+
+        monkeypatch.setattr(entrep.liouville, "_on_one_pattern", spy)
+        return calls
+
     def xx_parts(self, n_pairs):
         free = build_xx_liouvillian(n_pairs, 1.0, 0.5, 1.0, 0.0)
-        per_mbar = build_xx_liouvillian(n_pairs, 1.0, 0.5, 1.0, 1.0).matrix - free.matrix
-        return free, Liouvillian(matrix=per_mbar, charge=free.charge, swap=free.swap)
+        return free, build_xx_liouvillian(n_pairs, 1.0, 0.5, 1.0, 1.0).matrix - free.matrix
 
     def total(self, free, per_mbar, mbar):
-        matrix = free.matrix + mbar * per_mbar.matrix
+        matrix = free.matrix + mbar * per_mbar
         return Liouvillian(matrix=matrix, charge=free.charge, swap=free.swap)
 
     MBARS = (0.0, 0.7, 1.2, math.sqrt(2.0))
@@ -572,6 +584,24 @@ class TestSteadyStateSweep:
             next(states)
 
     @pytest.mark.parametrize(
+        "mbar",
+        [1j, None, "one", True, [1.0], math.nan, math.inf, -math.inf],
+        ids=["complex", "none", "word", "bool", "list", "nan", "inf", "-inf"],
+    )
+    def test_each_mbar_is_read_as_a_real_number(self, mbar, factored):
+        free, per_mbar = self.xx_parts(1)
+        for part in (per_mbar, None):
+            states = steady_state_sweep(free, part, [1.2, mbar])
+            next(states)
+            factored.clear()
+            with pytest.raises(ConfigInvalid, match=r"^mbar (=|must be finite)"):
+                next(states)
+            assert factored == []
+        # a string that spells a number is that number, as for every real input
+        (rho,) = steady_state_sweep(free, per_mbar, ["1.2"])
+        assert np.array_equal(rho, next(steady_state_sweep(free, per_mbar, [1.2])))
+
+    @pytest.mark.parametrize(
         "term,message",
         [
             # decay of one array's end spin only: Hermitian, charge-free, not swap-even
@@ -588,9 +618,7 @@ class TestSteadyStateSweep:
         self, term, message, factored
     ):
         free, per_mbar = self.xx_parts(1)
-        broken = Liouvillian(
-            matrix=per_mbar.matrix + term((2, 2)), charge=free.charge, swap=free.swap
-        )
+        broken = per_mbar + term((2, 2))
         states = steady_state_sweep(free, broken, [1.2, 1.3])
         with pytest.raises(ConfigInvalid, match=message + r".* = \S+, not <= \S+$"):
             next(states)
@@ -599,21 +627,62 @@ class TestSteadyStateSweep:
         (rho,) = steady_state_sweep(free, broken, [0.0])
         assert trace_distance(rho, steady_state_dm(free)) <= 1e-12
 
-    def test_parts_must_share_charge_and_swap(self):
+    @pytest.mark.parametrize(
+        "other,message",
+        [
+            # a generator of two pairs on the space of one
+            (lambda per_mbar: build_xx_liouvillian(2, 1.0, 0.5, 1.0, 1.0).matrix,
+             "charge must hold 16 integers"),
+            (lambda per_mbar: sp.eye(5), r"shape \(5, 5\) is not square of square side"),
+            # sigma^- rho on one array's end spin lowers that array's charge
+            (lambda per_mbar: per_mbar + left_multiply(embed_operator({0: QUBIT_LOWER}, (2, 2))),
+             "generator crosses charge sectors"),
+        ],
+        ids=["two-pair", "not-square-side", "crossing"],
+    )
+    def test_a_per_mbar_matrix_off_the_free_generators_space_is_refused(
+        self, other, message, factored
+    ):
         free, per_mbar = self.xx_parts(1)
-        for other in (
-            Liouvillian(matrix=per_mbar.matrix, swap=free.swap),
-            Liouvillian(matrix=per_mbar.matrix, charge=free.charge),
-        ):
-            with pytest.raises(ConfigInvalid, match="share their dimension, charge and swap"):
-                next(steady_state_sweep(free, other, [1.0]))
+        with pytest.raises(ConfigInvalid, match=message):
+            steady_state_sweep(free, other(per_mbar), [1.0])
+        assert factored == []
 
     def test_an_overflowing_sum_is_refused(self):
         free, per_mbar = self.xx_parts(1)
         # each part is finite, and so is its projection; 1e308 * 4 is not
-        large = Liouvillian(matrix=4.0 * per_mbar.matrix, charge=free.charge, swap=free.swap)
         with pytest.raises(ConfigInvalid, match="non-finite entries"):
-            next(steady_state_sweep(free, large, [1e308]))
+            next(steady_state_sweep(free, 4.0 * per_mbar, [1e308]))
+
+    def test_both_parts_are_laid_on_one_canonical_pattern(self, patterns):
+        free, per_mbar = self.xx_parts(2)
+        steady_state_sweep(free, per_mbar, [])
+        # the generator, then the even and the odd half
+        assert [by_column for _, _, by_column, _ in patterns] == [False, True, True]
+        for free_part, per_part, by_column, (indices, indptr, *data) in patterns:
+            n_major, n_minor = free_part.shape[::-1] if by_column else free_part.shape
+            # canonical: each major line sorted, each entry once
+            keys = np.repeat(np.arange(n_major), np.diff(indptr)) * n_minor + indices
+            assert np.all(np.diff(keys) > 0)
+            stored = [
+                set(zip(*((m.col, m.row) if by_column else (m.row, m.col))))
+                for m in (free_part.tocoo(), per_part.tocoo())
+            ]
+            assert set(zip(*divmod(keys, n_minor))) == stored[0] | stored[1]
+            compressed = sp.csc_matrix if by_column else sp.csr_matrix
+            for part, values in zip((free_part, per_part), data):
+                # each part's own entries, and explicit zeros at the other's positions
+                assert values.size == keys.size
+                on_pattern = compressed((values, indices, indptr), shape=free_part.shape)
+                assert np.array_equal(on_pattern.toarray(), part.toarray())
+
+    def test_a_lone_generator_is_solved_on_its_own_entries(self, patterns):
+        free, _ = self.xx_parts(2)
+        steady_state_dm(free)
+        generator, per_mbar, _, (indices, indptr, data, per_data) = patterns[0]
+        assert generator is free.matrix and per_mbar is None and per_data is None
+        assert np.shares_memory(data, free.matrix.data)
+        assert indices is free.matrix.indices and indptr is free.matrix.indptr
 
 
 class TestOperators:
