@@ -50,8 +50,12 @@ def driving_entanglement(nbar: float, mbar: float) -> float:
 
 
 def pair_amplitude(nbar: float) -> float:
-    """Excited-component amplitude c = sqrt(nbar/(2*nbar+1)) of one pair."""
-    nbar = as_real("nbar", nbar, 0.0)
+    """Excited-component amplitude c = sqrt(nbar/(2*nbar+1)) of one pair.
+
+    ``nbar`` is read as every occupation is (:func:`entrep.gaussian.check_drive`):
+    a finite real >= 0 with a finite ``2 nbar + 1``, else ConfigInvalid.
+    """
+    nbar = check_drive(nbar, 0.0)[0]
     return math.sqrt(nbar / (2.0 * nbar + 1.0))
 
 

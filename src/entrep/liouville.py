@@ -533,7 +533,9 @@ def steady_state_sweep(
     ``per_mbar``, a sparse matrix on ``free``'s space, is wrapped once as
     ``Liouvillian(per_mbar, free.charge, free.swap)``, which drops its
     round-off and certifies that it conserves the charge, so every ``L``
-    does (else :class:`ConfigInvalid`, before anything is factored).
+    does (else :class:`ConfigInvalid`, before anything is factored).  A
+    ``per_mbar`` of any shape but ``free.matrix.shape`` is refused first,
+    as ConfigInvalid naming both shapes.
     ``per_mbar=None`` is the zero part: ``L`` is ``free`` at every point,
     solved on its own patterns with no copy of its entries.  ``mbars`` may
     be a lazy iterable: a point is read, as a real named ``mbar``
@@ -624,6 +626,11 @@ def steady_state_sweep(
     the trace, the residual and the positivity are the point's own.
     """
     if per_mbar is not None:
+        if np.shape(per_mbar) != free.matrix.shape:
+            raise ConfigInvalid(
+                f"per-mbar matrix of shape {np.shape(per_mbar)} is off the free "
+                f"generator's space, of shape {free.matrix.shape}"
+            )
         # rebound, so that a caller's unnamed matrix is freed once it is wrapped
         per_mbar = Liouvillian(per_mbar, free.charge, free.swap)
     return map(_sweep_solver(free, per_mbar), mbars)
@@ -702,6 +709,12 @@ def logneg_qubits(rho: np.ndarray) -> float:
 
 
 def fidelity_pure(rho: np.ndarray, psi: np.ndarray) -> float:
-    """Overlap <psi| rho |psi> with a pure reference state."""
-    psi = np.asarray(psi).reshape(-1)
-    return float(np.real(psi.conj() @ np.asarray(rho) @ psi))
+    """Overlap <psi| rho |psi> with a pure reference state.
+
+    A ``rho`` that is not square, or a ``psi`` whose length is not its
+    side, is refused as ConfigInvalid naming both sizes.
+    """
+    rho, psi = np.asarray(rho), np.asarray(psi).reshape(-1)
+    if rho.shape != (psi.size, psi.size):
+        raise ConfigInvalid(f"state of shape {rho.shape} does not fit psi of length {psi.size}")
+    return float(np.real(psi.conj() @ rho @ psi))

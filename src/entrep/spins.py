@@ -25,14 +25,17 @@ derives the trace-preserving sandwich term.  The squeezed reservoir
 on the two driven end sites is one block of ``e`` (:func:`_end_drive`).
 
 Both spin generators are affine in the drive's cross-correlation
-``mbar``: the coefficient code of each splits it into an ``mbar``-free
-part and a part per unit ``mbar``.  The builders assemble the sum at
-their one ``mbar``; a sweep over ``mbar`` (:func:`xx_drive_sweep`,
+``mbar``: the coefficient code of each (:func:`_xx_coefficients`,
+:func:`_effective_split`) splits it into an ``mbar``-free part and a part
+per unit ``mbar``.  The builders sum the two at their one ``mbar`` and
+assemble once; a sweep over ``mbar`` (:func:`xx_drive_sweep`,
 :func:`effective_drive_sweep`) assembles each part once and hands the
 ``mbar``-free generator and the per-``mbar`` matrix to
 :func:`entrep.liouville.steady_state_sweep`, so that each point pays only
-for its own factorization.  The effective model's field is solved once
-for such a sweep too (:func:`entrep.arrays.drive_split`).
+for its own factorization.  The effective model's field has one route,
+for the builder and the sweep alike: one solve without the
+cross-correlation (:func:`entrep.arrays.drive_split`), whose cross
+moments per unit ``mbar`` give the moments at any ``mbar``.
 
 Every model lives on a product of sites, each a ``d``-level truncated
 boson (a qubit is ``d = 2``), and everything size-dependent follows from
@@ -63,7 +66,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .arrays import ArrayConfig, drive_split, gauged_drift, read_only, steady_state
+from .arrays import ArrayConfig, drive_split, gauged_drift, read_only
 from .errors import (
     ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged, as_integer, as_real, certify
 )
@@ -338,16 +341,6 @@ def xx_drive_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _homogeneous_coupling(cfg: ArrayConfig) -> float:
-    values = set(cfg.g)
-    if len(values) != 1:
-        raise ConfigInvalid(f"need a homogeneous spin-field coupling, got {cfg.g}")
-    g = as_real("g", values.pop(), 0.0, strict=True)
-    # the memory kernels take g**2
-    as_real("g * g", g * g)
-    return g
-
-
 def adiabaticity_ratio(cfg: ArrayConfig) -> float:
     """Field-to-spin timescale ratio; elimination needs this << 1.
 
@@ -365,17 +358,6 @@ def _field_ratio(cfg: ArrayConfig, forms: SchurForm) -> float:
     """:func:`adiabaticity_ratio` from the field's Schur forms already at hand."""
     rates = np.abs(forms.t.diagonal(axis1=-2, axis2=-1))
     return float(max(cfg.g) * np.sqrt(cfg.nbar + 1.0) / rates.min())
-
-
-def _warn_unless_adiabatic(cfg: ArrayConfig, forms: SchurForm) -> None:
-    """Warn the effective builders' caller when the timescale-separation ratio exceeds 0.1."""
-    ratio = _field_ratio(cfg, forms)
-    if ratio > 0.1:
-        warnings.warn(
-            f"timescale-separation ratio {ratio:.3f} > 0.1; "
-            "the reduced spin model is unreliable here",
-            stacklevel=3,
-        )
 
 
 def _memory_kernels(
@@ -397,27 +379,59 @@ def _memory_kernels(
     return kernel, kernel_reversed.T
 
 
+def _effective_split(cfg: ArrayConfig) -> tuple:
+    """What the effective builder and its drive sweep share, from one field solve.
+
+    Refuses a pair count as every spin model does, and a spin-field
+    coupling ``g`` that is not one value > 0 on every pair, or whose ``g *
+    g`` (the memory kernels take ``g**2``) overflows.  Solves the field
+    once without its cross-correlation (:func:`entrep.arrays.drive_split`)
+    and warns the public caller when the timescale-separation ratio, read
+    off that solve's Schur forms, exceeds 0.1.  Returns ``n_pairs``, ``g``,
+    the ``mbar``-free field state, its cross moments per unit ``mbar`` and
+    the stacked moments per unit ``mbar``: the field at ``mbar`` has the
+    stacked moments ``free.stacked() + mbar * per_mbar``.
+    """
+    n_pairs = _check_spin_pairs(cfg.n_sites)
+    if len(set(cfg.g)) != 1:
+        raise ConfigInvalid(f"need a homogeneous spin-field coupling, got {cfg.g}")
+    g = as_real("g", cfg.g[0], 0.0, strict=True)
+    as_real("g * g", g * g)
+    free, cross = drive_split(cfg.field_only)
+    ratio = _field_ratio(cfg, free.forms)
+    if ratio > 0.1:
+        warnings.warn(
+            f"timescale-separation ratio {ratio:.3f} > 0.1; "
+            "the reduced spin model is unreliable here",
+            stacklevel=3,
+        )
+    # the stacked moments are linear in M: with M alone their difference is its quarters
+    per_mbar = replace(free, m=cross).stacked() - free.stacked()
+    return n_pairs, g, free, cross, per_mbar
+
+
 def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     """Second-order reduced spin generator for an arbitrary array config.
 
-    The field sector (``cfg.field_only``) supplies, from one steady solve,
-    the Schur forms of ``L_1`` and ``L_2``, which serve every block of the
-    exact drift ``M = diag(L_1, L_2, conj L_1, conj L_2)``, and the stacked
-    moments ``A0``; the memory kernels follow by
-    integrating the field correlations, ``kernel = g^2 M^{-1} A0`` and
-    ``kernel_reversed = g^2 M^{-1} A0^T``; ``kernel`` and its reversed
-    partner's transpose are the one-sided coefficients of
+    The field sector (``cfg.field_only``) is solved once without its
+    cross-correlation (:func:`_effective_split`, as for a sweep): that
+    solve supplies the Schur forms of ``L_1`` and ``L_2``, which serve
+    every block of the exact drift ``M = diag(L_1, L_2, conj L_1, conj
+    L_2)``, and the stacked moments ``A0`` at ``cfg.mbar`` are its moments
+    plus ``cfg.mbar`` times those per unit ``mbar``, certified physical
+    (:func:`entrep.gaussian.uncertainty_margin`) as a sweep point is.  The
+    memory kernels follow by integrating the field correlations, ``kernel
+    = g^2 M^{-1} A0`` and ``kernel_reversed = g^2 M^{-1} A0^T``; ``kernel``
+    and its reversed partner's transpose are the one-sided coefficients of
     :func:`entrep.liouville.quadratic_superop` over the stacked spin
-    operators.  ``M^{-1}`` is applied block by block on the forms.  Emits a
-    warning when the timescale-separation ratio, read off the same forms,
-    exceeds 0.1.  The generator is affine in ``mbar``;
+    operators, assembled once.  ``M^{-1}`` is applied block by block on
+    the forms.  Emits a warning when the timescale-separation ratio, read
+    off the same forms, exceeds 0.1.  The generator is affine in ``mbar``;
     :func:`effective_drive_sweep` solves a sweep of it.
     """
-    n_pairs = _check_spin_pairs(cfg.n_sites)
-    g = _homogeneous_coupling(cfg)
-    field = steady_state(cfg.field_only)
-    _warn_unless_adiabatic(cfg, field.forms)
-    kernels = _memory_kernels(field.forms, g, field.stacked())
+    n_pairs, g, free, cross, per_mbar = _effective_split(cfg)
+    uncertainty_margin(free.n1, free.n2, cfg.mbar * cross)
+    kernels = _memory_kernels(free.forms, g, free.stacked() + cfg.mbar * per_mbar)
     # drho = sum_jk [T_jk s_j s_k rho + (Tbar^T)_jk rho s_j s_k
     #                - (T^T + Tbar)_jk s_j rho s_k]
     generator = quadratic_superop(_stacked_spin_ops(n_pairs), *kernels)
@@ -430,20 +444,15 @@ def effective_drive_sweep(cfg: ArrayConfig, mbars) -> Iterator[np.ndarray]:
     Only the field's cross moments depend on ``mbar``, linearly
     (:func:`entrep.arrays.drive_split`), and the kernels are linear in the
     moments, so the generator is ``L_0 + mbar L_1``: the field is solved
-    once, both parts are assembled here, once, and
-    :func:`entrep.liouville.steady_state_sweep` solves the points in order.
-    The timescale-separation ratio does not depend on ``mbar`` and is
-    checked once.  Each ``mbar`` is refused as the config refuses it, and
-    its field moments are certified physical
+    once (:func:`_effective_split`, as for the builder), both parts are
+    assembled here, once, and :func:`entrep.liouville.steady_state_sweep`
+    solves the points in order.  The timescale-separation ratio does not
+    depend on ``mbar`` and is checked once.  Each ``mbar`` is refused as
+    the config refuses it, and its field moments are certified physical
     (:func:`entrep.gaussian.uncertainty_margin`), when its state is asked
     for.  Each state is that of the builder's generator up to round-off.
     """
-    n_pairs = _check_spin_pairs(cfg.n_sites)
-    g = _homogeneous_coupling(cfg)
-    free, cross = drive_split(cfg.field_only)
-    _warn_unless_adiabatic(cfg, free.forms)
-    # the stacked moments are linear in M: with M alone their difference is its quarters
-    per_mbar = replace(free, m=cross).stacked() - free.stacked()
+    n_pairs, g, free, cross, per_mbar = _effective_split(cfg)
     ops = _stacked_spin_ops(n_pairs)
 
     def part(moments):

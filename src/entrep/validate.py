@@ -10,7 +10,8 @@ and reports per-check pass/fail with the measured discrepancy:
 ``effective-vs-full``
     Reduced spin steady state of the full cavity+spin model, truncated
     at cutoff 8 in the squeezed basis, against the adiabatically
-    eliminated spin-only generator.
+    eliminated spin-only model, whose states at both drives come from one
+    :func:`entrep.spins.effective_drive_sweep` (one field solve).
 ``closed-form-vs-general``
     The closed-form reduced generator against the general kernel
     construction, plus a recorded diagnostic for the alternative
@@ -18,7 +19,13 @@ and reports per-check pass/fail with the measured discrepancy:
     equivalence with the general construction).
 ``fixed-point``
     The driven XX chains against the analytic replicated pure state at
-    maximal drive correlation.
+    maximal drive correlation, each case solved as the one point of an
+    :func:`entrep.spins.xx_drive_sweep`.
+
+``effective-vs-full`` and ``fixed-point`` thus run the sweeps that write
+fig3b and fig3c, on the same per-part path of
+:func:`entrep.liouville.steady_state_sweep`: an ``mbar``-free generator
+and a per-``mbar`` matrix, laid on one pattern and combined per point.
 
 Both oracle suites rest only on cutoffs that
 :func:`entrep.spins.full_cavity_atom_oracle` certifies by its recheck two
@@ -33,25 +40,27 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .arrays import ArrayConfig, steady_state
 from .baselines import replicated_state
 from .errors import ConfigInvalid, DimensionBudgetExceeded, ModelError, as_integer
-from .liouville import fidelity_pure, gksl_superop, steady_state_dm
+from .liouville import fidelity_pure, gksl_superop
 from .output import first_peak_index
 from .spins import (
     SIDE_BUDGET,
+    _closed_form_blocks,
     _stacked_spin_ops,
     build_effective_closed_form,
     build_effective_general,
-    build_xx_liouvillian,
     check_size,
     closed_form_rates,
     coupling_pattern_matrices,
+    effective_drive_sweep,
     full_cavity_atom_oracle,
+    xx_drive_sweep,
 )
 
 __all__ = [
@@ -145,12 +154,15 @@ def _suite_gaussian_vs_fock(budget: int) -> SuiteReport:
 
 
 def _suite_effective_vs_full(budget: int) -> SuiteReport:
-    n_max = 8
+    n_max, mbars = 8, (1.2, math.sqrt(2.0))
+    cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, g=0.01)
+    # the oracles first, so that one over the budget is refused before any solve
+    oracles = [
+        full_cavity_atom_oracle(replace(cfg, mbar=mbar), n_max, basis="squeezed", budget=budget)
+        for mbar in mbars
+    ]
     checks = []
-    for mbar in (1.2, math.sqrt(2.0)):
-        cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=mbar, g=0.01)
-        oracle = full_cavity_atom_oracle(cfg, n_max, basis="squeezed", budget=budget)
-        effective = steady_state_dm(build_effective_general(cfg))
+    for mbar, oracle, effective in zip(mbars, oracles, effective_drive_sweep(cfg, mbars)):
         distance = 0.5 * float(np.abs(np.linalg.eigvalsh(oracle.spin_dm - effective)).sum())
         checks.append(
             _gated(
@@ -179,18 +191,13 @@ def _alternative_layout_generator(
     ratio = hopping_rate / damping_rate if n_pairs > 1 else 0.0
     x_mat, y_mat, signs = coupling_pattern_matrices(n_pairs)
     mixed = (y_mat + 1j * ratio * x_mat) @ signs
-    n = n_pairs
-    x_big = np.zeros((4 * n, 4 * n), complex)
-    y_big = np.zeros((4 * n, 4 * n), complex)
-    q1, q2, q3, q4 = (slice(i * n, (i + 1) * n) for i in range(4))
-    x_big[q1, q3] = x_big[q2, q4] = (1.0 + nbar) * x_mat
-    x_big[q3, q1] = x_big[q4, q2] = -nbar * x_mat
+    # the canonical layout without its mbar quarters; its coherent part flips sign
+    x_big, y_big = _closed_form_blocks(n_pairs, nbar, 0.0)
+    q1, q2, q3, q4 = (slice(i * n_pairs, (i + 1) * n_pairs) for i in range(4))
     y_big[q1, q2] = y_big[q2, q1] = mbar * mixed
     y_big[q3, q4] = y_big[q4, q3] = mbar * mixed.conj()
-    y_big[q1, q3] = y_big[q2, q4] = (1.0 + nbar) * y_mat
-    y_big[q3, q1] = y_big[q4, q2] = nbar * y_mat
     return gksl_superop(
-        _stacked_spin_ops(n_pairs), hopping_rate * x_big, damping_rate * y_big.T
+        _stacked_spin_ops(n_pairs), -hopping_rate * x_big, damping_rate * y_big.T
     )
 
 
@@ -251,9 +258,7 @@ def _suite_fixed_point(budget: int) -> SuiteReport:
             )
             continue
         for nbar in (0.5, 1.0):
-            mbar = math.sqrt(nbar * (nbar + 1.0))
-            liou = build_xx_liouvillian(n_pairs, 1.0, 1.0, nbar, mbar)
-            rho = steady_state_dm(liou)
+            rho = next(xx_drive_sweep(n_pairs, 1.0, 1.0, nbar, [math.sqrt(nbar * (nbar + 1.0))]))
             infidelity = 1.0 - fidelity_pure(rho, replicated_state(nbar, n_pairs))
             checks.append(
                 _gated(

@@ -10,7 +10,10 @@ and the Kronecker-chain site operators (:func:`destroy`,
 :func:`embed_operator`) it is built from.  Tests compare the builders
 against it, check any generator's trace preservation with
 :func:`trace_defect`, and take its image of an operator with :func:`apply`;
-nothing in ``src`` imports it.
+nothing in ``src`` imports it.  It also keeps the effective builder's
+single-field route (:func:`effective_generator`): the field solved at the
+config's own ``mbar``, not split into an ``mbar``-free part and a part
+per unit ``mbar``.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from entrep.arrays import ArrayConfig
+from entrep.arrays import ArrayConfig, steady_state
 from entrep.errors import ConfigInvalid
-from entrep.liouville import Liouvillian, unvec, vec
-from entrep.spins import _squeezed_frame
+from entrep.liouville import Liouvillian, quadratic_superop, unvec, vec
+from entrep.spins import _memory_kernels, _squeezed_frame, _stacked_spin_ops
 
 #: lowering operator in the (ground, excited) qubit basis
 QUBIT_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -148,6 +151,18 @@ def xx_generator(n_pairs: int, coupling, gamma: float, nbar: float, mbar: float)
     generator = hamiltonian_superop(hamiltonian)
     generator = generator + thermal_end_drive(ops, 0, n_pairs, gamma, nbar, mbar, -1.0)
     return generator.tocsr()
+
+
+def effective_generator(cfg: ArrayConfig) -> sp.csr_matrix:
+    """Generator of :func:`entrep.spins.build_effective_general` from the field at ``cfg.mbar``.
+
+    One steady solve of ``cfg.field_only`` (:func:`entrep.arrays.steady_state`)
+    gives the Schur forms and the stacked moments at ``cfg.mbar``; their
+    memory kernels are assembled once, with the round-off kept.
+    """
+    field = steady_state(cfg.field_only)
+    kernels = _memory_kernels(field.forms, cfg.g[0], field.stacked())
+    return quadratic_superop(_stacked_spin_ops(cfg.n_sites), *kernels)
 
 
 def fock_generator(cfg: ArrayConfig, n_max: int, basis: str = "bare"):

@@ -89,6 +89,16 @@ class TestReplicatedState:
         state = replicated_state(1.0, 1)
         assert np.allclose(state, [math.sqrt(2.0 / 3.0), 0.0, 0.0, math.sqrt(1.0 / 3.0)])
 
+    def test_an_occupation_whose_scale_overflows_is_refused(self):
+        # 2 nbar + 1 overflows: the amplitude would read 0 and the state |00>
+        for call in (lambda: pair_amplitude(1e308), lambda: replicated_state(1e308, 1)):
+            with pytest.raises(ConfigInvalid, match=r"^2 nbar \+ 1 must be finite"):
+                call()
+
+    @pytest.mark.parametrize("nbar", [0.0, 1e-300, 0.3, 1.0, 7.3, 1e300, 8.9e307])
+    def test_an_admitted_amplitude_is_the_formula(self, nbar):
+        assert pair_amplitude(nbar) == math.sqrt(nbar / (2.0 * nbar + 1.0))
+
     @pytest.mark.parametrize("nbar,n_pairs", [(0.3, 1), (1.0, 2), (2.5, 3)])
     def test_unit_norm(self, nbar, n_pairs):
         assert abs(np.linalg.norm(replicated_state(nbar, n_pairs)) - 1.0) <= 1e-12

@@ -9,7 +9,12 @@ import pytest
 
 from entrep import validate
 from entrep.arrays import ArrayConfig, DisorderSpec, steady_state
-from entrep.baselines import driving_entanglement, pair_amplitude, pure_pair_logneg
+from entrep.baselines import (
+    driving_entanglement,
+    pair_amplitude,
+    pure_pair_logneg,
+    replicated_state,
+)
 from entrep.errors import (
     ConfigInvalid,
     IndexOutOfRange,
@@ -102,6 +107,9 @@ REFUSED = {
     "check_drive-None": lambda: check_drive(None, 0),
     "driving_entanglement-text": lambda: driving_entanglement("x", 0),
     "pair_amplitude-None": lambda: pair_amplitude(None),
+    # 2 nbar + 1 overflows: the amplitude would read 0, not 1/sqrt(2)
+    "pair_amplitude-scale-overflow": lambda: pair_amplitude(1e308),
+    "replicated_state-scale-overflow": lambda: replicated_state(1e308, 1),
     "pure_pair_logneg-None": lambda: pure_pair_logneg(None),
     "pure_pair_logneg-negative": lambda: pure_pair_logneg(-0.1),
     "build_xx_liouvillian-coupling-text": lambda: build_xx_liouvillian(2, "a", 1.0, 0, 0),

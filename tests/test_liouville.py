@@ -632,8 +632,9 @@ class TestSteadyStateSweep:
         [
             # a generator of two pairs on the space of one
             (lambda per_mbar: build_xx_liouvillian(2, 1.0, 0.5, 1.0, 1.0).matrix,
-             "charge must hold 16 integers"),
-            (lambda per_mbar: sp.eye(5), r"shape \(5, 5\) is not square of square side"),
+             r"^per-mbar matrix of shape \(256, 256\) is off the free generator's space, "
+             r"of shape \(16, 16\)$"),
+            (lambda per_mbar: sp.eye(5), r"^per-mbar matrix of shape \(5, 5\) is off"),
             # sigma^- rho on one array's end spin lowers that array's charge
             (lambda per_mbar: per_mbar + left_multiply(embed_operator({0: QUBIT_LOWER}, (2, 2))),
              "generator crosses charge sectors"),
@@ -810,3 +811,16 @@ class TestStateChecks:
         psi = np.array([1.0, 0.0])
         rho = np.diag([0.8, 0.2])
         assert fidelity_pure(rho, psi) == pytest.approx(0.8, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "rho,psi,message",
+        [
+            (np.eye(4) / 4, np.ones(3), r"shape \(4, 4\) does not fit psi of length 3$"),
+            (np.ones((2, 3)) / 2, np.ones(2), r"shape \(2, 3\) does not fit psi of length 2$"),
+            (np.ones(4) / 4, np.ones(2), r"shape \(4,\) does not fit psi of length 2$"),
+        ],
+        ids=["wrong-length", "not-square", "not-a-matrix"],
+    )
+    def test_fidelity_pure_refuses_a_state_of_another_size(self, rho, psi, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            fidelity_pure(rho, psi)

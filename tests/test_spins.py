@@ -261,7 +261,7 @@ class TestSpinBudget:
         def refuse(*args, **kwargs):
             raise AssertionError("assembly started")
 
-        for name in ("_lowering_ops", "gauged_drift", "steady_state"):
+        for name in ("_lowering_ops", "gauged_drift", "drive_split"):
             monkeypatch.setattr(entrep.spins, name, refuse)
 
     def test_xx_chain(self, no_assembly):
@@ -409,6 +409,22 @@ class TestGeneratorsMatchPerTermReference:
         assert_same_csr(
             build_xx_liouvillian(*args).matrix, superop_reference.xx_generator(*args)
         )
+
+    @pytest.mark.filterwarnings("ignore:timescale-separation")
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    @pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "unmirrored"])
+    def test_effective_generator_matches_the_single_field_route(self, n_pairs, mirrored):
+        # the builder sums the drive split's moments at mbar; the reference
+        # solves the field at mbar itself
+        cfg = ArrayConfig.homogeneous(
+            n_pairs, eta=0.8, kappa=0.1, zeta=1.3, nbar=0.9, mbar=1.1, g=0.03
+        )
+        if not mirrored:
+            cfg = replace(cfg, kappa=(0.1,) * n_pairs + (0.25,) * n_pairs)
+        assert cfg.mirrored == mirrored
+        liou = build_effective_general(cfg)
+        want = superop_reference.effective_generator(cfg)
+        assert abs(liou.matrix - want).max() <= 1e-12 * liou.scale
 
     @pytest.mark.parametrize("basis", ["bare", "squeezed"])
     @pytest.mark.parametrize("field_only", [False, True], ids=["spins", "field"])

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import entrep.arrays
+import entrep.liouville
 import entrep.spins
 import entrep.validate
+from entrep.spins import FockSteadyState
 from entrep.validate import (
     SUITE_NAMES,
     CheckResult,
@@ -145,6 +147,50 @@ class TestSuitesPass:
         for cfg, result in results:
             assert result.check_mode in ("full", "field")
             assert 0.0 <= result.check_shift <= 1e-3 * max(1.0, cfg.nbar)
+
+
+class TestSpinSuitesSolveThroughTheFigureSweeps:
+    """The spin suites run the drive sweeps that write fig3b and fig3c."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        sweeps, splits = [], []
+        sweep, split = entrep.spins.steady_state_sweep, entrep.spins.drive_split
+
+        def sweep_spy(free, per_mbar, mbars):
+            sweeps.append(per_mbar is not None)
+            return sweep(free, per_mbar, mbars)
+
+        def split_spy(cfg):
+            splits.append(cfg)
+            return split(cfg)
+
+        def refuse(*args):
+            raise AssertionError("a one-point solve started")
+
+        def oracle(cfg, n_max, **options):
+            # a stand-in for the Fock oracle, whose own solves are one-point
+            return FockSteadyState(np.eye(4) / 4, np.eye(4), np.eye(4) / 4, "full", 0.0)
+
+        monkeypatch.setattr(entrep.spins, "steady_state_sweep", sweep_spy)
+        monkeypatch.setattr(entrep.spins, "drive_split", split_spy)
+        # steady_state_dm, under whichever name, solves through this one
+        monkeypatch.setattr(entrep.liouville, "steady_state_sweep", refuse)
+        monkeypatch.setattr(entrep.validate, "full_cavity_atom_oracle", oracle)
+        return sweeps, splits
+
+    def test_fixed_point_solves_each_case_as_a_sweep_point(self, routes):
+        sweeps, splits = routes
+        report = run_suite("fixed-point")
+        assert report.status == "passed"
+        assert sweeps == [True] * 6 and splits == []
+
+    def test_effective_vs_full_solves_both_drives_on_one_field_split(self, routes):
+        sweeps, splits = routes
+        report = run_suite("effective-vs-full")
+        names = [c.name for c in report.checks]
+        assert names == ["spin-trace-distance-mbar-1.2000", "spin-trace-distance-mbar-1.4142"]
+        assert sweeps == [True] and len(splits) == 1
 
 
 class TestFaultInjection:
