@@ -77,7 +77,8 @@ __all__ = [
     "run_experiment",
 ]
 
-_SQRT2 = math.sqrt(2.0)
+#: the pure drive at the reference occupation nbar = 1
+_SQRT2 = squeezing_bound(1.0)
 
 _BASE_COLUMNS = ("pair", "e_raw", "e_normalized", "e_reference")
 
@@ -207,24 +208,14 @@ def _point_fig2b(value, p, seed):
     return _gaussian_rows(_uniform_config(p, n_sites=value), value)
 
 
-#: the one cross-correlation rule fig2c applies; its manifest records it
-_FIG2C_MBAR_RULE = "sqrt(nbar*(nbar+1))"
-
-
 def _sweep_fig2c(p):
-    if p["mbar_rule"] != _FIG2C_MBAR_RULE:
-        raise ConfigInvalid(
-            f"fig2c applies mbar_rule = {_FIG2C_MBAR_RULE} only, got {p['mbar_rule']!r}"
-        )
     as_real("nbar_min", p["nbar_min"], 0.0)
     return _linear_grid(p, "nbar_min", "nbar_max", "grid_points")
 
 
 def _point_fig2c(value, p, seed):
     # The cross-correlation follows the occupation at its physical maximum.
-    return _gaussian_rows(
-        _uniform_config(p, nbar=value, mbar=squeezing_bound(value)), value
-    )
+    return _gaussian_rows(_uniform_config(p, nbar=value, mbar=squeezing_bound(value)), value)
 
 
 def _sweep_mbar(p):
@@ -364,7 +355,6 @@ _DEFINITIONS = (
             "nbar_min": 0.0,
             "nbar_max": 3.0,
             "grid_points": 25,
-            "mbar_rule": _FIG2C_MBAR_RULE,
         },
         sweep=_sweep_fig2c,
         evaluate=_pointwise(_point_fig2c),

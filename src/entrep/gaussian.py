@@ -23,7 +23,8 @@
   eigenvalue pairs with one stacked pass of unitary rotations, once per form.
 * **One path to a dataset cell.** :func:`logneg_from_nu` is the one map from a
   smallest symplectic eigenvalue nu to a negativity E, and refuses a nu with no
-  significant digits left; :func:`normalized_logneg` is the one E/(1+E).
+  significant digits left; :func:`pair_logneg` also refuses one with fewer than
+  six; :func:`normalized_logneg` is the one E/(1+E).
 * **Oracle.** :func:`solve_lyapunov` takes the drift and diffusion arrays of
   any real quadrature covariance flow and returns its read-only covariance
   array, and :func:`log_negativity_gaussian` and :func:`symplectic_eigenvalues`
@@ -482,8 +483,19 @@ def pair_logneg(n1, n2, m) -> np.ndarray:
     ``n1 + n2 + 1 - sqrt((n1 - n2)^2 + 4 |m|^2)`` (Serafini, Illuminati &
     De Siena, J. Phys. B 37, L21, 2004), the root taken by overflow-free
     ``hypot``; :func:`logneg_from_nu` turns it into the negativity, elementwise.
+
+    The difference cancels as the state nears purity: its rounding error is
+    bounded by ``eps (n1 + n2 + 1)``, where ``eps`` is the float spacing at 1.
+    A nu with fewer than six significant digits left, ``eps (n1 + n2 + 1) /
+    nu > 1e-6`` (the pure drive from about ``nbar = 2e4`` up), raises
+    NonPhysicalResult rather than giving a negativity with silently lost digits.
     """
-    return logneg_from_nu(n1 + n2 + 1.0 - np.hypot(n1 - n2, 2.0 * np.abs(m)))
+    total = n1 + n2 + 1.0
+    nu = total - np.hypot(n1 - n2, 2.0 * np.abs(m))
+    negativity = logneg_from_nu(nu)
+    what = "round-off leaves a symplectic eigenvalue fewer than six digits: eps (n1 + n2 + 1) / nu"
+    certify(np.finfo(float).eps * total / nu, 1e-6, NonPhysicalResult, what)
+    return negativity
 
 
 def normalized_logneg(value):

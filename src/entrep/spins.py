@@ -60,7 +60,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from math import prod, sqrt
+from math import hypot, prod, sqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -70,7 +70,7 @@ from .arrays import ArrayConfig, drive_split, gauged_drift, read_only
 from .errors import (
     ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged, as_integer, as_real, certify
 )
-from .gaussian import SchurForm, check_drive, schur_form, uncertainty_margin
+from .gaussian import SchurForm, check_drive, schur_form, squeezing_bound, uncertainty_margin
 from .liouville import (
     Liouvillian,
     gksl_superop,
@@ -622,17 +622,23 @@ def _squeezed_frame(nbar: float, mbar: float) -> tuple[float, float, float]:
     uncorrelated thermal reservoirs of occupation ``n_th`` seen through
     ``a_first = c * t_first - s * t_second^dag`` (and symmetrically), with
     ``nu = sqrt((2 nbar + 1)^2 - 4 mbar^2)``, ``n_th = (nu - 1) / 2`` and
-    ``cosh(2r) = (2 nbar + 1) / nu``.  The minus sign matches the drive
-    convention used throughout this package, which fixes the anomalous
-    cross moment to ``<a_first a_second> = -mbar``; consistency checks:
-    ``c s nu = mbar`` and ``c^2 n_th + s^2 (n_th + 1) = nbar``.
+    ``cosh(2r) = (2 nbar + 1) / nu``.  ``nu`` is read from the drive's
+    distance to its bound ``b = squeezing_bound(nbar)``, as ``nu = hypot(1,
+    2 sqrt((b - mbar) (b + mbar)))``, which neither cancels nor overflows:
+    the pure drive has ``nu = 1`` and ``n_th = 0`` exactly, and ``b - mbar``
+    is clamped at 0 inside :func:`~entrep.gaussian.check_drive`'s slack.
+    ``c`` and ``s`` come from ``cosh(2r) +- 1`` without cancelling.  The
+    minus sign matches the drive convention used throughout this package,
+    which fixes the anomalous cross moment to ``<a_first a_second> =
+    -mbar``; consistency checks: ``c s nu = mbar`` and ``c^2 n_th + s^2
+    (n_th + 1) = nbar``.
     """
-    nu = sqrt(max((2.0 * nbar + 1.0) ** 2 - 4.0 * mbar**2, 0.0))
+    bound = squeezing_bound(nbar)
+    root = sqrt(max(bound - mbar, 0.0)) * sqrt(bound + mbar)
+    nu = hypot(1.0, 2.0 * root)
     n_th = 0.5 * (nu - 1.0)
-    cosh_2r = (2.0 * nbar + 1.0) / nu
-    c = sqrt(0.5 * (cosh_2r + 1.0))
-    s = sqrt(0.5 * (cosh_2r - 1.0))
-    return n_th, c, s
+    total = 2.0 * nbar + 1.0 + nu
+    return n_th, sqrt(total / (2.0 * nu)), mbar * sqrt(2.0 / nu / total)
 
 
 def _stacked(lowering: list[sp.csr_matrix]) -> list[sp.csr_matrix]:

@@ -56,10 +56,20 @@ class TestDrivingEntanglement:
         values = [driving_entanglement(1.0, m) for m in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_normalized_approaches_unity_at_large_occupation(self):
-        nbar = 1e6
-        raw = driving_entanglement(nbar, squeezing_bound(nbar))
-        assert raw / (1.0 + raw) > 0.95
+    def test_normalized_approaches_unity_while_six_digits_last(self):
+        # at the bound the drive's nu = 2 nbar + 1 - 2 mbar cancels; its exact
+        # value is 1 / (2 nbar + 1 + 2 mbar), so E = log2(2 nbar + 1 + 2 mbar)
+        nbars = (1.0, 1e2, 1e4)
+        raws = [driving_entanglement(nbar, squeezing_bound(nbar)) for nbar in nbars]
+        normalized = [raw / (1.0 + raw) for raw in raws]
+        assert all(b > a for a, b in zip(normalized, normalized[1:]))
+        assert normalized[-1] > 0.93
+        for nbar, raw in zip(nbars, raws):
+            exact = math.log2(2.0 * nbar + 1.0 + 2.0 * squeezing_bound(nbar))
+            assert abs(raw - exact) <= 1e-6 * exact
+        # at nbar = 1e6 nu keeps about three digits: refused, not returned
+        with pytest.raises(NonPhysicalResult, match="fewer than six digits"):
+            driving_entanglement(1e6, squeezing_bound(1e6))
 
     def test_rejects_oversqueezed(self):
         with pytest.raises(OverSqueezed):

@@ -251,6 +251,27 @@ class TestRun:
         assert "NonPhysicalResult" in stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_fig2c_refuses_a_drive_left_with_fewer_than_six_digits(self, tmp_path, capsys):
+        # at the pure drive 2 nbar + 1 - 2 mbar keeps about 1.8e-7 relative
+        # round-off at nbar = 1e4 and 1.8e-3 at 1e6, where three digits are left
+        out = tmp_path / "fig2c.csv"
+        code, _, _ = run_cli(
+            capsys, "run", "--experiment", "fig2c", "--set", "nbar_max=1e4",
+            "--set", "grid_points=2", "--out", str(out),
+        )
+        assert code == 0
+        cells = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.isfinite(cells).all() and cells[-1, 4] > 15.0
+        out.unlink()
+        out.with_suffix(".manifest").unlink()
+        code, stdout, stderr = run_cli(
+            capsys, "run", "--experiment", "fig2c", "--set", "nbar_max=1e6",
+            "--set", "grid_points=2", "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert "NonPhysicalResult" in stderr and "fewer than six digits" in stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_huge_occupation_writes_finite_cells(self, tmp_path, capsys):
         # disorder makes the arrays' occupations differ by about 1e184 at
         # nbar = 1e300, whose square overflows; the negativity there is 0

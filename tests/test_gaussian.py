@@ -36,6 +36,7 @@ from entrep.gaussian import (
     log_negativity_gaussian,
     logneg_from_nu,
     normalized_logneg,
+    pair_logneg,
     schur_form,
     solve_lyapunov,
     solve_rank_one_sylvester,
@@ -272,6 +273,15 @@ class TestLogNegativity:
             logneg_from_nu(nu)
         with pytest.raises(NonPhysicalResult):
             logneg_from_nu(np.array([1.5, 0.3, nu]))
+
+    def test_the_pair_rule_refuses_a_nu_with_fewer_than_six_digits(self):
+        # at the pure drive eps (2 nbar + 1) / nu is 1.8e-7 at nbar = 1e4, where
+        # six digits are left, and 1.8e-3 at nbar = 1e6, where three are
+        assert pair_logneg(1e4, 1e4, squeezing_bound(1e4)) > 15.0
+        nbar = np.array([1.0, 1e6])
+        mbar = np.array([1.2, squeezing_bound(1e6)])
+        with pytest.raises(NonPhysicalResult, match=r"six digits.*\(slice 1\) = 0\.00177.*1e-06$"):
+            pair_logneg(nbar, nbar, mbar)
 
 
 class TestCheckDrive:

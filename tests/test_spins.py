@@ -26,17 +26,20 @@ from entrep.cli import main
 from entrep.errors import (
     ROUNDOFF_RTOL,
     ConfigInvalid,
+    DegenerateSteadyState,
     DimensionBudgetExceeded,
     NotHurwitz,
     OverSqueezed,
     TruncationUnconverged,
 )
+from entrep.gaussian import squeezing_bound
 from entrep.liouville import (
     Liouvillian,
     fidelity_pure,
     logneg_qubits,
     reduced_pair_dm,
     steady_state_dm,
+    vec,
 )
 from entrep.spins import (
     _array_charge,
@@ -280,6 +283,76 @@ class TestSpinBudget:
         assert code == 2
         assert "block side 184,756" in capsys.readouterr().err
         assert not out.exists()
+
+
+def pure_state_residual(n_pairs: int, nbar: float, mbar: float) -> tuple[float, float]:
+    """``||L(psi psi^H)||_F`` of the XX generator at ``psi = replicated_state(nbar, n_pairs)``.
+
+    Also returns the generator's largest GKSL coefficient, the scale of the
+    residual.  With ``H = sum h_jk o_j o_k`` and ``K = sum e_jk o_k o_j``,
+    ``L(psi psi^H) = (-i H - K) psi psi^H + psi (-i H^H psi - K^H psi)^H +
+    sum_jk 2 e_jk (o_j psi) (o_k^H psi)^H``: a sum of outer products ``x_r
+    y_r^H`` built from operator-vector products alone, with no
+    superoperator.  With thin QRs ``X = Q_x R_x`` and ``Y = Q_y R_y`` of the
+    stacked columns, ``||X Y^H||_F = ||R_x R_y^H||_F``; a Gram sum ``tr(X^H
+    X Y^H Y)`` would square the cancellation and read round-off's square root.
+    """
+    _, h, e, per_mbar = entrep.spins._xx_coefficients(n_pairs, 1.0, 1.0, nbar)
+    e = e + mbar * per_mbar
+    ops = entrep.spins._stacked_spin_ops(n_pairs)
+    adjoints = [op.conj().T.tocsr() for op in ops]
+    psi = replicated_state(nbar, n_pairs).astype(complex)
+    on_psi = [op @ psi for op in ops]
+    adjoint_on_psi = [op @ psi for op in adjoints]
+    # -i H psi - K psi and -i H^H psi - K^H psi
+    x_0, y_0 = np.zeros_like(psi), np.zeros_like(psi)
+    for j, k in zip(*np.nonzero(h)):
+        x_0 -= 1j * h[j, k] * (ops[j] @ on_psi[k])
+        y_0 -= 1j * np.conj(h[j, k]) * (adjoints[k] @ adjoint_on_psi[j])
+    jumps = list(zip(*np.nonzero(e)))
+    for j, k in jumps:
+        x_0 -= e[j, k] * (ops[k] @ on_psi[j])
+        y_0 -= np.conj(e[j, k]) * (adjoints[j] @ adjoint_on_psi[k])
+    xs = [x_0, psi] + [2.0 * e[j, k] * on_psi[j] for j, k in jumps]
+    ys = [psi, y_0] + [adjoint_on_psi[k] for j, k in jumps]
+    r_x = np.linalg.qr(np.column_stack(xs), mode="r")
+    r_y = np.linalg.qr(np.column_stack(ys), mode="r")
+    scale = max(np.abs(h).max(), np.abs(e).max())
+    return float(np.linalg.norm(r_x @ r_y.conj().T)), float(scale)
+
+
+class TestReplicatedStateBeyondTheSolveBudget:
+    """The replicated state is a fixed point of the XX generator at 5-8 pairs.
+
+    The residual needs only products of operators with the 4^n-long state,
+    so it reaches sizes that no factorization fits.  It certifies
+    stationarity, not uniqueness: that the pure drive has no other steady
+    state is certified only by the steady-state solve, up to 4 pairs.
+    """
+
+    @pytest.fixture
+    def no_pair_cap(self, monkeypatch):
+        monkeypatch.setattr(entrep.spins, "check_size", lambda dims, budget=None: None)
+
+    @pytest.mark.parametrize("n_pairs", [5, 6, 7, 8])
+    def test_the_pure_drive_leaves_it_stationary(self, no_pair_cap, n_pairs):
+        for nbar in (0.5, 1.0):
+            residual, scale = pure_state_residual(n_pairs, nbar, squeezing_bound(nbar))
+            assert residual <= 1e-13 * scale
+        # below the pure drive the same state is far from stationary
+        residual, scale = pure_state_residual(n_pairs, 1.0, 1.2)
+        assert residual >= 1e-2 * scale
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3])
+    @pytest.mark.parametrize("nbar, mbar", [(0.5, None), (1.0, None), (1.0, 1.2)])
+    def test_it_matches_the_superoperator_residual(self, n_pairs, nbar, mbar):
+        mbar = squeezing_bound(nbar) if mbar is None else mbar
+        residual, scale = pure_state_residual(n_pairs, nbar, mbar)
+        liou = build_xx_liouvillian(n_pairs, 1.0, 1.0, nbar, mbar)
+        psi = replicated_state(nbar, n_pairs)
+        want = np.linalg.norm(liou.matrix @ vec(np.outer(psi, psi.conj())))
+        assert abs(residual - want) <= 1e-13 * liou.scale
+        assert scale <= liou.scale
 
 
 def kron_lowering_ops(dims: tuple[int, ...]) -> list[sp.csr_matrix]:
@@ -948,6 +1021,35 @@ class TestSqueezedBasisOracle:
         assert c**2 - s**2 == pytest.approx(1.0, abs=1e-12)
         assert c * s * nu == pytest.approx(mbar, abs=1e-12)
         assert c**2 * n_th + s**2 * (n_th + 1.0) == pytest.approx(nbar, abs=1e-12)
+
+    @pytest.mark.parametrize("nbar, mbar", [(1.0, 1.2), (0.5, 0.3), (3.0, 2.0), (0.7, 0.0)])
+    def test_frame_identities_hold_to_round_off(self, nbar, mbar):
+        n_th, c, s = _squeezed_frame(nbar, mbar)
+        nu = 2.0 * n_th + 1.0
+        assert abs(c * s * nu - mbar) <= 1e-15
+        assert abs(c**2 * n_th + s**2 * (n_th + 1.0) - nbar) <= 1e-15
+        assert abs(c**2 - s**2 - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("nbar", [0.5, 1.0, 1e3, 1e8, 1e300])
+    def test_the_pure_drive_has_exactly_zero_frame_occupation(self, nbar):
+        # nu was sqrt((2 nbar + 1)^2 - 4 mbar^2): at the bound it cancelled
+        # to a negative occupation (-4.4e-16 at nbar = 1), to 0 and a division
+        # by zero from nbar = 1e8 up, and overflowed from about 1e154
+        mbar = squeezing_bound(nbar)
+        n_th, c, s = _squeezed_frame(nbar, mbar)
+        assert n_th == 0.0
+        assert c * s == pytest.approx(mbar, rel=1e-15)
+        assert s**2 == pytest.approx(nbar, rel=1e-15)
+
+    def test_a_huge_pure_drive_is_certified_or_refused(self):
+        cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1e8, mbar=squeezing_bound(1e8))
+        result = full_cavity_atom_oracle(cfg, 2, basis="squeezed")
+        assert result.check_shift == 0.0
+        exact = steady_state(cfg).stacked()
+        assert np.abs(result.moments - exact).max() <= 1e-15 * np.abs(exact).max()
+        # with spins the generator's kernel is too ill-conditioned to certify
+        with pytest.raises(DegenerateSteadyState):
+            full_cavity_atom_oracle(replace(cfg, g=(0.01,)), 2, basis="squeezed")
 
     def test_basis_validation(self):
         cfg = ArrayConfig.homogeneous(1, zeta=1.0, nbar=1.0, mbar=1.2)

@@ -128,6 +128,9 @@ class TestSuitesPass:
         report = run_suite("effective-vs-full")
         assert report.status == "passed"
         assert all(c.value <= 1e-2 for c in report.checks)
+        # the recheck compares field moments: the spin state is not certified
+        phrase = "only the field moments certify that cutoff, not the spin state"
+        assert all(phrase in c.detail for c in report.checks)
 
     def test_every_oracle_result_passes_its_certificate(self, monkeypatch):
         results = []
