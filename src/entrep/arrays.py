@@ -32,8 +32,9 @@ They are real in the gauge as well: ``N_i = P n_i P^*`` and ``M = P^* m
 P^*`` with ``G_i n_i + n_i G_i^T = -2 zeta nbar e0 e0^T`` and ``G_1 m + m
 G_2^T = 2 zeta mbar e0 e0^T``.  :func:`steady_state` solves both on one real
 Schur form (LAPACK ``dgees``, :func:`entrep.gaussian.schur_form`) per
-distinct array drift, and takes their uncertainty margin, in real
-arithmetic; :attr:`SteadyMoments.forms` carries both arrays' forms on to
+distinct array drift, and certifies them physical
+(:func:`entrep.gaussian.require_physical`), in real arithmetic;
+:attr:`SteadyMoments.forms` carries both arrays' forms on to
 every later resolvent, kernel and decay rate.  The solve runs on stacks of
 independent problems of one size: :func:`disorder_sweep` puts both arrays'
 drift blocks of every bond draw of a disorder level into one ``(2S, N, N)``
@@ -53,6 +54,7 @@ field's value exactly, for any chain length.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +66,7 @@ from .gaussian import (
     check_drive,
     normalized_logneg,
     pair_logneg,
+    require_physical,
     schur_form,
     solve_rank_one_sylvester,
     uncertainty_margin,
@@ -205,16 +208,16 @@ class SteadyMoments:
     """The non-zero steady second moments, sites 0-based within each array.
 
     ``n1[j, k] = <a_j^dag a_k>`` in array one, ``n2`` the same in array
-    two, ``m[j, k] = <a_j a_{N+k}>`` across them; ``uncertainty_margin`` is
-    :func:`entrep.gaussian.uncertainty_margin` of the three, and ``forms`` the
-    Schur forms of the blocks of :func:`gauged_drift` they were solved from
+    two, ``m[j, k] = <a_j a_{N+k}>`` across them, and ``forms`` the Schur
+    forms of the blocks of :func:`gauged_drift` they were solved from
     (``forms.gauged``), array two's a copy of array one's when they are equal.
+    :func:`steady_state` certifies the moments physical before it returns
+    them; their :attr:`uncertainty_margin` is taken only when it is read.
     """
 
     n1: np.ndarray
     n2: np.ndarray
     m: np.ndarray
-    uncertainty_margin: float
     forms: SchurForm
 
     def __post_init__(self) -> None:
@@ -233,6 +236,15 @@ class SteadyMoments:
         pairs = np.block([[zero, self.m], [self.m.T, zero]])
         normal = np.block([[self.n1, zero], [zero, self.n2]])
         return np.block([[pairs, np.eye(len(normal)) + normal.T], [normal, pairs.conj()]])
+
+    @cached_property
+    def uncertainty_margin(self) -> float:
+        """:func:`entrep.gaussian.uncertainty_margin` of the stored moments, taken when first read.
+
+        Moments that :func:`steady_state` returned have passed the same
+        bound, so only a state built by hand can raise NonPhysicalResult here.
+        """
+        return float(uncertainty_margin(self.n1, self.n2, self.m))
 
 
 def read_only(values, dtype=float) -> np.ndarray:
@@ -268,8 +280,9 @@ class EntanglementProfile:
 
 
 #: Most entries in one stacked array of a disorder solve: a level is solved
-#: in chunks of samples whose largest stack, the real ``(S, 2N, 2N)``
-#: uncertainty blocks, stays below this (8 MiB), so peak memory does not
+#: in chunks of samples whose largest stacks, the real ``(S, 2N, 2N)``
+#: uncertainty blocks (two when the arrays differ) and the Cholesky factors
+#: of one of them, stay below this (8 MiB each), so peak memory does not
 #: grow with the number of samples.
 _STACK_ENTRIES = 2**20
 
@@ -311,11 +324,12 @@ def gauged_drift(cfg: ArrayConfig) -> np.ndarray:
 
 
 def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray) -> tuple:
-    """Steady ``(n1, n2, m, margin, forms)`` of ``cfg`` for every row of ``bonds`` as its ``eta``.
+    """Steady ``(n1, n2, m, forms)`` of ``cfg`` for every row of ``bonds`` as its ``eta``.
 
     One solve on stacks: ``n1``, ``n2`` and ``m`` are the real ``(S, N, N)``
-    moments in the chain gauge (``N_i = P n_i P^*``, ``M = P^* m P^*``) and
-    ``margin`` holds one uncertainty margin per sample, taken on them.  Both
+    moments in the chain gauge (``N_i = P n_i P^*``, ``M = P^* m P^*``),
+    certified physical sample by sample
+    (:func:`entrep.gaussian.require_physical`).  Both
     arrays' drifts form one ``(2S, N, N)`` stack, so one Schur call and one
     Sylvester call serve both arrays' occupations; a refused slice ``S + s``
     is sample s of array two.  When array two's drifts equal array one's,
@@ -334,7 +348,8 @@ def _stacked_moments(cfg: ArrayConfig, bonds: np.ndarray) -> tuple:
         forms = forms[np.tile(np.arange(samples), 2)]
     m = solve_rank_one_sylvester(forms[:samples], forms[samples:], pair_source)
     n1, n2 = normal[:samples], normal[-samples:]
-    return n1, n2, m, uncertainty_margin(n1, n2, m, mirrored=mirrored), forms
+    require_physical(n1, n2, m, mirrored=mirrored)
+    return n1, n2, m, forms
 
 
 def _pair_lognegs(n1: np.ndarray, n2: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -359,10 +374,10 @@ def steady_state(cfg: ArrayConfig) -> SteadyMoments:
     kappa = 0), NoConvergence on a failed or inaccurate solve, and
     NonPhysicalResult when the moments violate the uncertainty relation.
     """
-    n1, n2, m, margin, forms = _stacked_moments(cfg, np.array([cfg.eta]))
+    n1, n2, m, forms = _stacked_moments(cfg, np.array([cfg.eta]))
     phases = chain_phases(cfg.n_sites)
     n1, n2 = phases[:, None] * np.concatenate((n1, n2)) * phases.conj()
-    return SteadyMoments(n1, n2, _cross_moments(m[0]), float(margin[0]), forms)
+    return SteadyMoments(n1, n2, _cross_moments(m[0]), forms)
 
 
 def drive_split(cfg: ArrayConfig) -> tuple[SteadyMoments, np.ndarray]:

@@ -3,13 +3,15 @@
 * **Runtime.** :func:`schur_form` and :func:`solve_rank_one_sylvester` solve the
   arrays' N x N ladder-moment equations in real arithmetic (Bartels & Stewart,
   Comm. ACM 15, 820, 1972), :meth:`SchurForm.solve` gives the output resolvents
-  and spin kernels on the same forms, :func:`uncertainty_margin` certifies the
-  moments and :func:`pair_logneg` gives the negativity of every steady and
-  output pair, and of the drive itself, from its occupations and cross-moment.
-  The three solvers take stacks ``(S, N, N)`` of S independent problems of one
-  size (a single problem is a stack of one): only the Schur factorization and
-  the quasi-triangular Sylvester solve run once per slice, while the
-  back-transform, the residual and margin certificates run once per stack.
+  and spin kernels on the same forms, :func:`require_physical` certifies the
+  moments by stacked Cholesky factorizations, :func:`uncertainty_margin`
+  gives their margin where it is read, and :func:`pair_logneg` gives the
+  negativity of every steady and output pair, and of the drive itself, from
+  its occupations and cross-moment.  The three solvers take stacks ``(S, N,
+  N)`` of S independent problems of one size (a single problem is a stack of
+  one): only the Schur factorization and the quasi-triangular Sylvester solve
+  run once per slice, while the back-transform, the residual and physicality
+  certificates run once per stack.
   Every certificate is compared with its bound by :func:`~entrep.errors.certify`,
   whose refusal names the first slice that failed, its value and the bound.
 * **Real gauge.** An open chain is bipartite, so ``a_j -> i^j a_j`` makes
@@ -77,6 +79,7 @@ __all__ = [
     "logneg_from_nu",
     "normalized_logneg",
     "pair_logneg",
+    "require_physical",
     "schur_form",
     "solve_lyapunov",
     "solve_rank_one_sylvester",
@@ -391,37 +394,86 @@ def solve_rank_one_sylvester(a: SchurForm, b: SchurForm, source: float) -> np.nd
     return x
 
 
+def _uncertainty_blocks(n1, n2, m, mirrored: bool) -> np.ndarray:
+    """The blocks ``<xi xi^dag>`` of :func:`uncertainty_margin`, stacked on a new first axis.
+
+    The first is ``[[I + n1^T, m], [m^H, n2]]`` and the second, left out when
+    ``mirrored``, the same with the groups exchanged.  Each is written once,
+    into one new array.
+    """
+    size = m.shape[-1]
+    groups = [(n1, n2, m)] if mirrored else [(n1, n2, m), (n2, n1, m.swapaxes(-1, -2))]
+    shape = (len(groups), *m.shape[:-2], 2 * size, 2 * size)
+    blocks = np.empty(shape, dtype=np.result_type(n1, n2, m, float))
+    for block, (first, second, cross) in zip(blocks, groups):
+        block[..., :size, :size] = first.swapaxes(-1, -2)
+        block[..., :size, size:] = cross
+        block[..., size:, :size] = cross.swapaxes(-1, -2).conj()
+        block[..., size:, size:] = second
+    diagonal = np.arange(size)
+    blocks[..., diagonal, diagonal] += 1.0
+    return blocks
+
+
 def uncertainty_margin(
     n1: np.ndarray, n2: np.ndarray, m: np.ndarray, *, mirrored: bool = False
 ) -> np.ndarray:
-    """Physicality certificate of each slice of ``(S, N, N)`` two-group moments.
+    """Physicality margin of each slice of ``(S, N, N)`` two-group moments.
 
     For a zero-mean state whose only non-zero second moments are
     ``n1 = <a^dag a>`` within group one, ``n2`` within group two and
     ``m = <a^(1) a^(2)>`` across them, ``sigma + i Omega >= 0`` splits into
     ``<xi xi^dag> >= 0`` for ``xi = (a^(1), a^(2)dag)`` and for ``(a^(2),
-    a^(1)dag)``.  Returns the smallest eigenvalue of those two blocks: it is
-    >= 0 exactly when every symplectic eigenvalue is >= 1, and tends to
-    ``(nu_min - 1) / 2`` there.  Below ``-1e-6 / 2`` (the covariance route's
-    ``nu_min < 1 - 1e-6``) it raises NonPhysicalResult.
+    a^(1)dag)``.  Returns the smallest eigenvalue of those two blocks, from
+    one ``eigvalsh`` call: it is >= 0 exactly when every symplectic
+    eigenvalue is >= 1, and tends to ``(nu_min - 1) / 2`` there.  Below
+    ``-1e-6 / 2`` (the covariance route's ``nu_min < 1 - 1e-6``) it raises
+    NonPhysicalResult; a block with a NaN or infinite entry has margin NaN
+    and is refused too.
 
     ``mirrored`` states that the groups are mirror images (``n1 = n2``
     and ``m = m^T``), so that the second block equals the first and only
     the first is diagonalized.  Returns one margin per slice; a refusal
     names the first failing slice.  The chain gauge's ``n_i -> P^* n_i P``,
     ``m -> P m P`` changes each block by the unitary similarity ``diag(P,
-    P^*)`` and the margin not at all, so the gauged real moments of the
-    arrays take a real eigensolve.
+    P^*)`` and the margin not at all.  :func:`require_physical` gives the
+    same verdict without the eigensolve wherever the value is not read.
     """
-    eye = np.eye(m.shape[-1])
-    m_t = m.swapaxes(-1, -2)
-    first = np.block([[eye + n1.swapaxes(-1, -2), m], [m_t.conj(), n2]])
-    lowest = np.linalg.eigvalsh(first)[..., 0]
-    if not mirrored:
-        second = np.block([[eye + n2.swapaxes(-1, -2), m_t], [m.conj(), n1]])
-        lowest = np.minimum(lowest, np.linalg.eigvalsh(second)[..., 0])
+    blocks = _uncertainty_blocks(n1, n2, m, mirrored)
+    # LAPACK does not converge on a non-finite block: solve a zero one in its place
+    finite = np.isfinite(blocks).all(axis=(-2, -1))
+    blocks[~finite] = 0.0
+    lowest = np.linalg.eigvalsh(blocks)[..., 0]
+    lowest[~finite] = np.nan
     what = "moments are unphysical: uncertainty relation violated"
-    return -certify(-lowest, 0.5 * _PHYSICALITY_TOL, NonPhysicalResult, what)
+    return -certify(-lowest.min(axis=0), 0.5 * _PHYSICALITY_TOL, NonPhysicalResult, what)
+
+
+def require_physical(
+    n1: np.ndarray, n2: np.ndarray, m: np.ndarray, *, mirrored: bool = False
+) -> None:
+    """Refuse unphysical two-group moments as :func:`uncertainty_margin` does, without its value.
+
+    Each block's stack, shifted in place by the bound ``1e-6 / 2``, goes
+    through one stacked Cholesky factorization.  The moments are admitted
+    when every factor is finite: then each shifted block is
+    positive definite up to round-off, so no margin is below the bound by
+    more than round-off of the blocks' scale (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 10).  Otherwise
+    :func:`uncertainty_margin` decides, and alone raises, so a refusal and
+    its message are the margin's.  A NaN or infinite moment never passes:
+    it leaves a factor that is not finite, or fails the factorization.
+    """
+    blocks = _uncertainty_blocks(n1, n2, m, mirrored)
+    diagonal = np.arange(blocks.shape[-1])
+    blocks[..., diagonal, diagonal] += 0.5 * _PHYSICALITY_TOL
+    try:
+        # one block's stack at a time, so that one stack of factors is held
+        if all(np.isfinite(np.linalg.cholesky(block)).all() for block in blocks):
+            return
+    except np.linalg.LinAlgError:
+        pass
+    uncertainty_margin(n1, n2, m, mirrored=mirrored)
 
 
 def symplectic_eigenvalues(sigma) -> np.ndarray:

@@ -70,7 +70,7 @@ from .arrays import ArrayConfig, drive_split, gauged_drift, read_only
 from .errors import (
     ConfigInvalid, DimensionBudgetExceeded, TruncationUnconverged, as_integer, as_real, certify
 )
-from .gaussian import SchurForm, check_drive, schur_form, squeezing_bound, uncertainty_margin
+from .gaussian import SchurForm, check_drive, require_physical, schur_form, squeezing_bound
 from .liouville import (
     Liouvillian,
     gksl_superop,
@@ -419,7 +419,7 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     every block of the exact drift ``M = diag(L_1, L_2, conj L_1, conj
     L_2)``, and the stacked moments ``A0`` at ``cfg.mbar`` are its moments
     plus ``cfg.mbar`` times those per unit ``mbar``, certified physical
-    (:func:`entrep.gaussian.uncertainty_margin`) as a sweep point is.  The
+    (:func:`entrep.gaussian.require_physical`) as a sweep point is.  The
     memory kernels follow by integrating the field correlations, ``kernel
     = g^2 M^{-1} A0`` and ``kernel_reversed = g^2 M^{-1} A0^T``; ``kernel``
     and its reversed partner's transpose are the one-sided coefficients of
@@ -430,7 +430,7 @@ def build_effective_general(cfg: ArrayConfig) -> Liouvillian:
     :func:`effective_drive_sweep` solves a sweep of it.
     """
     n_pairs, g, free, cross, per_mbar = _effective_split(cfg)
-    uncertainty_margin(free.n1, free.n2, cfg.mbar * cross)
+    require_physical(free.n1, free.n2, cfg.mbar * cross)
     kernels = _memory_kernels(free.forms, g, free.stacked() + cfg.mbar * per_mbar)
     # drho = sum_jk [T_jk s_j s_k rho + (Tbar^T)_jk rho s_j s_k
     #                - (T^T + Tbar)_jk s_j rho s_k]
@@ -449,7 +449,7 @@ def effective_drive_sweep(cfg: ArrayConfig, mbars) -> Iterator[np.ndarray]:
     solves the points in order.  The timescale-separation ratio does not
     depend on ``mbar`` and is checked once.  Each ``mbar`` is refused as
     the config refuses it, and its field moments are certified physical
-    (:func:`entrep.gaussian.uncertainty_margin`), when its state is asked
+    (:func:`entrep.gaussian.require_physical`), when its state is asked
     for.  Each state is that of the builder's generator up to round-off.
     """
     n_pairs, g, free, cross, per_mbar = _effective_split(cfg)
@@ -461,7 +461,7 @@ def effective_drive_sweep(cfg: ArrayConfig, mbars) -> Iterator[np.ndarray]:
     def checked():
         for mbar in mbars:
             mbar = check_drive(cfg.nbar, mbar)[1]
-            uncertainty_margin(free.n1, free.n2, mbar * cross)
+            require_physical(free.n1, free.n2, mbar * cross)
             yield mbar
 
     # each part is passed unnamed, so that only its wrapped copy outlives the wrap

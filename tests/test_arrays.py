@@ -416,6 +416,66 @@ class TestMirroredMargin:
         assert margin == pytest.approx(lowest[0], abs=tol)
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so that each call is appended to the returned list."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPhysicalityCertificate:
+    """The solve certifies its moments by Cholesky; the margin's eigenvalue is taken when read."""
+
+    @pytest.mark.parametrize("mbar", [1.2, squeezing_bound(1.0)])
+    def test_an_admitted_steady_state_and_disorder_level_take_no_eigensolve(
+        self, monkeypatch, mbar
+    ):
+        # at the pure drive the lossless pairs sit on the bound (margin 0), so
+        # only the shift by the bound lets their blocks factor
+        eigensolves = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        factorizations = count_calls(monkeypatch, np.linalg, "cholesky")
+        steady_state(ArrayConfig.homogeneous(5, nbar=1.0, mbar=mbar))
+        steady_state(end_driven_config(5, 0.3, nbar=1.0, mbar=mbar))
+        # the arrays are mirror images, so one block is factored
+        assert (len(eigensolves), len(factorizations)) == (0, 2)
+        cfg = ArrayConfig.homogeneous(4, kappa=0.1, nbar=1.0, mbar=mbar)
+        disorder_sweep(DisorderSpec(base=cfg, delta_xi=0.4, samples=6, seed=3))
+        # the disordered arrays differ: each of two blocks is factored over the level's stack
+        assert (len(eigensolves), len(factorizations)) == (0, 4)
+
+    def test_reading_the_margin_takes_one_eigensolve(self, monkeypatch):
+        moments = steady_state(end_driven_config(3, 0.3, nbar=1.0, mbar=1.2))
+        eigensolves = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        margins = count_calls(monkeypatch, entrep.arrays, "uncertainty_margin")
+        first = moments.uncertainty_margin
+        assert moments.uncertainty_margin == first > 0.0
+        assert (len(eigensolves), len(margins)) == (1, 1)
+        # the value is that of the moments as the solve held them, in the gauge
+        n1, n2, m = (x[None] for x in (moments.n1, moments.n2, moments.m))
+        assert first == pytest.approx(uncertainty_margin(n1, n2, m)[0], abs=1e-14)
+
+    def test_an_unphysical_state_is_refused_as_the_margin_refuses_it(self, monkeypatch):
+        # the moments are built physical, then oversqueezed on slice 1 of the level
+        cfg = ArrayConfig.homogeneous(3, kappa=0.1, nbar=1.0, mbar=1.2)
+        solve = entrep.arrays.solve_rank_one_sylvester
+
+        def oversqueezed(a, b, source):
+            x = solve(a, b, source)
+            if source > 0.0:
+                x[1] *= 3.0
+            return x
+
+        monkeypatch.setattr(entrep.arrays, "solve_rank_one_sylvester", oversqueezed)
+        spec = DisorderSpec(base=cfg, delta_xi=0.4, samples=3, seed=3)
+        with pytest.raises(NonPhysicalResult, match=r"violated \(slice 1\) = "):
+            disorder_sweep(spec)
+
+
 class TestEntanglementProfile:
     def test_lossless_profile_equals_drive_reference(self):
         cfg = ArrayConfig.homogeneous(4, eta=1.0, kappa=0.0, zeta=1.0, nbar=1.0, mbar=math.sqrt(2.0))

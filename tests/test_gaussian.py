@@ -37,6 +37,7 @@ from entrep.gaussian import (
     logneg_from_nu,
     normalized_logneg,
     pair_logneg,
+    require_physical,
     schur_form,
     solve_lyapunov,
     solve_rank_one_sylvester,
@@ -569,8 +570,13 @@ class TestStackedCore:
     def test_oversqueezed_slice_is_named(self):
         n = np.ones((3, 1, 1))
         m = np.array([[[1.0]], [[math.sqrt(2.0)]], [[1.5]]])
-        with pytest.raises(NonPhysicalResult, match=r"violated \(slice 2\)"):
-            uncertainty_margin(n, n, m)
+        text = "moments are unphysical: uncertainty relation violated (slice 2) = 0.0811388, not <= 5e-07"
+        # the Cholesky certificate leaves the refusal, and its words, to the margin
+        for check in (uncertainty_margin, require_physical):
+            for mirrored in (False, True):
+                with pytest.raises(NonPhysicalResult) as refused:
+                    check(n, n, m, mirrored=mirrored)
+                assert str(refused.value) == text
 
 
 def long_structure_stack(kind: str, n: int) -> np.ndarray:
@@ -697,6 +703,117 @@ class TestUncertaintyMargin:
         n = np.array([[[1.0]]])
         with pytest.raises(NonPhysicalResult):
             uncertainty_margin(n, n, np.array([[[1.5]]]))
+
+
+def lowest_block_eigenvalue(n1, n2, m) -> np.ndarray:
+    """Smallest eigenvalue of both uncertainty blocks of each slice, each block built whole."""
+    eye = np.eye(m.shape[-1])
+    lowest = []
+    for one, two, cross in ((n1, n2, m), (n2, n1, m.swapaxes(-1, -2))):
+        for k in range(len(m)):
+            block = np.block([[eye + one[k].T, cross[k]], [cross[k].conj().T, two[k]]])
+            lowest.append(np.linalg.eigvalsh(block)[0])
+    return np.array(lowest).reshape(2, len(m)).min(axis=0)
+
+
+def admits(check, *moments, **kwargs) -> bool:
+    """True when ``check`` passes the moments, False when it refuses them as unphysical."""
+    try:
+        check(*moments, **kwargs)
+    except NonPhysicalResult:
+        return False
+    return True
+
+
+def random_moments(seed: int, slices: int, n: int, *, mirrored: bool, reach: float = 3.0) -> tuple:
+    """Complex Hermitian occupations and cross moments, the latter scaled up to ``reach``.
+
+    The cross moments grow with the slice index, so at the default reach a
+    stack passes from physical into oversqueezed part of the way along.
+    """
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        a = rng.normal(size=(slices, n, n)) + 1j * rng.normal(size=(slices, n, n))
+        return 0.3 * a @ a.conj().swapaxes(-1, -2) + 0.2 * np.eye(n)
+
+    n1 = hermitian()
+    n2 = n1 if mirrored else hermitian()
+    m = rng.normal(size=(slices, n, n)) + 1j * rng.normal(size=(slices, n, n))
+    if mirrored:
+        m = 0.5 * (m + m.swapaxes(-1, -2))
+    return n1, n2, np.linspace(0.05, reach, slices)[:, None, None] * m
+
+
+def agreement_band(*moments) -> float:
+    """The only band around the bound -5e-7 in which the Cholesky certificate and the margin may disagree.
+
+    It is round-off relative to the blocks' scale: the backward errors of
+    Cholesky and of ``eigvalsh`` (Higham 2002, ch. 10).
+    """
+    return 64 * np.finfo(float).eps * max(1.0, *(np.abs(x).max() for x in moments))
+
+
+class TestRequirePhysical:
+    """The Cholesky certificate against the eigenvalue rule it stands in for."""
+
+    @pytest.mark.parametrize("mirrored", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_it_reaches_the_margins_verdict_on_random_stacks(self, seed, mirrored):
+        n1, n2, m = random_moments(seed, 12, 4, mirrored=mirrored)
+        lowest = lowest_block_eigenvalue(n1, n2, m)
+        verdicts = []
+        for k in range(len(m)):
+            one = (n1[k : k + 1], n2[k : k + 1], m[k : k + 1])
+            verdict = admits(require_physical, *one, mirrored=mirrored)
+            if abs(lowest[k] + 5e-7) > agreement_band(*one):
+                assert verdict == admits(uncertainty_margin, *one, mirrored=mirrored)
+            verdicts.append(verdict)
+        # the stacks straddle the bound, so both verdicts are seen
+        assert any(verdicts) and not all(verdicts)
+        assert admits(require_physical, n1, n2, m) == all(verdicts)
+        assert admits(require_physical, n1[:2], n2[:2], m[:2]) == all(verdicts[:2])
+
+    @pytest.mark.parametrize("mirrored", [True, False])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_it_agrees_with_the_margin_at_the_bound(self, factor, mirrored):
+        # adding c to both groups' occupations adds c to every block, so the
+        # middle slice is moved to a lowest eigenvalue of -5e-7 * factor
+        n1, n2, m = random_moments(7, 3, 4, mirrored=mirrored, reach=0.1)
+        target = -0.5e-6 * factor
+        shift = target - lowest_block_eigenvalue(n1, n2, m)[1]
+        bump = shift * np.eye(4) * (np.arange(3) == 1)[:, None, None]
+        n1, n2 = n1 + bump, n2 + bump
+        placed = lowest_block_eigenvalue(n1, n2, m)
+        assert abs(placed[1] - target) <= agreement_band(n1, n2, m)
+        assert min(placed[0], placed[2]) > 1e-3
+        admitted = factor < 1.0
+        assert admits(require_physical, n1, n2, m, mirrored=mirrored) == admitted
+        assert admits(uncertainty_margin, n1, n2, m, mirrored=mirrored) == admitted
+        if not admitted:
+            with pytest.raises(NonPhysicalResult, match=r"violated \(slice 1\) = 5\.005e-07,"):
+                require_physical(n1, n2, m, mirrored=mirrored)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["occupation", "cross"])
+    def test_non_finite_moments_are_refused(self, value, where):
+        n1, n2, m = random_moments(3, 3, 2, mirrored=False, reach=0.1)
+        # a diagonal occupation, or an off-diagonal cross moment, of slice 1
+        moments, index = (n1, (1, 1, 1)) if where == "occupation" else (m, (1, 1, 0))
+        moments[index] = value
+        for check in (require_physical, uncertainty_margin):
+            with pytest.raises(NonPhysicalResult, match=r"violated \(slice 1\) = nan, not <= 5e-07$"):
+                check(n1, n2, m)
+
+    def test_an_admitted_stack_takes_no_eigensolve_and_leaves_its_input(self, monkeypatch):
+        n1, n2, m = random_moments(5, 4, 3, mirrored=False, reach=0.1)
+        for x in (n1, n2, m):
+            x.flags.writeable = False
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a))
+        assert require_physical(n1, n2, m) is None
+        assert require_physical(n1[0], n2[0], m[0]) is None
+        assert calls == []
 
 
 class TestNormalizedLogneg:
